@@ -34,8 +34,9 @@
 //!   assert that the off-mode rate stays within noise of the PR 3
 //!   reference (fault hooks must cost one predicted branch when off);
 //! * the lifecycle guardrail: engine throughput with the model-lifecycle
-//!   manager off (`cfg.lifecycle = None`) and with every run routed
-//!   through a managed deployment, with a hard assert that the off-mode
+//!   manager off (`cfg.cluster = None`) and with every run routed through
+//!   a managed deployment on a one-device fleet
+//!   (`EngineConfig::with_lifecycle`), with a hard assert that the off-mode
 //!   rate stays within noise of the PR 4 reference (an unmanaged engine
 //!   must not pay for version routing);
 //! * the attribution rate: how fast the post-hoc blame pipeline (phase
@@ -677,7 +678,7 @@ fn faults_section(off_eps: f64) -> Value {
 
 /// Measures the Olympian engine config with the lifecycle manager routing
 /// every run through a managed single-version deployment, and asserts the
-/// off rate (measured by `engine_section`, since `cfg.lifecycle` defaults
+/// off rate (measured by `engine_section`, since `cfg.cluster` defaults
 /// to `None`) is within noise of the PR 4 reference.
 ///
 /// # Panics

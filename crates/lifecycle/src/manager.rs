@@ -950,7 +950,7 @@ impl LifecycleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeploymentPlan, ModelDeployment};
+    use crate::{CanaryConfig, DeploymentPlan, ModelDeployment};
     use std::collections::BTreeSet;
 
     fn renamed(name: &str, m: LoadedModel) -> LoadedModel {
@@ -1354,6 +1354,36 @@ mod tests {
         assert!(rolled.1 > rolled.2, "candidate latency must exceed incumbent");
         assert_eq!(mgr.state(VersionKey { model: 0, version: 1 }), VersionState::Serving);
         assert_eq!(mgr.state(VersionKey { model: 0, version: 2 }), VersionState::Unloaded);
+    }
+
+    #[test]
+    fn route_cheapest_picks_the_lighter_serving_version() {
+        // Both orders: the lighter graph wins whether it is the incumbent
+        // or the canary candidate.
+        for light_first in [true, false] {
+            let (light, heavy) = (models::mini::tiny(4), models::mini::small(4));
+            let (v1, v2) = if light_first { (light, heavy) } else { (heavy, light) };
+            let plan = DeploymentPlan::new().with_model(
+                ModelDeployment::new("svc", renamed("svc", v1))
+                    .with_version(renamed("svc", v2), SimTime::from_millis(10)),
+            );
+            // The canary never decides, so both versions stay Serving.
+            let canary = CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 };
+            let cfg = LifecycleConfig::new(plan).with_canary(canary);
+            let mut sim = Sim::new(cfg, 64 << 20);
+            sim.run_until(SimTime::ZERO);
+            assert_eq!(sim.route("svc", 0), Route::Wait);
+            sim.run_until(SimTime::from_millis(20));
+            let keys = [1, 2].map(|version| VersionKey { model: 0, version });
+            assert!(keys.iter().all(|&k| sim.mgr.state(k) == VersionState::Serving));
+            let cheaper = keys[usize::from(!light_first)];
+            for client in 0..4 {
+                let mut fx = Effects::default();
+                let r = sim.mgr.route_cheapest("svc", client, sim.now, &mut sim.pool, &mut fx);
+                sim.absorb(fx);
+                assert_eq!(r, Route::Issue(cheaper));
+            }
+        }
     }
 
     #[test]

@@ -73,26 +73,23 @@ pub struct EngineConfig {
     /// branch each, the same zero-cost-when-off discipline as tracing and
     /// telemetry.
     pub faults: Option<faults::FaultConfig>,
-    /// Model-lifecycle management (see [`crate::lifecycle`]): versioned
-    /// registry, memory-budgeted hot load/unload and canary rollouts.
-    /// `None` by default — clients then carry pre-loaded models and
-    /// admission is the classic one-shot memory check; the lifecycle
-    /// hooks collapse to one predicted branch each.
-    pub lifecycle: Option<lifecycle::LifecycleConfig>,
     /// Closed-loop control plane (see [`controlplane`]): deadline-aware
     /// token policies, a burn-rate-driven degradation ladder and online
     /// profile recalibration. `None` by default — every control hook then
     /// collapses to one predicted branch, the same zero-cost-when-off
-    /// discipline as faults and lifecycle.
+    /// discipline as faults and the fleet.
     pub control: Option<controlplane::ControlConfig>,
-    /// Fleet orchestration (see [`crate::cluster`]): N heterogeneous
-    /// devices each with its own lifecycle manager and memory budget, a
-    /// cost-aware per-arrival router and a periodic min-cost-flow
-    /// reconfiguration loop. `None` by default — the engine then runs the
-    /// classic single-pool path and every cluster hook collapses to one
-    /// predicted branch. Mutually exclusive with `lifecycle` (the cluster
-    /// owns its per-device managers) and with `extra_devices` (the device
-    /// list comes from the cluster config).
+    /// Model lifecycle and fleet orchestration (see [`crate::lifecycle`]
+    /// and [`crate::cluster`]): N heterogeneous devices each with its own
+    /// lifecycle manager (versioned registry, memory-budgeted hot
+    /// load/unload, canary rollouts) and memory budget, a per-arrival
+    /// router and an optional periodic min-cost-flow reconfiguration loop.
+    /// Single-device lifecycle management is the one-device case (see
+    /// [`with_lifecycle`](Self::with_lifecycle)). `None` by default —
+    /// clients then carry pre-loaded models, admission is the classic
+    /// one-shot memory check and every fleet hook collapses to one
+    /// predicted branch. The device list comes from the cluster config,
+    /// so set it with [`with_cluster`](Self::with_cluster).
     pub cluster: Option<cluster::ClusterConfig>,
     /// Hard cap on simulated events — a watchdog against scheduling bugs.
     pub max_events: u64,
@@ -128,7 +125,6 @@ impl Default for EngineConfig {
             trace: trace::TraceConfig::off(),
             telemetry: telemetry::TelemetryConfig::off(),
             faults: None,
-            lifecycle: None,
             control: None,
             cluster: None,
             max_events: 500_000_000,
@@ -161,21 +157,10 @@ impl EngineConfig {
         if let Some(f) = &self.faults {
             f.validate();
         }
-        if let Some(lc) = &self.lifecycle {
-            assert!(
-                self.extra_devices.is_empty(),
-                "lifecycle management currently assumes a single device"
-            );
-            lc.validate();
-        }
         if let Some(ctl) = &self.control {
             ctl.validate();
         }
         if let Some(cc) = &self.cluster {
-            assert!(
-                self.lifecycle.is_none(),
-                "cluster mode owns its per-device lifecycle managers; do not also set lifecycle"
-            );
             assert!(
                 self.extra_devices.len() + 1 == cc.devices.len(),
                 "cluster mode derives the device list from the cluster config; use with_cluster"
@@ -225,17 +210,31 @@ impl EngineConfig {
     /// A copy with model-lifecycle management configured (see
     /// [`crate::lifecycle`]): clients naming a managed model are routed to
     /// its serving version at issue time instead of carrying their own
-    /// weights.
+    /// weights. This is a one-device fleet on `device` with the `Static`
+    /// router and reconfiguration off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config has extra devices; use
+    /// [`with_cluster`](Self::with_cluster) for a fleet.
     pub fn with_lifecycle(&self, lifecycle: lifecycle::LifecycleConfig) -> EngineConfig {
-        EngineConfig { lifecycle: Some(lifecycle), ..self.clone() }
+        assert!(
+            self.extra_devices.is_empty(),
+            "lifecycle management assumes a single device; use with_cluster for a fleet"
+        );
+        self.with_cluster(
+            cluster::ClusterConfig::new(vec![self.device.clone()], lifecycle)
+                .with_policy(cluster::RouterPolicy::Static)
+                .with_reconfigure(false),
+        )
     }
 
     /// A copy with fleet orchestration configured (see [`crate::cluster`]):
     /// the engine instantiates one GPU per profile in the cluster config,
     /// each with its own lifecycle manager and memory budget, routes every
-    /// arriving run to the cheapest device and runs the periodic
-    /// min-cost-flow reconfiguration loop. The engine's device list is
-    /// derived from the cluster's profiles.
+    /// arriving run by the cluster's router policy and, when enabled, runs
+    /// the periodic min-cost-flow reconfiguration loop. The engine's device
+    /// list is derived from the cluster's profiles.
     ///
     /// # Panics
     ///
@@ -246,7 +245,6 @@ impl EngineConfig {
             device: cluster.devices[0].clone(),
             extra_devices: cluster.devices[1..].to_vec(),
             cluster: Some(cluster),
-            lifecycle: None,
             ..self.clone()
         }
     }
@@ -322,15 +320,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "do not also set lifecycle")]
-    fn cluster_and_lifecycle_are_mutually_exclusive() {
-        let cc = cluster::ClusterConfig::new(
-            vec![DeviceProfile::gtx_1080_ti()],
-            lifecycle::LifecycleConfig::new(lifecycle::DeploymentPlan::new()),
-        );
-        let mut cfg = EngineConfig::default().with_cluster(cc);
-        cfg.lifecycle = Some(lifecycle::LifecycleConfig::new(lifecycle::DeploymentPlan::new()));
+    fn with_lifecycle_is_a_one_device_static_fleet() {
+        let lc = lifecycle::LifecycleConfig::new(lifecycle::DeploymentPlan::new());
+        let cfg = EngineConfig::default().with_lifecycle(lc);
+        let cc = cfg.cluster.as_ref().expect("lifecycle arms the fleet");
+        assert_eq!(cc.devices.len(), 1);
+        assert_eq!(cc.devices[0].name(), cfg.device.name());
+        assert_eq!(cc.policy, cluster::RouterPolicy::Static);
+        assert!(!cc.reconfigure);
+        assert_eq!(cfg.device_count(), 1);
         cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "assumes a single device")]
+    fn with_lifecycle_rejects_extra_devices() {
+        let lc = lifecycle::LifecycleConfig::new(lifecycle::DeploymentPlan::new());
+        let _ = EngineConfig::default().with_device_count(2).with_lifecycle(lc);
     }
 
     #[test]

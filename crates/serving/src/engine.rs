@@ -114,16 +114,6 @@ impl FaultRuntime {
     }
 }
 
-/// Live model-lifecycle state for one run: the manager plus the
-/// job → version map that attributes each completion to the version it
-/// was issued against. Held in an `Option` so the unmanaged hot path pays
-/// one predicted branch per hook.
-struct LifecycleRuntime {
-    mgr: LifecycleManager,
-    /// Versions of in-flight jobs, keyed by `JobId.0`.
-    job_versions: HashMap<u64, VersionKey>,
-}
-
 /// Live control-plane state for one run: the static configuration plus the
 /// degradation-ladder state machine. Held in an `Option` so the
 /// uncontrolled hot path pays one predicted branch per hook.
@@ -134,10 +124,11 @@ struct ControlRuntime {
 
 /// Live fleet-orchestration state for one run: one lifecycle manager per
 /// device, the router's per-device drain estimates, and the demand window
-/// the reconfiguration tick solves over. Held in an `Option` so the
-/// single-pool hot path pays one predicted branch per hook.
+/// the reconfiguration tick solves over. Every managed model is served
+/// through it: single-device lifecycle management is a one-device fleet
+/// with the `Static` router and reconfiguration off. Held in an `Option` so
+/// the unmanaged hot path pays one predicted branch per hook.
 struct ClusterRuntime {
-    cfg: cluster::ClusterConfig,
     /// One manager per device, indexed like `Engine::devices`. Every
     /// manager holds the same deployment plan, so version keys and model
     /// indices agree across devices; residency is per device.
@@ -168,8 +159,8 @@ enum FleetRoute {
     Issue(VersionKey, u64),
     /// Parked inside the routed device's manager until a load completes.
     Wait,
-    /// The model is not in the cluster's deployment plan; fall through to
-    /// the unmanaged admission path.
+    /// No fleet is configured, or the model is not in its deployment plan;
+    /// the run takes the unmanaged path.
     Unmanaged,
 }
 
@@ -351,7 +342,6 @@ pub(crate) struct Engine<'a> {
     /// calling across the crate boundary.
     telemetry_due: SimTime,
     faults: Option<FaultRuntime>,
-    lifecycle: Option<LifecycleRuntime>,
     control: Option<ControlRuntime>,
     cluster: Option<ClusterRuntime>,
     trace: TraceBuffer,
@@ -435,11 +425,6 @@ pub(crate) fn build_engine<'a>(
         .faults
         .as_ref()
         .map(|f| FaultRuntime::new(f, cfg.seed, client_states.len(), devices.len()));
-    let lifecycle = cfg.lifecycle.as_ref().map(|lc| LifecycleRuntime {
-        mgr: LifecycleManager::new(lc, memories[0].capacity())
-            .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}")),
-        job_versions: HashMap::new(),
-    });
     let control = cfg.control.as_ref().map(|c| ControlRuntime {
         cfg: c.clone(),
         machine: c.machine(),
@@ -449,12 +434,11 @@ pub(crate) fn build_engine<'a>(
             .iter()
             .map(|m| {
                 LifecycleManager::new(&cc.lifecycle, m.capacity())
-                    .unwrap_or_else(|e| panic!("invalid cluster lifecycle config: {e}"))
+                    .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
             })
             .collect();
         let n_models = managers[0].model_count();
         ClusterRuntime {
-            cfg: cc.clone(),
             job_routes: HashMap::new(),
             parked: HashMap::new(),
             outstanding_ns: vec![0; managers.len()],
@@ -487,7 +471,6 @@ pub(crate) fn build_engine<'a>(
         last_switch: None,
         telemetry_due,
         faults,
-        lifecycle,
         control,
         cluster: cluster_rt,
         trace: TraceBuffer::new(&cfg.trace),
@@ -500,9 +483,6 @@ pub(crate) fn build_engine<'a>(
     // Schedule a lifecycle tick at every publish instant before any client
     // starts, so version state is current at admission time.
     let mut startup_fx = LcEffects::default();
-    if let Some(rt) = &engine.lifecycle {
-        rt.mgr.startup(&mut startup_fx);
-    }
     if let Some(rt) = &engine.cluster {
         // Publish schedules are identical on every device's manager, so
         // one manager's startup ticks cover the whole fleet.
@@ -518,12 +498,8 @@ pub(crate) fn build_engine<'a>(
             .queue
             .schedule(SimTime::ZERO + rt.cfg.tick, Event::ControlTick);
     }
-    if let Some(rt) = &engine.cluster {
-        if rt.cfg.reconfigure {
-            engine
-                .queue
-                .schedule(SimTime::ZERO + rt.cfg.tick, Event::ClusterTick);
-        }
+    if let Some(cc) = cfg.cluster.as_ref().filter(|cc| cc.reconfigure) {
+        engine.queue.schedule(SimTime::ZERO + cc.tick, Event::ClusterTick);
     }
     engine
 }
@@ -676,7 +652,7 @@ impl Engine<'_> {
                 Some(ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let client = &mut self.clients[c.0 as usize];
         client.gang_limit = if cfg.min_effective_gang == cfg.max_gang {
             cfg.max_gang
@@ -742,13 +718,9 @@ impl Engine<'_> {
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
         let managed = self
-            .lifecycle
+            .cluster
             .as_ref()
-            .is_some_and(|rt| rt.mgr.manages(&model_name))
-            || self
-                .cluster
-                .as_ref()
-                .is_some_and(|rt| rt.managers[0].manages(&model_name));
+            .is_some_and(|rt| rt.managers[0].manages(&model_name));
         let key = (model_name, dev);
         if !managed && !self.weights_loaded.contains_key(&key) {
             match self.memories[dev as usize].alloc(weights_bytes) {
@@ -894,79 +866,26 @@ impl Engine<'_> {
     }
 
     fn start_run(&mut self, c: ClientId) {
-        // Lifecycle routing: resolve the model's serving version at issue
-        // time. `Wait` parks the client inside the manager; it is woken
-        // (via `Effects::wake`) once a version starts serving.
-        let mut routed: Option<VersionKey> = None;
-        // Execute estimate of a cluster-routed run, charged to the routed
-        // device's queue until the run finishes.
-        let mut routed_est: u64 = 0;
-        if self.cluster.is_some() {
-            match self.cluster_route(c) {
-                FleetRoute::Issue(key, est) => {
-                    routed = Some(key);
-                    routed_est = est;
-                }
-                FleetRoute::Wait => return,
-                FleetRoute::Unmanaged => {}
-            }
-        } else if self.lifecycle.is_some() {
-            let managed = {
-                let name = self.clients[c.0 as usize].spec.model.name();
-                self.lifecycle.as_ref().unwrap().mgr.manages(name)
-            };
-            if managed {
-                let mut fx = LcEffects::default();
-                // Past Healthy, clients of a managed model are resolved to
-                // its cheapest resident version — trading answer fidelity
-                // for GPU time while the ladder is elevated.
-                let degraded = self.control.as_ref().is_some_and(|rt| {
-                    rt.machine.state() != controlplane::DegradeState::Healthy
-                });
-                let route = {
-                    let client = &self.clients[c.0 as usize];
-                    let rt = self.lifecycle.as_mut().unwrap();
-                    if degraded {
-                        rt.mgr.route_cheapest(
-                            client.spec.model.name(),
-                            c.0,
-                            self.now,
-                            &mut self.memories[0],
-                            &mut fx,
-                        )
-                    } else {
-                        rt.mgr.route(
-                            client.spec.model.name(),
-                            c.0,
-                            self.now,
-                            &mut self.memories[0],
-                            &mut fx,
-                        )
-                    }
-                };
-                self.apply_lifecycle_effects(fx);
-                match route {
-                    Route::Wait => {
-                        self.record(TraceKind::LifecycleWait { client: c.0 });
-                        return;
-                    }
-                    Route::Issue(key) => routed = Some(key),
-                }
-            }
-        }
+        // Lifecycle routing: resolve a managed model's device and serving
+        // version at issue time. `Wait` parks the client inside the
+        // device's manager; it is woken (via `Effects::wake`) once a version
+        // starts serving. An issued run carries its execute estimate,
+        // charged to the routed device's queue until it finishes.
+        let routed = match self.cluster_route(c) {
+            FleetRoute::Issue(key, est) => Some((key, est)),
+            FleetRoute::Wait => return,
+            FleetRoute::Unmanaged => None,
+        };
         let job_id = JobId(self.job_refs.len() as u64);
         // A routed run executes the *version's* graph and registers under
         // its versioned name, so per-version profiles drive scheduling.
-        let graph = match routed {
-            Some(key) => match self.cluster.as_ref() {
-                // Every device's manager holds the same plan, so manager 0
-                // resolves any routed key's model.
-                Some(rt) => Arc::clone(rt.managers[0].version_model(key).graph()),
-                None => {
-                    let rt = self.lifecycle.as_ref().expect("routed without manager");
-                    Arc::clone(rt.mgr.version_model(key).graph())
-                }
-            },
+        // Every device's manager holds the same plan, so manager 0 resolves
+        // any routed key's model.
+        let resolved = routed.map(|(key, _)| {
+            (&self.cluster.as_ref().expect("routed without a fleet").managers[0], key)
+        });
+        let graph = match resolved {
+            Some((mgr, key)) => Arc::clone(mgr.version_model(key).graph()),
             None => Arc::clone(self.clients[c.0 as usize].spec.model.graph()),
         };
         // Degradation ladder: past Healthy, runs are metered at a shrunk
@@ -985,16 +904,8 @@ impl Engine<'_> {
         };
         let ctx = JobCtx {
             client: c,
-            model_name: match routed {
-                Some(key) => match self.cluster.as_ref() {
-                    Some(rt) => rt.managers[0].versioned_name(key),
-                    None => self
-                        .lifecycle
-                        .as_ref()
-                        .expect("routed without manager")
-                        .mgr
-                        .versioned_name(key),
-                },
+            model_name: match resolved {
+                Some((mgr, key)) => mgr.versioned_name(key),
                 None => client.spec.model.name(),
             },
             batch,
@@ -1030,18 +941,11 @@ impl Engine<'_> {
                 };
                 self.job_cold[slot as usize].started_at = self.now;
                 self.job_refs.push(JobRef::Live(slot));
-                if let Some(key) = routed {
-                    if let Some(rt) = self.cluster.as_mut() {
-                        let dev = self.clients[c.0 as usize].device;
-                        rt.outstanding_ns[dev as usize] += routed_est;
-                        rt.job_routes.insert(job_id.0, (dev, key, routed_est));
-                    } else {
-                        self.lifecycle
-                            .as_mut()
-                            .expect("routed without manager")
-                            .job_versions
-                            .insert(job_id.0, key);
-                    }
+                if let Some((key, est)) = routed {
+                    let rt = self.cluster.as_mut().expect("routed without a fleet");
+                    let dev = self.clients[c.0 as usize].device;
+                    rt.outstanding_ns[dev as usize] += est;
+                    rt.job_routes.insert(job_id.0, (dev, key, est));
                 }
                 self.clients[c.0 as usize].current_job = Some(job_id);
                 if let Some(deadline) = self.clients[c.0 as usize].spec.run_deadline {
@@ -1064,14 +968,10 @@ impl Engine<'_> {
                     self.memories[home].free(a);
                     self.pump_admission();
                 }
-                if let Some(key) = routed {
+                if let Some((key, _)) = routed {
                     // The issue never became a job: return the version's
                     // in-flight credit (no latency observation).
-                    if self.cluster.is_some() {
-                        self.cluster_run_finished(dev, key, None);
-                    } else {
-                        self.lifecycle_run_finished(key, None);
-                    }
+                    self.cluster_run_finished(dev, key, None);
                 }
             }
         }
@@ -1126,19 +1026,7 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        if self.cluster.is_some() {
-            self.cluster_job_done(job_id.0, Some(self.now - started_at));
-        } else if self.lifecycle.is_some() {
-            let key = self
-                .lifecycle
-                .as_mut()
-                .unwrap()
-                .job_versions
-                .remove(&job_id.0);
-            if let Some(key) = key {
-                self.lifecycle_run_finished(key, Some(self.now - started_at));
-            }
-        }
+        self.cluster_job_done(job_id.0, Some(self.now - started_at));
         let client = &mut self.clients[c.0 as usize];
         if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
@@ -1228,23 +1116,9 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        if self.cluster.is_some() {
-            // Cancelled runs report no latency: they must not skew
-            // the canary statistics.
-            self.cluster_job_done(job_id.0, None);
-        } else if self.lifecycle.is_some() {
-            let key = self
-                .lifecycle
-                .as_mut()
-                .unwrap()
-                .job_versions
-                .remove(&job_id.0);
-            if let Some(key) = key {
-                // Cancelled runs report no latency: they must not skew
-                // the canary statistics.
-                self.lifecycle_run_finished(key, None);
-            }
-        }
+        // Cancelled runs report no latency: they must not skew the canary
+        // statistics.
+        self.cluster_job_done(job_id.0, None);
         // Abort the whole session and release its memory (activations live
         // on the home device, which may differ from the routed one).
         let client = &mut self.clients[c.0 as usize];
@@ -1259,41 +1133,17 @@ impl Engine<'_> {
 
     // ---- model lifecycle --------------------------------------------------
 
-    /// Advances the lifecycle manager's time-driven transitions (publishes,
-    /// load completions, warm-up runs) and applies the effects. In cluster
-    /// mode every device's manager is ticked, in device order.
+    /// Advances every device manager's time-driven transitions (publishes,
+    /// load completions, warm-up runs), in device order, and applies the
+    /// effects.
     fn lifecycle_tick(&mut self) {
-        if self.cluster.is_some() {
-            let n = self.cluster.as_ref().unwrap().managers.len();
-            for d in 0..n {
-                let mut fx = LcEffects::default();
-                {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].tick(self.now, &mut self.memories[d], &mut fx);
-                }
-                self.apply_lifecycle_effects(fx);
-            }
-            return;
+        let n = self.cluster.as_ref().expect("lifecycle tick without a fleet").managers.len();
+        for d in 0..n {
+            let mut fx = LcEffects::default();
+            let mgr = &mut self.cluster.as_mut().expect("fleet is on").managers[d];
+            mgr.tick(self.now, &mut self.memories[d], &mut fx);
+            self.apply_lifecycle_effects(fx);
         }
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.lifecycle.as_mut().expect("lifecycle tick with manager off");
-            rt.mgr.tick(self.now, &mut self.memories[0], &mut fx);
-        }
-        self.apply_lifecycle_effects(fx);
-    }
-
-    /// Reports a routed run's completion (`latency == None` for cancelled
-    /// or never-started runs) and applies the resulting effects: canary
-    /// decisions, drain completions and retried loads.
-    fn lifecycle_run_finished(&mut self, key: VersionKey, latency: Option<SimDuration>) {
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.lifecycle.as_mut().expect("lifecycle hook with manager off");
-            rt.mgr
-                .run_finished(key, self.now, latency, &mut self.memories[0], &mut fx);
-        }
-        self.apply_lifecycle_effects(fx);
     }
 
     /// Translates manager effects into engine actions: typed events onto
@@ -1344,33 +1194,20 @@ impl Engine<'_> {
                     });
                     self.telemetry.on_drain_start();
                 }
-                LifecycleEvent::Promote { key, cand_us, base_us } => {
-                    self.record(TraceKind::CanaryPromote {
-                        model: key.model,
-                        version: key.version,
-                    });
-                    self.telemetry.on_rollout(
-                        self.now,
-                        self.lifecycle.as_ref().expect("event without manager").mgr.model_name(key),
-                        key.version,
-                        "promote",
-                        cand_us,
-                        base_us,
-                    );
-                }
-                LifecycleEvent::Rollback { key, cand_us, base_us } => {
-                    self.record(TraceKind::CanaryRollback {
-                        model: key.model,
-                        version: key.version,
-                    });
-                    self.telemetry.on_rollout(
-                        self.now,
-                        self.lifecycle.as_ref().expect("event without manager").mgr.model_name(key),
-                        key.version,
-                        "rollback",
-                        cand_us,
-                        base_us,
-                    );
+                LifecycleEvent::Promote { key, cand_us, base_us }
+                | LifecycleEvent::Rollback { key, cand_us, base_us } => {
+                    let (model, version) = (key.model, key.version);
+                    let action = if matches!(ev, LifecycleEvent::Promote { .. }) {
+                        self.record(TraceKind::CanaryPromote { model, version });
+                        "promote"
+                    } else {
+                        self.record(TraceKind::CanaryRollback { model, version });
+                        "rollback"
+                    };
+                    let rt = self.cluster.as_ref().expect("lifecycle event without a fleet");
+                    let name = rt.managers[0].model_name(key);
+                    self.telemetry
+                        .on_rollout(self.now, name, version, action, cand_us, base_us);
                 }
             }
         }
@@ -1390,104 +1227,94 @@ impl Engine<'_> {
     /// Routes one arriving run across the fleet: estimates each device's
     /// cost (queued work + transfer-if-load-needed + profile-scaled
     /// execute), picks the cheapest (lowest index on ties), and resolves
-    /// the version through that device's lifecycle manager.
+    /// the version through that device's lifecycle manager. Past Healthy,
+    /// the manager resolves the model's cheapest resident version instead —
+    /// trading answer fidelity for GPU time while the ladder is elevated.
     fn cluster_route(&mut self, c: ClientId) -> FleetRoute {
-        let name = self.clients[c.0 as usize].spec.model.name().to_string();
-        let Some(mi) = self.cluster.as_ref().unwrap().managers[0].model_index(&name) else {
+        let (Some(rt), Some(cc)) = (self.cluster.as_mut(), self.cfg.cluster.as_ref()) else {
+            return FleetRoute::Unmanaged;
+        };
+        let model = &self.clients[c.0 as usize].spec.model;
+        let Some(mi) = rt.managers[0].model_index(model.name()) else {
             return FleetRoute::Unmanaged;
         };
         // Whole-run GPU estimate at speed 1.0: the oracle's figure when
         // bound, else the graph's summed kernel durations.
-        let batch = self.clients[c.0 as usize].spec.model.batch();
-        let base_ns = {
-            let rt = self.cluster.as_ref().unwrap();
-            rt.cfg
-                .cost
-                .as_ref()
-                .and_then(|o| o.expected_gpu_ns(&name, batch))
-                .unwrap_or_else(|| {
-                    let g = self.clients[c.0 as usize].spec.model.graph();
-                    g.node_ids()
-                        .filter(|&id| g.node(id).placement() == Placement::Gpu)
-                        .map(|id| g.node(id).duration().as_nanos())
-                        .sum()
-                })
-        };
+        let base_ns = cc
+            .cost
+            .as_ref()
+            .and_then(|o| o.expected_gpu_ns(model.name(), model.batch()))
+            .unwrap_or_else(|| model.graph().total_gpu_time().as_nanos());
         // A woken client re-routes from scratch: return its parked charge.
-        let parked_dev = {
-            let rt = self.cluster.as_mut().unwrap();
-            match rt.parked.remove(&c.0) {
-                Some((pd, pest)) => {
-                    rt.outstanding_ns[pd as usize] =
-                        rt.outstanding_ns[pd as usize].saturating_sub(pest);
-                    Some(pd)
-                }
-                None => None,
+        let parked_dev = rt.parked.remove(&c.0).map(|(pd, pest)| {
+            rt.outstanding_ns[pd as usize] = rt.outstanding_ns[pd as usize].saturating_sub(pest);
+            pd
+        });
+        if parked_dev.is_none() {
+            // Demand is counted once per arrival, not per wake-up.
+            rt.window_demand[mi] += 1;
+        }
+        rt.exec_est[mi] = base_ns;
+        let (dev, est_ns, cost_ns) = match cc.policy {
+            cluster::RouterPolicy::Static => {
+                let d = mi % rt.managers.len();
+                let est = cluster::scaled_execute_ns(base_ns, rt.speed[d]);
+                (d as u32, est, est)
             }
-        };
-        let (dev, est_ns, cost_ns) = {
-            let rt = self.cluster.as_mut().unwrap();
-            if parked_dev.is_none() {
-                // Demand is counted once per arrival, not per wake-up.
-                rt.window_demand[mi] += 1;
-            }
-            rt.exec_est[mi] = base_ns;
-            match rt.cfg.policy {
-                cluster::RouterPolicy::Static => {
-                    let d = mi % rt.managers.len();
-                    let est = cluster::scaled_execute_ns(base_ns, rt.speed[d]);
-                    (d as u32, est, est)
-                }
-                cluster::RouterPolicy::CostAware => {
-                    let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
-                        .map(|d| {
-                            let m = &rt.managers[d];
-                            cluster::DeviceEstimate {
-                                queued_ns: rt.outstanding_ns[d],
-                                resident: m.serving_version(mi).is_some(),
-                                loading: m.is_loading(mi),
-                                transfer_ns: MemoryPool::transfer_time(
-                                    m.aspired_weights_bytes(mi),
-                                    m.load_gbps(),
-                                )
-                                .as_nanos(),
-                                execute_ns: cluster::scaled_execute_ns(base_ns, rt.speed[d]),
-                            }
-                        })
-                        .collect();
-                    let d = cluster::pick_device(&ests);
-                    (d as u32, ests[d].execute_ns, ests[d].cost_ns())
-                }
+            cluster::RouterPolicy::CostAware => {
+                let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
+                    .map(|d| {
+                        let m = &rt.managers[d];
+                        cluster::DeviceEstimate {
+                            queued_ns: rt.outstanding_ns[d],
+                            resident: m.serving_version(mi).is_some(),
+                            loading: m.is_loading(mi),
+                            transfer_ns: MemoryPool::transfer_time(
+                                m.aspired_weights_bytes(mi),
+                                m.load_gbps(),
+                            )
+                            .as_nanos(),
+                            execute_ns: cluster::scaled_execute_ns(base_ns, rt.speed[d]),
+                        }
+                    })
+                    .collect();
+                let d = cluster::pick_device(&ests);
+                (d as u32, ests[d].execute_ns, ests[d].cost_ns())
             }
         };
         // A wake credit granted on a device the run no longer routes to
         // must be returned, or that version stays pinned forever.
-        if let Some(pd) = parked_dev {
-            if pd != dev {
-                self.cluster.as_mut().unwrap().managers[pd as usize].cancel_wake_credit(mi);
-            }
+        if let Some(pd) = parked_dev.filter(|&pd| pd != dev) {
+            rt.managers[pd as usize].cancel_wake_credit(mi);
         }
-        self.record(TraceKind::ClusterRoute {
-            client: c.0,
-            device: dev,
-            cost_us: cost_ns / 1_000,
-        });
-        self.telemetry.on_cluster_route();
+        // A one-device fleet has nothing to choose: no route is recorded.
+        if rt.managers.len() > 1 {
+            self.record(TraceKind::ClusterRoute {
+                client: c.0,
+                device: dev,
+                cost_us: cost_ns / 1_000,
+            });
+            self.telemetry.on_cluster_route();
+        }
+        let degraded = self
+            .control
+            .as_ref()
+            .is_some_and(|rt| rt.machine.state() != controlplane::DegradeState::Healthy);
         let mut fx = LcEffects::default();
         let route = {
-            let rt = self.cluster.as_mut().unwrap();
-            rt.managers[dev as usize].route(
-                &name,
-                c.0,
-                self.now,
-                &mut self.memories[dev as usize],
-                &mut fx,
-            )
+            let mgr = &mut self.cluster.as_mut().expect("fleet is on").managers[dev as usize];
+            let name = self.clients[c.0 as usize].spec.model.name();
+            let pool = &mut self.memories[dev as usize];
+            if degraded {
+                mgr.route_cheapest(name, c.0, self.now, pool, &mut fx)
+            } else {
+                mgr.route(name, c.0, self.now, pool, &mut fx)
+            }
         };
         self.apply_lifecycle_effects(fx);
         match route {
             Route::Wait => {
-                let rt = self.cluster.as_mut().unwrap();
+                let rt = self.cluster.as_mut().expect("fleet is on");
                 rt.parked.insert(c.0, (dev, est_ns));
                 rt.outstanding_ns[dev as usize] += est_ns;
                 self.record(TraceKind::LifecycleWait { client: c.0 });
@@ -1500,8 +1327,10 @@ impl Engine<'_> {
         }
     }
 
-    /// Reports a routed run's completion to the device's manager — the
-    /// cluster counterpart of [`lifecycle_run_finished`](Self::lifecycle_run_finished).
+    /// Reports a routed run's completion (`latency == None` for cancelled
+    /// or never-started runs) to its device's manager and applies the
+    /// resulting effects: canary decisions, drain completions and retried
+    /// loads.
     fn cluster_run_finished(&mut self, dev: u32, key: VersionKey, latency: Option<SimDuration>) {
         let mut fx = LcEffects::default();
         {
@@ -1518,10 +1347,13 @@ impl Engine<'_> {
     }
 
     /// Settles a finished (or cancelled) routed job: returns its queue
-    /// charge and reports the completion to its device's manager.
+    /// charge and reports the completion to its device's manager. A no-op
+    /// for unrouted jobs.
     fn cluster_job_done(&mut self, job: u64, latency: Option<SimDuration>) {
         let entry = {
-            let rt = self.cluster.as_mut().expect("cluster hook with cluster off");
+            let Some(rt) = self.cluster.as_mut() else {
+                return;
+            };
             rt.job_routes.remove(&job).inspect(|&(dev, _, est)| {
                 rt.outstanding_ns[dev as usize] =
                     rt.outstanding_ns[dev as usize].saturating_sub(est);
@@ -1541,7 +1373,7 @@ impl Engine<'_> {
             self.record(TraceKind::ClusterReconfig { loads, drains });
             self.telemetry.on_cluster_reconfig();
         }
-        let tick = self.cluster.as_ref().expect("cluster tick with cluster off").cfg.tick;
+        let tick = self.cfg.cluster.as_ref().expect("cluster tick with cluster off").tick;
         if self.clients.iter().any(|c| c.outcome.is_none()) {
             self.queue.schedule(now + tick, Event::ClusterTick);
         }
@@ -1790,11 +1622,9 @@ impl Engine<'_> {
             starving: self.starving.len() as u64,
             active_jobs: u64::from(probe.active_jobs),
             holder_cost: probe.holder_cost,
-            resident_model_bytes: match (&self.lifecycle, &self.cluster) {
-                (Some(rt), _) => rt.mgr.resident_bytes(),
-                (None, Some(rt)) => rt.managers.iter().map(LifecycleManager::resident_bytes).sum(),
-                (None, None) => 0,
-            },
+            resident_model_bytes: self.cluster.as_ref().map_or(0, |rt| {
+                rt.managers.iter().map(LifecycleManager::resident_bytes).sum()
+            }),
         }
     }
 
@@ -2359,6 +2189,10 @@ impl Engine<'_> {
                 self.record_alert(a);
             }
         }
+        // The report needs nothing from the fleet: free its managers and
+        // ledgers before the report's own allocations, so they do not stack
+        // on the run's peak heap.
+        self.cluster = None;
         let mut reports = Vec::with_capacity(self.clients.len());
         for (i, client) in self.clients.iter_mut().enumerate() {
             let outcome = client.outcome.take().unwrap_or(ClientOutcome::Stalled);
@@ -2825,21 +2659,41 @@ mod tests {
         assert!(report.peak_memory <= budget);
     }
 
+    #[test]
+    fn lifecycle_run_records_no_cluster_routes() {
+        // A one-device fleet has no routing choice to make, so it must not
+        // grow the trace ring or the route counter per arrival.
+        let cfg = lifecycle_cfg().with_trace(crate::TraceConfig::full());
+        let clients = vec![ClientSpec::new(managed("svc"), 3); 2];
+        let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
+        assert!(report.all_finished());
+        assert_eq!(report.telemetry.counter("cluster_routes"), Some(0));
+        let kinds: Vec<&TraceKind> = report.trace.events.iter().map(|e| &e.kind).collect();
+        assert!(kinds.iter().any(|k| matches!(k, TraceKind::RunRegistered { .. })));
+        assert!(!kinds.iter().any(|k| matches!(k, TraceKind::ClusterRoute { .. })));
+    }
+
+    /// Two devices serving `lc`'s plan, reconfiguring every 1 ms.
+    fn two_devices(lc: lifecycle::LifecycleConfig) -> cluster::ClusterConfig {
+        let devices = vec![
+            gpusim::DeviceProfile::gtx_1080_ti(),
+            gpusim::DeviceProfile::titan_x(),
+        ];
+        cluster::ClusterConfig::new(devices, lc).with_tick(SimDuration::from_millis(1))
+    }
+
+    fn fleet(cc: cluster::ClusterConfig) -> EngineConfig {
+        EngineConfig::default()
+            .with_cluster(cc)
+            .with_telemetry(telemetry::TelemetryConfig::enabled(SimDuration::from_micros(200)))
+    }
+
     fn fleet_cfg(policy: cluster::RouterPolicy, names: &[&str]) -> EngineConfig {
         let mut plan = lifecycle::DeploymentPlan::new();
         for n in names {
             plan = plan.with_model(lifecycle::ModelDeployment::new(*n, managed(n)));
         }
-        let devices = vec![
-            gpusim::DeviceProfile::gtx_1080_ti(),
-            gpusim::DeviceProfile::titan_x(),
-        ];
-        let cc = cluster::ClusterConfig::new(devices, lifecycle::LifecycleConfig::new(plan))
-            .with_tick(SimDuration::from_millis(1))
-            .with_policy(policy);
-        EngineConfig::default()
-            .with_cluster(cc)
-            .with_telemetry(telemetry::TelemetryConfig::enabled(SimDuration::from_micros(200)))
+        fleet(two_devices(lifecycle::LifecycleConfig::new(plan)).with_policy(policy))
     }
 
     fn fleet_clients(names: &[&str], batches: u32) -> Vec<ClientSpec> {
@@ -2866,6 +2720,128 @@ mod tests {
         assert_eq!(t.counter("runs_completed"), Some(9));
         assert!(t.counter("versions_loaded").unwrap() >= 3);
         assert_eq!(report.device_utilizations.len(), 2);
+    }
+
+    #[test]
+    fn cluster_canary_decides_once_and_finishes() {
+        // Version 2 publishes mid-run; the promote/rollback decision lands
+        // on the telemetry through the routed device's manager. Static
+        // placement keeps the model on one device, so exactly one canary
+        // runs.
+        let plan = lifecycle::DeploymentPlan::new().with_model(
+            lifecycle::ModelDeployment::new("svc", managed("svc"))
+                .with_version(managed("svc"), SimTime::from_micros(500)),
+        );
+        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: 2, tolerance: 0.25 };
+        let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
+        let cfg = fleet(
+            two_devices(lc)
+                .with_policy(cluster::RouterPolicy::Static)
+                .with_reconfigure(false),
+        );
+        let clients = vec![ClientSpec::new(managed("svc"), 16); 3];
+        let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
+        assert!(report.all_finished());
+        let t = &report.telemetry;
+        let decisions =
+            t.counter("canary_promotions").unwrap() + t.counter("canary_rollbacks").unwrap();
+        assert_eq!(decisions, 1);
+    }
+
+    /// Logs every registration's `(instant, model name)` around the
+    /// baseline scheduler.
+    #[derive(Debug, Default)]
+    struct NameLog {
+        inner: FifoScheduler,
+        names: Vec<(SimTime, String)>,
+    }
+
+    impl Scheduler for NameLog {
+        fn register(
+            &mut self,
+            job: JobId,
+            ctx: &JobCtx<'_>,
+        ) -> Result<Verdict, crate::scheduler::RegisterError> {
+            self.names.push((ctx.now, ctx.model_name.to_string()));
+            self.inner.register(job, ctx)
+        }
+
+        fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
+            self.inner.deregister(job, now)
+        }
+
+        fn may_run(&self, job: JobId) -> bool {
+            self.inner.may_run(job)
+        }
+
+        fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
+            self.inner.on_gpu_node_done(job, node, now)
+        }
+
+        fn name(&self) -> &str {
+            "name-log"
+        }
+    }
+
+    #[test]
+    fn degraded_fleet_routes_to_the_cheapest_version() {
+        // v1 is the heavy graph, v2 (published at 10 ms, once v1 serves)
+        // the light one. The canary never decides, so both stay Serving; an
+        // objective no run meets walks the ladder out of Healthy and keeps
+        // it there.
+        let heavy = models::mini::small(4);
+        let heavy = models::LoadedModel::from_parts(
+            "svc",
+            None,
+            heavy.batch(),
+            Arc::clone(heavy.graph()),
+            heavy.weights_bytes(),
+            heavy.activation_bytes(),
+        );
+        let plan = lifecycle::DeploymentPlan::new().with_model(
+            lifecycle::ModelDeployment::new("svc", heavy)
+                .with_version(managed("svc"), SimTime::from_millis(10)),
+        );
+        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 };
+        let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
+        let cc = two_devices(lc)
+            .with_policy(cluster::RouterPolicy::Static)
+            .with_reconfigure(false);
+        let cfg = fleet(cc)
+            .with_trace(crate::TraceConfig::full())
+            .with_control(
+                controlplane::ControlConfig::new()
+                    .with_escalate_after(1)
+                    .with_cool_window(SimDuration::from_secs(10)),
+            )
+            .with_telemetry(
+                telemetry::TelemetryConfig::enabled(SimDuration::from_micros(200))
+                    .with_slo(telemetry::SloSpec::new("svc", SimDuration::from_micros(1), 0.05))
+                    .with_burn(telemetry::BurnWindows { short: 1, long: 2, threshold: 2.0 }),
+            );
+        let clients = vec![ClientSpec::new(managed("svc"), 40); 3];
+        let mut sched = NameLog::default();
+        let report = run_experiment(&cfg, clients, &mut sched);
+        assert!(report.all_finished());
+        let degraded_at = report
+            .trace
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::ControlTransition { .. }))
+            .expect("the ladder must leave Healthy")
+            .at;
+        let light_at = sched
+            .names
+            .iter()
+            .find(|(_, n)| n == "svc@v2")
+            .expect("version 2 must serve")
+            .0;
+        assert!(sched.names.iter().any(|(t, n)| *t < light_at && n == "svc@v1"));
+        let since = degraded_at.max(light_at);
+        let late: Vec<&str> =
+            sched.names.iter().filter(|(t, _)| *t > since).map(|(_, n)| n.as_str()).collect();
+        assert!(!late.is_empty(), "no registrations after the ladder left Healthy");
+        assert!(late.iter().all(|&n| n == "svc@v2"), "degraded runs took {late:?}");
     }
 
     #[test]

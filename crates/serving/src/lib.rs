@@ -22,6 +22,14 @@
 //! implements the trait as no-ops, giving stock TF-Serving behaviour; the
 //! `olympian` crate provides the real scheduler.
 //!
+//! # Managed models
+//!
+//! Versioned load/unload ([`lifecycle`]) and multi-device serving
+//! ([`cluster`]) share one engine path: every managed model is served by a
+//! fleet of per-device lifecycle managers. Lifecycle = one-device `Static`
+//! fleet, no reconfiguration — [`EngineConfig::with_lifecycle`] is sugar
+//! for [`EngineConfig::with_cluster`] over the configured device.
+//!
 //! ```
 //! use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
 //!
@@ -69,9 +77,11 @@ pub mod faults {
 pub mod lifecycle {
     //! Re-export of the model-lifecycle crate: versioned registries,
     //! memory-budgeted residency and canary rollouts consumed via
-    //! [`EngineConfig::with_lifecycle`].
+    //! [`EngineConfig::with_lifecycle`] (a one-device fleet) or per device
+    //! via [`EngineConfig::with_cluster`].
     //!
     //! [`EngineConfig::with_lifecycle`]: crate::EngineConfig::with_lifecycle
+    //! [`EngineConfig::with_cluster`]: crate::EngineConfig::with_cluster
     pub use ::lifecycle::*;
 }
 mod report;
