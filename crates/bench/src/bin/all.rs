@@ -1,6 +1,7 @@
-//! Runs every table/figure experiment and saves each report under
-//! `results/`. This is the one-command reproduction of the paper's entire
-//! evaluation section.
+//! Runs the table/figure experiments and saves each report under
+//! `results/`. With no names this is the one-command reproduction of the
+//! paper's entire evaluation section; `all fig08 fleet` runs just those
+//! entries of `bench::figs::registry`.
 //!
 //! Experiments are independent deterministic simulations, so they run in
 //! parallel (`--jobs N` or `OLYMPIAN_JOBS=N`, default: all cores) and the
@@ -11,34 +12,37 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: all [--jobs N]");
+    eprintln!("usage: all [--jobs N] [NAME...]");
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let mut jobs = simpar::max_jobs();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = n,
-                    _ => return usage(),
-                }
-                i += 2;
+    let mut names: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--jobs" {
+            match args.next().map(|v| v.parse::<usize>()) {
+                Some(Ok(n)) if n > 0 => jobs = n,
+                _ => return usage(),
             }
-            _ => return usage(),
+        } else if arg.starts_with('-') {
+            return usage();
+        } else {
+            names.push(arg);
         }
     }
+    let experiments = match bench::figs::select(&names) {
+        Ok(e) => e,
+        Err(e) => {
+            eprintln!("all: {e}");
+            return usage();
+        }
+    };
     // Propagate the cap to the nested replication/sweep loops, which size
     // themselves via `simpar::max_jobs`.
     std::env::set_var(simpar::JOBS_ENV, jobs.to_string());
 
-    let experiments = bench::figs::registry();
     let t0 = Instant::now();
     let results: Vec<(String, Duration)> = simpar::par_map_jobs(jobs, &experiments, |_, &(_, f)| {
         let t = Instant::now();

@@ -24,7 +24,7 @@
 //! olympctl fleet   <scenario>   [--out report.txt]
 //! olympctl top     <experiment> [--interval-us N] [--fps N] [--rows N]
 //! olympctl query   <expr> [--dir runs] [--run A] [--vs B] [--dash out.html]
-//! olympctl import-bench <BENCH.json> [--dir runs] [--as seed]
+//! olympctl import-bench <bench.json> [--dir runs] [--as seed]
 //! ```
 //!
 //! `trace` runs a named experiment (see `bench::traced::traced_registry`)
@@ -89,10 +89,10 @@
 //! the self-contained HTML dashboard (per-series SVG sparklines,
 //! heatmaps, alert markers and — with `--vs` — the delta table).
 //!
-//! `import-bench` flattens a `BENCH_engine.json`-style document into the
-//! catalog (metric `section.key`, deeper path components as a `case`
-//! label), so perf baselines are queryable: `olympctl query
-//! 'engine.events_per_s' --run seed --vs seed`.
+//! `import-bench` stores the benchmark's `--out` document (see
+//! `benchmark/README.md`) in the catalog, one series per metric and
+//! workload, so perf baselines are queryable: `olympctl query
+//! 'wall_s{workload=*}' --run seed --vs seed`.
 
 use olympian::{
     DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy, Priority,
@@ -124,7 +124,7 @@ fn usage() -> ExitCode {
          olympctl fleet <scenario> [--out <report.txt>]\n  \
          olympctl top <experiment> [--interval-us <n>] [--fps <n>] [--rows <n>]\n  \
          olympctl query <expr> [--dir <runs>] [--run <a>] [--vs <b>] [--dash <out.html>]\n  \
-         olympctl import-bench <BENCH.json> [--dir <runs>] [--as <seed>]\n  \
+         olympctl import-bench <bench.json> [--dir <runs>] [--as <seed>]\n  \
          any command also accepts --jobs <n> (worker threads for parallel\n  \
          sweeps; default: all cores, or OLYMPIAN_JOBS)"
     );
@@ -607,7 +607,7 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
     if runs.is_empty() {
         return Err(format!(
             "no stored runs under {dir:?}; fill it with `olympctl metrics <experiment> \
-             --store {dir}` or `olympctl import-bench BENCH_engine.json --dir {dir}`"
+             --store {dir}` or `olympctl import-bench <bench.json> --dir {dir}`"
         ));
     }
     let vs = flags.get("vs").map(String::as_str);
@@ -704,9 +704,9 @@ fn cmd_import_bench(path: &str, flags: &HashMap<String, String>) -> Result<(), S
     let dir = flags.get("dir").map(String::as_str).unwrap_or("runs");
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = microjson::Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let store = tsdb::catalog::import_bench(&doc);
+    let store = tsdb::catalog::import_bench(&doc).map_err(|e| format!("{path}: {e}"))?;
     if store.series_count() == 0 {
-        return Err(format!("{path}: no numeric sections to import"));
+        return Err(format!("{path}: no metrics to import"));
     }
     let catalog = tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
     let stored = catalog.store_run(name, &store).map_err(|e| e.to_string())?;

@@ -2,7 +2,7 @@
 //!
 //! Every module exposes `run() -> String`: it executes the experiment,
 //! formats the same rows/series the paper plots, and returns the report
-//! text (which the corresponding binary prints and saves under `results/`).
+//! text (which the `all` binary prints and saves under `results/`).
 
 pub mod ablations;
 pub mod blame;
@@ -45,9 +45,9 @@ pub type Experiment = (&'static str, fn() -> String);
 
 /// Every experiment of the reproduction, in the paper's presentation order.
 ///
-/// This is the registry both `bench::all` and `perfsuite` iterate; entries
-/// are independent deterministic simulations, so the harness may run them in
-/// parallel as long as results are merged in registry order.
+/// This is the registry the `all` binary iterates; entries are independent
+/// deterministic simulations, so it may run them in parallel as long as
+/// results are merged in registry order.
 pub fn registry() -> Vec<Experiment> {
     vec![
         ("table2", table2::run),
@@ -83,7 +83,62 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
+/// The registry entries named in `names`, in registry order whatever the
+/// order (or repetition) of `names`; every entry when `names` is empty.
+///
+/// # Errors
+///
+/// An unknown name, with the list of known ones.
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<Experiment>, String> {
+    let all = registry();
+    if let Some(bad) = names
+        .iter()
+        .map(AsRef::as_ref)
+        .find(|n| !all.iter().any(|&(name, _)| name == *n))
+    {
+        let known: Vec<&str> = all.iter().map(|&(name, _)| name).collect();
+        return Err(format!("unknown experiment {bad:?}; known: {}", known.join(", ")));
+    }
+    if names.is_empty() {
+        return Ok(all);
+    }
+    Ok(all
+        .into_iter()
+        .filter(|&(name, _)| names.iter().any(|n| n.as_ref() == name))
+        .collect())
+}
+
 /// A fair-sharing Olympian scheduler over the given profiles and quantum.
 pub(crate) fn fair(store: Arc<ProfileStore>, q: SimDuration) -> OlympianScheduler {
     OlympianScheduler::new(store, Box::new(RoundRobin::new()), q)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(selected: &[Experiment]) -> Vec<&'static str> {
+        selected.iter().map(|&(name, _)| name).collect()
+    }
+
+    #[test]
+    fn no_names_selects_the_whole_registry() {
+        let none: [&str; 0] = [];
+        assert_eq!(names(&select(&none).unwrap()), names(&registry()));
+    }
+
+    #[test]
+    fn selection_follows_registry_order() {
+        let picked = select(&["fleet", "table2", "fig08", "table2"]).unwrap();
+        assert_eq!(names(&picked), ["table2", "fig08", "fleet"]);
+    }
+
+    #[test]
+    fn unknown_name_lists_the_known_ones() {
+        let err = select(&["fig03", "fig99"]).unwrap_err();
+        assert!(err.contains("\"fig99\""), "{err}");
+        for (name, _) in registry() {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
 }

@@ -1,18 +1,19 @@
-//! A minimal, dependency-free measurement harness for the microbenches.
+//! A minimal, dependency-free wall-clock measurement harness, used by
+//! `olympctl bench --shards` to time the sharded runner.
 //!
-//! The workspace builds hermetically (no registry access), so the bench
-//! binaries cannot use an external harness. This module provides the small
-//! slice the repo needs: warm up, auto-calibrate an iteration count to a
-//! target sample duration, take several samples and report the median —
-//! robust against one-off scheduling noise without criterion's machinery.
+//! The workspace builds hermetically (no registry access), so it cannot use
+//! an external harness. This module provides the small slice the repo
+//! needs: warm up, auto-calibrate an iteration count to a target sample
+//! duration, take several samples and report the median — robust against
+//! one-off scheduling noise.
 
 use std::time::{Duration, Instant};
 
 /// Samples collected per measurement; the median is reported.
 const SAMPLES: usize = 7;
 
-/// Target wall-clock per sample. Short enough that a full bench binary runs
-/// in seconds, long enough to amortize timer quantization.
+/// Target wall-clock per sample. Short enough that a measurement takes
+/// about half a second, long enough to amortize timer quantization.
 const TARGET_SAMPLE: Duration = Duration::from_millis(60);
 
 /// One benchmark result.
@@ -98,7 +99,7 @@ pub fn measure<R, F: FnMut() -> R>(name: &str, mut f: F) -> Measurement {
 }
 
 /// Measures `f` and prints the result line; returns the measurement so
-/// callers can aggregate (e.g. into `BENCH_engine.json`).
+/// callers can derive rates from it.
 pub fn run<R, F: FnMut() -> R>(name: &str, f: F) -> Measurement {
     let m = measure(name, f);
     println!("{}", m.report());

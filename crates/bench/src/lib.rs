@@ -1,10 +1,11 @@
 #![deny(missing_docs)]
 
-//! Shared plumbing for the experiment binaries.
+//! Shared plumbing for the experiments.
 //!
-//! Each `src/bin/figNN_*.rs` regenerates one table or figure of the paper;
-//! this library holds what they share: the default platform configuration,
-//! workload builders, profile-store construction and result printing.
+//! Each [`figs`] module regenerates one table or figure of the paper, and
+//! the `all` binary runs them; this library holds what they share: the
+//! default platform configuration, workload builders, profile-store
+//! construction and result printing.
 
 pub mod figs;
 pub mod harness;

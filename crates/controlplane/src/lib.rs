@@ -235,8 +235,7 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
 
 /// Control-plane configuration carried by the engine config behind
 /// `EngineConfig::with_control`. With no control config the engine pays
-/// one predicted branch per hook (the perfsuite `control` section holds
-/// this to noise).
+/// one predicted branch per hook.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Deadline-aware hand-off ordering for the token scheduler.

@@ -2,7 +2,7 @@
 
 //! Statistics and reporting helpers for the Olympian experiment harness.
 //!
-//! Every figure and table binary in `crates/bench` funnels its raw
+//! Every figure and table experiment in `crates/bench` funnels its raw
 //! measurements through this crate: summary statistics ([`Summary`]),
 //! empirical CDFs ([`Cdf`]), fairness indices ([`jain_fairness`]) and
 //! fixed-width ASCII tables/bars ([`table`]).

@@ -1,6 +1,6 @@
 //! Fixed-width ASCII tables and bar charts for experiment output.
 //!
-//! The figure binaries print the same *series* the paper plots; since the
+//! The figure reports print the same *series* the paper plots; since the
 //! harness is terminal-only, bar charts stand in for the paper's bar figures.
 
 /// Renders a fixed-width ASCII table.

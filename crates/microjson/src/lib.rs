@@ -1,7 +1,7 @@
 #![deny(missing_docs)]
 
 //! A small, dependency-free JSON library for the repo's on-disk formats
-//! (servables, profile stores, `BENCH_engine.json`).
+//! (servables, profile stores, benchmark results).
 //!
 //! The workspace builds in hermetic environments with no registry access, so
 //! serialization cannot rely on external crates. This module provides the

@@ -10,7 +10,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution instants and spans,
 //!   newtypes so they can never be confused with wall-clock values.
-//! * [`EventQueue`] — a total-ordered pending-event set with deterministic
+//! * [`TimingWheel`] — a total-ordered pending-event set with deterministic
 //!   FIFO tie-breaking for simultaneous events.
 //! * [`DetRng`] — a small, self-contained SplitMix64-based PRNG with the
 //!   handful of distributions the simulator needs (uniform, normal,
@@ -20,9 +20,9 @@
 //! # Example
 //!
 //! ```
-//! use simtime::{EventQueue, SimDuration, SimTime};
+//! use simtime::{SimDuration, SimTime, TimingWheel};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
+//! let mut q: TimingWheel<&str> = TimingWheel::new();
 //! q.schedule(SimTime::ZERO + SimDuration::from_micros(5), "later");
 //! q.schedule(SimTime::ZERO + SimDuration::from_micros(1), "sooner");
 //! let (t, ev) = q.pop().unwrap();
@@ -35,7 +35,7 @@ mod rng;
 mod time;
 mod wheel;
 
-pub use queue::{BaselineEventQueue, EventQueue};
+pub use queue::BaselineEventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimingWheel;

@@ -1,226 +1,20 @@
-//! The pending-event set of the discrete-event simulator.
+//! The reference pending-event set of the discrete-event simulator.
 //!
-//! [`EventQueue`] is the hottest structure in the simulator: every one of
-//! the millions of events in a paper-scale run passes through one
-//! `schedule` and one `pop`. The implementation is a 4-ary implicit min-heap
-//! over a *packed* 128-bit key — `(time << 64) | seq` — so each sift step
-//! costs a single integer comparison and the tree is half as deep as a
-//! binary heap (fewer cache lines touched per operation). Sifts are
-//! hole-based: the moving entry is lifted out once and parents/children are
-//! shifted into the hole with single copies, instead of full swaps at every
-//! level.
-//!
-//! The documented ordering contract (non-decreasing time, FIFO among ties)
-//! is identical to the original binary-heap implementation, which is kept
-//! as [`BaselineEventQueue`] — the oracle for the property suite and the
-//! reference point for the perfsuite speedup measurement. Because every key
-//! is unique (the sequence number strictly increases), *any* correct
-//! priority queue yields the same pop sequence; swapping the heap shape
-//! cannot perturb simulation results.
+//! [`BaselineEventQueue`] is the original binary-heap implementation of the
+//! ordering contract every event queue here keeps: events pop in
+//! non-decreasing time order, FIFO among same-instant ties. The engine runs
+//! on [`TimingWheel`](crate::TimingWheel); this queue is the oracle the
+//! property suite checks the wheel against.
 
 use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Heap arity. Four keeps parent/child index math to shifts and lands a
-/// node's children in at most two cache lines of the key array.
-const ARITY: usize = 4;
-
-/// A deterministic discrete-event queue.
-///
-/// Events are popped in non-decreasing time order; events scheduled for the
-/// *same* instant are popped in insertion order (FIFO), which keeps the whole
-/// simulation deterministic without relying on heap internals.
-///
-/// ```
-/// use simtime::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_nanos(7), 'b');
-/// q.schedule(SimTime::from_nanos(7), 'c');
-/// q.schedule(SimTime::from_nanos(3), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    /// Heap-ordered packed keys — `(time << 64) | seq`, unique by
-    /// construction. Kept separate from the payloads so child scans in
-    /// `sift_down` touch a dense run of keys.
-    keys: Vec<u128>,
-    /// Event payloads, index-aligned with `keys`.
-    events: Vec<E>,
-    seq: u64,
-}
-
-fn pack(at: SimTime, seq: u64) -> u128 {
-    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
-}
-
-fn unpack_time(key: u128) -> SimTime {
-    SimTime::from_nanos((key >> 64) as u64)
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            keys: Vec::new(),
-            events: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `cap` pending events, so
-    /// steady-state serving never reallocates the heap.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            keys: Vec::with_capacity(cap),
-            events: Vec::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.keys.reserve(additional);
-        self.events.reserve(additional);
-    }
-
-    /// Schedules `event` to fire at instant `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.keys.push(pack(at, seq));
-        self.events.push(event);
-        self.sift_up(self.keys.len() - 1);
-    }
-
-    /// Removes and returns the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let n = self.keys.len();
-        let (key, event) = match n {
-            0 => return None,
-            1 => (
-                self.keys.pop().expect("non-empty"),
-                self.events.pop().expect("non-empty"),
-            ),
-            _ => {
-                let last_key = self.keys.pop().expect("non-empty");
-                let last_event = self.events.pop().expect("non-empty");
-                // SAFETY: the queue still holds ≥1 entry, so index 0 is
-                // valid; `sift_down` treats it as a hole and fills it (see
-                // its safety comment), so the read value is never duplicated.
-                let root_key = self.keys[0];
-                let root_event = unsafe { std::ptr::read(self.events.as_ptr()) };
-                self.sift_down(0, last_key, last_event);
-                (root_key, root_event)
-            }
-        };
-        Some((unpack_time(key), event))
-    }
-
-    /// The instant of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| unpack_time(k))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Drops all pending events, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.events.clear();
-    }
-
-    /// Hole-based sift toward the root: the entry at `pos` is lifted out
-    /// once, greater parents are shifted down with single copies, and the
-    /// entry is written into its final slot.
-    fn sift_up(&mut self, mut pos: usize) {
-        let keys = self.keys.as_mut_ptr();
-        let events = self.events.as_mut_ptr();
-        // SAFETY: `pos < len` on entry; every index touched is a 4-ary-heap
-        // parent of `pos`, hence `< len`, and the two arrays are always the
-        // same length. The entry is read out once and written back exactly
-        // once, and no comparison in between can panic (plain `u128`
-        // compares), so no slot is ever duplicated or leaked.
-        unsafe {
-            let key = *keys.add(pos);
-            let event = std::ptr::read(events.add(pos));
-            while pos > 0 {
-                let parent = (pos - 1) / ARITY;
-                if key >= *keys.add(parent) {
-                    break;
-                }
-                *keys.add(pos) = *keys.add(parent);
-                std::ptr::copy_nonoverlapping(events.add(parent), events.add(pos), 1);
-                pos = parent;
-            }
-            *keys.add(pos) = key;
-            std::ptr::write(events.add(pos), event);
-        }
-    }
-
-    /// Hole-based sift toward the leaves: position `pos` is a hole (its old
-    /// value has been moved out by the caller); smaller children shift up
-    /// into it and the carried entry lands in the final hole. See
-    /// [`Self::sift_up`].
-    fn sift_down(&mut self, mut pos: usize, key: u128, event: E) {
-        let n = self.keys.len();
-        let keys = self.keys.as_mut_ptr();
-        let events = self.events.as_mut_ptr();
-        // SAFETY: as in `sift_up` — all indices are bounds-checked against
-        // `n` before use, the carried entry is written exactly once, and
-        // `u128` comparisons cannot panic mid-sift.
-        unsafe {
-            loop {
-                let first_child = pos * ARITY + 1;
-                if first_child >= n {
-                    break;
-                }
-                let last_child = (first_child + ARITY).min(n);
-                let mut min_idx = first_child;
-                let mut min_key = *keys.add(first_child);
-                for c in first_child + 1..last_child {
-                    let k = *keys.add(c);
-                    if k < min_key {
-                        min_key = k;
-                        min_idx = c;
-                    }
-                }
-                if min_key >= key {
-                    break;
-                }
-                *keys.add(pos) = min_key;
-                std::ptr::copy_nonoverlapping(events.add(min_idx), events.add(pos), 1);
-                pos = min_idx;
-            }
-            *keys.add(pos) = key;
-            std::ptr::write(events.add(pos), event);
-        }
-    }
-}
-
 /// The original binary-heap event queue, kept as the comparison oracle.
 ///
-/// The property suite checks [`EventQueue`] against this implementation (and
-/// against a sorted-stable reference), and the perfsuite benchmark reports
-/// the speedup of the 4-ary queue over this baseline. Semantics are
-/// identical: non-decreasing time order, FIFO among same-instant ties.
+/// The property suite checks it against a sorted-stable reference and the
+/// [`TimingWheel`](crate::TimingWheel) against it: non-decreasing time
+/// order, FIFO among same-instant ties.
 #[derive(Debug)]
 pub struct BaselineEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -295,101 +89,5 @@ impl<E> BaselineEventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::DetRng;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(30), 3);
-        q.schedule(SimTime::from_nanos(10), 1);
-        q.schedule(SimTime::from_nanos(20), 2);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn ties_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(SimTime::from_nanos(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_ordered() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), "a");
-        q.schedule(SimTime::from_nanos(20), "c");
-        assert_eq!(q.pop().unwrap().1, "a");
-        q.schedule(SimTime::from_nanos(15), "b");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1);
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn with_capacity_does_not_grow_within_bound() {
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..64u64 {
-            q.schedule(SimTime::from_nanos(i % 7), i);
-        }
-        assert_eq!(q.len(), 64);
-        // Drain fully ordered.
-        let mut prev = SimTime::ZERO;
-        while let Some((at, _)) = q.pop() {
-            assert!(at >= prev);
-            prev = at;
-        }
-    }
-
-    #[test]
-    fn matches_baseline_on_random_interleavings() {
-        for case in 0..32u64 {
-            let mut rng = DetRng::new(0x9A9A ^ case);
-            let mut fast: EventQueue<u64> = EventQueue::new();
-            let mut slow: BaselineEventQueue<u64> = BaselineEventQueue::new();
-            for step in 0..500u64 {
-                if rng.next_f64() < 0.6 || fast.is_empty() {
-                    // Small time range forces plenty of same-instant ties.
-                    let at = SimTime::from_nanos(rng.range_u64(0, 20));
-                    fast.schedule(at, step);
-                    slow.schedule(at, step);
-                } else {
-                    assert_eq!(fast.pop(), slow.pop(), "case {case} step {step}");
-                }
-                assert_eq!(fast.peek_time(), slow.peek_time());
-                assert_eq!(fast.len(), slow.len());
-            }
-            while !fast.is_empty() {
-                assert_eq!(fast.pop(), slow.pop(), "case {case} drain");
-            }
-            assert!(slow.is_empty());
-        }
     }
 }

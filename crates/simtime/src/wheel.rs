@@ -1,10 +1,11 @@
 //! A hierarchical timing wheel — the serving engine's production event queue.
 //!
-//! The 4-ary heap in [`queue`](crate::queue) costs `O(log n)` integer
-//! comparisons per operation. The simulator's schedule pattern is far more
-//! regular than the heap assumes: almost every event fires within a few
-//! hundred microseconds of `now` (kernel completions, launch overheads,
-//! quantum expiries), and virtual time only moves forward. A timing wheel
+//! A binary heap such as [`BaselineEventQueue`](crate::BaselineEventQueue)
+//! costs `O(log n)` comparisons per operation. The simulator's schedule
+//! pattern is far more regular than a heap assumes: almost every event
+//! fires within a few hundred microseconds of `now` (kernel completions,
+//! launch overheads, quantum expiries), and virtual time only moves
+//! forward. A timing wheel
 //! turns that pattern into `O(1)` schedule and amortized-`O(1)` pop.
 //!
 //! # Layout
@@ -37,14 +38,14 @@
 //!
 //! # Ordering contract
 //!
-//! Identical to [`EventQueue`](crate::EventQueue) and
-//! [`BaselineEventQueue`](crate::BaselineEventQueue): pops come in
-//! non-decreasing time order and FIFO among same-instant ties. Internally
-//! every event carries the same packed `(time << 64) | seq` key the heap
-//! uses; the events of the tick under the cursor sit in a small sorted
-//! *front* buffer, so within-tick ordering is exact — the wheel never
+//! Identical to [`BaselineEventQueue`](crate::BaselineEventQueue): pops
+//! come in non-decreasing time order and FIFO among same-instant ties.
+//! Internally every event carries a packed `(time << 64) | seq` key; the
+//! events of the tick under the cursor sit in a small sorted *front*
+//! buffer, so within-tick ordering is exact — the wheel never
 //! approximates. Because keys are unique, the wheel's pop sequence is
-//! byte-identical to both heaps', which the property suite enforces.
+//! byte-identical to the baseline heap's, which the property suite
+//! enforces.
 
 use crate::SimTime;
 use std::mem;
@@ -88,8 +89,8 @@ enum Node<E> {
 
 /// The hierarchical timing-wheel event queue.
 ///
-/// Drop-in replacement for [`EventQueue`](crate::EventQueue): same API,
-/// same ordering contract, same deterministic pop sequence.
+/// Same ordering contract and deterministic pop sequence as
+/// [`BaselineEventQueue`](crate::BaselineEventQueue).
 ///
 /// ```
 /// use simtime::{SimTime, TimingWheel};

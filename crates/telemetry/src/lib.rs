@@ -26,7 +26,7 @@
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
 //! buffers and every hook reduces to one predicted branch; the engine's
 //! snapshot check is a single `t >= next_due()` compare against
-//! `SimTime::MAX`. A `perfsuite` section holds this to noise.
+//! `SimTime::MAX`.
 
 use simtime::{SimDuration, SimTime};
 

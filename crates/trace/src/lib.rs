@@ -35,7 +35,7 @@ pub use stats::TraceStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Record nothing. The hot path pays one predictable branch per
-    /// would-be event — the `perfsuite` guardrail holds this to noise.
+    /// would-be event.
     #[default]
     Off,
     /// Record the low-frequency scheduling and lifecycle events (token

@@ -187,8 +187,7 @@ impl TraceStats {
         (self.makespan_us > 0.0).then(|| overhead / self.makespan_us)
     }
 
-    /// The snapshot as a JSON object (the `trace_stats` schema consumed by
-    /// `BENCH_engine.json` and the CI artifact checks).
+    /// The snapshot as a JSON object (the `trace_stats` schema).
     pub fn to_json(&self) -> Value {
         Value::Object(vec![
             ("token_switches".into(), Value::UInt(self.token_switches)),

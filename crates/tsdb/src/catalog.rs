@@ -1,6 +1,6 @@
 //! The run catalog: a directory of persisted `tsdb-run/v1` documents
-//! plus a `catalog.json` index, so finished runs (and imported
-//! `BENCH_engine.json` baselines) become queryable history.
+//! plus a `catalog.json` index, so finished runs (and imported benchmark
+//! results) become queryable history.
 //!
 //! Layout under the catalog directory:
 //!
@@ -122,51 +122,38 @@ fn validate_name(name: &str) -> Result<(), String> {
     }
 }
 
-/// Flattens a `BENCH_engine.json`-style benchmark document into a store,
-/// so perf trajectory becomes queryable history alongside real runs.
+/// Reads the benchmark's `--out` document into a store, so perf
+/// trajectory becomes queryable history alongside real runs.
 ///
-/// Mapping: every numeric leaf at path `section.key` becomes a point on
-/// metric `section.key`; deeper paths `section.mid....key` become metric
-/// `section.key` with the middle components as a `case` label (so
-/// `engine.fifo.events_per_sec` and `engine.olympian.events_per_sec`
-/// land on one metric, split by `case`). A trailing `_per_sec` is
-/// normalized to `_per_s`. Strings and booleans are skipped. All points
-/// are stamped at t=0 — a benchmark document is one observation.
-pub fn import_bench(doc: &microjson::Value) -> Store {
+/// The document is an array of passes, one per workload. Every entry of a
+/// pass's `metrics` object becomes a point on series
+/// `<metric>{workload="<name>"}` with the entry's `value`. All points are
+/// stamped at t=0 — a benchmark pass is one observation.
+///
+/// # Errors
+///
+/// A document that is not an array of passes, or a pass without a
+/// `workload` name or a `metrics` object.
+pub fn import_bench(doc: &microjson::Value) -> Result<Store, String> {
+    let passes = doc
+        .as_array()
+        .ok_or("expected an array of benchmark passes (the benchmark's --out document)")?;
     let mut store = Store::new();
-    let microjson::Value::Object(sections) = doc else { return store };
-    for (section, body) in sections {
-        flatten(&mut store, section, &[], body);
-    }
-    store
-}
-
-fn flatten(store: &mut Store, section: &str, mid: &[&str], v: &microjson::Value) {
-    match v {
-        microjson::Value::Object(fields) => {
-            for (k, child) in fields {
-                let mut path: Vec<&str> = mid.to_vec();
-                path.push(k);
-                flatten(store, section, &path, child);
+    for (i, pass) in passes.iter().enumerate() {
+        let workload = pass
+            .get("workload")
+            .and_then(|v| v.as_str())
+            .ok_or_else(|| format!("pass {i}: no \"workload\" name"))?;
+        let Some(microjson::Value::Object(metrics)) = pass.get("metrics") else {
+            return Err(format!("pass {i} ({workload}): no \"metrics\" object"));
+        };
+        for (metric, m) in metrics {
+            if let Some(value) = m.get("value").and_then(|v| v.as_f64()) {
+                store.push(metric, &[("workload", workload)], 0, value);
             }
         }
-        microjson::Value::UInt(_) | microjson::Value::Int(_) | microjson::Value::Float(_) => {
-            let Some(value) = v.as_f64() else { return };
-            let Some((leaf, mids)) = mid.split_last() else { return };
-            let leaf = match leaf.strip_suffix("_per_sec") {
-                Some(stem) => format!("{stem}_per_s"),
-                None => leaf.to_string(),
-            };
-            let metric = format!("{section}.{leaf}");
-            if mids.is_empty() {
-                store.push(&metric, &[], 0, value);
-            } else {
-                let case = mids.join(".");
-                store.push(&metric, &[("case", &case)], 0, value);
-            }
-        }
-        _ => {}
     }
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -209,29 +196,43 @@ mod tests {
     }
 
     #[test]
-    fn import_bench_flattens_with_case_labels() {
+    fn import_bench_labels_each_pass_by_workload() {
         let doc = microjson::Value::parse(
-            r#"{"schema":"BENCH_engine/v1","engine":{"fifo":{"events_per_sec":100.5,"events":7},
-                "olympian":{"events_per_sec":90.25}},"queue":{"pushes_per_sec":3.5},
-                "mode":"release"}"#,
+            r#"[{"workload":"paper-hetero","seed":1,"digest":"3d243915ffd986ed",
+                 "metrics":{"wall_s":{"value":0.5,"unit":"s","note":""},
+                            "allocs":{"value":1200,"unit":"count","note":""}},
+                 "samples":{"wall_s":[0.5]},"failures":[]},
+                {"workload":"fleet-zipf","seed":1,"digest":"8a7f7bcf7bfc619b",
+                 "metrics":{"wall_s":{"value":2.25,"unit":"s","note":""}},
+                 "samples":{},"failures":[]}]"#,
         )
         .unwrap();
-        let store = import_bench(&doc);
+        let store = import_bench(&doc).unwrap();
         let keys: Vec<String> =
             store.sorted_series().iter().map(|s| store.series_key(s)).collect();
         assert_eq!(
             keys,
             vec![
-                "engine.events{case=\"fifo\"}",
-                "engine.events_per_s{case=\"fifo\"}",
-                "engine.events_per_s{case=\"olympian\"}",
-                "queue.pushes_per_s",
+                "allocs{workload=\"paper-hetero\"}",
+                "wall_s{workload=\"fleet-zipf\"}",
+                "wall_s{workload=\"paper-hetero\"}",
             ]
         );
-        let e = crate::Expr::parse("engine.events_per_s").unwrap();
+        let e = crate::Expr::parse("wall_s{workload=*}").unwrap();
         let rows = crate::evaluate(&store, &e);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].value, 100.5);
-        assert_eq!(rows[1].value, 90.25);
+        let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
+        assert_eq!(values, vec![2.25, 0.5]);
+    }
+
+    #[test]
+    fn import_bench_rejects_documents_that_are_not_passes() {
+        for text in [
+            r#"{"schema":"x","engine":{"events":7}}"#,
+            r#"[{"metrics":{}}]"#,
+            r#"[{"workload":"w"}]"#,
+        ] {
+            let doc = microjson::Value::parse(text).unwrap();
+            assert!(import_bench(&doc).is_err(), "{text}");
+        }
     }
 }

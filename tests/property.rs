@@ -9,26 +9,30 @@ use dataflow::{GraphBuilder, NodeTemplate, OpKind};
 use metrics::linear_fit;
 use olympian::{Policy, Priority, RoundRobin, WeightedFair};
 use serving::JobId;
-use simtime::{DetRng, EventQueue, IntervalUnion, SimDuration, SimTime};
+use simtime::{BaselineEventQueue, DetRng, IntervalUnion, SimDuration, SimTime};
 
 /// Number of random cases per property.
 const CASES: u64 = 48;
 
-/// The event queue pops in non-decreasing time order with FIFO ties.
+/// The reference event queue pops in non-decreasing time order with FIFO
+/// ties. It is the oracle the timing wheel is checked against below, so its
+/// own contract is checked here.
 #[test]
 fn event_queue_total_order() {
     for case in 0..CASES {
         let mut rng = DetRng::new(0xE0E0 ^ case);
         let n = rng.range_u64(1, 200) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 1_000)).collect();
-        let mut q = EventQueue::new();
+        let mut q = BaselineEventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_nanos(t), (t, i));
         }
         let mut prev: Option<(u64, usize)> = None;
         let mut popped = 0;
-        while let Some((at, (t, i))) = q.pop() {
+        while let Some(next) = q.peek_time() {
+            let (at, (t, i)) = q.pop().expect("peeked event pops");
             popped += 1;
+            assert_eq!(at, next, "case {case}: peek disagrees with pop");
             assert_eq!(at.as_nanos(), t, "case {case}");
             if let Some((pt, pi)) = prev {
                 assert!(pt <= t, "case {case}: time went backwards");
@@ -39,6 +43,7 @@ fn event_queue_total_order() {
             prev = Some((t, i));
         }
         assert_eq!(popped, n, "case {case}: queue lost events");
+        assert!(q.is_empty() && q.pop().is_none(), "case {case}");
     }
 }
 
@@ -372,7 +377,7 @@ fn rng_range_respects_bounds() {
 /// wheel-rollover boundaries and far-future outliers.
 #[test]
 fn timing_wheel_matches_baseline_queue() {
-    use simtime::{BaselineEventQueue, TimingWheel};
+    use simtime::TimingWheel;
     // Slot geometry of the wheel: 2.048 us ticks, 256-slot levels. The
     // boundary offsets below straddle every level horizon and the overflow
     // threshold.
