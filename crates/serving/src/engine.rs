@@ -647,7 +647,6 @@ impl Engine<'_> {
             .is_some_and(|rt| rt.machine.state() == controlplane::DegradeState::Shedding)
         {
             self.record(TraceKind::AdmissionShed { client: c.0 });
-            self.telemetry.on_admission_shed();
             self.clients[c.0 as usize].outcome =
                 Some(ClientOutcome::AdmissionShed { at: self.now });
             return;
@@ -666,12 +665,6 @@ impl Engine<'_> {
         } else {
             1.0
         };
-
-        // Model weights are loaded once and shared across clients of the
-        // same model (TF-Serving's servable sharing).
-        let model_name = client.spec.model.name().to_string();
-        let weights_bytes = client.spec.model.weights_bytes();
-        let activation_bytes = client.spec.model.activation_bytes();
         let bias = if cfg.driver_bias_spread > 0.0 {
             Some(client.rng.lognormal(0.0, cfg.driver_bias_spread))
         } else {
@@ -689,41 +682,36 @@ impl Engine<'_> {
         if let Some(b) = bias {
             self.devices[dev as usize].set_bias(JobTag(c.0 as u64), b);
         }
-        if self.try_admit(c, dev, model_name, weights_bytes, activation_bytes) {
-            if self.telemetry.is_on() {
-                let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                self.telemetry.bind_client(c.0, &model);
-            }
-            self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-            self.start_run(c);
+        if self.try_admit(c) {
+            self.admitted(c);
         }
     }
 
-    /// Attempts to reserve the client's memory on `dev`. On failure, either
-    /// parks the client in the admission queue (queued admission) or
-    /// rejects it outright (the default, TF-Serving's behaviour).
-    fn try_admit(
-        &mut self,
-        c: ClientId,
-        dev: u32,
-        model_name: String,
-        weights_bytes: u64,
-        activation_bytes: u64,
-    ) -> bool {
+    /// Attempts to reserve the client's memory on its home device. On
+    /// failure, either parks the client in the admission queue (queued
+    /// admission) or rejects it outright (the default, TF-Serving's
+    /// behaviour).
+    fn try_admit(&mut self, c: ClientId) -> bool {
         if self.faults.is_some() && self.alloc_fault_fired(c) {
             // A retry (or a terminal shed) is already arranged.
             return false;
         }
-        // A lifecycle-managed model's weights are owned by the manager
+        let client = &self.clients[c.0 as usize];
+        let dev = client.home as usize;
+        let model = &client.spec.model;
+        let activation_bytes = model.activation_bytes();
+        // Model weights are loaded once per device and shared across
+        // clients of the same model (TF-Serving's servable sharing). A
+        // lifecycle-managed model's weights are owned by the manager
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
         let managed = self
             .cluster
             .as_ref()
-            .is_some_and(|rt| rt.managers[0].manages(&model_name));
-        let key = (model_name, dev);
+            .is_some_and(|rt| rt.managers[0].manages(model.name()));
+        let key = (model.name().to_string(), dev as u32);
         if !managed && !self.weights_loaded.contains_key(&key) {
-            match self.memories[dev as usize].alloc(weights_bytes) {
+            match self.memories[dev].alloc(model.weights_bytes()) {
                 Ok(a) => {
                     self.weights_loaded.insert(key, a);
                 }
@@ -733,7 +721,7 @@ impl Engine<'_> {
                 }
             }
         }
-        match self.memories[dev as usize].alloc(activation_bytes) {
+        match self.memories[dev].alloc(activation_bytes) {
             Ok(a) => {
                 self.clients[c.0 as usize].activations = Some(a);
                 true
@@ -752,7 +740,6 @@ impl Engine<'_> {
                 self.admission_waiting.push_back(c);
             }
         } else {
-            self.telemetry.on_oom_reject();
             self.clients[c.0 as usize].outcome = Some(ClientOutcome::RejectedOom {
                 requested: e.requested,
                 available: e.available,
@@ -783,7 +770,6 @@ impl Engine<'_> {
         };
         let retry_at = fr.retry.next_retry_at(now, attempt - 1, None, &mut fr.retry_rng);
         self.record(TraceKind::AllocFault { client: c.0, attempt });
-        self.telemetry.on_alloc_fault();
         match retry_at {
             Some(at) => {
                 // `job == u64::MAX` / `node == u32::MAX` mark an admission
@@ -795,7 +781,6 @@ impl Engine<'_> {
                     attempt,
                     delay: at - now,
                 });
-                self.telemetry.on_retry();
                 self.queue.schedule(at, Event::RetryAdmit(c));
             }
             None => {
@@ -821,48 +806,30 @@ impl Engine<'_> {
         }
         if self.admission_waiting.contains(&c) {
             self.pump_admission();
-            return;
-        }
-        let (dev, model_name, weights, activations) = {
-            let client = &self.clients[c.0 as usize];
-            (
-                client.device,
-                client.spec.model.name().to_string(),
-                client.spec.model.weights_bytes(),
-                client.spec.model.activation_bytes(),
-            )
-        };
-        if self.try_admit(c, dev, model_name, weights, activations) {
-            if self.telemetry.is_on() {
-                let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                self.telemetry.bind_client(c.0, &model);
-            }
-            self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-            self.start_run(c);
+        } else if self.try_admit(c) {
+            self.admitted(c);
         }
     }
 
     /// Re-attempts admission for waiting clients, FIFO, after memory freed.
     fn pump_admission(&mut self) {
         while let Some(&c) = self.admission_waiting.front() {
-            let client = &self.clients[c.0 as usize];
-            let dev = client.device;
-            let model_name = client.spec.model.name().to_string();
-            let weights = client.spec.model.weights_bytes();
-            let activations = client.spec.model.activation_bytes();
-            if self.try_admit(c, dev, model_name, weights, activations) {
-                self.admission_waiting.pop_front();
-                if self.telemetry.is_on() {
-                    let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                    self.telemetry.bind_client(c.0, &model);
-                }
-                self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-                self.start_run(c);
-            } else {
+            if !self.try_admit(c) {
                 // Head-of-line blocking preserved: admission is FIFO.
                 break;
             }
+            self.admission_waiting.pop_front();
+            self.admitted(c);
         }
+    }
+
+    /// The shared tail of every successful admission: binds the client's
+    /// model for telemetry, records the admission and issues the first run.
+    fn admitted(&mut self, c: ClientId) {
+        let client = &self.clients[c.0 as usize];
+        self.telemetry.bind_client(c.0, client.spec.model.name());
+        self.record(TraceKind::ClientAdmitted { client: c.0, device: client.home });
+        self.start_run(c);
     }
 
     fn start_run(&mut self, c: ClientId) {
@@ -917,7 +884,6 @@ impl Engine<'_> {
         };
         match self.scheduler.register(job_id, &ctx) {
             Ok(verdict) => {
-                self.telemetry.on_run_start();
                 self.record(TraceKind::RunRegistered { job: job_id.0, client: c.0 });
                 if batch != full_batch {
                     self.record(TraceKind::BatchShrink {
@@ -925,7 +891,6 @@ impl Engine<'_> {
                         from: full_batch,
                         to: batch,
                     });
-                    self.telemetry.on_batch_shrink();
                 }
                 let slot = match self.free_slots.pop() {
                     Some(s) => {
@@ -1005,9 +970,6 @@ impl Engine<'_> {
         }
         if let Some(acc) = final_quantum {
             self.record(TraceKind::QuantumEnd { job: job_id.0, client: c.0, gpu: acc });
-            if let Some(alert) = self.telemetry.on_quantum(c.0, acc, self.now) {
-                self.record_alert(&alert);
-            }
         }
         self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0 });
         self.telemetry.on_run_complete(c.0, self.now - started_at, self.now);
@@ -1057,7 +1019,6 @@ impl Engine<'_> {
         let slot = self.live_slot(job_id).expect("cancelling a live job");
         let c = self.job_hot[slot].client;
         self.record(TraceKind::DeadlineCancelled { job: job_id.0, client: c.0 });
-        self.telemetry.on_deadline_cancel();
         self.teardown_job(job_id, c, ClientOutcome::DeadlineExceeded(self.now));
     }
 
@@ -1147,9 +1108,10 @@ impl Engine<'_> {
     }
 
     /// Translates manager effects into engine actions: typed events onto
-    /// the trace and telemetry, future ticks onto the event queue, parked
-    /// clients back into `start_run`, and — after any unload or eviction —
-    /// a queued-admission pump over the freed memory.
+    /// the event stream (an unload has none and is counted directly),
+    /// future ticks onto the event queue, parked clients back into
+    /// `start_run`, and — after any unload or eviction — a queued-admission
+    /// pump over the freed memory.
     fn apply_lifecycle_effects(&mut self, fx: LcEffects) {
         if fx.is_empty() {
             return;
@@ -1163,7 +1125,6 @@ impl Engine<'_> {
                         version: key.version,
                         bytes,
                     });
-                    self.telemetry.on_version_load();
                 }
                 LifecycleEvent::Warmup { key, run } => {
                     self.record(TraceKind::WarmupRun {
@@ -1171,7 +1132,6 @@ impl Engine<'_> {
                         version: key.version,
                         run,
                     });
-                    self.telemetry.on_warmup_run();
                 }
                 LifecycleEvent::Evicted { key, bytes } => {
                     self.record(TraceKind::Evict {
@@ -1179,7 +1139,6 @@ impl Engine<'_> {
                         version: key.version,
                         bytes,
                     });
-                    self.telemetry.on_version_evict();
                     freed = true;
                 }
                 LifecycleEvent::Unloaded { .. } => {
@@ -1192,7 +1151,6 @@ impl Engine<'_> {
                         version: key.version,
                         inflight,
                     });
-                    self.telemetry.on_drain_start();
                 }
                 LifecycleEvent::Promote { key, cand_us, base_us }
                 | LifecycleEvent::Rollback { key, cand_us, base_us } => {
@@ -1294,7 +1252,6 @@ impl Engine<'_> {
                 device: dev,
                 cost_us: cost_ns / 1_000,
             });
-            self.telemetry.on_cluster_route();
         }
         let degraded = self
             .control
@@ -1371,7 +1328,6 @@ impl Engine<'_> {
         let (loads, drains) = self.cluster_reconfigure();
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
-            self.telemetry.on_cluster_reconfig();
         }
         let tick = self.cfg.cluster.as_ref().expect("cluster tick with cluster off").tick;
         if self.clients.iter().any(|c| c.outcome.is_none()) {
@@ -1480,7 +1436,6 @@ impl Engine<'_> {
                         from: d as u32,
                         to: placements[0] as u32,
                     });
-                    self.telemetry.on_cluster_migrate();
                 }
             }
         }
@@ -1514,7 +1469,6 @@ impl Engine<'_> {
                     client: c.0,
                     deficit_us,
                 });
-                self.telemetry.on_laxity_cancel();
                 self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
             }
         }
@@ -1555,13 +1509,12 @@ impl Engine<'_> {
         doomed
     }
 
-    /// Lands a degradation-ladder transition on the trace and telemetry.
+    /// Lands a degradation-ladder transition on the event stream.
     fn note_control_transition(&mut self, tr: controlplane::Transition) {
         self.record(TraceKind::ControlTransition {
             from: tr.from.as_str(),
             to: tr.to.as_str(),
         });
-        self.telemetry.on_control_transition();
     }
 
     /// The control plane's alert reactions: an SLO burn escalates the
@@ -1599,7 +1552,6 @@ impl Engine<'_> {
                 };
                 if let Some(scale_ppm) = rebound {
                     self.record(TraceKind::ProfileRebind { client: *client, scale_ppm });
-                    self.telemetry.on_profile_rebind();
                 }
             }
             _ => {}
@@ -1608,9 +1560,21 @@ impl Engine<'_> {
 
     // ---- scheduling plumbing ---------------------------------------------
 
+    /// The single instrumentation call: appends the event to the trace
+    /// ring and folds it into telemetry, whatever the trace mode, so the
+    /// two accounts of a run cannot disagree. An alert the fold raises is
+    /// handled before the next event.
     #[inline]
     fn record(&mut self, kind: TraceKind) {
-        self.trace.record(self.now, kind);
+        self.record_at(self.now, kind);
+    }
+
+    #[inline]
+    fn record_at(&mut self, at: SimTime, kind: TraceKind) {
+        self.trace.record(at, kind);
+        if let Some(alert) = self.telemetry.observe(at, &kind) {
+            self.record_alert(&alert);
+        }
     }
 
     /// Samples the gauge set telemetry publishes at snapshot boundaries.
@@ -1639,37 +1603,17 @@ impl Engine<'_> {
         }
     }
 
-    /// Mirrors a telemetry alert into the trace ring as a typed event, so
-    /// it shows up on the Perfetto timeline next to the quanta and runs
-    /// that caused it.
+    /// Lets the control plane react to a telemetry alert, then mirrors the
+    /// alert into the trace ring (see [`Alert::trace_kind`]), so it shows
+    /// up on the Perfetto timeline next to the quanta and runs that caused
+    /// it.
     fn record_alert(&mut self, alert: &Alert) {
         if self.control.is_some() {
             self.control_on_alert(alert);
         }
-        let kind = match alert {
-            Alert::Drift { client, observed_us, expected_us, deviation, .. } => {
-                TraceKind::DriftAlert {
-                    client: *client,
-                    observed_us: observed_us.round() as u64,
-                    expected_us: expected_us.round() as u64,
-                    deviation_ppm: (deviation * 1e6).round() as u64,
-                }
-            }
-            Alert::SloBurn { slo, short_burn, long_burn, .. } => TraceKind::SloBurnAlert {
-                slo: *slo,
-                short_ppm: (short_burn * 1e6).round() as u64,
-                long_ppm: (long_burn * 1e6).round() as u64,
-            },
-            // Fault-recovery alerts already have a typed trace event
-            // recorded at the action site (BreakerTransition,
-            // WatchdogRevoke, RetryScheduled); mirroring them here would
-            // double-count.
-            Alert::FaultRecovery { .. } => return,
-            // Rollout alerts likewise: CanaryPromote / CanaryRollback are
-            // recorded where the decision lands.
-            Alert::Rollout { .. } => return,
-        };
-        self.trace.record(alert.at(), kind);
+        if let Some(kind) = alert.trace_kind() {
+            self.record_at(alert.at(), kind);
+        }
     }
 
     fn apply_verdict(&mut self, verdict: Verdict) {
@@ -1687,7 +1631,6 @@ impl Engine<'_> {
                 if let Some(s) = self.live_slot(old) {
                     let client = self.job_hot[s].client.0;
                     self.record(TraceKind::WatchdogRevoke { job: old.0, client, stalled_us });
-                    self.telemetry.on_watchdog_revoke(self.now, client, stalled_us);
                 }
             }
         }
@@ -1711,9 +1654,6 @@ impl Engine<'_> {
                 };
                 if let Some(acc) = flushed {
                     self.record(TraceKind::QuantumEnd { job: old.0, client, gpu: acc });
-                    if let Some(alert) = self.telemetry.on_quantum(client, acc, self.now) {
-                        self.record_alert(&alert);
-                    }
                 }
             }
         }
@@ -1982,10 +1922,8 @@ impl Engine<'_> {
             node: node.index() as u32,
             attempt,
         });
-        self.telemetry.on_kernel_fault();
         if let BreakerEvent::Opened { .. } = breaker_event {
             self.record(TraceKind::BreakerTransition { client: c.0, state: "open" });
-            self.telemetry.on_breaker_open(now, c.0);
         }
         if probe_scheduled {
             self.record(TraceKind::BreakerTransition { client: c.0, state: "half-open" });
@@ -1999,7 +1937,6 @@ impl Engine<'_> {
                     attempt,
                     delay: at - now,
                 });
-                self.telemetry.on_retry();
                 self.queue.schedule(at, Event::RetryKernel { job: job_id, node });
             }
             None => {

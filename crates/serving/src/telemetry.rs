@@ -2,8 +2,9 @@
 //! (re-exported here so downstream code keeps one import path).
 //!
 //! With [`EngineConfig::telemetry`](crate::EngineConfig::telemetry) set to
-//! an enabled configuration, the engine updates an online metrics registry
-//! from its hook points (admissions, runs, quanta, token hand-offs) and
+//! an enabled configuration, the engine folds every event it records
+//! (admissions, runs, quanta, faults, lifecycle, control and fleet
+//! actions) into an online metrics registry, whatever the trace mode, and
 //! snapshots it at a fixed virtual-time cadence. SLO burn-rate and quantum
 //! drift alerts fire *during* the run and are mirrored into the trace
 //! ring, so they appear on the Perfetto timeline. The finished series is

@@ -260,6 +260,7 @@ mod tests {
         BurnWindows, DriftConfig, EngineGauges, SloSpec, TelemetryConfig, TelemetryHub,
     };
     use simtime::{SimDuration, SimTime};
+    use trace::TraceKind;
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -278,7 +279,9 @@ mod tests {
         h.bind_client(0, "m");
         let g = EngineGauges::default();
         for i in 0..6u64 {
-            h.on_quantum(0, us(320), SimTime::from_micros(i * 80 + 10));
+            let quantum = TraceKind::QuantumEnd { job: i, client: 0, gpu: us(320) };
+            h.observe(SimTime::from_micros(i * 80 + 10), &quantum);
+            h.observe(t(400), &TraceKind::RunCompleted { job: i, client: 0 });
             h.on_run_complete(0, us(400), t(400));
             h.tick(SimTime::from_micros((i + 1) * 80), &g);
         }
@@ -366,7 +369,8 @@ mod tests {
         let cfg = TelemetryConfig::enabled(us(100));
         let mut h = TelemetryHub::new(&cfg);
         h.bind_client(0, EVIL);
-        h.on_quantum(0, us(50), SimTime::from_micros(10));
+        let quantum = TraceKind::QuantumEnd { job: 0, client: 0, gpu: us(50) };
+        h.observe(SimTime::from_micros(10), &quantum);
         h.on_run_complete(0, us(60), t(60));
         h.finalize(SimTime::from_micros(100), &EngineGauges::default());
         let r = h.into_report(SimTime::from_micros(100));

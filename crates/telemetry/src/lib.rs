@@ -3,13 +3,17 @@
 //! Live telemetry for the serving stack: a deterministic online metrics
 //! registry, an SLO burn-rate monitor and streaming drift detection.
 //!
-//! The PR 2 trace layer records *what happened* for post-hoc timelines;
-//! this crate watches the run *while it executes*, the way an operator
-//! would: counters, gauges and log-linear histograms
-//! ([`registry::MetricsRegistry`]) are updated from engine hook points and
-//! snapshotted at a fixed **virtual-time** cadence, so two runs of the same
-//! experiment produce byte-identical telemetry however the surrounding
-//! harness is parallelized — the same guarantee the trace ring gives.
+//! The trace layer records *what happened* for post-hoc timelines; this
+//! crate watches the run *while it executes*, the way an operator would:
+//! counters, gauges and log-linear histograms
+//! ([`registry::MetricsRegistry`]) are folded from the engine's typed
+//! [`TraceKind`] events ([`TelemetryHub::observe`]) — the same stream the
+//! trace ring keeps, whatever the trace mode — and snapshotted at a fixed
+//! **virtual-time** cadence, so two runs of the same experiment produce
+//! byte-identical telemetry however the surrounding harness is
+//! parallelized — the same guarantee the trace ring gives. A handful of
+//! hooks carry what no event holds: model names, latencies, shed and
+//! rollout details.
 //!
 //! On top of the registry sit two online health monitors:
 //!
@@ -20,15 +24,17 @@
 //!
 //! Alerts surface twice: as [`Alert`] values in the finished
 //! [`TelemetryReport`] (and hence the JSON-lines export) and — via the
-//! engine — as typed events in the trace ring, so they land on the
-//! Perfetto timeline next to the quanta that caused them.
+//! engine, through [`Alert::trace_kind`] — as typed events in the trace
+//! ring, so they land on the Perfetto timeline next to the quanta that
+//! caused them.
 //!
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
-//! buffers and every hook reduces to one predicted branch; the engine's
-//! snapshot check is a single `t >= next_due()` compare against
-//! `SimTime::MAX`.
+//! buffers and `observe` and every hook reduce to one predicted branch;
+//! the engine's snapshot check is a single `t >= next_due()` compare
+//! against `SimTime::MAX`.
 
 use simtime::{SimDuration, SimTime};
+use trace::TraceKind;
 
 pub mod drift;
 pub mod export;
@@ -232,6 +238,32 @@ impl Alert {
             Alert::SloBurn { .. } => "slo-burn",
             Alert::FaultRecovery { .. } => "fault-recovery",
             Alert::Rollout { .. } => "rollout",
+        }
+    }
+
+    /// The typed trace event that mirrors this alert onto the timeline,
+    /// integer-encoded so the kind stays `Eq` (µs rounded, ratios in
+    /// parts-per-million) — the inverse direction of
+    /// [`TelemetryHub::observe`]. `None` for fault-recovery and rollout
+    /// alerts: their action sites already record `BreakerTransition`,
+    /// `WatchdogRevoke` and `CanaryPromote`/`CanaryRollback`, and a mirror
+    /// would count them twice.
+    pub fn trace_kind(&self) -> Option<TraceKind> {
+        match *self {
+            Alert::Drift { client, observed_us, expected_us, deviation, .. } => {
+                Some(TraceKind::DriftAlert {
+                    client,
+                    observed_us: observed_us.round() as u64,
+                    expected_us: expected_us.round() as u64,
+                    deviation_ppm: (deviation * 1e6).round() as u64,
+                })
+            }
+            Alert::SloBurn { slo, short_burn, long_burn, .. } => Some(TraceKind::SloBurnAlert {
+                slo,
+                short_ppm: (short_burn * 1e6).round() as u64,
+                long_ppm: (long_burn * 1e6).round() as u64,
+            }),
+            Alert::FaultRecovery { .. } | Alert::Rollout { .. } => None,
         }
     }
 }
@@ -460,10 +492,14 @@ struct ClientState {
 
 /// The engine-side telemetry recorder.
 ///
-/// All hooks are no-ops behind a single predicted branch when telemetry is
-/// off; the snapshot cadence is driven by the engine comparing event times
-/// against [`next_due`](TelemetryHub::next_due), which is `SimTime::MAX`
-/// when off so the hot loop pays exactly one compare.
+/// Counters are a fold over the engine's events
+/// ([`observe`](TelemetryHub::observe)); the `on_*` hooks and
+/// [`bind_client`](TelemetryHub::bind_client) carry only data no
+/// [`TraceKind`] holds. All of them are no-ops behind a single predicted
+/// branch when telemetry is off; the snapshot cadence is driven by the
+/// engine comparing event times against
+/// [`next_due`](TelemetryHub::next_due), which is `SimTime::MAX` when off
+/// so the hot loop pays exactly one compare.
 #[derive(Debug)]
 pub struct TelemetryHub {
     on: bool,
@@ -601,9 +637,11 @@ impl TelemetryHub {
         self.ids.expect("telemetry hooks called while off")
     }
 
-    /// Registers a client (called at admission). Grows the per-client
-    /// table — the only allocation after construction, and only at
-    /// client-arrival granularity.
+    /// Registers a client (called at admission) with the one thing its
+    /// `ClientAdmitted` event lacks: the model name, which binds the
+    /// client's SLO objective and labels its GPU share. Grows the
+    /// per-client table — the only allocation after construction, and
+    /// only at client-arrival granularity.
     pub fn bind_client(&mut self, client: u32, model: &str) {
         if !self.on {
             return;
@@ -625,41 +663,11 @@ impl TelemetryHub {
             drift: self.drift_template.clone().map(DriftDetector::new),
             gpu_ns: 0,
         };
-        let ids = self.ids();
-        self.registry.inc(ids.c_admitted, 1);
     }
 
-    /// A client's admission failed on GPU memory.
-    #[inline]
-    pub fn on_oom_reject(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_oom, 1);
-    }
-
-    /// A `Session::Run` registered.
-    #[inline]
-    pub fn on_run_start(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_runs_started, 1);
-    }
-
-    /// A run was cancelled by its deadline.
-    #[inline]
-    pub fn on_deadline_cancel(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_deadline, 1);
-    }
-
-    /// The token moved.
+    /// The token moved: one count per scheduler verdict. The
+    /// `TokenGrant`/`TokenRevoke` events are a separate pair, recorded only
+    /// while tracing, so `token_switches` is counted here.
     #[inline]
     pub fn on_token_switch(&mut self) {
         if !self.on {
@@ -669,8 +677,8 @@ impl TelemetryHub {
         self.registry.inc(ids.c_switches, 1);
     }
 
-    /// Token hand-off latency: grant to the holder's first kernel
-    /// submission.
+    /// Token hand-off latency — grant to the holder's first kernel
+    /// submission — which no single event carries.
     #[inline]
     pub fn on_handoff(&mut self, latency: SimDuration) {
         if !self.on {
@@ -680,89 +688,19 @@ impl TelemetryHub {
         self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
     }
 
-    /// A kernel launch transiently failed (injected fault).
-    #[inline]
-    pub fn on_kernel_fault(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_faults_kernel, 1);
-    }
-
-    /// A memory reservation transiently failed (injected fault).
-    #[inline]
-    pub fn on_alloc_fault(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_faults_alloc, 1);
-    }
-
-    /// A retry was scheduled after backoff.
-    #[inline]
-    pub fn on_retry(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_retries, 1);
-    }
-
-    /// A client's circuit breaker tripped open; lands on the
-    /// `fault-recovery` alert stream.
-    pub fn on_breaker_open(&mut self, at: SimTime, client: u32) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_breaker_open, 1);
-        self.alerts.push(Alert::FaultRecovery {
-            at,
-            client,
-            action: "breaker-open",
-            detail: 0,
-        });
-    }
-
-    /// A client was shed by the recovery layer (`action` is
-    /// `retries-exhausted` or `circuit-open`, `detail` the attempt count).
+    /// A client was shed by the recovery layer. Carries what its
+    /// `BreakerTransition { state: "shed" }` event does not — the action
+    /// (`retries-exhausted` or `circuit-open`) and its detail (the attempt
+    /// or trip count) — onto the `fault-recovery` alert stream.
     pub fn on_client_shed(&mut self, at: SimTime, client: u32, action: &'static str, detail: u64) {
         if !self.on {
             return;
         }
-        let ids = self.ids();
-        self.registry.inc(ids.c_shed, 1);
         self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
     }
 
-    /// The token-hold watchdog revoked a stalled holder's token.
-    pub fn on_watchdog_revoke(&mut self, at: SimTime, client: u32, stalled_us: u64) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_watchdog, 1);
-        self.alerts.push(Alert::FaultRecovery {
-            at,
-            client,
-            action: "watchdog-revoke",
-            detail: stalled_us,
-        });
-    }
-
-    /// A model version's weights started loading (lifecycle layer).
-    #[inline]
-    pub fn on_version_load(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_loaded, 1);
-    }
-
-    /// A drained version was unloaded (lifecycle layer).
+    /// A drained version was unloaded (lifecycle layer). Unloads have no
+    /// trace event, so `versions_unloaded` is counted here.
     #[inline]
     pub fn on_version_unload(&mut self) {
         if !self.on {
@@ -772,31 +710,10 @@ impl TelemetryHub {
         self.registry.inc(ids.c_versions_unloaded, 1);
     }
 
-    /// An idle version was evicted for memory (lifecycle layer).
-    #[inline]
-    pub fn on_version_evict(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_evicted, 1);
-    }
-
-    /// A freshly loaded version completed one warm-up run (lifecycle
-    /// layer).
-    #[inline]
-    pub fn on_warmup_run(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_warmup_runs, 1);
-    }
-
     /// The trace ring overwrote `n` events over the whole run (reported
-    /// once at finalization, before the final snapshot). A non-zero value
-    /// flags every trace-derived attribution as computed from a truncated
-    /// stream.
+    /// once at finalization, before the final snapshot: the count is known
+    /// only then). A non-zero value flags every trace-derived attribution
+    /// as computed from a truncated stream.
     #[inline]
     pub fn on_trace_dropped(&mut self, n: u64) {
         if !self.on || n == 0 {
@@ -804,90 +721,6 @@ impl TelemetryHub {
         }
         let ids = self.ids();
         self.registry.inc(ids.c_trace_dropped, n);
-    }
-
-    /// The control plane's degradation ladder changed rungs (control
-    /// layer).
-    #[inline]
-    pub fn on_control_transition(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_control_transitions, 1);
-    }
-
-    /// A new admission was rejected by the Shedding rung (control layer).
-    #[inline]
-    pub fn on_admission_shed(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_admission_shed, 1);
-    }
-
-    /// A run's batch hint was shrunk by the Degraded rung (control layer).
-    #[inline]
-    pub fn on_batch_shrink(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_batch_shrinks, 1);
-    }
-
-    /// A drift alert triggered an in-run profile rebind (control layer).
-    #[inline]
-    pub fn on_profile_rebind(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_profile_rebinds, 1);
-    }
-
-    /// A laxity-negative run was cancelled early (control layer).
-    #[inline]
-    pub fn on_laxity_cancel(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_laxity_cancels, 1);
-    }
-
-    /// The cluster router stamped an arriving run and picked a device
-    /// (cluster layer).
-    #[inline]
-    pub fn on_cluster_route(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_routes, 1);
-    }
-
-    /// The reconfiguration plan moved a model between devices (cluster
-    /// layer).
-    #[inline]
-    pub fn on_cluster_migrate(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_migrations, 1);
-    }
-
-    /// One `ClusterTick` solved and executed a reconfiguration plan
-    /// (cluster layer).
-    #[inline]
-    pub fn on_cluster_reconfig(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_reconfigs, 1);
     }
 
     /// Acknowledges a burn alert on objective `slo`, resetting that
@@ -903,18 +736,10 @@ impl TelemetryHub {
         }
     }
 
-    /// A version started draining (lifecycle layer).
-    #[inline]
-    pub fn on_drain_start(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_drains, 1);
-    }
-
     /// The rollout controller decided a canary (`action` is `"promote"`
-    /// or `"rollback"`); lands on the `rollout` alert stream.
+    /// or `"rollback"`). Carries what `CanaryPromote`/`CanaryRollback`
+    /// do not — the model name and both arms' mean latencies — onto the
+    /// `rollout` alert stream.
     pub fn on_rollout(
         &mut self,
         at: SimTime,
@@ -927,12 +752,6 @@ impl TelemetryHub {
         if !self.on {
             return;
         }
-        let ids = self.ids();
-        if action == "promote" {
-            self.registry.inc(ids.c_promotions, 1);
-        } else {
-            self.registry.inc(ids.c_rollbacks, 1);
-        }
         self.alerts.push(Alert::Rollout {
             at,
             model: model.to_string(),
@@ -943,39 +762,101 @@ impl TelemetryHub {
         });
     }
 
-    /// A quantum was flushed for `client`: feeds the quantum histogram,
-    /// the per-client GPU share and the streaming drift detector. Returns
-    /// a drift alert the first time that client's detector fires.
-    pub fn on_quantum(&mut self, client: u32, gpu: SimDuration, at: SimTime) -> Option<Alert> {
+    /// Folds one engine event — the engine passes every event it records,
+    /// whatever the trace mode — into the registry: bumps the counter the
+    /// kind stands for, feeds `QuantumEnd` to the quantum histogram, the
+    /// client's GPU share and its drift detector, and raises the
+    /// `fault-recovery` alert when a breaker opens or the watchdog revokes
+    /// a holder. Returns the alert raised, if any. The two alert counters
+    /// are bumped where their alert is raised (a burn inside the snapshot
+    /// that raised it); the engine then records [`Alert::trace_kind`].
+    #[inline]
+    pub fn observe(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
         if !self.on {
             return None;
         }
+        self.fold(at, kind)
+    }
+
+    fn fold(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
+        // Borrowed, not copied: most events the engine records count
+        // nothing, and the handle table is large.
+        let ids = self.ids.as_ref().expect("telemetry hooks called while off");
+        let counter = match *kind {
+            TraceKind::QuantumEnd { client, gpu, .. } => {
+                return self.observe_quantum(client, gpu, at);
+            }
+            TraceKind::BreakerTransition { client, state: "open" } => {
+                self.registry.inc(ids.c_breaker_open, 1);
+                let action = "breaker-open";
+                return self.raise(Alert::FaultRecovery { at, client, action, detail: 0 });
+            }
+            TraceKind::WatchdogRevoke { client, stalled_us, .. } => {
+                self.registry.inc(ids.c_watchdog, 1);
+                let action = "watchdog-revoke";
+                return self.raise(Alert::FaultRecovery { at, client, action, detail: stalled_us });
+            }
+            TraceKind::BreakerTransition { state: "shed", .. } => ids.c_shed,
+            TraceKind::ClientAdmitted { .. } => ids.c_admitted,
+            TraceKind::ClientRejectedOom { .. } => ids.c_oom,
+            TraceKind::RunRegistered { .. } => ids.c_runs_started,
+            TraceKind::RunCompleted { .. } => ids.c_runs_completed,
+            TraceKind::DeadlineCancelled { .. } => ids.c_deadline,
+            TraceKind::KernelFault { .. } => ids.c_faults_kernel,
+            TraceKind::AllocFault { .. } => ids.c_faults_alloc,
+            TraceKind::RetryScheduled { .. } => ids.c_retries,
+            TraceKind::VersionLoad { .. } => ids.c_versions_loaded,
+            TraceKind::WarmupRun { .. } => ids.c_warmup_runs,
+            TraceKind::Evict { .. } => ids.c_versions_evicted,
+            TraceKind::Drain { .. } => ids.c_drains,
+            TraceKind::CanaryPromote { .. } => ids.c_promotions,
+            TraceKind::CanaryRollback { .. } => ids.c_rollbacks,
+            TraceKind::ControlTransition { .. } => ids.c_control_transitions,
+            TraceKind::AdmissionShed { .. } => ids.c_admission_shed,
+            TraceKind::BatchShrink { .. } => ids.c_batch_shrinks,
+            TraceKind::ProfileRebind { .. } => ids.c_profile_rebinds,
+            TraceKind::LaxityCancel { .. } => ids.c_laxity_cancels,
+            TraceKind::ClusterRoute { .. } => ids.c_cluster_routes,
+            TraceKind::ClusterMigrate { .. } => ids.c_cluster_migrations,
+            TraceKind::ClusterReconfig { .. } => ids.c_cluster_reconfigs,
+            _ => return None,
+        };
+        self.registry.inc(counter, 1);
+        None
+    }
+
+    /// Feeds one flushed quantum to the quantum histogram, the client's
+    /// GPU share and its streaming drift detector. Returns a drift alert
+    /// the first time that client's detector fires.
+    fn observe_quantum(&mut self, client: u32, gpu: SimDuration, at: SimTime) -> Option<Alert> {
         let ids = self.ids();
         self.registry.observe(ids.h_quantum, gpu.as_nanos() / 1_000);
         let state = self.clients.get_mut(client as usize)?;
         state.gpu_ns += gpu.as_nanos();
         let signal = state.drift.as_mut()?.observe(gpu)?;
         self.registry.inc(ids.c_alerts_drift, 1);
-        let alert = Alert::Drift {
+        self.raise(Alert::Drift {
             at,
             client,
             observed_us: signal.observed_mean_us,
             expected_us: signal.expected_us,
             deviation: signal.deviation,
-        };
+        })
+    }
+
+    fn raise(&mut self, alert: Alert) -> Option<Alert> {
         self.alerts.push(alert.clone());
         Some(alert)
     }
 
     /// A run completed with the given latency at virtual time `at`: feeds
     /// the latency histogram, the exact run log and the owning model's
-    /// SLO window.
+    /// SLO window — the latency is what its `RunCompleted` event lacks.
     pub fn on_run_complete(&mut self, client: u32, latency: SimDuration, at: SimTime) {
         if !self.on {
             return;
         }
         let ids = self.ids();
-        self.registry.inc(ids.c_runs_completed, 1);
         self.registry.observe(ids.h_latency, latency.as_nanos() / 1_000);
         self.run_log.at.push(at);
         self.run_log.client.push(client);
@@ -1103,13 +984,19 @@ mod tests {
         SimTime::from_micros(v)
     }
 
+    fn quantum(client: u32, gpu_us: u64) -> TraceKind {
+        TraceKind::QuantumEnd { job: 0, client, gpu: us(gpu_us) }
+    }
+
     #[test]
     fn off_hub_is_inert() {
         let mut h = TelemetryHub::new(&TelemetryConfig::off());
         assert!(!h.is_on());
         assert_eq!(h.next_due(), SimTime::MAX);
         h.bind_client(0, "m");
-        assert_eq!(h.on_quantum(0, us(100), t(10)), None);
+        assert_eq!(h.observe(t(10), &quantum(0, 100)), None);
+        let open = TraceKind::BreakerTransition { client: 0, state: "open" };
+        assert_eq!(h.observe(t(10), &open), None);
         h.on_run_complete(0, us(50), t(50));
         assert!(h.tick(t(1_000_000), &EngineGauges::default()).is_empty());
         assert!(h.finalize(t(1_000_000), &EngineGauges::default()).is_empty());
@@ -1165,18 +1052,24 @@ mod tests {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_slo(SloSpec::new("m", us(500), 0.1));
         let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, "m");
-        h.bind_client(1, "other");
-        h.on_run_start();
+        for (client, model) in [(0, "m"), (1, "other")] {
+            h.bind_client(client, model);
+            h.observe(t(0), &TraceKind::ClientAdmitted { client, device: 0 });
+        }
+        h.observe(t(0), &TraceKind::RunRegistered { job: 0, client: 0 });
         h.on_token_switch();
         h.on_handoff(us(80));
-        assert!(h.on_quantum(0, us(200), t(50)).is_none(), "no drift config");
-        h.on_quantum(1, us(100), t(60));
-        h.on_run_complete(0, us(700), t(700)); // breach of the 500µs objective
-        h.on_run_complete(1, us(100), t(800)); // no SLO bound to "other"
+        assert!(h.observe(t(50), &quantum(0, 200)).is_none(), "no drift config");
+        h.observe(t(60), &quantum(1, 100));
+        // Client 0 breaches the 500µs objective; no SLO is bound to "other".
+        for (client, latency) in [(0, 700), (1, 100)] {
+            h.observe(t(latency), &TraceKind::RunCompleted { job: 0, client });
+            h.on_run_complete(client, us(latency), t(latency));
+        }
         h.finalize(t(90), &EngineGauges { queue_depth: 2, ..Default::default() });
         let r = h.into_report(t(90));
         assert_eq!(r.counter("clients_admitted"), Some(2));
+        assert_eq!(r.counter("runs_started"), Some(1));
         assert_eq!(r.counter("runs_completed"), Some(2));
         assert_eq!(r.counter("slo_breaches"), Some(1));
         assert_eq!(r.counter("token_switches"), Some(1));
@@ -1202,7 +1095,7 @@ mod tests {
         let mut drift_alerts = 0;
         for i in 0..10u64 {
             // Quanta 50% over target: drift fires once warm.
-            if h.on_quantum(0, us(300), t(i * 50 + 10)).is_some() {
+            if h.observe(t(i * 50 + 10), &quantum(0, 300)).is_some() {
                 drift_alerts += 1;
             }
             // Every run breaches the 100µs objective.

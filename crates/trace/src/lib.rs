@@ -426,9 +426,10 @@ pub enum TraceKind {
         /// The rejected version number (1-based).
         version: u32,
     },
-    /// A version stopped accepting new runs and started draining; when it
-    /// later unloads the engine records a second `Drain` with
-    /// `inflight == 0` (lifecycle layer).
+    /// A version stopped accepting new runs and started draining
+    /// (lifecycle layer). Its unload, immediate when `inflight == 0` or
+    /// after the last in-flight run, records no event; telemetry counts
+    /// it as `versions_unloaded`.
     Drain {
         /// Deployment index in the lifecycle plan.
         model: u32,

@@ -2,6 +2,8 @@
 //! across worker counts, the resilience band the recovery layer promises,
 //! and stale-kernel handling after a deadline cancellation.
 
+mod common;
+
 use faults::{FaultConfig, FaultPlan};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
 use serving::{
@@ -75,6 +77,7 @@ fn faulted_run_is_byte_identical_across_job_counts() {
         serial.telemetry.counter("faults_kernel").unwrap_or(0) > 0,
         "the plan must actually fire for the comparison to mean anything"
     );
+    common::assert_counters_match_trace(&serial);
 
     std::env::set_var(simpar::JOBS_ENV, "2");
     let parallel = chaotic_run(Some(rough_plan()));
@@ -104,6 +107,7 @@ fn faulted_run_is_byte_identical_across_job_counts() {
 fn recovery_holds_the_fairness_band_and_nothing_wedges() {
     let base = chaotic_run(None);
     assert!(base.all_finished());
+    common::assert_counters_match_trace(&base);
     let faulted = chaotic_run(Some(rough_plan()));
 
     for c in &faulted.clients {
@@ -137,6 +141,7 @@ fn recovery_holds_the_fairness_band_and_nothing_wedges() {
 fn persistent_faults_shed_with_typed_outcomes() {
     let plan = FaultPlan::new().with_kernel_failures(0.97);
     let faulted = chaotic_run(Some(plan));
+    common::assert_counters_match_trace(&faulted);
     let mut shed = 0;
     for c in &faulted.clients {
         match &c.outcome {

@@ -2,6 +2,8 @@
 //! hysteresis at engine level, the Shedding admission gate, and
 //! byte-determinism of controlled runs across worker counts.
 
+mod common;
+
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle};
 use serving::faults::{FaultConfig, FaultPlan};
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
@@ -65,6 +67,7 @@ fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
         .with_faults(FaultConfig::new(plan))
         .with_control(controlplane::ControlConfig::new());
     let report = run_experiment(&cfg, clients, &mut fair(store));
+    common::assert_counters_match_trace(&report);
 
     // Nobody is dropped: every client was admitted before the first burn,
     // so the ladder degrades accepted work instead of shedding sessions.
@@ -122,6 +125,7 @@ fn shedding_rung_refuses_a_late_admission() {
                 .with_cool_window(SimDuration::from_millis(50)),
         );
     let report = run_experiment(&cfg, clients, &mut fair(store));
+    common::assert_counters_match_trace(&report);
 
     assert_eq!(counter(&report, "clients_admission_shed"), 1);
     assert!(matches!(
@@ -131,6 +135,37 @@ fn shedding_rung_refuses_a_late_admission() {
     // The first three were admitted while Healthy and are never evicted.
     assert_eq!(report.finished_count(), 3);
     assert!(report.chrome_trace_json().contains("\"admission-shed\""));
+}
+
+/// On a device that slowed down 2.3x after profiling, the drift detector
+/// fires and the control plane rebinds the drifting model's profile in-run
+/// through the cost oracle; the rebind reaches the trace and the counters
+/// alike.
+#[test]
+fn drift_alert_rebinds_the_profile_in_run() {
+    let mut cfg = EngineConfig::default();
+    let store = store_with_shrunk_batch(&cfg, 4);
+    cfg.device = gpusim::DeviceProfile::custom(
+        "regressed",
+        2.3,
+        cfg.device.memory_bytes(),
+        cfg.device.sm_count(),
+        0.0,
+    );
+    let cfg = cfg
+        .with_trace(TraceConfig::sampled())
+        .with_telemetry(
+            TelemetryConfig::enabled(CADENCE).with_drift(DriftConfig::new(QUANTUM, 0.25)),
+        )
+        .with_control(
+            controlplane::ControlConfig::new()
+                .with_cost(StoreCostOracle::new(Arc::clone(&store))),
+        );
+    let clients = vec![ClientSpec::new(models::mini::small(4), 6); 3];
+    let report = run_experiment(&cfg, clients, &mut fair(store));
+    common::assert_counters_match_trace(&report);
+    assert!(counter(&report, "alerts_drift") >= 1);
+    assert!(counter(&report, "control_profile_rebinds") >= 1);
 }
 
 /// Renders a controlled run to the digits the reports print, so the byte
@@ -152,6 +187,8 @@ fn render(report: &RunReport) -> String {
 
 /// One seed-forked closed-loop replication: control plane on, drift
 /// recalibration live through the cost oracle, deadline-bound clients.
+/// Traced, so every replication also checks its counters against its
+/// events.
 fn replication(seed: u64) -> String {
     let base = EngineConfig::default().with_seed(seed * 7919 + 13);
     let store = store_with_shrunk_batch(&base, 4);
@@ -161,6 +198,7 @@ fn replication(seed: u64) -> String {
         .gpu_duration;
     let objective = SimDuration::from_micros(2_000);
     let cfg = base
+        .with_trace(TraceConfig::sampled())
         .with_telemetry(
             TelemetryConfig::enabled(CADENCE)
                 .with_slo(SloSpec::new("mini-small", objective, 0.05))
@@ -174,6 +212,7 @@ fn replication(seed: u64) -> String {
     let clients =
         vec![ClientSpec::new(models::mini::small(4), 3).with_run_deadline(objective); 4];
     let report = run_experiment(&cfg, clients, &mut fair(store));
+    common::assert_counters_match_trace(&report);
     render(&report)
 }
 

@@ -3,6 +3,8 @@
 //! never exceeds the device, and canary rollouts that promote a healthy
 //! version 2 and roll back a regressed one.
 
+mod common;
+
 use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
 use serving::{
@@ -136,6 +138,7 @@ fn churn_evicts_reloads_and_stays_under_budget() {
     let r = churn_run();
     assert!(r.all_finished(), "every churn client must finish");
     no_stalls(&r);
+    common::assert_counters_match_trace(&r);
     let t = &r.telemetry;
     assert!(t.counter("versions_evicted").unwrap() >= 1, "eviction must fire");
     assert!(
@@ -152,12 +155,14 @@ fn canary_promotes_healthy_and_rolls_back_regressed() {
     let healthy = canary_run(false);
     assert!(healthy.all_finished());
     no_stalls(&healthy);
+    common::assert_counters_match_trace(&healthy);
     assert_eq!(healthy.telemetry.counter("canary_promotions"), Some(1));
     assert_eq!(healthy.telemetry.counter("canary_rollbacks"), Some(0));
 
     let regressed = canary_run(true);
     assert!(regressed.all_finished(), "draining must finish in-flight runs");
     no_stalls(&regressed);
+    common::assert_counters_match_trace(&regressed);
     assert_eq!(regressed.telemetry.counter("canary_promotions"), Some(0));
     assert_eq!(regressed.telemetry.counter("canary_rollbacks"), Some(1));
     // The rolled-back candidate drains and unloads; the incumbent keeps

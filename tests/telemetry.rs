@@ -1,13 +1,20 @@
 //! End-to-end checks of the telemetry layer: byte-determinism of the
-//! JSON-lines and Prometheus exports across worker counts, and the full
-//! alert path of a drifting deployment — report, JSON-lines stream and
-//! Perfetto timeline.
+//! JSON-lines and Prometheus exports across worker counts, the full alert
+//! path of a drifting deployment — report, JSON-lines stream and Perfetto
+//! timeline — and telemetry as a fold over the engine's events: counters
+//! equal their trace events' counts, whatever the trace mode.
 
+mod common;
+
+use faults::{BreakerConfig, FaultConfig, FaultPlan};
+use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
-use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
-use simtime::SimDuration;
+use serving::{
+    run_experiment, workload, ClientSpec, EngineConfig, FifoScheduler, RunReport, TraceConfig,
+};
+use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
-use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
+use telemetry::{Alert, BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 const INTERVAL: SimDuration = SimDuration::from_micros(100);
@@ -138,6 +145,7 @@ fn fault_recovery_counters_flow_through_both_exporters() {
 #[test]
 fn drifting_deployment_alerts_in_report_stream_and_timeline() {
     let report = drifted_run();
+    common::assert_counters_match_trace(&report);
     let t = &report.telemetry;
     assert!(t.enabled);
     assert_eq!(t.snapshots.len() as u64, t.expected_snapshots());
@@ -180,4 +188,130 @@ fn drifting_deployment_alerts_in_report_stream_and_timeline() {
     assert!(trace_json.contains("\"drift-alert\""));
     assert!(trace_json.contains("\"slo-burn-alert\""));
     microjson::Value::parse(&trace_json).expect("chrome trace parses");
+}
+
+fn counter(report: &RunReport, name: &str) -> u64 {
+    report.telemetry.counter(name).unwrap_or(0)
+}
+
+/// A run through every recovery path telemetry counts: kernel faults under
+/// a hair-trigger breaker (it opens on each fault and sheds the client on
+/// the third), admission faults, a device stall long enough to trip the
+/// token-hold watchdog, a client whose run deadline is shorter than a run,
+/// and a latecomer whose weights exceed the device.
+fn recovery_run(trace: TraceConfig) -> RunReport {
+    let cfg = EngineConfig::default().with_telemetry(TelemetryConfig::enabled(INTERVAL));
+    let store = store_for(&cfg);
+    let plan = FaultPlan::new()
+        .with_kernel_failures(0.03)
+        .with_alloc_failures(0.3)
+        .with_stall(SimTime::from_millis(3), SimTime::from_millis(4));
+    let breaker = BreakerConfig { failure_threshold: 1, max_trips: 3, ..BreakerConfig::default() };
+    let small = models::mini::small(4);
+    let too_big = models::LoadedModel::from_parts(
+        "too-big",
+        None,
+        small.batch(),
+        Arc::clone(small.graph()),
+        cfg.device.memory_bytes() + 1,
+        small.activation_bytes(),
+    );
+    let mut clients = clients();
+    clients[2] = clients[2].clone().with_run_deadline(SimDuration::from_micros(300));
+    clients.push(ClientSpec::new(too_big, 1).with_start(SimTime::from_millis(1)));
+    let cfg = cfg.with_trace(trace).with_faults(FaultConfig::new(plan).with_breaker(breaker));
+    let mut sched = OlympianScheduler::new(store, Box::new(RoundRobin::new()), QUANTUM)
+        .with_watchdog(3.0);
+    run_experiment(&cfg, clients, &mut sched)
+}
+
+/// Telemetry is folded from every event the engine records, not from the
+/// trace ring, so the trace mode cannot change it.
+#[test]
+fn telemetry_does_not_depend_on_the_trace_mode() {
+    let off = recovery_run(TraceConfig::off());
+    assert!(off.trace.is_empty());
+    let jsonl = off.telemetry_jsonl();
+    for trace in [TraceConfig::sampled(), TraceConfig::full()] {
+        let mode = trace.mode;
+        // `assert!`, not `assert_eq!`: the streams run to hundreds of KiB.
+        let same = jsonl == recovery_run(trace).telemetry_jsonl();
+        assert!(same, "{mode:?} trace changed telemetry");
+    }
+}
+
+#[test]
+fn recovery_counters_match_the_trace() {
+    let report = recovery_run(TraceConfig::full());
+    common::assert_counters_match_trace(&report);
+    for name in [
+        "faults_kernel",
+        "faults_alloc",
+        "kernel_retries",
+        "breaker_open_events",
+        "clients_shed",
+        "watchdog_revocations",
+        "clients_rejected_oom",
+        "runs_deadline_cancelled",
+    ] {
+        assert!(counter(&report, name) > 0, "{name} never fired");
+    }
+    // The fold raises the breaker and watchdog alerts; the shed hook adds
+    // one per shed with the action it carries.
+    let alerts = |actions: &[&str]| {
+        let recovery = |a: &&Alert| {
+            matches!(a, Alert::FaultRecovery { action, .. } if actions.contains(action))
+        };
+        report.telemetry.alerts.iter().filter(recovery).count() as u64
+    };
+    assert_eq!(alerts(&["breaker-open"]), counter(&report, "breaker_open_events"));
+    assert_eq!(alerts(&["watchdog-revoke"]), counter(&report, "watchdog_revocations"));
+    assert_eq!(alerts(&["retries-exhausted", "circuit-open"]), counter(&report, "clients_shed"));
+}
+
+/// A two-device fleet under a Zipf stream whose hot set rotates mid-run:
+/// routes, reconfigurations and migrations reach the trace and the
+/// counters alike.
+#[test]
+fn fleet_counters_match_the_trace() {
+    const MODELS: usize = 6;
+    const ARRIVALS: usize = 400;
+    let tiny = models::mini::tiny(4);
+    let zoo: Vec<models::LoadedModel> = (0..MODELS)
+        .map(|i| {
+            models::LoadedModel::from_parts(
+                format!("zoo-{i}"),
+                None,
+                tiny.batch(),
+                Arc::clone(tiny.graph()),
+                32 << 20,
+                tiny.activation_bytes(),
+            )
+        })
+        .collect();
+    let mut plan = DeploymentPlan::new();
+    for m in &zoo {
+        plan = plan.with_model(ModelDeployment::new(m.name(), m.clone()));
+    }
+    let devices = vec![gpusim::DeviceProfile::gtx_1080_ti(), gpusim::DeviceProfile::titan_x()];
+    let cc = cluster::ClusterConfig::new(devices, LifecycleConfig::new(plan))
+        .with_tick(SimDuration::from_millis(2));
+    let cfg = EngineConfig::default()
+        .with_cluster(cc)
+        .with_trace(TraceConfig::sampled())
+        .with_telemetry(TelemetryConfig::enabled(SimDuration::from_millis(1)));
+    let picks = workload::zipf_models(ARRIVALS, MODELS, 1.2, ARRIVALS / 2, 5, 17);
+    let spacing = SimDuration::from_micros(100);
+    let arrivals = workload::uniform_arrivals(ARRIVALS, spacing, SimTime::ZERO);
+    let clients = picks
+        .into_iter()
+        .zip(arrivals)
+        .map(|(m, at)| ClientSpec::new(zoo[m].clone(), 1).with_start(at))
+        .collect();
+    let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
+    assert!(report.all_finished());
+    common::assert_counters_match_trace(&report);
+    for name in ["cluster_routes", "cluster_reconfigs", "cluster_migrations"] {
+        assert!(counter(&report, name) > 0, "{name} never fired");
+    }
 }
