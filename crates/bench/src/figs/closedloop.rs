@@ -155,9 +155,7 @@ pub fn run_cells(policy: ControlPolicy) -> Cells {
                 .with_drift(DriftConfig::new(drift_ref, 0.25)),
         )
         .with_control(
-            ControlConfig::new()
-                .with_policy(policy)
-                .with_cost(StoreCostOracle::new(Arc::clone(&closed_store))),
+            ControlConfig::new().with_cost(StoreCostOracle::new(Arc::clone(&closed_store))),
         );
     let deadline_policy = match policy {
         ControlPolicy::Edf => DeadlinePolicy::edf(),

@@ -7,12 +7,15 @@
 //! ended. This crate holds the policy half of the feedback loop the engine
 //! wires in behind `EngineConfig::with_control`:
 //!
-//! * [`DegradeMachine`] — the Healthy → Degraded → Shedding hysteresis
-//!   ladder driven by repeated burn-rate episodes, stepping back down one
-//!   rung per quiet [`ControlConfig::cool_window`];
-//! * [`ControlPolicy`] — which deadline-aware token hand-off policy the
-//!   engine should run (EDF or least-laxity; the policy implementation
-//!   itself lives next to the other `olympian` policies);
+//! * [`ControlLoop`] — one run's control state: the Healthy → Degraded →
+//!   Shedding hysteresis ladder driven by repeated burn-rate episodes,
+//!   stepping back down one rung per quiet [`ControlConfig::cool_window`],
+//!   plus the admission gate, batch hint, laxity and rebind arithmetic the
+//!   engine asks of it;
+//! * [`ControlPolicy`] — a label naming a deadline-aware hand-off ordering
+//!   (EDF or least-laxity) for front ends that pick one. The engine does
+//!   not read it: the token order comes from the policy the caller hands
+//!   the scheduler (`olympian::DeadlinePolicy`);
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
@@ -22,12 +25,17 @@
 //! calls — so control decisions are byte-identical across `--jobs N` and
 //! shard counts, the same guarantee the trace and telemetry layers give.
 
-use simtime::{SimDuration, SimTime};
+use simtime::SimDuration;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which deadline-aware token hand-off ordering the engine's scheduler
-/// should run when the control plane is on.
+mod control_loop;
+
+pub use control_loop::ControlLoop;
+
+/// A deadline-aware token hand-off ordering, as the closed-loop figure
+/// and the command line name it. Selecting the scheduler policy that
+/// implements it is the caller's job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlPolicy {
     /// Earliest deadline first: grants order by absolute run deadline.
@@ -122,88 +130,6 @@ pub struct Transition {
     pub to: DegradeState,
 }
 
-/// The Healthy → Degraded → Shedding hysteresis state machine.
-///
-/// Escalation: every burn-rate episode (one resettable-latch firing of the
-/// telemetry SLO monitor) counts; after [`ControlConfig::escalate_after`]
-/// *consecutive* episodes on the current rung the ladder steps up one rung
-/// and the episode counter re-arms. De-escalation: once
-/// [`ControlConfig::cool_window`] of virtual time passes without a burn
-/// episode the ladder steps down one rung — and the cool-down clock re-arms,
-/// so dropping from Shedding to Healthy takes two full quiet windows. A
-/// burn while cooling resets the clock (the flap guard).
-#[derive(Debug, Clone)]
-pub struct DegradeMachine {
-    escalate_after: u32,
-    cool_window: SimDuration,
-    state: DegradeState,
-    /// Consecutive burn episodes since the last transition.
-    episodes: u32,
-    /// Instant of the last burn episode or downward step (the cool-down
-    /// clock origin); `None` until the first episode.
-    armed_at: Option<SimTime>,
-}
-
-impl DegradeMachine {
-    /// A machine at Healthy with the given hysteresis shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `escalate_after` is zero or `cool_window` is zero.
-    pub fn new(escalate_after: u32, cool_window: SimDuration) -> DegradeMachine {
-        assert!(escalate_after >= 1, "escalate_after must be at least 1");
-        assert!(cool_window > SimDuration::ZERO, "cool_window must be positive");
-        DegradeMachine {
-            escalate_after,
-            cool_window,
-            state: DegradeState::Healthy,
-            episodes: 0,
-            armed_at: None,
-        }
-    }
-
-    /// The current rung.
-    pub fn state(&self) -> DegradeState {
-        self.state
-    }
-
-    /// One burn-rate episode at `now`. Returns the upward transition when
-    /// this episode is exactly the `escalate_after`-th consecutive one on
-    /// the current rung.
-    pub fn on_burn(&mut self, now: SimTime) -> Option<Transition> {
-        self.armed_at = Some(now);
-        self.episodes += 1;
-        if self.episodes < self.escalate_after {
-            return None;
-        }
-        self.episodes = 0;
-        let from = self.state;
-        let to = from.up()?; // already Shedding: saturate, keep re-arming
-        self.state = to;
-        Some(Transition { from, to })
-    }
-
-    /// The periodic cool-down check at `now`. Steps down one rung when a
-    /// full quiet `cool_window` has elapsed since the last burn episode (or
-    /// since the previous downward step), re-arming the clock for the next
-    /// rung.
-    pub fn on_tick(&mut self, now: SimTime) -> Option<Transition> {
-        if self.state == DegradeState::Healthy {
-            return None;
-        }
-        let armed = self.armed_at?;
-        if now < armed + self.cool_window {
-            return None;
-        }
-        let from = self.state;
-        let to = from.down();
-        self.state = to;
-        self.episodes = 0;
-        self.armed_at = if to == DegradeState::Healthy { None } else { Some(now) };
-        Some(Transition { from, to })
-    }
-}
-
 /// The recalibration surface the engine's control loop draws laxity
 /// estimates from and rebinds through. Implemented over the profile store
 /// (`olympian::StoreCostOracle`); this crate only defines the trait so the
@@ -238,8 +164,6 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
 /// one predicted branch per hook.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
-    /// Deadline-aware hand-off ordering for the token scheduler.
-    pub policy: ControlPolicy,
     /// Control loop cadence: laxity scan + cool-down check interval.
     pub tick: SimDuration,
     /// Consecutive burn episodes before the ladder steps up one rung.
@@ -261,7 +185,6 @@ pub struct ControlConfig {
 impl Default for ControlConfig {
     fn default() -> ControlConfig {
         ControlConfig {
-            policy: ControlPolicy::Edf,
             tick: SimDuration::from_micros(200),
             escalate_after: 2,
             cool_window: SimDuration::from_millis(2),
@@ -274,16 +197,10 @@ impl Default for ControlConfig {
 }
 
 impl ControlConfig {
-    /// The default closed-loop configuration (EDF, 200 µs ticks, 2-episode
+    /// The default closed-loop configuration (200 µs ticks, 2-episode
     /// escalation, 2 ms cool window).
     pub fn new() -> ControlConfig {
         ControlConfig::default()
-    }
-
-    /// Overrides the hand-off ordering.
-    pub fn with_policy(mut self, policy: ControlPolicy) -> ControlConfig {
-        self.policy = policy;
-        self
     }
 
     /// Overrides the control loop cadence.
@@ -340,16 +257,12 @@ impl ControlConfig {
         assert!(self.cool_window > SimDuration::ZERO, "cool_window must be positive");
         assert!(self.batch_divisor >= 1, "batch_divisor must be at least 1");
     }
-
-    /// Builds the ladder state machine this configuration describes.
-    pub fn machine(&self) -> DegradeMachine {
-        DegradeMachine::new(self.escalate_after, self.cool_window)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtime::SimTime;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -359,9 +272,14 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    fn ladder(escalate_after: u32, cool_window: SimDuration) -> ControlLoop {
+        let cfg = ControlConfig::new().with_escalate_after(escalate_after);
+        ControlLoop::new(&cfg.with_cool_window(cool_window))
+    }
+
     #[test]
     fn escalates_exactly_at_threshold() {
-        let mut m = DegradeMachine::new(3, ms(2));
+        let mut m = ladder(3, ms(2));
         assert_eq!(m.on_burn(t(10)), None);
         assert_eq!(m.on_burn(t(20)), None);
         assert_eq!(m.state(), DegradeState::Healthy);
@@ -378,7 +296,7 @@ mod tests {
 
     #[test]
     fn shedding_saturates() {
-        let mut m = DegradeMachine::new(1, ms(2));
+        let mut m = ladder(1, ms(2));
         assert!(m.on_burn(t(1)).is_some());
         assert!(m.on_burn(t(2)).is_some());
         assert_eq!(m.state(), DegradeState::Shedding);
@@ -388,7 +306,7 @@ mod tests {
 
     #[test]
     fn cools_down_exactly_at_window_edge() {
-        let mut m = DegradeMachine::new(1, ms(2));
+        let mut m = ladder(1, ms(2));
         m.on_burn(t(1_000));
         assert_eq!(m.state(), DegradeState::Degraded);
         assert_eq!(m.on_tick(t(2_999)), None, "one ns short of the window");
@@ -399,7 +317,7 @@ mod tests {
 
     #[test]
     fn burn_between_windows_resets_the_cooldown_clock() {
-        let mut m = DegradeMachine::new(2, ms(2));
+        let mut m = ladder(2, ms(2));
         assert_eq!(m.on_burn(t(0)), None);
         assert!(m.on_burn(t(10)).is_some(), "second episode escalates");
         assert_eq!(m.state(), DegradeState::Degraded);
@@ -413,7 +331,7 @@ mod tests {
 
     #[test]
     fn cooldown_rearms_one_rung_per_window() {
-        let mut m = DegradeMachine::new(1, ms(2));
+        let mut m = ladder(1, ms(2));
         m.on_burn(t(0));
         m.on_burn(t(10));
         assert_eq!(m.state(), DegradeState::Shedding);
@@ -429,7 +347,7 @@ mod tests {
         // escalate_after 2: one episode, a sub-window quiet spell, then a
         // second episode still escalates (episodes only reset on
         // transitions).
-        let mut m = DegradeMachine::new(2, ms(2));
+        let mut m = ladder(2, ms(2));
         assert_eq!(m.on_burn(t(0)), None);
         assert_eq!(m.on_tick(t(1_000)), None);
         assert!(m.on_burn(t(1_500)).is_some());
@@ -458,8 +376,8 @@ mod tests {
 
     #[test]
     fn default_config_validates() {
-        let cfg = ControlConfig::new().with_policy(ControlPolicy::Laxity);
+        let cfg = ControlConfig::new();
         cfg.validate();
-        assert_eq!(cfg.machine().state(), DegradeState::Healthy);
+        assert_eq!(ControlLoop::new(&cfg).state(), DegradeState::Healthy);
     }
 }

@@ -16,7 +16,7 @@
 //! schedule that never passes a job's run deadline, and a per-client
 //! [`CircuitBreaker`] (closed → open → half-open probe) that decides when
 //! a persistently failing client should be shed instead of wedging the
-//! run.
+//! run. [`Recovery`] drives them for one run of the serving engine.
 //!
 //! ```
 //! use faults::{FaultConfig, FaultPlan};
@@ -33,6 +33,10 @@
 //! ```
 
 use simtime::{DetRng, SimDuration, SimTime};
+
+mod recovery;
+
+pub use recovery::{Failure, Next, Recovery, Shed, Stall};
 
 /// Salt folded into the engine seed so the fault stream is decorrelated
 /// from every other consumer of the run seed.
@@ -447,11 +451,6 @@ impl FaultInjector {
         plan.validate();
         plan.stalls.sort_by_key(|w| w.from);
         FaultInjector { plan, rng: DetRng::new(seed ^ FAULT_SEED_SALT) }
-    }
-
-    /// The plan being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Draws whether the kernel launched at `now` transiently fails.

@@ -49,12 +49,14 @@ use std::fmt;
 /// `ProfileStore`): [`ProfileBinder::bind`] registers the versioned
 /// profile under `"{model}@v{version}"` when the version starts serving,
 /// and [`ProfileBinder::unbind`] retires it when the version is unloaded,
-/// so the scheduler resolves exactly the versions that are resident.
+/// so the scheduler resolves exactly the versions resident on at least one
+/// device. A fleet's device managers share one binder, each binding and
+/// unbinding for its own device.
 pub trait ProfileBinder: fmt::Debug + Send + Sync {
     /// Registers the profile for `versioned_name` (e.g. `"svc@v2"`) at
     /// `batch`. Called when a version transitions into `Serving`.
     fn bind(&self, versioned_name: &str, batch: u64);
-    /// Retires the profile for `versioned_name` at `batch`. Called when a
+    /// Releases the profile for `versioned_name` at `batch`. Called when a
     /// version is unloaded (drained or evicted).
     fn unbind(&self, versioned_name: &str, batch: u64);
 }

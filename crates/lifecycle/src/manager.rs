@@ -345,11 +345,6 @@ impl LifecycleManager {
         self.load_gbps
     }
 
-    /// True when clients are parked waiting for deployment `mi`.
-    pub fn has_waiters(&self, mi: usize) -> bool {
-        !self.models[mi].waiters.is_empty()
-    }
-
     /// Asks for the aspired version of deployment `mi` to become resident
     /// (the cluster reconfiguration "load/migrate-in" command). Starts the
     /// load when the version is `Unloaded` and returns `true`; returns
@@ -442,11 +437,7 @@ impl LifecycleManager {
                 }
                 _ => s,
             };
-            let v = &mut self.models[mi].versions[pick];
-            v.inflight += 1;
-            v.wake_pending = v.wake_pending.saturating_sub(1);
-            v.last_used = now;
-            return Route::Issue(VersionKey { model: mi as u32, version: pick as u32 + 1 });
+            return self.issue(mi, pick, now);
         }
         let target = self.models[mi].aspired;
         if self.models[mi].versions[target].state == VersionState::Unloaded {
@@ -482,14 +473,20 @@ impl LifecycleManager {
             .filter(|(_, v)| v.state == VersionState::Serving)
             .min_by_key(|(i, v)| (v.model.graph().total_gpu_time(), *i))
             .map(|(i, _)| i);
-        let Some(pick) = pick else {
-            return self.route(model, client, now, pool, fx);
-        };
-        let v = &mut self.models[mi].versions[pick];
+        match pick {
+            Some(vi) => self.issue(mi, vi, now),
+            None => self.route(model, client, now, pool, fx),
+        }
+    }
+
+    /// Issues a run against version `vi` of deployment `mi`, spending a
+    /// wake credit if one is held.
+    fn issue(&mut self, mi: usize, vi: usize, now: SimTime) -> Route {
+        let v = &mut self.models[mi].versions[vi];
         v.inflight += 1;
         v.wake_pending = v.wake_pending.saturating_sub(1);
         v.last_used = now;
-        Route::Issue(VersionKey { model: mi as u32, version: pick as u32 + 1 })
+        Route::Issue(VersionKey { model: mi as u32, version: vi as u32 + 1 })
     }
 
     /// Records a run completion against `key`. `latency` is `None` for
@@ -902,26 +899,7 @@ impl LifecycleManager {
 
     /// Evicts `(mi, vi)` and returns the freed byte count.
     fn evict(&mut self, mi: usize, vi: usize, pool: &mut MemoryPool, fx: &mut Effects) -> u64 {
-        let v = &mut self.models[mi].versions[vi];
-        let alloc = v.weights.take().expect("evicting non-resident version");
-        pool.free(alloc);
-        v.weights = None;
-        let bytes = {
-            let b = v.model.weights_bytes();
-            v.state = VersionState::Unloaded;
-            v.due = None;
-            v.warmups_done = 0;
-            v.wake_pending = 0;
-            b
-        };
-        self.resident -= bytes;
-        if self.models[mi].serving == Some(vi) {
-            self.models[mi].serving = None;
-        }
-        if let Some(b) = &self.binder {
-            let batch = self.models[mi].versions[vi].model.batch();
-            b.unbind(&self.vnames[mi][vi], batch);
-        }
+        let bytes = self.release(mi, vi, pool);
         fx.events.push(LifecycleEvent::Evicted {
             key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
             bytes,

@@ -11,20 +11,26 @@
 //! and go, which flips the catalog entries into and out of the store's
 //! dynamic section. The Olympian scheduler resolves jobs registered under
 //! versioned names (`"{name}@v{n}"`) against exactly these entries.
+//!
+//! All device managers of a fleet share one binder, so an entry counts its
+//! binds: the profile stays registered while any device holds the version.
 
 use crate::{ModelProfile, ProfileStore, Profiler};
 use serving::lifecycle::{DeploymentPlan, ProfileBinder};
 use serving::EngineConfig;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A [`ProfileBinder`] over a shared [`ProfileStore`]: holds one
 /// pre-calibrated profile per `(versioned name, batch)` and registers or
-/// retires it as the lifecycle manager loads and unloads versions.
+/// retires it as lifecycle managers load and unload versions.
 #[derive(Debug)]
 pub struct StoreBinder {
     store: Arc<ProfileStore>,
-    catalog: HashMap<(String, u64), ModelProfile>,
+    /// Versioned name -> (its profile, devices binding it). The count
+    /// publishes nothing (the store has its own lock), hence `Relaxed`.
+    catalog: HashMap<String, (ModelProfile, AtomicU32)>,
 }
 
 impl StoreBinder {
@@ -44,7 +50,7 @@ impl StoreBinder {
             for (k, spec) in dep.versions.iter().enumerate() {
                 let mut p = profiler.profile(&spec.model);
                 p.model = format!("{}@v{}", dep.name, k + 1);
-                catalog.insert((p.model.clone(), p.batch), p);
+                catalog.insert(p.model.clone(), (p, AtomicU32::new(0)));
             }
         }
         Arc::new(StoreBinder { store, catalog })
@@ -55,6 +61,11 @@ impl StoreBinder {
         self.catalog.len()
     }
 
+    /// The catalog entry for `(versioned_name, batch)`, if any.
+    fn entry(&self, versioned_name: &str, batch: u64) -> Option<&(ModelProfile, AtomicU32)> {
+        self.catalog.get(versioned_name).filter(|(p, _)| p.batch == batch)
+    }
+
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
         self.catalog.is_empty()
@@ -63,13 +74,20 @@ impl StoreBinder {
 
 impl ProfileBinder for StoreBinder {
     fn bind(&self, versioned_name: &str, batch: u64) {
-        if let Some(p) = self.catalog.get(&(versioned_name.to_string(), batch)) {
-            self.store.register_dynamic(p.clone());
+        if let Some((p, binds)) = self.entry(versioned_name, batch) {
+            if binds.fetch_add(1, Relaxed) == 0 {
+                self.store.register_dynamic(p.clone());
+            }
         }
     }
 
     fn unbind(&self, versioned_name: &str, batch: u64) {
-        self.store.retire_dynamic(versioned_name, batch);
+        let Some((_, binds)) = self.entry(versioned_name, batch) else {
+            return;
+        };
+        if binds.fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1)) == Ok(1) {
+            self.store.retire_dynamic(versioned_name, batch);
+        }
     }
 }
 
@@ -111,5 +129,23 @@ mod tests {
         // Unknown names bind as no-ops.
         binder.bind("ghost@v9", 4);
         assert!(store.resolve("ghost@v9", 4).is_none());
+    }
+
+    #[test]
+    fn profile_stays_bound_while_any_device_holds_the_version() {
+        let plan = DeploymentPlan::new().with_model(ModelDeployment::new("svc", named("svc")));
+        let store = Arc::new(ProfileStore::new());
+        let binder = StoreBinder::calibrate(&EngineConfig::default(), &plan, Arc::clone(&store));
+        // Two devices load the version; one unloads it.
+        binder.bind("svc@v1", 4);
+        binder.bind("svc@v1", 4);
+        binder.unbind("svc@v1", 4);
+        assert!(store.resolve("svc@v1", 4).is_some(), "the other device still serves it");
+        binder.unbind("svc@v1", 4);
+        assert!(store.resolve("svc@v1", 4).is_none(), "the last unbind retires it");
+        // A stray unbind does not underflow into a stale registration.
+        binder.unbind("svc@v1", 4);
+        binder.bind("svc@v1", 4);
+        assert!(store.resolve("svc@v1", 4).is_some());
     }
 }

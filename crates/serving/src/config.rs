@@ -48,11 +48,9 @@ pub struct EngineConfig {
     /// per-switch price that makes overhead fall with larger quanta
     /// (Figure 8).
     pub switch_latency: SimDuration,
-    /// Simulate TensorFlow's CUPTI cost profiler running *online*: inflates
-    /// every node execution by `profiling_inflation` (the paper measures
-    /// 21–29%, Figure 6).
-    pub online_profiling: bool,
-    /// Multiplicative execution inflation while `online_profiling` is set.
+    /// TensorFlow's CUPTI cost profiler running *online* inflates every
+    /// node execution by this fraction (the paper measures 21–29%, Figure
+    /// 6); 0, the default, is the profiler off.
     pub profiling_inflation: f64,
     /// Queued admission: when a client's memory does not fit, wait for
     /// memory instead of rejecting (TF-Serving's reject-on-OOM is the
@@ -68,28 +66,21 @@ pub struct EngineConfig {
     /// when off the engine pays one predicted branch per event, the same
     /// discipline as the tracer.
     pub telemetry: telemetry::TelemetryConfig,
-    /// Deterministic fault injection and recovery (see [`faults`]). `None`
-    /// by default: the engine's fault hooks collapse to one predicted
-    /// branch each, the same zero-cost-when-off discipline as tracing and
-    /// telemetry.
+    /// Deterministic fault injection and recovery, run by
+    /// [`faults::Recovery`]. `None` by default: each fault hook is then one
+    /// predicted branch, as with tracing and telemetry.
     pub faults: Option<faults::FaultConfig>,
-    /// Closed-loop control plane (see [`controlplane`]): deadline-aware
-    /// token policies, a burn-rate-driven degradation ladder and online
-    /// profile recalibration. `None` by default — every control hook then
-    /// collapses to one predicted branch, the same zero-cost-when-off
-    /// discipline as faults and the fleet.
+    /// The closed-loop control plane, run by [`controlplane::ControlLoop`]:
+    /// the burn-rate degradation ladder, laxity cancellation and online
+    /// profile recalibration. `None` by default.
     pub control: Option<controlplane::ControlConfig>,
-    /// Model lifecycle and fleet orchestration (see [`crate::lifecycle`]
-    /// and [`crate::cluster`]): N heterogeneous devices each with its own
-    /// lifecycle manager (versioned registry, memory-budgeted hot
-    /// load/unload, canary rollouts) and memory budget, a per-arrival
-    /// router and an optional periodic min-cost-flow reconfiguration loop.
-    /// Single-device lifecycle management is the one-device case (see
-    /// [`with_lifecycle`](Self::with_lifecycle)). `None` by default —
-    /// clients then carry pre-loaded models, admission is the classic
-    /// one-shot memory check and every fleet hook collapses to one
-    /// predicted branch. The device list comes from the cluster config,
-    /// so set it with [`with_cluster`](Self::with_cluster).
+    /// Model lifecycle and fleet orchestration, run by [`cluster::Fleet`]:
+    /// one lifecycle manager and memory budget per device, a per-arrival
+    /// router and an optional min-cost-flow reconfiguration loop. Set it
+    /// with [`with_cluster`](Self::with_cluster), which derives the device
+    /// list, or [`with_lifecycle`](Self::with_lifecycle) for one device.
+    /// `None` by default: clients carry pre-loaded models and admission is
+    /// the classic one-shot memory check.
     pub cluster: Option<cluster::ClusterConfig>,
     /// Hard cap on simulated events — a watchdog against scheduling bugs.
     pub max_events: u64,
@@ -119,8 +110,7 @@ impl Default for EngineConfig {
             submit_latency_spread: 0.10,
             driver_bias_spread: 0.25,
             switch_latency: SimDuration::from_micros(80),
-            online_profiling: false,
-            profiling_inflation: 0.25,
+            profiling_inflation: 0.0,
             queue_admission: false,
             trace: trace::TraceConfig::off(),
             telemetry: telemetry::TelemetryConfig::off(),
@@ -257,13 +247,10 @@ impl EngineConfig {
         EngineConfig { control: Some(control), ..self.clone() }
     }
 
-    /// A copy with the online cost profiler enabled (Figure 6's condition).
+    /// A copy with the online cost profiler enabled (Figure 6's condition),
+    /// inflating every node execution by `inflation`.
     pub fn with_online_profiling(&self, inflation: f64) -> EngineConfig {
-        EngineConfig {
-            online_profiling: true,
-            profiling_inflation: inflation,
-            ..self.clone()
-        }
+        EngineConfig { profiling_inflation: inflation, ..self.clone() }
     }
 
     /// A copy with baseline nondeterminism disabled — used when profiling

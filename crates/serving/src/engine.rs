@@ -26,16 +26,25 @@
 //! TF-Serving unpredictable (Figure 3): an *effective gang width* (how many
 //! kernels the client keeps in flight) and a *submission latency factor*.
 //! Under Olympian both still exist but exclusive quanta mask them.
+//!
+//! # Optional runtimes
+//!
+//! Faults, the control plane and the fleet decide in their own crates
+//! ([`Recovery`], [`ControlLoop`], [`Fleet`]), each an `Option` costing one
+//! predicted branch per hook when off. The engine lands their verdicts as
+//! trace events, engine events and applied lifecycle effects.
 
 use crate::client::ClientSpec;
 use crate::config::EngineConfig;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
 use crate::trace::{SwitchReason, TraceBuffer, TraceKind};
+use cluster::{Fleet, Routed, Step};
+use controlplane::{ControlLoop, Transition};
 use dataflow::{Graph, NodeId, Placement};
-use faults::{BreakerEvent, BreakerState, CircuitBreaker, FaultInjector, RetryPolicy};
+use faults::{Failure, Next, Recovery, Shed, Stall};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
-use lifecycle::{Effects as LcEffects, LifecycleEvent, LifecycleManager, Route, VersionKey};
+use lifecycle::{Effects as LcEffects, LifecycleEvent, Route};
 use simtime::{DetRng, SimDuration, SimTime, TimingWheel};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -73,95 +82,9 @@ enum Event {
     /// The control plane's periodic tick: degradation-ladder cool-down and
     /// laxity-negative run cancellation.
     ControlTick,
-    /// The fleet orchestrator's reconfiguration cadence: solve the
-    /// demand-window min-cost flow and issue the load/drain plan.
+    /// The fleet orchestrator's reconfiguration cadence: re-place models
+    /// by the demand window's min-cost flow.
     ClusterTick,
-}
-
-/// Live fault-injection state for one run: the seeded injector plus the
-/// recovery state machines the engine drives around it. Held in an
-/// `Option` so the fault-free hot path pays one predicted branch per hook.
-struct FaultRuntime {
-    injector: FaultInjector,
-    retry: RetryPolicy,
-    /// One breaker per client, indexed by `ClientId.0`.
-    breakers: Vec<CircuitBreaker>,
-    /// Failed submission attempts per (job id, node index); entries are
-    /// created on the first fault and cleared on success or job death.
-    attempts: HashMap<(u64, u32), u32>,
-    /// Consecutive failed admission attempts per client.
-    admit_attempts: Vec<u32>,
-    /// Backoff jitter stream, forked off the fault stream so jitter draws
-    /// never perturb fault verdicts.
-    retry_rng: DetRng,
-    /// Per device: a post-stall pump event is already scheduled.
-    stall_pump: Vec<bool>,
-}
-
-impl FaultRuntime {
-    fn new(cfg: &faults::FaultConfig, seed: u64, clients: usize, devices: usize) -> Self {
-        let mut injector = cfg.injector(seed);
-        let retry_rng = injector.retry_rng();
-        FaultRuntime {
-            injector,
-            retry: cfg.retry,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); clients],
-            attempts: HashMap::new(),
-            admit_attempts: vec![0; clients],
-            retry_rng,
-            stall_pump: vec![false; devices],
-        }
-    }
-}
-
-/// Live control-plane state for one run: the static configuration plus the
-/// degradation-ladder state machine. Held in an `Option` so the
-/// uncontrolled hot path pays one predicted branch per hook.
-struct ControlRuntime {
-    cfg: controlplane::ControlConfig,
-    machine: controlplane::DegradeMachine,
-}
-
-/// Live fleet-orchestration state for one run: one lifecycle manager per
-/// device, the router's per-device drain estimates, and the demand window
-/// the reconfiguration tick solves over. Every managed model is served
-/// through it: single-device lifecycle management is a one-device fleet
-/// with the `Static` router and reconfiguration off. Held in an `Option` so
-/// the unmanaged hot path pays one predicted branch per hook.
-struct ClusterRuntime {
-    /// One manager per device, indexed like `Engine::devices`. Every
-    /// manager holds the same deployment plan, so version keys and model
-    /// indices agree across devices; residency is per device.
-    managers: Vec<LifecycleManager>,
-    /// In-flight routed jobs, keyed by `JobId.0`:
-    /// `(device, version, estimated execute ns)`.
-    job_routes: HashMap<u64, (u32, VersionKey, u64)>,
-    /// Lifecycle-parked clients: `client -> (device, estimated ns)`. The
-    /// estimate is charged to the device's queue while the client waits
-    /// for a load, and returned when it is woken and re-routed.
-    parked: HashMap<u32, (u32, u64)>,
-    /// Estimated not-yet-finished execute time per device, in ns — the
-    /// router's queue-drain term.
-    outstanding_ns: Vec<u64>,
-    /// Arrivals per model since the last reconfiguration tick.
-    window_demand: Vec<u64>,
-    /// Latest per-arrival execute estimate per model (ns at speed 1.0) —
-    /// the flow problem's cost basis for models seen this window.
-    exec_est: Vec<u64>,
-    /// Device speed factors, cached from the profiles.
-    speed: Vec<f64>,
-}
-
-/// Outcome of the fleet router for one arriving run.
-enum FleetRoute {
-    /// Issue against this version; the estimate is the routed device's
-    /// execute ns, charged to its queue until the run finishes.
-    Issue(VersionKey, u64),
-    /// Parked inside the routed device's manager until a load completes.
-    Wait,
-    /// No fleet is configured, or the model is not in its deployment plan;
-    /// the run takes the unmanaged path.
-    Unmanaged,
 }
 
 /// Hot half of a job slot: every field the per-node dispatch and
@@ -341,9 +264,12 @@ pub(crate) struct Engine<'a> {
     /// so the per-event boundary check reads a local field instead of
     /// calling across the crate boundary.
     telemetry_due: SimTime,
-    faults: Option<FaultRuntime>,
-    control: Option<ControlRuntime>,
-    cluster: Option<ClusterRuntime>,
+    recovery: Option<Recovery>,
+    control: Option<ControlLoop>,
+    /// Serves every managed model; `None` when nothing is managed.
+    fleet: Option<Fleet>,
+    /// `1 + profiling_inflation`: every node's execution inflation.
+    inflation: f64,
     trace: TraceBuffer,
     telemetry: TelemetryHub,
     intervals: Vec<SimDuration>,
@@ -421,32 +347,13 @@ pub(crate) fn build_engine<'a>(
         .iter()
         .map(|p| MemoryPool::new(p.memory_bytes()))
         .collect();
-    let faults = cfg
+    let recovery = cfg
         .faults
         .as_ref()
-        .map(|f| FaultRuntime::new(f, cfg.seed, client_states.len(), devices.len()));
-    let control = cfg.control.as_ref().map(|c| ControlRuntime {
-        cfg: c.clone(),
-        machine: c.machine(),
-    });
-    let cluster_rt = cfg.cluster.as_ref().map(|cc| {
-        let managers: Vec<LifecycleManager> = memories
-            .iter()
-            .map(|m| {
-                LifecycleManager::new(&cc.lifecycle, m.capacity())
-                    .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
-            })
-            .collect();
-        let n_models = managers[0].model_count();
-        ClusterRuntime {
-            job_routes: HashMap::new(),
-            parked: HashMap::new(),
-            outstanding_ns: vec![0; managers.len()],
-            window_demand: vec![0; n_models],
-            exec_est: vec![0; n_models],
-            speed: profiles.iter().map(|p| p.speed_factor()).collect(),
-            managers,
-        }
+        .map(|f| Recovery::new(f, cfg.seed, client_states.len(), devices.len()));
+    let control = cfg.control.as_ref().map(ControlLoop::new);
+    let fleet = cfg.cluster.as_ref().map(|cc| {
+        Fleet::new(cc, &profiles).unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
     });
     let telemetry = TelemetryHub::new(&cfg.telemetry);
     let telemetry_due = telemetry.next_due();
@@ -470,9 +377,10 @@ pub(crate) fn build_engine<'a>(
         kernel_free: Vec::with_capacity(64),
         last_switch: None,
         telemetry_due,
-        faults,
+        recovery,
         control,
-        cluster: cluster_rt,
+        fleet,
+        inflation: 1.0 + cfg.profiling_inflation,
         trace: TraceBuffer::new(&cfg.trace),
         telemetry,
         intervals: Vec::with_capacity(256),
@@ -482,24 +390,16 @@ pub(crate) fn build_engine<'a>(
     };
     // Schedule a lifecycle tick at every publish instant before any client
     // starts, so version state is current at admission time.
-    let mut startup_fx = LcEffects::default();
-    if let Some(rt) = &engine.cluster {
-        // Publish schedules are identical on every device's manager, so
-        // one manager's startup ticks cover the whole fleet.
-        rt.managers[0].startup(&mut startup_fx);
-    }
-    engine.apply_lifecycle_effects(startup_fx);
+    engine.with_fleet(|f, _, fx| f.startup(fx));
     for i in 0..engine.clients.len() {
         let at = engine.clients[i].spec.start_at;
         engine.queue.schedule(at, Event::ClientStart(ClientId(i as u32)));
     }
-    if let Some(rt) = &engine.control {
-        engine
-            .queue
-            .schedule(SimTime::ZERO + rt.cfg.tick, Event::ControlTick);
+    if let Some(ctl) = &engine.control {
+        engine.queue.schedule(SimTime::ZERO + ctl.period(), Event::ControlTick);
     }
-    if let Some(cc) = cfg.cluster.as_ref().filter(|cc| cc.reconfigure) {
-        engine.queue.schedule(SimTime::ZERO + cc.tick, Event::ClusterTick);
+    if let Some(every) = engine.fleet.as_ref().and_then(Fleet::reconfigure_every) {
+        engine.queue.schedule(SimTime::ZERO + every, Event::ClusterTick);
     }
     engine
 }
@@ -611,15 +511,15 @@ impl Engine<'_> {
                 Event::RetryKernel { job, node } => {
                     if self.live_slot(job).is_some() {
                         self.submit_kernel(job, node);
-                    } else if let Some(fr) = self.faults.as_mut() {
+                    } else if let Some(rec) = self.recovery.as_mut() {
                         // The job died (deadline or shed) while the retry
-                        // was pending; drop its attempt bookkeeping.
-                        fr.attempts.remove(&(job.0, node.index() as u32));
+                        // was pending.
+                        rec.forget(job.0, node.index() as u32);
                     }
                 }
                 Event::PumpDevice(dev) => {
-                    if let Some(fr) = self.faults.as_mut() {
-                        fr.stall_pump[dev as usize] = false;
+                    if let Some(rec) = self.recovery.as_mut() {
+                        rec.woke(dev as usize);
                     }
                     self.pump_device(dev as usize);
                 }
@@ -641,11 +541,7 @@ impl Engine<'_> {
         // Admission gate: in the ladder's Shedding state new sessions are
         // refused outright — the cheapest load to serve is load never
         // admitted.
-        if self
-            .control
-            .as_ref()
-            .is_some_and(|rt| rt.machine.state() == controlplane::DegradeState::Shedding)
-        {
+        if self.control.as_ref().is_some_and(|ctl| !ctl.admits()) {
             self.record(TraceKind::AdmissionShed { client: c.0 });
             self.clients[c.0 as usize].outcome =
                 Some(ClientOutcome::AdmissionShed { at: self.now });
@@ -692,8 +588,9 @@ impl Engine<'_> {
     /// admission) or rejects it outright (the default, TF-Serving's
     /// behaviour).
     fn try_admit(&mut self, c: ClientId) -> bool {
-        if self.faults.is_some() && self.alloc_fault_fired(c) {
-            // A retry (or a terminal shed) is already arranged.
+        let now = self.now;
+        if let Some(fault) = self.recovery.as_mut().and_then(|rec| rec.admit(c.0, now)) {
+            self.fault(c, None, fault);
             return false;
         }
         let client = &self.clients[c.0 as usize];
@@ -702,22 +599,21 @@ impl Engine<'_> {
         let activation_bytes = model.activation_bytes();
         // Model weights are loaded once per device and shared across
         // clients of the same model (TF-Serving's servable sharing). A
-        // lifecycle-managed model's weights are owned by the manager
+        // fleet-managed model's weights are owned by its device's manager
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
-        let managed = self
-            .cluster
-            .as_ref()
-            .is_some_and(|rt| rt.managers[0].manages(model.name()));
-        let key = (model.name().to_string(), dev as u32);
-        if !managed && !self.weights_loaded.contains_key(&key) {
-            match self.memories[dev].alloc(model.weights_bytes()) {
-                Ok(a) => {
-                    self.weights_loaded.insert(key, a);
-                }
-                Err(e) => {
-                    self.admission_failure(c, e);
-                    return false;
+        let managed = self.fleet.as_ref().is_some_and(|f| f.manages(model.name()));
+        if !managed {
+            let key = (model.name().to_string(), dev as u32);
+            if !self.weights_loaded.contains_key(&key) {
+                match self.memories[dev].alloc(model.weights_bytes()) {
+                    Ok(a) => {
+                        self.weights_loaded.insert(key, a);
+                    }
+                    Err(e) => {
+                        self.admission_failure(c, e);
+                        return false;
+                    }
                 }
             }
         }
@@ -752,46 +648,55 @@ impl Engine<'_> {
         }
     }
 
-    /// Draws the transient reservation-failure verdict for this admission
-    /// attempt. When it fires, schedules a deterministic backoff
-    /// re-admission — or sheds the client once the retry budget is spent —
-    /// and returns true (the caller must not touch the memory pool).
-    fn alloc_fault_fired(&mut self, c: ClientId) -> bool {
-        let now = self.now;
-        let fr = self.faults.as_mut().expect("fault path entered with faults on");
-        if !fr.injector.alloc_fails(now) {
-            fr.admit_attempts[c.0 as usize] = 0;
-            return false;
+    /// Lands a recovery failure of an admission (`kernel == None`) or a
+    /// kernel launch: the fault and breaker edges on the trace, then the
+    /// backoff retry, or the end of a session whose budget is spent.
+    fn fault(&mut self, c: ClientId, kernel: Option<(JobId, NodeId)>, f: Failure) {
+        // `job == u64::MAX` / `node == u32::MAX` mark an admission on the
+        // trace (there is no job yet).
+        let (job, node) = kernel.map_or((u64::MAX, u32::MAX), |(j, n)| (j.0, n.index() as u32));
+        let (client, attempt) = (c.0, f.attempt);
+        self.record(match kernel {
+            Some(_) => {
+                let device = self.clients[c.0 as usize].device;
+                TraceKind::KernelFault { job, client, device, node, attempt }
+            }
+            None => TraceKind::AllocFault { client, attempt },
+        });
+        if f.opened {
+            self.record(TraceKind::BreakerTransition { client, state: "open" });
         }
-        let attempt = {
-            let a = &mut fr.admit_attempts[c.0 as usize];
-            *a += 1;
-            *a
-        };
-        let retry_at = fr.retry.next_retry_at(now, attempt - 1, None, &mut fr.retry_rng);
-        self.record(TraceKind::AllocFault { client: c.0, attempt });
-        match retry_at {
-            Some(at) => {
-                // `job == u64::MAX` / `node == u32::MAX` mark an admission
-                // retry on the trace (there is no job yet).
-                self.record(TraceKind::RetryScheduled {
-                    job: u64::MAX,
-                    client: c.0,
-                    node: u32::MAX,
-                    attempt,
-                    delay: at - now,
+        match f.next {
+            Next::Retry { at, probe } => {
+                if probe {
+                    self.record(TraceKind::BreakerTransition { client, state: "half-open" });
+                }
+                let delay = at - self.now;
+                self.record(TraceKind::RetryScheduled { job, client, node, attempt, delay });
+                let retry = kernel.map_or(Event::RetryAdmit(c), |(job, node)| {
+                    Event::RetryKernel { job, node }
                 });
-                self.queue.schedule(at, Event::RetryAdmit(c));
+                self.queue.schedule(at, retry);
             }
-            None => {
-                self.record(TraceKind::BreakerTransition { client: c.0, state: "shed" });
-                self.telemetry
-                    .on_client_shed(now, c.0, "retries-exhausted", u64::from(attempt));
-                self.clients[c.0 as usize].outcome =
-                    Some(ClientOutcome::RetriesExhausted { at: now, attempts: attempt });
+            Next::Shed(shed) => {
+                self.record(TraceKind::BreakerTransition { client, state: "shed" });
+                let at = self.now;
+                let (outcome, action, count) = match shed {
+                    Shed::RetriesExhausted { attempts } => {
+                        let outcome = ClientOutcome::RetriesExhausted { at, attempts };
+                        (outcome, "retries-exhausted", attempts)
+                    }
+                    Shed::CircuitOpen { trips } => {
+                        (ClientOutcome::CircuitOpen { at, trips }, "circuit-open", trips)
+                    }
+                };
+                self.telemetry.on_client_shed(at, client, action, u64::from(count));
+                match kernel {
+                    Some((job, _)) => self.teardown_job(job, c, outcome),
+                    None => self.clients[c.0 as usize].outcome = Some(outcome),
+                }
             }
         }
-        true
     }
 
     /// Re-attempts a faulted admission after its backoff elapsed. A client
@@ -833,48 +738,30 @@ impl Engine<'_> {
     }
 
     fn start_run(&mut self, c: ClientId) {
-        // Lifecycle routing: resolve a managed model's device and serving
+        // Fleet routing resolves a managed model's device and serving
         // version at issue time. `Wait` parks the client inside the
-        // device's manager; it is woken (via `Effects::wake`) once a version
-        // starts serving. An issued run carries its execute estimate,
-        // charged to the routed device's queue until it finishes.
-        let routed = match self.cluster_route(c) {
-            FleetRoute::Issue(key, est) => Some((key, est)),
-            FleetRoute::Wait => return,
-            FleetRoute::Unmanaged => None,
+        // device's manager until a version serves (`Effects::wake`). An
+        // issued run carries its execute estimate, charged to the routed
+        // device's queue until it finishes.
+        let routed = match self.route(c) {
+            Some(Routed { route: Route::Wait, .. }) => return,
+            Some(Routed { route: Route::Issue(key), est_ns, .. }) => Some((key, est_ns)),
+            None => None,
         };
         let job_id = JobId(self.job_refs.len() as u64);
         // A routed run executes the *version's* graph and registers under
         // its versioned name, so per-version profiles drive scheduling.
-        // Every device's manager holds the same plan, so manager 0 resolves
-        // any routed key's model.
-        let resolved = routed.map(|(key, _)| {
-            (&self.cluster.as_ref().expect("routed without a fleet").managers[0], key)
-        });
-        let graph = match resolved {
-            Some((mgr, key)) => Arc::clone(mgr.version_model(key).graph()),
-            None => Arc::clone(self.clients[c.0 as usize].spec.model.graph()),
-        };
-        // Degradation ladder: past Healthy, runs are metered at a shrunk
-        // batch hint — the resolved profile's smaller costs buy shorter
-        // quanta and earlier thresholds while the graph itself is
-        // unchanged.
-        let divisor = self.control.as_ref().and_then(|rt| {
-            (rt.machine.state() != controlplane::DegradeState::Healthy)
-                .then_some(rt.cfg.batch_divisor)
-        });
+        let version = routed.zip(self.fleet.as_ref()).map(|((key, _), f)| f.version(key));
         let client = &self.clients[c.0 as usize];
+        let graph = Arc::clone(version.map_or(client.spec.model.graph(), |(m, _)| m.graph()));
+        // Past Healthy the ladder meters runs at a shrunk batch hint: the
+        // resolved profile's smaller costs buy shorter quanta and earlier
+        // thresholds while the graph itself is unchanged.
         let full_batch = client.spec.model.batch();
-        let batch = match divisor {
-            Some(d) => (full_batch / d).max(1),
-            None => full_batch,
-        };
+        let batch = self.control.as_ref().map_or(full_batch, |ctl| ctl.batch_hint(full_batch));
         let ctx = JobCtx {
             client: c,
-            model_name: match resolved {
-                Some((mgr, key)) => mgr.versioned_name(key),
-                None => client.spec.model.name(),
-            },
+            model_name: version.map_or(client.spec.model.name(), |(_, name)| name),
             batch,
             weight: client.spec.weight,
             priority: client.spec.priority,
@@ -906,11 +793,8 @@ impl Engine<'_> {
                 };
                 self.job_cold[slot as usize].started_at = self.now;
                 self.job_refs.push(JobRef::Live(slot));
-                if let Some((key, est)) = routed {
-                    let rt = self.cluster.as_mut().expect("routed without a fleet");
-                    let dev = self.clients[c.0 as usize].device;
-                    rt.outstanding_ns[dev as usize] += est;
-                    rt.job_routes.insert(job_id.0, (dev, key, est));
+                if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
+                    fleet.issued(job_id.0, self.clients[c.0 as usize].device, key, est);
                 }
                 self.clients[c.0 as usize].current_job = Some(job_id);
                 if let Some(deadline) = self.clients[c.0 as usize].spec.run_deadline {
@@ -933,10 +817,10 @@ impl Engine<'_> {
                     self.memories[home].free(a);
                     self.pump_admission();
                 }
-                if let Some((key, _)) = routed {
-                    // The issue never became a job: return the version's
-                    // in-flight credit (no latency observation).
-                    self.cluster_run_finished(dev, key, None);
+                if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
+                    // The issue never became a job: it ends unstarted.
+                    fleet.issued(job_id.0, dev, key, est);
+                    self.settle(job_id, None);
                 }
             }
         }
@@ -988,7 +872,7 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        self.cluster_job_done(job_id.0, Some(self.now - started_at));
+        self.settle(job_id, Some(self.now - started_at));
         let client = &mut self.clients[c.0 as usize];
         if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
@@ -1020,23 +904,6 @@ impl Engine<'_> {
         let c = self.job_hot[slot].client;
         self.record(TraceKind::DeadlineCancelled { job: job_id.0, client: c.0 });
         self.teardown_job(job_id, c, ClientOutcome::DeadlineExceeded(self.now));
-    }
-
-    /// Terminates a persistently failing client's session: the recovery
-    /// layer gave up (retry budget spent, or the circuit breaker's trip
-    /// budget spent), so its live job is torn down like a deadline
-    /// cancellation and the session ends with `outcome`.
-    fn shed_client(
-        &mut self,
-        c: ClientId,
-        job_id: JobId,
-        outcome: ClientOutcome,
-        action: &'static str,
-        detail: u64,
-    ) {
-        self.record(TraceKind::BreakerTransition { client: c.0, state: "shed" });
-        self.telemetry.on_client_shed(self.now, c.0, action, detail);
-        self.teardown_job(job_id, c, outcome);
     }
 
     /// Shared teardown for deadline cancellations and fault-recovery sheds:
@@ -1079,7 +946,7 @@ impl Engine<'_> {
         self.schedule_timer();
         // Cancelled runs report no latency: they must not skew the canary
         // statistics.
-        self.cluster_job_done(job_id.0, None);
+        self.settle(job_id, None);
         // Abort the whole session and release its memory (activations live
         // on the home device, which may differ from the routed one).
         let client = &mut self.clients[c.0 as usize];
@@ -1095,16 +962,33 @@ impl Engine<'_> {
     // ---- model lifecycle --------------------------------------------------
 
     /// Advances every device manager's time-driven transitions (publishes,
-    /// load completions, warm-up runs), in device order, and applies the
-    /// effects.
+    /// load completions, warm-up runs), in device order.
     fn lifecycle_tick(&mut self) {
-        let n = self.cluster.as_ref().expect("lifecycle tick without a fleet").managers.len();
-        for d in 0..n {
-            let mut fx = LcEffects::default();
-            let mgr = &mut self.cluster.as_mut().expect("fleet is on").managers[d];
-            mgr.tick(self.now, &mut self.memories[d], &mut fx);
-            self.apply_lifecycle_effects(fx);
+        let now = self.now;
+        for d in 0..self.fleet.as_ref().map_or(0, Fleet::devices) {
+            self.with_fleet(|f, pools, fx| f.tick(d, now, &mut pools[d], fx));
         }
+    }
+
+    /// Makes one fleet call and applies the lifecycle effects it produced
+    /// before anything else reaches the fleet: a client those effects wake
+    /// routes again at once. `None` when no fleet is configured.
+    fn with_fleet<R>(
+        &mut self,
+        call: impl FnOnce(&mut Fleet, &mut [MemoryPool], &mut LcEffects) -> R,
+    ) -> Option<R> {
+        let fleet = self.fleet.as_mut()?;
+        let mut fx = LcEffects::default();
+        let out = call(fleet, &mut self.memories, &mut fx);
+        self.apply_lifecycle_effects(fx);
+        Some(out)
+    }
+
+    /// Settles a routed job with the fleet: its queue charge comes back and
+    /// its device's manager sees the completion (`None`: cancelled).
+    fn settle(&mut self, job: JobId, latency: Option<SimDuration>) {
+        let now = self.now;
+        self.with_fleet(|f, pools, fx| f.settle(job.0, now, latency, pools, fx));
     }
 
     /// Translates manager effects into engine actions: typed events onto
@@ -1162,10 +1046,11 @@ impl Engine<'_> {
                         self.record(TraceKind::CanaryRollback { model, version });
                         "rollback"
                     };
-                    let rt = self.cluster.as_ref().expect("lifecycle event without a fleet");
-                    let name = rt.managers[0].model_name(key);
-                    self.telemetry
-                        .on_rollout(self.now, name, version, action, cand_us, base_us);
+                    if let Some(fleet) = &self.fleet {
+                        let name = fleet.version(key).0.name();
+                        self.telemetry
+                            .on_rollout(self.now, name, version, action, cand_us, base_us);
+                    }
                 }
             }
         }
@@ -1182,264 +1067,64 @@ impl Engine<'_> {
 
     // ---- fleet orchestration ----------------------------------------------
 
-    /// Routes one arriving run across the fleet: estimates each device's
-    /// cost (queued work + transfer-if-load-needed + profile-scaled
-    /// execute), picks the cheapest (lowest index on ties), and resolves
-    /// the version through that device's lifecycle manager. Past Healthy,
-    /// the manager resolves the model's cheapest resident version instead —
-    /// trading answer fidelity for GPU time while the ladder is elevated.
-    fn cluster_route(&mut self, c: ClientId) -> FleetRoute {
-        let (Some(rt), Some(cc)) = (self.cluster.as_mut(), self.cfg.cluster.as_ref()) else {
-            return FleetRoute::Unmanaged;
-        };
+    /// Routes a managed model's run through the fleet (`None`: unmanaged)
+    /// and applies the routed manager's effects. Past Healthy the manager
+    /// resolves the model's cheapest resident version, trading answer
+    /// fidelity for GPU time. A run told to wait is parked only after the
+    /// effects, so a client they wake routes against today's queues.
+    fn route(&mut self, c: ClientId) -> Option<Routed> {
+        let degraded = self.control.as_ref().is_some_and(ControlLoop::degraded);
+        let fleet = self.fleet.as_mut()?;
         let model = &self.clients[c.0 as usize].spec.model;
-        let Some(mi) = rt.managers[0].model_index(model.name()) else {
-            return FleetRoute::Unmanaged;
-        };
-        // Whole-run GPU estimate at speed 1.0: the oracle's figure when
-        // bound, else the graph's summed kernel durations.
-        let base_ns = cc
-            .cost
-            .as_ref()
-            .and_then(|o| o.expected_gpu_ns(model.name(), model.batch()))
-            .unwrap_or_else(|| model.graph().total_gpu_time().as_nanos());
-        // A woken client re-routes from scratch: return its parked charge.
-        let parked_dev = rt.parked.remove(&c.0).map(|(pd, pest)| {
-            rt.outstanding_ns[pd as usize] = rt.outstanding_ns[pd as usize].saturating_sub(pest);
-            pd
-        });
-        if parked_dev.is_none() {
-            // Demand is counted once per arrival, not per wake-up.
-            rt.window_demand[mi] += 1;
-        }
-        rt.exec_est[mi] = base_ns;
-        let (dev, est_ns, cost_ns) = match cc.policy {
-            cluster::RouterPolicy::Static => {
-                let d = mi % rt.managers.len();
-                let est = cluster::scaled_execute_ns(base_ns, rt.speed[d]);
-                (d as u32, est, est)
-            }
-            cluster::RouterPolicy::CostAware => {
-                let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
-                    .map(|d| {
-                        let m = &rt.managers[d];
-                        cluster::DeviceEstimate {
-                            queued_ns: rt.outstanding_ns[d],
-                            resident: m.serving_version(mi).is_some(),
-                            loading: m.is_loading(mi),
-                            transfer_ns: MemoryPool::transfer_time(
-                                m.aspired_weights_bytes(mi),
-                                m.load_gbps(),
-                            )
-                            .as_nanos(),
-                            execute_ns: cluster::scaled_execute_ns(base_ns, rt.speed[d]),
-                        }
-                    })
-                    .collect();
-                let d = cluster::pick_device(&ests);
-                (d as u32, ests[d].execute_ns, ests[d].cost_ns())
-            }
-        };
-        // A wake credit granted on a device the run no longer routes to
-        // must be returned, or that version stays pinned forever.
-        if let Some(pd) = parked_dev.filter(|&pd| pd != dev) {
-            rt.managers[pd as usize].cancel_wake_credit(mi);
-        }
+        let mut fx = LcEffects::default();
+        let r = fleet.route(model, c.0, self.now, degraded, &mut self.memories, &mut fx)?;
         // A one-device fleet has nothing to choose: no route is recorded.
-        if rt.managers.len() > 1 {
-            self.record(TraceKind::ClusterRoute {
-                client: c.0,
-                device: dev,
-                cost_us: cost_ns / 1_000,
-            });
+        if fleet.devices() > 1 {
+            let (device, cost_us) = (r.device, r.cost_ns / 1_000);
+            self.record(TraceKind::ClusterRoute { client: c.0, device, cost_us });
         }
-        let degraded = self
-            .control
-            .as_ref()
-            .is_some_and(|rt| rt.machine.state() != controlplane::DegradeState::Healthy);
-        let mut fx = LcEffects::default();
-        let route = {
-            let mgr = &mut self.cluster.as_mut().expect("fleet is on").managers[dev as usize];
-            let name = self.clients[c.0 as usize].spec.model.name();
-            let pool = &mut self.memories[dev as usize];
-            if degraded {
-                mgr.route_cheapest(name, c.0, self.now, pool, &mut fx)
-            } else {
-                mgr.route(name, c.0, self.now, pool, &mut fx)
-            }
-        };
         self.apply_lifecycle_effects(fx);
-        match route {
+        match r.route {
+            Route::Issue(_) => self.clients[c.0 as usize].device = r.device,
             Route::Wait => {
-                let rt = self.cluster.as_mut().expect("fleet is on");
-                rt.parked.insert(c.0, (dev, est_ns));
-                rt.outstanding_ns[dev as usize] += est_ns;
+                if let Some(fleet) = self.fleet.as_mut() {
+                    fleet.park(c.0, &r);
+                }
                 self.record(TraceKind::LifecycleWait { client: c.0 });
-                FleetRoute::Wait
-            }
-            Route::Issue(key) => {
-                self.clients[c.0 as usize].device = dev;
-                FleetRoute::Issue(key, est_ns)
             }
         }
+        Some(r)
     }
 
-    /// Reports a routed run's completion (`latency == None` for cancelled
-    /// or never-started runs) to its device's manager and applies the
-    /// resulting effects: canary decisions, drain completions and retried
-    /// loads.
-    fn cluster_run_finished(&mut self, dev: u32, key: VersionKey, latency: Option<SimDuration>) {
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.cluster.as_mut().expect("cluster hook with cluster off");
-            rt.managers[dev as usize].run_finished(
-                key,
-                self.now,
-                latency,
-                &mut self.memories[dev as usize],
-                &mut fx,
-            );
-        }
-        self.apply_lifecycle_effects(fx);
-    }
-
-    /// Settles a finished (or cancelled) routed job: returns its queue
-    /// charge and reports the completion to its device's manager. A no-op
-    /// for unrouted jobs.
-    fn cluster_job_done(&mut self, job: u64, latency: Option<SimDuration>) {
-        let entry = {
-            let Some(rt) = self.cluster.as_mut() else {
-                return;
-            };
-            rt.job_routes.remove(&job).inspect(|&(dev, _, est)| {
-                rt.outstanding_ns[dev as usize] =
-                    rt.outstanding_ns[dev as usize].saturating_sub(est);
-            })
-        };
-        if let Some((dev, key, _)) = entry {
-            self.cluster_run_finished(dev, key, latency);
-        }
-    }
-
-    /// One reconfiguration tick: solve the demand window's min-cost flow
-    /// and execute the plan, then re-arm while any session is undecided.
+    /// One reconfiguration tick: run the re-placement plan of the demand
+    /// window's flow step by step, then re-arm while any session is
+    /// undecided.
     fn cluster_tick(&mut self) {
         let now = self.now;
-        let (loads, drains) = self.cluster_reconfigure();
+        let Some(fleet) = self.fleet.as_mut() else {
+            return;
+        };
+        let every = fleet.reconfigure_every();
+        let (mut loads, mut drains) = (0u32, 0u32);
+        for step in fleet.replan() {
+            if self.with_fleet(|f, pools, fx| f.execute(step, now, pools, fx)) != Some(true) {
+                continue;
+            }
+            match step {
+                Step::Load { .. } => loads += 1,
+                Step::Drain { model, from, to } => {
+                    drains += 1;
+                    let (model, from, to) = (model as u32, from as u32, to as u32);
+                    self.record(TraceKind::ClusterMigrate { model, from, to });
+                }
+            }
+        }
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
         }
-        let tick = self.cfg.cluster.as_ref().expect("cluster tick with cluster off").tick;
-        if self.clients.iter().any(|c| c.outcome.is_none()) {
-            self.queue.schedule(now + tick, Event::ClusterTick);
+        if let Some(every) = every.filter(|_| self.clients.iter().any(|c| c.outcome.is_none())) {
+            self.queue.schedule(now + every, Event::ClusterTick);
         }
-    }
-
-    /// Solves the window's model-demand → device-capacity min-cost flow
-    /// and drives the plan through the per-device lifecycle managers:
-    /// loads where flow lands on a cold device, drains where a resident
-    /// replica receives no flow. Returns `(accepted loads, accepted
-    /// drains)`. Device capacities are run units proportional to relative
-    /// speed (ceiling division, so aggregate capacity covers demand).
-    fn cluster_reconfigure(&mut self) -> (u32, u32) {
-        let now = self.now;
-        let problem = {
-            let rt = self.cluster.as_mut().unwrap();
-            let n_models = rt.window_demand.len();
-            let n_devs = rt.managers.len();
-            let demands = std::mem::replace(&mut rt.window_demand, vec![0; n_models]);
-            let total: u64 = demands.iter().sum();
-            if total == 0 {
-                return (0, 0);
-            }
-            let speed_ppm: Vec<u64> = rt.speed.iter().map(|s| (s * 1e6) as u64).collect();
-            let sum_ppm: u64 = speed_ppm.iter().sum();
-            let capacities: Vec<u64> = speed_ppm
-                .iter()
-                .map(|&p| (total * p).div_ceil(sum_ppm))
-                .collect();
-            // Per-unit cost in µs: the transfer a load would pay, plus the
-            // profile-scaled execute estimate from this window's arrivals.
-            let costs: Vec<Vec<u64>> = (0..n_models)
-                .map(|mi| {
-                    (0..n_devs)
-                        .map(|d| {
-                            let m = &rt.managers[d];
-                            let warm = m.serving_version(mi).is_some() || m.is_loading(mi);
-                            let transfer = if warm {
-                                0
-                            } else {
-                                MemoryPool::transfer_time(
-                                    m.aspired_weights_bytes(mi),
-                                    m.load_gbps(),
-                                )
-                                .as_nanos()
-                            };
-                            (transfer + cluster::scaled_execute_ns(rt.exec_est[mi], rt.speed[d]))
-                                / 1_000
-                        })
-                        .collect()
-                })
-                .collect();
-            cluster::FlowProblem { demands, capacities, costs }
-        };
-        let assignment = cluster::solve(&problem);
-        let n_models = problem.demands.len();
-        let n_devs = problem.capacities.len();
-        let mut loads = 0u32;
-        let mut drains = 0u32;
-        for mi in 0..n_models {
-            let placements = assignment.placements(mi);
-            if placements.is_empty() {
-                continue;
-            }
-            for &d in &placements {
-                let cold = {
-                    let rt = self.cluster.as_ref().unwrap();
-                    rt.managers[d].serving_version(mi).is_none()
-                        && !rt.managers[d].is_loading(mi)
-                };
-                if !cold {
-                    continue;
-                }
-                let mut fx = LcEffects::default();
-                let ok = {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].request_load(mi, now, &mut self.memories[d], &mut fx)
-                };
-                self.apply_lifecycle_effects(fx);
-                if ok {
-                    loads += 1;
-                }
-            }
-            for d in 0..n_devs {
-                if placements.contains(&d) {
-                    continue;
-                }
-                let serving = {
-                    let rt = self.cluster.as_ref().unwrap();
-                    rt.managers[d].serving_version(mi).is_some()
-                };
-                if !serving {
-                    continue;
-                }
-                let mut fx = LcEffects::default();
-                let ok = {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].request_drain(mi, now, &mut self.memories[d], &mut fx)
-                };
-                self.apply_lifecycle_effects(fx);
-                if ok {
-                    drains += 1;
-                    self.record(TraceKind::ClusterMigrate {
-                        model: mi as u32,
-                        from: d as u32,
-                        to: placements[0] as u32,
-                    });
-                }
-            }
-        }
-        (loads, drains)
     }
 
     // ---- control plane ----------------------------------------------------
@@ -1449,113 +1134,45 @@ impl Engine<'_> {
     /// session is still undecided.
     fn control_tick(&mut self) {
         let now = self.now;
-        let (tick, transition, laxity_on) = {
-            let Some(rt) = self.control.as_mut() else {
-                return;
-            };
-            (rt.cfg.tick, rt.machine.on_tick(now), rt.cfg.laxity_cancel)
+        let Some(ctl) = self.control.as_mut() else {
+            return;
         };
-        if let Some(tr) = transition {
-            self.note_control_transition(tr);
+        let period = ctl.period();
+        if let Some(tr) = ctl.on_tick(now) {
+            self.note_transition(tr);
         }
-        if laxity_on {
-            // Early cancellation: a run whose expected remaining GPU work
-            // no longer fits before its deadline is torn down now instead
-            // of at the deadline, freeing its quanta for runs that can
-            // still make it.
-            for (job, c, deficit_us) in self.laxity_doomed() {
-                self.record(TraceKind::LaxityCancel {
-                    job: job.0,
-                    client: c.0,
-                    deficit_us,
-                });
-                self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
-            }
+        // Early cancellation: a run whose expected remaining GPU work no
+        // longer fits before its deadline is torn down now instead of at
+        // the deadline, freeing its quanta for runs that can still make it.
+        for (job, c, deficit_us) in self.laxity_doomed() {
+            self.record(TraceKind::LaxityCancel { job: job.0, client: c.0, deficit_us });
+            self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
         }
         if self.clients.iter().any(|c| c.outcome.is_none()) {
-            self.queue.schedule(now + tick, Event::ControlTick);
+            self.queue.schedule(now + period, Event::ControlTick);
         }
     }
 
     /// Runs that cannot meet their deadline any more, in client-index
-    /// order: `(job, client, deficit in µs)`. The estimate charges each
-    /// run its bound profile's whole-run GPU duration minus the GPU time
-    /// it already received.
+    /// order: `(job, client, deficit in µs)`.
     fn laxity_doomed(&self) -> Vec<(JobId, ClientId, u64)> {
-        let Some(cost) = self.control.as_ref().and_then(|rt| rt.cfg.cost.clone()) else {
+        let Some(ctl) = self.control.as_ref().filter(|ctl| ctl.cancels_laxity()) else {
             return Vec::new();
         };
-        let mut doomed = Vec::new();
-        for (i, client) in self.clients.iter().enumerate() {
-            let (Some(job), Some(budget)) = (client.current_job, client.spec.run_deadline)
-            else {
-                continue;
-            };
-            let Some(slot) = self.live_slot(job) else {
-                continue;
-            };
-            let Some(total) =
-                cost.expected_gpu_ns(client.spec.model.name(), client.spec.model.batch())
-            else {
-                continue;
-            };
-            let deadline = self.job_cold[slot].started_at + budget;
+        let doomed = self.clients.iter().enumerate().filter_map(|(i, client)| {
+            let (job, budget) = (client.current_job?, client.spec.run_deadline?);
+            let slot = self.live_slot(job)?;
+            let (m, deadline) = (&client.spec.model, self.job_cold[slot].started_at + budget);
             let received = self.job_hot[slot].gpu_busy.as_nanos();
-            let eta = self.now + SimDuration::from_nanos(total.saturating_sub(received));
-            if eta > deadline {
-                doomed.push((job, ClientId(i as u32), (eta - deadline).as_nanos() / 1_000));
-            }
-        }
-        doomed
+            let deficit = ctl.laxity_deficit_us(m.name(), m.batch(), self.now, deadline, received)?;
+            Some((job, ClientId(i as u32), deficit))
+        });
+        doomed.collect()
     }
 
     /// Lands a degradation-ladder transition on the event stream.
-    fn note_control_transition(&mut self, tr: controlplane::Transition) {
-        self.record(TraceKind::ControlTransition {
-            from: tr.from.as_str(),
-            to: tr.to.as_str(),
-        });
-    }
-
-    /// The control plane's alert reactions: an SLO burn escalates the
-    /// degradation ladder (and resets the burn latch so a *sustained* burn
-    /// keeps escalating), a drift alert recalibrates the drifting model's
-    /// profile in place — no run is stopped; the next threshold computation
-    /// simply sees the rescaled profile.
-    fn control_on_alert(&mut self, alert: &Alert) {
-        match alert {
-            Alert::SloBurn { at, slo, .. } => {
-                let transition = {
-                    let rt = self.control.as_mut().expect("control hook with control on");
-                    rt.machine.on_burn(*at)
-                };
-                self.telemetry.reset_burn_latch(*slo);
-                if let Some(tr) = transition {
-                    self.note_control_transition(tr);
-                }
-            }
-            Alert::Drift { client, observed_us, expected_us, .. } => {
-                let rebound = {
-                    let rt = self.control.as_ref().expect("control hook with control on");
-                    if !rt.cfg.recalibrate || *expected_us <= 0.0 {
-                        return;
-                    }
-                    let Some(cost) = rt.cfg.cost.as_ref() else {
-                        return;
-                    };
-                    let scale_ppm = controlplane::clamp_rebind_ppm(
-                        ((observed_us / expected_us) * 1e6).round() as u64,
-                    );
-                    let spec = &self.clients[*client as usize].spec;
-                    cost.rebind_scaled(spec.model.name(), spec.model.batch(), scale_ppm)
-                        .then_some(scale_ppm)
-                };
-                if let Some(scale_ppm) = rebound {
-                    self.record(TraceKind::ProfileRebind { client: *client, scale_ppm });
-                }
-            }
-            _ => {}
-        }
+    fn note_transition(&mut self, tr: Transition) {
+        self.record(TraceKind::ControlTransition { from: tr.from.as_str(), to: tr.to.as_str() });
     }
 
     // ---- scheduling plumbing ---------------------------------------------
@@ -1586,9 +1203,7 @@ impl Engine<'_> {
             starving: self.starving.len() as u64,
             active_jobs: u64::from(probe.active_jobs),
             holder_cost: probe.holder_cost,
-            resident_model_bytes: self.cluster.as_ref().map_or(0, |rt| {
-                rt.managers.iter().map(LifecycleManager::resident_bytes).sum()
-            }),
+            resident_model_bytes: self.fleet.as_ref().map_or(0, Fleet::resident_bytes),
         }
     }
 
@@ -1606,10 +1221,28 @@ impl Engine<'_> {
     /// Lets the control plane react to a telemetry alert, then mirrors the
     /// alert into the trace ring (see [`Alert::trace_kind`]), so it shows
     /// up on the Perfetto timeline next to the quanta and runs that caused
-    /// it.
+    /// it. An SLO burn escalates the ladder and resets the burn latch, so a
+    /// *sustained* burn keeps escalating; a drift alert rebinds the
+    /// drifting model's profile in place, and no run stops.
     fn record_alert(&mut self, alert: &Alert) {
-        if self.control.is_some() {
-            self.control_on_alert(alert);
+        if let Some(ctl) = self.control.as_mut() {
+            match *alert {
+                Alert::SloBurn { at, slo, .. } => {
+                    let transition = ctl.on_burn(at);
+                    self.telemetry.reset_burn_latch(slo);
+                    if let Some(tr) = transition {
+                        self.note_transition(tr);
+                    }
+                }
+                Alert::Drift { client, observed_us, expected_us, .. } => {
+                    let m = &self.clients[client as usize].spec.model;
+                    let rebound = ctl.rebind(m.name(), m.batch(), observed_us, expected_us);
+                    if let Some(scale_ppm) = rebound {
+                        self.record(TraceKind::ProfileRebind { client, scale_ppm });
+                    }
+                }
+                _ => {}
+            }
         }
         if let Some(kind) = alert.trace_kind() {
             self.record_at(alert.at(), kind);
@@ -1781,11 +1414,6 @@ impl Engine<'_> {
         let graph = &self.job_cold[slot].graph;
         let client = &mut self.clients[client_id as usize];
         let n = graph.node(node);
-        let inflation = if self.cfg.online_profiling {
-            1.0 + self.cfg.profiling_inflation
-        } else {
-            1.0
-        };
         let jitter = if self.cfg.cpu_jitter > 0.0 {
             client.rng.jitter(self.cfg.cpu_jitter)
         } else {
@@ -1793,7 +1421,7 @@ impl Engine<'_> {
         };
         match n.placement() {
             Placement::Cpu => {
-                let d = n.duration().mul_f64(jitter * client.submit_factor * inflation);
+                let d = n.duration().mul_f64(jitter * client.submit_factor * self.inflation);
                 self.queue.schedule(
                     self.now + d,
                     Event::NodeDone { job: job_id, node, gpu: None },
@@ -1803,7 +1431,7 @@ impl Engine<'_> {
                 let launch = self
                     .cfg
                     .launch_overhead
-                    .mul_f64(jitter * client.submit_factor * inflation);
+                    .mul_f64(jitter * client.submit_factor * self.inflation);
                 self.queue
                     .schedule(self.now + launch, Event::SubmitKernel { job: job_id, node });
             }
@@ -1824,18 +1452,26 @@ impl Engine<'_> {
                 self.telemetry.on_handoff(self.now - granted);
             }
         }
-        if self.faults.is_some() && self.kernel_fault_fired(job_id, node, slot) {
-            // The launch failed; a backoff retry is scheduled (or the
-            // client was shed). The gang thread stays blocked either way.
-            return;
+        if let Some(rec) = self.recovery.as_mut() {
+            let c = self.job_hot[slot].client;
+            let started_at = self.job_cold[slot].started_at;
+            let deadline = self.clients[c.0 as usize].spec.run_deadline.map(|d| started_at + d);
+            match rec.launch(c.0, job_id.0, node.index() as u32, self.now, deadline) {
+                Ok(false) => {}
+                // The half-open probe succeeded.
+                Ok(true) => {
+                    self.record(TraceKind::BreakerTransition { client: c.0, state: "closed" });
+                }
+                Err(f) => {
+                    // The gang thread stays blocked on the kernel until its
+                    // retry, or the shed tears the job down.
+                    self.fault(c, Some((job_id, node)), f);
+                    return;
+                }
+            }
         }
         let duration = self.job_cold[slot].graph.node(node).duration();
         let tag = JobTag(self.job_hot[slot].client.0 as u64);
-        let inflation = if self.cfg.online_profiling {
-            1.0 + self.cfg.profiling_inflation
-        } else {
-            1.0
-        };
         let dev = self.clients[tag.0 as usize].device as usize;
         let kernel_id = match self.kernel_free.pop() {
             Some(k) => {
@@ -1856,125 +1492,26 @@ impl Engine<'_> {
                 node: node.index() as u32,
             });
         }
-        let mut extra = inflation;
-        if let Some(fr) = self.faults.as_ref() {
-            // A kernel enqueued inside a slowdown window runs `factor`×
-            // slower (the window is sampled at submission).
-            extra *= fr.injector.slowdown_factor(self.now);
-        }
-        self.devices[dev].enqueue(tag, kernel_id, duration, extra);
+        // A kernel enqueued inside a slowdown window runs `factor`× slower
+        // (the window is sampled at submission).
+        let slowdown = self.recovery.as_ref().map_or(1.0, |rec| rec.slowdown(self.now));
+        self.devices[dev].enqueue(tag, kernel_id, duration, self.inflation * slowdown);
         self.pump_device(dev);
-    }
-
-    /// Draws the kernel-fault verdict for this submission. When it fires,
-    /// runs the recovery path — count the attempt, drive the client's
-    /// circuit breaker, then either schedule a backoff retry (never past
-    /// the run deadline) or shed the session — and returns true: the
-    /// kernel was not enqueued and the gang thread stays blocked on it.
-    fn kernel_fault_fired(&mut self, job_id: JobId, node: NodeId, slot: usize) -> bool {
-        let now = self.now;
-        let c = self.job_hot[slot].client;
-        let started_at = self.job_cold[slot].started_at;
-        let dev = self.clients[c.0 as usize].device;
-        let deadline = self.clients[c.0 as usize].spec.run_deadline.map(|d| started_at + d);
-        let fr = self.faults.as_mut().expect("fault path entered with faults on");
-        if !fr.injector.kernel_fails(now) {
-            // A clean launch closes a half-open breaker (the probe
-            // succeeded) and resets the failure streak.
-            let b = &mut fr.breakers[c.0 as usize];
-            let reopened = b.state() != BreakerState::Closed;
-            b.record_success();
-            if !fr.attempts.is_empty() {
-                fr.attempts.remove(&(job_id.0, node.index() as u32));
-            }
-            if reopened {
-                self.record(TraceKind::BreakerTransition { client: c.0, state: "closed" });
-            }
-            return false;
-        }
-        let attempt = {
-            let a = fr.attempts.entry((job_id.0, node.index() as u32)).or_insert(0);
-            *a += 1;
-            *a
-        };
-        let breaker_event = fr.breakers[c.0 as usize].record_failure(now);
-        let trips = fr.breakers[c.0 as usize].trips();
-        let mut probe_scheduled = false;
-        let retry_at = match breaker_event {
-            BreakerEvent::Shed => None,
-            _ => fr
-                .retry
-                .next_retry_at(now, attempt - 1, deadline, &mut fr.retry_rng)
-                .map(|at| {
-                    // An open breaker defers the retry to its cooldown
-                    // edge; consulting it makes the retry the probe.
-                    let b = &mut fr.breakers[c.0 as usize];
-                    let was_open = b.state() == BreakerState::Open;
-                    let earliest = b.earliest_attempt(now);
-                    probe_scheduled = was_open;
-                    at.max(earliest)
-                }),
-        };
-        self.record(TraceKind::KernelFault {
-            job: job_id.0,
-            client: c.0,
-            device: dev,
-            node: node.index() as u32,
-            attempt,
-        });
-        if let BreakerEvent::Opened { .. } = breaker_event {
-            self.record(TraceKind::BreakerTransition { client: c.0, state: "open" });
-        }
-        if probe_scheduled {
-            self.record(TraceKind::BreakerTransition { client: c.0, state: "half-open" });
-        }
-        match retry_at {
-            Some(at) => {
-                self.record(TraceKind::RetryScheduled {
-                    job: job_id.0,
-                    client: c.0,
-                    node: node.index() as u32,
-                    attempt,
-                    delay: at - now,
-                });
-                self.queue.schedule(at, Event::RetryKernel { job: job_id, node });
-            }
-            None => {
-                let (outcome, action, detail) = if breaker_event == BreakerEvent::Shed {
-                    (
-                        ClientOutcome::CircuitOpen { at: now, trips },
-                        "circuit-open",
-                        u64::from(trips),
-                    )
-                } else {
-                    (
-                        ClientOutcome::RetriesExhausted { at: now, attempts: attempt },
-                        "retries-exhausted",
-                        u64::from(attempt),
-                    )
-                };
-                self.shed_client(c, job_id, outcome, action, detail);
-            }
-        }
-        true
     }
 
     /// Starts the next queued kernel if the device is free and schedules its
     /// completion. Called after every enqueue and every kernel completion —
     /// the device's pump protocol keeps exactly one completion outstanding.
     fn pump_device(&mut self, dev: usize) {
-        if let Some(fr) = self.faults.as_mut() {
-            if let Some(until) = fr.injector.stall_until(self.now) {
-                // The device starts no new kernels during a stall window;
-                // one wake-up event per (device, window) resumes pumping.
-                if !fr.stall_pump[dev] {
-                    fr.stall_pump[dev] = true;
-                    self.record(TraceKind::DeviceStall {
-                        device: dev as u32,
-                        until_us: until.as_nanos() / 1_000,
-                    });
-                    self.queue.schedule(until, Event::PumpDevice(dev as u32));
-                }
+        // The device starts no new kernels during a stall window; one
+        // wake-up event per (device, window) resumes pumping.
+        match self.recovery.as_mut().map_or(Stall::Clear, |rec| rec.stall(dev, self.now)) {
+            Stall::Clear => {}
+            Stall::Held => return,
+            Stall::WakeAt(until) => {
+                let until_us = until.as_nanos() / 1_000;
+                self.record(TraceKind::DeviceStall { device: dev as u32, until_us });
+                self.queue.schedule(until, Event::PumpDevice(dev as u32));
                 return;
             }
         }
@@ -2129,7 +1666,7 @@ impl Engine<'_> {
         // The report needs nothing from the fleet: free its managers and
         // ledgers before the report's own allocations, so they do not stack
         // on the run's peak heap.
-        self.cluster = None;
+        self.fleet = None;
         let mut reports = Vec::with_capacity(self.clients.len());
         for (i, client) in self.clients.iter_mut().enumerate() {
             let outcome = client.outcome.take().unwrap_or(ClientOutcome::Stalled);
