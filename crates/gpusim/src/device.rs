@@ -166,9 +166,13 @@ struct TagState {
     queue: VecDeque<Pending>,
     bias: f64,
     busy: SimDuration,
-    /// Whether this tag has entered `order` (set on its first enqueue).
-    ordered: bool,
+    /// This tag's position in `order`, or [`UNORDERED`] before its first
+    /// enqueue.
+    pos: u32,
 }
+
+/// [`TagState::pos`] of a tag that has never enqueued.
+const UNORDERED: u32 = u32::MAX;
 
 impl TagState {
     fn new(tag: JobTag) -> Self {
@@ -177,7 +181,7 @@ impl TagState {
             queue: VecDeque::new(),
             bias: 1.0,
             busy: SimDuration::ZERO,
-            ordered: false,
+            pos: UNORDERED,
         }
     }
 }
@@ -231,6 +235,9 @@ pub struct GpuDevice {
     /// First-enqueue ordering of tag indices — the deterministic candidate
     /// iteration order for weighted picks.
     order: Vec<u32>,
+    /// Ascending `order` positions of the tags whose queue is non-empty:
+    /// the candidates of the next pick, in `order`'s iteration order.
+    busy: Vec<u32>,
     busy_until: SimTime,
     started_any: bool,
     /// This instance's clock factor, drawn once from the profile's wobble.
@@ -256,6 +263,7 @@ impl GpuDevice {
             fast_index: Vec::new(),
             slow_index: HashMap::new(),
             order: Vec::new(),
+            busy: Vec::new(),
             busy_until: SimTime::ZERO,
             started_any: false,
             run_clock_factor,
@@ -329,9 +337,15 @@ impl GpuDevice {
         debug_assert!(extra_factor > 0.0, "extra factor must be positive");
         let i = self.tag_slot_or_insert(tag) as usize;
         let t = &mut self.tags[i];
-        if !t.ordered {
-            t.ordered = true;
+        if t.pos == UNORDERED {
+            t.pos = self.order.len() as u32;
             self.order.push(i as u32);
+        }
+        if t.queue.is_empty() {
+            // A first enqueue takes the largest position so far, so the
+            // common case appends.
+            let at = self.busy.partition_point(|&p| p < t.pos);
+            self.busy.insert(at, t.pos);
         }
         t.queue.push_back(Pending {
             payload,
@@ -356,6 +370,10 @@ impl GpuDevice {
         let t = &mut self.tags[slot];
         let tag = t.tag;
         let pending = t.queue.pop_front().expect("picked queue is non-empty");
+        if t.queue.is_empty() {
+            let at = self.busy.binary_search(&t.pos).expect("busy tag is listed");
+            self.busy.remove(at);
+        }
         let duration = pending
             .duration
             .mul_f64(self.profile.speed_factor * self.run_clock_factor * jitter * pending.factor);
@@ -383,41 +401,30 @@ impl GpuDevice {
     /// Weighted pick among non-empty queues, deterministic given the seed.
     /// Returns the picked tag's index into `tags`.
     ///
-    /// Two allocation-free passes over the first-enqueue ordering replace
-    /// the old candidate vector; the weight arithmetic visits candidates in
-    /// the same order with the same float operations, and the RNG is drawn
-    /// only on contested picks — so every pick is bit-identical to the
-    /// candidate-vector implementation it replaced.
+    /// The candidates are the busy list: the `order` positions of the tags
+    /// with queued kernels, kept ascending as queues fill and empty. Two
+    /// passes over it visit the non-empty queues in first-enqueue order
+    /// with the same float operations as a filtered walk of all of `order`,
+    /// and the RNG is drawn only on contested picks, so every pick is
+    /// bit-identical to that walk while the cost follows the number of busy
+    /// contexts, not the number ever seen.
     fn pick_tag(&mut self) -> Option<u32> {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        let mut first = 0u32;
-        for &idx in &self.order {
-            let t = &self.tags[idx as usize];
-            if !t.queue.is_empty() {
-                total += t.bias;
-                if count == 0 {
-                    first = idx;
-                }
-                count += 1;
-            }
-        }
-        if count == 0 {
-            return None;
-        }
-        if count == 1 {
+        let first = self.order[*self.busy.first()? as usize];
+        if self.busy.len() == 1 {
             return Some(first);
+        }
+        let bias = |p: u32| self.tags[self.order[p as usize] as usize].bias;
+        let mut total = 0.0;
+        for &p in &self.busy {
+            total += bias(p);
         }
         let mut x = self.rng.next_f64() * total;
         let mut last = first;
-        for &idx in &self.order {
-            let t = &self.tags[idx as usize];
-            if !t.queue.is_empty() {
-                x -= t.bias;
-                last = idx;
-                if x <= 0.0 {
-                    return Some(idx);
-                }
+        for &p in &self.busy {
+            x -= bias(p);
+            last = self.order[p as usize];
+            if x <= 0.0 {
+                return Some(last);
             }
         }
         Some(last)
@@ -429,17 +436,22 @@ impl GpuDevice {
     /// overflow argument).
     pub fn cancel_payloads(&mut self, payloads: &std::collections::HashSet<u64>) -> usize {
         let mut removed = 0;
-        for t in &mut self.tags {
+        self.busy.retain(|&p| {
+            let t = &mut self.tags[self.order[p as usize] as usize];
             let before = t.queue.len();
-            t.queue.retain(|p| !payloads.contains(&p.payload));
+            t.queue.retain(|k| !payloads.contains(&k.payload));
             removed += before - t.queue.len();
-        }
+            !t.queue.is_empty()
+        });
         removed
     }
 
     /// Number of queued (not yet started) kernels.
     pub fn queued(&self) -> usize {
-        self.tags.iter().map(|t| t.queue.len()).sum()
+        self.busy
+            .iter()
+            .map(|&p| self.tags[self.order[p as usize] as usize].queue.len())
+            .sum()
     }
 
     /// Number of kernels queued by one context.

@@ -151,19 +151,66 @@ impl From<microjson::Error> for StoreError {
 /// ```
 #[derive(Debug, Default)]
 pub struct ProfileStore {
-    profiles: HashMap<(String, u64), Arc<ModelProfile>>,
+    profiles: ProfileTable,
     linear: HashMap<String, crate::profiler::LinearCostModel>,
     /// Profiles registered at model-load time and retired at unload (the
     /// lifecycle manager's per-version cost rates). Interior mutability:
     /// the store is shared `Arc<ProfileStore>` by the time versions load,
     /// so registration must work through `&self`. Never persisted.
-    dynamic: std::sync::Mutex<HashMap<(String, u64), Arc<ModelProfile>>>,
+    dynamic: std::sync::Mutex<ProfileTable>,
     /// Online recalibration layer: rescaled copies installed by
     /// [`override_scaled`](Self::override_scaled) when drift is detected.
     /// Checked *first* by [`resolve`](Self::resolve) — a rebind must win
     /// over the stale base measurement it corrects. Interior mutability
     /// for the same reason as `dynamic`; never persisted.
-    overrides: std::sync::Mutex<HashMap<(String, u64), Arc<ModelProfile>>>,
+    overrides: std::sync::Mutex<ProfileTable>,
+}
+
+/// Profiles keyed by model name, then batch, so every lookup probes with a
+/// borrowed `&str` and allocates nothing.
+#[derive(Debug, Default)]
+struct ProfileTable(HashMap<String, HashMap<u64, Arc<ModelProfile>>>);
+
+impl ProfileTable {
+    fn get(&self, model: &str, batch: u64) -> Option<&Arc<ModelProfile>> {
+        self.0.get(model)?.get(&batch)
+    }
+
+    /// Files `profile` under its own `(model, batch)`, returning the one it
+    /// replaced.
+    fn insert(&mut self, profile: Arc<ModelProfile>) -> Option<Arc<ModelProfile>> {
+        if let Some(batches) = self.0.get_mut(profile.model.as_str()) {
+            return batches.insert(profile.batch, profile);
+        }
+        self.0.insert(
+            profile.model.clone(),
+            HashMap::from([(profile.batch, profile)]),
+        );
+        None
+    }
+
+    /// Removes `(model, batch)`, and the model's entry with its last batch,
+    /// so no empty inner table is ever left behind.
+    fn remove(&mut self, model: &str, batch: u64) {
+        if let Some(batches) = self.0.get_mut(model) {
+            batches.remove(&batch);
+            if batches.is_empty() {
+                self.0.remove(model);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.values().map(HashMap::len).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Arc<ModelProfile>> {
+        self.0.values().flat_map(HashMap::values)
+    }
 }
 
 impl ProfileStore {
@@ -174,13 +221,12 @@ impl ProfileStore {
 
     /// Adds (or replaces) a profile, returning the previous one if present.
     pub fn insert(&mut self, profile: ModelProfile) -> Option<Arc<ModelProfile>> {
-        self.profiles
-            .insert((profile.model.clone(), profile.batch), Arc::new(profile))
+        self.profiles.insert(Arc::new(profile))
     }
 
     /// Looks up the profile for `(model, batch)`.
     pub fn get(&self, model: &str, batch: u64) -> Option<Arc<ModelProfile>> {
-        self.profiles.get(&(model.to_string(), batch)).cloned()
+        self.profiles.get(model, batch).cloned()
     }
 
     /// Registers a fitted linear batch-size model so that
@@ -202,7 +248,7 @@ impl ProfileStore {
         self.dynamic
             .lock()
             .expect("dynamic profile lock poisoned")
-            .insert((profile.model.clone(), profile.batch), Arc::new(profile));
+            .insert(Arc::new(profile));
     }
 
     /// Retires a dynamically registered profile (the version unloaded).
@@ -215,7 +261,7 @@ impl ProfileStore {
         self.dynamic
             .lock()
             .expect("dynamic profile lock poisoned")
-            .remove(&(model.to_string(), batch));
+            .remove(model, batch);
     }
 
     /// Installs a recalibrated copy of the `(model, batch)` profile whose
@@ -238,12 +284,13 @@ impl ProfileStore {
         };
         let scaled_ns = ((base.gpu_duration.as_nanos() as u128 * scale_ppm as u128)
             / 1_000_000) as u64;
+        // `base` resolved for `(model, batch)`, so the copy files under it.
         let mut rebound = (*base).clone();
         rebound.gpu_duration = SimDuration::from_nanos(scaled_ns.max(1));
         self.overrides
             .lock()
             .expect("override lock poisoned")
-            .insert((model.to_string(), batch), Arc::new(rebound));
+            .insert(Arc::new(rebound));
         true
     }
 
@@ -257,7 +304,7 @@ impl ProfileStore {
         self.overrides
             .lock()
             .expect("override lock poisoned")
-            .remove(&(model.to_string(), batch));
+            .remove(model, batch);
     }
 
     /// Resolves a profile: a live recalibration override if one is
@@ -265,14 +312,15 @@ impl ProfileStore {
     /// dynamically registered one, otherwise a prediction from the model's
     /// linear fit, otherwise `None`.
     ///
-    /// Predictions are memoized would-be — they are cheap enough (one pass
-    /// over the node table) that this returns a fresh `Arc` each call.
+    /// Stored profiles are found without allocating. Predictions are not
+    /// memoized: one costs a pass over the node table and a fresh `Arc`
+    /// per call.
     pub fn resolve(&self, model: &str, batch: u64) -> Option<Arc<ModelProfile>> {
         if let Some(p) = self
             .overrides
             .lock()
             .expect("override lock poisoned")
-            .get(&(model.to_string(), batch))
+            .get(model, batch)
         {
             return Some(Arc::clone(p));
         }
@@ -289,7 +337,7 @@ impl ProfileStore {
             .dynamic
             .lock()
             .expect("dynamic profile lock poisoned")
-            .get(&(model.to_string(), batch))
+            .get(model, batch)
         {
             return Some(Arc::clone(p));
         }

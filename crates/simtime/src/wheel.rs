@@ -30,11 +30,20 @@
 //! buffers would turn every schedule and pop into a cold-line chase, and at
 //! the engine's typical queue depth (tens of events) the constant factor is
 //! the whole game. Instead all pending events live in one slab
-//! ([`TimingWheel::nodes`], recycled through a free list) and each slot is
-//! the head of an intrusive singly-linked list threaded through the slab.
-//! The slab stays small and hot; the per-level head arrays are 1 KiB each.
-//! List order within a slot is arbitrary (push-front), which is fine: pops
-//! go through a sort or min-scan keyed on the unique packed key.
+//! ([`TimingWheel::nodes`], recycled through a free list), and each slot
+//! keeps three things: the head of an intrusive singly-linked list threaded
+//! through the slab, an occupancy bit, and the smallest key in its list.
+//! The slab stays small and hot; per level, the head arrays take 1 KiB and
+//! the minima 4 KiB (boxed, so the wheel stays cheap to move). List order
+//! within a slot is arbitrary (push-front), which is fine: a slot drained
+//! into the front buffer is sorted by the unique packed key, and choosing
+//! which level's slot comes next reads only the stored minima.
+//!
+//! A slot fills only through `place` and empties all at once when it is
+//! detached, so its stored minimum is always exact and costs one compare
+//! per schedule. An open-loop fleet that schedules its arrivals up front
+//! puts thousands of events into each upper-level slot; no cursor advance
+//! walks them.
 //!
 //! # Ordering contract
 //!
@@ -115,6 +124,10 @@ pub struct TimingWheel<E> {
     heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot occupancy bitmaps (bit set ⇔ head is not [`NIL`]).
     occupied: [[u64; WORDS]; LEVELS],
+    /// Per-level smallest key of each occupied slot's list; meaningless
+    /// while the slot is empty. Boxed: inline, its 12 KiB would be copied
+    /// every time the wheel, or an engine holding it, is moved.
+    mins: Box<[[u128; SLOTS]; LEVELS]>,
     /// Pending events per level, so empty levels cost one branch to skip.
     counts: [usize; LEVELS],
     /// Far-future events (beyond [`HORIZON_TICKS`]), sorted by key
@@ -142,6 +155,7 @@ impl<E> TimingWheel<E> {
             free: NIL,
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [[0; WORDS]; LEVELS],
+            mins: Box::new([[u128::MAX; SLOTS]; LEVELS]),
             counts: [0; LEVELS],
             overflow: Vec::new(),
             cur_tick: 0,
@@ -204,6 +218,10 @@ impl<E> TimingWheel<E> {
             return;
         };
         let next = self.heads[lvl][slot];
+        // A slot fills only here and empties only all at once in `detach`,
+        // so its first key sets the minimum and later ones can only lower it.
+        let min = &mut self.mins[lvl][slot];
+        *min = if next == NIL { key } else { key.min(*min) };
         let i = if self.free != NIL {
             let i = self.free;
             match mem::replace(&mut self.nodes[i as usize], Node::Full { key, next, event }) {
@@ -271,21 +289,12 @@ impl<E> TimingWheel<E> {
         None
     }
 
-    /// Smallest key in `slot` of level `lvl` (list scan; slots stay small).
+    /// Smallest key in the occupied `slot` of level `lvl`, kept up to date
+    /// by [`place`](Self::place).
+    #[inline]
     fn slot_min(&self, lvl: usize, slot: usize) -> u128 {
-        let mut min = u128::MAX;
-        let mut h = self.heads[lvl][slot];
-        while h != NIL {
-            match &self.nodes[h as usize] {
-                Node::Full { key, next, .. } => {
-                    min = min.min(*key);
-                    h = *next;
-                }
-                Node::Vacant(_) => unreachable!("slot list points at a vacant node"),
-            }
-        }
-        debug_assert!(min != u128::MAX, "occupied slot is non-empty");
-        min
+        debug_assert!(self.heads[lvl][slot] != NIL, "slot is occupied");
+        self.mins[lvl][slot]
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
@@ -655,6 +664,161 @@ mod tests {
             }
             assert!(slow.is_empty());
         }
+    }
+
+    /// A wheel and the baseline heap driven in lockstep. Every operation
+    /// checks the pop against the oracle, then `peek_time` and `len`.
+    struct Lockstep {
+        wheel: TimingWheel<(u64, u8)>,
+        slow: BaselineEventQueue<(u64, u8)>,
+        next_id: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                wheel: TimingWheel::new(),
+                slow: BaselineEventQueue::new(),
+                next_id: 0,
+            }
+        }
+
+        fn schedule(&mut self, at_ns: u64, kind: u8) {
+            let e = (self.next_id, kind);
+            self.next_id += 1;
+            self.wheel.schedule(SimTime::from_nanos(at_ns), e);
+            self.slow.schedule(SimTime::from_nanos(at_ns), e);
+            self.check();
+        }
+
+        /// Pops the earliest event as `(time ns, kind)`.
+        fn pop(&mut self) -> Option<(u64, u8)> {
+            let got = self.wheel.pop();
+            assert_eq!(got, self.slow.pop());
+            self.check();
+            got.map(|(at, (_, kind))| (at.as_nanos(), kind))
+        }
+
+        fn clear(&mut self) {
+            self.wheel.clear();
+            self.slow = BaselineEventQueue::new();
+            self.check();
+        }
+
+        fn check(&self) {
+            assert_eq!(
+                self.wheel.peek_time(),
+                self.slow.peek_time(),
+                "after id {}",
+                self.next_id
+            );
+            assert_eq!(self.wheel.len(), self.slow.len());
+        }
+    }
+
+    /// Nanoseconds per tick.
+    const TICK: u64 = 1 << TICK_BITS;
+    /// Ticks per level-1 slot.
+    const L1: u64 = 1 << SLOT_BITS;
+    /// Ticks per level-2 slot.
+    const L2: u64 = 1 << (2 * SLOT_BITS);
+
+    #[test]
+    fn fleet_pattern_matches_baseline() {
+        // An open-loop fleet: 12,000 arrivals 100 µs apart, all scheduled up
+        // front, so each level-2 slot holds ≈2,700 of them. Every arrival
+        // starts a run with a 500 ms deadline (levels 1–2) and a chain of
+        // short-horizon kernel completions.
+        const ARRIVAL: u8 = 0;
+        const KERNEL: u8 = 1;
+        const DEADLINE: u8 = 2;
+        let mut rng = DetRng::new(0xF1EE7);
+        let mut q = Lockstep::new();
+        for i in 0..12_000u64 {
+            q.schedule(i * 100_000, ARRIVAL);
+        }
+        let mut popped = [0u64; 3];
+        while let Some((now, kind)) = q.pop() {
+            popped[kind as usize] += 1;
+            match kind {
+                ARRIVAL => {
+                    q.schedule(now + 500_000_000, DEADLINE);
+                    for _ in 0..rng.range_u64(1, 3) {
+                        q.schedule(now + rng.range_u64(0, 1_000_000), KERNEL);
+                    }
+                }
+                KERNEL if rng.next_f64() < 0.5 => {
+                    q.schedule(now + rng.range_u64(2_000, 300_000), KERNEL);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(popped[ARRIVAL as usize], 12_000);
+        assert_eq!(popped[DEADLINE as usize], 12_000);
+        assert!(popped[KERNEL as usize] > 20_000, "{popped:?}");
+    }
+
+    #[test]
+    fn lower_key_into_occupied_upper_slot_becomes_its_minimum() {
+        let mut q = Lockstep::new();
+        // Level-1 slot 5: a late tick first, then an earlier one, then a tie
+        // with the new minimum (same time, later seq: pops after it).
+        q.schedule((5 * L1 + 200) * TICK, 1);
+        q.schedule((5 * L1 + 10) * TICK + 7, 1);
+        q.schedule((5 * L1 + 10) * TICK + 7, 1);
+        assert_eq!(
+            q.wheel.peek_time(),
+            Some(SimTime::from_nanos((5 * L1 + 10) * TICK + 7))
+        );
+        // Level-2 slot 3 likewise, twice lowered.
+        q.schedule((3 * L2 + 40_000) * TICK, 2);
+        q.schedule((3 * L2 + 900) * TICK, 2);
+        q.schedule((3 * L2 + 5) * TICK + 1, 2);
+        // A level-0 event still comes first; then both upper slots drain in
+        // key order through their cascades.
+        q.schedule(3 * TICK, 0);
+        let order: Vec<u8> = std::iter::from_fn(|| q.pop().map(|(_, k)| k)).collect();
+        assert_eq!(order, vec![0, 1, 1, 1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn refilled_slot_and_cleared_wheel_keep_no_stale_minimum() {
+        let occupied = |q: &Lockstep, lvl: usize, slot: usize| q.wheel.heads[lvl][slot] != NIL;
+        let mut q = Lockstep::new();
+        // Level-1 slot 5 and level-2 slot 2 hold small keys; a level-2 slot
+        // 3 event moves the cursor past both once popped.
+        q.schedule((5 * L1 + 3) * TICK, 1);
+        q.schedule((2 * L2 + 7) * TICK, 2);
+        q.schedule((3 * L2 + 1) * TICK, 3);
+        assert!(occupied(&q, 1, 5) && occupied(&q, 2, 2));
+        // Each slot is emptied by a cascade as the cursor reaches it.
+        assert_eq!(q.pop(), Some(((5 * L1 + 3) * TICK, 1)));
+        assert_eq!(q.pop(), Some(((2 * L2 + 7) * TICK, 2)));
+        assert_eq!(q.pop(), Some(((3 * L2 + 1) * TICK, 3)));
+        assert!(!occupied(&q, 1, 5) && !occupied(&q, 2, 2));
+        // Refill both with larger keys (level-1 group 3·256 + 5, level-2
+        // group 256 + 2); a stale minimum would report the drained ones.
+        q.schedule((3 * L2 + 5 * L1 + 50) * TICK, 4);
+        q.schedule((258 * L2 + 11) * TICK, 5);
+        assert!(occupied(&q, 1, 5) && occupied(&q, 2, 2));
+        assert_eq!(q.pop(), Some(((3 * L2 + 5 * L1 + 50) * TICK, 4)));
+        assert_eq!(q.pop(), Some(((258 * L2 + 11) * TICK, 5)));
+
+        // The cursor sits in level-1 group 258·256 and level-2 group 258.
+        // Fill level-1 slot 5 and level-2 slot 4 with small keys, clear,
+        // then refill the same slots with larger ones.
+        let l1 = 258 * L1 * L1 + 5 * L1;
+        let l2 = 260 * L2;
+        q.schedule((l1 + 3) * TICK, 6);
+        q.schedule((l2 + 7) * TICK, 7);
+        assert!(occupied(&q, 1, 5) && occupied(&q, 2, 4));
+        q.clear();
+        q.schedule((l1 + 200) * TICK, 8);
+        q.schedule((l2 + 60_000) * TICK, 9);
+        assert!(occupied(&q, 1, 5) && occupied(&q, 2, 4));
+        assert_eq!(q.pop(), Some(((l1 + 200) * TICK, 8)));
+        assert_eq!(q.pop(), Some(((l2 + 60_000) * TICK, 9)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

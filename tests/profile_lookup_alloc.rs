@@ -1,0 +1,106 @@
+//! Profile lookups allocate nothing.
+//!
+//! The control plane's laxity scan asks the cost oracle for every queued
+//! run on every tick, and the scheduler resolves a profile per run, so a
+//! lookup that builds an owned key costs an allocation per call. This test
+//! counts heap allocations with its own `#[global_allocator]`. It is alone
+//! in its binary, with one test, so nothing else allocates while it counts.
+
+use controlplane::CostOracle;
+use dataflow::CostModel;
+use olympian::{LinearCostModel, ModelProfile, ProfileStore, StoreCostOracle};
+use simtime::SimDuration;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// relaxed atomic that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations made while `f` runs.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    f();
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
+fn profile(model: &str, batch: u64) -> ModelProfile {
+    ModelProfile {
+        model: model.into(),
+        batch,
+        costs: CostModel::from_costs(vec![10 * batch, 20 * batch]),
+        total_cost: 30 * batch,
+        gpu_duration: SimDuration::from_nanos(100 * batch),
+    }
+}
+
+#[test]
+fn exact_dynamic_and_override_hits_allocate_nothing() {
+    let mut store = ProfileStore::new();
+    store.insert(profile("exact", 8));
+    store.insert(profile("drifted", 2));
+    store.insert(profile("lin", 50));
+    let lin = LinearCostModel::fit(&[&profile("lin", 50), &profile("lin", 100)]).unwrap();
+    store.insert_linear(lin);
+    let store = Arc::new(store);
+    store.register_dynamic(profile("svc@v2", 4));
+    assert!(store.override_scaled("drifted", 2, 1_300_000));
+    let oracle = StoreCostOracle::new(Arc::clone(&store));
+
+    // (model, batch, expected GPU ns): an exact measurement, a dynamically
+    // registered version, a recalibration override, and a miss.
+    let hits = [
+        ("exact", 8, Some(800)),
+        ("svc@v2", 4, Some(400)),
+        ("drifted", 2, Some(260)),
+        ("lin", 50, Some(5_000)),
+        ("ghost", 1, None),
+    ];
+    let n = allocs_during(|| {
+        for _ in 0..1_000 {
+            for &(model, batch, want) in &hits {
+                let got = black_box(store.resolve(black_box(model), batch));
+                assert_eq!(got.map(|p| p.gpu_duration.as_nanos()), want, "{model}");
+                assert_eq!(black_box(oracle.expected_gpu_ns(model, batch)), want);
+            }
+            black_box(store.get("exact", 8));
+            black_box(store.resolve_base("drifted", 2));
+        }
+    });
+    assert_eq!(n, 0, "profile lookups allocated {n} times");
+
+    // The counter is live: a linear prediction builds a fresh profile.
+    let n = allocs_during(|| {
+        let p = store.resolve("lin", 75).expect("predicted");
+        assert_eq!(p.gpu_duration, SimDuration::from_nanos(7_500));
+    });
+    assert!(n > 0, "prediction should allocate");
+}
