@@ -10,7 +10,7 @@
 //! Everything here is pure post-processing over an immutable [`Trace`]: the
 //! hot path pays nothing beyond the event capture it already does, and all
 //! arithmetic is integer nanoseconds, so reports are byte-identical across
-//! worker counts and shard counts.
+//! worker counts and reruns.
 //!
 //! # Phase model
 //!
@@ -126,7 +126,7 @@ pub enum Terminal {
 /// One run's exact phase decomposition.
 #[derive(Debug, Clone)]
 pub struct RunPhases {
-    /// The job id (stable across worker and shard counts).
+    /// The job id (stable across worker counts and reruns).
     pub job: u64,
     /// Owning client.
     pub client: u32,
@@ -489,17 +489,6 @@ impl Attribution {
         let mut totals = [0u64; PHASE_COUNT];
         for r in &self.runs {
             for (t, v) in totals.iter_mut().zip(r.phase_ns.iter()) {
-                *t += v;
-            }
-        }
-        totals
-    }
-
-    /// Per-client per-phase totals, ns.
-    pub fn client_phase_totals_ns(&self) -> Vec<[u64; PHASE_COUNT]> {
-        let mut totals = vec![[0u64; PHASE_COUNT]; self.client_count as usize];
-        for r in &self.runs {
-            for (t, v) in totals[r.client as usize].iter_mut().zip(r.phase_ns.iter()) {
                 *t += v;
             }
         }

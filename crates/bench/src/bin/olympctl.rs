@@ -10,9 +10,6 @@
 //!                  --policy fair|weighted|priority|drr|lottery|baseline
 //!                  [--quantum-us 1200] [--gpus 1] [--seed 1]
 //!                  [--deadline-ms 500] [--trace 40]
-//! olympctl bench   [--shards N] [--gpus 3] [--clients 12] [--batches 4]
-//!                  [--model <name> --batch <n>] [--policy fair|baseline]
-//!                  [--seed 1] [--switch-us 1000]
 //! olympctl trace   <experiment> [--out trace.json] [--mode sampled|full]
 //! olympctl metrics <experiment> [--interval-us N] [--out telemetry.jsonl]
 //!                  [--prom metrics.prom] [--store <dir>]
@@ -36,12 +33,6 @@
 //! at the given virtual-time snapshot cadence and writes the JSON-lines
 //! time series; `--prom` additionally writes the final registry state as
 //! Prometheus text exposition.
-//!
-//! `bench` measures the device-group-sharded runner: it runs the same
-//! multi-GPU experiment through `run_sharded_experiment` with one worker
-//! thread and with `--shards N` (default: all cores), verifies the two
-//! reports are byte-identical — the shard-count invariance contract — and
-//! prints the throughput of each plus the parallel speedup.
 //!
 //! `blame` runs a named telemetered experiment with tracing on and prints
 //! its latency attribution: the per-phase decomposition of every run (the
@@ -95,8 +86,8 @@
 //! 'wall_s{workload=*}' --run seed --vs seed`.
 
 use olympian::{
-    DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy, Priority,
-    Profiler, ProfileStore, RoundRobin, WeightedFair,
+    DeadlineMode, DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy,
+    Priority, Profiler, ProfileStore, RoundRobin, WeightedFair,
 };
 use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
 use simtime::SimDuration;
@@ -111,8 +102,6 @@ fn usage() -> ExitCode {
          olympctl run --model <name> --batch <n> --clients <n> [--batches <n>]\n               \
          --policy <fair|weighted|priority|drr|lottery|baseline>\n               \
          [--quantum-us <n>] [--gpus <n>] [--seed <n>]\n  \
-         olympctl bench [--shards <n>] [--gpus <n>] [--clients <n>] [--batches <n>]\n               \
-         [--model <name> --batch <n>] [--policy <fair|baseline>] [--seed <n>]\n  \
          olympctl trace <experiment> [--out <trace.json>] [--mode sampled|full]\n  \
          olympctl metrics <experiment> [--interval-us <n>] [--out <telemetry.jsonl>]\n                   \
          [--prom <metrics.prom>] [--store <dir>]\n  \
@@ -283,6 +272,15 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let deadline_ms: u64 = get_num(flags, "deadline-ms", 0)?;
     let trace_lines: usize = get_num(flags, "trace", 0)?;
     let policy = get(flags, "policy")?;
+    if gpus == 0 {
+        return Err("--gpus: must be positive".into());
+    }
+    if quantum_us == 0 {
+        return Err("--quantum-us: must be positive".into());
+    }
+    if batches == 0 {
+        return Err("--batches: must be positive".into());
+    }
 
     let model = models::load(kind, batch).map_err(|e| e.to_string())?;
     let mut cfg = EngineConfig::default().with_device_count(gpus).with_seed(seed);
@@ -329,80 +327,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     print_report(&report);
     print_trace(&report, trace_lines);
-    Ok(())
-}
-
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let shards: u32 = get_num(flags, "shards", simpar::max_jobs() as u32)?;
-    if shards == 0 {
-        return Err("--shards: must be positive".into());
-    }
-    let gpus: usize = get_num(flags, "gpus", 3)?;
-    let clients: usize = get_num(flags, "clients", 12)?;
-    let batches: u32 = get_num(flags, "batches", 4)?;
-    let seed: u64 = get_num(flags, "seed", 1)?;
-    // The token hand-off latency doubles as the sync-window length, so it
-    // sets the parallel grain; default to the millisecond large-model
-    // regime rather than the engine's 80 us default.
-    let switch_us: u64 = get_num(flags, "switch-us", 1000)?;
-    let model = match flags.get("model") {
-        Some(name) => {
-            let kind = lookup_model(name).ok_or_else(|| format!("unknown model {name:?}"))?;
-            let batch: u64 =
-                get(flags, "batch")?.parse().map_err(|_| "--batch: not a number")?;
-            models::load(kind, batch).map_err(|e| e.to_string())?
-        }
-        None => models::mini::small(4),
-    };
-    let policy = flags.get("policy").map(String::as_str).unwrap_or("fair");
-    let mut cfg = EngineConfig::default().with_device_count(gpus).with_seed(seed);
-    cfg.switch_latency = SimDuration::from_micros(switch_us.max(1));
-    let mut store = ProfileStore::new();
-    store.insert(Profiler::new(&cfg).profile(&model));
-    let store = Arc::new(store);
-    let q = SimDuration::from_micros(1200);
-    let factory: Box<dyn Fn(usize) -> Box<dyn serving::Scheduler> + Sync> = match policy {
-        "baseline" => Box::new(|_g| Box::new(FifoScheduler::new()) as Box<dyn serving::Scheduler>),
-        "fair" => Box::new(move |_g| {
-            Box::new(OlympianScheduler::new(
-                Arc::clone(&store),
-                Box::new(RoundRobin::new()),
-                q,
-            )) as Box<dyn serving::Scheduler>
-        }),
-        other => return Err(format!("--policy: expected fair|baseline, got {other:?}")),
-    };
-    let specs = || -> Vec<ClientSpec> {
-        (0..clients).map(|_| ClientSpec::new(model.clone(), batches)).collect()
-    };
-
-    let measure = |n: u32| {
-        let mut c = cfg.clone();
-        c.shards = n;
-        let probe = serving::run_sharded_experiment(&c, specs(), &factory);
-        let m = bench::harness::run(&format!("bench/shards={n}"), || {
-            std::hint::black_box(serving::run_sharded_experiment(&c, specs(), &factory))
-        });
-        (probe, m.per_second())
-    };
-    let (base_report, base_rps) = measure(1);
-    let (shard_report, shard_rps) = measure(shards);
-    let identical = format!("{base_report:?}") == format!("{shard_report:?}");
-    let events = base_report.event_count as f64;
-
-    println!("devices        : {gpus} ({} groups)", gpus);
-    println!("clients        : {clients} x {batches} batches of {}", model.name());
-    println!("events per run : {}", base_report.event_count);
-    println!("shards=1       : {:.0} events/s", base_rps * events);
-    println!("shards={shards:<7}: {:.0} events/s", shard_rps * events);
-    println!("speedup        : {:.2}x", shard_rps / base_rps.max(1e-12));
-    println!(
-        "reports        : {}",
-        if identical { "byte-identical across shard counts" } else { "DIVERGED" }
-    );
-    if !identical {
-        return Err("sharded report diverged between shards=1 and the requested count".into());
-    }
     Ok(())
 }
 
@@ -845,9 +769,11 @@ fn cmd_chaos(name: &str, flags: &HashMap<String, String>) -> Result<(), String> 
 }
 
 fn cmd_control(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let policy_s = flags.get("policy").map(String::as_str).unwrap_or("edf");
-    let policy = controlplane::ControlPolicy::parse(policy_s)
-        .ok_or_else(|| format!("--policy: expected edf|laxity, got {policy_s:?}"))?;
+    let policy = match flags.get("policy").map(String::as_str).unwrap_or("edf") {
+        "edf" => DeadlineMode::Edf,
+        "laxity" => DeadlineMode::LeastLaxity,
+        other => return Err(format!("--policy: expected edf|laxity, got {other:?}")),
+    };
     let report = match name {
         "drifted" => bench::figs::closedloop::run_with_policy(policy),
         other => {
@@ -981,7 +907,6 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&flags),
         "curve" => cmd_curve(&flags),
         "run" => cmd_run(&flags),
-        "bench" => cmd_bench(&flags),
         "trace" => cmd_trace(positional.as_deref().expect("positional parsed"), &flags),
         "metrics" => cmd_metrics(positional.as_deref().expect("positional parsed"), &flags),
         "blame" => cmd_blame(positional.as_deref().expect("positional parsed"), &flags),

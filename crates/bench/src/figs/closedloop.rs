@@ -22,8 +22,8 @@
 
 use crate::figs::fair;
 use crate::{banner, build_store, default_config, format_finish_times};
-use controlplane::{ControlConfig, ControlPolicy};
-use olympian::{DeadlinePolicy, OlympianScheduler, StoreCostOracle};
+use controlplane::ControlConfig;
+use olympian::{DeadlineMode, DeadlinePolicy, OlympianScheduler, Policy, StoreCostOracle};
 use serving::{attrib, run_experiment, ClientSpec, RunReport, TraceConfig};
 use simtime::SimDuration;
 use std::sync::Arc;
@@ -77,8 +77,8 @@ fn regress(cfg: &serving::EngineConfig) -> gpusim::DeviceProfile {
     )
 }
 
-/// Runs both cells under the given hand-off policy.
-pub fn run_cells(policy: ControlPolicy) -> Cells {
+/// Runs both cells under the given hand-off ordering.
+pub fn run_cells(mode: DeadlineMode) -> Cells {
     let clients = vec![ClientSpec::new(models::mini::small(4), BATCHES); CLIENTS];
     let model_name = clients[0].model.name().to_string();
     let full_batch = clients[0].model.batch();
@@ -116,14 +116,14 @@ pub fn run_cells(policy: ControlPolicy) -> Cells {
     // like fair sharing, so its observations are quantum-sized like the
     // open loop's. A mismatched reference would clamp the rebind scale to
     // the floor instead of the honest regression factor.
-    let drift_ref = match policy {
-        ControlPolicy::Edf => {
+    let drift_ref = match mode {
+        DeadlineMode::Edf => {
             open_store
                 .resolve(&model_name, full_batch)
                 .expect("profiled")
                 .gpu_duration
         }
-        ControlPolicy::Laxity => QUANTUM,
+        DeadlineMode::LeastLaxity => QUANTUM,
     };
 
     let slo = SloSpec::new(&model_name, objective, 0.05);
@@ -157,12 +157,8 @@ pub fn run_cells(policy: ControlPolicy) -> Cells {
         .with_control(
             ControlConfig::new().with_cost(StoreCostOracle::new(Arc::clone(&closed_store))),
         );
-    let deadline_policy = match policy {
-        ControlPolicy::Edf => DeadlinePolicy::edf(),
-        ControlPolicy::Laxity => DeadlinePolicy::laxity(),
-    };
     let mut closed_sched =
-        OlympianScheduler::new(closed_store, Box::new(deadline_policy), QUANTUM);
+        OlympianScheduler::new(closed_store, Box::new(deadline_policy(mode)), QUANTUM);
     let closed = run_experiment(&closed_cfg, closed_clients, &mut closed_sched);
 
     Cells { objective, open, closed }
@@ -210,13 +206,22 @@ fn cell_section(label: &str, report: &RunReport, objective: SimDuration) -> Stri
     out
 }
 
-/// Renders the closed-loop report under the given policy.
-pub fn run_with_policy(policy: ControlPolicy) -> String {
+/// The deadline-aware hand-off policy of the given ordering.
+fn deadline_policy(mode: DeadlineMode) -> DeadlinePolicy {
+    match mode {
+        DeadlineMode::Edf => DeadlinePolicy::edf(),
+        DeadlineMode::LeastLaxity => DeadlinePolicy::laxity(),
+    }
+}
+
+/// Renders the closed-loop report under the given hand-off ordering.
+pub fn run_with_policy(mode: DeadlineMode) -> String {
     let mut out = banner(
         "closedloop",
         "closed-loop SLO control on a regressed device vs the PR 3 open loop",
     );
-    let cells = run_cells(policy);
+    let cells = run_cells(mode);
+    let policy = deadline_policy(mode).name().to_string();
     let obj_us = cells.objective.as_nanos() as f64 / 1_000.0;
     out.push_str(&format!(
         "\nworkload: {CLIENTS} clients x mini-small(4) x {BATCHES} batches; device \
@@ -284,7 +289,7 @@ pub fn run_with_policy(policy: ControlPolicy) -> String {
 /// Renders the default (EDF) closed-loop report, saved as
 /// `results/closedloop.txt`.
 pub fn run() -> String {
-    run_with_policy(ControlPolicy::Edf)
+    run_with_policy(DeadlineMode::Edf)
 }
 
 #[cfg(test)]
@@ -294,7 +299,7 @@ mod tests {
 
     #[test]
     fn closed_loop_holds_the_objective_the_open_loop_burns() {
-        let cells = run_cells(ControlPolicy::Edf);
+        let cells = run_cells(DeadlineMode::Edf);
         let obj_us = cells.objective.as_nanos() as f64 / 1_000.0;
         let open_p99 = p99_latency_us(&cells.open);
         let closed_p99 = p99_latency_us(&cells.closed);
@@ -354,7 +359,7 @@ mod tests {
         // the textbook LLF domino miss. The control plane's answer is to
         // cancel all of them early rather than serve three guaranteed
         // breaches: zero runs complete, and therefore zero runs breach.
-        let cells = run_cells(ControlPolicy::Laxity);
+        let cells = run_cells(DeadlineMode::LeastLaxity);
         assert_eq!(cells.closed.scheduler_name, "olympian-laxity");
         assert_eq!(cells.closed.finished_count(), 0);
         assert_eq!(counter(&cells.closed, "slo_breaches"), 0);
@@ -366,7 +371,7 @@ mod tests {
             .count();
         assert_eq!(cancelled, CLIENTS, "every session is infeasible under LLF");
         // The report stays honest about serving nothing.
-        let out = run_with_policy(ControlPolicy::Laxity);
+        let out = run_with_policy(DeadlineMode::LeastLaxity);
         assert!(out.contains("NO RUNS SERVED"));
         assert!(out.contains("closed_runs=0"));
     }

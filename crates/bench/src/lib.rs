@@ -8,7 +8,6 @@
 //! construction and result printing.
 
 pub mod figs;
-pub mod harness;
 pub mod telemetered;
 pub mod traced;
 
@@ -159,11 +158,6 @@ pub fn format_finish_times(label: &str, report: &RunReport) -> String {
     out
 }
 
-/// Prints per-client finish times (see [`format_finish_times`]).
-pub fn print_finish_times(label: &str, report: &RunReport) {
-    print!("{}", format_finish_times(label, report));
-}
-
 /// Formats per-client mean quantum GPU durations (Figures 14/16).
 pub fn format_quanta(label: &str, report: &RunReport) -> String {
     let mut out = format!("\n[{label}] average GPU duration per quantum\n");
@@ -188,11 +182,6 @@ pub fn format_quanta(label: &str, report: &RunReport) -> String {
         &rows,
     ));
     out
-}
-
-/// Prints per-client mean quantum GPU durations (see [`format_quanta`]).
-pub fn print_quanta(label: &str, report: &RunReport) {
-    print!("{}", format_quanta(label, report));
 }
 
 /// Writes a result file under `results/` (created on demand) and returns

@@ -1,11 +1,15 @@
-//! Shard-count invariance and the sharding determinism matrix.
+//! Sharded runs against the classic engine, against themselves, and
+//! against pinned digests.
 //!
-//! The sharded runner's contract (see `serving::shard`): the decomposition
-//! is one group per device and `EngineConfig::shards` only sets the worker
-//! thread count, so every rendered artifact — `RunReport` debug, Chrome
-//! trace JSON, telemetry JSON-lines — must be byte-identical across
-//! `shards ∈ {1, 2, 4}`, under both schedulers, with faults and lifecycle
-//! enabled, and whether the cells themselves run on 1 or 4 `simpar` jobs.
+//! The sharded runner's contract (see `serving::shard`): one device routes
+//! to the classic engine byte-for-byte, and a multi-device run advances
+//! one group engine per device in lockstep windows on the calling thread,
+//! so every rendered artifact — `RunReport` debug, Chrome trace JSON,
+//! telemetry JSON-lines — is a pure function of the inputs. The checks
+//! below cover both schedulers with faults, lifecycle and full tracing on,
+//! whether the cells run on 1 or 4 `simpar` jobs, and pin the three-device
+//! renderings, one of them with a worker donated at a window barrier, so
+//! sharded output cannot move silently.
 
 use models::LoadedModel;
 use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin, StoreBinder};
@@ -20,13 +24,21 @@ use std::sync::Arc;
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 
-/// Renders every export surface the matrix compares.
+/// Renders every export surface the checks compare.
 fn render(r: &RunReport) -> String {
     format!(
         "REPORT {r:?}\nCHROME {}\nTELEMETRY {}",
         r.chrome_trace_json(),
         r.telemetry_jsonl()
     )
+}
+
+/// 64-bit FNV-1a of a rendering, as 16 hex digits.
+fn fnv1a(s: &str) -> String {
+    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
 }
 
 fn faults() -> FaultConfig {
@@ -51,15 +63,16 @@ fn service(name: &str) -> LoadedModel {
 }
 
 /// The full-stack single-group cell: faults, lifecycle, tracing and
-/// telemetry all on. One device — the sharded entry point must route to
-/// the classic engine byte-for-byte for every `shards` value.
-fn full_stack_cell(shards: u32, olympian: bool) -> String {
+/// telemetry all on, one device. Runs through the sharded entry point or
+/// straight through `run_experiment`; each call builds fresh inputs, since
+/// the lifecycle binder writes to its profile store during a run.
+fn full_stack_cell(olympian: bool, sharded: bool) -> String {
     let services = ["svc-0", "svc-1", "svc-2"];
     let mut plan = DeploymentPlan::new();
     for name in services {
         plan = plan.with_model(ModelDeployment::new(name.to_string(), service(name)));
     }
-    let mut cfg = EngineConfig { seed: 23, shards, ..EngineConfig::default() }
+    let mut cfg = EngineConfig { seed: 23, ..EngineConfig::default() }
         .with_trace(TraceConfig::full())
         .with_telemetry(serving::TelemetryConfig::enabled(SimDuration::from_micros(500)))
         .with_faults(faults());
@@ -76,17 +89,21 @@ fn full_stack_cell(shards: u32, olympian: bool) -> String {
             spec
         })
         .collect();
-    let report = run_sharded_experiment(&cfg, clients, &factory(olympian, &store));
+    let make = factory(olympian, &store);
+    let report = if sharded {
+        run_sharded_experiment(&cfg, clients, &*make)
+    } else {
+        run_experiment(&cfg, clients, make(0).as_mut())
+    };
     render(&report)
 }
 
-/// The multi-group cell: three devices, faults on, full tracing — the
-/// shard topology is real (three groups) and threads race over it.
-fn multi_device_cell(shards: u32, olympian: bool) -> String {
+/// The multi-group cell: three devices, faults on, full tracing — three
+/// group engines advancing in lockstep windows.
+fn multi_device_cell(olympian: bool) -> String {
     let base = EngineConfig::default();
     let cfg = EngineConfig {
         seed: 41,
-        shards,
         extra_devices: vec![base.device.clone(), base.device.clone()],
         ..base
     }
@@ -97,7 +114,32 @@ fn multi_device_cell(shards: u32, olympian: bool) -> String {
     store.insert(Profiler::new(&cfg).profile(&model));
     let store = Arc::new(store);
     let clients: Vec<ClientSpec> = (0..6).map(|_| ClientSpec::new(model.clone(), 2)).collect();
-    let report = run_sharded_experiment(&cfg, clients, &factory(olympian, &store));
+    let report = run_sharded_experiment(&cfg, clients, &*factory(olympian, &store));
+    render(&report)
+}
+
+/// Three devices sharing a three-worker pool under FIFO, one light group
+/// and two heavy ones: every gang competes for its group's one worker, so
+/// when the light group drains, its donated worker reaches a starving
+/// group at a window barrier.
+fn starved_cell() -> String {
+    let base = EngineConfig::default();
+    let cfg = EngineConfig {
+        seed: 43,
+        pool_size: 3,
+        extra_devices: vec![base.device.clone(), base.device.clone()],
+        ..base
+    }
+    .with_trace(TraceConfig::full());
+    let model = models::mini::tiny(4);
+    // Placement deals identical models round-robin, so client i joins
+    // group i % 3.
+    let clients: Vec<ClientSpec> = (0..9)
+        .map(|i| ClientSpec::new(model.clone(), if i % 3 == 0 { 1 } else { 4 }))
+        .collect();
+    let report = run_sharded_experiment(&cfg, clients, &|_g| {
+        Box::new(FifoScheduler::new()) as Box<dyn Scheduler>
+    });
     render(&report)
 }
 
@@ -119,36 +161,19 @@ fn factory(
 }
 
 #[test]
-fn full_stack_is_shard_count_invariant() {
+fn full_stack_single_group_matches_run_experiment() {
     for olympian in [false, true] {
-        let reference = full_stack_cell(1, olympian);
-        for shards in [2, 4] {
-            assert_eq!(
-                reference,
-                full_stack_cell(shards, olympian),
-                "full-stack cell diverged at shards={shards}, olympian={olympian}"
-            );
-        }
-    }
-}
-
-#[test]
-fn multi_device_is_shard_count_invariant() {
-    for olympian in [false, true] {
-        let reference = multi_device_cell(1, olympian);
-        for shards in [2, 4] {
-            assert_eq!(
-                reference,
-                multi_device_cell(shards, olympian),
-                "multi-device cell diverged at shards={shards}, olympian={olympian}"
-            );
-        }
+        assert_eq!(
+            full_stack_cell(olympian, true),
+            full_stack_cell(olympian, false),
+            "sharded entry point diverged from run_experiment, olympian={olympian}"
+        );
     }
 }
 
 #[test]
 fn sharded_single_group_matches_classic_exactly() {
-    let cfg = EngineConfig { seed: 5, shards: 4, ..EngineConfig::default() }
+    let cfg = EngineConfig { seed: 5, ..EngineConfig::default() }
         .with_trace(TraceConfig::full())
         .with_faults(faults());
     let clients = |n: usize| -> Vec<ClientSpec> {
@@ -162,12 +187,22 @@ fn sharded_single_group_matches_classic_exactly() {
 }
 
 #[test]
-fn matrix_cells_match_across_simpar_jobs() {
-    // The --jobs axis: every (shards, scheduler) cell rendered on one
-    // worker must equal the same cell rendered on four.
-    let cells: Vec<(u32, bool)> =
-        [1u32, 2, 4].iter().flat_map(|&s| [(s, false), (s, true)]).collect();
-    let serial = simpar::par_map_jobs(1, &cells, |_, &(s, oly)| multi_device_cell(s, oly));
-    let parallel = simpar::par_map_jobs(4, &cells, |_, &(s, oly)| multi_device_cell(s, oly));
-    assert_eq!(serial, parallel);
+fn multi_device_cell_matches_across_simpar_jobs_and_reruns() {
+    let cells = [false, true];
+    let serial = simpar::par_map_jobs(1, &cells, |_, &oly| multi_device_cell(oly));
+    let parallel = simpar::par_map_jobs(4, &cells, |_, &oly| multi_device_cell(oly));
+    assert_eq!(serial, parallel, "cells diverged between 1 and 4 jobs");
+    let rerun = simpar::par_map_jobs(1, &cells, |_, &oly| multi_device_cell(oly));
+    assert_eq!(serial, rerun, "cells diverged between reruns");
+}
+
+#[test]
+fn multi_device_cell_rendering_is_pinned() {
+    assert_eq!(fnv1a(&multi_device_cell(false)), "35c6f70157293bb8", "fifo");
+    assert_eq!(fnv1a(&multi_device_cell(true)), "07bcfcdfe592271c", "olympian");
+}
+
+#[test]
+fn worker_donation_rendering_is_pinned() {
+    assert_eq!(fnv1a(&starved_cell()), "ba8d4edc5aa44d6b");
 }

@@ -12,18 +12,18 @@
 //!   stepping back down one rung per quiet [`ControlConfig::cool_window`],
 //!   plus the admission gate, batch hint, laxity and rebind arithmetic the
 //!   engine asks of it;
-//! * [`ControlPolicy`] — a label naming a deadline-aware hand-off ordering
-//!   (EDF or least-laxity) for front ends that pick one. The engine does
-//!   not read it: the token order comes from the policy the caller hands
-//!   the scheduler (`olympian::DeadlinePolicy`);
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
 //!
+//! The deadline-aware token order (EDF or least laxity) is not part of this
+//! crate: it is the policy the caller hands the scheduler
+//! (`olympian::DeadlinePolicy`).
+//!
 //! Everything in here is integer-ns/virtual-time state machines: no wall
 //! clocks, no hash-iteration order, no floating-point accumulation across
 //! calls — so control decisions are byte-identical across `--jobs N` and
-//! shard counts, the same guarantee the trace and telemetry layers give.
+//! reruns, the same guarantee the trace and telemetry layers give.
 
 use simtime::SimDuration;
 use std::fmt;
@@ -32,45 +32,6 @@ use std::sync::Arc;
 mod control_loop;
 
 pub use control_loop::ControlLoop;
-
-/// A deadline-aware token hand-off ordering, as the closed-loop figure
-/// and the command line name it. Selecting the scheduler policy that
-/// implements it is the caller's job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ControlPolicy {
-    /// Earliest deadline first: grants order by absolute run deadline.
-    #[default]
-    Edf,
-    /// Least laxity first: grants order by `deadline - remaining work`,
-    /// with remaining work estimated from the bound per-model profile and
-    /// the job's observed progress.
-    Laxity,
-}
-
-impl ControlPolicy {
-    /// Stable kebab-case label (matches the policy's scheduler name).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ControlPolicy::Edf => "edf",
-            ControlPolicy::Laxity => "laxity",
-        }
-    }
-
-    /// Parses the CLI spelling (`"edf"` / `"laxity"`).
-    pub fn parse(s: &str) -> Option<ControlPolicy> {
-        match s {
-            "edf" => Some(ControlPolicy::Edf),
-            "laxity" => Some(ControlPolicy::Laxity),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ControlPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// The degradation ladder rung the control plane currently sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -221,12 +182,6 @@ impl ControlConfig {
         self
     }
 
-    /// Overrides the Degraded-rung batch divisor.
-    pub fn with_batch_divisor(mut self, divisor: u64) -> ControlConfig {
-        self.batch_divisor = divisor;
-        self
-    }
-
     /// Binds the profile cost/rebind surface.
     pub fn with_cost(mut self, cost: Arc<dyn CostOracle>) -> ControlConfig {
         self.cost = Some(cost);
@@ -358,14 +313,6 @@ mod tests {
         assert_eq!(clamp_rebind_ppm(1_400_000), 1_400_000);
         assert_eq!(clamp_rebind_ppm(7_000_000_000), MAX_REBIND_PPM);
         assert_eq!(clamp_rebind_ppm(3), MIN_REBIND_PPM);
-    }
-
-    #[test]
-    fn policy_labels_round_trip() {
-        for p in [ControlPolicy::Edf, ControlPolicy::Laxity] {
-            assert_eq!(ControlPolicy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(ControlPolicy::parse("fifo"), None);
     }
 
     #[test]

@@ -134,17 +134,6 @@ impl DeviceProfile {
         self.kernel_gap
     }
 
-    /// Sets the run-to-run clock wobble (lognormal σ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wobble` is negative.
-    pub fn with_clock_wobble(mut self, wobble: f64) -> Self {
-        assert!(wobble >= 0.0, "negative clock wobble");
-        self.clock_wobble = wobble;
-        self
-    }
-
     /// The run-to-run clock wobble (lognormal σ).
     pub fn clock_wobble(&self) -> f64 {
         self.clock_wobble

@@ -191,12 +191,6 @@ impl LifecycleConfig {
         }
     }
 
-    /// Sets the effective load bandwidth.
-    pub fn with_load_gbps(mut self, gbps: f64) -> Self {
-        self.load_gbps = gbps;
-        self
-    }
-
     /// Sets the warm-up run count.
     pub fn with_warmup_runs(mut self, runs: u32) -> Self {
         self.warmup_runs = runs;

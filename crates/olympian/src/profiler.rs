@@ -168,11 +168,14 @@ impl LinearCostModel {
     }
 }
 
+/// Relative σ of per-node cost measurement noise: 2.5%, matching the
+/// paper's observed cost stability.
+const COST_NOISE: f64 = 0.025;
+
 /// The offline profiler.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     cfg: EngineConfig,
-    cost_noise: f64,
     pair_batches: u32,
 }
 
@@ -183,17 +186,8 @@ impl Profiler {
     pub fn new(cfg: &EngineConfig) -> Self {
         Profiler {
             cfg: cfg.quiescent(),
-            cost_noise: 0.025,
             pair_batches: 5,
         }
-    }
-
-    /// Sets the relative σ of per-node cost measurement noise (default
-    /// 2.5%, matching the paper's observed cost stability).
-    pub fn with_cost_noise(mut self, noise: f64) -> Self {
-        assert!(noise >= 0.0, "negative noise");
-        self.cost_noise = noise;
-        self
     }
 
     /// Sets how many batches each racer submits in Overhead-Q measurements.
@@ -214,18 +208,14 @@ impl Profiler {
         // contention), so noise has a common run-level component on top of
         // the per-node component; this makes the *total* cost vary ~σ across
         // profiling runs, as the paper measures (§4.4).
-        let run_factor = if self.cost_noise > 0.0 {
-            rng.lognormal(0.0, self.cost_noise)
-        } else {
-            1.0
-        };
+        let run_factor = rng.lognormal(0.0, COST_NOISE);
         let costs: Vec<u64> = exact
             .iter()
             .map(|(_, c)| {
                 if c == 0 {
                     0
                 } else {
-                    ((c as f64) * run_factor * rng.jitter(self.cost_noise))
+                    ((c as f64) * run_factor * rng.jitter(COST_NOISE))
                         .round()
                         .max(1.0) as u64
                 }

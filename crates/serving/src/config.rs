@@ -13,7 +13,10 @@ pub struct EngineConfig {
     pub device: DeviceProfile,
     /// Additional GPUs in the server (paper §7 future work: multi-GPU
     /// serving). Clients are placed on the device with the most free
-    /// memory at admission.
+    /// memory at admission; [`run_sharded_experiment`] instead places them
+    /// up front and runs one engine per device.
+    ///
+    /// [`run_sharded_experiment`]: crate::run_sharded_experiment
     pub extra_devices: Vec<DeviceProfile>,
     /// Master seed; every run with the same seed, config and workload is
     /// bit-identical.
@@ -84,16 +87,6 @@ pub struct EngineConfig {
     pub cluster: Option<cluster::ClusterConfig>,
     /// Hard cap on simulated events — a watchdog against scheduling bugs.
     pub max_events: u64,
-    /// Worker threads for [`run_sharded_experiment`]: how many OS threads
-    /// execute the per-device shard groups concurrently. The *decomposition*
-    /// is always one group per device, so results are byte-identical for
-    /// every value of `shards` — this knob trades wall-clock only. Ignored
-    /// by the classic [`run_experiment`] path; `1` (the default) keeps
-    /// everything serial.
-    ///
-    /// [`run_sharded_experiment`]: crate::run_sharded_experiment
-    /// [`run_experiment`]: crate::run_experiment
-    pub shards: u32,
 }
 
 impl Default for EngineConfig {
@@ -118,7 +111,6 @@ impl Default for EngineConfig {
             control: None,
             cluster: None,
             max_events: 500_000_000,
-            shards: 1,
         }
     }
 }
@@ -142,7 +134,6 @@ impl EngineConfig {
         assert!(self.driver_bias_spread >= 0.0, "negative bias spread");
         assert!(self.profiling_inflation >= 0.0, "negative inflation");
         assert!(self.max_events > 0, "event watchdog must be positive");
-        assert!(self.shards > 0, "shard worker count must be at least 1");
         self.telemetry.validate();
         if let Some(f) = &self.faults {
             f.validate();

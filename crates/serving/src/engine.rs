@@ -460,8 +460,8 @@ impl Engine<'_> {
     }
 
     /// Schedules `n` donated workers to arrive at the barrier instant
-    /// `at`; the grant lands inside the event loop so starvation wake-ups
-    /// replay identically for every shard count.
+    /// `at`; the grant lands inside the event loop, so a starvation
+    /// wake-up is an ordinary event of this engine.
     pub(crate) fn grant_workers(&mut self, at: SimTime, n: u32) {
         self.queue.schedule(at, Event::PoolGrant(n));
     }

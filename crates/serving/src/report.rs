@@ -114,11 +114,6 @@ impl ClientReport {
         }
     }
 
-    /// GPU durations of the completed quanta, without timestamps.
-    pub fn quantum_gpu_durations(&self) -> Vec<SimDuration> {
-        self.quantum_marks.iter().map(|&(_, d)| d).collect()
-    }
-
     /// Mean per-quantum GPU duration in microseconds, dropping the first and
     /// last quantum of the session (ramp-up and final partial quantum), as
     /// the paper averages "while all jobs are active". Returns `None` when

@@ -4,12 +4,12 @@
 //! # Topology
 //!
 //! A sharded run always decomposes into **one group per device** — the
-//! partition is fixed by the hardware topology, never by the worker-thread
-//! count. [`EngineConfig::shards`] only says how many OS threads execute
-//! the groups concurrently, so the simulated result is byte-identical for
-//! every `shards` value (including 1) by construction: threads race over
-//! *which group advances first in wall-clock*, never over anything a group
-//! can observe.
+//! partition is fixed by the hardware topology. The group engines advance
+//! in lockstep windows on the calling thread, in group order, so the merged
+//! report is a pure function of the inputs. A window is one token hand-off
+//! long (80 µs by default), too short to pay for handing groups to worker
+//! threads: a barrier-synchronised pool was slower than this loop in every
+//! configuration measured (ARCHITECTURE.md, "Device-group sharding").
 //!
 //! Clients are placed onto groups up front by a deterministic greedy rule:
 //! in spec order, each client joins the group with the lowest projected
@@ -28,8 +28,8 @@
 //! barrier, groups whose event queues have drained donate their idle
 //! workers; the pooled donation is granted to the first still-running
 //! group with a starving job, in group order, as a `PoolGrant` event
-//! stamped at the barrier instant — so the wake-up replays identically no
-//! matter which thread ran which group.
+//! stamped at the barrier instant — so the wake-up is an ordinary event in
+//! the receiving group's queue.
 //!
 //! # Merge
 //!
@@ -54,9 +54,8 @@ use trace::Trace;
 /// its own device, so per-device schedulers compose naturally.
 ///
 /// Single-device configurations have exactly one group and take the
-/// classic [`run_experiment`] path unchanged, whatever
-/// [`EngineConfig::shards`] says — existing experiments are byte-identical
-/// under this entry point.
+/// classic [`run_experiment`] path unchanged, so existing experiments are
+/// byte-identical under this entry point.
 ///
 /// # Panics
 ///
@@ -67,13 +66,12 @@ use trace::Trace;
 pub fn run_sharded_experiment(
     cfg: &EngineConfig,
     clients: Vec<ClientSpec>,
-    make_scheduler: &(dyn Fn(usize) -> Box<dyn Scheduler> + Sync),
+    make_scheduler: &dyn Fn(usize) -> Box<dyn Scheduler>,
 ) -> RunReport {
     cfg.validate();
     let groups = 1 + cfg.extra_devices.len();
     // Cluster mode routes runs *between* devices, so the fleet must live
     // inside one engine: per-device groups cannot see each other's queues.
-    // The classic path is already byte-identical for every shard count.
     if groups == 1 || cfg.cluster.is_some() {
         let mut scheduler = make_scheduler(0);
         return run_experiment(cfg, clients, scheduler.as_mut());
@@ -119,10 +117,9 @@ pub fn run_sharded_experiment(
             sub.device = profiles[g].clone();
             sub.extra_devices = Vec::new();
             sub.pool_size = share(g);
-            // Decorrelate the per-group RNG streams; any deterministic
-            // function of (seed, group) keeps shard-count invariance.
+            // Decorrelate the per-group RNG streams with a deterministic
+            // function of (seed, group).
             sub.seed = cfg.seed ^ (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            sub.shards = 1;
             sub
         })
         .collect();
@@ -135,37 +132,35 @@ pub fn run_sharded_experiment(
         .map(|(s, (sub, specs))| build_engine(sub, specs, s.as_mut()))
         .collect();
 
-    // The window loop, on a persistent worker pool — windows are
-    // sub-millisecond, so per-window thread spawns would dominate them.
-    // `bank` carries donated workers that found no taker at earlier
-    // barriers.
+    // The window loop: every group engine advances to the same bound, in
+    // group order, then the barrier rebalances the worker pool. `bank`
+    // carries donated workers that found no taker at earlier barriers.
     let lookahead = cfg.switch_latency.max(SimDuration::from_nanos(1));
-    let threads = cfg.shards as usize;
-    simpar::with_pool(threads, move |pool| {
-        let mut donated = vec![false; groups];
-        let mut bank = 0u32;
-        while let Some(earliest) = engines.iter().filter_map(Engine::next_event_time).min() {
-            let bound = earliest + lookahead;
-            pool.for_each_mut(&mut engines, |_, e| e.run_window(bound));
-            // Barrier rebalance, in group order.
-            for (g, e) in engines.iter_mut().enumerate() {
-                if !donated[g] && !e.has_pending() {
-                    donated[g] = true;
-                    bank += e.take_idle_workers();
-                }
-            }
-            if bank > 0 {
-                if let Some(e) = engines.iter_mut().find(|e| e.has_pending() && e.is_starved()) {
-                    e.grant_workers(bound, bank);
-                    bank = 0;
-                }
+    let mut donated = vec![false; groups];
+    let mut bank = 0u32;
+    while let Some(earliest) = engines.iter().filter_map(Engine::next_event_time).min() {
+        let bound = earliest + lookahead;
+        for e in &mut engines {
+            e.run_window(bound);
+        }
+        // Barrier rebalance, in group order.
+        for (g, e) in engines.iter_mut().enumerate() {
+            if !donated[g] && !e.has_pending() {
+                donated[g] = true;
+                bank += e.take_idle_workers();
             }
         }
+        if bank > 0 {
+            if let Some(e) = engines.iter_mut().find(|e| e.has_pending() && e.is_starved()) {
+                e.grant_workers(bound, bank);
+                bank = 0;
+            }
+        }
+    }
 
-        let makespan = engines.iter().map(Engine::clock).max().unwrap_or(SimTime::ZERO);
-        let subs: Vec<RunReport> = engines.into_iter().map(|e| e.finalize_at(makespan)).collect();
-        merge_reports(makespan, subs, &membership)
-    })
+    let makespan = engines.iter().map(Engine::clock).max().unwrap_or(SimTime::ZERO);
+    let subs: Vec<RunReport> = engines.into_iter().map(|e| e.finalize_at(makespan)).collect();
+    merge_reports(makespan, subs, &membership)
 }
 
 /// Greedy deterministic placement: client order, lowest projected load
@@ -266,7 +261,7 @@ mod tests {
     use super::*;
     use crate::scheduler::FifoScheduler;
 
-    fn factory() -> impl Fn(usize) -> Box<dyn Scheduler> + Sync {
+    fn factory() -> impl Fn(usize) -> Box<dyn Scheduler> {
         |_g| Box::new(FifoScheduler::new()) as Box<dyn Scheduler>
     }
 
@@ -283,24 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_invariance() {
-        let mk = |shards| {
-            let cfg = EngineConfig {
-                seed: 11,
-                extra_devices: vec![EngineConfig::default().device.clone()],
-                shards,
-                ..EngineConfig::default()
-            };
-            run_sharded_experiment(&cfg, specs(4, 2), &factory())
+    fn multi_group_rerun_is_identical() {
+        let cfg = EngineConfig {
+            seed: 11,
+            extra_devices: vec![EngineConfig::default().device.clone()],
+            ..EngineConfig::default()
         };
-        let one = mk(1);
-        let four = mk(4);
-        assert_eq!(format!("{one:?}"), format!("{four:?}"));
-        assert!(one.all_finished());
+        let first = run_sharded_experiment(&cfg, specs(4, 2), &factory());
+        let rerun = run_sharded_experiment(&cfg, specs(4, 2), &factory());
+        assert_eq!(format!("{first:?}"), format!("{rerun:?}"));
+        assert!(first.all_finished());
     }
 
     #[test]
-    fn cluster_runs_single_group_and_is_shard_count_invariant() {
+    fn cluster_runs_as_one_group_like_run_experiment() {
         let managed = |name: &str| {
             let m = models::mini::tiny(4);
             models::LoadedModel::from_parts(
@@ -312,27 +303,20 @@ mod tests {
                 m.activation_bytes(),
             )
         };
-        let mk = |shards| {
-            let plan = lifecycle::DeploymentPlan::new()
-                .with_model(lifecycle::ModelDeployment::new("a", managed("a")))
-                .with_model(lifecycle::ModelDeployment::new("b", managed("b")));
-            let cc = cluster::ClusterConfig::new(
-                vec![gpusim::DeviceProfile::gtx_1080_ti(), gpusim::DeviceProfile::titan_x()],
-                lifecycle::LifecycleConfig::new(plan),
-            )
-            .with_tick(SimDuration::from_millis(1));
-            let cfg = EngineConfig { seed: 13, shards, ..EngineConfig::default() }
-                .with_cluster(cc);
-            let clients = vec![
-                ClientSpec::new(managed("a"), 2),
-                ClientSpec::new(managed("b"), 2),
-            ];
-            run_sharded_experiment(&cfg, clients, &factory())
-        };
-        let one = mk(1);
-        let eight = mk(8);
-        assert_eq!(format!("{one:?}"), format!("{eight:?}"));
-        assert!(one.all_finished());
+        let plan = lifecycle::DeploymentPlan::new()
+            .with_model(lifecycle::ModelDeployment::new("a", managed("a")))
+            .with_model(lifecycle::ModelDeployment::new("b", managed("b")));
+        let cc = cluster::ClusterConfig::new(
+            vec![gpusim::DeviceProfile::gtx_1080_ti(), gpusim::DeviceProfile::titan_x()],
+            lifecycle::LifecycleConfig::new(plan),
+        )
+        .with_tick(SimDuration::from_millis(1));
+        let cfg = EngineConfig { seed: 13, ..EngineConfig::default() }.with_cluster(cc);
+        let clients = vec![ClientSpec::new(managed("a"), 2), ClientSpec::new(managed("b"), 2)];
+        let sharded = run_sharded_experiment(&cfg, clients.clone(), &factory());
+        let classic = run_experiment(&cfg, clients, &mut FifoScheduler::new());
+        assert_eq!(format!("{sharded:?}"), format!("{classic:?}"));
+        assert!(sharded.all_finished());
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! byte-identical to the serial `items.map(f).collect()` no matter how many
 //! worker threads run it.
 //!
+//! Parallelism stays coarse: an item is a whole simulation run (an
+//! experiment, a sweep point, a replication). One run never spans threads —
+//! even a sharded multi-GPU run advances its device groups on the calling
+//! thread, because its lockstep windows are shorter than a thread hand-off.
+//!
 //! # The determinism rule
 //!
 //! Parallel results may never depend on scheduling. Two obligations follow:
@@ -29,9 +34,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
 /// Environment variable capping the worker pool, mirrored by the harness
 /// binaries' `--jobs` flag.
@@ -150,237 +154,6 @@ struct SlotPtr<R>(*mut Option<R>);
 unsafe impl<R: Send> Send for SlotPtr<R> {}
 unsafe impl<R: Send> Sync for SlotPtr<R> {}
 
-/// Runs `f` on every item of a mutable slice, in place, on up to `jobs`
-/// threads. The in-place sibling of [`par_map_jobs`], built for the sharded
-/// engine's window loop: each device-group engine advances one lookahead
-/// window concurrently, and the call returning is the window barrier.
-///
-/// The determinism rule applies unchanged: `f(i, item)` must depend only on
-/// the item (and index), never on sibling items or scheduling order — then
-/// the slice ends in the same state for every `jobs` value.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f` (after all workers stop).
-pub fn par_for_each_mut<T, F>(jobs: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = jobs.max(1).min(items.len());
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-
-    let n = items.len();
-    // One disjoint &mut per item, claimed by an atomic cursor exactly as in
-    // `par_map_jobs`; the scope joins all workers before `items` is touched
-    // again by the caller.
-    let item_ptrs: Vec<ItemPtr<T>> = items.iter_mut().map(|x| ItemPtr(x as *mut T)).collect();
-    let cursor = AtomicUsize::new(0);
-    let panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let f = &f;
-            let cursor = &cursor;
-            let item_ptrs = &item_ptrs;
-            let panic_box = &panic_box;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                // SAFETY: each index is claimed exactly once (the cursor
-                // never repeats a value below n), so no two threads hold the
-                // same &mut, and the scope outlives every borrow.
-                let ptr = item_ptrs[i].0;
-                let item = unsafe { &mut *ptr };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item))) {
-                    Ok(()) => {}
-                    Err(p) => {
-                        panic_box.lock().unwrap().get_or_insert(p);
-                        cursor.store(n, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(p) = panic_box.into_inner().unwrap() {
-        std::panic::resume_unwind(p);
-    }
-}
-
-/// A raw item pointer that may cross threads; safety argument at the single
-/// deref site in [`par_for_each_mut`].
-struct ItemPtr<T>(*mut T);
-unsafe impl<T: Send> Send for ItemPtr<T> {}
-unsafe impl<T: Send> Sync for ItemPtr<T> {}
-
-/// The type-erased per-item job a [`Pool`] dispatch runs; the raw pointer
-/// erases the caller's stack lifetime — see the SAFETY notes in
-/// [`Pool::for_each_mut`].
-type RawJob = *const (dyn Fn(usize) + Sync);
-
-/// State shared between a pool's resident workers and dispatching calls.
-/// All `UnsafeCell` fields are written only by the dispatching thread
-/// *before* the start barrier and read by workers *after* it (and the
-/// reverse around the end barrier), so the barriers provide the
-/// happens-before edges and no field needs atomicity beyond `cursor`.
-struct PoolShared {
-    start: Barrier,
-    end: Barrier,
-    job: UnsafeCell<Option<RawJob>>,
-    items: UnsafeCell<usize>,
-    shutdown: UnsafeCell<bool>,
-    cursor: AtomicUsize,
-    panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-// SAFETY: the barrier protocol above serializes all UnsafeCell access.
-unsafe impl Sync for PoolShared {}
-
-impl PoolShared {
-    fn new(participants: usize) -> Self {
-        PoolShared {
-            start: Barrier::new(participants),
-            end: Barrier::new(participants),
-            job: UnsafeCell::new(None),
-            items: UnsafeCell::new(0),
-            shutdown: UnsafeCell::new(false),
-            cursor: AtomicUsize::new(0),
-            panic_box: Mutex::new(None),
-        }
-    }
-
-    /// Claims and runs items until the cursor is exhausted; first panic is
-    /// boxed and stops further claims.
-    fn work(&self, job: &(dyn Fn(usize) + Sync), n: usize) {
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return;
-            }
-            if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
-                self.panic_box.lock().unwrap().get_or_insert(p);
-                self.cursor.store(n, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-
-    fn worker(&self) {
-        loop {
-            self.start.wait();
-            // SAFETY: written by the dispatcher before the start barrier.
-            if unsafe { *self.shutdown.get() } {
-                return;
-            }
-            let (job, n) = unsafe { ((*self.job.get()).expect("job set"), *self.items.get()) };
-            // SAFETY: the dispatcher keeps the closure alive until the end
-            // barrier, which this thread reaches before looping.
-            self.work(unsafe { &*job }, n);
-            self.end.wait();
-        }
-    }
-}
-
-/// A persistent worker pool for repeated small parallel regions — the
-/// sharded engine's window loop runs thousands of sub-millisecond windows,
-/// and spawning OS threads per window ([`par_for_each_mut`]) costs more
-/// than the windows themselves. Workers are spawned once by [`with_pool`]
-/// and parked on a barrier between dispatches.
-///
-/// The determinism rule is unchanged from [`par_for_each_mut`]: the result
-/// must not depend on which worker runs which item.
-pub struct Pool<'p> {
-    shared: Option<&'p PoolShared>,
-}
-
-impl Pool<'_> {
-    /// Runs `f` on every item in place, using the resident workers plus the
-    /// calling thread. Serial when the pool has no workers (built with
-    /// `threads <= 1`) or there is at most one item.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `f` (after the dispatch ends).
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        let Some(shared) = self.shared.filter(|_| n > 1) else {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        };
-        let item_ptrs: Vec<ItemPtr<T>> = items.iter_mut().map(|x| ItemPtr(x as *mut T)).collect();
-        let call = |i: usize| {
-            // SAFETY: each index is claimed exactly once across all
-            // participants (one shared atomic cursor), so no two threads
-            // hold the same &mut, and the dispatch ends before `items` is
-            // touched again by the caller.
-            let ptr = item_ptrs[i].0;
-            let item = unsafe { &mut *ptr };
-            f(i, item);
-        };
-        let job: &(dyn Fn(usize) + Sync) = &call;
-        // SAFETY: erases `job`'s stack lifetime. The pointer is only
-        // dereferenced by workers between the start and end barriers below,
-        // and `call` outlives both waits.
-        let raw: RawJob = unsafe { std::mem::transmute(job) };
-        unsafe {
-            *shared.job.get() = Some(raw);
-            *shared.items.get() = n;
-        }
-        shared.cursor.store(0, Ordering::Relaxed);
-        shared.start.wait();
-        shared.work(job, n);
-        shared.end.wait();
-        // Bind before unwinding so the guard drops first (an unwind while
-        // the lock is held would poison it for the next dispatch).
-        let panic = shared.panic_box.lock().unwrap().take();
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-    }
-}
-
-/// Runs `body` with a [`Pool`] of `threads` total participants (the calling
-/// thread plus `threads - 1` resident workers), joining the workers on the
-/// way out — including when `body` panics.
-pub fn with_pool<R>(threads: usize, body: impl FnOnce(&Pool<'_>) -> R) -> R {
-    let workers = threads.max(1) - 1;
-    if workers == 0 {
-        return body(&Pool { shared: None });
-    }
-    let shared = PoolShared::new(workers + 1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| shared.worker());
-        }
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&Pool { shared: Some(&shared) })
-        }));
-        // SAFETY: workers are parked at the start barrier; the flag is
-        // published to them by the barrier wait.
-        unsafe { *shared.shutdown.get() = true };
-        shared.start.wait();
-        match out {
-            Ok(r) => r,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,82 +194,6 @@ mod tests {
         // Only exercise the pure fallback here; the env var itself is
         // process-global and covered by the harness integration test.
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn for_each_mut_matches_serial() {
-        let mut serial: Vec<u64> = (0..257).collect();
-        let mut parallel = serial.clone();
-        let f = |i: usize, x: &mut u64| *x = x.wrapping_mul(31).wrapping_add(i as u64);
-        par_for_each_mut(1, &mut serial, f);
-        par_for_each_mut(8, &mut parallel, f);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn for_each_mut_propagates_panics() {
-        let mut items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_for_each_mut(4, &mut items, |_, x| {
-                if *x == 13 {
-                    panic!("boom");
-                }
-            })
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn pool_matches_serial_over_many_dispatches() {
-        let mut serial: Vec<u64> = (0..97).collect();
-        let mut pooled = serial.clone();
-        let f = |i: usize, x: &mut u64| *x = x.wrapping_mul(6364136223846793005).rotate_left(i as u32);
-        for _ in 0..100 {
-            par_for_each_mut(1, &mut serial, f);
-        }
-        with_pool(4, |pool| {
-            for _ in 0..100 {
-                pool.for_each_mut(&mut pooled, f);
-            }
-        });
-        assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn pool_serial_fallback_and_small_inputs() {
-        with_pool(1, |pool| {
-            let mut one = vec![7u32];
-            pool.for_each_mut(&mut one, |_, x| *x += 1);
-            assert_eq!(one, vec![8]);
-            let mut empty: Vec<u32> = Vec::new();
-            pool.for_each_mut(&mut empty, |_, _| unreachable!());
-        });
-    }
-
-    #[test]
-    fn pool_propagates_job_panics_and_survives() {
-        with_pool(4, |pool| {
-            let mut items: Vec<u32> = (0..64).collect();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.for_each_mut(&mut items, |_, x| {
-                    if *x == 13 {
-                        panic!("boom");
-                    }
-                })
-            }));
-            assert!(r.is_err());
-            // The pool stays usable after a dispatch panicked.
-            pool.for_each_mut(&mut items, |_, x| *x = 0);
-            assert!(items.iter().all(|&x| x == 0));
-        });
-    }
-
-    #[test]
-    fn pool_unwinds_body_panics() {
-        let r = std::panic::catch_unwind(|| {
-            with_pool(3, |_pool| panic!("body"));
-        });
-        assert!(r.is_err());
     }
 
     #[test]

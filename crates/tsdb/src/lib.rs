@@ -32,7 +32,7 @@
 //!
 //! # Determinism
 //!
-//! Stores are byte-identical across `--jobs N` and shard counts: all
+//! Stores are byte-identical across `--jobs N` and reruns: all
 //! timestamps are integer virtual nanoseconds, ingestion order is the
 //! registry's registration order, serialization iterates series in
 //! sorted `(metric, labels)` order, and nothing reads the wall clock.
