@@ -50,6 +50,16 @@ pub struct CriticalPath {
 /// Computes the critical path of `attr`'s makespan. Empty when no run
 /// terminated.
 pub fn critical_path(attr: &Attribution) -> CriticalPath {
+    walk(attr, blame_range)
+}
+
+/// The signature of [`blame_range`], so tests can walk the path with a
+/// reference implementation.
+pub(crate) type Blame =
+    fn(&Attribution, &HashMap<u64, usize>, &RunPhases, u64, u64, u32, &mut Vec<CriticalSegment>);
+
+/// [`critical_path`] with the per-run blame step given.
+pub(crate) fn walk(attr: &Attribution, blame: Blame) -> CriticalPath {
     let mut segments = Vec::new();
     // Latest-ending run; ties break on the smaller job id.
     let last = attr
@@ -58,8 +68,7 @@ pub fn critical_path(attr: &Attribution) -> CriticalPath {
         .enumerate()
         .max_by_key(|(_, r)| (r.end_ns, std::cmp::Reverse(r.job)))
         .map(|(i, _)| i);
-    let run_of_job: HashMap<u64, usize> =
-        attr.runs.iter().enumerate().map(|(i, r)| (r.job, i)).collect();
+    let run_of_job = attr.run_index();
 
     if let Some(mut cur) = last {
         // The walk is bounded: each step moves to the same client's
@@ -67,7 +76,7 @@ pub fn critical_path(attr: &Attribution) -> CriticalPath {
         let mut guard = attr.runs.len() + 1;
         loop {
             let run = &attr.runs[cur];
-            blame_range(attr, &run_of_job, run, run.start_ns, run.end_ns, 0, &mut segments);
+            blame(attr, &run_of_job, run, run.start_ns, run.end_ns, 0, &mut segments);
             let prev = attr.client_runs[run.client as usize]
                 .iter()
                 .copied()
@@ -108,7 +117,7 @@ pub fn critical_path(attr: &Attribution) -> CriticalPath {
     CriticalPath { segments, blame_ns: by_phase, client_blame_ns, span_ns }
 }
 
-fn push(
+pub(crate) fn push(
     out: &mut Vec<CriticalSegment>,
     client: u32,
     job: u64,
@@ -124,6 +133,11 @@ fn push(
 /// Emits `run`'s intervals clipped to `[t0, t1]`, re-attributing token-wait
 /// slices to the concurrent token holder's own phases where the holder
 /// timeline identifies one.
+///
+/// Run intervals and holder segments are both disjoint and ascending, so
+/// each walk starts at the first one ending after the range start (a
+/// binary search) and stops at the first one starting at or after the
+/// range end; the ones skipped never overlap the range.
 fn blame_range(
     attr: &Attribution,
     run_of_job: &HashMap<u64, usize>,
@@ -133,7 +147,8 @@ fn blame_range(
     depth: u32,
     out: &mut Vec<CriticalSegment>,
 ) {
-    for iv in &run.intervals {
+    let first = run.intervals.partition_point(|iv| iv.end_ns <= t0);
+    for iv in run.intervals[first..].iter().take_while(|iv| iv.start_ns < t1) {
         let lo = iv.start_ns.max(t0);
         let hi = iv.end_ns.min(t1);
         if lo >= hi {
@@ -147,7 +162,8 @@ fn blame_range(
         // holder never token-waits while holding, so recursion terminates.
         let mut cursor = lo;
         if let Some(segs) = attr.holders.get(run.device as usize) {
-            for h in segs {
+            let first = segs.partition_point(|h| h.end_ns <= lo);
+            for h in segs[first..].iter().take_while(|h| h.start_ns < hi) {
                 let ho = h.start_ns.max(cursor);
                 let hh = h.end_ns.min(hi);
                 if ho >= hh || h.client == run.client {

@@ -58,9 +58,19 @@ pub struct DiffReport {
     pub target_runs: usize,
 }
 
+/// The signature of [`blamed_vector`], so tests can diff with a reference
+/// implementation.
+pub(crate) type Blamed = fn(&Attribution, &HashMap<u64, usize>, &RunPhases) -> [u64; PHASE_COUNT];
+
 /// Diffs `target` against `base`.
 pub fn diff(target: &Attribution, base: &Attribution) -> DiffReport {
+    diff_with(target, base, blamed_vector)
+}
+
+/// [`diff`] with the blamed-vector step given.
+pub(crate) fn diff_with(target: &Attribution, base: &Attribution, blamed: Blamed) -> DiffReport {
     let clients = target.client_count.min(base.client_count);
+    let (t_index, b_index) = (target.run_index(), base.run_index());
     let mut per_client = Vec::new();
     for c in 0..clients {
         let (Some(ti), Some(bi)) = (target.p99_run(c), base.p99_run(c)) else {
@@ -68,8 +78,8 @@ pub fn diff(target: &Attribution, base: &Attribution) -> DiffReport {
         };
         let t_run = &target.runs[ti];
         let b_run = &base.runs[bi];
-        let t_blamed = blamed_vector(target, t_run);
-        let b_blamed = blamed_vector(base, b_run);
+        let t_blamed = blamed(target, &t_index, t_run);
+        let b_blamed = blamed(base, &b_index, b_run);
         let mut phase_delta_ns = [0i64; PHASE_COUNT];
         for i in 0..PHASE_COUNT {
             phase_delta_ns[i] = t_blamed[i] as i64 - b_blamed[i] as i64;
@@ -110,10 +120,18 @@ pub fn diff(target: &Attribution, base: &Attribution) -> DiffReport {
 
 /// A run's phase vector with token-wait redistributed onto the concurrent
 /// holder's active phase. The vector still sums to the run span exactly:
-/// redistribution only moves nanoseconds between slots.
-pub fn blamed_vector(attr: &Attribution, run: &RunPhases) -> [u64; PHASE_COUNT] {
-    let run_of_job: HashMap<u64, usize> =
-        attr.runs.iter().enumerate().map(|(i, r)| (r.job, i)).collect();
+/// redistribution only moves nanoseconds between slots. `run_of_job`
+/// indexes `attr.runs` by job.
+///
+/// Holder segments and run intervals are both disjoint and ascending, so
+/// each walk starts at the first one ending after the slice start (a binary
+/// search) and stops at the first one starting at or after the slice end;
+/// the ones skipped never overlap the slice.
+fn blamed_vector(
+    attr: &Attribution,
+    run_of_job: &HashMap<u64, usize>,
+    run: &RunPhases,
+) -> [u64; PHASE_COUNT] {
     let mut v = run.phase_ns;
     let Some(holder_segs) = attr.holders.get(run.device as usize) else {
         return v;
@@ -122,7 +140,8 @@ pub fn blamed_vector(attr: &Attribution, run: &RunPhases) -> [u64; PHASE_COUNT] 
         if iv.phase != Phase::TokenWait {
             continue;
         }
-        for h in holder_segs {
+        let first = holder_segs.partition_point(|h| h.end_ns <= iv.start_ns);
+        for h in holder_segs[first..].iter().take_while(|h| h.start_ns < iv.end_ns) {
             let lo = h.start_ns.max(iv.start_ns);
             let hi = h.end_ns.min(iv.end_ns);
             if lo >= hi || h.client == run.client {
@@ -130,7 +149,9 @@ pub fn blamed_vector(attr: &Attribution, run: &RunPhases) -> [u64; PHASE_COUNT] 
             }
             let Some(&hidx) = run_of_job.get(&h.job) else { continue };
             // Move the overlap onto whatever the holder was doing then.
-            for hiv in &attr.runs[hidx].intervals {
+            let held = &attr.runs[hidx].intervals;
+            let first = held.partition_point(|hiv| hiv.end_ns <= lo);
+            for hiv in held[first..].iter().take_while(|hiv| hiv.start_ns < hi) {
                 let a = hiv.start_ns.max(lo);
                 let b = hiv.end_ns.min(hi);
                 if a >= b {

@@ -22,11 +22,13 @@
 
 mod critical;
 mod diff;
+#[cfg(test)]
+mod reference;
 mod render;
 
 pub use critical::{critical_path, CriticalPath, CriticalSegment};
 pub use diff::{diff, ClientDiff, DiffReport};
-pub use render::{phase_trace_rows, render_text, to_json};
+pub use render::{render_text, to_json, write_phase_events};
 
 use std::collections::HashMap;
 use telemetry::{HistogramSnapshot, MetricsRegistry};
@@ -130,7 +132,8 @@ pub struct RunPhases {
     pub job: u64,
     /// Owning client.
     pub client: u32,
-    /// Device the client's activations live on.
+    /// Device the run executed on: its client's admission device, or in a
+    /// multi-device fleet the device the client's latest route chose.
     pub device: u32,
     /// Span start: admission/lifecycle wait start when one directly
     /// preceded registration, else the registration instant. ns.
@@ -177,11 +180,16 @@ pub struct Attribution {
     pub runs: Vec<RunPhases>,
     /// Number of clients observed.
     pub client_count: u32,
-    /// Device of each client (index = client id; 0 when never admitted).
+    /// Latest device of each client, from its admission and then its fleet
+    /// routes (index = client id; 0 when never admitted).
     pub client_device: Vec<u32>,
     /// Indices into [`runs`](Self::runs) per client, chronological.
     pub client_runs: Vec<Vec<usize>>,
-    /// Token-holder segments per device, chronological.
+    /// Token-holder segments per device. Each device's segments are
+    /// disjoint and ascending by both start and end, because one token per
+    /// device is held by one job at a time and holds are closed in event
+    /// order. [`critical_path()`] and [`diff()`] rely on this to
+    /// binary-search the segments overlapping a wait.
     pub holders: Vec<Vec<HolderSeg>>,
     /// Latest run end observed, ns (0 when no run finished).
     pub makespan_ns: u64,
@@ -199,6 +207,7 @@ pub struct Attribution {
 struct RawRun {
     job: u64,
     client: u32,
+    device: u32,
     reg_ns: u64,
     wait: Option<(u64, Phase)>,
     end: Option<(u64, Terminal)>,
@@ -228,6 +237,16 @@ impl Attribution {
     /// Panics if any run's phases fail to tile its span exactly — that is a
     /// bug in this crate, never a property of the trace.
     pub fn from_trace(trace: &Trace, horizon_ns: u64) -> Attribution {
+        Self::sweep_trace(trace, horizon_ns, Sweep::claim)
+    }
+
+    /// [`from_trace`](Self::from_trace) with the sweep's claim step given,
+    /// so tests can run the decomposition on a reference claim.
+    fn sweep_trace(
+        trace: &Trace,
+        horizon_ns: u64,
+        claim: fn(&mut Sweep, u64, u64, Phase),
+    ) -> Attribution {
         let mut client_device: Vec<u32> = Vec::new();
         let seen_client = |v: &mut Vec<u32>, c: u32| grow(v, c as usize, 0);
         // Earliest un-consumed wait marker per client, if any.
@@ -245,16 +264,15 @@ impl Attribution {
 
         let close_hold = |raws: &mut Vec<RawRun>,
                               holders: &mut Vec<Vec<HolderSeg>>,
-                              client_device: &Vec<u32>,
                               idx: usize,
                               at: u64| {
             let r = &mut raws[idx];
             if let Some(start) = r.open_hold.take() {
                 if at > start {
                     r.holds.push((start, at));
-                    let dev = client_device.get(r.client as usize).copied().unwrap_or(0);
-                    grow(holders, dev as usize, Vec::new());
-                    holders[dev as usize].push(HolderSeg {
+                    let dev = r.device as usize;
+                    grow(holders, dev, Vec::new());
+                    holders[dev].push(HolderSeg {
                         start_ns: start,
                         end_ns: at,
                         client: r.client,
@@ -267,7 +285,8 @@ impl Attribution {
         for ev in &trace.events {
             let at = ev.at.as_nanos();
             match ev.kind {
-                TraceKind::ClientAdmitted { client, device } => {
+                TraceKind::ClientAdmitted { client, device }
+                | TraceKind::ClusterRoute { client, device, .. } => {
                     seen_client(&mut client_device, client);
                     client_device[client as usize] = device;
                     grow(&mut device_stalls, device as usize, Vec::new());
@@ -292,6 +311,7 @@ impl Attribution {
                     raws.push(RawRun {
                         job,
                         client,
+                        device: client_device[client as usize],
                         reg_ns: at,
                         wait,
                         end: None,
@@ -310,7 +330,7 @@ impl Attribution {
                 TraceKind::RunCompleted { job, client }
                 | TraceKind::DeadlineCancelled { job, client } => {
                     if let Some(&idx) = run_of_job.get(&job) {
-                        close_hold(&mut raws, &mut holders, &client_device, idx, at);
+                        close_hold(&mut raws, &mut holders, idx, at);
                         let terminal = if matches!(ev.kind, TraceKind::RunCompleted { .. })
                         {
                             Terminal::Completed
@@ -332,7 +352,7 @@ impl Attribution {
                 TraceKind::TokenRevoke { job, .. } => {
                     token_based = true;
                     if let Some(&idx) = run_of_job.get(&job) {
-                        close_hold(&mut raws, &mut holders, &client_device, idx, at);
+                        close_hold(&mut raws, &mut holders, idx, at);
                     }
                 }
                 TraceKind::OverflowCharge { job, gpu, .. } => {
@@ -368,13 +388,7 @@ impl Attribution {
                         "shed" => {
                             grow(&mut active_run, client as usize, None);
                             if let Some(idx) = active_run[client as usize].take() {
-                                close_hold(
-                                    &mut raws,
-                                    &mut holders,
-                                    &client_device,
-                                    idx,
-                                    at,
-                                );
+                                close_hold(&mut raws, &mut holders, idx, at);
                                 let r = &mut raws[idx];
                                 r.end = Some((at, Terminal::Shed));
                                 r.shed_open_ns =
@@ -404,45 +418,45 @@ impl Attribution {
                 }
             };
             makespan_ns = makespan_ns.max(end_ns);
-            let device = client_device.get(raw.client as usize).copied().unwrap_or(0);
+            let device = raw.device;
             let start_ns = raw.wait.map_or(raw.reg_ns, |(w, _)| w.min(raw.reg_ns));
             let mut sweep = Sweep::new(start_ns, end_ns);
             if let Some((w, phase)) = raw.wait {
-                sweep.claim(w, raw.reg_ns, phase);
+                claim(&mut sweep, w, raw.reg_ns, phase);
             }
             if terminal == Terminal::Shed {
-                sweep.claim(raw.shed_open_ns, end_ns, Phase::Shed);
+                claim(&mut sweep, raw.shed_open_ns, end_ns, Phase::Shed);
             }
             for &(a, b) in &raw.backoffs {
-                sweep.claim(a, b, Phase::Backoff);
+                claim(&mut sweep, a, b, Phase::Backoff);
             }
             if let Some(stalls) = device_stalls.get(device as usize) {
                 for &(a, b) in stalls {
-                    sweep.claim(a, b, Phase::Stall);
+                    claim(&mut sweep, a, b, Phase::Stall);
                 }
             }
             // Overflow kernels execute after a revoke: claim them as
             // execution before the complement below calls them token wait.
             for &(a, b) in &raw.overflows {
-                sweep.claim(a, b, Phase::Execute);
+                claim(&mut sweep, a, b, Phase::Execute);
             }
             if token_based {
                 // Token wait = the complement of the job's holding segments
                 // over its span. Holds are closed in chronological order.
                 let mut cursor = start_ns;
                 for &(a, b) in &raw.holds {
-                    sweep.claim(cursor, a, Phase::TokenWait);
+                    claim(&mut sweep, cursor, a, Phase::TokenWait);
                     cursor = cursor.max(b);
                 }
-                sweep.claim(cursor, end_ns, Phase::TokenWait);
+                claim(&mut sweep, cursor, end_ns, Phase::TokenWait);
             }
             for &g in &raw.grants {
-                sweep.claim(g, g + horizon_ns, Phase::Handoff);
+                claim(&mut sweep, g, g + horizon_ns, Phase::Handoff);
             }
             for &(a, b) in &raw.transfers {
-                sweep.claim(a, b, Phase::Transfer);
+                claim(&mut sweep, a, b, Phase::Transfer);
             }
-            sweep.claim(start_ns, end_ns, Phase::Execute);
+            claim(&mut sweep, start_ns, end_ns, Phase::Execute);
 
             let (intervals, phase_ns) = sweep.finish();
             let claimed: u64 = phase_ns.iter().sum();
@@ -470,6 +484,10 @@ impl Attribution {
         for (i, r) in runs.iter().enumerate() {
             client_runs[r.client as usize].push(i);
         }
+        debug_assert!(
+            holders.iter().all(|segs| segs.windows(2).all(|p| p[0].end_ns <= p[1].start_ns)),
+            "token-holder segments must be disjoint and ascending on every device"
+        );
 
         Attribution {
             runs,
@@ -482,6 +500,11 @@ impl Attribution {
             unfinished,
             dropped_events: trace.dropped,
         }
+    }
+
+    /// Index into [`runs`](Self::runs) by job id.
+    fn run_index(&self) -> HashMap<u64, usize> {
+        self.runs.iter().enumerate().map(|(i, r)| (r.job, i)).collect()
     }
 
     /// Per-phase totals across all runs, ns, indexed by [`Phase::index`].
@@ -566,27 +589,25 @@ impl Sweep {
     }
 
     /// Claims `[a, b) ∩ gaps` for `phase`, splitting the gaps around it.
+    /// The gaps are sorted and disjoint, so the ones `[a, b)` overlaps are
+    /// a contiguous run found by binary search, and at most two remainders
+    /// replace them.
     fn claim(&mut self, a: u64, b: u64, phase: Phase) {
-        if b <= a || self.gaps.is_empty() {
+        if b <= a {
             return;
         }
-        let mut next = Vec::with_capacity(self.gaps.len() + 1);
-        for &(ga, gb) in &self.gaps {
-            let lo = ga.max(a);
-            let hi = gb.min(b);
-            if lo >= hi {
-                next.push((ga, gb));
-                continue;
-            }
-            if ga < lo {
-                next.push((ga, lo));
-            }
-            if hi < gb {
-                next.push((hi, gb));
-            }
-            self.claimed.push(Interval { start_ns: lo, end_ns: hi, phase });
+        let lo = self.gaps.partition_point(|&(_, gb)| gb <= a);
+        let hi = self.gaps.partition_point(|&(ga, _)| ga < b);
+        if lo == hi {
+            return;
         }
-        self.gaps = next;
+        for &(ga, gb) in &self.gaps[lo..hi] {
+            self.claimed.push(Interval { start_ns: ga.max(a), end_ns: gb.min(b), phase });
+        }
+        let (first, last) = (self.gaps[lo].0, self.gaps[hi - 1].1);
+        let left = (first < a).then_some((first, a));
+        let right = (b < last).then_some((b, last));
+        self.gaps.splice(lo..hi, left.into_iter().chain(right));
     }
 
     fn finish(mut self) -> (Vec<Interval>, [u64; PHASE_COUNT]) {

@@ -1,5 +1,5 @@
 //! Report rendering: the human-readable blame text, the `blame/v1` JSON
-//! document, and the Perfetto phase/critical-path rows.
+//! document, and the Perfetto phase/critical-path events.
 //!
 //! Everything here is byte-deterministic: integer nanosecond inputs, fixed
 //! iteration orders, and fixed-precision float formatting only.
@@ -9,6 +9,7 @@ use crate::diff::DiffReport;
 use crate::{Attribution, Phase};
 use microjson::Value;
 use std::fmt::Write as _;
+use trace::{EventArg, EventWriter};
 
 /// The process id phase slices live on in the Chrome trace export
 /// (processes 1 and 2 are the engine's client and GPU tracks).
@@ -22,76 +23,51 @@ fn us_f(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
-fn meta_event(tid: Option<u64>, key: &str, name: &str) -> Value {
-    let mut fields = vec![
-        ("ph".into(), Value::str("M")),
-        ("pid".into(), Value::UInt(PHASES_PID)),
-    ];
-    if let Some(tid) = tid {
-        fields.push(("tid".into(), Value::UInt(tid)));
-    }
-    fields.push(("name".into(), Value::str(key)));
-    fields.push((
-        "args".into(),
-        Value::Object(vec![("name".into(), Value::str(name))]),
-    ));
-    Value::Object(fields)
-}
-
-fn slice(tid: u64, name: &str, cat: &'static str, start_ns: u64, end_ns: u64, args: Vec<(String, Value)>) -> Value {
-    Value::Object(vec![
-        ("name".into(), Value::str(name)),
-        ("cat".into(), Value::str(cat)),
-        ("ph".into(), Value::str("X")),
-        ("ts".into(), us(start_ns)),
-        ("dur".into(), us(end_ns - start_ns)),
-        ("pid".into(), Value::UInt(PHASES_PID)),
-        ("tid".into(), Value::UInt(tid)),
-        ("args".into(), Value::Object(args)),
-    ])
-}
-
-/// Chrome trace-event rows for the phase decomposition and the critical
-/// path, on their own process (pid 3) so they sit next to — never inside —
-/// the engine's client and GPU tracks. One thread per client plus a
-/// highlighted "critical path" thread; per-track timestamps are monotonic
+/// Writes the phase decomposition and the critical path as Chrome trace
+/// events on their own process (pid 3), so they sit next to — never
+/// inside — the engine's client and GPU tracks. One thread per client plus
+/// a highlighted "critical path" thread; per-track timestamps are monotonic
 /// by construction (phase intervals tile each run, path segments tile the
 /// makespan).
-pub fn phase_trace_rows(attr: &Attribution, cp: &CriticalPath) -> Vec<Value> {
+pub fn write_phase_events(attr: &Attribution, cp: &CriticalPath, w: &mut EventWriter<'_>) {
     let path_tid = u64::from(attr.client_count);
-    let mut rows = Vec::new();
-    rows.push(meta_event(None, "process_name", "phases"));
+    w.meta(PHASES_PID, None, "process_name", "phases");
+    let mut label = String::new();
     for c in 0..attr.client_count {
-        rows.push(meta_event(
-            Some(u64::from(c)),
-            "thread_name",
-            &format!("client{c} phases"),
-        ));
+        label.clear();
+        let _ = write!(label, "client{c} phases");
+        w.meta(PHASES_PID, Some(u64::from(c)), "thread_name", &label);
     }
-    rows.push(meta_event(Some(path_tid), "thread_name", "critical path"));
+    w.meta(PHASES_PID, Some(path_tid), "thread_name", "critical path");
     for c in 0..attr.client_count {
         for &ri in &attr.client_runs[c as usize] {
             let r = &attr.runs[ri];
             for iv in &r.intervals {
-                rows.push(slice(
-                    u64::from(c),
+                w.event(
                     iv.phase.name(),
                     "phase",
+                    (PHASES_PID, u64::from(c)),
                     iv.start_ns,
-                    iv.end_ns,
-                    vec![("job".into(), Value::UInt(r.job))],
-                ));
+                    Some(iv.end_ns - iv.start_ns),
+                    &[("job", EventArg::UInt(r.job))],
+                );
             }
         }
     }
     for s in &cp.segments {
-        let mut args = vec![("client".into(), Value::UInt(u64::from(s.client)))];
-        if s.job != u64::MAX {
-            args.push(("job".into(), Value::UInt(s.job)));
-        }
-        rows.push(slice(path_tid, s.phase, "critical-path", s.start_ns, s.end_ns, args));
+        let args =
+            [("client", EventArg::UInt(u64::from(s.client))), ("job", EventArg::UInt(s.job))];
+        // Client-gap segments blame no job.
+        let args = if s.job == u64::MAX { &args[..1] } else { &args[..] };
+        w.event(
+            s.phase,
+            "critical-path",
+            (PHASES_PID, path_tid),
+            s.start_ns,
+            Some(s.end_ns - s.start_ns),
+            args,
+        );
     }
-    rows
 }
 
 fn warning_line(attr: &Attribution, out: &mut String) {
@@ -322,7 +298,7 @@ mod tests {
     use crate::critical::critical_path;
     use crate::diff::diff;
     use simtime::SimTime;
-    use trace::{SwitchReason, TraceBuffer, TraceConfig, TraceKind};
+    use trace::{SwitchReason, TraceBuffer, TraceConfig, TraceKind, TraceMeta};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -383,24 +359,39 @@ mod tests {
     }
 
     #[test]
-    fn phase_rows_live_on_their_own_process_and_stay_monotonic() {
+    fn phase_events_live_on_their_own_process_and_stay_monotonic() {
         let a = attr(100);
         let cp = critical_path(&a);
-        let rows = phase_trace_rows(&a, &cp);
+        let meta = TraceMeta { client_labels: vec!["c0".into()], device_count: 1 };
+        let text = trace::chrome_trace_json(&trace::Trace::default(), &meta, |w| {
+            write_phase_events(&a, &cp, w)
+        });
+        let doc = Value::parse(&text).expect("exported JSON parses");
+        let rows: Vec<&Value> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|r| r.get("pid").unwrap().as_u64() == Some(PHASES_PID))
+            .collect();
+        assert_eq!(rows[0].get("name").unwrap().as_str(), Some("process_name"));
         let mut last_ts: std::collections::HashMap<u64, f64> = Default::default();
-        let mut slices = 0;
+        let mut path_us = 0.0;
         for r in &rows {
-            assert_eq!(r.get("pid").unwrap().as_u64(), Some(PHASES_PID));
             if r.get("ph").unwrap().as_str() == Some("X") {
-                slices += 1;
                 let tid = r.get("tid").unwrap().as_u64().unwrap();
                 let ts = r.get("ts").unwrap().as_f64().unwrap();
                 if let Some(&prev) = last_ts.get(&tid) {
                     assert!(ts >= prev, "track {tid} went backwards");
                 }
                 last_ts.insert(tid, ts);
+                if tid == u64::from(a.client_count) {
+                    path_us += r.get("dur").unwrap().as_f64().unwrap();
+                }
             }
         }
-        assert!(slices > 0);
+        assert!(last_ts.len() > 1, "phase and critical-path tracks both present");
+        assert!((path_us - cp.span_ns as f64 / 1000.0).abs() < 1e-6);
     }
 }

@@ -17,7 +17,7 @@
 //! assert_eq!(v.to_string(), r#"{"name":"resnet","batch":32,"gpu":true}"#);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts; beyond this the input is
 /// rejected rather than risking a stack overflow.
@@ -156,11 +156,13 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::UInt(n) => {
-                let mut buf = [0u8; 20];
-                out.push_str(format_u64(*n, &mut buf));
+            Value::UInt(n) => write_u64(*n, out),
+            Value::Int(n) => {
+                if *n < 0 {
+                    out.push('-');
+                }
+                write_u64(n.unsigned_abs(), out);
             }
-            Value::Int(n) => out.push_str(&n.to_string()),
             Value::Float(x) => write_f64(*x, out),
             Value::Str(s) => write_escaped(s, out),
             Value::Array(items) => {
@@ -227,7 +229,9 @@ impl From<String> for Value {
     }
 }
 
-fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
+/// Writes `n` in decimal, allocating nothing beyond `out`'s growth.
+pub fn write_u64(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
         i -= 1;
@@ -237,25 +241,30 @@ fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    std::str::from_utf8(&buf[i..]).expect("digits are ascii")
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ascii"));
 }
 
-fn write_f64(x: f64, out: &mut String) {
+/// Writes `x` as Rust's `Display` prints it (the shortest form that
+/// round-trips, never an exponent), with `.0` appended to integral values
+/// so they read back as floats. NaN and the infinities, which JSON cannot
+/// hold, write `null` as serde_json does. Allocates nothing beyond `out`'s
+/// growth.
+pub fn write_f64(x: f64, out: &mut String) {
     if x.is_finite() {
-        // Rust's Display prints the shortest representation that
-        // round-trips; integral floats gain a ".0" to stay floats on read.
-        let s = x.to_string();
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
+        let start = out.len();
+        write!(out, "{x}").expect("writing to a String cannot fail");
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
-        // JSON has no NaN/Infinity; match serde_json's lossy `null`.
         out.push_str("null");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string: quotes, backslashes and control
+/// characters are escaped, everything else (multibyte text included) is
+/// copied raw. Allocates nothing beyond `out`'s growth.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -267,7 +276,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\u{8}' => out.push_str("\\b"),
             '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -703,6 +712,44 @@ mod tests {
     fn float_formatting_stays_a_float() {
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Float(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn float_writer_matches_display() {
+        let zeros = |n: usize| "0".repeat(n);
+        let pins = [
+            (0.0, "0.0".to_string()),
+            (-0.0, "-0.0".to_string()),
+            (1e-7, "0.0000001".to_string()),
+            (1e21, format!("1{}.0", zeros(21))),
+            (0.1 + 0.2, "0.30000000000000004".to_string()),
+            (5e-324, format!("0.{}5", zeros(323))),
+            (f64::MAX, format!("17976931348623157{}.0", zeros(292))),
+            (123.456, "123.456".to_string()),
+            (f64::NAN, "null".to_string()),
+            (f64::INFINITY, "null".to_string()),
+            (f64::NEG_INFINITY, "null".to_string()),
+        ];
+        for (x, want) in pins {
+            // A '.' already in `out` must not suppress the ".0" suffix.
+            let mut out = String::from("[1.5,");
+            write_f64(x, &mut out);
+            assert_eq!(out[5..], want, "write_f64({x:?})");
+            assert_eq!(Value::Float(x).to_string(), want, "Value::Float({x:?})");
+        }
+    }
+
+    #[test]
+    fn integer_writers_print_plain_decimal() {
+        for (v, want) in [
+            (Value::UInt(0), "0"),
+            (Value::UInt(u64::MAX), "18446744073709551615"),
+            (Value::Int(-1), "-1"),
+            (Value::Int(7), "7"),
+            (Value::Int(i64::MIN), "-9223372036854775808"),
+        ] {
+            assert_eq!(v.to_string(), want);
+        }
     }
 
     #[test]

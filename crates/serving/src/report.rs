@@ -217,7 +217,7 @@ impl RunReport {
     /// The run's trace as Chrome trace-event JSON, loadable in Perfetto or
     /// `chrome://tracing`. Meaningful only when the run captured a trace.
     pub fn chrome_trace_json(&self) -> String {
-        crate::trace::chrome_trace_json(&self.trace, &self.trace_meta())
+        crate::trace::chrome_trace_json(&self.trace, &self.trace_meta(), |_| {})
     }
 
     /// Decomposes every traced run into latency phases that tile its span
@@ -236,19 +236,9 @@ impl RunReport {
         attr: &crate::attrib::Attribution,
         path: &crate::attrib::CriticalPath,
     ) -> String {
-        let mut doc = crate::trace::chrome_trace(&self.trace, &self.trace_meta());
-        if let microjson::Value::Object(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "traceEvents" {
-                    if let microjson::Value::Array(events) = value {
-                        events.extend(crate::attrib::phase_trace_rows(attr, path));
-                    }
-                }
-            }
-        }
-        let mut out = String::new();
-        doc.write(&mut out);
-        out
+        crate::trace::chrome_trace_json(&self.trace, &self.trace_meta(), |w| {
+            crate::attrib::write_phase_events(attr, path, w)
+        })
     }
 
     /// The run's telemetry as a JSON-lines time series (one self-describing

@@ -28,7 +28,7 @@ use std::fmt;
 pub mod export;
 pub mod stats;
 
-pub use export::{chrome_trace, chrome_trace_json, TraceMeta};
+pub use export::{chrome_trace_json, EventArg, EventWriter, TraceMeta};
 pub use stats::TraceStats;
 
 /// How much the engine records.

@@ -1,10 +1,15 @@
 //! End-to-end checks of the attribution layer: exact phase tiling across
-//! scheduler × fault/lifecycle cells, and byte-determinism of the blame
-//! report across worker counts.
+//! scheduler × fault/lifecycle cells, the token-holder timeline invariant
+//! the critical path and the diff search, byte-determinism of the blame
+//! report across worker counts, and pinned digests of every attribution
+//! output.
+
+mod fleet_setup;
 
 use models::LoadedModel;
 use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin, StoreBinder};
-use serving::attrib::{critical_path, render_text, Attribution, Phase};
+use serving::attrib::{critical_path, diff, render_text, Attribution, Phase};
+use serving::cluster::RouterPolicy;
 use serving::faults::{FaultConfig, FaultPlan};
 use serving::lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
 use serving::{
@@ -12,6 +17,7 @@ use serving::{
 };
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
+use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 use trace::TraceKind;
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
@@ -80,6 +86,86 @@ fn lifecycle_run(olympian: bool) -> RunReport {
     } else {
         run_experiment(&cfg, clients, &mut FifoScheduler::new())
     }
+}
+
+/// The chaos suite's `mixed` scenario under Olympian with the token-hold
+/// watchdog: six mini-small clients, 1% kernel faults, a 2x slowdown over
+/// [2, 4) ms and a device stall over [6, 7) ms.
+fn chaos_mixed_run() -> RunReport {
+    let ms = SimTime::from_millis;
+    let plan = FaultPlan::new()
+        .with_kernel_failures(0.01)
+        .with_slowdown(2.0, ms(2), ms(4))
+        .with_stall(ms(6), ms(7));
+    let model = models::mini::small(4);
+    let cfg = EngineConfig::default().with_trace(TraceConfig::full());
+    let mut store = ProfileStore::new();
+    store.insert(Profiler::new(&cfg).profile(&model));
+    let cfg = cfg.with_faults(FaultConfig::new(plan));
+    let mut sched = OlympianScheduler::new(Arc::new(store), Box::new(RoundRobin::new()), QUANTUM)
+        .with_watchdog(3.0);
+    run_experiment(&cfg, vec![ClientSpec::new(model, 6); 6], &mut sched)
+}
+
+/// Seed 1 of the two-device fleet under the cost-aware router.
+fn fleet_run() -> RunReport {
+    let store = Arc::new(ProfileStore::new());
+    let cfg =
+        fleet_setup::fleet_cfg(1, RouterPolicy::CostAware, &store).with_trace(TraceConfig::full());
+    let mut sched = fleet_setup::multi(store, fleet_setup::round_robin);
+    run_experiment(&cfg, fleet_setup::clients(), &mut sched)
+}
+
+/// The blame report's healthy baseline: three mini-small clients of three
+/// batches under fair sharing, with sampled tracing, telemetry every 100 µs
+/// and a 1 s objective no run breaches.
+fn smoke_run() -> RunReport {
+    let clients = vec![ClientSpec::new(models::mini::small(4), 3); 3];
+    let tc = TelemetryConfig::enabled(SimDuration::from_micros(100)).with_slo(SloSpec::new(
+        clients[0].model.name(),
+        SimDuration::from_secs(1),
+        0.05,
+    ));
+    let cfg = EngineConfig::default().with_trace(TraceConfig::sampled()).with_telemetry(tc);
+    let mut store = ProfileStore::new();
+    store.insert(Profiler::new(&cfg).profile(&clients[0].model));
+    let mut sched = OlympianScheduler::new(Arc::new(store), Box::new(RoundRobin::new()), QUANTUM);
+    run_experiment(&cfg, clients, &mut sched)
+}
+
+/// The blame report's incident: ten batches per client, profiled on the
+/// healthy device and run on one 1.4x slower, against an objective of the
+/// healthy median run latency plus 15%, with the drift detector and the
+/// burn-rate monitor on.
+fn drifted_run() -> RunReport {
+    let interval = SimDuration::from_micros(100);
+    let clients = vec![ClientSpec::new(models::mini::small(4), 10); 3];
+    let fresh = EngineConfig::default();
+    let mut store = ProfileStore::new();
+    store.insert(Profiler::new(&fresh).profile(&clients[0].model));
+    let store = Arc::new(store);
+    let probe_cfg = fresh.with_telemetry(TelemetryConfig::enabled(interval));
+    let mut probe_sched =
+        OlympianScheduler::new(Arc::clone(&store), Box::new(RoundRobin::new()), QUANTUM);
+    let probe = run_experiment(&probe_cfg, clients.clone(), &mut probe_sched);
+    let p50_us = probe.telemetry.hist("run_latency_us").expect("latency histogram").p50;
+    let objective = SimDuration::from_micros((p50_us * 1.15).ceil() as u64);
+
+    let mut cfg = EngineConfig::default();
+    cfg.device = gpusim::DeviceProfile::custom(
+        "regressed",
+        1.4,
+        cfg.device.memory_bytes(),
+        cfg.device.sm_count(),
+        0.0,
+    );
+    let tc = TelemetryConfig::enabled(interval)
+        .with_slo(SloSpec::new(clients[0].model.name(), objective, 0.05))
+        .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
+        .with_drift(DriftConfig::new(QUANTUM, 0.25));
+    let cfg = cfg.with_trace(TraceConfig::sampled()).with_telemetry(tc);
+    let mut sched = OlympianScheduler::new(store, Box::new(RoundRobin::new()), QUANTUM);
+    run_experiment(&cfg, clients, &mut sched)
 }
 
 /// The tiling property every cell must satisfy: phases sum to each run's
@@ -162,4 +248,87 @@ fn blame_report_is_byte_identical_across_job_counts() {
     let parallel = render(&faulted_run(true));
     std::env::remove_var(simpar::JOBS_ENV);
     assert_eq!(serial, parallel, "blame text must not depend on the worker count");
+}
+
+/// Each device's token-holder segments are disjoint and ascending: the
+/// critical path and the diff binary-search them for the holders of a
+/// wait. Every traced cell of this file is checked, plus a chaos run and a
+/// two-device fleet.
+#[test]
+fn token_holder_segments_are_disjoint_and_ascending() {
+    let mut cells = Vec::new();
+    for olympian in [false, true] {
+        cells.push((format!("faulted olympian={olympian}"), olympian, faulted_run(olympian)));
+        cells.push((format!("lifecycle olympian={olympian}"), olympian, lifecycle_run(olympian)));
+    }
+    cells.push(("chaos mixed".to_string(), true, chaos_mixed_run()));
+    cells.push(("fleet seed 1".to_string(), true, fleet_run()));
+    for (cell, olympian, report) in &cells {
+        let attr = attribution_of(report);
+        let segments: usize = attr.holders.iter().map(Vec::len).sum();
+        assert_eq!(segments > 0, *olympian, "{cell}: only token schedulers hold");
+        for (device, segs) in attr.holders.iter().enumerate() {
+            for pair in segs.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                assert!(
+                    a.start_ns < a.end_ns && a.end_ns <= b.start_ns && b.start_ns < b.end_ns,
+                    "{cell}: device {device} holds {a:?} then {b:?}"
+                );
+            }
+        }
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Digests of what attribution shows a user: the decomposition, its
+/// critical path and its diff against `base` (as `Debug` renderings), and
+/// the Chrome trace export with phases.
+fn output_digests(report: &RunReport, attr: &Attribution, base: &Attribution) -> [u64; 4] {
+    let cp = critical_path(attr);
+    let d = diff(attr, base);
+    [
+        fnv1a(format!("{attr:?}").as_bytes()),
+        fnv1a(format!("{cp:?}").as_bytes()),
+        fnv1a(format!("{d:?}").as_bytes()),
+        fnv1a(report.chrome_trace_json_with_phases(attr, &cp).as_bytes()),
+    ]
+}
+
+#[test]
+fn attribution_outputs_match_pinned_digests() {
+    let faulted = faulted_run(true);
+    let attr = attribution_of(&faulted);
+    assert_eq!(
+        output_digests(&faulted, &attr, &attr),
+        [
+            0xb29e_0fc9_c0c9_df9a,
+            0xea1d_f625_b5f6_cb8c,
+            0xe2ae_b670_701a_d449,
+            0x87de_6865_8e0c_24df
+        ],
+        "faulted olympian cell"
+    );
+    let (drifted, smoke) = (drifted_run(), smoke_run());
+    let (target, base) = (attribution_of(&drifted), attribution_of(&smoke));
+    // The pair is the one `results/blame.txt` reports.
+    let cp = critical_path(&target);
+    let text = render_text("drifted", &target, &cp, Some(("smoke", &diff(&target, &base))));
+    let report = std::fs::read_to_string("results/blame.txt").expect("committed blame report");
+    assert!(report.contains(&text), "the pair differs from results/blame.txt:\n{text}");
+    assert_eq!(
+        output_digests(&drifted, &target, &base),
+        [
+            0xc076_309e_d0a6_1c00,
+            0x9ddd_fc2c_5fa1_0b29,
+            0xf982_e981_344b_106d,
+            0x1260_a0f9_79f6_ca55
+        ],
+        "drifted vs smoke"
+    );
 }

@@ -5,84 +5,17 @@
 //! plane in every combination of router, fault plan and control loop.
 
 mod common;
+mod fleet_setup;
 
-use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
-use olympian::{
-    DeadlinePolicy, MultiGpuScheduler, Policy, ProfileStore, Profiler, RoundRobin, StoreBinder,
-    StoreCostOracle,
-};
-use serving::cluster::{ClusterConfig, RouterPolicy};
+use fleet_setup::{clients, fleet_cfg, multi, round_robin, service, BATCH, SERVICES};
+use olympian::{DeadlinePolicy, Policy, ProfileStore, Profiler, StoreCostOracle};
+use serving::cluster::RouterPolicy;
 use serving::control::ControlConfig;
 use serving::faults::{FaultConfig, FaultPlan};
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
 use telemetry::{BurnWindows, SloSpec, TelemetryConfig};
-
-const SERVICES: usize = 4;
-const CLIENTS: usize = 24;
-const BATCH: u64 = 4;
-const WEIGHTS: u64 = 16 << 20;
-const QUANTUM: SimDuration = SimDuration::from_micros(200);
-
-/// `svc-{i}`: the small mini graph at `batch` with 16 MiB of weights.
-fn service(i: usize, batch: u64) -> models::LoadedModel {
-    let m = models::mini::small(batch);
-    models::LoadedModel::from_parts(
-        format!("svc-{i}"),
-        None,
-        batch,
-        Arc::clone(m.graph()),
-        WEIGHTS,
-        m.activation_bytes(),
-    )
-}
-
-/// Two devices, speeds 1.0 and 1.25, each fitting two weight sets and
-/// every client's activations.
-fn devices() -> Vec<gpusim::DeviceProfile> {
-    let memory = 2 * WEIGHTS + CLIENTS as u64 * service(0, BATCH).activation_bytes() + (64 << 10);
-    vec![
-        gpusim::DeviceProfile::custom("lab0", 1.0, memory, 8, 0.0),
-        gpusim::DeviceProfile::custom("lab1", 1.25, memory, 8, 0.0),
-    ]
-}
-
-/// The four-service fleet with calibrated per-version profiles bound into
-/// `store`, 2 ms reconfiguration ticks and queued admission.
-fn fleet_cfg(seed: u64, policy: RouterPolicy, store: &Arc<ProfileStore>) -> EngineConfig {
-    let base = EngineConfig::default().with_seed(seed);
-    let mut plan = DeploymentPlan::new();
-    for i in 0..SERVICES {
-        plan = plan.with_model(ModelDeployment::new(format!("svc-{i}"), service(i, BATCH)));
-    }
-    let binder = StoreBinder::calibrate(&base, &plan, Arc::clone(store));
-    let lc = LifecycleConfig::new(plan).with_binder(binder);
-    let cc = ClusterConfig::new(devices(), lc)
-        .with_tick(SimDuration::from_millis(2))
-        .with_policy(policy);
-    EngineConfig { queue_admission: true, ..base.with_cluster(cc) }
-}
-
-/// Client `i` runs six batches of `svc-(i % 4)`, starting 20 µs after its
-/// predecessor, with 300 µs of think time between batches.
-fn clients() -> Vec<ClientSpec> {
-    (0..CLIENTS)
-        .map(|i| {
-            ClientSpec::new(service(i % SERVICES, BATCH), 6)
-                .with_start(SimTime::from_micros(20 * i as u64))
-                .with_think_time(SimDuration::from_micros(300))
-        })
-        .collect()
-}
-
-fn multi(store: Arc<ProfileStore>, policy: fn() -> Box<dyn Policy>) -> MultiGpuScheduler {
-    MultiGpuScheduler::new(store, policy, QUANTUM)
-}
-
-fn round_robin() -> Box<dyn Policy> {
-    Box::new(RoundRobin::new())
-}
 
 fn edf() -> Box<dyn Policy> {
     Box::new(DeadlinePolicy::edf())

@@ -3,54 +3,18 @@
 //! The control plane's laxity scan asks the cost oracle for every queued
 //! run on every tick, and the scheduler resolves a profile per run, so a
 //! lookup that builds an owned key costs an allocation per call. This test
-//! counts heap allocations with its own `#[global_allocator]`. It is alone
-//! in its binary, with one test, so nothing else allocates while it counts.
+//! counts the heap allocations its thread makes with a counting
+//! `#[global_allocator]`.
+
+mod counting_alloc;
 
 use controlplane::CostOracle;
+use counting_alloc::allocs_during;
 use dataflow::CostModel;
 use olympian::{LinearCostModel, ModelProfile, ProfileStore, StoreCostOracle};
 use simtime::SimDuration;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// relaxed atomic that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Heap allocations made while `f` runs.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
-}
 
 fn profile(model: &str, batch: u64) -> ModelProfile {
     ModelProfile {
