@@ -24,7 +24,7 @@ pub struct CriticalSegment {
     pub client: u32,
     /// The blamed job, or `u64::MAX` for a `client-gap` slice.
     pub job: u64,
-    /// Phase name ([`Phase::name`] or [`CLIENT_GAP`]).
+    /// Phase name ([`Phase::name`] or `"client-gap"`).
     pub phase: &'static str,
     /// Slice start, ns.
     pub start_ns: u64,
@@ -39,7 +39,7 @@ pub struct CriticalPath {
     /// contains at least one terminal run.
     pub segments: Vec<CriticalSegment>,
     /// Blame per phase name, ns: the nine phases in order, then
-    /// [`CLIENT_GAP`]. Sums to the path span.
+    /// `"client-gap"`. Sums to the path span.
     pub blame_ns: Vec<(&'static str, u64)>,
     /// Blame per client, ns, indexed by client id.
     pub client_blame_ns: Vec<u64>,

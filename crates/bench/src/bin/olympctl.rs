@@ -242,6 +242,9 @@ fn cmd_curve(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = lookup_model(name).ok_or_else(|| format!("unknown model {name:?}"))?;
     let batch: u64 = get(flags, "batch")?.parse().map_err(|_| "--batch: not a number")?;
     let tolerance: f64 = get_num(flags, "tolerance", 0.025)?;
+    if tolerance.is_nan() || tolerance < 0.0 {
+        return Err("--tolerance: must be a non-negative number".into());
+    }
     let model = models::load(kind, batch).map_err(|e| e.to_string())?;
     let cfg = EngineConfig::default();
     let grid: Vec<SimDuration> = [100u64, 200, 400, 800, 1_200, 1_600, 2_400, 4_000, 6_000, 10_000]

@@ -33,6 +33,16 @@ fn run_rejects_zero_valued_flags() {
 }
 
 #[test]
+fn curve_rejects_a_tolerance_that_is_not_non_negative() {
+    for value in ["-1", "nan"] {
+        assert_rejected(
+            &["curve", "--model", "alexnet", "--batch", "10", "--tolerance", value],
+            "--tolerance: must be a non-negative number",
+        );
+    }
+}
+
+#[test]
 fn control_rejects_an_unknown_policy() {
     assert_rejected(
         &["control", "drifted", "--policy", "fifo"],

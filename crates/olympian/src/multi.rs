@@ -34,17 +34,27 @@ use crate::scheduler::OlympianScheduler;
 use dataflow::NodeId;
 use serving::{JobCtx, JobId, RegisterError, Scheduler, SchedulerProbe, Verdict};
 use simtime::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// The `job_device` entry of a job that is not registered.
+const UNREGISTERED: u32 = u32::MAX;
+
 /// One Olympian token scheduler per GPU.
+///
+/// Every hook routes by two `Vec` indexes: job ids are dense from 0 per run
+/// (the engine's own job table assumes the same), and devices are numbered
+/// from 0.
 pub struct MultiGpuScheduler {
     profiles: Arc<ProfileStore>,
     policy_factory: Box<dyn Fn() -> Box<dyn Policy> + Send>,
     quantum: SimDuration,
-    per_device: HashMap<u32, OlympianScheduler>,
-    job_device: HashMap<JobId, u32>,
+    /// Indexed by device; `None` until the device sees its first job.
+    per_device: Vec<Option<OlympianScheduler>>,
+    /// Each job's device, indexed by `JobId.0`; [`UNREGISTERED`] if none.
+    job_device: Vec<u32>,
+    /// How many `job_device` entries are not [`UNREGISTERED`].
+    registered: u32,
     name: String,
 }
 
@@ -52,8 +62,8 @@ impl fmt::Debug for MultiGpuScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultiGpuScheduler")
             .field("quantum", &self.quantum)
-            .field("devices", &self.per_device.len())
-            .field("jobs", &self.job_device.len())
+            .field("devices", &self.active_devices())
+            .field("jobs", &self.registered)
             .finish()
     }
 }
@@ -76,19 +86,38 @@ impl MultiGpuScheduler {
             profiles,
             policy_factory: Box::new(policy_factory),
             quantum,
-            per_device: HashMap::new(),
-            job_device: HashMap::new(),
+            per_device: Vec::new(),
+            job_device: Vec::new(),
+            registered: 0,
             name,
         }
     }
 
     /// Number of devices that have seen at least one job.
     pub fn active_devices(&self) -> usize {
-        self.per_device.len()
+        self.per_device.iter().flatten().count()
+    }
+
+    /// The device `job` is registered on, if it is.
+    fn device_of(&self, job: JobId) -> Option<u32> {
+        self.job_device
+            .get(job.0 as usize)
+            .copied()
+            .filter(|&d| d != UNREGISTERED)
+    }
+
+    fn sub(&self, device: u32) -> Option<&OlympianScheduler> {
+        self.per_device
+            .get(device as usize)
+            .and_then(Option::as_ref)
     }
 
     fn sub_for(&mut self, device: u32) -> &mut OlympianScheduler {
-        self.per_device.entry(device).or_insert_with(|| {
+        let d = device as usize;
+        if d >= self.per_device.len() {
+            self.per_device.resize_with(d + 1, || None);
+        }
+        self.per_device[d].get_or_insert_with(|| {
             OlympianScheduler::new(
                 Arc::clone(&self.profiles),
                 (self.policy_factory)(),
@@ -101,55 +130,55 @@ impl MultiGpuScheduler {
 impl Scheduler for MultiGpuScheduler {
     fn register(&mut self, job: JobId, ctx: &JobCtx<'_>) -> Result<Verdict, RegisterError> {
         let verdict = self.sub_for(ctx.device).register(job, ctx)?;
-        self.job_device.insert(job, ctx.device);
+        let j = job.0 as usize;
+        if j >= self.job_device.len() {
+            self.job_device.resize(j + 1, UNREGISTERED);
+        }
+        if self.job_device[j] == UNREGISTERED {
+            self.registered += 1;
+        }
+        self.job_device[j] = ctx.device;
         Ok(verdict)
     }
 
     fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
-        let Some(device) = self.job_device.remove(&job) else {
+        let Some(device) = self.device_of(job) else {
             return Verdict::Unchanged;
         };
+        self.job_device[job.0 as usize] = UNREGISTERED;
+        self.registered -= 1;
         self.sub_for(device).deregister(job, now)
     }
 
     fn may_run(&self, job: JobId) -> bool {
-        match self.job_device.get(&job) {
-            Some(device) => self
-                .per_device
-                .get(device)
-                .is_some_and(|s| s.may_run(job)),
-            None => false,
-        }
+        self.device_of(job)
+            .and_then(|d| self.sub(d))
+            .is_some_and(|s| s.may_run(job))
     }
 
     fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
-        let device = *self
-            .job_device
-            .get(&job)
+        let device = self
+            .device_of(job)
             .expect("cost event for unregistered job");
         self.sub_for(device).on_gpu_node_done(job, node, now)
     }
 
     fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         self.per_device
-            .values()
+            .iter()
+            .flatten()
             .filter_map(|s| s.next_timer(now))
             .min()
     }
 
     fn on_timer(&mut self, now: SimTime) -> Verdict {
-        // Deliver to every sub-scheduler; stale timers are no-ops. At most
-        // one can legitimately fire per instant under distinct quanta, and
-        // the engine treats multiple `Moved`s across calls correctly anyway.
+        // Deliver to every sub-scheduler in device order; stale timers are
+        // no-ops. At most one can legitimately fire per instant under
+        // distinct quanta, and the engine treats multiple `Moved`s across
+        // calls correctly anyway.
         let mut verdict = Verdict::Unchanged;
-        let mut devices: Vec<u32> = self.per_device.keys().copied().collect();
-        devices.sort_unstable();
-        for d in devices {
-            let v = self
-                .per_device
-                .get_mut(&d)
-                .expect("device listed")
-                .on_timer(now);
+        for s in self.per_device.iter_mut().flatten() {
+            let v = s.on_timer(now);
             if v != Verdict::Unchanged {
                 verdict = v;
             }
@@ -162,23 +191,22 @@ impl Scheduler for MultiGpuScheduler {
     }
 
     fn cost_state(&self, job: JobId) -> Option<(u64, u64)> {
-        self.job_device
-            .get(&job)
-            .and_then(|d| self.per_device.get(d))
+        self.device_of(job)
+            .and_then(|d| self.sub(d))
             .and_then(|s| s.cost_state(job))
     }
 
     fn telemetry_probe(&self) -> SchedulerProbe {
         // Jobs sum across devices; holder progress comes from the
-        // lowest-numbered device with a token holder (deterministic under
-        // HashMap iteration, and "the" holder on single-GPU servers).
-        let mut devices: Vec<&u32> = self.per_device.keys().collect();
-        devices.sort_unstable();
+        // lowest-numbered device with a token holder ("the" holder on
+        // single-GPU servers).
         SchedulerProbe {
-            active_jobs: self.job_device.len() as u32,
-            holder_cost: devices
-                .into_iter()
-                .find_map(|d| self.per_device[d].telemetry_probe().holder_cost),
+            active_jobs: self.registered,
+            holder_cost: self
+                .per_device
+                .iter()
+                .flatten()
+                .find_map(|s| s.telemetry_probe().holder_cost),
         }
     }
 }

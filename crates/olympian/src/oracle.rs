@@ -1,7 +1,7 @@
 //! The control plane's window into the profile store.
 //!
 //! [`controlplane`] is deliberately ignorant of profiles — it sees GPU
-//! costs only through its [`CostOracle`](controlplane::CostOracle) trait.
+//! costs only through its [`CostOracle`] trait.
 //! [`StoreCostOracle`] implements that trait over the shared
 //! [`ProfileStore`], which gives the engine's control loops exactly two
 //! powers: read a model's expected whole-run GPU duration (the laxity

@@ -13,10 +13,7 @@ pub struct EngineConfig {
     pub device: DeviceProfile,
     /// Additional GPUs in the server (paper §7 future work: multi-GPU
     /// serving). Clients are placed on the device with the most free
-    /// memory at admission; [`run_sharded_experiment`] instead places them
-    /// up front and runs one engine per device.
-    ///
-    /// [`run_sharded_experiment`]: crate::run_sharded_experiment
+    /// memory at admission.
     pub extra_devices: Vec<DeviceProfile>,
     /// Master seed; every run with the same seed, config and workload is
     /// bit-identical.

@@ -73,9 +73,6 @@ enum Event {
     PumpDevice(u32),
     /// A faulted admission's backoff elapsed; attempt admission again.
     RetryAdmit(ClientId),
-    /// Workers donated by a drained shard group arrive (sharded runs only;
-    /// always scheduled at a window-barrier instant).
-    PoolGrant(u32),
     /// A lifecycle transition is due: a version publish, a load
     /// completion or a warm-up run boundary.
     LifecycleTick,
@@ -233,7 +230,7 @@ struct ClientState {
     rng: DetRng,
 }
 
-pub(crate) struct Engine<'a> {
+struct Engine<'a> {
     cfg: EngineConfig,
     queue: TimingWheel<Event>,
     now: SimTime,
@@ -300,13 +297,11 @@ pub fn run_experiment(
 
 /// Validates inputs, constructs the engine and schedules every client's
 /// start event — everything [`run_experiment`] does before the event loop.
-/// The sharded runner builds one engine per device group this way and
-/// drives them window-by-window instead of straight to completion.
 ///
 /// # Panics
 ///
 /// Panics if the configuration or a client spec is invalid.
-pub(crate) fn build_engine<'a>(
+fn build_engine<'a>(
     cfg: &EngineConfig,
     clients: Vec<ClientSpec>,
     scheduler: &'a mut dyn Scheduler,
@@ -422,50 +417,6 @@ impl Engine<'_> {
         }
     }
 
-    /// Processes events due at or before `bound`, then returns at the
-    /// window barrier. The sharded runner drives one group engine per call;
-    /// between calls the only outside mutation is a [`Event::PoolGrant`]
-    /// scheduled at the barrier instant.
-    pub(crate) fn run_window(&mut self, bound: SimTime) {
-        while let Some((t, event)) = self.queue.pop_at_or_before(bound) {
-            self.step(t, event);
-        }
-    }
-
-    /// Whether any event is still pending.
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    /// The engine clock: the time of the last processed event.
-    pub(crate) fn clock(&self) -> SimTime {
-        self.now
-    }
-
-    /// Whether any job is parked waiting for a worker thread.
-    pub(crate) fn is_starved(&self) -> bool {
-        !self.starving.is_empty()
-    }
-
-    /// The instant of the earliest pending event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Withdraws every currently idle worker from this engine's pool —
-    /// the donation half of the barrier rebalance. Only meaningful on a
-    /// drained engine (no pending events): live engines keep their share.
-    pub(crate) fn take_idle_workers(&mut self) -> u32 {
-        std::mem::take(&mut self.pool_idle)
-    }
-
-    /// Schedules `n` donated workers to arrive at the barrier instant
-    /// `at`; the grant lands inside the event loop, so a starvation
-    /// wake-up is an ordinary event of this engine.
-    pub(crate) fn grant_workers(&mut self, at: SimTime, n: u32) {
-        self.queue.schedule(at, Event::PoolGrant(n));
-    }
-
     #[inline]
     fn step(&mut self, t: SimTime, event: Event) {
         {
@@ -527,10 +478,6 @@ impl Engine<'_> {
                 Event::LifecycleTick => self.lifecycle_tick(),
                 Event::ControlTick => self.control_tick(),
                 Event::ClusterTick => self.cluster_tick(),
-                Event::PoolGrant(n) => {
-                    self.pool_idle += n;
-                    self.wake_starving();
-                }
             }
         }
     }
@@ -1639,17 +1586,8 @@ impl Engine<'_> {
 
     // ---- wrap-up -----------------------------------------------------------
 
-    fn finalize(self) -> RunReport {
-        let horizon = self.now;
-        self.finalize_at(horizon)
-    }
-
-    /// [`finalize`](Self::finalize) against an explicit horizon — the
-    /// sharded runner passes the global makespan so per-device utilization
-    /// denominators agree across groups. `horizon >= self.now` required.
-    pub(crate) fn finalize_at(mut self, horizon: SimTime) -> RunReport {
-        debug_assert!(horizon >= self.now, "finalize horizon precedes the clock");
-        let makespan = horizon;
+    fn finalize(mut self) -> RunReport {
+        let makespan = self.now;
         // Flush the telemetry tail (remaining boundaries plus the final
         // partial snapshot) before the trace ring is sealed, so burn-rate
         // alerts fired at the end of the run still land on the timeline.

@@ -86,7 +86,6 @@ pub mod lifecycle {
 }
 mod report;
 mod scheduler;
-pub mod shard;
 pub mod telemetry;
 pub mod tsdb {
     //! Re-export of the embedded time-series store: tiered downsampling
@@ -103,7 +102,6 @@ pub use client::ClientSpec;
 pub use config::EngineConfig;
 pub use engine::run_experiment;
 pub use report::{ClientOutcome, ClientReport, RunReport};
-pub use shard::run_sharded_experiment;
 pub use scheduler::{
     ClientId, FifoScheduler, JobCtx, JobId, RegisterError, Scheduler, SchedulerProbe, Verdict,
 };

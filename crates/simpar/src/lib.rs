@@ -10,9 +10,7 @@
 //! worker threads run it.
 //!
 //! Parallelism stays coarse: an item is a whole simulation run (an
-//! experiment, a sweep point, a replication). One run never spans threads —
-//! even a sharded multi-GPU run advances its device groups on the calling
-//! thread, because its lockstep windows are shorter than a thread hand-off.
+//! experiment, a sweep point, a replication). One run never spans threads.
 //!
 //! # The determinism rule
 //!

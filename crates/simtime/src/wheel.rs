@@ -310,26 +310,6 @@ impl<E> TimingWheel<E> {
         Some((unpack_time(key), event))
     }
 
-    /// [`pop`](Self::pop), but only if the earliest event is due at or
-    /// before `bound` — the windowed pop of the sharded engine loop. Events
-    /// beyond the bound stay queued (an already-drained front entry simply
-    /// waits there; `schedule` keeps the front sorted around it).
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        if self.front.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-        let &(key, _) = self.front.last().expect("advance filled the front");
-        if unpack_time(key) > bound {
-            return None;
-        }
-        let (key, event) = self.front.pop().expect("checked non-empty");
-        self.len -= 1;
-        Some((unpack_time(key), event))
-    }
-
     /// Routes an event relative to the *current* cursor: into the front
     /// buffer when its tick is due, into a wheel level or overflow
     /// otherwise. Assumes the front buffer is currently sorted.

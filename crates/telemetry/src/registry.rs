@@ -136,7 +136,7 @@ impl Histogram {
     }
 
     /// Compact copy for a snapshot: the cached row when nothing changed
-    /// since the last [`snap_mut`](Self::snap_mut), else one fused scan.
+    /// since the last `snap_mut`, else one fused scan.
     pub fn snap(&self) -> HistogramSnapshot {
         if self.dirty { self.compute_snap() } else { self.cache }
     }

@@ -521,85 +521,6 @@ impl TraceKind {
         )
     }
 
-    /// Rewrites the client, device and job ids embedded in this kind —
-    /// the typed half of the sharded-run trace merge, where each device
-    /// group records with group-local ids that must be lifted into the
-    /// global namespace. Sentinel ids (`u64::MAX` job / `u32::MAX` node on
-    /// admission retries) pass through unchanged; lifecycle and SLO events
-    /// carry plan-local indices, not engine ids, and are left untouched.
-    pub fn remap_ids(
-        &mut self,
-        client_of: &dyn Fn(u32) -> u32,
-        device_of: &dyn Fn(u32) -> u32,
-        job_of: &dyn Fn(u64) -> u64,
-    ) {
-        let j = |job: &mut u64| {
-            if *job != u64::MAX {
-                *job = job_of(*job);
-            }
-        };
-        match self {
-            TraceKind::ClientRejectedOom { client, .. }
-            | TraceKind::ClientFinished { client }
-            | TraceKind::AdmissionQueued { client }
-            | TraceKind::LifecycleWait { client }
-            | TraceKind::DriftAlert { client, .. }
-            | TraceKind::AllocFault { client, .. }
-            | TraceKind::BreakerTransition { client, .. }
-            | TraceKind::AdmissionShed { client }
-            | TraceKind::BatchShrink { client, .. }
-            | TraceKind::ProfileRebind { client, .. } => *client = client_of(*client),
-            TraceKind::ClientAdmitted { client, device }
-            | TraceKind::ClusterRoute { client, device, .. } => {
-                *client = client_of(*client);
-                *device = device_of(*device);
-            }
-            TraceKind::ClusterMigrate { from, to, .. } => {
-                *from = device_of(*from);
-                *to = device_of(*to);
-            }
-            TraceKind::RunRegistered { job, client }
-            | TraceKind::RunCompleted { job, client }
-            | TraceKind::DeadlineCancelled { job, client }
-            | TraceKind::QuantumEnd { job, client, .. }
-            | TraceKind::CostThreshold { job, client, .. }
-            | TraceKind::YieldBlock { job, client }
-            | TraceKind::YieldUnblock { job, client }
-            | TraceKind::RetryScheduled { job, client, .. }
-            | TraceKind::WatchdogRevoke { job, client, .. }
-            | TraceKind::LaxityCancel { job, client, .. } => {
-                *client = client_of(*client);
-                j(job);
-            }
-            TraceKind::TokenRevoke { job, client, .. }
-            | TraceKind::TokenGrant { job, client, .. } => {
-                if let Some(c) = client {
-                    *c = client_of(*c);
-                }
-                j(job);
-            }
-            TraceKind::OverflowCharge { job, client, device, .. }
-            | TraceKind::KernelEnqueue { job, client, device, .. }
-            | TraceKind::KernelLaunch { job, client, device, .. }
-            | TraceKind::KernelComplete { job, client, device, .. }
-            | TraceKind::KernelFault { job, client, device, .. } => {
-                *client = client_of(*client);
-                *device = device_of(*device);
-                j(job);
-            }
-            TraceKind::DeviceStall { device, .. } => *device = device_of(*device),
-            TraceKind::SloBurnAlert { .. }
-            | TraceKind::VersionLoad { .. }
-            | TraceKind::WarmupRun { .. }
-            | TraceKind::Evict { .. }
-            | TraceKind::CanaryPromote { .. }
-            | TraceKind::CanaryRollback { .. }
-            | TraceKind::Drain { .. }
-            | TraceKind::ControlTransition { .. }
-            | TraceKind::ClusterReconfig { .. } => {}
-        }
-    }
-
     /// The client the event belongs to, when known.
     pub fn client(&self) -> Option<u32> {
         match *self {
@@ -1092,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn control_events_render_and_remap() {
+    fn control_events_render() {
         let e = TraceEvent {
             seq: 0,
             at: SimTime::from_micros(100),
@@ -1108,18 +1029,10 @@ mod tests {
             kind: TraceKind::ControlTransition { from: "degraded", to: "shedding" },
         };
         assert_eq!(t.to_string(), "[0.000101s] control transition degraded -> shedding");
-        // Remap lifts the group-local ids; the ladder transition carries
-        // none and passes through unchanged.
-        let mut k = TraceKind::LaxityCancel { job: 4, client: 2, deficit_us: 750 };
-        k.remap_ids(&|c| c + 10, &|d| d, &|j| j + 100);
-        assert_eq!(k, TraceKind::LaxityCancel { job: 104, client: 12, deficit_us: 750 });
-        let mut s = TraceKind::BatchShrink { client: 1, from: 4, to: 2 };
-        s.remap_ids(&|c| c + 10, &|d| d, &|j| j);
-        assert_eq!(s, TraceKind::BatchShrink { client: 11, from: 4, to: 2 });
     }
 
     #[test]
-    fn cluster_events_render_remap_and_attribute() {
+    fn cluster_events_render_and_attribute() {
         let r = TraceEvent {
             seq: 0,
             at: SimTime::from_micros(10),
@@ -1141,16 +1054,6 @@ mod tests {
         };
         assert_eq!(g.to_string(), "[0.000012s] cluster reconfigure (2 loads, 1 drains)");
         assert_eq!(g.kind.client(), None);
-        // Remap lifts client and device ids; the plan summary has none.
-        let mut k = TraceKind::ClusterRoute { client: 2, device: 1, cost_us: 640 };
-        k.remap_ids(&|c| c + 10, &|d| d + 100, &|j| j);
-        assert_eq!(k, TraceKind::ClusterRoute { client: 12, device: 101, cost_us: 640 });
-        let mut mg = TraceKind::ClusterMigrate { model: 3, from: 0, to: 2 };
-        mg.remap_ids(&|c| c, &|d| d + 100, &|j| j);
-        assert_eq!(mg, TraceKind::ClusterMigrate { model: 3, from: 100, to: 102 });
-        let mut rc = TraceKind::ClusterReconfig { loads: 2, drains: 1 };
-        rc.remap_ids(&|c| c + 1, &|d| d + 1, &|j| j + 1);
-        assert_eq!(rc, TraceKind::ClusterReconfig { loads: 2, drains: 1 });
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! End-to-end checks of the time-series store: byte-determinism of the
-//! persisted run documents across worker counts and the sharded entry
-//! point, save/load/save round-trip stability, the run catalog, and the
-//! headline guarantee — a quantile diff over *stored* history reproduces
-//! the attribution layer's p99 blame delta without re-simulating anything.
+//! persisted run documents across worker counts, save/load/save round-trip
+//! stability, the run catalog, and the headline guarantee — a quantile
+//! diff over *stored* history reproduces the attribution layer's p99 blame
+//! delta without re-simulating anything.
 
 use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin};
 use serving::attrib;
-use serving::{
-    run_experiment, run_sharded_experiment, ClientSpec, EngineConfig, RunReport,
-    TraceConfig,
-};
+use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
 use std::sync::Arc;
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
@@ -103,33 +100,6 @@ fn stored_runs_are_byte_identical_across_job_counts() {
         serial_doc,
         stored_bytes(&parallel, "drifted"),
         "persisted run document must not depend on the worker count"
-    );
-}
-
-#[test]
-fn stored_runs_are_byte_identical_across_the_sharded_entry_point() {
-    // Telemetry requires a single device group, where the sharded runner
-    // collapses onto `run_experiment` — the document must survive the
-    // detour through the shard planner byte-for-byte.
-    let tc = TelemetryConfig::enabled(INTERVAL).with_slo(SloSpec::new(
-        "mini-small",
-        SimDuration::from_secs(1),
-        0.05,
-    ));
-    let cfg = EngineConfig::default()
-        .with_trace(TraceConfig::sampled())
-        .with_telemetry(tc);
-    let store = store_for(&cfg);
-
-    let direct = run_experiment(&cfg, clients(), &mut fair(Arc::clone(&store)));
-    let sharded = run_sharded_experiment(&cfg, clients(), &{
-        let store = Arc::clone(&store);
-        move |_gid: usize| -> Box<dyn serving::Scheduler> { Box::new(fair(Arc::clone(&store))) }
-    });
-    assert_eq!(
-        stored_bytes(&direct, "smoke"),
-        stored_bytes(&sharded, "smoke"),
-        "sharded single-group runs must persist identically to direct runs"
     );
 }
 
