@@ -247,11 +247,7 @@ fn cmd_curve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let model = models::load(kind, batch).map_err(|e| e.to_string())?;
     let cfg = EngineConfig::default();
-    let grid: Vec<SimDuration> = [100u64, 200, 400, 800, 1_200, 1_600, 2_400, 4_000, 6_000, 10_000]
-        .into_iter()
-        .map(SimDuration::from_micros)
-        .collect();
-    let curve = Profiler::new(&cfg).with_pair_batches(3).overhead_q_curve(&model, &grid);
+    let curve = Profiler::new(&cfg).overhead_q_curve(&model, &bench::standard_q_grid());
     println!("Overhead-Q curve for {name} @ batch {batch}:");
     for (q, ov) in &curve.points {
         println!("  Q = {:>8}  overhead = {:>6.2}%", q.to_string(), ov * 100.0);

@@ -13,7 +13,7 @@ use olympian::{OverheadQCurve, Profiler};
 /// Measures all seven curves.
 pub fn curves() -> Vec<OverheadQCurve> {
     let cfg = default_config();
-    let profiler = Profiler::new(&cfg).with_pair_batches(3);
+    let profiler = Profiler::new(&cfg);
     let grid = standard_q_grid();
     ModelKind::ALL
         .iter()

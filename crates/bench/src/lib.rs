@@ -97,7 +97,7 @@ pub fn build_store_for(cfg: &EngineConfig, clients: &[ClientSpec]) -> Arc<Profil
 /// picks `Q` for the tolerance (paper §3.3). Falls back to the largest grid
 /// point if no quantum meets the tolerance.
 pub fn choose_q(cfg: &EngineConfig, clients: &[ClientSpec], tolerance: f64) -> SimDuration {
-    let profiler = Profiler::new(cfg).with_pair_batches(3);
+    let profiler = Profiler::new(cfg);
     let grid = standard_q_grid();
     let mut seen: Vec<(String, u64)> = Vec::new();
     let mut distinct: Vec<&ClientSpec> = Vec::new();

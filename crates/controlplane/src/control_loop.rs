@@ -92,10 +92,10 @@ impl ControlLoop {
         Some(Transition { from, to })
     }
 
-    /// Whether the tick scans for laxity-negative runs: the scan is on and
-    /// a cost oracle supplies the estimates.
+    /// Whether the tick scans for laxity-negative runs: a cost oracle
+    /// supplies the estimates.
     pub fn cancels_laxity(&self) -> bool {
-        self.cfg.laxity_cancel && self.cfg.cost.is_some()
+        self.cfg.cost.is_some()
     }
 
     /// How far, in µs, a run of `(model, batch)` that received
@@ -117,10 +117,10 @@ impl ControlLoop {
 
     /// Answers a drift alert on `(model, batch)`: rebinds its profile at
     /// the clamped ratio of the `observed` to the `expected` quantum (µs)
-    /// and returns the scale in ppm; `None` when recalibration is off, the
-    /// expectation is not positive or no profile exists to scale.
+    /// and returns the scale in ppm; `None` when no cost oracle is bound,
+    /// the expectation is not positive or no profile exists to scale.
     pub fn rebind(&self, model: &str, batch: u64, observed: f64, expected: f64) -> Option<u64> {
-        if !self.cfg.recalibrate || expected <= 0.0 {
+        if expected <= 0.0 {
             return None;
         }
         let cost = self.cfg.cost.as_ref()?;
@@ -199,13 +199,10 @@ mod tests {
         assert_eq!(ctl.laxity_deficit_us("m", 4, t(0), t(600), 400_000), None, "exactly fits");
         assert_eq!(ctl.laxity_deficit_us("m", 4, t(0), t(500), 400_000), Some(100));
         assert_eq!(ctl.laxity_deficit_us("m", 2, t(0), t(1), 0), None, "no profile");
-        let off = ControlConfig::new().with_cost(Arc::new(Fixed::default()));
-        let off = off.without_laxity_cancel();
-        assert!(!ControlLoop::new(&off).cancels_laxity());
     }
 
     #[test]
-    fn rebind_clamps_the_drift_ratio_and_respects_the_switch() {
+    fn rebind_clamps_the_drift_ratio() {
         let oracle = Arc::new(Fixed::default());
         let ctl = ControlLoop::new(&ControlConfig::new().with_cost(oracle.clone()));
         assert_eq!(ctl.rebind("m", 4, 140.0, 100.0), Some(1_400_000));
@@ -213,9 +210,7 @@ mod tests {
         assert_eq!(ctl.rebind("m", 4, 1.0, 0.0), None, "no expectation to scale against");
         assert_eq!(ctl.rebind("ghost", 4, 2.0, 1.0), None, "nothing to scale");
         assert_eq!(*oracle.rebinds.lock().unwrap(), vec![1_400_000, MAX_REBIND_PPM, 2_000_000]);
-        let off = ControlConfig::new().with_cost(oracle.clone()).without_recalibration();
-        assert_eq!(ControlLoop::new(&off).rebind("m", 4, 2.0, 1.0), None);
-        let calls = oracle.rebinds.lock().unwrap().len();
-        assert_eq!(calls, 3, "a disabled loop never calls the oracle");
+        let plain = ControlLoop::new(&ControlConfig::new());
+        assert_eq!(plain.rebind("m", 4, 2.0, 1.0), None, "no oracle, no rebind");
     }
 }

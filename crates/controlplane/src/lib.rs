@@ -133,13 +133,10 @@ pub struct ControlConfig {
     pub cool_window: SimDuration,
     /// Batch-hint divisor applied on the Degraded rung (`max(1, b / d)`).
     pub batch_divisor: u64,
-    /// Whether the control loop cancels laxity-negative runs early through
-    /// the deadline teardown instead of letting them waste quanta.
-    pub laxity_cancel: bool,
-    /// Whether drift alerts trigger an in-run profile rebind.
-    pub recalibrate: bool,
-    /// The profile cost/rebind surface; laxity cancellation and
-    /// recalibration are inert without one.
+    /// The profile cost/rebind surface. With one, the control loop cancels
+    /// laxity-negative runs early through the deadline teardown and
+    /// answers drift alerts with an in-run profile rebind; without one it
+    /// does neither.
     pub cost: Option<Arc<dyn CostOracle>>,
 }
 
@@ -150,8 +147,6 @@ impl Default for ControlConfig {
             escalate_after: 2,
             cool_window: SimDuration::from_millis(2),
             batch_divisor: 2,
-            laxity_cancel: true,
-            recalibrate: true,
             cost: None,
         }
     }
@@ -185,18 +180,6 @@ impl ControlConfig {
     /// Binds the profile cost/rebind surface.
     pub fn with_cost(mut self, cost: Arc<dyn CostOracle>) -> ControlConfig {
         self.cost = Some(cost);
-        self
-    }
-
-    /// Disables early cancellation of laxity-negative runs.
-    pub fn without_laxity_cancel(mut self) -> ControlConfig {
-        self.laxity_cancel = false;
-        self
-    }
-
-    /// Disables drift-triggered profile rebinds.
-    pub fn without_recalibration(mut self) -> ControlConfig {
-        self.recalibrate = false;
         self
     }
 

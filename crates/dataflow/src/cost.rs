@@ -79,28 +79,6 @@ impl CostModel {
         }
     }
 
-    /// Elementwise affine combination `a + b·x` of two tables, used for
-    /// per-node linear interpolation across batch sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables have different lengths.
-    pub fn affine_combine(intercepts: &CostModel, slopes: &CostModel, x: f64) -> CostModel {
-        assert_eq!(
-            intercepts.len(),
-            slopes.len(),
-            "cost tables cover different graphs"
-        );
-        CostModel {
-            costs: intercepts
-                .costs
-                .iter()
-                .zip(&slopes.costs)
-                .map(|(&a, &b)| (a as f64 + b as f64 * x).round().max(0.0) as u64)
-                .collect(),
-        }
-    }
-
     /// Iterates over `(NodeId, cost)`.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.costs
@@ -140,22 +118,5 @@ mod tests {
         let s = cm.scaled(1.5);
         assert_eq!(s.cost(NodeId(0)), 15);
         assert_eq!(s.cost(NodeId(1)), 23);
-    }
-
-    #[test]
-    fn affine_combination() {
-        let a = CostModel::from_costs(vec![100, 0]);
-        let b = CostModel::from_costs(vec![2, 5]);
-        let c = CostModel::affine_combine(&a, &b, 10.0);
-        assert_eq!(c.cost(NodeId(0)), 120);
-        assert_eq!(c.cost(NodeId(1)), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "different graphs")]
-    fn affine_mismatch_panics() {
-        let a = CostModel::from_costs(vec![1]);
-        let b = CostModel::from_costs(vec![1, 2]);
-        CostModel::affine_combine(&a, &b, 1.0);
     }
 }

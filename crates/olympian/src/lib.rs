@@ -50,7 +50,6 @@ pub mod policy;
 pub mod profile;
 pub mod profiler;
 pub mod scheduler;
-pub mod server;
 pub mod threaded;
 
 pub use deadline::{DeadlineMode, DeadlinePolicy};
@@ -61,4 +60,3 @@ pub use policy::{DeficitRoundRobin, Lottery, Policy, Priority, RoundRobin, Weigh
 pub use profile::{ModelProfile, ProfileStore};
 pub use profiler::{LinearCostModel, OverheadQCurve, Profiler};
 pub use scheduler::{OlympianScheduler, QuantumMeter};
-pub use server::{OlympianServer, PolicyKind, ServerBuilder};

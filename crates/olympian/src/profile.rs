@@ -294,19 +294,6 @@ impl ProfileStore {
         true
     }
 
-    /// Drops the recalibration override for `(model, batch)`, if any, so
-    /// [`resolve`](Self::resolve) serves the base profile again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the override lock is poisoned.
-    pub fn clear_override(&self, model: &str, batch: u64) {
-        self.overrides
-            .lock()
-            .expect("override lock poisoned")
-            .remove(model, batch);
-    }
-
     /// Resolves a profile: a live recalibration override if one is
     /// installed, otherwise an exact measurement, otherwise a live
     /// dynamically registered one, otherwise a prediction from the model's
@@ -342,11 +329,6 @@ impl ProfileStore {
             return Some(Arc::clone(p));
         }
         self.linear.get(model).map(|lin| Arc::new(lin.predict(batch)))
-    }
-
-    /// Number of registered linear models.
-    pub fn linear_count(&self) -> usize {
-        self.linear.len()
     }
 
     /// Number of stored profiles.
@@ -465,7 +447,6 @@ mod tests {
         let mut store = ProfileStore::new();
         store.insert(p50.clone());
         store.insert_linear(lin);
-        assert_eq!(store.linear_count(), 1);
         // Exact hit returns the measurement.
         assert_eq!(store.resolve("lin", 50).unwrap().as_ref(), &p50);
         // Unprofiled batch is predicted.
@@ -521,11 +502,6 @@ mod tests {
         // The base layer still serves the original measurement.
         assert_eq!(
             store.resolve_base("m", 4).unwrap().gpu_duration,
-            SimDuration::from_nanos(10)
-        );
-        store.clear_override("m", 4);
-        assert_eq!(
-            store.resolve("m", 4).unwrap().gpu_duration,
             SimDuration::from_nanos(10)
         );
         // No base profile: the rebind reports failure.

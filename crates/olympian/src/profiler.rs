@@ -172,11 +172,13 @@ impl LinearCostModel {
 /// paper's observed cost stability.
 const COST_NOISE: f64 = 0.025;
 
+/// Batches each of the two racers submits in an Overhead-Q measurement.
+const PAIR_BATCHES: u32 = 3;
+
 /// The offline profiler.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     cfg: EngineConfig,
-    pair_batches: u32,
 }
 
 impl Profiler {
@@ -184,17 +186,7 @@ impl Profiler {
     /// the paper profiles "when the GPU is idle", so workload noise sources
     /// are disabled.
     pub fn new(cfg: &EngineConfig) -> Self {
-        Profiler {
-            cfg: cfg.quiescent(),
-            pair_batches: 5,
-        }
-    }
-
-    /// Sets how many batches each racer submits in Overhead-Q measurements.
-    pub fn with_pair_batches(mut self, batches: u32) -> Self {
-        assert!(batches > 0, "need at least one batch");
-        self.pair_batches = batches;
-        self
+        Profiler { cfg: cfg.quiescent() }
     }
 
     /// Profiles one `(model, batch)`: an instrumented run for per-node costs
@@ -261,17 +253,16 @@ impl Profiler {
     }
 
     /// Measures the Overhead-Q curve for one model (paper §3.3): two
-    /// concurrent instances raced on stock TF-Serving (case *a*) and on
-    /// Olympian fair sharing with each candidate `Q` (case *b*); overhead is
-    /// `(finish_b − finish_a) / finish_a`.
+    /// concurrent instances of three batches each raced on stock TF-Serving
+    /// (case *a*) and on Olympian fair sharing with each candidate `Q`
+    /// (case *b*); overhead is `(finish_b − finish_a) / finish_a`.
     ///
     /// # Panics
     ///
     /// Panics if `qs` is empty or either racing run fails to finish.
     pub fn overhead_q_curve(&self, model: &LoadedModel, qs: &[SimDuration]) -> OverheadQCurve {
         assert!(!qs.is_empty(), "need at least one candidate quantum");
-        let clients =
-            || vec![ClientSpec::new(model.clone(), self.pair_batches); 2];
+        let clients = || vec![ClientSpec::new(model.clone(), PAIR_BATCHES); 2];
         let base = run_experiment(&self.cfg, clients(), &mut FifoScheduler::new());
         assert!(base.all_finished(), "baseline race must complete");
         let base_finish = base.makespan.as_secs_f64();

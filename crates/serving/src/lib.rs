@@ -88,7 +88,7 @@ mod report;
 mod scheduler;
 pub mod telemetry;
 pub mod tsdb {
-    //! Re-export of the embedded time-series store: tiered downsampling
+    //! Re-export of the embedded time-series store: per-series history
     //! over telemetry, the query layer, the persistent run catalog and
     //! dashboard rendering, consumed via [`RunReport::tsdb`].
     //!

@@ -180,25 +180,17 @@ pub trait Scheduler: fmt::Debug + Send {
 /// jobs interleave at the GPU driver's whim. This is the paper's baseline
 /// in every experiment.
 #[derive(Debug, Default)]
-pub struct FifoScheduler {
-    registered: u64,
-}
+pub struct FifoScheduler;
 
 impl FifoScheduler {
     /// Creates the baseline scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of jobs registered over the scheduler's lifetime.
-    pub fn jobs_seen(&self) -> u64 {
-        self.registered
+        FifoScheduler
     }
 }
 
 impl Scheduler for FifoScheduler {
     fn register(&mut self, _job: JobId, _ctx: &JobCtx<'_>) -> Result<Verdict, RegisterError> {
-        self.registered += 1;
         Ok(Verdict::Unchanged)
     }
 
@@ -244,7 +236,6 @@ mod tests {
             Verdict::Unchanged
         );
         assert_eq!(s.deregister(JobId(1), SimTime::ZERO), Verdict::Unchanged);
-        assert_eq!(s.jobs_seen(), 1);
         assert_eq!(s.name(), "tf-serving");
     }
 

@@ -38,18 +38,6 @@ pub fn uniform_arrivals(n: usize, spacing: SimDuration, start: SimTime) -> Vec<S
     (0..n as u64).map(|i| start + spacing.mul_f64(i as f64)).collect()
 }
 
-/// Thins a trace to every `stride`-th arrival beginning at `offset` — the
-/// standard way to split one arrival process across a pool of clients
-/// without re-drawing randomness per client.
-///
-/// # Panics
-///
-/// Panics if `stride` is zero.
-pub fn split_arrivals(arrivals: &[SimTime], stride: usize, offset: usize) -> Vec<SimTime> {
-    assert!(stride > 0, "stride must be positive");
-    arrivals.iter().skip(offset).step_by(stride).copied().collect()
-}
-
 /// Assigns a model index to each arrival by sampling a Zipf(s) popularity
 /// law over `n_models`, with a mid-run **phase shift**: from arrival
 /// `shift_at` onward the hot set rotates by `rotate` positions (model `m`
@@ -113,18 +101,6 @@ mod tests {
             ]
         );
         assert!(uniform_arrivals(0, SimDuration::ZERO, SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn split_partitions_without_loss() {
-        let xs = poisson_arrivals(200.0, SimDuration::from_secs(1), 11);
-        let a = split_arrivals(&xs, 3, 0);
-        let b = split_arrivals(&xs, 3, 1);
-        let c = split_arrivals(&xs, 3, 2);
-        assert_eq!(a.len() + b.len() + c.len(), xs.len());
-        let mut merged: Vec<SimTime> = a.into_iter().chain(b).chain(c).collect();
-        merged.sort();
-        assert_eq!(merged, xs);
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl DetRng {
     pub fn jitter(&mut self, rel_sigma: f64) -> f64 {
         self.normal_with(1.0, rel_sigma).max(0.05)
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        let n = items.len();
-        for i in (1..n).rev() {
-            let j = self.range_u64(0, (i + 1) as u64) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,16 +159,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(r.jitter(0.3) > 0.0);
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,17 +13,22 @@
 //! * a two-sided **CUSUM** on the normalized error — catches small
 //!   sustained shifts well below the EWMA tolerance.
 //!
-//! Either statistic crossing its limit (after a warm-up of
-//! `min_quanta.max(3)` observations, matching the offline floor) raises a
-//! one-shot re-profile signal.
+//! Either statistic crossing its limit (after a warm-up of three
+//! observations, matching the offline floor) raises a one-shot re-profile
+//! signal.
 //!
 //! The offline helpers [`validate`] and [`assess`] carry the exact
 //! semantics `olympian::drift::detect_drift` has always had — strict
 //! `deviation > tolerance` (exactly-at-tolerance is *not* stale) and
-//! panics on non-positive tolerance or quantum — so the post-hoc checker
-//! is now a thin wrapper over this module.
+//! panics on non-positive tolerance or quantum. The post-hoc checker
+//! shares only that rule: it judges a trimmed mean of the whole session,
+//! not these streaming statistics, so the two can disagree on one run.
 
 use simtime::SimDuration;
+
+/// Observations a [`DriftDetector`] takes before it may fire: the offline
+/// checker's floor of 3.
+const WARMUP_QUANTA: u64 = 3;
 
 /// Validates drift-check parameters.
 ///
@@ -57,9 +62,6 @@ pub struct DriftConfig {
     pub expected_quantum: SimDuration,
     /// Relative deviation of the EWMA that flags the profile stale.
     pub tolerance: f64,
-    /// Warm-up: observations before the detector may fire. Floored at 3,
-    /// like the offline checker.
-    pub min_quanta: usize,
     /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
     pub ewma_alpha: f64,
     /// CUSUM slack per observation, in units of relative error. Shifts
@@ -82,17 +84,10 @@ impl DriftConfig {
         DriftConfig {
             expected_quantum,
             tolerance,
-            min_quanta: 3,
             ewma_alpha: 0.3,
             cusum_k: tolerance / 2.0,
             cusum_h: tolerance * 4.0,
         }
-    }
-
-    /// Overrides the warm-up observation count.
-    pub fn with_min_quanta(mut self, n: usize) -> DriftConfig {
-        self.min_quanta = n;
-        self
     }
 }
 
@@ -148,7 +143,7 @@ impl DriftDetector {
         let err = (v - expected) / expected;
         self.cusum_pos = (self.cusum_pos + err - self.cfg.cusum_k).max(0.0);
         self.cusum_neg = (self.cusum_neg - err - self.cfg.cusum_k).max(0.0);
-        if self.fired || self.count < self.cfg.min_quanta.max(3) as u64 {
+        if self.fired || self.count < WARMUP_QUANTA {
             return None;
         }
         let deviation = (self.ewma_us - expected).abs() / expected;
@@ -254,10 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn warmup_floor_holds_even_when_asked_for_less() {
-        let mut d =
-            DriftDetector::new(DriftConfig::new(us(200), 0.1).with_min_quanta(0));
-        // Wildly off-target from the start, but the floor of 3 holds.
+    fn warmup_holds_the_first_two_observations() {
+        let mut d = DriftDetector::new(DriftConfig::new(us(200), 0.1));
+        // Wildly off-target from the start, but the warm-up of 3 holds.
         assert_eq!(d.observe(us(500)), None);
         assert_eq!(d.observe(us(500)), None);
         assert!(d.observe(us(500)).is_some(), "third observation may fire");

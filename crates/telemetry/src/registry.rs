@@ -261,7 +261,7 @@ impl MetricsRegistry {
     /// Records one histogram observation. Buffered: the observation counts
     /// toward the histogram only after [`flush`](Self::flush), which every
     /// snapshot path runs first — readers of [`hist`](Self::hist) and
-    /// [`hist_snaps`](Self::hist_snaps) must do the same.
+    /// [`snap_hists_into`](Self::snap_hists_into) must do the same.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: u64) {
         self.pending.push((id.0, v));
@@ -279,16 +279,6 @@ impl MetricsRegistry {
         }
         pending.clear();
         self.pending = pending;
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
     }
 
     /// Read access to a histogram. Call [`flush`](Self::flush) first if
@@ -322,16 +312,10 @@ impl MetricsRegistry {
         &self.gauges
     }
 
-    /// Snapshots of all histograms, parallel to
-    /// [`hist_names`](Self::hist_names).
-    pub fn hist_snaps(&self) -> Vec<HistogramSnapshot> {
-        self.hists.iter().map(Histogram::snap).collect()
-    }
-
     /// Appends a snapshot of every histogram to `out`, in registration
-    /// order — the allocation-free form of [`hist_snaps`](Self::hist_snaps)
-    /// for callers that batch rows into shared storage. Takes `&mut self`
-    /// so unchanged histograms serve their cached rows.
+    /// order, parallel to [`hist_names`](Self::hist_names), for callers
+    /// that batch rows into shared storage. Takes `&mut self` so unchanged
+    /// histograms serve their cached rows.
     pub fn snap_hists_into(&mut self, out: &mut Vec<HistogramSnapshot>) {
         out.extend(self.hists.iter_mut().map(Histogram::snap_mut));
     }
@@ -405,8 +389,8 @@ mod tests {
         r.set_gauge(g, 7.5);
         r.observe(h, 100);
         r.flush();
-        assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_value(g), 7.5);
+        assert_eq!(r.counter_values()[c.0 as usize], 5);
+        assert_eq!(r.gauge_values()[g.0 as usize], 7.5);
         assert_eq!(r.hist(h).count(), 1);
         assert_eq!(r.counter_names(), &["runs"]);
         assert_eq!(r.gauge_names(), &["depth"]);

@@ -4,7 +4,7 @@
 //! trace ring replays one run, the telemetry report summarizes one run,
 //! the blame report diffs exactly two attributions it just computed. This
 //! crate is the layer that *retains*: it ingests a finished
-//! [`telemetry::TelemetryReport`] into per-series tiered rings, answers
+//! [`telemetry::TelemetryReport`] into per-series rings, answers
 //! range/rate/quantile queries over them, persists finished runs to a
 //! versioned on-disk catalog, and renders run-comparison dashboards —
 //! so "p99 over the last N windows" and "this run vs. the stored
@@ -14,21 +14,12 @@
 //!
 //! A [`Store`] holds one [`Series`] per `(metric, label set)` pair. Label
 //! sets are interned: each distinct sorted `key=value` list is stored
-//! once and series reference it by id. A series keeps three tiers:
-//!
-//! * **raw** — the last [`RAW_CAP`] `(t_ns, value)` points, verbatim;
-//! * **tier 1** — one [`Bucket`] per [`TIER1_FOLD`] (16) raw points,
-//!   last [`TIER_CAP`] buckets;
-//! * **tier 2** — one bucket per [`TIER2_FOLD`] (16) tier-1 buckets
-//!   (256 raw points), last [`TIER_CAP`] buckets.
-//!
-//! Buckets carry `min`/`max`/`sum`/`count`/`last` plus their covered
-//! `[start_ns, end_ns]` span, so coarse tiers answer aggregate queries
-//! loss-free long after the raw window evicted the points. Folding is by
-//! *point count*, not wall span: the simulator's snapshot cadence is
-//! already uniform in virtual time, and count-based folds keep every
-//! bucket exactly recomputable from the raw stream — the property the
-//! tier-correctness test enforces.
+//! once and series reference it by id. A series keeps the last
+//! [`RAW_CAP`] `(t_ns, value)` points verbatim in an overwrite-oldest
+//! ring, plus lifetime [`Totals`] (`count`/`sum`/`min`/`max`/`last` and
+//! the first and last timestamps) that survive the ring's eviction. The
+//! ring counts what it evicted, so the persisted `evicted` figure stays
+//! exact across a save/load/save round trip.
 //!
 //! # Determinism
 //!
@@ -53,12 +44,6 @@ pub use query::{diff_rows, evaluate, DiffRow, EvalRow, Expr, Func, Matcher};
 
 /// Raw points retained per series.
 pub const RAW_CAP: usize = 4096;
-/// Closed buckets retained per downsampling tier.
-pub const TIER_CAP: usize = 1024;
-/// Raw points folded into one tier-1 bucket.
-pub const TIER1_FOLD: u32 = 16;
-/// Tier-1 buckets folded into one tier-2 bucket (256 raw points).
-pub const TIER2_FOLD: u32 = 16;
 
 /// One raw observation: integer virtual nanoseconds and a finite value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,52 +54,8 @@ pub struct Point {
     pub value: f64,
 }
 
-/// One downsampled bucket: the loss-free aggregate of the raw points it
-/// covers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucket {
-    /// Virtual time of the first covered point.
-    pub start_ns: u64,
-    /// Virtual time of the last covered point.
-    pub end_ns: u64,
-    /// Smallest covered value.
-    pub min: f64,
-    /// Largest covered value.
-    pub max: f64,
-    /// Sum of covered values.
-    pub sum: f64,
-    /// Number of covered points.
-    pub count: u64,
-    /// Most recent covered value.
-    pub last: f64,
-}
-
-impl Bucket {
-    fn seed(at_ns: u64, v: f64) -> Bucket {
-        Bucket { start_ns: at_ns, end_ns: at_ns, min: v, max: v, sum: v, count: 1, last: v }
-    }
-
-    fn fold_point(&mut self, at_ns: u64, v: f64) {
-        self.end_ns = at_ns;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v;
-        self.count += 1;
-        self.last = v;
-    }
-
-    fn fold_bucket(&mut self, b: &Bucket) {
-        self.end_ns = b.end_ns;
-        self.min = self.min.min(b.min);
-        self.max = self.max.max(b.max);
-        self.sum += b.sum;
-        self.count += b.count;
-        self.last = b.last;
-    }
-}
-
 /// Running aggregate over *every* point a series ever saw — unlike the
-/// rings, totals never forget, so `count`/`sum`/`min`/`max`/`last`
+/// raw ring, totals never forget, so `count`/`sum`/`min`/`max`/`last`
 /// survive raw-window eviction (and catalog round-trips, which restore
 /// them from the stored file rather than recomputing from the retained
 /// window).
@@ -230,7 +171,7 @@ impl LabelSet {
     }
 }
 
-/// One `(metric, labels)` time series with its three tiers.
+/// One `(metric, labels)` time series: its raw window and lifetime totals.
 #[derive(Debug, Clone)]
 pub struct Series {
     /// Metric name.
@@ -238,10 +179,6 @@ pub struct Series {
     /// Interned label-set id (index into [`Store::label_sets`]).
     pub labels: u32,
     raw: Ring<Point>,
-    tier1: Ring<Bucket>,
-    tier2: Ring<Bucket>,
-    open1: Option<(Bucket, u32)>,
-    open2: Option<(Bucket, u32)>,
     totals: Totals,
     /// Raw evictions inherited from a persisted run (a reloaded store
     /// only re-ingests the retained window; this keeps the written
@@ -255,10 +192,6 @@ impl Series {
             metric,
             labels,
             raw: Ring::new(RAW_CAP),
-            tier1: Ring::new(TIER_CAP),
-            tier2: Ring::new(TIER_CAP),
-            open1: None,
-            open2: None,
             totals: Totals::default(),
             prior_evicted: 0,
         }
@@ -278,29 +211,6 @@ impl Series {
         t.last_at_ns = at_ns;
 
         self.raw.push(Point { at_ns, value });
-
-        match &mut self.open1 {
-            None => self.open1 = Some((Bucket::seed(at_ns, value), 1)),
-            Some((b, n)) => {
-                b.fold_point(at_ns, value);
-                *n += 1;
-            }
-        }
-        if self.open1.as_ref().is_some_and(|(_, n)| *n == TIER1_FOLD) {
-            let (b, _) = self.open1.take().expect("checked above");
-            self.tier1.push(b);
-            match &mut self.open2 {
-                None => self.open2 = Some((b, 1)),
-                Some((b2, n2)) => {
-                    b2.fold_bucket(&b);
-                    *n2 += 1;
-                }
-            }
-            if self.open2.as_ref().is_some_and(|(_, n)| *n == TIER2_FOLD) {
-                let (b2, _) = self.open2.take().expect("checked above");
-                self.tier2.push(b2);
-            }
-        }
     }
 
     /// Retained raw points, oldest to newest.
@@ -317,26 +227,6 @@ impl Series {
     /// recorded by a persisted run this store was reloaded from).
     pub fn raw_evicted(&self) -> u64 {
         self.prior_evicted + self.raw.evicted
-    }
-
-    /// Closed tier-1 buckets, oldest to newest.
-    pub fn tier1(&self) -> impl Iterator<Item = &Bucket> + '_ {
-        self.tier1.iter()
-    }
-
-    /// Tier-1 buckets evicted from the ring.
-    pub fn tier1_evicted(&self) -> u64 {
-        self.tier1.evicted
-    }
-
-    /// Closed tier-2 buckets, oldest to newest.
-    pub fn tier2(&self) -> impl Iterator<Item = &Bucket> + '_ {
-        self.tier2.iter()
-    }
-
-    /// Tier-2 buckets evicted from the ring.
-    pub fn tier2_evicted(&self) -> u64 {
-        self.tier2.evicted
     }
 
     /// Lifetime aggregate of the series.
@@ -599,8 +489,8 @@ impl Store {
     }
 
     /// Rebuilds a store from a `tsdb-run/v1` document: the retained raw
-    /// window is re-ingested (rebuilding the tiers over it) and the
-    /// lifetime totals and eviction count are restored verbatim, so
+    /// window is re-ingested and the lifetime totals and eviction count
+    /// are restored verbatim, so
     /// `save(load(x)) == save(x)` byte-for-byte.
     pub fn from_json(doc: &microjson::Value) -> Result<Store, String> {
         let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
@@ -715,21 +605,11 @@ mod tests {
         }
     }
 
-    fn brute(points: &[(u64, f64)]) -> Bucket {
-        let mut b = Bucket::seed(points[0].0, points[0].1);
-        for &(t, v) in &points[1..] {
-            b.fold_point(t, v);
-        }
-        b
-    }
-
-    /// Satellite: for any ingest sequence, every closed bucket in every
-    /// tier agrees exactly with a brute-force recompute over the raw
-    /// points it covers — including after the raw ring evicts, because
-    /// the test retains the full sequence and addresses buckets by
-    /// absolute ingest index.
+    /// For any ingest sequence, the lifetime totals agree exactly with a
+    /// brute-force recompute over every point, and the raw window keeps
+    /// exactly the last `RAW_CAP` points, counting the rest as evicted.
     #[test]
-    fn tiers_agree_with_brute_force_recompute() {
+    fn totals_and_raw_window_agree_with_brute_force_recompute() {
         for (seed, n) in [(1u64, 0usize), (2, 1), (3, 15), (4, 16), (5, 257), (6, 1_000), (7, 5_000)]
         {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
@@ -743,34 +623,19 @@ mod tests {
                 all.push((t, v));
             }
             let s = store.series(sid);
-
-            let fold1 = TIER1_FOLD as usize;
-            for (pos, b) in s.tier1().enumerate() {
-                let idx = s.tier1_evicted() as usize + pos;
-                let covered = &all[idx * fold1..(idx + 1) * fold1];
-                let want = brute(covered);
-                assert_eq!((b.min, b.max, b.sum, b.count), (want.min, want.max, want.sum, want.count),
-                    "tier1 bucket {idx} (n={n})");
-                assert_eq!((b.start_ns, b.end_ns, b.last), (want.start_ns, want.end_ns, want.last));
-            }
-            let fold2 = fold1 * TIER2_FOLD as usize;
-            for (pos, b) in s.tier2().enumerate() {
-                let idx = s.tier2_evicted() as usize + pos;
-                let covered = &all[idx * fold2..(idx + 1) * fold2];
-                let want = brute(covered);
-                assert_eq!((b.min, b.max, b.sum, b.count), (want.min, want.max, want.sum, want.count),
-                    "tier2 bucket {idx} (n={n})");
-            }
-            // Tier counts match the fold arithmetic exactly.
-            assert_eq!(s.tier1().count() as u64 + s.tier1_evicted(), (n / fold1) as u64);
-            assert_eq!(s.tier2().count() as u64 + s.tier2_evicted(), (n / fold2) as u64);
-            // Totals cover the whole sequence even after raw eviction.
+            assert_eq!(s.raw_len(), n.min(RAW_CAP));
+            assert_eq!(s.raw_evicted(), n.saturating_sub(RAW_CAP) as u64);
+            let kept: Vec<(u64, f64)> = s.raw().map(|p| (p.at_ns, p.value)).collect();
+            assert_eq!(kept, all[n.saturating_sub(RAW_CAP)..], "n={n}");
+            let t = s.totals();
+            assert_eq!(t.count, n as u64);
             if n > 0 {
-                let want = brute(&all);
-                let t = s.totals();
-                assert_eq!((t.min, t.max, t.sum, t.count), (want.min, want.max, want.sum, want.count));
-                assert_eq!(s.raw_len(), n.min(RAW_CAP));
-                assert_eq!(s.raw_evicted(), n.saturating_sub(RAW_CAP) as u64);
+                let vals = all.iter().map(|&(_, v)| v);
+                assert_eq!(t.sum, vals.clone().sum::<f64>());
+                assert_eq!(t.min, vals.clone().fold(f64::INFINITY, f64::min));
+                assert_eq!(t.max, vals.fold(f64::NEG_INFINITY, f64::max));
+                let (first, last) = (all[0], all[n - 1]);
+                assert_eq!((t.first_at_ns, t.last_at_ns, t.last), (first.0, last.0, last.1));
             }
         }
     }
@@ -785,11 +650,14 @@ mod tests {
         assert_eq!(LabelSet::new(&[]).render(), "");
     }
 
+    /// Past `RAW_CAP` points the reloaded store holds only the retained
+    /// window, so its totals and eviction count must come from the file.
     #[test]
     fn json_roundtrip_is_byte_identical() {
+        let n = RAW_CAP as u64 + 1_000;
         let mut rng = Rng(0xabcdef123);
         let mut store = Store::new();
-        for i in 0..500u64 {
+        for i in 0..n {
             store.push("lat", &[("client", "0")], i * 1000, rng.value() + 0.5);
             store.push("lat", &[("client", "1")], i * 1000, rng.value());
             store.push("events", &[], i * 1000, i as f64);
@@ -803,6 +671,10 @@ mod tests {
         assert_eq!(one, two, "save(load(x)) must equal save(x)");
         assert_eq!(reloaded.series_count(), 3);
         assert_eq!(reloaded.alerts().len(), 1);
+        let events = reloaded.sorted_series()[0];
+        assert_eq!(events.metric, "events");
+        assert_eq!(events.raw_evicted(), n - RAW_CAP as u64);
+        assert_eq!(events.totals().count, n);
     }
 
     #[test]

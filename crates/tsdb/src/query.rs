@@ -1,6 +1,6 @@
 //! The query layer: a tiny expression language over a [`Store`], plus
-//! the window primitives (`range`, `rate`, `quantile_over_time`,
-//! `group_by`) and run-vs-run diffing the CLI and dashboards build on.
+//! the window primitives (`range`, `rate`, `quantile_over_time`) and
+//! run-vs-run diffing the CLI and dashboards build on.
 //!
 //! # Expressions
 //!
@@ -21,7 +21,7 @@
 //!
 //! Everything else evaluates to the series' latest value.
 
-use crate::{Point, Series, Store, Totals};
+use crate::{Point, Series, Store};
 
 /// What an expression computes per matching series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,34 +155,6 @@ pub fn quantile_over_time(series: &Series, q: f64, lo_ns: u64, hi_ns: u64) -> Op
     vals.sort_by(|a, b| a.partial_cmp(b).expect("tsdb values are finite"));
     let rank = ((vals.len() as f64) * q).ceil() as usize;
     Some(vals[rank.clamp(1, vals.len()) - 1])
-}
-
-/// Merges the lifetime totals of every series of `metric`, grouped by
-/// the value of `label`. Sorted by label value; series without the label
-/// group under `""`.
-pub fn group_by(store: &Store, metric: &str, label: &str) -> Vec<(String, Totals)> {
-    let mut groups: Vec<(String, Totals)> = Vec::new();
-    for s in store.sorted_series() {
-        if s.metric != metric {
-            continue;
-        }
-        let key = store.label_sets()[s.labels as usize].get(label).unwrap_or("").to_string();
-        let t = s.totals();
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, g)) => {
-                g.count += t.count;
-                g.sum += t.sum;
-                g.min = g.min.min(t.min);
-                g.max = g.max.max(t.max);
-                g.last = t.last;
-                g.last_at_ns = g.last_at_ns.max(t.last_at_ns);
-                g.first_at_ns = g.first_at_ns.min(t.first_at_ns);
-            }
-            None => groups.push((key, *t)),
-        }
-    }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    groups
 }
 
 /// One evaluated series.
@@ -322,16 +294,6 @@ mod tests {
         assert!(rows[2].key.contains("client=\"2\""));
         assert_eq!(rows[0].delta(), Some(0.0));
         assert_eq!(rows[2].base, None);
-    }
-
-    #[test]
-    fn group_by_merges_totals() {
-        let s = store();
-        let g = group_by(&s, "run_latency_ns", "client");
-        assert_eq!(g.len(), 2);
-        assert_eq!(g[0].0, "0");
-        assert_eq!(g[0].1.count, 100);
-        assert_eq!(g[1].1.max, 2_099.0);
     }
 
     #[test]

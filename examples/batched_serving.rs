@@ -1,5 +1,5 @@
 //! End-to-end serving pipeline: Poisson request arrivals → TF-Serving-style
-//! batcher → Olympian server facade.
+//! batcher → offline profiles → Olympian fair sharing.
 //!
 //! ```bash
 //! cargo run --release --example batched_serving
@@ -7,12 +7,15 @@
 
 use metrics::Cdf;
 use models::ModelKind;
-use olympian::{PolicyKind, ServerBuilder};
+use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin};
 use serving::batching::{plan_batches, poisson_arrivals, BatchingConfig};
-use serving::{ClientSpec, EngineConfig};
+use serving::{run_experiment, ClientSpec, EngineConfig};
 use simtime::SimDuration;
+use std::sync::Arc;
 
 fn main() {
+    let cfg = EngineConfig::default();
+
     // 1. Requests arrive open-loop at 30/s for 6 seconds.
     let arrivals = poisson_arrivals(30.0, SimDuration::from_secs(6), 42);
     println!("{} requests arrived over 6 s", arrivals.len());
@@ -28,30 +31,36 @@ fn main() {
         plan.iter().take(6).map(|b| b.size()).collect::<Vec<_>>()
     );
 
-    // 3. Each batch size needs a model instance and a profile; the server
-    //    facade profiles them all and picks a quantum for 5% tolerance.
-    let mut batch_models = Vec::new();
-    for b in &plan {
-        batch_models.push(models::load(ModelKind::ResNet50, b.size()).expect("zoo model"));
-    }
-    let mut server = ServerBuilder::new()
-        .engine(EngineConfig::default())
-        .policy(PolicyKind::Fair)
-        .fixed_quantum(SimDuration::from_micros(1200))
-        .build_for_models(&batch_models);
-    println!("server ready: policy {:?}, Q = {}", server.policy(), server.quantum());
-
-    // 4. Serve: each planned batch is one Session::Run starting when the
-    //    batch closed.
+    // 3. Each planned batch is one Session::Run starting when the batch
+    //    closed, on a model instance of that batch size.
     let clients: Vec<ClientSpec> = plan
         .iter()
-        .zip(&batch_models)
-        .map(|(b, m)| ClientSpec::new(m.clone(), 1).with_start(b.formed_at()))
+        .map(|b| {
+            let model = models::load(ModelKind::ResNet50, b.size()).expect("zoo model");
+            ClientSpec::new(model, 1).with_start(b.formed_at())
+        })
         .collect();
-    let report = server.run(clients);
+
+    // 4. Every distinct batch size needs an offline profile.
+    let profiler = Profiler::new(&cfg);
+    let mut store = ProfileStore::new();
+    for c in &clients {
+        if store.get(c.model.name(), c.model.batch()).is_none() {
+            store.insert(profiler.profile(&c.model));
+        }
+    }
+    let quantum = SimDuration::from_micros(1200);
+    println!(
+        "profiled {} batch sizes; fair sharing at Q = {quantum}",
+        store.len()
+    );
+
+    // 5. Serve under Olympian fair sharing.
+    let mut sched = OlympianScheduler::new(Arc::new(store), Box::new(RoundRobin::new()), quantum);
+    let report = run_experiment(&cfg, clients, &mut sched);
     assert!(report.all_finished());
 
-    // 5. Per-request latency = batch completion − request arrival.
+    // 6. Per-request latency = batch completion − request arrival.
     let mut latencies_ms = Vec::new();
     for (client, b) in report.clients.iter().zip(&plan) {
         let done = client.finish_time();

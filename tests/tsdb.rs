@@ -116,7 +116,7 @@ fn catalog_roundtrip_is_byte_identical() {
     let first = std::fs::read_to_string(&path).expect("read run");
 
     // load → save must reproduce the file byte-for-byte: totals, eviction
-    // counts and tier contents all survive the round trip.
+    // counts and the raw window all survive the round trip.
     let loaded = catalog.load_run("drifted").expect("load run");
     catalog.store_run("drifted", &loaded).expect("re-store run");
     let second = std::fs::read_to_string(&path).expect("re-read run");
