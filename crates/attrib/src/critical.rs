@@ -196,7 +196,7 @@ fn blame_range(
 mod tests {
     use super::*;
     use crate::Attribution;
-    use simtime::SimTime;
+    use simtime::{SimDuration, SimTime};
     use trace::{SwitchReason, TraceBuffer, TraceConfig, TraceKind};
 
     fn t(us: u64) -> SimTime {
@@ -232,8 +232,8 @@ mod tests {
                 reason: SwitchReason::QuantumExpired,
             },
         );
-        rec(t(120), TraceKind::RunCompleted { job: 0, client: 0 });
-        rec(t(180), TraceKind::RunCompleted { job: 1, client: 1 });
+        rec(t(120), TraceKind::RunCompleted { job: 0, client: 0, latency: SimDuration::ZERO });
+        rec(t(180), TraceKind::RunCompleted { job: 1, client: 1, latency: SimDuration::ZERO });
         Attribution::from_trace(&buf.finish(), 2_000)
     }
 

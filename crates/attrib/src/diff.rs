@@ -204,7 +204,7 @@ fn rates_close(a: u64, b: u64) -> bool {
 mod tests {
     use super::*;
     use crate::Attribution;
-    use simtime::SimTime;
+    use simtime::{SimDuration, SimTime};
     use trace::{SwitchReason, TraceBuffer, TraceConfig, TraceKind};
 
     fn t(us: u64) -> SimTime {
@@ -228,7 +228,8 @@ mod tests {
                     reason: SwitchReason::Register,
                 },
             );
-            rec(t(s + exec_us), TraceKind::RunCompleted { job: j, client: 0 });
+            let latency = SimDuration::from_micros(exec_us);
+            rec(t(s + exec_us), TraceKind::RunCompleted { job: j, client: 0, latency });
         }
         Attribution::from_trace(&buf.finish(), 5_000)
     }

@@ -327,7 +327,7 @@ impl Attribution {
                     grow(&mut active_run, client as usize, None);
                     active_run[client as usize] = Some(idx);
                 }
-                TraceKind::RunCompleted { job, client }
+                TraceKind::RunCompleted { job, client, .. }
                 | TraceKind::DeadlineCancelled { job, client } => {
                     if let Some(&idx) = run_of_job.get(&job) {
                         close_hold(&mut raws, &mut holders, idx, at);
@@ -380,7 +380,7 @@ impl Attribution {
                     grow(&mut device_stalls, device as usize, Vec::new());
                     device_stalls[device as usize].push((at, until_us * 1_000));
                 }
-                TraceKind::BreakerTransition { client, state } => {
+                TraceKind::BreakerTransition { client, state, .. } => {
                     seen_client(&mut client_device, client);
                     grow(&mut breaker_open, client as usize, None);
                     match state {
@@ -630,6 +630,10 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    fn us(v: u64) -> SimDuration {
+        SimDuration::from_micros(v)
+    }
+
     fn synthetic_trace() -> Trace {
         let mut buf = TraceBuffer::new(&TraceConfig::sampled());
         let mut rec = |at: SimTime, kind: TraceKind| buf.record(at, kind);
@@ -662,7 +666,7 @@ mod tests {
                 reason: SwitchReason::QuantumExpired,
             },
         );
-        rec(t(150), TraceKind::RunCompleted { job: 1, client: 1 });
+        rec(t(150), TraceKind::RunCompleted { job: 1, client: 1, latency: us(105) });
         rec(
             t(150),
             TraceKind::TokenGrant {
@@ -671,7 +675,7 @@ mod tests {
                 reason: SwitchReason::Deregister,
             },
         );
-        rec(t(200), TraceKind::RunCompleted { job: 0, client: 0 });
+        rec(t(200), TraceKind::RunCompleted { job: 0, client: 0, latency: us(195) });
         buf.finish()
     }
 
@@ -717,7 +721,7 @@ mod tests {
         let mut buf = TraceBuffer::new(&TraceConfig::sampled());
         buf.record(t(0), TraceKind::ClientAdmitted { client: 0, device: 0 });
         buf.record(t(1), TraceKind::RunRegistered { job: 0, client: 0 });
-        buf.record(t(90), TraceKind::RunCompleted { job: 0, client: 0 });
+        buf.record(t(90), TraceKind::RunCompleted { job: 0, client: 0, latency: us(89) });
         let attr = Attribution::from_trace(&buf.finish(), 10_000);
         assert!(!attr.token_based);
         let r = &attr.runs[0];
@@ -741,7 +745,7 @@ mod tests {
                 delay: SimDuration::from_micros(15),
             },
         );
-        buf.record(t(100), TraceKind::RunCompleted { job: 0, client: 0 });
+        buf.record(t(100), TraceKind::RunCompleted { job: 0, client: 0, latency: us(100) });
         let attr = Attribution::from_trace(&buf.finish(), 0);
         let r = &attr.runs[0];
         assert_eq!(r.phase_ns[Phase::Stall.index()], 10_000);
@@ -758,7 +762,7 @@ mod tests {
             buf.record(t(start), TraceKind::RunRegistered { job: j, client: 0 });
             buf.record(
                 t(start + 10 + j),
-                TraceKind::RunCompleted { job: j, client: 0 },
+                TraceKind::RunCompleted { job: j, client: 0, latency: us(10 + j) },
             );
         }
         let attr = Attribution::from_trace(&buf.finish(), 0);

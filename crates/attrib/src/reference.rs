@@ -12,7 +12,7 @@ use crate::diff::{self, DiffReport};
 use crate::{Attribution, Interval, Phase, RunPhases, Sweep, PHASE_COUNT};
 use simtime::{DetRng, SimDuration, SimTime};
 use std::collections::HashMap;
-use trace::{SwitchReason, Trace, TraceBuffer, TraceConfig, TraceKind};
+use trace::{ShedCause, SwitchReason, Trace, TraceBuffer, TraceConfig, TraceKind};
 
 impl Sweep {
     /// Claims `[a, b) ∩ gaps` for `phase` by rebuilding the whole gap list.
@@ -243,6 +243,7 @@ fn random_trace(rng: &mut DetRng) -> Trace {
                             client: c,
                             device: dev,
                             node: next_node,
+                            handoff: None,
                         });
                         next_node += 1;
                     }
@@ -285,14 +286,17 @@ fn random_trace(rng: &mut DetRng) -> Trace {
                         rec(if rng.range_u64(0, 5) == 0 {
                             TraceKind::DeadlineCancelled { job, client: c }
                         } else {
-                            TraceKind::RunCompleted { job, client: c }
+                            TraceKind::RunCompleted { job, client: c, latency: SimDuration::ZERO }
                         });
                         session[c as usize] =
                             if left == 0 { Session::Over } else { Session::Idle(left) };
                     }
-                    12 => rec(TraceKind::BreakerTransition { client: c, state: "open" }),
+                    12 => {
+                        rec(TraceKind::BreakerTransition { client: c, state: "open", shed: None })
+                    }
                     13 if rng.range_u64(0, 4) == 0 => {
-                        rec(TraceKind::BreakerTransition { client: c, state: "shed" });
+                        let shed = Some(ShedCause::RetriesExhausted { attempts: 3 });
+                        rec(TraceKind::BreakerTransition { client: c, state: "shed", shed });
                         session[c as usize] = Session::Over;
                     }
                     _ => {}

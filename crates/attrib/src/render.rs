@@ -297,7 +297,7 @@ mod tests {
     use super::*;
     use crate::critical::critical_path;
     use crate::diff::diff;
-    use simtime::SimTime;
+    use simtime::{SimDuration, SimTime};
     use trace::{SwitchReason, TraceBuffer, TraceConfig, TraceKind, TraceMeta};
 
     fn t(us: u64) -> SimTime {
@@ -318,7 +318,8 @@ mod tests {
                     reason: SwitchReason::Register,
                 },
             );
-            buf.record(t(s + exec_us), TraceKind::RunCompleted { job: j, client: 0 });
+            let latency = SimDuration::from_micros(exec_us);
+            buf.record(t(s + exec_us), TraceKind::RunCompleted { job: j, client: 0, latency });
         }
         Attribution::from_trace(&buf.finish(), 2_000)
     }

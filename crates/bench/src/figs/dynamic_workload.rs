@@ -13,7 +13,8 @@ use metrics::table::render_table;
 use metrics::Cdf;
 use models::ModelKind;
 use olympian::{OlympianScheduler, WeightedFair};
-use serving::batching::{plan_batches, poisson_arrivals, BatchingConfig};
+use serving::batching::{plan_batches, BatchingConfig};
+use serving::workload::poisson_arrivals;
 use serving::{run_experiment, ClientSpec, FifoScheduler, RunReport};
 use simtime::{SimDuration, SimTime};
 

@@ -9,7 +9,8 @@
 //! the engine as one `Session::Run`.
 //!
 //! ```
-//! use serving::batching::{plan_batches, poisson_arrivals, BatchingConfig};
+//! use serving::batching::{plan_batches, BatchingConfig};
+//! use serving::workload::poisson_arrivals;
 //! use simtime::SimDuration;
 //!
 //! let arrivals = poisson_arrivals(100.0, SimDuration::from_secs(1), 7);
@@ -21,10 +22,6 @@
 //! ```
 
 use simtime::{SimDuration, SimTime};
-
-// Arrival generation moved to `crate::workload`; re-exported here so the
-// established `serving::batching::poisson_arrivals` path keeps working.
-pub use crate::workload::poisson_arrivals;
 
 /// Batcher parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,17 +128,10 @@ pub fn plan_batches(arrivals: &[SimTime], cfg: &BatchingConfig) -> Vec<PlannedBa
     batches
 }
 
-/// Projects a batching plan into the `(batch size, oldest wait)`
-/// observations the telemetry registry seeds its `batch_size` and
-/// `batch_wait_us` histograms with — see
-/// [`TelemetryConfig::with_batches`](telemetry::TelemetryConfig::with_batches).
-pub fn plan_telemetry(plan: &[PlannedBatch]) -> Vec<(u64, SimDuration)> {
-    plan.iter().map(|b| (b.size(), b.oldest_wait())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::poisson_arrivals;
 
     fn times(ms: &[u64]) -> Vec<SimTime> {
         ms.iter().map(|&m| SimTime::from_millis(m)).collect()
@@ -188,17 +178,6 @@ mod tests {
         assert!(plan.windows(2).all(|w| w[0].formed_at() <= w[1].formed_at()));
         // No batch exceeds the cap.
         assert!(plan.iter().all(|b| b.size() <= 16));
-    }
-
-    #[test]
-    fn plan_telemetry_projects_sizes_and_waits() {
-        let cfg = BatchingConfig::new(2, SimDuration::from_millis(10));
-        let plan = plan_batches(&times(&[0, 1, 5]), &cfg);
-        let obs = plan_telemetry(&plan);
-        assert_eq!(obs.len(), plan.len());
-        assert_eq!(obs[0], (2, SimDuration::from_millis(1)));
-        // The tail batch flushed at its 10ms timeout.
-        assert_eq!(obs[1], (1, SimDuration::from_millis(10)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::client::ClientSpec;
 use crate::config::EngineConfig;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
-use crate::trace::{SwitchReason, TraceBuffer, TraceKind};
+use crate::trace::{ShedCause, SwitchReason, TraceBuffer, TraceKind};
 use cluster::{Fleet, Routed, Step};
 use controlplane::{ControlLoop, Transition};
 use dataflow::{Graph, NodeId, Placement};
@@ -111,8 +111,7 @@ struct JobHot {
     gpu_busy: SimDuration,
     quantum_acc: SimDuration,
     /// Time of the last token grant whose hand-off latency has not been
-    /// measured yet; `SimTime::MAX` otherwise. Only maintained while
-    /// telemetry is on.
+    /// measured yet; `SimTime::MAX` otherwise.
     granted_at: SimTime,
 }
 
@@ -123,7 +122,7 @@ struct JobCold {
     graph: Arc<Graph>,
     /// Completed quanta as `(end time, GPU duration received)`.
     quanta: Vec<(SimTime, SimDuration)>,
-    /// Registration time — the run's latency baseline for telemetry.
+    /// Registration time — the run's latency baseline.
     started_at: SimTime,
 }
 
@@ -350,7 +349,10 @@ fn build_engine<'a>(
     let fleet = cfg.cluster.as_ref().map(|cc| {
         Fleet::new(cc, &profiles).unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
     });
-    let telemetry = TelemetryHub::new(&cfg.telemetry);
+    let deployments =
+        cfg.cluster.iter().flat_map(|cc| cc.lifecycle.plan.models.iter().map(|d| d.name.as_str()));
+    let models = client_states.iter().map(|c| c.spec.model.name());
+    let telemetry = TelemetryHub::new(&cfg.telemetry, models, deployments);
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
         cfg: cfg.clone(),
@@ -611,12 +613,13 @@ impl Engine<'_> {
             None => TraceKind::AllocFault { client, attempt },
         });
         if f.opened {
-            self.record(TraceKind::BreakerTransition { client, state: "open" });
+            self.record(TraceKind::BreakerTransition { client, state: "open", shed: None });
         }
         match f.next {
             Next::Retry { at, probe } => {
                 if probe {
-                    self.record(TraceKind::BreakerTransition { client, state: "half-open" });
+                    let state = "half-open";
+                    self.record(TraceKind::BreakerTransition { client, state, shed: None });
                 }
                 let delay = at - self.now;
                 self.record(TraceKind::RetryScheduled { job, client, node, attempt, delay });
@@ -626,18 +629,18 @@ impl Engine<'_> {
                 self.queue.schedule(at, retry);
             }
             Next::Shed(shed) => {
-                self.record(TraceKind::BreakerTransition { client, state: "shed" });
                 let at = self.now;
-                let (outcome, action, count) = match shed {
+                let (outcome, cause) = match shed {
                     Shed::RetriesExhausted { attempts } => {
                         let outcome = ClientOutcome::RetriesExhausted { at, attempts };
-                        (outcome, "retries-exhausted", attempts)
+                        (outcome, ShedCause::RetriesExhausted { attempts })
                     }
                     Shed::CircuitOpen { trips } => {
-                        (ClientOutcome::CircuitOpen { at, trips }, "circuit-open", trips)
+                        (ClientOutcome::CircuitOpen { at, trips }, ShedCause::CircuitOpen { trips })
                     }
                 };
-                self.telemetry.on_client_shed(at, client, action, u64::from(count));
+                let (state, shed) = ("shed", Some(cause));
+                self.record(TraceKind::BreakerTransition { client, state, shed });
                 match kernel {
                     Some((job, _)) => self.teardown_job(job, c, outcome),
                     None => self.clients[c.0 as usize].outcome = Some(outcome),
@@ -675,12 +678,11 @@ impl Engine<'_> {
         }
     }
 
-    /// The shared tail of every successful admission: binds the client's
-    /// model for telemetry, records the admission and issues the first run.
+    /// The shared tail of every successful admission: records the
+    /// admission and issues the first run.
     fn admitted(&mut self, c: ClientId) {
-        let client = &self.clients[c.0 as usize];
-        self.telemetry.bind_client(c.0, client.spec.model.name());
-        self.record(TraceKind::ClientAdmitted { client: c.0, device: client.home });
+        let device = self.clients[c.0 as usize].home;
+        self.record(TraceKind::ClientAdmitted { client: c.0, device });
         self.start_run(c);
     }
 
@@ -802,8 +804,8 @@ impl Engine<'_> {
         if let Some(acc) = final_quantum {
             self.record(TraceKind::QuantumEnd { job: job_id.0, client: c.0, gpu: acc });
         }
-        self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0 });
-        self.telemetry.on_run_complete(c.0, self.now - started_at, self.now);
+        let latency = self.now - started_at;
+        self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0, latency });
         {
             let cold = &self.job_cold[slot];
             let client = &mut self.clients[c.0 as usize];
@@ -819,7 +821,7 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        self.settle(job_id, Some(self.now - started_at));
+        self.settle(job_id, Some(latency));
         let client = &mut self.clients[c.0 as usize];
         if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
@@ -939,10 +941,9 @@ impl Engine<'_> {
     }
 
     /// Translates manager effects into engine actions: typed events onto
-    /// the event stream (an unload has none and is counted directly),
-    /// future ticks onto the event queue, parked clients back into
-    /// `start_run`, and — after any unload or eviction — a queued-admission
-    /// pump over the freed memory.
+    /// the event stream, future ticks onto the event queue, parked clients
+    /// back into `start_run`, and — after any unload or eviction — a
+    /// queued-admission pump over the freed memory.
     fn apply_lifecycle_effects(&mut self, fx: LcEffects) {
         if fx.is_empty() {
             return;
@@ -972,8 +973,12 @@ impl Engine<'_> {
                     });
                     freed = true;
                 }
-                LifecycleEvent::Unloaded { .. } => {
-                    self.telemetry.on_version_unload();
+                LifecycleEvent::Unloaded { key, bytes } => {
+                    self.record(TraceKind::Unload {
+                        model: key.model,
+                        version: key.version,
+                        bytes,
+                    });
                     freed = true;
                 }
                 LifecycleEvent::Drain { key, inflight } => {
@@ -983,21 +988,13 @@ impl Engine<'_> {
                         inflight,
                     });
                 }
-                LifecycleEvent::Promote { key, cand_us, base_us }
-                | LifecycleEvent::Rollback { key, cand_us, base_us } => {
+                LifecycleEvent::Promote { key, cand_us, base_us } => {
                     let (model, version) = (key.model, key.version);
-                    let action = if matches!(ev, LifecycleEvent::Promote { .. }) {
-                        self.record(TraceKind::CanaryPromote { model, version });
-                        "promote"
-                    } else {
-                        self.record(TraceKind::CanaryRollback { model, version });
-                        "rollback"
-                    };
-                    if let Some(fleet) = &self.fleet {
-                        let name = fleet.version(key).0.name();
-                        self.telemetry
-                            .on_rollout(self.now, name, version, action, cand_us, base_us);
-                    }
+                    self.record(TraceKind::CanaryPromote { model, version, cand_us, base_us });
+                }
+                LifecycleEvent::Rollback { key, cand_us, base_us } => {
+                    let (model, version) = (key.model, key.version);
+                    self.record(TraceKind::CanaryRollback { model, version, cand_us, base_us });
                 }
             }
         }
@@ -1215,7 +1212,6 @@ impl Engine<'_> {
             }
         }
         self.switch_count += 1;
-        self.telemetry.on_token_switch();
         if let Some(last) = self.last_switch {
             self.intervals.push(self.now - last);
         }
@@ -1237,37 +1233,28 @@ impl Engine<'_> {
                 }
             }
         }
-        if self.trace.is_on() {
-            // A revoked/granted job may already be deregistered (its slot is
-            // freed before the verdict reaches us), hence the Option client.
-            if let Some(old) = from {
-                let client = self.live_slot(old).map(|s| self.job_hot[s].client.0);
-                self.record(TraceKind::TokenRevoke { job: old.0, client, reason });
-            }
-            if let Some(new) = to {
-                let client = self.live_slot(new).map(|s| self.job_hot[s].client.0);
-                self.record(TraceKind::TokenGrant { job: new.0, client, reason });
-            }
+        // A revoked/granted job may already be deregistered (its slot is
+        // freed before the verdict reaches us), hence the Option client.
+        if let Some(old) = from {
+            let client = self.live_slot(old).map(|s| self.job_hot[s].client.0);
+            self.record(TraceKind::TokenRevoke { job: old.0, client, reason });
         }
         if let Some(new) = to {
-            if let Some(slot) = self.live_slot(new) {
-                let telemetry_on = self.telemetry.is_on();
-                let (unblocked, client) = {
-                    let j = &mut self.job_hot[slot];
-                    j.resume_at = self.now + self.cfg.switch_latency;
-                    if telemetry_on {
-                        // Hand-off latency runs from here to the holder's
-                        // next kernel submission.
-                        j.granted_at = self.now;
-                    }
-                    if !j.resume_scheduled {
-                        j.resume_scheduled = true;
-                        let at = j.resume_at;
-                        self.queue.schedule(at, Event::ResumeJob(new));
-                    }
-                    (std::mem::take(&mut j.yield_blocked), j.client.0)
-                };
-                if unblocked {
+            let slot = self.live_slot(new);
+            let client = slot.map(|s| self.job_hot[s].client.0);
+            self.record(TraceKind::TokenGrant { job: new.0, client, reason });
+            if let Some(slot) = slot {
+                let j = &mut self.job_hot[slot];
+                j.resume_at = self.now + self.cfg.switch_latency;
+                // Hand-off latency runs from here to the holder's next
+                // kernel reaching the device queue.
+                j.granted_at = self.now;
+                if !j.resume_scheduled {
+                    j.resume_scheduled = true;
+                    self.queue.schedule(j.resume_at, Event::ResumeJob(new));
+                }
+                if std::mem::take(&mut j.yield_blocked) {
+                    let client = j.client.0;
                     self.record(TraceKind::YieldUnblock { job: new.0, client });
                 }
             }
@@ -1392,13 +1379,6 @@ impl Engine<'_> {
             JobRef::Cancelled(_) => return,
             JobRef::Dead => unreachable!("submitting for a dead job"),
         };
-        if self.telemetry.is_on() {
-            let j = &mut self.job_hot[slot];
-            if j.granted_at != SimTime::MAX {
-                let granted = std::mem::replace(&mut j.granted_at, SimTime::MAX);
-                self.telemetry.on_handoff(self.now - granted);
-            }
-        }
         if let Some(rec) = self.recovery.as_mut() {
             let c = self.job_hot[slot].client;
             let started_at = self.job_cold[slot].started_at;
@@ -1407,7 +1387,8 @@ impl Engine<'_> {
                 Ok(false) => {}
                 // The half-open probe succeeded.
                 Ok(true) => {
-                    self.record(TraceKind::BreakerTransition { client: c.0, state: "closed" });
+                    let state = "closed";
+                    self.record(TraceKind::BreakerTransition { client: c.0, state, shed: None });
                 }
                 Err(f) => {
                     // The gang thread stays blocked on the kernel until its
@@ -1430,14 +1411,16 @@ impl Engine<'_> {
                 (self.kernels.len() - 1) as u64
             }
         };
-        if self.trace.records_kernels() {
-            let client = self.job_hot[slot].client.0;
-            self.record(TraceKind::KernelEnqueue {
-                job: job_id.0,
-                client,
-                device: dev as u32,
-                node: node.index() as u32,
-            });
+        // The holder's first enqueue after a grant closes its hand-off;
+        // that one enqueue is recorded whatever the trace mode, so
+        // telemetry sees it (the trace keeps kernel events in Full mode).
+        let j = &mut self.job_hot[slot];
+        let handoff = (j.granted_at != SimTime::MAX)
+            .then(|| self.now - std::mem::replace(&mut j.granted_at, SimTime::MAX));
+        if handoff.is_some() || self.trace.records_kernels() {
+            let (job, client, device) = (job_id.0, j.client.0, dev as u32);
+            let node = node.index() as u32;
+            self.record(TraceKind::KernelEnqueue { job, client, device, node, handoff });
         }
         // A kernel enqueued inside a slowdown window runs `factor`× slower
         // (the window is sampled at submission).
@@ -1592,9 +1575,6 @@ impl Engine<'_> {
         // partial snapshot) before the trace ring is sealed, so burn-rate
         // alerts fired at the end of the run still land on the timeline.
         if self.telemetry.is_on() {
-            // Surface the trace ring's drop count before the final snapshot
-            // so it is visible in the last (totals) registry row.
-            self.telemetry.on_trace_dropped(self.trace.dropped());
             let gauges = self.engine_gauges();
             let alerts = self.telemetry.finalize(makespan, &gauges);
             for a in &alerts {

@@ -11,9 +11,11 @@
 //! trace ring keeps, whatever the trace mode — and snapshotted at a fixed
 //! **virtual-time** cadence, so two runs of the same experiment produce
 //! byte-identical telemetry however the surrounding harness is
-//! parallelized — the same guarantee the trace ring gives. A handful of
-//! hooks carry what no event holds: model names, latencies, shed and
-//! rollout details.
+//! parallelized — the same guarantee the trace ring gives. The fold is
+//! telemetry's only per-event input: the events carry the latencies, shed
+//! causes and rollout details, and the hub is handed every client's and
+//! deployment's name once, at construction. Replaying a lossless trace
+//! through a fresh hub therefore reproduces the run's telemetry.
 //!
 //! On top of the registry sit two online health monitors:
 //!
@@ -29,7 +31,7 @@
 //! caused them.
 //!
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
-//! buffers and `observe` and every hook reduce to one predicted branch;
+//! buffers and `observe` reduces to one predicted branch;
 //! the engine's snapshot check is a single `t >= next_due()` compare
 //! against `SimTime::MAX`.
 
@@ -60,9 +62,6 @@ pub struct TelemetryConfig {
     /// Streaming drift detection over observed quanta; one detector per
     /// client is cloned from this template.
     pub drift: Option<DriftConfig>,
-    /// Pre-run batching-plan observations `(batch_size, oldest_wait)`
-    /// seeded into the registry (see `serving::batching::plan_telemetry`).
-    pub batches: Vec<(u64, SimDuration)>,
 }
 
 impl Default for TelemetryConfig {
@@ -73,7 +72,6 @@ impl Default for TelemetryConfig {
             slos: Vec::new(),
             burn: BurnWindows::default(),
             drift: None,
-            batches: Vec::new(),
         }
     }
 }
@@ -109,12 +107,6 @@ impl TelemetryConfig {
     /// Enables streaming drift detection.
     pub fn with_drift(mut self, drift: DriftConfig) -> TelemetryConfig {
         self.drift = Some(drift);
-        self
-    }
-
-    /// Seeds batching-plan observations.
-    pub fn with_batches(mut self, batches: Vec<(u64, SimDuration)>) -> TelemetryConfig {
-        self.batches = batches;
         self
     }
 
@@ -445,7 +437,6 @@ struct Ids {
     c_slo_breaches: CounterId,
     c_alerts_drift: CounterId,
     c_alerts_slo: CounterId,
-    c_batches: CounterId,
     c_faults_kernel: CounterId,
     c_faults_alloc: CounterId,
     c_retries: CounterId,
@@ -459,7 +450,6 @@ struct Ids {
     c_promotions: CounterId,
     c_rollbacks: CounterId,
     c_drains: CounterId,
-    c_trace_dropped: CounterId,
     c_control_transitions: CounterId,
     c_admission_shed: CounterId,
     c_batch_shrinks: CounterId,
@@ -478,26 +468,28 @@ struct Ids {
     h_quantum: HistogramId,
     h_handoff: HistogramId,
     h_latency: HistogramId,
-    h_batch_size: HistogramId,
-    h_batch_wait: HistogramId,
 }
 
-#[derive(Debug, Clone)]
+/// One row of the per-client table; a row below the highest admitted
+/// client stays default (unnamed) until its own client is admitted.
+#[derive(Debug, Clone, Default)]
 struct ClientState {
-    model: String,
+    /// The client's model, as an index into `TelemetryHub::names`.
+    model: Option<u32>,
     slo: Option<u32>,
     drift: Option<DriftDetector>,
     gpu_ns: u64,
 }
 
-/// The engine-side telemetry recorder.
+/// The engine-side telemetry recorder: a fold over the engine's events.
 ///
-/// Counters are a fold over the engine's events
-/// ([`observe`](TelemetryHub::observe)); the `on_*` hooks and
-/// [`bind_client`](TelemetryHub::bind_client) carry only data no
-/// [`TraceKind`] holds. All of them are no-ops behind a single predicted
-/// branch when telemetry is off; the snapshot cadence is driven by the
-/// engine comparing event times against
+/// [`observe`](TelemetryHub::observe) is the only per-event input;
+/// [`tick`](TelemetryHub::tick) and [`finalize`](TelemetryHub::finalize)
+/// add the engine's gauge samples at snapshot boundaries, and
+/// [`reset_burn_latch`](TelemetryHub::reset_burn_latch) is the control
+/// plane acknowledging a burn alert. Each is a no-op behind a single
+/// predicted branch when telemetry is off; the snapshot cadence is driven
+/// by the engine comparing event times against
 /// [`next_due`](TelemetryHub::next_due), which is `SimTime::MAX` when off
 /// so the hot loop pays exactly one compare.
 #[derive(Debug)]
@@ -510,6 +502,12 @@ pub struct TelemetryHub {
     drift_template: Option<DriftConfig>,
     slo_specs: Vec<SloSpec>,
     monitors: Vec<SloMonitor>,
+    /// Every model name the run can report, each once.
+    names: Vec<String>,
+    /// Each client's model, as an index into `names`.
+    client_names: Vec<u32>,
+    /// Each deployment's served name, as an index into `names`.
+    deployment_names: Vec<u32>,
     clients: Vec<ClientState>,
     snapshots: SnapshotSeries,
     /// Scratch for the per-snapshot fairness computation, reused across
@@ -520,31 +518,53 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// Creates a hub. Allocates nothing when telemetry is off.
+    /// Creates a hub for a run whose clients serve `client_models` (by
+    /// client id) and whose lifecycle plan declares `deployments` (by
+    /// deployment index). The names label GPU shares, bind SLO objectives
+    /// and name rollouts; they are read only when telemetry is on.
+    /// Allocates nothing when telemetry is off.
     ///
     /// # Panics
     ///
     /// Panics on an invalid enabled configuration (see
     /// [`TelemetryConfig::validate`]).
-    pub fn new(cfg: &TelemetryConfig) -> TelemetryHub {
+    pub fn new<'a>(
+        cfg: &TelemetryConfig,
+        client_models: impl IntoIterator<Item = &'a str>,
+        deployments: impl IntoIterator<Item = &'a str>,
+    ) -> TelemetryHub {
         cfg.validate();
+        let mut hub = TelemetryHub {
+            on: false,
+            interval: cfg.interval,
+            next_due: SimTime::MAX,
+            registry: MetricsRegistry::new(),
+            ids: None,
+            drift_template: None,
+            slo_specs: Vec::new(),
+            monitors: Vec::new(),
+            names: Vec::new(),
+            client_names: Vec::new(),
+            deployment_names: Vec::new(),
+            clients: Vec::new(),
+            snapshots: SnapshotSeries::default(),
+            shares_scratch: Vec::new(),
+            alerts: Vec::new(),
+            run_log: RunLog::default(),
+        };
         if !cfg.enabled {
-            return TelemetryHub {
-                on: false,
-                interval: cfg.interval,
-                next_due: SimTime::MAX,
-                registry: MetricsRegistry::new(),
-                ids: None,
-                drift_template: None,
-                slo_specs: Vec::new(),
-                monitors: Vec::new(),
-                clients: Vec::new(),
-                snapshots: SnapshotSeries::default(),
-                shares_scratch: Vec::new(),
-                alerts: Vec::new(),
-                run_log: RunLog::default(),
-            };
+            return hub;
         }
+        let names = &mut hub.names;
+        let mut intern = |name: &str| match names.iter().position(|n| n == name) {
+            Some(i) => i as u32,
+            None => {
+                names.push(name.to_string());
+                (names.len() - 1) as u32
+            }
+        };
+        hub.client_names = client_models.into_iter().map(&mut intern).collect();
+        hub.deployment_names = deployments.into_iter().map(&mut intern).collect();
         let mut registry = MetricsRegistry::new();
         let ids = Ids {
             c_admitted: registry.counter("clients_admitted"),
@@ -556,7 +576,6 @@ impl TelemetryHub {
             c_slo_breaches: registry.counter("slo_breaches"),
             c_alerts_drift: registry.counter("alerts_drift"),
             c_alerts_slo: registry.counter("alerts_slo_burn"),
-            c_batches: registry.counter("batches_planned"),
             c_faults_kernel: registry.counter("faults_kernel"),
             c_faults_alloc: registry.counter("faults_alloc"),
             c_retries: registry.counter("kernel_retries"),
@@ -570,7 +589,6 @@ impl TelemetryHub {
             c_promotions: registry.counter("canary_promotions"),
             c_rollbacks: registry.counter("canary_rollbacks"),
             c_drains: registry.counter("drains_started"),
-            c_trace_dropped: registry.counter("trace_dropped_events"),
             c_control_transitions: registry.counter("control_transitions"),
             c_admission_shed: registry.counter("clients_admission_shed"),
             c_batch_shrinks: registry.counter("control_batch_shrinks"),
@@ -589,38 +607,20 @@ impl TelemetryHub {
             h_quantum: registry.histogram("quantum_us"),
             h_handoff: registry.histogram("handoff_us"),
             h_latency: registry.histogram("run_latency_us"),
-            h_batch_size: registry.histogram("batch_size"),
-            h_batch_wait: registry.histogram("batch_wait_us"),
         };
-        for &(size, wait) in &cfg.batches {
-            registry.inc(ids.c_batches, 1);
-            registry.observe(ids.h_batch_size, size);
-            registry.observe(ids.h_batch_wait, wait.as_nanos() / 1_000);
-        }
-        let monitors = cfg
-            .slos
-            .iter()
-            .map(|s| SloMonitor::new(cfg.burn, s.budget))
-            .collect();
         TelemetryHub {
             on: true,
-            interval: cfg.interval,
             next_due: SimTime::ZERO + cfg.interval,
             registry,
             ids: Some(ids),
             drift_template: cfg.drift.clone(),
             slo_specs: cfg.slos.clone(),
-            monitors,
-            clients: Vec::new(),
-            snapshots: SnapshotSeries::default(),
-            shares_scratch: Vec::new(),
-            alerts: Vec::new(),
-            run_log: RunLog::default(),
+            monitors: cfg.slos.iter().map(|s| SloMonitor::new(cfg.burn, s.budget)).collect(),
+            ..hub
         }
     }
 
-    /// Whether anything is recorded. Call sites use this to skip building
-    /// hook payloads entirely.
+    /// Whether anything is recorded.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.on
@@ -634,93 +634,7 @@ impl TelemetryHub {
     }
 
     fn ids(&self) -> Ids {
-        self.ids.expect("telemetry hooks called while off")
-    }
-
-    /// Registers a client (called at admission) with the one thing its
-    /// `ClientAdmitted` event lacks: the model name, which binds the
-    /// client's SLO objective and labels its GPU share. Grows the
-    /// per-client table — the only allocation after construction, and
-    /// only at client-arrival granularity.
-    pub fn bind_client(&mut self, client: u32, model: &str) {
-        if !self.on {
-            return;
-        }
-        let idx = client as usize;
-        if self.clients.len() <= idx {
-            self.clients.resize(
-                idx + 1,
-                ClientState { model: String::new(), slo: None, drift: None, gpu_ns: 0 },
-            );
-        }
-        self.clients[idx] = ClientState {
-            model: model.to_string(),
-            slo: self
-                .slo_specs
-                .iter()
-                .position(|s| s.model == model)
-                .map(|i| i as u32),
-            drift: self.drift_template.clone().map(DriftDetector::new),
-            gpu_ns: 0,
-        };
-    }
-
-    /// The token moved: one count per scheduler verdict. The
-    /// `TokenGrant`/`TokenRevoke` events are a separate pair, recorded only
-    /// while tracing, so `token_switches` is counted here.
-    #[inline]
-    pub fn on_token_switch(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_switches, 1);
-    }
-
-    /// Token hand-off latency — grant to the holder's first kernel
-    /// submission — which no single event carries.
-    #[inline]
-    pub fn on_handoff(&mut self, latency: SimDuration) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
-    }
-
-    /// A client was shed by the recovery layer. Carries what its
-    /// `BreakerTransition { state: "shed" }` event does not — the action
-    /// (`retries-exhausted` or `circuit-open`) and its detail (the attempt
-    /// or trip count) — onto the `fault-recovery` alert stream.
-    pub fn on_client_shed(&mut self, at: SimTime, client: u32, action: &'static str, detail: u64) {
-        if !self.on {
-            return;
-        }
-        self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
-    }
-
-    /// A drained version was unloaded (lifecycle layer). Unloads have no
-    /// trace event, so `versions_unloaded` is counted here.
-    #[inline]
-    pub fn on_version_unload(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_unloaded, 1);
-    }
-
-    /// The trace ring overwrote `n` events over the whole run (reported
-    /// once at finalization, before the final snapshot: the count is known
-    /// only then). A non-zero value flags every trace-derived attribution
-    /// as computed from a truncated stream.
-    #[inline]
-    pub fn on_trace_dropped(&mut self, n: u64) {
-        if !self.on || n == 0 {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_trace_dropped, n);
+        self.ids.expect("telemetry folded while off")
     }
 
     /// Acknowledges a burn alert on objective `slo`, resetting that
@@ -736,38 +650,16 @@ impl TelemetryHub {
         }
     }
 
-    /// The rollout controller decided a canary (`action` is `"promote"`
-    /// or `"rollback"`). Carries what `CanaryPromote`/`CanaryRollback`
-    /// do not — the model name and both arms' mean latencies — onto the
-    /// `rollout` alert stream.
-    pub fn on_rollout(
-        &mut self,
-        at: SimTime,
-        model: &str,
-        version: u32,
-        action: &'static str,
-        cand_us: u64,
-        base_us: u64,
-    ) {
-        if !self.on {
-            return;
-        }
-        self.alerts.push(Alert::Rollout {
-            at,
-            model: model.to_string(),
-            version,
-            action,
-            cand_us,
-            base_us,
-        });
-    }
-
     /// Folds one engine event — the engine passes every event it records,
-    /// whatever the trace mode — into the registry: bumps the counter the
-    /// kind stands for, feeds `QuantumEnd` to the quantum histogram, the
-    /// client's GPU share and its drift detector, and raises the
-    /// `fault-recovery` alert when a breaker opens or the watchdog revokes
-    /// a holder. Returns the alert raised, if any. The two alert counters
+    /// whatever the trace mode — into the registry. It bumps the counter
+    /// the kind stands for; binds a client's model and objective at
+    /// `ClientAdmitted`; feeds `QuantumEnd` to the quantum histogram, the
+    /// client's GPU share and its drift detector, a `RunCompleted` latency
+    /// to the latency histogram, run log and SLO window, and a
+    /// `KernelEnqueue` hand-off to the hand-off histogram. It raises the
+    /// `fault-recovery` alert when a breaker opens, a client is shed or the
+    /// watchdog revokes a holder, and the `rollout` alert at a canary
+    /// decision. Returns the alert raised, if any. The two alert counters
     /// are bumped where their alert is raised (a burn inside the snapshot
     /// that raised it); the engine then records [`Alert::trace_kind`].
     #[inline]
@@ -781,26 +673,54 @@ impl TelemetryHub {
     fn fold(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
         // Borrowed, not copied: most events the engine records count
         // nothing, and the handle table is large.
-        let ids = self.ids.as_ref().expect("telemetry hooks called while off");
+        let ids = self.ids.as_ref().expect("telemetry folded while off");
         let counter = match *kind {
             TraceKind::QuantumEnd { client, gpu, .. } => {
                 return self.observe_quantum(client, gpu, at);
             }
-            TraceKind::BreakerTransition { client, state: "open" } => {
+            TraceKind::KernelEnqueue { handoff: Some(latency), .. } => {
+                self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
+                return None;
+            }
+            TraceKind::ClientAdmitted { client, .. } => {
+                self.registry.inc(ids.c_admitted, 1);
+                self.bind(client);
+                return None;
+            }
+            TraceKind::RunCompleted { client, latency, .. } => {
+                self.registry.inc(ids.c_runs_completed, 1);
+                self.observe_run(at, client, latency);
+                return None;
+            }
+            TraceKind::BreakerTransition { client, state: "open", .. } => {
                 self.registry.inc(ids.c_breaker_open, 1);
                 let action = "breaker-open";
                 return self.raise(Alert::FaultRecovery { at, client, action, detail: 0 });
+            }
+            TraceKind::BreakerTransition { client, shed: Some(cause), .. } => {
+                self.registry.inc(ids.c_shed, 1);
+                let (action, detail) = (cause.as_str(), u64::from(cause.count()));
+                return self.raise(Alert::FaultRecovery { at, client, action, detail });
             }
             TraceKind::WatchdogRevoke { client, stalled_us, .. } => {
                 self.registry.inc(ids.c_watchdog, 1);
                 let action = "watchdog-revoke";
                 return self.raise(Alert::FaultRecovery { at, client, action, detail: stalled_us });
             }
-            TraceKind::BreakerTransition { state: "shed", .. } => ids.c_shed,
-            TraceKind::ClientAdmitted { .. } => ids.c_admitted,
+            TraceKind::CanaryPromote { model, version, cand_us, base_us }
+            | TraceKind::CanaryRollback { model, version, cand_us, base_us } => {
+                let (counter, action) = match kind {
+                    TraceKind::CanaryPromote { .. } => (ids.c_promotions, "promote"),
+                    _ => (ids.c_rollbacks, "rollback"),
+                };
+                self.registry.inc(counter, 1);
+                let name = self.deployment_names[model as usize];
+                let model = self.names[name as usize].clone();
+                return self.raise(Alert::Rollout { at, model, version, action, cand_us, base_us });
+            }
+            TraceKind::TokenGrant { .. } => ids.c_switches,
             TraceKind::ClientRejectedOom { .. } => ids.c_oom,
             TraceKind::RunRegistered { .. } => ids.c_runs_started,
-            TraceKind::RunCompleted { .. } => ids.c_runs_completed,
             TraceKind::DeadlineCancelled { .. } => ids.c_deadline,
             TraceKind::KernelFault { .. } => ids.c_faults_kernel,
             TraceKind::AllocFault { .. } => ids.c_faults_alloc,
@@ -808,9 +728,8 @@ impl TelemetryHub {
             TraceKind::VersionLoad { .. } => ids.c_versions_loaded,
             TraceKind::WarmupRun { .. } => ids.c_warmup_runs,
             TraceKind::Evict { .. } => ids.c_versions_evicted,
+            TraceKind::Unload { .. } => ids.c_versions_unloaded,
             TraceKind::Drain { .. } => ids.c_drains,
-            TraceKind::CanaryPromote { .. } => ids.c_promotions,
-            TraceKind::CanaryRollback { .. } => ids.c_rollbacks,
             TraceKind::ControlTransition { .. } => ids.c_control_transitions,
             TraceKind::AdmissionShed { .. } => ids.c_admission_shed,
             TraceKind::BatchShrink { .. } => ids.c_batch_shrinks,
@@ -849,13 +768,27 @@ impl TelemetryHub {
         Some(alert)
     }
 
-    /// A run completed with the given latency at virtual time `at`: feeds
-    /// the latency histogram, the exact run log and the owning model's
-    /// SLO window — the latency is what its `RunCompleted` event lacks.
-    pub fn on_run_complete(&mut self, client: u32, latency: SimDuration, at: SimTime) {
-        if !self.on {
-            return;
+    /// Binds an admitted client to its model: the objective it is judged
+    /// by, a fresh drift detector and the label of its GPU share. Grows the
+    /// per-client table — the only allocation after construction, and only
+    /// at client-arrival granularity.
+    fn bind(&mut self, client: u32) {
+        let (idx, name) = (client as usize, self.client_names[client as usize]);
+        if self.clients.len() <= idx {
+            self.clients.resize(idx + 1, ClientState::default());
         }
+        let model = &self.names[name as usize];
+        self.clients[idx] = ClientState {
+            model: Some(name),
+            slo: self.slo_specs.iter().position(|s| s.model == *model).map(|i| i as u32),
+            drift: self.drift_template.clone().map(DriftDetector::new),
+            gpu_ns: 0,
+        };
+    }
+
+    /// Feeds one completed run's latency to the latency histogram, the
+    /// exact run log and the owning model's SLO window.
+    fn observe_run(&mut self, at: SimTime, client: u32, latency: SimDuration) {
         let ids = self.ids();
         self.registry.observe(ids.h_latency, latency.as_nanos() / 1_000);
         self.run_log.at.push(at);
@@ -956,6 +889,10 @@ impl TelemetryHub {
 
     /// Consumes the hub into its report.
     pub fn into_report(self, makespan: SimTime) -> TelemetryReport {
+        let name = |c: &ClientState| match c.model {
+            Some(m) => self.names[m as usize].clone(),
+            None => String::new(),
+        };
         TelemetryReport {
             enabled: self.on,
             interval: self.interval,
@@ -963,7 +900,7 @@ impl TelemetryHub {
             counter_names: self.registry.counter_names().to_vec(),
             gauge_names: self.registry.gauge_names().to_vec(),
             hist_names: self.registry.hist_names().to_vec(),
-            client_models: self.clients.iter().map(|c| c.model.clone()).collect(),
+            client_models: self.clients.iter().map(name).collect(),
             slos: self.slo_specs,
             snapshots: self.snapshots,
             alerts: self.alerts,
@@ -975,6 +912,7 @@ impl TelemetryHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace::{ShedCause, SwitchReason};
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -988,16 +926,26 @@ mod tests {
         TraceKind::QuantumEnd { job: 0, client, gpu: us(gpu_us) }
     }
 
+    fn admitted(client: u32) -> TraceKind {
+        TraceKind::ClientAdmitted { client, device: 0 }
+    }
+
+    fn completed(client: u32, latency_us: u64) -> TraceKind {
+        TraceKind::RunCompleted { job: 0, client, latency: us(latency_us) }
+    }
+
     #[test]
     fn off_hub_is_inert() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::off());
+        let mut h = TelemetryHub::new(&TelemetryConfig::off(), ["m"], ["m"]);
         assert!(!h.is_on());
         assert_eq!(h.next_due(), SimTime::MAX);
-        h.bind_client(0, "m");
+        assert_eq!(h.observe(t(0), &admitted(0)), None);
         assert_eq!(h.observe(t(10), &quantum(0, 100)), None);
-        let open = TraceKind::BreakerTransition { client: 0, state: "open" };
+        let open = TraceKind::BreakerTransition { client: 0, state: "open", shed: None };
         assert_eq!(h.observe(t(10), &open), None);
-        h.on_run_complete(0, us(50), t(50));
+        let promote = TraceKind::CanaryPromote { model: 0, version: 2, cand_us: 1, base_us: 1 };
+        assert_eq!(h.observe(t(20), &promote), None);
+        assert_eq!(h.observe(t(50), &completed(0, 50)), None);
         assert!(h.tick(t(1_000_000), &EngineGauges::default()).is_empty());
         assert!(h.finalize(t(1_000_000), &EngineGauges::default()).is_empty());
         let r = h.into_report(t(1_000_000));
@@ -1007,8 +955,8 @@ mod tests {
 
     #[test]
     fn snapshot_count_matches_interval_arithmetic() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
-        h.bind_client(0, "m");
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), ["m"], []);
+        h.observe(t(0), &admitted(0));
         let g = EngineGauges::default();
         // Events at 250µs: boundaries 100 and 200 fire.
         assert!(h.tick(t(250), &g).is_empty());
@@ -1029,7 +977,7 @@ mod tests {
 
     #[test]
     fn exact_multiple_makespan_has_no_partial_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), [], []);
         let g = EngineGauges::default();
         h.tick(t(300), &g);
         h.finalize(t(300), &g);
@@ -1040,7 +988,7 @@ mod tests {
 
     #[test]
     fn zero_makespan_still_emits_one_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), [], []);
         h.finalize(SimTime::ZERO, &EngineGauges::default());
         let r = h.into_report(SimTime::ZERO);
         assert_eq!(r.snapshots.len(), 1);
@@ -1051,20 +999,25 @@ mod tests {
     fn counters_histograms_and_shares_accumulate() {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_slo(SloSpec::new("m", us(500), 0.1));
-        let mut h = TelemetryHub::new(&cfg);
-        for (client, model) in [(0, "m"), (1, "other")] {
-            h.bind_client(client, model);
-            h.observe(t(0), &TraceKind::ClientAdmitted { client, device: 0 });
+        // Client 1 is never admitted, so its row stays unnamed.
+        let mut h = TelemetryHub::new(&cfg, ["m", "m", "other"], []);
+        for client in [0, 2] {
+            h.observe(t(0), &admitted(client));
         }
         h.observe(t(0), &TraceKind::RunRegistered { job: 0, client: 0 });
-        h.on_token_switch();
-        h.on_handoff(us(80));
+        let reason = SwitchReason::Register;
+        h.observe(t(0), &TraceKind::TokenGrant { job: 0, client: Some(0), reason });
+        // Only the holder's first enqueue after the grant is a hand-off.
+        for handoff in [Some(us(80)), None] {
+            let enqueue =
+                TraceKind::KernelEnqueue { job: 0, client: 0, device: 0, node: 0, handoff };
+            h.observe(t(80), &enqueue);
+        }
         assert!(h.observe(t(50), &quantum(0, 200)).is_none(), "no drift config");
-        h.observe(t(60), &quantum(1, 100));
+        h.observe(t(60), &quantum(2, 100));
         // Client 0 breaches the 500µs objective; no SLO is bound to "other".
-        for (client, latency) in [(0, 700), (1, 100)] {
-            h.observe(t(latency), &TraceKind::RunCompleted { job: 0, client });
-            h.on_run_complete(client, us(latency), t(latency));
+        for (client, latency) in [(0, 700), (2, 100)] {
+            h.observe(t(latency), &completed(client, latency));
         }
         h.finalize(t(90), &EngineGauges { queue_depth: 2, ..Default::default() });
         let r = h.into_report(t(90));
@@ -1074,13 +1027,36 @@ mod tests {
         assert_eq!(r.counter("slo_breaches"), Some(1));
         assert_eq!(r.counter("token_switches"), Some(1));
         let q = r.hist("quantum_us").unwrap();
-        assert_eq!(q.count, 2);
-        assert_eq!(q.sum, 300);
+        assert_eq!((q.count, q.sum), (2, 300));
+        let handoff = r.hist("handoff_us").unwrap();
+        assert_eq!((handoff.count, handoff.sum), (1, 80));
+        assert_eq!(r.run_log.latency, vec![us(700), us(100)]);
         let last = r.last().unwrap();
-        assert_eq!(last.client_gpu_ns, vec![200_000, 100_000]);
+        assert_eq!(last.client_gpu_ns, vec![200_000, 0, 100_000]);
         let qd = r.gauge_names.iter().position(|n| *n == "admission_queue_depth").unwrap();
         assert_eq!(last.gauges[qd], 2.0);
-        assert_eq!(r.client_models, vec!["m".to_string(), "other".to_string()]);
+        assert_eq!(r.client_models, vec!["m".to_string(), String::new(), "other".to_string()]);
+    }
+
+    #[test]
+    fn shed_and_canary_events_raise_named_alerts() {
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), ["a"], ["a", "b"]);
+        let (state, shed) = ("shed", Some(ShedCause::CircuitOpen { trips: 3 }));
+        let fault = h.observe(t(5), &TraceKind::BreakerTransition { client: 0, state, shed });
+        let action = "circuit-open";
+        assert_eq!(fault, Some(Alert::FaultRecovery { at: t(5), client: 0, action, detail: 3 }));
+        let (version, cand_us, base_us) = (2, 90, 100);
+        let promote = TraceKind::CanaryPromote { model: 1, version, cand_us, base_us };
+        let (model, action) = ("b".to_string(), "promote");
+        let expected = Alert::Rollout { at: t(9), model, version, action, cand_us, base_us };
+        assert_eq!(h.observe(t(9), &promote), Some(expected));
+        h.observe(t(9), &TraceKind::Unload { model: 1, version: 1, bytes: 64 });
+        h.finalize(t(10), &EngineGauges::default());
+        let r = h.into_report(t(10));
+        for name in ["clients_shed", "canary_promotions", "versions_unloaded"] {
+            assert_eq!(r.counter(name), Some(1), "{name}");
+        }
+        assert_eq!(r.alerts.len(), 2);
     }
 
     #[test]
@@ -1089,8 +1065,8 @@ mod tests {
             .with_slo(SloSpec::new("m", us(100), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
             .with_drift(DriftConfig::new(us(200), 0.1));
-        let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, "m");
+        let mut h = TelemetryHub::new(&cfg, ["m"], []);
+        h.observe(t(0), &admitted(0));
         let g = EngineGauges::default();
         let mut drift_alerts = 0;
         for i in 0..10u64 {
@@ -1099,7 +1075,7 @@ mod tests {
                 drift_alerts += 1;
             }
             // Every run breaches the 100µs objective.
-            h.on_run_complete(0, us(400), t(400));
+            h.observe(t(400), &completed(0, 400));
             h.tick(t((i + 1) * 50), &g);
         }
         h.finalize(t(500), &g);
@@ -1111,29 +1087,5 @@ mod tests {
         assert!(r.alerts.iter().any(|a| a.kind() == "slo-burn"));
         // Alerts are stamped in non-decreasing time order.
         assert!(r.alerts.windows(2).all(|w| w[0].at() <= w[1].at()));
-    }
-
-    #[test]
-    fn trace_drop_count_lands_in_the_registry() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
-        h.on_trace_dropped(0);
-        h.on_trace_dropped(7);
-        h.finalize(t(50), &EngineGauges::default());
-        let r = h.into_report(t(50));
-        assert_eq!(r.counter("trace_dropped_events"), Some(7));
-    }
-
-    #[test]
-    fn batch_plan_seeds_the_registry() {
-        let cfg = TelemetryConfig::enabled(us(100))
-            .with_batches(vec![(4, us(120)), (2, us(30))]);
-        let mut h = TelemetryHub::new(&cfg);
-        h.finalize(t(50), &EngineGauges::default());
-        let r = h.into_report(t(50));
-        assert_eq!(r.counter("batches_planned"), Some(2));
-        let s = r.hist("batch_size").unwrap();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 6);
-        assert_eq!(r.hist("batch_wait_us").unwrap().sum, 150);
     }
 }

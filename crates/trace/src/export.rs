@@ -292,7 +292,7 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
         TraceKind::RunRegistered { job, client: c } => {
             row(client(c), "run-registered", "lifecycle", &[("job", UInt(job))])
         }
-        TraceKind::RunCompleted { job, client: c } => {
+        TraceKind::RunCompleted { job, client: c, .. } => {
             row(client(c), "run-completed", "lifecycle", &[("job", UInt(job))])
         }
         TraceKind::DeadlineCancelled { job, client: c } => {
@@ -339,7 +339,7 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
             let args = if job == u64::MAX { &all[2..] } else { &all[..] };
             row(client(c), "retry-scheduled", "recovery", args)
         }
-        TraceKind::BreakerTransition { client: c, state } => {
+        TraceKind::BreakerTransition { client: c, state, .. } => {
             Row::at(e, client(c), Name::Breaker(state), "recovery", &[])
         }
         TraceKind::WatchdogRevoke { job, client: c, stalled_us } => row(
@@ -363,16 +363,16 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
             "residency",
             &[("model", u(model)), ("version", u(version)), ("run", u(run))],
         ),
-        TraceKind::Evict { model, version, bytes } => row(
-            sched,
-            "evict",
-            "residency",
-            &[("model", u(model)), ("version", u(version)), ("bytes", UInt(bytes))],
-        ),
-        TraceKind::CanaryPromote { model, version } => {
+        TraceKind::Evict { model, version, bytes }
+        | TraceKind::Unload { model, version, bytes } => {
+            let name = if matches!(e.kind, TraceKind::Evict { .. }) { "evict" } else { "unload" };
+            let args = [("model", u(model)), ("version", u(version)), ("bytes", UInt(bytes))];
+            row(sched, name, "residency", &args)
+        }
+        TraceKind::CanaryPromote { model, version, .. } => {
             row(sched, "canary-promote", "rollout", &[("model", u(model)), ("version", u(version))])
         }
-        TraceKind::CanaryRollback { model, version } => row(
+        TraceKind::CanaryRollback { model, version, .. } => row(
             sched,
             "canary-rollback",
             "rollout",

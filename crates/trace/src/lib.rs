@@ -130,6 +130,39 @@ impl fmt::Display for SwitchReason {
     }
 }
 
+/// Why the recovery layer shed a client (carried on the shed
+/// [`TraceKind::BreakerTransition`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShedCause {
+    /// The retry budget ran out after this many failed attempts.
+    RetriesExhausted {
+        /// Failed attempts, the last one included.
+        attempts: u32,
+    },
+    /// The client's breaker spent its trip budget.
+    CircuitOpen {
+        /// Trips, the last one included.
+        trips: u32,
+    },
+}
+
+impl ShedCause {
+    /// Stable kebab-case label: `retries-exhausted` or `circuit-open`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShedCause::RetriesExhausted { .. } => "retries-exhausted",
+            ShedCause::CircuitOpen { .. } => "circuit-open",
+        }
+    }
+
+    /// The attempt or trip count.
+    pub fn count(self) -> u32 {
+        match self {
+            ShedCause::RetriesExhausted { attempts: n } | ShedCause::CircuitOpen { trips: n } => n,
+        }
+    }
+}
+
 /// What happened. Ids are raw (`u64` job, `u32` client/device/node) so this
 /// crate sits below the serving layer without a dependency cycle.
 #[non_exhaustive]
@@ -182,6 +215,8 @@ pub enum TraceKind {
         job: u64,
         /// Its owner.
         client: u32,
+        /// Registration-to-completion latency.
+        latency: SimDuration,
     },
     /// A run blew through its deadline and was cancelled.
     DeadlineCancelled {
@@ -258,7 +293,9 @@ pub enum TraceKind {
         /// GPU duration charged.
         gpu: SimDuration,
     },
-    /// A kernel was submitted to the device driver queue (Full mode only).
+    /// A kernel was submitted to the device driver queue (kept in Full
+    /// mode only). The holder's first enqueue after a token grant is
+    /// recorded in every mode, so telemetry sees its hand-off.
     KernelEnqueue {
         /// The launching job.
         job: u64,
@@ -268,6 +305,9 @@ pub enum TraceKind {
         device: u32,
         /// Graph node of the kernel.
         node: u32,
+        /// Grant-to-enqueue latency, on the holder's first enqueue after
+        /// a grant.
+        handoff: Option<SimDuration>,
     },
     /// A kernel started executing on the device (Full mode only).
     KernelLaunch {
@@ -361,8 +401,11 @@ pub enum TraceKind {
     BreakerTransition {
         /// The client the breaker guards.
         client: u32,
-        /// New breaker state, kebab-case ("closed"/"open"/"half-open").
+        /// New breaker state, kebab-case ("closed"/"open"/"half-open"/
+        /// "shed").
         state: &'static str,
+        /// Why the client was shed, on the "shed" transition.
+        shed: Option<ShedCause>,
     },
     /// The token-hold watchdog revoked the token from a stalled holder;
     /// the stall is charged to the holder like an overflow kernel.
@@ -418,18 +461,26 @@ pub enum TraceKind {
         model: u32,
         /// The promoted version number (1-based).
         version: u32,
+        /// Candidate mean run latency, µs.
+        cand_us: u64,
+        /// Incumbent mean run latency, µs.
+        base_us: u64,
     },
-    /// A canary candidate was rolled back (lifecycle layer).
+    /// A canary candidate was rolled back (lifecycle layer). Zero
+    /// latencies mean a newer publish superseded it undecided.
     CanaryRollback {
         /// Deployment index in the lifecycle plan.
         model: u32,
         /// The rejected version number (1-based).
         version: u32,
+        /// Candidate mean run latency, µs.
+        cand_us: u64,
+        /// Incumbent mean run latency, µs.
+        base_us: u64,
     },
     /// A version stopped accepting new runs and started draining
-    /// (lifecycle layer). Its unload, immediate when `inflight == 0` or
-    /// after the last in-flight run, records no event; telemetry counts
-    /// it as `versions_unloaded`.
+    /// (lifecycle layer). Its [`Unload`](TraceKind::Unload) follows at once
+    /// when `inflight == 0`, else after the last in-flight run.
     Drain {
         /// Deployment index in the lifecycle plan.
         model: u32,
@@ -437,6 +488,15 @@ pub enum TraceKind {
         version: u32,
         /// Runs still in flight at this instant.
         inflight: u32,
+    },
+    /// A drained version was unloaded (lifecycle layer).
+    Unload {
+        /// Deployment index in the lifecycle plan.
+        model: u32,
+        /// Version number (1-based).
+        version: u32,
+        /// Weight bytes freed.
+        bytes: u64,
     },
     /// The control plane's degradation ladder changed rungs (control
     /// layer).
@@ -557,6 +617,7 @@ impl TraceKind {
             | TraceKind::VersionLoad { .. }
             | TraceKind::WarmupRun { .. }
             | TraceKind::Evict { .. }
+            | TraceKind::Unload { .. }
             | TraceKind::CanaryPromote { .. }
             | TraceKind::CanaryRollback { .. }
             | TraceKind::Drain { .. }
@@ -601,7 +662,7 @@ impl fmt::Display for TraceEvent {
             TraceKind::RunRegistered { job, client } => {
                 write!(f, "job{job} registered (client{client})")
             }
-            TraceKind::RunCompleted { job, client } => {
+            TraceKind::RunCompleted { job, client, .. } => {
                 write!(f, "job{job} completed (client{client})")
             }
             TraceKind::DeadlineCancelled { job, client } => {
@@ -630,7 +691,7 @@ impl fmt::Display for TraceEvent {
                 f,
                 "overflow charge job{job} (client{client}, gpu{device}, {gpu})"
             ),
-            TraceKind::KernelEnqueue { job, client, device, node } => write!(
+            TraceKind::KernelEnqueue { job, client, device, node, .. } => write!(
                 f,
                 "kernel enqueue job{job} node{node} (client{client}, gpu{device})"
             ),
@@ -669,7 +730,7 @@ impl fmt::Display for TraceEvent {
                     )
                 }
             }
-            TraceKind::BreakerTransition { client, state } => {
+            TraceKind::BreakerTransition { client, state, .. } => {
                 write!(f, "breaker {state} client{client}")
             }
             TraceKind::WatchdogRevoke { job, client, stalled_us } => write!(
@@ -688,10 +749,13 @@ impl fmt::Display for TraceEvent {
             TraceKind::Evict { model, version, bytes } => {
                 write!(f, "evict m{model}@v{version} ({bytes} B)")
             }
-            TraceKind::CanaryPromote { model, version } => {
+            TraceKind::Unload { model, version, bytes } => {
+                write!(f, "unload m{model}@v{version} ({bytes} B)")
+            }
+            TraceKind::CanaryPromote { model, version, .. } => {
                 write!(f, "canary promote m{model}@v{version}")
             }
-            TraceKind::CanaryRollback { model, version } => {
+            TraceKind::CanaryRollback { model, version, .. } => {
                 write!(f, "canary rollback m{model}@v{version}")
             }
             TraceKind::Drain { model, version, inflight } => {
@@ -799,14 +863,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Events overwritten by the ring so far. Available before
-    /// [`finish`](TraceBuffer::finish) so the engine can surface the count
-    /// through telemetry while the buffer is still live.
-    #[inline]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Finishes recording, rotating ring contents into sequence order.
     pub fn finish(mut self) -> Trace {
         if self.write > 0 {
@@ -889,7 +945,7 @@ mod tests {
         b.record(SimTime::ZERO, ev(0));
         b.record(
             SimTime::from_nanos(5),
-            TraceKind::KernelEnqueue { job: 0, client: 0, device: 0, node: 0 },
+            TraceKind::KernelEnqueue { job: 0, client: 0, device: 0, node: 0, handoff: None },
         );
         b.record(SimTime::from_nanos(9), ev(1));
         let t = b.finish();
@@ -914,6 +970,17 @@ mod tests {
             },
         );
         assert_eq!(b.finish().len(), 1);
+    }
+
+    /// Every trace keeps its events by value, in `TraceBuffer`'s arena or
+    /// ring and in the finished `Trace`, and a Sampled arena doubles from
+    /// 1,024 slots as it fills: a wider kind costs 8 bytes per slot in
+    /// every trace. So a new field must fit the 40 bytes the widest kind
+    /// (`KernelLaunch`) already takes.
+    #[test]
+    fn events_stay_56_bytes() {
+        assert_eq!(std::mem::size_of::<TraceKind>(), 40);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
     }
 
     #[test]

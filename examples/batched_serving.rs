@@ -8,7 +8,8 @@
 use metrics::Cdf;
 use models::ModelKind;
 use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin};
-use serving::batching::{plan_batches, poisson_arrivals, BatchingConfig};
+use serving::batching::{plan_batches, BatchingConfig};
+use serving::workload::poisson_arrivals;
 use serving::{run_experiment, ClientSpec, EngineConfig};
 use simtime::SimDuration;
 use std::sync::Arc;

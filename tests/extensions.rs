@@ -5,7 +5,8 @@
 use olympian::{
     drift, Lottery, MultiGpuScheduler, OlympianScheduler, Profiler, ProfileStore, RoundRobin,
 };
-use serving::batching::{plan_batches, poisson_arrivals, BatchingConfig};
+use serving::batching::{plan_batches, BatchingConfig};
+use serving::workload::poisson_arrivals;
 use serving::{run_experiment, ClientSpec, EngineConfig};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;

@@ -1,9 +1,11 @@
 //! End-to-end checks of the model-lifecycle manager: byte-determinism of
 //! every export across worker counts, memory-budgeted eviction churn that
 //! never exceeds the device, and canary rollouts that promote a healthy
-//! version 2 and roll back a regressed one.
+//! version 2 and roll back a regressed one, whose telemetry replays from
+//! their Full traces.
 
 mod common;
+mod replay;
 
 use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
@@ -13,6 +15,7 @@ use serving::{
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
 use telemetry::TelemetryConfig;
+use trace::TraceKind;
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 const CADENCE: SimDuration = SimDuration::from_micros(500);
@@ -78,14 +81,14 @@ fn churn_run() -> RunReport {
 
 /// One deployment publishing version 2 mid-run; the candidate is either a
 /// twin of version 1 (healthy) or a far heavier graph (regressed).
-fn canary_run(regressed: bool) -> RunReport {
+fn canary_run(regressed: bool, trace: TraceConfig) -> RunReport {
     let plan = DeploymentPlan::new().with_model(
         ModelDeployment::new("svc", service("svc", false))
             .with_version(service("svc", regressed), SimTime::from_micros(500)),
     );
     let (cfg, store) = lifecycle_cfg(EngineConfig::default(), plan);
     let clients = vec![ClientSpec::new(service("svc", false), 16); 3];
-    run_experiment(&cfg, clients, &mut fair(store))
+    run_experiment(&cfg.with_trace(trace), clients, &mut fair(store))
 }
 
 fn no_stalls(r: &RunReport) {
@@ -103,11 +106,11 @@ fn no_stalls(r: &RunReport) {
 fn lifecycle_exports_are_byte_identical_across_job_counts() {
     std::env::remove_var(simpar::JOBS_ENV);
     let serial_churn = churn_run();
-    let serial_canary = canary_run(true);
+    let serial_canary = canary_run(true, TraceConfig::sampled());
 
     std::env::set_var(simpar::JOBS_ENV, "2");
     let parallel_churn = churn_run();
-    let parallel_canary = canary_run(true);
+    let parallel_canary = canary_run(true, TraceConfig::sampled());
     std::env::remove_var(simpar::JOBS_ENV);
 
     for (label, a, b) in [
@@ -152,14 +155,14 @@ fn churn_evicts_reloads_and_stays_under_budget() {
 
 #[test]
 fn canary_promotes_healthy_and_rolls_back_regressed() {
-    let healthy = canary_run(false);
+    let healthy = canary_run(false, TraceConfig::sampled());
     assert!(healthy.all_finished());
     no_stalls(&healthy);
     common::assert_counters_match_trace(&healthy);
     assert_eq!(healthy.telemetry.counter("canary_promotions"), Some(1));
     assert_eq!(healthy.telemetry.counter("canary_rollbacks"), Some(0));
 
-    let regressed = canary_run(true);
+    let regressed = canary_run(true, TraceConfig::sampled());
     assert!(regressed.all_finished(), "draining must finish in-flight runs");
     no_stalls(&regressed);
     common::assert_counters_match_trace(&regressed);
@@ -169,4 +172,17 @@ fn canary_promotes_healthy_and_rolls_back_regressed() {
     // serving, so at least one drain and one unload are observed.
     assert!(regressed.telemetry.counter("drains_started").unwrap() >= 1);
     assert!(regressed.telemetry.counter("versions_unloaded").unwrap() >= 1);
+}
+
+/// A promotion and a rollback, each followed by the losing version's
+/// unload: each canary cell's live telemetry is exactly the fold of its
+/// Full trace.
+#[test]
+fn canary_telemetry_replays_from_the_full_trace() {
+    for regressed in [false, true] {
+        let report = canary_run(regressed, TraceConfig::full());
+        let unloaded = report.trace.filter(|k| matches!(k, TraceKind::Unload { .. }));
+        assert!(unloaded.count() > 0, "regressed={regressed}: nothing unloaded");
+        replay::assert_telemetry_replays(&report, &TelemetryConfig::enabled(CADENCE), &["svc"]);
+    }
 }

@@ -5,10 +5,12 @@
 //! `MultiGpuScheduler` (one Olympian token per device). Every rendering —
 //! `RunReport` debug, Chrome trace JSON, telemetry JSON-lines — must be the
 //! same on 1 and 4 `simpar` workers and across reruns, telemetry counters
-//! must equal their trace events, and the renderings are pinned by digest so
-//! multi-device output cannot move silently.
+//! must equal their trace events and replay from the trace, and the
+//! renderings are pinned by digest so multi-device output cannot move
+//! silently.
 
 mod common;
+mod replay;
 
 use faults::{FaultConfig, FaultPlan};
 use olympian::{MultiGpuScheduler, ProfileStore, Profiler, RoundRobin};
@@ -20,6 +22,7 @@ use trace::TraceKind;
 
 const DEVICES: usize = 3;
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
+const INTERVAL: SimDuration = SimDuration::from_micros(500);
 
 /// Runs the three-device cell under `MultiGpuScheduler` (round-robin) when
 /// `olympian` is set, FIFO otherwise.
@@ -32,7 +35,7 @@ fn run_cell(olympian: bool) -> RunReport {
         .with_device_count(DEVICES)
         .with_faults(FaultConfig::new(plan))
         .with_trace(TraceConfig::full())
-        .with_telemetry(TelemetryConfig::enabled(SimDuration::from_micros(500)));
+        .with_telemetry(TelemetryConfig::enabled(INTERVAL));
     let model = models::mini::tiny(4);
     let clients = vec![ClientSpec::new(model.clone(), 2); 6];
     if olympian {
@@ -88,11 +91,13 @@ fn every_device_serves_and_telemetry_matches_the_trace() {
         let faults = report.trace.filter(|k| matches!(k, TraceKind::KernelFault { .. }));
         assert!(faults.count() > 0, "olympian={olympian}: no kernel fault fired");
         common::assert_counters_match_trace(&report);
+        // The Olympian cell has a hand-off whose first launch faulted.
+        replay::assert_telemetry_replays(&report, &TelemetryConfig::enabled(INTERVAL), &[]);
     }
 }
 
 #[test]
 fn renderings_are_pinned() {
-    assert_eq!(fnv1a(&render(&run_cell(false))), "3db8cd8f65b8cbaa", "fifo");
-    assert_eq!(fnv1a(&render(&run_cell(true))), "49cba614c4af7a8f", "multi-gpu");
+    assert_eq!(fnv1a(&render(&run_cell(false))), "934cdff5831993cc", "fifo");
+    assert_eq!(fnv1a(&render(&run_cell(true))), "87dcc6af37284330", "multi-gpu");
 }

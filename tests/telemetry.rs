@@ -2,9 +2,11 @@
 //! JSON-lines and Prometheus exports across worker counts, the full alert
 //! path of a drifting deployment — report, JSON-lines stream and Perfetto
 //! timeline — and telemetry as a fold over the engine's events: counters
-//! equal their trace events' counts, whatever the trace mode.
+//! equal their trace events' counts, whatever the trace mode, and a Full
+//! trace replays into the same telemetry.
 
 mod common;
+mod replay;
 
 use faults::{BreakerConfig, FaultConfig, FaultPlan};
 use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
@@ -256,8 +258,8 @@ fn recovery_counters_match_the_trace() {
     ] {
         assert!(counter(&report, name) > 0, "{name} never fired");
     }
-    // The fold raises the breaker and watchdog alerts; the shed hook adds
-    // one per shed with the action it carries.
+    // The fold raises the breaker and watchdog alerts, and one per shed
+    // with the cause its event carries.
     let alerts = |actions: &[&str]| {
         let recovery = |a: &&Alert| {
             matches!(a, Alert::FaultRecovery { action, .. } if actions.contains(action))
@@ -267,6 +269,14 @@ fn recovery_counters_match_the_trace() {
     assert_eq!(alerts(&["breaker-open"]), counter(&report, "breaker_open_events"));
     assert_eq!(alerts(&["watchdog-revoke"]), counter(&report, "watchdog_revocations"));
     assert_eq!(alerts(&["retries-exhausted", "circuit-open"]), counter(&report, "clients_shed"));
+}
+
+/// Sheds, breakers, the watchdog, a deadline and an OOM latecomer: the
+/// live telemetry is exactly the fold of the Full trace.
+#[test]
+fn recovery_telemetry_replays_from_the_full_trace() {
+    let report = recovery_run(TraceConfig::full());
+    replay::assert_telemetry_replays(&report, &TelemetryConfig::enabled(INTERVAL), &[]);
 }
 
 /// A two-device fleet under a Zipf stream whose hot set rotates mid-run:
