@@ -13,5 +13,6 @@ pub mod table;
 
 pub use cdf::Cdf;
 pub use stats::{
-    jain_fairness, linear_fit, max_min_ratio, try_jain_fairness, try_max_min_ratio, Summary,
+    jain_fairness, jain_from_sums, linear_fit, max_min_ratio, try_jain_fairness, try_max_min_ratio,
+    Summary,
 };

@@ -157,10 +157,28 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "fairness of empty sample");
     let sum: f64 = xs.iter().sum();
     let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
+    jain_from_sums(xs.len(), sum, sum_sq)
+}
+
+/// Jain's index of `n` allocations from their sum and sum of squares: the
+/// last step of [`jain_fairness`], for callers that keep the sums
+/// incrementally. Folding the sums in index order, as `jain_fairness`
+/// does, gives a bit-identical result. 1.0 when every allocation is zero
+/// (or `n` is 0).
+///
+/// ```
+/// use metrics::{jain_fairness, jain_from_sums};
+///
+/// let xs = [3.0, 1.0, 2.0];
+/// let (sum, sum_sq) = xs.iter().fold((0.0, 0.0), |(s, q), x| (s + x, q + x * x));
+/// assert_eq!(jain_from_sums(xs.len(), sum, sum_sq), jain_fairness(&xs));
+/// assert_eq!(jain_from_sums(0, 0.0, 0.0), 1.0);
+/// ```
+pub fn jain_from_sums(n: usize, sum: f64, sum_sq: f64) -> f64 {
     if sum_sq == 0.0 {
         return 1.0;
     }
-    (sum * sum) / (xs.len() as f64 * sum_sq)
+    (sum * sum) / (n as f64 * sum_sq)
 }
 
 /// Non-panicking [`jain_fairness`]: `None` on an empty or NaN-tainted

@@ -264,10 +264,13 @@ mod tests {
 
     #[test]
     fn fair_gangs_finish_close_together() {
-        let pool = GangPool::fair(200);
+        // 50 µs of spin per node and 20 ms per gang: an OS time slice or a
+        // condvar wake-up on a loaded host is noise against the token's
+        // rotation, not the whole run.
+        let pool = GangPool::fair(5_000);
         let outcome = pool.run(vec![
-            GangWorkload::new(50, 20, 2),
-            GangWorkload::new(50, 20, 2),
+            GangWorkload::new(400, 500, 2),
+            GangWorkload::new(400, 500, 2),
         ]);
         let a = outcome.finish_times[0].as_secs_f64();
         let b = outcome.finish_times[1].as_secs_f64();

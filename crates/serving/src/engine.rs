@@ -237,6 +237,11 @@ struct Engine<'a> {
     memories: Vec<MemoryPool>,
     scheduler: &'a mut dyn Scheduler,
     clients: Vec<ClientState>,
+    /// Index of the first client without an outcome (`clients.len()` once
+    /// every session is decided). Exact because an outcome, once set, is
+    /// never cleared before `finalize`; advanced lazily by
+    /// [`Engine::first_undecided`].
+    undecided: usize,
     /// Job handles, indexed by `JobId.0` — ids are dense from 0 (one per
     /// `register` call, including rejected ones).
     job_refs: Vec<JobRef>,
@@ -362,6 +367,7 @@ fn build_engine<'a>(
         memories,
         scheduler,
         clients: client_states,
+        undecided: 0,
         job_refs: Vec::with_capacity(256),
         job_hot: Vec::new(),
         job_cold: Vec::new(),
@@ -1066,7 +1072,7 @@ impl Engine<'_> {
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
         }
-        if let Some(every) = every.filter(|_| self.clients.iter().any(|c| c.outcome.is_none())) {
+        if let Some(every) = every.filter(|_| self.first_undecided() < self.clients.len()) {
             self.queue.schedule(now + every, Event::ClusterTick);
         }
     }
@@ -1092,18 +1098,36 @@ impl Engine<'_> {
             self.record(TraceKind::LaxityCancel { job: job.0, client: c.0, deficit_us });
             self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
         }
-        if self.clients.iter().any(|c| c.outcome.is_none()) {
+        if self.first_undecided() < self.clients.len() {
             self.queue.schedule(now + period, Event::ControlTick);
         }
     }
 
+    /// Index of the first client without an outcome, or `clients.len()`
+    /// when every session is decided. Moves the cursor past sessions
+    /// decided since the last call, so the ticks that re-arm on it walk
+    /// each session once per run instead of once per tick.
+    fn first_undecided(&mut self) -> usize {
+        while self.clients.get(self.undecided).is_some_and(|c| c.outcome.is_some()) {
+            self.undecided += 1;
+        }
+        debug_assert_eq!(
+            self.undecided,
+            self.clients.iter().position(|c| c.outcome.is_none()).unwrap_or(self.clients.len()),
+            "an outcome was cleared before finalize"
+        );
+        self.undecided
+    }
+
     /// Runs that cannot meet their deadline any more, in client-index
-    /// order: `(job, client, deficit in µs)`.
-    fn laxity_doomed(&self) -> Vec<(JobId, ClientId, u64)> {
+    /// order: `(job, client, deficit in µs)`. The walk starts at the first
+    /// undecided session: a decided one has no live run.
+    fn laxity_doomed(&mut self) -> Vec<(JobId, ClientId, u64)> {
+        let first = self.first_undecided();
         let Some(ctl) = self.control.as_ref().filter(|ctl| ctl.cancels_laxity()) else {
             return Vec::new();
         };
-        let doomed = self.clients.iter().enumerate().filter_map(|(i, client)| {
+        let doomed = self.clients.iter().enumerate().skip(first).filter_map(|(i, client)| {
             let (job, budget) = (client.current_job?, client.spec.run_deadline?);
             let slot = self.live_slot(job)?;
             let (m, deadline) = (&client.spec.model, self.job_cold[slot].started_at + budget);

@@ -14,6 +14,6 @@
 
 pub use telemetry::{
     json_lines, prometheus_text, Alert, BurnSignal, BurnWindows, DriftConfig, DriftDetector,
-    DriftSignal, EngineGauges, HistogramSnapshot, MetricsRegistry, SloMonitor, SloSpec, SnapshotSeries, SnapshotView,
-    TelemetryConfig, TelemetryHub, TelemetryReport,
+    DriftSignal, EngineGauges, HistogramSnapshot, MetricsRegistry, SloMonitor, SloSpec,
+    SnapshotCursor, SnapshotSeries, SnapshotView, TelemetryConfig, TelemetryHub, TelemetryReport,
 };

@@ -68,7 +68,7 @@ fn alert_value(a: &Alert) -> Value {
     }
 }
 
-fn snapshot_value(r: &TelemetryReport, s: SnapshotView<'_>) -> Value {
+fn snapshot_value(r: &TelemetryReport, s: SnapshotView<'_>, client_gpu_ns: &[u64]) -> Value {
     let counters = r
         .counter_names
         .iter()
@@ -106,7 +106,7 @@ fn snapshot_value(r: &TelemetryReport, s: SnapshotView<'_>) -> Value {
         ("histograms".into(), Value::Object(hists)),
         (
             "client_gpu_ns".into(),
-            Value::Array(s.client_gpu_ns.iter().map(|v| Value::UInt(*v)).collect()),
+            Value::Array(client_gpu_ns.iter().map(|v| Value::UInt(*v)).collect()),
         ),
     ])
 }
@@ -149,12 +149,13 @@ pub fn json_lines(r: &TelemetryReport) -> String {
     );
     // Merge: alerts at time <= a snapshot's boundary stream before it.
     let mut ai = 0;
-    for s in r.snapshots.iter() {
+    let mut rows = r.snapshots.cursor();
+    while let Some((s, gpu)) = rows.advance() {
         while ai < r.alerts.len() && r.alerts[ai].at() <= s.at {
             obj_line(&mut out, alert_value(&r.alerts[ai]));
             ai += 1;
         }
-        obj_line(&mut out, snapshot_value(r, s));
+        obj_line(&mut out, snapshot_value(r, s, gpu));
     }
     for a in &r.alerts[ai..] {
         obj_line(&mut out, alert_value(a));
@@ -209,7 +210,8 @@ fn push_prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
 /// cannot break the line structure.
 pub fn prometheus_text(r: &TelemetryReport) -> String {
     let mut out = String::new();
-    let Some(last) = r.last() else {
+    let mut rows = r.snapshots.cursor();
+    let Some((last, last_gpu_ns)) = rows.advance_to_last() else {
         return out;
     };
     for (name, v) in r.counter_names.iter().zip(last.counters) {
@@ -239,7 +241,7 @@ pub fn prometheus_text(r: &TelemetryReport) -> String {
         "gauge",
         "Cumulative GPU time attributed to each client.",
     );
-    for (client, gpu) in last.client_gpu_ns.iter().enumerate() {
+    for (client, gpu) in last_gpu_ns.iter().enumerate() {
         let model = r
             .client_models
             .get(client)

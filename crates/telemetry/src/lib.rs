@@ -261,31 +261,43 @@ impl Alert {
 }
 
 /// The snapshot time series in struct-of-arrays layout: every boundary
-/// appends into five shared vectors, so the steady-state snapshot path is
-/// a handful of `memcpy`s with only amortized growth — never five fresh
-/// `Vec` allocations per boundary. At the benchmark cadence (one snapshot
-/// per 100 µs of virtual time) those allocations were the bulk of the
+/// appends into shared vectors, so the steady-state snapshot path is a
+/// handful of `memcpy`s with only amortized growth — never fresh `Vec`
+/// allocations per boundary. At the benchmark cadences (one snapshot per
+/// 1 ms or 500 µs of virtual time) those allocations were the bulk of the
 /// telemetry on-cost.
 ///
-/// Rows are read back through [`SnapshotView`], which borrows the
-/// per-snapshot spans in place.
+/// GPU shares are stored sparsely: a snapshot keeps only the clients whose
+/// cumulative GPU time changed since the previous boundary, as ascending
+/// `(client, gpu_ns)` pairs, plus the client-table length. A dense row
+/// would copy every session ever seen into every snapshot, so an open-loop
+/// run would grow as arrivals × snapshots. Dense rows are expanded at read
+/// time by [`SnapshotCursor`]; the other columns are read in place through
+/// [`SnapshotView`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotSeries {
     at: Vec<SimTime>,
     counters: Vec<u64>,
     gauges: Vec<f64>,
     hists: Vec<HistogramSnapshot>,
+    /// Clients whose GPU time changed at a boundary, ascending within each
+    /// snapshot, parallel to `gpu_ns`.
+    gpu_client: Vec<u32>,
+    /// The changed clients' new cumulative GPU nanoseconds.
     gpu_ns: Vec<u64>,
-    /// Exclusive end offset into `gpu_ns` per snapshot — the client table
-    /// grows during a run, so those rows are ragged.
-    gpu_ns_end: Vec<u32>,
+    /// Exclusive end offset into the change pairs per snapshot.
+    gpu_end: Vec<u32>,
+    /// Client-table length per snapshot: the width of its dense row. The
+    /// table grows during a run, and a new row starts at zero.
+    gpu_len: Vec<u32>,
     n_counters: u32,
     n_gauges: u32,
     n_hists: u32,
 }
 
 /// One registry snapshot, viewed in place; value slices are parallel to
-/// the name lists in [`TelemetryReport`].
+/// the name lists in [`TelemetryReport`]. The snapshot's per-client GPU
+/// shares are read through [`SnapshotSeries::cursor`].
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotView<'a> {
     /// Virtual time of the snapshot.
@@ -296,8 +308,6 @@ pub struct SnapshotView<'a> {
     pub gauges: &'a [f64],
     /// Histogram summaries (cumulative).
     pub hists: &'a [HistogramSnapshot],
-    /// Cumulative attributed GPU nanoseconds per client.
-    pub client_gpu_ns: &'a [u64],
 }
 
 impl SnapshotSeries {
@@ -318,13 +328,11 @@ impl SnapshotSeries {
         }
         let (nc, ng, nh) =
             (self.n_counters as usize, self.n_gauges as usize, self.n_hists as usize);
-        let g0 = if i == 0 { 0 } else { self.gpu_ns_end[i - 1] as usize };
         Some(SnapshotView {
             at: self.at[i],
             counters: &self.counters[i * nc..(i + 1) * nc],
             gauges: &self.gauges[i * ng..(i + 1) * ng],
             hists: &self.hists[i * nh..(i + 1) * nh],
-            client_gpu_ns: &self.gpu_ns[g0..self.gpu_ns_end[i] as usize],
         })
     }
 
@@ -336,6 +344,57 @@ impl SnapshotSeries {
     /// Snapshots in time order.
     pub fn iter(&self) -> impl Iterator<Item = SnapshotView<'_>> + '_ {
         (0..self.len()).map(|i| self.get(i).expect("index in range"))
+    }
+
+    /// A cursor over the snapshots in time order that also yields each
+    /// one's dense per-client GPU row.
+    pub fn cursor(&self) -> SnapshotCursor<'_> {
+        SnapshotCursor { series: self, next: 0, row: Vec::new() }
+    }
+}
+
+/// A lending cursor over a [`SnapshotSeries`]: each step applies one
+/// snapshot's GPU-share changes to a single reused buffer and lends it as
+/// that snapshot's dense row, so reading every row costs the stored
+/// changes plus one buffer, not a fresh `Vec` per snapshot.
+#[derive(Debug)]
+pub struct SnapshotCursor<'a> {
+    series: &'a SnapshotSeries,
+    next: usize,
+    row: Vec<u64>,
+}
+
+impl<'a> SnapshotCursor<'a> {
+    /// Moves to the next snapshot and returns it with its dense row:
+    /// cumulative attributed GPU nanoseconds per client, indexed by client
+    /// id. `None` past the last snapshot.
+    pub fn advance(&mut self) -> Option<(SnapshotView<'a>, &[u64])> {
+        let view = self.series.get(self.next)?;
+        self.apply(self.next);
+        self.next += 1;
+        Some((view, &self.row))
+    }
+
+    /// Moves to the final snapshot and returns it with its dense row, or
+    /// `None` if the cursor already passed it or the series is empty.
+    pub fn advance_to_last(&mut self) -> Option<(SnapshotView<'a>, &[u64])> {
+        while self.next + 1 < self.series.len() {
+            self.apply(self.next);
+            self.next += 1;
+        }
+        self.advance()
+    }
+
+    /// Applies snapshot `i`'s changes to the row, which holds snapshot
+    /// `i - 1`'s dense row.
+    fn apply(&mut self, i: usize) {
+        let s = self.series;
+        let start = if i == 0 { 0 } else { s.gpu_end[i - 1] as usize };
+        let end = s.gpu_end[i] as usize;
+        self.row.resize(s.gpu_len[i] as usize, 0);
+        for (&c, &ns) in s.gpu_client[start..end].iter().zip(&s.gpu_ns[start..end]) {
+            self.row[c as usize] = ns;
+        }
     }
 }
 
@@ -479,6 +538,20 @@ struct ClientState {
     slo: Option<u32>,
     drift: Option<DriftDetector>,
     gpu_ns: u64,
+    /// `gpu_ns` as of the last snapshot boundary.
+    snapped_ns: u64,
+    /// Whether the client is on the hub's dirty list.
+    dirty: bool,
+}
+
+impl ClientState {
+    /// Puts client `id` (this row) on the hub's `dirty` list, once.
+    fn mark_dirty(&mut self, id: u32, dirty: &mut Vec<u32>) {
+        if !self.dirty {
+            self.dirty = true;
+            dirty.push(id);
+        }
+    }
 }
 
 /// The engine-side telemetry recorder: a fold over the engine's events.
@@ -509,10 +582,15 @@ pub struct TelemetryHub {
     /// Each deployment's served name, as an index into `names`.
     deployment_names: Vec<u32>,
     clients: Vec<ClientState>,
+    /// Clients whose GPU time may have moved since the last boundary, each
+    /// once: the only rows a snapshot visits.
+    dirty: Vec<u32>,
+    /// The fairness gauge's checkpoints: entry `i` is the sequential fold
+    /// of `(x, x²)` over the GPU shares of clients `0..=i` as of the last
+    /// boundary. A boundary resumes the fold below its lowest changed
+    /// client instead of redoing it over every session ever seen.
+    share_fold: Vec<(f64, f64)>,
     snapshots: SnapshotSeries,
-    /// Scratch for the per-snapshot fairness computation, reused across
-    /// boundaries so the snapshot path stays allocation-free.
-    shares_scratch: Vec<f64>,
     alerts: Vec<Alert>,
     run_log: RunLog,
 }
@@ -547,8 +625,9 @@ impl TelemetryHub {
             client_names: Vec::new(),
             deployment_names: Vec::new(),
             clients: Vec::new(),
+            dirty: Vec::new(),
+            share_fold: Vec::new(),
             snapshots: SnapshotSeries::default(),
-            shares_scratch: Vec::new(),
             alerts: Vec::new(),
             run_log: RunLog::default(),
         };
@@ -670,6 +749,9 @@ impl TelemetryHub {
         self.fold(at, kind)
     }
 
+    // Out of line: `observe` inlines into every engine record site, and
+    // with telemetry off it must stay a single branch there.
+    #[inline(never)]
     fn fold(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
         // Borrowed, not copied: most events the engine records count
         // nothing, and the handle table is large.
@@ -752,6 +834,7 @@ impl TelemetryHub {
         self.registry.observe(ids.h_quantum, gpu.as_nanos() / 1_000);
         let state = self.clients.get_mut(client as usize)?;
         state.gpu_ns += gpu.as_nanos();
+        state.mark_dirty(client, &mut self.dirty);
         let signal = state.drift.as_mut()?.observe(gpu)?;
         self.registry.inc(ids.c_alerts_drift, 1);
         self.raise(Alert::Drift {
@@ -778,12 +861,13 @@ impl TelemetryHub {
             self.clients.resize(idx + 1, ClientState::default());
         }
         let model = &self.names[name as usize];
-        self.clients[idx] = ClientState {
-            model: Some(name),
-            slo: self.slo_specs.iter().position(|s| s.model == *model).map(|i| i as u32),
-            drift: self.drift_template.clone().map(DriftDetector::new),
-            gpu_ns: 0,
-        };
+        let state = &mut self.clients[idx];
+        state.model = Some(name);
+        state.slo = self.slo_specs.iter().position(|s| s.model == *model).map(|i| i as u32);
+        state.drift = self.drift_template.clone().map(DriftDetector::new);
+        // A re-admission restarts the client's GPU share.
+        state.gpu_ns = 0;
+        state.mark_dirty(client, &mut self.dirty);
     }
 
     /// Feeds one completed run's latency to the latency histogram, the
@@ -819,10 +903,8 @@ impl TelemetryHub {
         };
         self.registry.set_gauge(ids.g_holder_ratio, ratio);
         self.registry.set_gauge(ids.g_resident, gauges.resident_model_bytes as f64);
-        self.shares_scratch.clear();
-        self.shares_scratch.extend(self.clients.iter().map(|c| c.gpu_ns as f64));
-        // An idle window (no clients yet) must not panic: try_* + neutral 1.0.
-        let fairness = metrics::try_jain_fairness(&self.shares_scratch).unwrap_or(1.0);
+        let refold = self.snap_gpu_shares();
+        let fairness = self.share_fairness(refold);
         self.registry.set_gauge(ids.g_fairness, fairness);
 
         // Rotate the SLO windows; burn alerts are stamped at the boundary
@@ -849,11 +931,52 @@ impl TelemetryHub {
         s.counters.extend_from_slice(self.registry.counter_values());
         s.gauges.extend_from_slice(self.registry.gauge_values());
         self.registry.snap_hists_into(&mut s.hists);
-        s.gpu_ns.extend(self.clients.iter().map(|c| c.gpu_ns));
-        s.gpu_ns_end.push(s.gpu_ns.len() as u32);
         s.n_counters = self.registry.counter_values().len() as u32;
         s.n_gauges = self.registry.gauge_values().len() as u32;
         s.n_hists = self.registry.hist_names().len() as u32;
+    }
+
+    /// Appends this boundary's GPU shares to the series: a `(client,
+    /// gpu_ns)` pair for each dirty client whose share moved since the
+    /// last boundary, in client order, and the client-table length.
+    /// Returns the lowest row the fairness fold must redo: the lowest
+    /// changed client, or the first row added since the last boundary
+    /// (new rows start at zero, so they are not stored unless they moved).
+    fn snap_gpu_shares(&mut self) -> usize {
+        let s = &mut self.snapshots;
+        let mut refold = self.share_fold.len();
+        self.dirty.sort_unstable();
+        for &c in &self.dirty {
+            let state = &mut self.clients[c as usize];
+            state.dirty = false;
+            if state.gpu_ns != state.snapped_ns {
+                state.snapped_ns = state.gpu_ns;
+                s.gpu_client.push(c);
+                s.gpu_ns.push(state.gpu_ns);
+                refold = refold.min(c as usize);
+            }
+        }
+        self.dirty.clear();
+        s.gpu_end.push(s.gpu_client.len() as u32);
+        s.gpu_len.push(self.clients.len() as u32);
+        refold
+    }
+
+    /// Jain's fairness over every client's GPU share, bit-identical to
+    /// `metrics::try_jain_fairness` over the dense row (neutral 1.0 while
+    /// the table is empty): resumes the sequential fold at client `from`,
+    /// the lowest row that changed since the checkpoints were taken.
+    fn share_fairness(&mut self, from: usize) -> f64 {
+        self.share_fold.truncate(from);
+        let (mut sum, mut sum_sq) = self.share_fold.last().copied().unwrap_or((0.0, 0.0));
+        for c in &self.clients[from..] {
+            let x = c.gpu_ns as f64;
+            sum += x;
+            sum_sq += x * x;
+            self.share_fold.push((sum, sum_sq));
+        }
+        // An idle window (no clients yet) has no squares: neutral 1.0.
+        metrics::jain_from_sums(self.clients.len(), sum, sum_sq)
     }
 
     /// Emits every snapshot boundary due at or before `now`. The engine
@@ -1031,8 +1154,9 @@ mod tests {
         let handoff = r.hist("handoff_us").unwrap();
         assert_eq!((handoff.count, handoff.sum), (1, 80));
         assert_eq!(r.run_log.latency, vec![us(700), us(100)]);
-        let last = r.last().unwrap();
-        assert_eq!(last.client_gpu_ns, vec![200_000, 0, 100_000]);
+        let mut rows = r.snapshots.cursor();
+        let (last, gpu) = rows.advance_to_last().unwrap();
+        assert_eq!(gpu, [200_000, 0, 100_000]);
         let qd = r.gauge_names.iter().position(|n| *n == "admission_queue_depth").unwrap();
         assert_eq!(last.gauges[qd], 2.0);
         assert_eq!(r.client_models, vec!["m".to_string(), String::new(), "other".to_string()]);

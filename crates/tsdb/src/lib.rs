@@ -381,7 +381,8 @@ impl Store {
             report.client_models.get(c).map(String::as_str).unwrap_or("?")
         };
 
-        for snap in report.snapshots.iter() {
+        let mut rows = report.snapshots.cursor();
+        while let Some((snap, client_gpu_ns)) = rows.advance() {
             let t = snap.at.as_nanos();
             for (i, &sid) in counter_ids.iter().enumerate() {
                 store.push_to(sid, t, snap.counters[i] as f64);
@@ -395,7 +396,7 @@ impl Store {
                 store.push_to(ids[1], t, h.p50);
                 store.push_to(ids[2], t, h.p99);
             }
-            for (c, &gpu) in snap.client_gpu_ns.iter().enumerate() {
+            for (c, &gpu) in client_gpu_ns.iter().enumerate() {
                 while gpu_ids.len() <= c {
                     let cl = gpu_ids.len();
                     let id = store.series_id(

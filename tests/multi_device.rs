@@ -98,6 +98,6 @@ fn every_device_serves_and_telemetry_matches_the_trace() {
 
 #[test]
 fn renderings_are_pinned() {
-    assert_eq!(fnv1a(&render(&run_cell(false))), "934cdff5831993cc", "fifo");
-    assert_eq!(fnv1a(&render(&run_cell(true))), "87dcc6af37284330", "multi-gpu");
+    assert_eq!(fnv1a(&render(&run_cell(false))), "139c3ca63481e46f", "fifo");
+    assert_eq!(fnv1a(&render(&run_cell(true))), "394355de1d4b89c4", "multi-gpu");
 }

@@ -451,3 +451,99 @@ fn timing_wheel_same_timestamp_fifo_regression() {
     }
     assert!(q.pop().is_none());
 }
+
+/// Telemetry stores only the GPU shares that moved since the previous
+/// boundary and resumes the fairness fold below the lowest one. At every
+/// snapshot the expanded row must equal a naive dense mirror of the
+/// client table, and the `gpu_share_fairness` gauge must be bit-identical
+/// to Jain's index over that mirror. Cases admit clients out of order and
+/// repeatedly (a re-admission restarts the share at zero), put quanta on
+/// random clients (some never admitted, some of zero length), idle across
+/// several boundaries in one tick, and may snapshot an empty table.
+#[test]
+fn sparse_gpu_rows_expand_to_the_dense_mirror() {
+    use telemetry::{EngineGauges, TelemetryConfig, TelemetryHub};
+    use trace::TraceKind;
+
+    let interval = SimDuration::from_micros(100);
+    let gauges = EngineGauges::default();
+    // How often the cases hit the three corner cases named above.
+    let (mut readmits, mut multi_ticks, mut empty_rows) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = DetRng::new(0x5EA5 ^ case);
+        let clients = rng.range_u64(1, 40) as u32;
+        let models = vec!["m"; clients as usize];
+        let mut hub = TelemetryHub::new(&TelemetryConfig::enabled(interval), models, []);
+        // The dense table as the hub should see it, and the row each
+        // boundary should have stored.
+        let (mut mirror, mut rows): (Vec<u64>, Vec<Vec<u64>>) = (Vec::new(), Vec::new());
+        let (mut due, mut last) = (SimTime::ZERO + interval, None);
+        let mut now = SimTime::ZERO;
+        for _ in 0..rng.range_u64(1, 300) {
+            let idle = rng.range_u64(0, 12) == 0;
+            let step = if idle { rng.range_u64(100, 1_000) } else { rng.range_u64(0, 40) };
+            now += SimDuration::from_micros(step);
+            // The engine's boundary check: everything due at or before the
+            // next event is emitted before it.
+            if now >= hub.next_due() {
+                hub.tick(now, &gauges);
+            }
+            let before = rows.len();
+            while due <= now {
+                rows.push(mirror.clone());
+                (last, due) = (Some(due), due + interval);
+            }
+            multi_ticks += usize::from(rows.len() > before + 1);
+            assert_eq!(hub.next_due(), due, "case {case}");
+            let client = rng.range_u64(0, u64::from(clients)) as u32;
+            if rng.range_u64(0, 4) == 0 {
+                hub.observe(now, &TraceKind::ClientAdmitted { client, device: 0 });
+                let c = client as usize;
+                if mirror.len() <= c {
+                    mirror.resize(c + 1, 0);
+                }
+                readmits += usize::from(mirror[c] > 0);
+                mirror[c] = 0;
+            } else {
+                let ns = rng.range_u64(0, 3) * rng.range_u64(0, 9_000_001);
+                let gpu = SimDuration::from_nanos(ns);
+                let job = rng.next_u64();
+                hub.observe(now, &TraceKind::QuantumEnd { job, client, gpu });
+                // Quanta of a client beyond the table are not attributed.
+                if let Some(share) = mirror.get_mut(client as usize) {
+                    *share += gpu.as_nanos();
+                }
+            }
+        }
+        let makespan = now + SimDuration::from_micros(rng.range_u64(0, 500));
+        hub.finalize(makespan, &gauges);
+        while due <= makespan {
+            rows.push(mirror.clone());
+            (last, due) = (Some(due), due + interval);
+        }
+        // The final, possibly partial, snapshot.
+        if last.is_none_or(|at| at < makespan) {
+            rows.push(mirror.clone());
+        }
+
+        empty_rows += rows.iter().filter(|row| row.is_empty()).count();
+        let report = hub.into_report(makespan);
+        assert_eq!(report.snapshots.len(), rows.len(), "case {case}: snapshot count");
+        let fairness = report.gauge_names.iter().position(|n| *n == "gpu_share_fairness");
+        let fairness = fairness.expect("fairness gauge registered");
+        let mut cursor = report.snapshots.cursor();
+        for (i, want) in rows.iter().enumerate() {
+            let (snap, row) = cursor.advance().expect("one row per snapshot");
+            assert_eq!(row, want.as_slice(), "case {case}: row {i} at {}", snap.at);
+            let shares: Vec<f64> = want.iter().map(|&ns| ns as f64).collect();
+            let jain = metrics::try_jain_fairness(&shares).unwrap_or(1.0);
+            assert_eq!(
+                snap.gauges[fairness].to_bits(),
+                jain.to_bits(),
+                "case {case}: fairness at row {i}"
+            );
+        }
+        assert!(cursor.advance().is_none(), "case {case}: extra rows");
+    }
+    assert!(readmits > 0 && multi_ticks > 0 && empty_rows > 0, "a corner case never ran");
+}

@@ -34,11 +34,12 @@ pub fn assert_telemetry_replays(report: &RunReport, cfg: &TelemetryConfig, deplo
     assert_eq!(live.hist_names, replay.hist_names);
     assert_eq!(live.client_models, replay.client_models);
     assert_eq!(live.snapshots.len(), replay.snapshots.len(), "snapshot count");
-    for (a, b) in live.snapshots.iter().zip(replay.snapshots.iter()) {
+    let (mut live_rows, mut replay_rows) = (live.snapshots.cursor(), replay.snapshots.cursor());
+    while let (Some((a, a_gpu)), Some((b, b_gpu))) = (live_rows.advance(), replay_rows.advance()) {
         assert_eq!(a.at, b.at);
         assert_eq!(a.counters, b.counters, "counters at {}", a.at);
         assert_eq!(a.hists, b.hists, "histograms at {}", a.at);
-        assert_eq!(a.client_gpu_ns, b.client_gpu_ns, "GPU shares at {}", a.at);
+        assert_eq!(a_gpu, b_gpu, "GPU shares at {}", a.at);
     }
     assert_eq!(live.alerts, replay.alerts);
     assert_eq!(live.run_log, replay.run_log);

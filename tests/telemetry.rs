@@ -279,11 +279,9 @@ fn recovery_telemetry_replays_from_the_full_trace() {
     replay::assert_telemetry_replays(&report, &TelemetryConfig::enabled(INTERVAL), &[]);
 }
 
-/// A two-device fleet under a Zipf stream whose hot set rotates mid-run:
-/// routes, reconfigurations and migrations reach the trace and the
-/// counters alike.
-#[test]
-fn fleet_counters_match_the_trace() {
+/// A two-device fleet under a Zipf stream of 400 arrivals whose hot set
+/// rotates mid-run, with sampled tracing and 1 ms telemetry.
+fn fleet_run() -> RunReport {
     const MODELS: usize = 6;
     const ARRIVALS: usize = 400;
     let tiny = models::mini::tiny(4);
@@ -318,10 +316,46 @@ fn fleet_counters_match_the_trace() {
         .zip(arrivals)
         .map(|(m, at)| ClientSpec::new(zoo[m].clone(), 1).with_start(at))
         .collect();
-    let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
+    run_experiment(&cfg, clients, &mut FifoScheduler::new())
+}
+
+/// Routes, reconfigurations and migrations reach the trace and the
+/// counters alike.
+#[test]
+fn fleet_counters_match_the_trace() {
+    let report = fleet_run();
     assert!(report.all_finished());
     common::assert_counters_match_trace(&report);
     for name in ["cluster_routes", "cluster_reconfigs", "cluster_migrations"] {
         assert!(counter(&report, name) > 0, "{name} never fired");
+    }
+}
+
+/// 64-bit FNV-1a of a rendering, as 16 hex digits.
+fn fnv1a(s: &str) -> String {
+    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// Digests of the JSON-lines, Prometheus and tsdb exports.
+fn export_digests(report: &RunReport) -> [String; 3] {
+    let mut tsdb = String::new();
+    report.tsdb().to_json("run").write(&mut tsdb);
+    [report.telemetry_jsonl(), report.prometheus_text(), tsdb].map(|text| fnv1a(&text))
+}
+
+/// The exports are pinned by digest on an open-loop fleet and on a
+/// drifting deployment, so a change to how telemetry stores its snapshots
+/// cannot move what it exports.
+#[test]
+fn exports_are_pinned() {
+    let pinned = [
+        (fleet_run(), ["4294ea9962fbf90f", "d5c5295c15788cba", "fe34c1282586ee25"]),
+        (drifted_run(), ["fd757aef81d17b06", "eecd342a0c37b360", "a3758cff051a60c3"]),
+    ];
+    for (i, (report, want)) in pinned.iter().enumerate() {
+        assert_eq!(export_digests(report), want.map(String::from), "cell {i}");
     }
 }
