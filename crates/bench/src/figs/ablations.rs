@@ -42,7 +42,6 @@ pub fn gang_width_sweep() -> Vec<(u32, f64)> {
         .map(|g| {
             let mut cfg = default_config();
             cfg.max_gang = g;
-            cfg.min_effective_gang = g;
             (g, pair_overhead(&cfg))
         })
         .collect()

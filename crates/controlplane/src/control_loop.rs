@@ -1,14 +1,16 @@
 //! The control loop of one run: the configuration, the degradation
 //! ladder, and the decisions the serving engine asks of them at its hooks.
 
-use crate::{clamp_rebind_ppm, ControlConfig, DegradeState, Transition};
+use crate::{
+    clamp_rebind_ppm, ControlConfig, DegradeState, Transition, COOL_WINDOW, ESCALATE_AFTER,
+};
 use simtime::{SimDuration, SimTime};
 
 /// Live control-plane state for one run. The ladder steps up a rung after
-/// [`ControlConfig::escalate_after`] consecutive burn episodes on the
-/// current one, and down a rung per quiet [`ControlConfig::cool_window`],
-/// re-arming the clock, so Shedding to Healthy takes two quiet windows; a
-/// burn while cooling resets the clock (the flap guard).
+/// [`ESCALATE_AFTER`] consecutive burn episodes on the current one, and
+/// down a rung per quiet [`COOL_WINDOW`], re-arming the clock, so Shedding
+/// to Healthy takes two quiet windows; a burn while cooling resets the
+/// clock (the flap guard).
 #[derive(Debug, Clone)]
 pub struct ControlLoop {
     cfg: ControlConfig,
@@ -28,11 +30,6 @@ impl ControlLoop {
     pub fn new(cfg: &ControlConfig) -> ControlLoop {
         cfg.validate();
         ControlLoop { cfg: cfg.clone(), state: DegradeState::Healthy, episodes: 0, armed_at: None }
-    }
-
-    /// The control tick period.
-    pub fn period(&self) -> SimDuration {
-        self.cfg.tick
     }
 
     /// The current rung.
@@ -65,7 +62,7 @@ impl ControlLoop {
     pub fn on_burn(&mut self, now: SimTime) -> Option<Transition> {
         self.armed_at = Some(now);
         self.episodes += 1;
-        if self.episodes < self.cfg.escalate_after {
+        if self.episodes < ESCALATE_AFTER {
             return None;
         }
         self.episodes = 0;
@@ -81,7 +78,7 @@ impl ControlLoop {
             return None;
         }
         let armed = self.armed_at?;
-        if now < armed + self.cfg.cool_window {
+        if now < armed + COOL_WINDOW {
             return None;
         }
         let from = self.state;
@@ -157,16 +154,13 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    fn escalating() -> ControlLoop {
-        ControlLoop::new(&ControlConfig::new().with_escalate_after(1))
-    }
-
     #[test]
     fn degraded_divides_the_batch_hint_never_below_one() {
-        let mut ctl = escalating();
+        let mut ctl = ControlLoop::new(&ControlConfig::new());
         assert_eq!(ctl.batch_hint(8), 8, "Healthy keeps the batch");
         assert!(!ctl.degraded());
-        let tr = ctl.on_burn(t(1)).expect("one episode escalates");
+        assert_eq!(ctl.on_burn(t(1)), None);
+        let tr = ctl.on_burn(t(2)).expect("the second episode escalates");
         assert_eq!(tr.to, DegradeState::Degraded);
         assert!(ctl.degraded());
         assert_eq!(ctl.batch_hint(8), 4);
@@ -177,14 +171,15 @@ mod tests {
 
     #[test]
     fn shedding_refuses_admission_until_the_ladder_cools() {
-        let mut ctl = escalating();
+        let mut ctl = ControlLoop::new(&ControlConfig::new());
         assert!(ctl.admits());
-        ctl.on_burn(t(1));
-        ctl.on_burn(t(2));
+        for at in 1..=4 {
+            ctl.on_burn(t(at));
+        }
         assert_eq!(ctl.state(), DegradeState::Shedding);
         assert!(!ctl.admits());
         assert_eq!(ctl.batch_hint(8), 4, "Shedding still meters admitted runs");
-        let cooled = ctl.on_tick(t(2) + SimDuration::from_millis(2)).expect("a quiet window");
+        let cooled = ctl.on_tick(t(4) + SimDuration::from_millis(2)).expect("a quiet window");
         assert_eq!(cooled.to, DegradeState::Degraded);
         assert!(ctl.admits());
     }

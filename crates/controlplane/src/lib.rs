@@ -9,9 +9,9 @@
 //!
 //! * [`ControlLoop`] — one run's control state: the Healthy → Degraded →
 //!   Shedding hysteresis ladder driven by repeated burn-rate episodes,
-//!   stepping back down one rung per quiet [`ControlConfig::cool_window`],
-//!   plus the admission gate, batch hint, laxity and rebind arithmetic the
-//!   engine asks of it;
+//!   stepping back down one rung per quiet [`COOL_WINDOW`], plus the
+//!   admission gate, batch hint, laxity and rebind arithmetic the engine
+//!   asks of it;
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
@@ -120,17 +120,20 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
     scale_ppm.clamp(MIN_REBIND_PPM, MAX_REBIND_PPM)
 }
 
+/// Control loop cadence: the laxity scan and the cool-down check run
+/// once per tick.
+pub const TICK: SimDuration = SimDuration::from_micros(200);
+/// Consecutive burn episodes before the ladder steps up one rung.
+pub const ESCALATE_AFTER: u32 = 2;
+/// Quiet virtual time before the ladder steps down one rung.
+pub const COOL_WINDOW: SimDuration = SimDuration::from_millis(2);
+
 /// Control-plane configuration carried by the engine config behind
 /// `EngineConfig::with_control`. With no control config the engine pays
-/// one predicted branch per hook.
+/// one predicted branch per hook. The loop's cadence and ladder are fixed:
+/// [`TICK`], [`ESCALATE_AFTER`] and [`COOL_WINDOW`].
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
-    /// Control loop cadence: laxity scan + cool-down check interval.
-    pub tick: SimDuration,
-    /// Consecutive burn episodes before the ladder steps up one rung.
-    pub escalate_after: u32,
-    /// Quiet virtual time before the ladder steps down one rung.
-    pub cool_window: SimDuration,
     /// Batch-hint divisor applied on the Degraded rung (`max(1, b / d)`).
     pub batch_divisor: u64,
     /// The profile cost/rebind surface. With one, the control loop cancels
@@ -142,39 +145,15 @@ pub struct ControlConfig {
 
 impl Default for ControlConfig {
     fn default() -> ControlConfig {
-        ControlConfig {
-            tick: SimDuration::from_micros(200),
-            escalate_after: 2,
-            cool_window: SimDuration::from_millis(2),
-            batch_divisor: 2,
-            cost: None,
-        }
+        ControlConfig { batch_divisor: 2, cost: None }
     }
 }
 
 impl ControlConfig {
-    /// The default closed-loop configuration (200 µs ticks, 2-episode
-    /// escalation, 2 ms cool window).
+    /// The default closed-loop configuration: the Degraded rung halves
+    /// batch hints, and no cost oracle is bound.
     pub fn new() -> ControlConfig {
         ControlConfig::default()
-    }
-
-    /// Overrides the control loop cadence.
-    pub fn with_tick(mut self, tick: SimDuration) -> ControlConfig {
-        self.tick = tick;
-        self
-    }
-
-    /// Overrides the escalation episode count.
-    pub fn with_escalate_after(mut self, episodes: u32) -> ControlConfig {
-        self.escalate_after = episodes;
-        self
-    }
-
-    /// Overrides the cool-down window.
-    pub fn with_cool_window(mut self, window: SimDuration) -> ControlConfig {
-        self.cool_window = window;
-        self
     }
 
     /// Binds the profile cost/rebind surface.
@@ -187,12 +166,8 @@ impl ControlConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a zero tick, zero escalation count, zero cool window or
-    /// zero batch divisor.
+    /// Panics on a zero batch divisor.
     pub fn validate(&self) {
-        assert!(self.tick > SimDuration::ZERO, "control tick must be positive");
-        assert!(self.escalate_after >= 1, "escalate_after must be at least 1");
-        assert!(self.cool_window > SimDuration::ZERO, "cool_window must be positive");
         assert!(self.batch_divisor >= 1, "batch_divisor must be at least 1");
     }
 }
@@ -206,45 +181,41 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    fn ms(v: u64) -> SimDuration {
-        SimDuration::from_millis(v)
-    }
-
-    fn ladder(escalate_after: u32, cool_window: SimDuration) -> ControlLoop {
-        let cfg = ControlConfig::new().with_escalate_after(escalate_after);
-        ControlLoop::new(&cfg.with_cool_window(cool_window))
+    fn ladder() -> ControlLoop {
+        ControlLoop::new(&ControlConfig::new())
     }
 
     #[test]
     fn escalates_exactly_at_threshold() {
-        let mut m = ladder(3, ms(2));
+        let mut m = ladder();
         assert_eq!(m.on_burn(t(10)), None);
-        assert_eq!(m.on_burn(t(20)), None);
         assert_eq!(m.state(), DegradeState::Healthy);
-        let tr = m.on_burn(t(30)).expect("third episode escalates");
+        let tr = m.on_burn(t(20)).expect("second episode escalates");
         assert_eq!(tr, Transition { from: DegradeState::Healthy, to: DegradeState::Degraded });
         assert_eq!(m.state(), DegradeState::Degraded);
-        // The episode counter re-armed: two more episodes do nothing, the
-        // third steps to Shedding.
-        assert_eq!(m.on_burn(t(40)), None);
-        assert_eq!(m.on_burn(t(50)), None);
-        let tr = m.on_burn(t(60)).expect("escalates again");
+        // The episode counter re-armed: one more episode does nothing, the
+        // second steps to Shedding.
+        assert_eq!(m.on_burn(t(30)), None);
+        let tr = m.on_burn(t(40)).expect("escalates again");
         assert_eq!(tr.to, DegradeState::Shedding);
     }
 
     #[test]
     fn shedding_saturates() {
-        let mut m = ladder(1, ms(2));
-        assert!(m.on_burn(t(1)).is_some());
-        assert!(m.on_burn(t(2)).is_some());
+        let mut m = ladder();
+        for i in 1..=4 {
+            m.on_burn(t(i));
+        }
         assert_eq!(m.state(), DegradeState::Shedding);
-        assert_eq!(m.on_burn(t(3)), None, "top rung has nowhere to go");
+        assert_eq!(m.on_burn(t(5)), None);
+        assert_eq!(m.on_burn(t(6)), None, "top rung has nowhere to go");
         assert_eq!(m.state(), DegradeState::Shedding);
     }
 
     #[test]
     fn cools_down_exactly_at_window_edge() {
-        let mut m = ladder(1, ms(2));
+        let mut m = ladder();
+        m.on_burn(t(500));
         m.on_burn(t(1_000));
         assert_eq!(m.state(), DegradeState::Degraded);
         assert_eq!(m.on_tick(t(2_999)), None, "one ns short of the window");
@@ -255,7 +226,7 @@ mod tests {
 
     #[test]
     fn burn_between_windows_resets_the_cooldown_clock() {
-        let mut m = ladder(2, ms(2));
+        let mut m = ladder();
         assert_eq!(m.on_burn(t(0)), None);
         assert!(m.on_burn(t(10)).is_some(), "second episode escalates");
         assert_eq!(m.state(), DegradeState::Degraded);
@@ -269,9 +240,10 @@ mod tests {
 
     #[test]
     fn cooldown_rearms_one_rung_per_window() {
-        let mut m = ladder(1, ms(2));
-        m.on_burn(t(0));
-        m.on_burn(t(10));
+        let mut m = ladder();
+        for at in [0, 3, 6, 10] {
+            m.on_burn(t(at));
+        }
         assert_eq!(m.state(), DegradeState::Shedding);
         let tr = m.on_tick(t(2_010)).expect("first quiet window");
         assert_eq!(tr, Transition { from: DegradeState::Shedding, to: DegradeState::Degraded });
@@ -282,10 +254,9 @@ mod tests {
 
     #[test]
     fn escalation_counter_survives_partial_cooldowns() {
-        // escalate_after 2: one episode, a sub-window quiet spell, then a
-        // second episode still escalates (episodes only reset on
-        // transitions).
-        let mut m = ladder(2, ms(2));
+        // One episode, a sub-window quiet spell, then a second episode
+        // still escalates (episodes only reset on transitions).
+        let mut m = ladder();
         assert_eq!(m.on_burn(t(0)), None);
         assert_eq!(m.on_tick(t(1_000)), None);
         assert!(m.on_burn(t(1_500)).is_some());
@@ -296,12 +267,6 @@ mod tests {
         assert_eq!(clamp_rebind_ppm(1_400_000), 1_400_000);
         assert_eq!(clamp_rebind_ppm(7_000_000_000), MAX_REBIND_PPM);
         assert_eq!(clamp_rebind_ppm(3), MIN_REBIND_PPM);
-    }
-
-    #[test]
-    #[should_panic(expected = "cool_window")]
-    fn zero_cool_window_rejected() {
-        ControlConfig::new().with_cool_window(SimDuration::ZERO).validate();
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! byte-identical across `--jobs N`.
 //!
 //! Recovery primitives live here too, as pure state machines the engine
-//! drives: a [`RetryPolicy`] producing a deterministic exponential backoff
-//! schedule that never passes a job's run deadline, and a per-client
-//! [`CircuitBreaker`] (closed → open → half-open probe) that decides when
-//! a persistently failing client should be shed instead of wedging the
-//! run. [`Recovery`] drives them for one run of the serving engine.
+//! drives: a deterministic exponential backoff ([`next_retry_at`]) that
+//! never passes a job's run deadline, and a per-client [`CircuitBreaker`]
+//! (closed → open → half-open probe) that decides when a persistently
+//! failing client should be shed instead of wedging the run. Their tuning
+//! is fixed: [`RETRY_ATTEMPTS`] retries from [`RETRY_BASE`], and a breaker
+//! that trips after [`BREAKER_THRESHOLD`] consecutive failures.
+//! [`Recovery`] drives them for one run of the serving engine.
 //!
 //! ```
 //! use faults::{FaultConfig, FaultPlan};
@@ -151,120 +153,57 @@ impl FaultPlan {
     }
 }
 
-/// Deterministic exponential backoff for kernel/admission retries.
-///
-/// The delay before attempt `n` (0-based) is
-/// `base · multiplier^n · (1 + jitter·u)` with `u` drawn from the retry
-/// RNG — so for a fixed seed the schedule is reproducible, and because
-/// `multiplier > 1 + jitter` it is strictly increasing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts before the client is shed.
-    pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base: SimDuration,
-    /// Exponential growth factor per attempt.
-    pub multiplier: f64,
-    /// Relative jitter amplitude (deterministically drawn).
-    pub jitter: f64,
+/// Retries a kernel launch or an admission gets before its client is shed.
+pub const RETRY_ATTEMPTS: u32 = 6;
+/// Backoff before the first retry.
+pub const RETRY_BASE: SimDuration = SimDuration::from_micros(50);
+/// Backoff growth factor per attempt.
+pub const RETRY_MULTIPLIER: f64 = 2.0;
+/// Relative backoff jitter amplitude, drawn from the retry stream. It is
+/// below `RETRY_MULTIPLIER - 1`, so the backoff strictly increases.
+pub const RETRY_JITTER: f64 = 0.1;
+const _: () = assert!(RETRY_MULTIPLIER > 1.0 + RETRY_JITTER);
+
+/// Consecutive failures that trip a client's breaker open.
+pub const BREAKER_THRESHOLD: u32 = 4;
+/// How long a tripped breaker stays open before its half-open probe.
+pub const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(2);
+/// Trips after which the client is shed for good.
+pub const BREAKER_MAX_TRIPS: u32 = 2;
+
+/// Backoff delay before retry `attempt` (0-based):
+/// `RETRY_BASE · RETRY_MULTIPLIER^attempt · (1 + RETRY_JITTER·u)`, with
+/// `u` drawn from `rng`, so for a fixed seed the schedule is reproducible.
+fn backoff(attempt: u32, rng: &mut DetRng) -> SimDuration {
+    let scale = RETRY_MULTIPLIER.powi(attempt as i32);
+    let jitter = 1.0 + RETRY_JITTER * rng.next_f64();
+    RETRY_BASE.mul_f64(scale * jitter)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base: SimDuration::from_micros(50),
-            multiplier: 2.0,
-            jitter: 0.1,
-        }
+/// Absolute time of retry `attempt` from `now`, or `None` when the attempt
+/// budget is exhausted or the retry would land at/after `deadline` — the
+/// caller should shed instead of retrying.
+pub fn next_retry_at(
+    now: SimTime,
+    attempt: u32,
+    deadline: Option<SimTime>,
+    rng: &mut DetRng,
+) -> Option<SimTime> {
+    if attempt >= RETRY_ATTEMPTS {
+        return None;
     }
-}
-
-impl RetryPolicy {
-    /// Checks policy invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `max_attempts > 0`, `base > 0`, `jitter ≥ 0` and
-    /// `multiplier > 1 + jitter` (the condition for a strictly increasing
-    /// schedule).
-    pub fn validate(&self) {
-        assert!(self.max_attempts > 0, "retry policy needs at least one attempt");
-        assert!(self.base > SimDuration::ZERO, "retry base delay must be positive");
-        assert!(self.jitter >= 0.0, "retry jitter must be non-negative");
-        assert!(
-            self.multiplier > 1.0 + self.jitter,
-            "multiplier must exceed 1 + jitter so backoff strictly increases"
-        );
-    }
-
-    /// Backoff delay before retry `attempt` (0-based), with deterministic
-    /// jitter drawn from `rng`.
-    pub fn backoff(&self, attempt: u32, rng: &mut DetRng) -> SimDuration {
-        let scale = self.multiplier.powi(attempt as i32);
-        let jitter = 1.0 + self.jitter * rng.next_f64();
-        self.base.mul_f64(scale * jitter)
-    }
-
-    /// Absolute time of retry `attempt` from `now`, or `None` when the
-    /// attempt budget is exhausted or the retry would land at/after
-    /// `deadline` — the caller should shed instead of retrying.
-    pub fn next_retry_at(
-        &self,
-        now: SimTime,
-        attempt: u32,
-        deadline: Option<SimTime>,
-        rng: &mut DetRng,
-    ) -> Option<SimTime> {
-        if attempt >= self.max_attempts {
-            return None;
-        }
-        let at = now + self.backoff(attempt, rng);
-        match deadline {
-            Some(d) if at >= d => None,
-            _ => Some(at),
-        }
-    }
-}
-
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before admitting a half-open probe.
-    pub cooldown: SimDuration,
-    /// Trips after which the client is shed for good.
-    pub max_trips: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 4,
-            cooldown: SimDuration::from_millis(2),
-            max_trips: 2,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// Checks breaker invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless threshold, cooldown and max trips are all positive.
-    pub fn validate(&self) {
-        assert!(self.failure_threshold > 0, "breaker threshold must be positive");
-        assert!(self.cooldown > SimDuration::ZERO, "breaker cooldown must be positive");
-        assert!(self.max_trips > 0, "breaker needs at least one trip");
+    let at = now + backoff(attempt, rng);
+    match deadline {
+        Some(d) if at >= d => None,
+        _ => Some(at),
     }
 }
 
 /// Breaker state, in the classic three-state formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Requests flow normally; consecutive failures are counted.
+    #[default]
     Closed,
     /// Tripped: requests are deferred until the cooldown elapses.
     Open,
@@ -298,22 +237,23 @@ pub enum BreakerEvent {
 }
 
 /// Per-client circuit breaker driven by the engine's kernel outcomes.
+/// [`Default`] is a closed breaker with zeroed counters.
 ///
 /// ```
-/// use faults::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker};
-/// use simtime::{SimDuration, SimTime};
+/// use faults::{BreakerEvent, BreakerState, CircuitBreaker, BREAKER_THRESHOLD};
+/// use simtime::SimTime;
 ///
-/// let cfg = BreakerConfig { failure_threshold: 2, ..BreakerConfig::default() };
-/// let mut b = CircuitBreaker::new(cfg);
+/// let mut b = CircuitBreaker::default();
 /// let t = SimTime::ZERO;
-/// assert_eq!(b.record_failure(t), BreakerEvent::None);
+/// for _ in 1..BREAKER_THRESHOLD {
+///     assert_eq!(b.record_failure(t), BreakerEvent::None);
+/// }
 /// let BreakerEvent::Opened { until } = b.record_failure(t) else { panic!() };
 /// assert_eq!(b.state(), BreakerState::Open);
 /// assert_eq!(b.earliest_attempt(t), until);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     trips: u32,
@@ -321,18 +261,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with zeroed counters.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        cfg.validate();
-        CircuitBreaker {
-            cfg,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            trips: 0,
-            open_until: SimTime::ZERO,
-        }
-    }
-
     /// Current state. A breaker reported as `Open` flips to `HalfOpen`
     /// the first time [`CircuitBreaker::earliest_attempt`] is consulted
     /// past the cooldown; state transitions are otherwise explicit.
@@ -361,14 +289,14 @@ impl CircuitBreaker {
         }
         self.consecutive_failures += 1;
         let probing = self.state == BreakerState::HalfOpen;
-        if probing || self.consecutive_failures >= self.cfg.failure_threshold {
+        if probing || self.consecutive_failures >= BREAKER_THRESHOLD {
             self.trips += 1;
-            if self.trips >= self.cfg.max_trips {
+            if self.trips >= BREAKER_MAX_TRIPS {
                 return BreakerEvent::Shed;
             }
             self.state = BreakerState::Open;
             self.consecutive_failures = 0;
-            self.open_until = now + self.cfg.cooldown;
+            self.open_until = now + BREAKER_COOLDOWN;
             return BreakerEvent::Opened { until: self.open_until };
         }
         BreakerEvent::None
@@ -389,44 +317,27 @@ impl CircuitBreaker {
     }
 }
 
-/// Complete fault/recovery configuration the engine consumes.
+/// Complete fault/recovery configuration the engine consumes: what to
+/// inject. Recovery always runs with the fixed retry and breaker tuning.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// What to inject, and when.
     pub plan: FaultPlan,
-    /// Kernel/admission retry backoff.
-    pub retry: RetryPolicy,
-    /// Per-client circuit breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl FaultConfig {
-    /// A config around `plan` with default recovery tuning.
+    /// A config around `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultConfig { plan, ..FaultConfig::default() }
+        FaultConfig { plan }
     }
 
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the breaker config.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Checks all component invariants.
+    /// Checks the plan's invariants.
     ///
     /// # Panics
     ///
-    /// Panics when any component is invalid.
+    /// Panics when the plan is invalid.
     pub fn validate(&self) {
         self.plan.validate();
-        self.retry.validate();
-        self.breaker.validate();
     }
 
     /// Builds the injector for a run seeded with `seed` (the engine's run
@@ -548,50 +459,45 @@ mod tests {
 
     #[test]
     fn backoff_is_increasing_and_deadline_capped() {
-        let p = RetryPolicy::default();
-        p.validate();
         let mut rng = DetRng::new(9);
         let mut prev = SimDuration::ZERO;
-        for attempt in 0..p.max_attempts {
-            let d = p.backoff(attempt, &mut rng);
+        for attempt in 0..RETRY_ATTEMPTS {
+            let d = backoff(attempt, &mut rng);
             assert!(d > prev, "attempt {attempt}: {d:?} !> {prev:?}");
             prev = d;
         }
         // Past the budget, or past the deadline: no retry.
         let mut rng = DetRng::new(9);
-        assert_eq!(p.next_retry_at(t(0), p.max_attempts, None, &mut rng), None);
-        assert_eq!(p.next_retry_at(t(0), 0, Some(t(1)), &mut rng), None);
-        assert!(p.next_retry_at(t(0), 0, Some(t(1_000_000)), &mut rng).is_some());
+        assert_eq!(next_retry_at(t(0), RETRY_ATTEMPTS, None, &mut rng), None);
+        assert_eq!(next_retry_at(t(0), 0, Some(t(1)), &mut rng), None);
+        assert!(next_retry_at(t(0), 0, Some(t(1_000_000)), &mut rng).is_some());
     }
 
     #[test]
     fn breaker_opens_probes_and_sheds() {
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            cooldown: SimDuration::from_micros(100),
-            max_trips: 2,
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        assert_eq!(b.record_failure(t(0)), BreakerEvent::None);
-        assert_eq!(b.record_failure(t(10)), BreakerEvent::Opened { until: t(110) });
+        let mut b = CircuitBreaker::default();
+        for i in 1..BREAKER_THRESHOLD {
+            assert_eq!(b.record_failure(t(i as u64)), BreakerEvent::None, "failure {i}");
+        }
+        // The 4th consecutive failure trips it for the 2 ms cooldown.
+        assert_eq!(b.record_failure(t(10)), BreakerEvent::Opened { until: t(2_010) });
         assert_eq!(b.state(), BreakerState::Open);
         // While open, attempts are deferred to the cooldown edge.
-        assert_eq!(b.earliest_attempt(t(50)), t(110));
+        assert_eq!(b.earliest_attempt(t(50)), t(2_010));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        // The probe failing spends the trip budget.
-        assert_eq!(b.record_failure(t(110)), BreakerEvent::Shed);
+        // The probe failing is the 2nd trip, which spends the budget.
+        assert_eq!(b.record_failure(t(2_010)), BreakerEvent::Shed);
+        assert_eq!(b.trips(), BREAKER_MAX_TRIPS);
     }
 
     #[test]
     fn breaker_probe_success_closes() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            cooldown: SimDuration::from_micros(100),
-            max_trips: 5,
-        };
-        let mut b = CircuitBreaker::new(cfg);
+        let mut b = CircuitBreaker::default();
+        for _ in 1..BREAKER_THRESHOLD {
+            b.record_failure(t(0));
+        }
         assert!(matches!(b.record_failure(t(0)), BreakerEvent::Opened { .. }));
-        let _ = b.earliest_attempt(t(200));
+        let _ = b.earliest_attempt(t(2_100));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);

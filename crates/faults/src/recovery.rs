@@ -4,7 +4,7 @@
 //! only a failure with retry budget left draws backoff jitter, and it
 //! draws from the forked retry stream.
 
-use crate::{BreakerEvent, BreakerState, CircuitBreaker, FaultConfig, FaultInjector, RetryPolicy};
+use crate::{next_retry_at, BreakerEvent, BreakerState, CircuitBreaker, FaultConfig, FaultInjector};
 use simtime::{DetRng, SimTime};
 use std::collections::HashMap;
 
@@ -65,7 +65,6 @@ pub enum Stall {
 #[derive(Debug)]
 pub struct Recovery {
     injector: FaultInjector,
-    retry: RetryPolicy,
     /// One breaker per client.
     breakers: Vec<CircuitBreaker>,
     /// Failed launches per (job, node) until a clean launch or job death.
@@ -85,8 +84,7 @@ impl Recovery {
         let retry_rng = injector.retry_rng();
         Recovery {
             injector,
-            retry: cfg.retry,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); clients],
+            breakers: vec![CircuitBreaker::default(); clients],
             attempts: HashMap::new(),
             admit_attempts: vec![0; clients],
             retry_rng,
@@ -105,7 +103,7 @@ impl Recovery {
         }
         *streak += 1;
         let attempt = *streak;
-        let next = match self.retry.next_retry_at(now, attempt - 1, None, &mut self.retry_rng) {
+        let next = match next_retry_at(now, attempt - 1, None, &mut self.retry_rng) {
             Some(at) => Next::Retry { at, probe: false },
             None => Next::Shed(Shed::RetriesExhausted { attempts: attempt }),
         };
@@ -145,7 +143,7 @@ impl Recovery {
         let event = breaker.record_failure(now);
         let next = match event {
             BreakerEvent::Shed => Next::Shed(Shed::CircuitOpen { trips: breaker.trips() }),
-            _ => match self.retry.next_retry_at(now, attempt - 1, deadline, &mut self.retry_rng) {
+            _ => match next_retry_at(now, attempt - 1, deadline, &mut self.retry_rng) {
                 Some(at) => {
                     let probe = breaker.state() == BreakerState::Open;
                     Next::Retry { at: at.max(breaker.earliest_attempt(now)), probe }
@@ -189,8 +187,7 @@ impl Recovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BreakerConfig, FaultPlan};
-    use simtime::SimDuration;
+    use crate::{FaultPlan, BREAKER_THRESHOLD, RETRY_ATTEMPTS};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -198,34 +195,38 @@ mod tests {
 
     /// Every launch and reservation fails (p just under 1 draws a failure
     /// on every draw of this seed's stream).
-    fn failing(retry: RetryPolicy, breaker: BreakerConfig) -> Recovery {
+    fn failing() -> Recovery {
         let plan = FaultPlan::new().with_kernel_failures(0.999_999).with_alloc_failures(0.999_999);
-        let cfg = FaultConfig::new(plan).with_retry(retry).with_breaker(breaker);
-        Recovery::new(&cfg, 5, 2, 2)
-    }
-
-    fn lenient_breaker() -> BreakerConfig {
-        BreakerConfig { failure_threshold: 100, max_trips: 100, ..BreakerConfig::default() }
+        Recovery::new(&FaultConfig::new(plan), 5, 2, 2)
     }
 
     fn failure(l: Result<bool, Failure>) -> Failure {
         l.expect_err("launch unexpectedly clean")
     }
 
+    /// Fails one launch each of `BREAKER_THRESHOLD` fresh kernels of
+    /// `client` at `now`, and returns the last failure: only it trips the
+    /// client's breaker.
+    fn trip(rec: &mut Recovery, client: u32, now: SimTime) -> Failure {
+        (1..=BREAKER_THRESHOLD)
+            .map(|n| {
+                let f = failure(rec.launch(client, 100, n, now, None));
+                assert_eq!(f.opened, n == BREAKER_THRESHOLD, "failure {n}");
+                f
+            })
+            .last()
+            .expect("a positive threshold")
+    }
+
     #[test]
     fn failure_on_an_open_breaker_defers_to_the_cooldown_edge_as_the_probe() {
-        let breaker = BreakerConfig {
-            failure_threshold: 1,
-            cooldown: SimDuration::from_millis(2),
-            max_trips: 5,
-        };
-        let mut rec = failing(RetryPolicy::default(), breaker);
-        let f = failure(rec.launch(0, 1, 0, t(100), None));
+        let mut rec = failing();
+        let f = trip(&mut rec, 0, t(100));
         assert_eq!(f.attempt, 1);
-        assert!(f.opened, "threshold 1 trips on the first failure");
+        assert!(f.opened, "the 4th consecutive failure trips the breaker");
         assert_eq!(f.next, Next::Retry { at: t(2_100), probe: true });
-        // A second kernel failing inside the cooldown does not count, and
-        // the breaker already handed out its probe.
+        // A kernel failing inside the cooldown does not count, and the
+        // breaker already handed out its probe.
         let g = failure(rec.launch(0, 1, 1, t(150), None));
         assert!(!g.opened);
         let Next::Retry { at, probe } = g.next else { panic!("budget left") };
@@ -234,39 +235,43 @@ mod tests {
 
     #[test]
     fn spent_budgets_shed_with_the_matching_reason() {
-        let retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
-        let mut rec = failing(retry, lenient_breaker());
-        for attempt in 1..=2 {
-            let f = failure(rec.launch(1, 9, 3, t(attempt), None));
+        // Failures inside an open breaker's cooldown do not count against
+        // it, so after one trip the kernel spends its whole retry budget.
+        let mut rec = failing();
+        trip(&mut rec, 1, t(0));
+        for attempt in 1..=RETRY_ATTEMPTS {
+            let f = failure(rec.launch(1, 9, 3, t(attempt as u64), None));
             assert!(matches!(f.next, Next::Retry { probe: false, .. }), "attempt {attempt}");
         }
         let f = failure(rec.launch(1, 9, 3, t(10), None));
-        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 3 }));
+        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 7 }));
 
-        let breaker = BreakerConfig { failure_threshold: 1, max_trips: 1, ..lenient_breaker() };
-        let mut rec = failing(RetryPolicy::default(), breaker);
-        let f = failure(rec.launch(0, 4, 0, t(0), None));
-        assert_eq!(f.next, Next::Shed(Shed::CircuitOpen { trips: 1 }));
+        // The probe at the cooldown edge failing is the 2nd trip.
+        let mut rec = failing();
+        trip(&mut rec, 0, t(0));
+        let f = failure(rec.launch(0, 4, 0, t(2_000), None));
+        assert_eq!(f.next, Next::Shed(Shed::CircuitOpen { trips: 2 }));
     }
 
     #[test]
     fn retries_never_land_past_the_deadline() {
-        let mut rec = failing(RetryPolicy::default(), lenient_breaker());
+        let mut rec = failing();
         let f = failure(rec.launch(0, 2, 0, t(0), Some(t(10))));
         assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 1 }));
     }
 
     #[test]
     fn admission_streaks_retry_then_shed() {
-        let retry = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
-        let mut rec = failing(retry, lenient_breaker());
-        let f = rec.admit(1, t(0)).expect("reservation fails");
-        assert!(matches!(f.next, Next::Retry { probe: false, .. }));
-        assert!(!f.opened);
-        let f = rec.admit(1, t(60)).expect("reservation fails");
-        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 2 }));
+        let mut rec = failing();
+        for attempt in 1..=RETRY_ATTEMPTS {
+            let f = rec.admit(1, t(60 * attempt as u64)).expect("reservation fails");
+            assert!(matches!(f.next, Next::Retry { probe: false, .. }), "attempt {attempt}");
+            assert!(!f.opened);
+        }
+        let f = rec.admit(1, t(600)).expect("reservation fails");
+        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 7 }));
         // Client 0's streak is its own.
-        assert_eq!(rec.admit(0, t(60)).expect("fails").attempt, 1);
+        assert_eq!(rec.admit(0, t(600)).expect("fails").attempt, 1);
     }
 
     #[test]
@@ -275,11 +280,8 @@ mod tests {
         assert_eq!(clean.launch(0, 0, 0, t(0), None), Ok(false));
         assert_eq!(clean.admit(0, t(0)), None);
 
-        let breaker =
-            BreakerConfig { failure_threshold: 1, max_trips: 5, ..BreakerConfig::default() };
         let plan = FaultPlan::new().with_kernel_failures(0.5);
-        let cfg = FaultConfig::new(plan).with_breaker(breaker);
-        let mut rec = Recovery::new(&cfg, 11, 1, 1);
+        let mut rec = Recovery::new(&FaultConfig::new(plan), 11, 1, 1);
         let mut opened = false;
         for i in 0..64 {
             match rec.launch(0, i, 0, t(i), None) {

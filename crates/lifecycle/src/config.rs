@@ -168,9 +168,6 @@ pub struct LifecycleConfig {
     /// the source of the simulated load latency
     /// ([`gpusim::MemoryPool::transfer_time`]).
     pub load_gbps: f64,
-    /// Warm-up runs a freshly loaded version executes (one graph pass
-    /// each) before it starts serving — TF-Serving's loader warm-up.
-    pub warmup_runs: u32,
     /// Canary rollout parameters.
     pub canary: CanaryConfig,
     /// Profile wiring into the scheduling layer; `None` runs without
@@ -179,22 +176,15 @@ pub struct LifecycleConfig {
 }
 
 impl LifecycleConfig {
-    /// A manager over `plan` with default load bandwidth (12 GB/s), two
-    /// warm-up runs and default canary parameters.
+    /// A manager over `plan` with default load bandwidth (12 GB/s) and
+    /// default canary parameters.
     pub fn new(plan: DeploymentPlan) -> Self {
         LifecycleConfig {
             plan,
             load_gbps: 12.0,
-            warmup_runs: 2,
             canary: CanaryConfig::default(),
             binder: None,
         }
-    }
-
-    /// Sets the warm-up run count.
-    pub fn with_warmup_runs(mut self, runs: u32) -> Self {
-        self.warmup_runs = runs;
-        self
     }
 
     /// Sets the canary parameters.

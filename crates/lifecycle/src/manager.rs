@@ -7,6 +7,10 @@ use simtime::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+/// Warm-up runs a freshly loaded version executes (one graph pass each)
+/// before it starts serving — TF-Serving's loader warm-up.
+const WARMUP_RUNS: u32 = 2;
+
 /// Identifies one version of one managed model: indexes into the manager's
 /// registry. `version` is 1-based, matching TF-Serving conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -177,7 +181,6 @@ struct ModelRt {
 #[derive(Debug)]
 pub struct LifecycleManager {
     load_gbps: f64,
-    warmup_runs: u32,
     canary_stride: u64,
     canary_min_runs: u32,
     canary_tolerance: f64,
@@ -249,7 +252,6 @@ impl LifecycleManager {
         }
         Ok(LifecycleManager {
             load_gbps: cfg.load_gbps,
-            warmup_runs: cfg.warmup_runs,
             canary_stride: cfg.canary.stride,
             canary_min_runs: cfg.canary.min_runs,
             canary_tolerance: cfg.canary.tolerance,
@@ -687,15 +689,9 @@ impl LifecycleManager {
             VersionState::Loading => {
                 v.state = VersionState::Warming;
                 v.warmups_done = 0;
-                if self.warmup_runs == 0 {
-                    v.due = None;
-                    self.on_serving(mi, vi, now, pool, fx);
-                } else {
-                    let dur = v.model.graph().total_gpu_time();
-                    let due = now + dur;
-                    v.due = Some(due);
-                    fx.ticks.push(due);
-                }
+                let due = now + v.model.graph().total_gpu_time();
+                v.due = Some(due);
+                fx.ticks.push(due);
             }
             VersionState::Warming => {
                 v.warmups_done += 1;
@@ -704,7 +700,7 @@ impl LifecycleManager {
                     key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
                     run: done,
                 });
-                if done >= self.warmup_runs {
+                if done >= WARMUP_RUNS {
                     v.due = None;
                     self.on_serving(mi, vi, now, pool, fx);
                 } else {
@@ -1025,7 +1021,7 @@ mod tests {
 
     #[test]
     fn load_warm_serve_happy_path() {
-        let cfg = LifecycleConfig::new(one_model_plan()).with_warmup_runs(2);
+        let cfg = LifecycleConfig::new(one_model_plan());
         let mut sim = Sim::new(cfg, 64 << 20);
         sim.run_until(SimTime::ZERO);
         // First route finds nothing resident: the client parks and the
@@ -1267,7 +1263,7 @@ mod tests {
             ModelDeployment::new("svc", renamed("svc", models::mini::tiny(4)))
                 .with_version(renamed("svc", models::mini::tiny(4)), SimTime::from_millis(10)),
         );
-        let cfg = LifecycleConfig::new(plan).with_warmup_runs(1);
+        let cfg = LifecycleConfig::new(plan);
         let mut sim = Sim::new(cfg, 64 << 20);
         sim.run_until(SimTime::ZERO);
         assert_eq!(sim.route("svc", 0), Route::Wait);
@@ -1370,7 +1366,7 @@ mod tests {
             ModelDeployment::new("svc", renamed("svc", models::mini::tiny(4)))
                 .with_version(renamed("svc", models::mini::tiny(4)), SimTime::from_millis(10)),
         );
-        let cfg = LifecycleConfig::new(plan).with_warmup_runs(0);
+        let cfg = LifecycleConfig::new(plan);
         let mut sim = Sim::new(cfg, 64 << 20);
         sim.run_until(SimTime::ZERO);
         assert_eq!(sim.route("svc", 0), Route::Wait);

@@ -42,7 +42,6 @@
 //! ```
 
 pub mod deadline;
-pub mod drift;
 pub mod lifecycle;
 pub mod multi;
 pub mod oracle;

@@ -129,9 +129,10 @@ impl From<microjson::Error> for StoreError {
 
 /// A collection of offline profiles keyed by `(model, batch)`.
 ///
-/// Profiles are computed once per model (for a few common batch sizes,
-/// with [`crate::LinearCostModel`] interpolating the rest) and persisted —
-/// the paper's profiler writes them alongside the servable.
+/// Profiles are computed once per model and persisted — the paper's
+/// profiler writes them alongside the servable. A batch size that was not
+/// measured resolves to nothing; to serve it, insert a prediction from a
+/// [`crate::LinearCostModel`] fitted to measured batches (paper §4.4).
 ///
 /// ```
 /// use olympian::{ModelProfile, ProfileStore};
@@ -152,7 +153,6 @@ impl From<microjson::Error> for StoreError {
 #[derive(Debug, Default)]
 pub struct ProfileStore {
     profiles: ProfileTable,
-    linear: HashMap<String, crate::profiler::LinearCostModel>,
     /// Profiles registered at model-load time and retired at unload (the
     /// lifecycle manager's per-version cost rates). Interior mutability:
     /// the store is shared `Arc<ProfileStore>` by the time versions load,
@@ -229,13 +229,6 @@ impl ProfileStore {
         self.profiles.get(model, batch).cloned()
     }
 
-    /// Registers a fitted linear batch-size model so that
-    /// [`resolve`](Self::resolve) can serve *any* batch size of `model`
-    /// (paper §4.4: profile a few common batch sizes, interpolate the rest).
-    pub fn insert_linear(&mut self, linear: crate::profiler::LinearCostModel) {
-        self.linear.insert(linear.model().to_string(), linear);
-    }
-
     /// Registers a profile for a dynamically loaded model version. Unlike
     /// [`insert`](Self::insert), this works through `&self` (the store is
     /// already shared when versions load) and the profile is dropped by
@@ -295,13 +288,9 @@ impl ProfileStore {
     }
 
     /// Resolves a profile: a live recalibration override if one is
-    /// installed, otherwise an exact measurement, otherwise a live
-    /// dynamically registered one, otherwise a prediction from the model's
-    /// linear fit, otherwise `None`.
-    ///
-    /// Stored profiles are found without allocating. Predictions are not
-    /// memoized: one costs a pass over the node table and a fresh `Arc`
-    /// per call.
+    /// installed, otherwise a stored measurement, otherwise a live
+    /// dynamically registered one, otherwise `None`. Lookups allocate
+    /// nothing.
     pub fn resolve(&self, model: &str, batch: u64) -> Option<Arc<ModelProfile>> {
         if let Some(p) = self
             .overrides
@@ -315,20 +304,12 @@ impl ProfileStore {
     }
 
     /// [`resolve`](Self::resolve) without the recalibration layer: the
-    /// measurement (or prediction) as profiled offline.
+    /// profile as measured offline or registered at load time.
     pub fn resolve_base(&self, model: &str, batch: u64) -> Option<Arc<ModelProfile>> {
-        if let Some(p) = self.get(model, batch) {
-            return Some(p);
-        }
-        if let Some(p) = self
-            .dynamic
-            .lock()
-            .expect("dynamic profile lock poisoned")
-            .get(model, batch)
-        {
-            return Some(Arc::clone(p));
-        }
-        self.linear.get(model).map(|lin| Arc::new(lin.predict(batch)))
+        self.get(model, batch).or_else(|| {
+            let dynamic = self.dynamic.lock().expect("dynamic profile lock poisoned");
+            dynamic.get(model, batch).cloned()
+        })
     }
 
     /// Number of stored profiles.
@@ -429,32 +410,6 @@ mod tests {
         assert_eq!(old.unwrap().total_cost, 15);
         assert_eq!(store.get("a", 1).unwrap().total_cost, 99);
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn resolve_prefers_exact_then_linear() {
-        use crate::profiler::LinearCostModel;
-        let mk = |batch: u64| ModelProfile {
-            model: "lin".into(),
-            batch,
-            costs: CostModel::from_costs(vec![10 * batch, 20 * batch]),
-            total_cost: 30 * batch,
-            gpu_duration: SimDuration::from_nanos(100 * batch),
-        };
-        let p50 = mk(50);
-        let p100 = mk(100);
-        let lin = LinearCostModel::fit(&[&p50, &p100]).unwrap();
-        let mut store = ProfileStore::new();
-        store.insert(p50.clone());
-        store.insert_linear(lin);
-        // Exact hit returns the measurement.
-        assert_eq!(store.resolve("lin", 50).unwrap().as_ref(), &p50);
-        // Unprofiled batch is predicted.
-        let predicted = store.resolve("lin", 75).unwrap();
-        assert_eq!(predicted.total_cost, 30 * 75);
-        assert_eq!(predicted.gpu_duration, SimDuration::from_nanos(7_500));
-        // Unknown model still misses.
-        assert!(store.resolve("ghost", 10).is_none());
     }
 
     #[test]

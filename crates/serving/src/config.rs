@@ -24,25 +24,15 @@ pub struct EngineConfig {
     pub pool_size: u32,
     /// Maximum gang width: CPU threads a single job may hold at once.
     pub max_gang: u32,
-    /// Minimum *effective* gang width drawn per (run, client) in baseline
-    /// mode — models OS scheduling nondeterminism: a client whose threads
-    /// get scheduled less aggressively keeps fewer kernels in flight and
-    /// falls behind (the Figure 3 spread). Set equal to `max_gang` to
-    /// disable the variation.
-    pub min_effective_gang: u32,
     /// CPU time a gang thread spends submitting one kernel.
     pub launch_overhead: SimDuration,
-    /// Relative jitter (σ) on CPU work durations.
-    pub cpu_jitter: f64,
-    /// Relative spread (lognormal σ) of each client's per-run submission
-    /// latency factor — one ingredient of baseline unpredictability.
-    pub submit_latency_spread: f64,
-    /// Relative spread (lognormal σ) of each client's per-run GPU-driver
-    /// arbitration bias. This is the dominant source of the Figure 3
-    /// finish-time spread: the driver favours some CUDA contexts over
-    /// others, differently in every run. Irrelevant under Olympian, where
-    /// only one job has kernels queued at a time.
-    pub driver_bias_spread: f64,
+    /// Switches off the engine's three seeded noise draws (see the
+    /// engine's "Baseline nondeterminism"): each client's GPU-driver
+    /// arbitration bias (lognormal σ 0.25, the dominant source of the
+    /// Figure 3 finish-time spread), its submission-latency factor
+    /// (lognormal σ 0.10) and the per-node CPU jitter (σ 0.05). Off by
+    /// default; [`quiescent()`](Self::quiescent()) sets it.
+    pub quiescent: bool,
     /// Latency of a token hand-off: waking the granted gang's condition
     /// variable plus the pipeline refill bubble on the GPU. This is the
     /// per-switch price that makes overhead fall with larger quanta
@@ -94,11 +84,8 @@ impl Default for EngineConfig {
             seed: 1,
             pool_size: 200,
             max_gang: 4,
-            min_effective_gang: 4,
             launch_overhead: SimDuration::from_micros(5),
-            cpu_jitter: 0.05,
-            submit_latency_spread: 0.10,
-            driver_bias_spread: 0.25,
+            quiescent: false,
             switch_latency: SimDuration::from_micros(80),
             profiling_inflation: 0.0,
             queue_admission: false,
@@ -117,18 +104,11 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the pool is empty, gang bounds are inverted or zero, or any
-    /// spread is negative.
+    /// Panics if the pool is empty, the gang width is zero, the profiling
+    /// inflation is negative or the event watchdog is zero.
     pub fn validate(&self) {
         assert!(self.pool_size > 0, "worker pool must be non-empty");
         assert!(self.max_gang > 0, "gang width must be at least 1");
-        assert!(
-            (1..=self.max_gang).contains(&self.min_effective_gang),
-            "min effective gang must be in 1..=max_gang"
-        );
-        assert!(self.cpu_jitter >= 0.0, "negative cpu jitter");
-        assert!(self.submit_latency_spread >= 0.0, "negative submit spread");
-        assert!(self.driver_bias_spread >= 0.0, "negative bias spread");
         assert!(self.profiling_inflation >= 0.0, "negative inflation");
         assert!(self.max_events > 0, "event watchdog must be positive");
         self.telemetry.validate();
@@ -244,13 +224,7 @@ impl EngineConfig {
     /// A copy with baseline nondeterminism disabled — used when profiling
     /// offline, where the paper gives the job an idle, exclusive GPU.
     pub fn quiescent(&self) -> EngineConfig {
-        EngineConfig {
-            min_effective_gang: self.max_gang,
-            submit_latency_spread: 0.0,
-            driver_bias_spread: 0.0,
-            cpu_jitter: 0.0,
-            ..self.clone()
-        }
+        EngineConfig { quiescent: true, ..self.clone() }
     }
 }
 
@@ -273,11 +247,9 @@ mod tests {
 
     #[test]
     fn quiescent_removes_noise() {
+        assert!(!EngineConfig::default().quiescent);
         let q = EngineConfig::default().quiescent();
-        assert_eq!(q.min_effective_gang, q.max_gang);
-        assert_eq!(q.submit_latency_spread, 0.0);
-        assert_eq!(q.driver_bias_spread, 0.0);
-        assert_eq!(q.cpu_jitter, 0.0);
+        assert!(q.quiescent);
         q.validate();
     }
 
@@ -320,17 +292,6 @@ mod tests {
         let c = EngineConfig {
             max_gang: 0,
             ..EngineConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "min effective gang")]
-    fn inverted_gang_bounds_rejected() {
-        let base = EngineConfig::default();
-        let c = EngineConfig {
-            min_effective_gang: base.max_gang + 1,
-            ..base
         };
         c.validate();
     }

@@ -7,28 +7,24 @@
 //! of per-client quantum observations *during* the run with two classic
 //! online statistics:
 //!
-//! * an **EWMA** of quantum length — the smoothed level, compared against
-//!   the expected quantum with the same relative-`tolerance` rule the
-//!   offline checker uses;
-//! * a two-sided **CUSUM** on the normalized error — catches small
-//!   sustained shifts well below the EWMA tolerance.
+//! * an **EWMA** of quantum length (smoothing factor 0.3) — the smoothed
+//!   level, flagged stale when its relative deviation from the expected
+//!   quantum is strictly above the `tolerance` (exactly at tolerance is
+//!   fresh);
+//! * a two-sided **CUSUM** on the normalized error, with slack `tol/2` and
+//!   limit `4·tol` — catches small sustained shifts well below the EWMA
+//!   tolerance.
 //!
 //! Either statistic crossing its limit (after a warm-up of three
-//! observations, matching the offline floor) raises a one-shot re-profile
-//! signal.
-//!
-//! The offline helpers [`validate`] and [`assess`] carry the exact
-//! semantics `olympian::drift::detect_drift` has always had — strict
-//! `deviation > tolerance` (exactly-at-tolerance is *not* stale) and
-//! panics on non-positive tolerance or quantum. The post-hoc checker
-//! shares only that rule: it judges a trimmed mean of the whole session,
-//! not these streaming statistics, so the two can disagree on one run.
+//! observations) raises a one-shot re-profile signal.
 
 use simtime::SimDuration;
 
-/// Observations a [`DriftDetector`] takes before it may fire: the offline
-/// checker's floor of 3.
+/// Observations a [`DriftDetector`] takes before it may fire.
 const WARMUP_QUANTA: u64 = 3;
+
+/// EWMA smoothing factor: the weight of the newest observation.
+const EWMA_ALPHA: f64 = 0.3;
 
 /// Validates drift-check parameters.
 ///
@@ -36,23 +32,9 @@ const WARMUP_QUANTA: u64 = 3;
 ///
 /// Panics if `tolerance <= 0` ("tolerance must be positive") or
 /// `expected` is zero ("quantum must be positive").
-pub fn validate(expected: SimDuration, tolerance: f64) {
+pub(crate) fn validate(expected: SimDuration, tolerance: f64) {
     assert!(tolerance > 0.0, "tolerance must be positive");
     assert!(expected > SimDuration::ZERO, "quantum must be positive");
-}
-
-/// Compares an observed mean quantum (µs) against the expected quantum:
-/// returns `(relative_deviation, stale)` where `stale` uses the strict
-/// `deviation > tolerance` rule (exactly at tolerance is fresh).
-///
-/// # Panics
-///
-/// Same contract as [`validate`].
-pub fn assess(expected: SimDuration, observed_mean_us: f64, tolerance: f64) -> (f64, bool) {
-    validate(expected, tolerance);
-    let expected_us = expected.as_micros_f64();
-    let deviation = (observed_mean_us - expected_us).abs() / expected_us;
-    (deviation, deviation > tolerance)
 }
 
 /// Streaming detector configuration.
@@ -60,34 +42,21 @@ pub fn assess(expected: SimDuration, observed_mean_us: f64, tolerance: f64) -> (
 pub struct DriftConfig {
     /// The quantum length the scheduler targets (the paper's `Q`).
     pub expected_quantum: SimDuration,
-    /// Relative deviation of the EWMA that flags the profile stale.
+    /// Relative deviation of the EWMA that flags the profile stale. It also
+    /// sets the CUSUM's slack (`tol/2` per observation: smaller shifts are
+    /// noise) and decision limit (`4·tol` of accumulated relative error).
     pub tolerance: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
-    pub ewma_alpha: f64,
-    /// CUSUM slack per observation, in units of relative error. Shifts
-    /// smaller than this are treated as noise.
-    pub cusum_k: f64,
-    /// CUSUM decision limit, in accumulated relative error.
-    pub cusum_h: f64,
 }
 
 impl DriftConfig {
-    /// A detector for the given target quantum and tolerance, with
-    /// conventional defaults for the streaming statistics (slack `= tol/2`,
-    /// limit `= 4 * tol`).
+    /// A detector for the given target quantum and tolerance.
     ///
     /// # Panics
     ///
-    /// Same contract as [`validate`].
+    /// Panics if `tolerance <= 0` or `expected_quantum` is zero.
     pub fn new(expected_quantum: SimDuration, tolerance: f64) -> DriftConfig {
         validate(expected_quantum, tolerance);
-        DriftConfig {
-            expected_quantum,
-            tolerance,
-            ewma_alpha: 0.3,
-            cusum_k: tolerance / 2.0,
-            cusum_h: tolerance * 4.0,
-        }
+        DriftConfig { expected_quantum, tolerance }
     }
 }
 
@@ -118,13 +87,9 @@ impl DriftDetector {
     ///
     /// # Panics
     ///
-    /// Same contract as [`validate`].
+    /// Panics if the tolerance is not positive or the quantum is zero.
     pub fn new(cfg: DriftConfig) -> DriftDetector {
         validate(cfg.expected_quantum, cfg.tolerance);
-        assert!(
-            cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0,
-            "ewma alpha must be in (0, 1]"
-        );
         DriftDetector { cfg, count: 0, ewma_us: 0.0, cusum_pos: 0.0, cusum_neg: 0.0, fired: false }
     }
 
@@ -138,18 +103,18 @@ impl DriftDetector {
         self.ewma_us = if self.count == 1 {
             v
         } else {
-            self.cfg.ewma_alpha * v + (1.0 - self.cfg.ewma_alpha) * self.ewma_us
+            EWMA_ALPHA * v + (1.0 - EWMA_ALPHA) * self.ewma_us
         };
+        let tol = self.cfg.tolerance;
+        let (slack, limit) = (tol / 2.0, tol * 4.0);
         let err = (v - expected) / expected;
-        self.cusum_pos = (self.cusum_pos + err - self.cfg.cusum_k).max(0.0);
-        self.cusum_neg = (self.cusum_neg - err - self.cfg.cusum_k).max(0.0);
+        self.cusum_pos = (self.cusum_pos + err - slack).max(0.0);
+        self.cusum_neg = (self.cusum_neg - err - slack).max(0.0);
         if self.fired || self.count < WARMUP_QUANTA {
             return None;
         }
         let deviation = (self.ewma_us - expected).abs() / expected;
-        let stale = deviation > self.cfg.tolerance
-            || self.cusum_pos > self.cfg.cusum_h
-            || self.cusum_neg > self.cfg.cusum_h;
+        let stale = deviation > tol || self.cusum_pos > limit || self.cusum_neg > limit;
         if !stale {
             return None;
         }
@@ -182,26 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn assess_matches_offline_semantics() {
-        let (dev, stale) = assess(us(200), 260.0, 0.25);
-        assert!((dev - 0.30).abs() < 1e-12);
-        assert!(stale);
-        // Exactly at tolerance is fresh (strict inequality).
-        let (dev, stale) = assess(us(1000), 1100.0, 0.1);
-        assert_eq!(dev, 0.1);
-        assert!(!stale);
-    }
-
-    #[test]
     #[should_panic(expected = "tolerance must be positive")]
-    fn assess_rejects_zero_tolerance() {
-        assess(us(200), 200.0, 0.0);
+    fn config_rejects_zero_tolerance() {
+        DriftConfig::new(us(200), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "quantum must be positive")]
-    fn assess_rejects_zero_quantum() {
-        assess(SimDuration::ZERO, 200.0, 0.1);
+    fn config_rejects_zero_quantum() {
+        DriftConfig::new(SimDuration::ZERO, 0.1);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 
 mod common;
 
+use models::LoadedModel;
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle};
 use serving::faults::{FaultConfig, FaultPlan};
+use serving::trace::TraceKind;
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -14,14 +16,19 @@ use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 const CADENCE: SimDuration = SimDuration::from_micros(500);
 
-/// Profiles the full batch and the Degraded-rung shrunk batch, so a ladder
-/// escalation can re-register jobs at the smaller hint without a miss.
-fn store_with_shrunk_batch(cfg: &EngineConfig, full_batch: u64) -> Arc<ProfileStore> {
+/// Profiles `model` at the full batch and at the Degraded-rung shrunk
+/// batch, so a ladder escalation can re-register jobs at the smaller hint
+/// without a miss.
+fn store_with_shrunk_batch(
+    cfg: &EngineConfig,
+    model: fn(u64) -> LoadedModel,
+    full_batch: u64,
+) -> Arc<ProfileStore> {
     let divisor = controlplane::ControlConfig::new().batch_divisor;
     let mut store = ProfileStore::new();
     let profiler = Profiler::new(cfg);
-    store.insert(profiler.profile(&models::mini::small(full_batch)));
-    store.insert(profiler.profile(&models::mini::small((full_batch / divisor).max(1))));
+    store.insert(profiler.profile(&model(full_batch)));
+    store.insert(profiler.profile(&model((full_batch / divisor).max(1))));
     Arc::new(store)
 }
 
@@ -31,6 +38,14 @@ fn fair(store: Arc<ProfileStore>) -> OlympianScheduler {
 
 fn counter(report: &RunReport, name: &str) -> u64 {
     report.telemetry.counter(name).unwrap_or(0)
+}
+
+/// 64-bit FNV-1a of a rendering, as 16 hex digits.
+fn fnv1a(s: &str) -> String {
+    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
 }
 
 /// The chaos `drift` incident at engine level: a sustained 1.4x slowdown
@@ -44,7 +59,7 @@ fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
     let clients = vec![ClientSpec::new(models::mini::small(4), 6); 6];
     let model_name = clients[0].model.name().to_string();
     let base = EngineConfig::default();
-    let store = store_with_shrunk_batch(&base, 4);
+    let store = store_with_shrunk_batch(&base, models::mini::small, 4);
 
     // Objective from the fault-free twin.
     let probe_cfg = base.with_telemetry(TelemetryConfig::enabled(CADENCE));
@@ -92,38 +107,36 @@ fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
     );
 }
 
-/// The Shedding rung refuses sessions that arrive while it holds: a client
-/// starting after the ladder has escalated twice is turned away with
-/// `AdmissionShed` before any memory or scheduler state is touched.
+/// The Shedding rung refuses sessions that arrive while it holds, and the
+/// ladder cools back down once the burn stops, on the default control
+/// config. Every run misses an objective no run can meet, and three
+/// clients of `mini::tiny(4)` complete a run about every 0.35 ms, so burn
+/// episodes come faster than the 2 ms cool window: two of them step the
+/// ladder up a rung, and it reaches Shedding by 1.4 ms. A straggler
+/// starting at 5 ms is turned away with `AdmissionShed` before any memory
+/// or scheduler state is touched. The last burn is at 8.4 ms; each quiet
+/// 2 ms window after it steps the ladder down one rung, and a latecomer
+/// starting at 15 ms is admitted and served.
 #[test]
 fn shedding_rung_refuses_a_late_admission() {
     let base = EngineConfig::default();
-    let store = store_with_shrunk_batch(&base, 4);
-    let model_name = "mini-small";
-
-    // An objective no run can meet: breaches are counted as runs complete
-    // (from ~5ms under 3-way fair sharing), the windows after that burn,
-    // and the ladder escalates Healthy -> Degraded -> Shedding by ~19ms —
-    // well before the straggler shows up at 25ms.
+    let store = store_with_shrunk_batch(&base, models::mini::tiny, 4);
     let objective = SimDuration::from_micros(100);
-    let mut clients = vec![ClientSpec::new(models::mini::small(4), 4); 3];
-    clients.push(
-        ClientSpec::new(models::mini::small(4), 1).with_start(SimTime::from_millis(25)),
-    );
+    let mut clients = vec![ClientSpec::new(models::mini::tiny(4), 8); 3];
+    for start in [5, 15] {
+        clients.push(
+            ClientSpec::new(models::mini::tiny(4), 1).with_start(SimTime::from_millis(start)),
+        );
+    }
 
     let cfg = base
         .with_trace(TraceConfig::sampled())
         .with_telemetry(
             TelemetryConfig::enabled(SimDuration::from_micros(200))
-                .with_slo(SloSpec::new(model_name, objective, 0.05))
+                .with_slo(SloSpec::new("mini-tiny", objective, 0.05))
                 .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 }),
         )
-        .with_control(
-            // A cool window longer than the run: once burns escalate the
-            // ladder it stays up, so the straggler meets the Shedding gate.
-            controlplane::ControlConfig::new()
-                .with_cool_window(SimDuration::from_millis(50)),
-        );
+        .with_control(controlplane::ControlConfig::new());
     let report = run_experiment(&cfg, clients, &mut fair(store));
     common::assert_counters_match_trace(&report);
 
@@ -132,9 +145,44 @@ fn shedding_rung_refuses_a_late_admission() {
         report.clients[3].outcome,
         ClientOutcome::AdmissionShed { .. }
     ));
-    // The first three were admitted while Healthy and are never evicted.
-    assert_eq!(report.finished_count(), 3);
-    assert!(report.chrome_trace_json().contains("\"admission-shed\""));
+    // The first three were admitted while Healthy and are never evicted;
+    // the latecomer meets a ladder that has cooled down.
+    assert_eq!(report.finished_count(), 4);
+    assert!(report.clients[4].is_finished());
+
+    // The whole ladder, in order: two rungs up under the burn, then one
+    // rung down per quiet cool window.
+    let ladder: Vec<(SimTime, &str, &str)> = report
+        .trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::ControlTransition { from, to } => Some((e.at, from, to)),
+            _ => None,
+        })
+        .collect();
+    let steps: Vec<(&str, &str)> = ladder.iter().map(|&(_, from, to)| (from, to)).collect();
+    assert_eq!(
+        steps,
+        [
+            ("healthy", "degraded"),
+            ("degraded", "shedding"),
+            ("shedding", "degraded"),
+            ("degraded", "healthy"),
+        ]
+    );
+    let (up, down) = (ladder[1].0, ladder[2].0);
+    let shed_at = SimTime::from_millis(5);
+    assert!(up < shed_at && shed_at < down, "the straggler met the Shedding rung");
+    assert_eq!(ladder[3].0 - ladder[2].0, SimDuration::from_millis(2));
+
+    let json = report.chrome_trace_json();
+    assert!(json.contains("\"admission-shed\""));
+    // Pinned, so moving a ladder constant moves the digests.
+    assert_eq!(
+        [fnv1a(&report.telemetry_jsonl()), fnv1a(&json)],
+        ["e8d9421c66c607f8", "78f36cd04753d30c"],
+    );
 }
 
 /// On a device that slowed down 2.3x after profiling, the drift detector
@@ -144,7 +192,7 @@ fn shedding_rung_refuses_a_late_admission() {
 #[test]
 fn drift_alert_rebinds_the_profile_in_run() {
     let mut cfg = EngineConfig::default();
-    let store = store_with_shrunk_batch(&cfg, 4);
+    let store = store_with_shrunk_batch(&cfg, models::mini::small, 4);
     cfg.device = gpusim::DeviceProfile::custom(
         "regressed",
         2.3,
@@ -191,7 +239,7 @@ fn render(report: &RunReport) -> String {
 /// events.
 fn replication(seed: u64) -> String {
     let base = EngineConfig::default().with_seed(seed * 7919 + 13);
-    let store = store_with_shrunk_batch(&base, 4);
+    let store = store_with_shrunk_batch(&base, models::mini::small, 4);
     let run_d = store
         .resolve("mini-small", 4)
         .expect("profiled")

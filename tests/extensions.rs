@@ -1,10 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions: multi-GPU
-//! scheduling, the request batcher, the lottery policy, linear-profile
-//! fallback and drift detection.
+//! scheduling, the request batcher, the lottery policy, profiles predicted
+//! by a linear fit, and tracing.
 
-use olympian::{
-    drift, Lottery, MultiGpuScheduler, OlympianScheduler, Profiler, ProfileStore, RoundRobin,
-};
+use olympian::{Lottery, MultiGpuScheduler, OlympianScheduler, Profiler, ProfileStore, RoundRobin};
 use serving::batching::{plan_batches, BatchingConfig};
 use serving::workload::poisson_arrivals;
 use serving::{run_experiment, ClientSpec, EngineConfig};
@@ -149,7 +147,8 @@ fn lottery_policy_runs_and_roughly_tracks_tickets() {
 fn linear_fallback_admits_unprofiled_batches() {
     let cfg = EngineConfig::default();
     let profiler = Profiler::new(&cfg);
-    // Zoo model profiled at two batches; a third batch resolves via the fit.
+    // Zoo model profiled at two batches; a third batch is predicted from
+    // the fit and stored next to the measurements, as fig20 does.
     let m50 = models::load(models::ModelKind::ResNet50, 50).expect("zoo model");
     let m100 = models::load(models::ModelKind::ResNet50, 100).expect("zoo model");
     let p50 = profiler.profile(&m50);
@@ -158,7 +157,7 @@ fn linear_fallback_admits_unprofiled_batches() {
     let mut store = ProfileStore::new();
     store.insert(p50);
     store.insert(p100);
-    store.insert_linear(lin);
+    store.insert(lin.predict(75));
     let m75 = models::load(models::ModelKind::ResNet50, 75).expect("zoo model");
     let mut sched = OlympianScheduler::new(
         Arc::new(store),
@@ -166,7 +165,7 @@ fn linear_fallback_admits_unprofiled_batches() {
         SimDuration::from_micros(1200),
     );
     let report = run_experiment(&cfg, vec![ClientSpec::new(m75, 1); 2], &mut sched);
-    assert!(report.all_finished(), "linear fallback admits batch 75");
+    assert!(report.all_finished(), "the predicted profile admits batch 75");
 }
 
 #[test]
@@ -211,46 +210,6 @@ fn bursty_clients_with_think_time_leave_idle_gaps() {
     let stretch = bursty.makespan.as_secs_f64() - busy.makespan.as_secs_f64();
     assert!((stretch - 0.008).abs() < 0.002, "stretch {stretch}");
     assert!(bursty.utilization < busy.utilization * 0.7);
-}
-
-#[test]
-fn drift_detector_passes_fresh_profiles_end_to_end() {
-    let cfg = EngineConfig::default();
-    let model = models::mini::small(4);
-    let store = store_for(&cfg, std::slice::from_ref(&model));
-    let profile = store.get(model.name(), model.batch()).expect("profiled");
-    let q = SimDuration::from_micros(200);
-    let mut sched = OlympianScheduler::new(Arc::clone(&store), Box::new(RoundRobin::new()), q);
-    let report = run_experiment(&cfg, vec![ClientSpec::new(model, 10); 3], &mut sched);
-    let d = drift::detect_drift(&profile, q, &report.clients[0], 0.25, 5)
-        .expect("enough quanta");
-    assert!(!d.stale, "fresh profile flagged stale: {d:?}");
-}
-
-#[test]
-fn drift_detector_flags_stale_profiles_end_to_end() {
-    let cfg = EngineConfig::default();
-    let model = models::mini::small(4);
-    let store = store_for(&cfg, std::slice::from_ref(&model));
-    let profile = store.get(model.name(), model.batch()).expect("profiled");
-
-    // Deployment drifted: kernels now run 40% slower than when profiled
-    // (e.g. a driver regression). The scheduler still uses the old profile.
-    let mut drifted = cfg.clone();
-    drifted.device = gpusim::DeviceProfile::custom(
-        "regressed",
-        1.4,
-        drifted.device.memory_bytes(),
-        drifted.device.sm_count(),
-        0.0,
-    );
-    let q = SimDuration::from_micros(200);
-    let mut sched = OlympianScheduler::new(Arc::clone(&store), Box::new(RoundRobin::new()), q);
-    let report = run_experiment(&drifted, vec![ClientSpec::new(model, 10); 3], &mut sched);
-    let d = drift::detect_drift(&profile, q, &report.clients[0], 0.25, 5)
-        .expect("enough quanta");
-    assert!(d.stale, "40% slower device should be flagged: {d:?}");
-    assert!(d.observed_mean_us > d.expected_quantum_us * 1.25);
 }
 
 #[test]

@@ -83,7 +83,6 @@ fn gang_holding_exhausts_small_pool_and_stalls() {
     let cfg = EngineConfig {
         pool_size: 3,
         max_gang: 4,
-        min_effective_gang: 4,
         ..EngineConfig::default()
     };
 

@@ -11,7 +11,7 @@ mod counting_alloc;
 use controlplane::CostOracle;
 use counting_alloc::allocs_during;
 use dataflow::CostModel;
-use olympian::{LinearCostModel, ModelProfile, ProfileStore, StoreCostOracle};
+use olympian::{ModelProfile, ProfileStore, StoreCostOracle};
 use simtime::SimDuration;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -31,9 +31,6 @@ fn exact_dynamic_and_override_hits_allocate_nothing() {
     let mut store = ProfileStore::new();
     store.insert(profile("exact", 8));
     store.insert(profile("drifted", 2));
-    store.insert(profile("lin", 50));
-    let lin = LinearCostModel::fit(&[&profile("lin", 50), &profile("lin", 100)]).unwrap();
-    store.insert_linear(lin);
     let store = Arc::new(store);
     store.register_dynamic(profile("svc@v2", 4));
     assert!(store.override_scaled("drifted", 2, 1_300_000));
@@ -45,7 +42,6 @@ fn exact_dynamic_and_override_hits_allocate_nothing() {
         ("exact", 8, Some(800)),
         ("svc@v2", 4, Some(400)),
         ("drifted", 2, Some(260)),
-        ("lin", 50, Some(5_000)),
         ("ghost", 1, None),
     ];
     let n = allocs_during(|| {
@@ -61,10 +57,7 @@ fn exact_dynamic_and_override_hits_allocate_nothing() {
     });
     assert_eq!(n, 0, "profile lookups allocated {n} times");
 
-    // The counter is live: a linear prediction builds a fresh profile.
-    let n = allocs_during(|| {
-        let p = store.resolve("lin", 75).expect("predicted");
-        assert_eq!(p.gpu_duration, SimDuration::from_nanos(7_500));
-    });
-    assert!(n > 0, "prediction should allocate");
+    // The counter is live: an override builds a fresh profile.
+    let n = allocs_during(|| assert!(store.override_scaled("exact", 8, 1_500_000)));
+    assert!(n > 0, "an override should allocate");
 }

@@ -8,7 +8,7 @@
 mod common;
 mod replay;
 
-use faults::{BreakerConfig, FaultConfig, FaultPlan};
+use faults::{FaultConfig, FaultPlan};
 use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
 use serving::{
@@ -196,19 +196,19 @@ fn counter(report: &RunReport, name: &str) -> u64 {
     report.telemetry.counter(name).unwrap_or(0)
 }
 
-/// A run through every recovery path telemetry counts: kernel faults under
-/// a hair-trigger breaker (it opens on each fault and sheds the client on
-/// the third), admission faults, a device stall long enough to trip the
-/// token-hold watchdog, a client whose run deadline is shorter than a run,
-/// and a latecomer whose weights exceed the device.
+/// A run through every recovery path telemetry counts: kernel faults
+/// frequent enough (30%) that four in a row trip a client's breaker open
+/// and a second trip sheds the client, admission faults, a device stall
+/// long enough to trip the token-hold watchdog, a client whose run
+/// deadline is shorter than a run, and a latecomer whose weights exceed
+/// the device.
 fn recovery_run(trace: TraceConfig) -> RunReport {
     let cfg = EngineConfig::default().with_telemetry(TelemetryConfig::enabled(INTERVAL));
     let store = store_for(&cfg);
     let plan = FaultPlan::new()
-        .with_kernel_failures(0.03)
+        .with_kernel_failures(0.3)
         .with_alloc_failures(0.3)
         .with_stall(SimTime::from_millis(3), SimTime::from_millis(4));
-    let breaker = BreakerConfig { failure_threshold: 1, max_trips: 3, ..BreakerConfig::default() };
     let small = models::mini::small(4);
     let too_big = models::LoadedModel::from_parts(
         "too-big",
@@ -221,7 +221,7 @@ fn recovery_run(trace: TraceConfig) -> RunReport {
     let mut clients = clients();
     clients[2] = clients[2].clone().with_run_deadline(SimDuration::from_micros(300));
     clients.push(ClientSpec::new(too_big, 1).with_start(SimTime::from_millis(1)));
-    let cfg = cfg.with_trace(trace).with_faults(FaultConfig::new(plan).with_breaker(breaker));
+    let cfg = cfg.with_trace(trace).with_faults(FaultConfig::new(plan));
     let mut sched = OlympianScheduler::new(store, Box::new(RoundRobin::new()), QUANTUM)
         .with_watchdog(3.0);
     run_experiment(&cfg, clients, &mut sched)
