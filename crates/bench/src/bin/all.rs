@@ -7,7 +7,12 @@
 //! parallel (`--jobs N` or `OLYMPIAN_JOBS=N`, default: all cores) and the
 //! reports are printed and saved in registry order — the output is
 //! byte-identical to a serial run. Wall-clock diagnostics go to stderr.
+//!
+//! Once every report is printed and saved, each figure's claims go to
+//! stderr, one line each, and the exit code is 1 if any claim broke — the
+//! error names every broken one with its measured values.
 
+use bench::figs::{evaluate, Claim, Figure};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -44,14 +49,14 @@ fn main() -> ExitCode {
     std::env::set_var(simpar::JOBS_ENV, jobs.to_string());
 
     let t0 = Instant::now();
-    let results: Vec<(String, Duration)> = simpar::par_map_jobs(jobs, &experiments, |_, &(_, f)| {
+    let results: Vec<(Figure, Duration)> = simpar::par_map_jobs(jobs, &experiments, |_, &(_, f)| {
         let t = Instant::now();
         (f(), t.elapsed())
     });
     let mut serial_equivalent = Duration::ZERO;
-    for ((name, _), (out, dt)) in experiments.iter().zip(&results) {
-        print!("{out}");
-        let path = bench::save_result(&format!("{name}.txt"), out);
+    for ((name, _), (fig, dt)) in experiments.iter().zip(&results) {
+        print!("{}", fig.text);
+        let path = bench::save_result(&format!("{name}.txt"), &fig.text);
         eprintln!("({name} done in {dt:.1?}, saved to {})\n", path.display());
         serial_equivalent += *dt;
     }
@@ -64,5 +69,15 @@ fn main() -> ExitCode {
         serial_equivalent,
         serial_equivalent.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
     );
-    ExitCode::SUCCESS
+    let claims: Vec<Claim> = results.into_iter().flat_map(|(fig, _)| fig.claims).collect();
+    for c in &claims {
+        eprintln!("{c}");
+    }
+    match evaluate(&claims) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("all: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -52,13 +52,15 @@
 //! regressed-device workload open-loop (telemetry only) and closed-loop
 //! (deadline-aware hand-off, laxity cancellation, in-run recalibration and
 //! the degradation ladder) and prints the SLO comparison, ending with the
-//! machine-readable `summary:` line CI validates.
+//! machine-readable `summary:` line; it exits 1 if a claim of the report
+//! broke.
 //!
 //! `fleet` runs a named fleet-orchestration scenario (see
 //! `bench::figs::fleet::scenarios`): the same Zipf-skewed arrival trace
 //! through static hash placement and through cost-aware routing plus the
 //! min-cost-flow reconfiguration loop, printing the tail-latency
-//! comparison and the machine-readable `summary:` line CI validates.
+//! comparison and the machine-readable `summary:` line; it exits 1 if a
+//! claim of the report broke.
 //!
 //! `lifecycle` runs a named model-lifecycle scenario (see
 //! `bench::figs::lifecycle::scenarios`): `churn` exercises
@@ -781,12 +783,21 @@ fn cmd_control(name: &str, flags: &HashMap<String, String>) -> Result<(), String
             ))
         }
     };
-    print!("{report}");
+    print_figure(&report, flags)
+}
+
+/// Prints a scenario report (and writes it to `--out`), then its claims to
+/// stderr; any broken claim is the command's error.
+fn print_figure(fig: &bench::figs::Figure, flags: &HashMap<String, String>) -> Result<(), String> {
+    print!("{}", fig.text);
     if let Some(path) = flags.get("out") {
-        std::fs::write(path, &report).map_err(|e| e.to_string())?;
+        std::fs::write(path, &fig.text).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
-    Ok(())
+    for c in &fig.claims {
+        eprintln!("{c}");
+    }
+    bench::figs::evaluate(&fig.claims)
 }
 
 fn cmd_lifecycle(name: &str) -> Result<(), String> {
@@ -810,14 +821,7 @@ fn cmd_lifecycle(name: &str) -> Result<(), String> {
 
 fn cmd_fleet(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     match bench::figs::fleet::scenario_report(name) {
-        Some(report) => {
-            print!("{report}");
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, &report).map_err(|e| e.to_string())?;
-                println!("wrote {path}");
-            }
-            Ok(())
-        }
+        Some(report) => print_figure(&report, flags),
         None => {
             let names: Vec<&str> = bench::figs::fleet::scenarios()
                 .iter()

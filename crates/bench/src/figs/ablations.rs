@@ -3,7 +3,7 @@
 //! kernel depth), and the driver's inter-kernel gap.
 
 use crate::{banner, build_store_for, default_config, homogeneous_clients, DEFAULT_BATCH};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::table::render_table;
 use models::ModelKind;
 use serving::{run_experiment, EngineConfig, FifoScheduler};
@@ -62,16 +62,17 @@ pub fn kernel_gap_sweep() -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Runs the ablations and returns the report text.
-pub fn run() -> String {
+/// Runs the ablations and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Ablations",
         "Design-constant sweeps: switch latency, gang width, kernel gap",
     );
 
     out.push_str("\nswitch latency vs two-instance overhead at Q = 1.2 ms:\n");
-    let rows: Vec<Vec<String>> = switch_latency_sweep()
-        .into_iter()
+    let switch_sweep = switch_latency_sweep();
+    let rows: Vec<Vec<String>> = switch_sweep
+        .iter()
         .map(|(us, ov)| vec![format!("{us} us"), format!("{:.2}%", ov * 100.0)])
         .collect();
     out.push_str(&render_table(&["switch latency", "overhead"], &rows));
@@ -84,8 +85,9 @@ pub fn run() -> String {
     out.push_str(&render_table(&["gang width", "overhead"], &rows));
 
     out.push_str("\ninter-kernel gap vs baseline utilization:\n");
-    let rows: Vec<Vec<String>> = kernel_gap_sweep()
-        .into_iter()
+    let gap_sweep = kernel_gap_sweep();
+    let rows: Vec<Vec<String>> = gap_sweep
+        .iter()
         .map(|(gap, util)| vec![format!("{gap} us"), format!("{:.1}%", util * 100.0)])
         .collect();
     out.push_str(&render_table(&["kernel gap", "utilization"], &rows));
@@ -94,26 +96,27 @@ pub fn run() -> String {
         "\nExpected: overhead grows with switch latency and falls with gang width \
          (overflow masks the bubble); utilization falls as the per-launch gap grows.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn overhead_monotone_in_switch_latency() {
-        let sweep = super::switch_latency_sweep();
-        assert!(
-            sweep.windows(2).all(|w| w[0].1 <= w[1].1 + 0.004),
-            "sweep {sweep:?}"
-        );
-        assert!(sweep.last().expect("non-empty").1 > sweep[0].1);
-    }
-
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn utilization_falls_with_kernel_gap() {
-        let sweep = super::kernel_gap_sweep();
-        assert!(sweep[0].1 > sweep.last().expect("non-empty").1, "sweep {sweep:?}");
-    }
+    let overheads: Vec<f64> = switch_sweep.iter().map(|&(_, ov)| ov).collect();
+    let utils: Vec<f64> = gap_sweep.iter().map(|&(_, u)| u).collect();
+    let claims = vec![
+        Claim::new(
+            "ablations.overhead_grows_with_switch_latency",
+            overheads.windows(2).all(|w| w[0] <= w[1] + 0.004)
+                && overheads.last() > overheads.first(),
+            format!(
+                "overhead {overheads:.4?} over switch latencies {:?} us, bound each step \
+                 down by at most 0.004 and last > first",
+                switch_sweep.iter().map(|&(us, _)| us).collect::<Vec<_>>()
+            ),
+        ),
+        Claim::new(
+            "ablations.utilization_falls_with_kernel_gap",
+            utils.first() > utils.last(),
+            format!(
+                "utilization {utils:.4?} over kernel gaps {:?} us, bound first > last",
+                gap_sweep.iter().map(|&(gap, _)| gap).collect::<Vec<_>>()
+            ),
+        ),
+    ];
+    Figure { text: out, claims }
 }

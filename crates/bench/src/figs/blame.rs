@@ -11,6 +11,7 @@
 
 use crate::banner;
 use crate::default_config;
+use crate::figs::Figure;
 use crate::telemetered::telemetered_experiment;
 use serving::attrib;
 use simtime::SimDuration;
@@ -30,7 +31,7 @@ pub fn attribute(experiment: &str) -> (serving::RunReport, attrib::Attribution) 
 }
 
 /// Renders the blame report (saved as `results/blame.txt`).
-pub fn run() -> String {
+pub fn run() -> Figure {
     let mut out = banner(
         "blame",
         "latency attribution of the drifted incident run vs the healthy baseline",
@@ -48,7 +49,7 @@ pub fn run() -> String {
          rolled into the execute cause — so a pure compute regression shows\n\
          up as (almost) pure execute blame.\n",
     );
-    out
+    Figure { text: out, claims: Vec::new() }
 }
 
 #[cfg(test)]
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn report_mentions_the_headline_number() {
-        let out = run();
+        let out = run().text;
         assert!(out.contains("execute share"));
         assert!(out.contains("latency attribution: drifted"));
         assert!(out.contains("blame vs baseline: smoke"));

@@ -5,13 +5,13 @@
 //! {fault-free, faulted} — under the engine's deterministic fault
 //! injection (see the `faults` crate) with the full recovery stack on:
 //! kernel retries with exponential backoff, per-client circuit breakers
-//! and Olympian's token-hold watchdog. The report asserts the resilience
-//! band the repo promises: with recovery, Olympian's survivor fairness
-//! (Jain over finish times) stays within [`JAIN_BAND`] of its fault-free
-//! run and survivor p99 run latency within [`P99_BAND`]×, while the
-//! baseline's finish-time spread collapses under the same faults.
+//! and Olympian's token-hold watchdog. The report's claims are the
+//! resilience band the repo promises: with recovery, Olympian's survivor
+//! fairness (Jain over finish times) stays within [`JAIN_BAND`] of its
+//! fault-free run and survivor p99 run latency within [`P99_BAND`]×, while
+//! the baseline's finish-time spread collapses under the same faults.
 
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use crate::{banner, build_store, build_store_for, default_config};
 use controlplane::ControlConfig;
 use metrics::table::render_table;
@@ -249,8 +249,9 @@ fn row(scenario: &str, sched: &str, o: &Outcome, base: &Outcome) -> Vec<String> 
     ]
 }
 
-/// Runs the whole suite and returns the report text.
-pub fn run() -> String {
+/// Runs the whole suite and returns the report and its claims, one per
+/// scenario plus the control axis.
+pub fn run() -> Figure {
     let mut out = banner(
         "Chaos",
         "Resilience under deterministic fault injection (6 mini clients, Q = 200 us)",
@@ -262,7 +263,7 @@ pub fn run() -> String {
         base_fifo.jain, base_fifo.p99_us, base_oly.jain, base_oly.p99_us
     ));
     let mut rows = Vec::new();
-    let mut all_pass = true;
+    let mut claims = Vec::new();
     let mut summaries = Vec::new();
     for s in scenarios() {
         let fifo = outcome(&chaos_report(Some(&s.plan), false));
@@ -275,7 +276,15 @@ pub fn run() -> String {
             && p99_ratio <= P99_BAND
             && oly.wedged == 0
             && fifo.wedged == 0;
-        all_pass &= pass;
+        claims.push(Claim::new(
+            format!("chaos.{}.olympian_inside_the_band", s.name),
+            pass,
+            format!(
+                "olympian Jain ratio {jain_ratio:.3} (bound >= {JAIN_BAND}), p99 ratio \
+                 {p99_ratio:.2} (bound <= {P99_BAND}); wedged olympian {} fifo {} (bound 0)",
+                oly.wedged, fifo.wedged
+            ),
+        ));
         summaries.push(format!(
             "{:<14} {} — {}: olympian Jain ratio {:.3} (>= {JAIN_BAND}), p99 ratio {:.2} \
              (<= {P99_BAND}), wedged 0; fifo spread {:.3}x vs {:.3}x fault-free",
@@ -304,7 +313,7 @@ pub fn run() -> String {
         "\nresilience band: {}. With recovery on, Olympian absorbs every scenario \
          inside the stated band; the baseline has no watchdog or fairness to \
          defend, so its finish-time spread widens instead.\n",
-        if all_pass { "PASS" } else { "FAIL" }
+        if claims.iter().all(|c| c.held) { "PASS" } else { "FAIL" }
     ));
 
     // The control-plane axis: the drift scenario with the degradation
@@ -338,7 +347,18 @@ pub fn run() -> String {
         CLIENTS / 10,
         on_o.wedged,
     ));
-    out
+    claims.push(Claim::new(
+        "chaos.control_axis_inside_the_band",
+        ctl_pass,
+        format!(
+            "ladder on: {sheds} sheds of {CLIENTS} (bound <= 10%), wedged {} (bound 0), Jain \
+             ratio {:.3} (bound >= {JAIN_BAND}), p99 ratio {:.2} (bound <= {P99_BAND})",
+            on_o.wedged,
+            on_o.jain / base_oly.jain,
+            on_o.p99_us / base_oly.p99_us
+        ),
+    ));
+    Figure { text: out, claims }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! fair sharing, the interactive tenant's latency tail collapses.
 
 use crate::{banner, build_store_for, default_config};
+use crate::figs::{Claim, Figure};
 use metrics::table::render_table;
 use metrics::Cdf;
 use models::ModelKind;
@@ -94,8 +95,8 @@ pub fn tenant_latencies(w: &DynamicWorkload, report: &RunReport, tenant: usize) 
     latencies
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Extension: dynamic workload",
         "Poisson arrivals through the batcher: interactive vs bulk tenant",
@@ -118,10 +119,14 @@ pub fn run() -> String {
     let oly = run_experiment(&cfg, w.clients.clone(), &mut sched);
 
     let mut rows = Vec::new();
+    let mut interactive_p99 = Vec::new();
     for (system, report) in [("tf-serving", &base), ("olympian weighted 4:1", &oly)] {
         for (ti, name) in [(0usize, "interactive"), (1, "bulk")] {
             let lat = tenant_latencies(&w, report, ti);
             let cdf = Cdf::of(lat.iter().copied());
+            if ti == 0 {
+                interactive_p99.push(cdf.quantile(0.99));
+            }
             rows.push(vec![
                 system.to_string(),
                 name.to_string(),
@@ -141,36 +146,11 @@ pub fn run() -> String {
          while the bulk tenant pays modestly — the service-differentiation story \
          of the paper's introduction under a realistic arrival process.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn weighted_sharing_improves_interactive_tail() {
-        let cfg = crate::default_config();
-        let w = super::build();
-        let base = serving::run_experiment(
-            &cfg,
-            w.clients.clone(),
-            &mut serving::FifoScheduler::new(),
-        );
-        let store = crate::build_store_for(&cfg, &w.clients);
-        let mut sched = olympian::OlympianScheduler::new(
-            store,
-            Box::new(olympian::WeightedFair::new()),
-            simtime::SimDuration::from_micros(1200),
-        );
-        let oly = serving::run_experiment(&cfg, w.clients.clone(), &mut sched);
-        let p99 = |r: &serving::RunReport| {
-            metrics::Cdf::of(super::tenant_latencies(&w, r, 0)).quantile(0.99)
-        };
-        assert!(
-            p99(&oly) < p99(&base),
-            "interactive p99 should improve: {} vs {}",
-            p99(&oly),
-            p99(&base)
-        );
-    }
+    let (base_p99, oly_p99) = (interactive_p99[0], interactive_p99[1]);
+    let claim = Claim::new(
+        "dynamic_workload.weighted_sharing_cuts_interactive_p99",
+        oly_p99 < base_p99,
+        format!("interactive p99 {oly_p99:.1} ms under olympian vs {base_p99:.1} ms baseline"),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -6,12 +6,13 @@
 //! node boundaries is fine-grained enough without hardware preemption.
 
 use crate::banner;
+use crate::figs::Figure;
 use metrics::table::render_series;
 use metrics::Cdf;
 use models::ModelKind;
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 4",
         "Node-duration CDF, Inception, batch 10 vs batch 100",
@@ -41,14 +42,14 @@ pub fn run() -> String {
         "\nPaper shape: >80% of nodes under ~20us and >90% under 1ms, with the \
          batch-10 curve shifted left of batch-100.\n",
     );
-    out
+    Figure { text: out, claims: Vec::new() }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn cdf_matches_paper_shape() {
-        let out = super::run();
+        let out = super::run().text;
         assert!(out.contains("batch 10"));
         assert!(out.contains("batch 100"));
     }

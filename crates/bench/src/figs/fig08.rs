@@ -5,6 +5,7 @@
 //! as the quantum grows. An operator's overhead tolerance is mapped through
 //! these curves to pick `Q` (largest over the models in the workload).
 
+use crate::figs::{Claim, Figure};
 use crate::{banner, default_config, standard_q_grid};
 use metrics::table::render_table;
 use models::ModelKind;
@@ -24,8 +25,8 @@ pub fn curves() -> Vec<OverheadQCurve> {
         .collect()
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner("Figure 8", "Overhead-Q curves for the 7 DNNs");
     let curves = curves();
     let grid = standard_q_grid();
@@ -54,18 +55,18 @@ pub fn run() -> String {
         "\nPaper shape: every curve decreases with Q; a 2.5% tolerance lands near \
          Q ~ 1.2 ms and 2% near Q ~ 1.6 ms.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn curves_decline() {
-        for c in super::curves() {
-            let first = c.points.first().expect("non-empty").1;
-            let last = c.points.last().expect("non-empty").1;
-            assert!(first > last, "{}: {first} vs {last}", c.model);
-        }
+    let mut held = true;
+    let mut ends = Vec::new();
+    for c in &curves {
+        let first = c.points.first().expect("non-empty").1;
+        let last = c.points.last().expect("non-empty").1;
+        held &= first > last;
+        ends.push(format!("{} {:.2}% -> {:.2}%", c.model, first * 100.0, last * 100.0));
     }
+    let claim = Claim::new(
+        "fig08.every_curve_declines",
+        held,
+        format!("overhead at the smallest -> largest Q: {}; bound first > last", ends.join(", ")),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -8,7 +8,7 @@ use crate::{
     banner, choose_q, default_config, format_finish_times, homogeneous_clients,
     build_store_for, DEFAULT_BATCH, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE,
 };
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::max_min_ratio;
 use models::ModelKind;
 use serving::{run_experiment, FifoScheduler, RunReport};
@@ -26,8 +26,8 @@ pub fn reports() -> (RunReport, RunReport, f64) {
     (base, oly, q.as_micros_f64())
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 11",
         "Fair sharing, homogeneous workload: 10 Inception clients",
@@ -45,18 +45,13 @@ pub fn run() -> String {
         "\nspread (max/min): TF-Serving {base_ratio:.3} vs Olympian {oly_ratio:.3} \
          (paper: 42-50 s spread vs 48-50 s near-equal)\n",
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn olympian_is_fairer_than_baseline() {
-        let (base, oly, _) = super::reports();
-        let b = metrics::max_min_ratio(&base.finish_times_secs());
-        let o = metrics::max_min_ratio(&oly.finish_times_secs());
-        assert!(o < 1.01, "olympian spread {o}");
-        assert!(b > 1.10, "baseline spread {b}");
-    }
+    let claim = Claim::new(
+        "fig11.olympian_equalizes_what_baseline_spreads",
+        oly_ratio < 1.01 && base_ratio > 1.10,
+        format!(
+            "max/min olympian {oly_ratio:.4} (bound < 1.01), TF-Serving {base_ratio:.4} \
+             (bound > 1.10)"
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

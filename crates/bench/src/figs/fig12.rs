@@ -6,12 +6,12 @@
 //! quantum plus switch costs.
 
 use crate::banner;
-use crate::figs::fig11;
+use crate::figs::{fig11, Claim, Figure};
 use metrics::table::render_series;
 use metrics::Summary;
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 12",
         "Scheduling-interval durations under Olympian fair sharing",
@@ -47,16 +47,12 @@ pub fn run() -> String {
     out.push_str(
         "\nPaper shape: millisecond-scale intervals with wide variation around the mean.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn intervals_are_millisecond_scale() {
-        let (_, oly, q_us) = super::fig11::reports();
-        let mean = oly.mean_interval_ms().expect("intervals recorded");
-        assert!(mean > q_us / 1000.0 * 0.8 && mean < q_us / 1000.0 * 3.0, "mean {mean}");
-    }
+    let mean = oly.mean_interval_ms().expect("intervals recorded");
+    let q_ms = q_us / 1000.0;
+    let claim = Claim::new(
+        "fig12.mean_interval_brackets_the_quantum",
+        mean > q_ms * 0.8 && mean < q_ms * 3.0,
+        format!("mean interval {mean:.3} ms, bound 0.8-3.0 x Q = {q_ms:.3} ms"),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -11,7 +11,7 @@
 
 use crate::{banner, build_store_for, choose_q, default_config, format_finish_times,
     format_quanta, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::Summary;
 use models::ModelKind;
 use serving::{run_experiment, ClientSpec, RunReport};
@@ -36,12 +36,13 @@ pub fn heterogeneous_run(inception_batch: u64) -> (RunReport, SimDuration) {
     (run_experiment(&cfg, clients, &mut sched), q)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figures 13/14",
         "Heterogeneous workload: 5 Inception + 5 ResNet-152 under Olympian fair",
     );
+    let mut claims = Vec::new();
     for inception_batch in [100u64, 150] {
         let (report, q) = heterogeneous_run(inception_batch);
         out.push_str(&format!(
@@ -64,29 +65,25 @@ pub fn run() -> String {
             s.max(),
             q.as_micros_f64()
         ));
+        let q_us = q.as_micros_f64();
+        claims.push(Claim::new(
+            format!("fig13_14.quanta_match_q_inception_batch_{inception_batch}"),
+            means.len() == report.clients.len()
+                && means.iter().all(|m| (m - q_us).abs() / q_us < 0.15),
+            format!(
+                "{} of {} clients' mean quanta span {:.0}-{:.0} us around Q = {q_us:.0} us, \
+                 bound within 15%",
+                means.len(),
+                report.clients.len(),
+                s.min(),
+                s.max()
+            ),
+        ));
     }
     out.push_str(
         "\nPaper shape: same-model clients finish together; the two model groups \
          differ slightly even at equalized runtimes (GPU is shared fairly, CPU is \
          not), while per-quantum GPU durations are equal across all ten clients.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn gpu_share_is_equal_across_models() {
-        let (report, q) = super::heterogeneous_run(100);
-        let q_us = q.as_micros_f64();
-        for c in &report.clients {
-            let m = c.mean_quantum_us().expect("quanta recorded");
-            assert!(
-                (m - q_us).abs() / q_us < 0.15,
-                "client {} mean {m} vs Q {q_us}",
-                c.client.0
-            );
-        }
-    }
+    Figure { text: out, claims }
 }

@@ -8,7 +8,7 @@
 
 use crate::{banner, build_store_for, choose_q, complex_workload, default_config,
     format_quanta, DEFAULT_NUM_BATCHES};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::Summary;
 use serving::{run_experiment, FifoScheduler, RunReport};
 use simtime::SimDuration;
@@ -28,8 +28,8 @@ pub fn reports() -> (RunReport, RunReport, SimDuration) {
     (base, oly, q)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 16",
         "Complex workload: 14 clients x 7 DNNs, per-quantum GPU durations",
@@ -52,20 +52,17 @@ pub fn run() -> String {
         s.max(),
         overhead * 100.0
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn complex_workload_shares_evenly() {
-        let (_, oly, q) = super::reports();
-        let q_us = q.as_micros_f64();
-        let means: Vec<f64> = oly.clients.iter().filter_map(|c| c.mean_quantum_us()).collect();
-        assert_eq!(means.len(), 14);
-        for m in means {
-            assert!((m - q_us).abs() / q_us < 0.20, "mean {m} vs Q {q_us}");
-        }
-    }
+    let q_us = q.as_micros_f64();
+    let claim = Claim::new(
+        "fig16.all_14_clients_get_q",
+        means.len() == 14 && means.iter().all(|m| (m - q_us).abs() / q_us < 0.20),
+        format!(
+            "{} clients' mean quanta span {:.0}-{:.0} us around Q = {q_us:.0} us, \
+             bound 14 clients within 20%",
+            means.len(),
+            s.min(),
+            s.max()
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

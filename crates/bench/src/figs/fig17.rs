@@ -7,6 +7,7 @@
 
 use crate::{banner, build_store_for, choose_q, default_config, format_finish_times,
     homogeneous_clients, DEFAULT_BATCH, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE};
+use crate::figs::{Claim, Figure};
 use metrics::Summary;
 use models::ModelKind;
 use olympian::{OlympianScheduler, WeightedFair};
@@ -42,35 +43,27 @@ pub fn group_ratio(report: &RunReport) -> f64 {
     heavy.mean() / light.mean()
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 17",
         "Weighted fair sharing, 10 Inception clients, weights k:1",
     );
+    let mut claims = Vec::new();
     for k in [2u32, 10] {
         let report = weighted_run(k);
         out.push_str(&format_finish_times(&format!("weights {k}:1"), &report));
         let expected = (k as f64 + 1.0) / (2.0 * k as f64);
+        let ratio = group_ratio(&report);
         out.push_str(&format!(
-            "heavy/light finish ratio: {:.3} (theory (k+1)/2k = {expected:.3}; \
+            "heavy/light finish ratio: {ratio:.3} (theory (k+1)/2k = {expected:.3}; \
              paper observed ~0.74 for 2:1 and ~0.55 for 10:1)\n",
-            group_ratio(&report)
+        ));
+        claims.push(Claim::new(
+            format!("fig17.weighted_ratio_k{k}"),
+            (ratio - expected).abs() < 0.06,
+            format!("heavy/light {ratio:.4} vs (k+1)/2k = {expected:.4}, bound within 0.06"),
         ));
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn ratios_match_theory() {
-        for k in [2u32, 10] {
-            let report = super::weighted_run(k);
-            let expected = (k as f64 + 1.0) / (2.0 * k as f64);
-            let got = super::group_ratio(&report);
-            assert!((got - expected).abs() < 0.06, "k={k}: {got} vs {expected}");
-        }
-    }
+    Figure { text: out, claims }
 }

@@ -9,6 +9,7 @@
 
 use crate::{banner, build_store_for, choose_q, default_config, format_finish_times,
     homogeneous_clients, DEFAULT_BATCH, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE};
+use crate::figs::{Claim, Figure};
 use models::ModelKind;
 use olympian::{OlympianScheduler, Priority};
 use serving::{run_experiment, ClientSpec, RunReport};
@@ -49,8 +50,8 @@ pub fn priority_run(levels: Levels) -> RunReport {
     run_experiment(&cfg, clients, &mut sched)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 18",
         "Priority scheduling, 10 Inception clients, two priority assignments",
@@ -64,30 +65,26 @@ pub fn run() -> String {
         "expected: clients 0-4 fair-share and finish together around the halfway \
          point; clients 5-9 finish together at the end (paper: ~25 s then ~50 s).\n",
     );
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn ten_level_serializes() {
-        let report = priority_run(Levels::Ten);
-        let f = report.finish_times_secs();
-        assert!(f.windows(2).all(|w| w[0] < w[1]), "staircase order: {f:?}");
-    }
-
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn two_level_groups() {
-        let report = priority_run(Levels::Two);
-        let f = report.finish_times_secs();
-        let high_max = f[..5].iter().fold(0.0_f64, |a, &b| a.max(b));
-        let low_min = f[5..].iter().fold(f64::MAX, |a, &b| a.min(b));
-        assert!(high_max < low_min, "high group first: {f:?}");
-        let mid = f[9] / 2.0;
-        assert!((f[..5].iter().sum::<f64>() / 5.0 - mid).abs() / mid < 0.15);
-    }
+    let f = ten.finish_times_secs();
+    let staircase = Claim::new(
+        "fig18.ten_levels_finish_in_priority_order",
+        f.len() == 10 && f.windows(2).all(|w| w[0] < w[1]),
+        format!("finish times {f:.3?} s, bound strictly increasing by client"),
+    );
+    let f = two.finish_times_secs();
+    let (high, low) = f.split_at(f.len().min(5));
+    let high_max = high.iter().fold(0.0_f64, |a, &b| a.max(b));
+    let low_min = low.iter().fold(f64::MAX, |a, &b| a.min(b));
+    let high_mean = high.iter().sum::<f64>() / 5.0;
+    let mid = f.get(9).map_or(f64::NAN, |&t| t / 2.0);
+    let two_step = Claim::new(
+        "fig18.two_levels_finish_in_two_steps",
+        f.len() == 10 && high_max < low_min && (high_mean - mid).abs() / mid < 0.15,
+        format!(
+            "high group last {high_max:.3} s < low group first {low_min:.3} s; high mean \
+             {high_mean:.3} s vs half of client 9's {mid:.3} s, bound within 15%"
+        ),
+    );
+    Figure { text: out, claims: vec![staircase, two_step] }
 }

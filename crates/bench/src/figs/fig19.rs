@@ -8,7 +8,7 @@
 
 use crate::{banner, build_store_for, default_config, format_finish_times, format_quanta,
     homogeneous_clients, DEFAULT_BATCH, DEFAULT_NUM_BATCHES};
-use crate::figs::fig13_14;
+use crate::figs::{fig13_14, Claim, Figure};
 use metrics::Summary;
 use models::ModelKind;
 use olympian::{OlympianScheduler, RoundRobin};
@@ -42,8 +42,8 @@ pub fn heterogeneous_timer_run() -> RunReport {
     run_experiment(&cfg, clients, &mut sched)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 19",
         "CPU-timer quantum ablation: wall-clock slicing fails to equalize GPU usage",
@@ -67,24 +67,15 @@ pub fn run() -> String {
         s.max(),
         s.max() / s.min()
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn timer_quanta_diverge_across_models() {
-        let hetero = super::heterogeneous_timer_run();
-        let means: Vec<f64> = hetero
-            .clients
-            .iter()
-            .filter_map(|c| c.mean_quantum_us())
-            .collect();
-        let s = metrics::Summary::of(means.iter().copied());
-        assert!(
-            s.max() / s.min() > 1.04,
-            "wall-clock slicing should skew GPU shares across models: {means:?}"
-        );
-    }
+    let claim = Claim::new(
+        "fig19.wall_clock_quanta_skew_gpu_shares",
+        s.max() / s.min() > 1.04,
+        format!(
+            "per-client mean GPU/quantum {:.0}-{:.0} us, max/min {:.4}, bound > 1.04",
+            s.min(),
+            s.max(),
+            s.max() / s.min()
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -7,7 +7,7 @@
 
 use crate::{banner, default_config, format_finish_times, homogeneous_clients,
     DEFAULT_NUM_BATCHES};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::max_min_ratio;
 use models::ModelKind;
 use olympian::{LinearCostModel, Profiler, ProfileStore};
@@ -32,37 +32,31 @@ pub fn predicted_run(batch: u64) -> RunReport {
     run_experiment(&cfg, clients, &mut sched)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 20",
         "Linear cost model: fairness with profiles predicted from batches 50+100",
     );
+    let mut claims = Vec::new();
     for batch in [25u64, 75, 150] {
         let report = predicted_run(batch);
         out.push_str(&format_finish_times(&format!("batch {batch} (predicted profile)"), &report));
-        out.push_str(&format!(
-            "spread (max/min) = {:.4}\n",
-            max_min_ratio(&report.finish_times_secs())
+        let spread = max_min_ratio(&report.finish_times_secs());
+        out.push_str(&format!("spread (max/min) = {spread:.4}\n"));
+        claims.push(Claim::new(
+            format!("fig20.predicted_profile_is_fair_batch_{batch}"),
+            report.all_finished() && spread < 1.02,
+            format!(
+                "{}/{} finished, max/min {spread:.4}, bound all finish and < 1.02",
+                report.finished_count(),
+                report.clients.len()
+            ),
         ));
     }
     out.push_str(
         "\nPaper shape: completion-time fairness comparable to Figure 11 at every \
          batch size despite never profiling those batches directly.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn predicted_profiles_preserve_fairness() {
-        for batch in [25u64, 150] {
-            let report = super::predicted_run(batch);
-            assert!(report.all_finished());
-            let spread = metrics::max_min_ratio(&report.finish_times_secs());
-            assert!(spread < 1.02, "batch {batch}: spread {spread}");
-        }
-    }
+    Figure { text: out, claims }
 }

@@ -7,7 +7,7 @@
 
 use crate::{banner, build_store_for, choose_q, default_config, format_finish_times,
     homogeneous_clients, DEFAULT_BATCH, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use gpusim::DeviceProfile;
 use metrics::max_min_ratio;
 use models::ModelKind;
@@ -27,8 +27,8 @@ pub fn titan_run() -> (RunReport, f64) {
     (run_experiment(&cfg, clients, &mut sched), q.as_micros_f64())
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Figure 21",
         "Portability: fair sharing on the Titan X platform",
@@ -36,22 +36,19 @@ pub fn run() -> String {
     let (report, q_us) = titan_run();
     out.push_str(&format!("re-profiled Q on titan-x: {q_us:.0} us\n"));
     out.push_str(&format_finish_times("Olympian fair @ titan-x", &report));
+    let spread = max_min_ratio(&report.finish_times_secs());
     out.push_str(&format!(
-        "spread (max/min) = {:.4}; absolute times are longer than Figure 11's \
+        "spread (max/min) = {spread:.4}; absolute times are longer than Figure 11's \
          (slower device) but fairness is preserved — the paper's point.\n",
-        max_min_ratio(&report.finish_times_secs())
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn titan_preserves_fairness() {
-        let (report, _) = super::titan_run();
-        assert!(report.all_finished());
-        let spread = metrics::max_min_ratio(&report.finish_times_secs());
-        assert!(spread < 1.01, "spread {spread}");
-    }
+    let claim = Claim::new(
+        "fig21.titan_x_preserves_fairness",
+        report.all_finished() && spread < 1.01,
+        format!(
+            "{}/{} finished, max/min {spread:.4}, bound all finish and < 1.01",
+            report.finished_count(),
+            report.clients.len()
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -16,8 +16,8 @@
 //! wired through [`StoreBinder`], so the report is byte-identical across
 //! `--jobs N`.
 
-use crate::figs::fair;
 use crate::banner;
+use crate::figs::{fair, Claim, Figure};
 use metrics::table::render_table;
 use models::LoadedModel;
 use olympian::{ProfileStore, StoreBinder};
@@ -257,8 +257,9 @@ pub fn scenario_report(name: &str) -> Option<String> {
     Some(out)
 }
 
-/// Runs the whole suite and returns the report text.
-pub fn run() -> String {
+/// Runs the whole suite and returns the report and its claims, one per
+/// scenario.
+pub fn run() -> Figure {
     let mut out = banner(
         "Lifecycle",
         "Versioned registry, memory-budgeted residency and canary rollouts",
@@ -316,13 +317,44 @@ pub fn run() -> String {
         regressed.rollbacks,
         regressed.promotions,
     ));
+    let claims = vec![
+        Claim::new(
+            "lifecycle.churn_evicts_and_reloads_under_budget",
+            churn_pass,
+            format!(
+                "{}/{CHURN_SERVICES} finished, {} evictions (bound >= 1), {} loads (bound > \
+                 {CHURN_SERVICES}), peak {} of {} bytes",
+                churn.finished,
+                churn.evictions,
+                churn.loads,
+                churn.peak_bytes,
+                churn_budget()
+            ),
+        ),
+        Claim::new(
+            "lifecycle.canary_promotes_healthy",
+            healthy_pass,
+            format!(
+                "{}/{CANARY_CLIENTS} finished, {} promotions (bound 1), {} rollbacks (bound 0)",
+                healthy.finished, healthy.promotions, healthy.rollbacks
+            ),
+        ),
+        Claim::new(
+            "lifecycle.canary_rolls_back_regressed",
+            regressed_pass,
+            format!(
+                "{}/{CANARY_CLIENTS} finished, {} rollbacks (bound 1), {} promotions (bound 0)",
+                regressed.finished, regressed.rollbacks, regressed.promotions
+            ),
+        ),
+    ];
     out.push_str(&format!(
         "\nlifecycle band: {}. The manager never exceeds the device budget, keeps \
          every client servable through eviction churn, and gates version 2 on \
          observed run latency.\n",
-        if churn_pass && healthy_pass && regressed_pass { "PASS" } else { "FAIL" }
+        if claims.iter().all(|c| c.held) { "PASS" } else { "FAIL" }
     ));
-    out
+    Figure { text: out, claims }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes `run() -> String`: it executes the experiment,
-//! formats the same rows/series the paper plots, and returns the report
-//! text (which the `all` binary prints and saves under `results/`).
+//! Every module exposes `run() -> Figure`: it executes the experiment,
+//! formats the same rows/series the paper plots as the report text (which
+//! the `all` binary prints and saves under `results/`), and decides the
+//! figure's claims on the same values the text was rendered from.
 
 pub mod ablations;
 pub mod blame;
@@ -36,12 +37,71 @@ pub mod timeline;
 pub mod utilization;
 
 use olympian::{OlympianScheduler, ProfileStore, RoundRobin};
+use serving::RunReport;
 use simtime::SimDuration;
+use std::fmt;
 use std::sync::Arc;
 
+/// What one experiment produces: its report text and the claims checked on
+/// the values the text was rendered from, so nothing is simulated twice.
+#[derive(Debug)]
+pub struct Figure {
+    /// The report, printed and saved as `results/<name>.txt`.
+    pub text: String,
+    /// The claims the report reproduces, in the order they were decided.
+    pub claims: Vec<Claim>,
+}
+
+/// One claim of a report, decided on its measured values.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// Stable `<report>.<claim>` name.
+    pub name: String,
+    /// Whether the measured values satisfy the claim.
+    pub held: bool,
+    /// The measured values and the bound they were held to.
+    pub measured: String,
+}
+
+impl Claim {
+    /// A claim named `name` that `held` on the `measured` values.
+    pub fn new(name: impl Into<String>, held: bool, measured: impl Into<String>) -> Self {
+        Claim { name: name.into(), held, measured: measured.into() }
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.held { "held" } else { "BROKEN" };
+        write!(f, "claim {} {verdict}: {}", self.name, self.measured)
+    }
+}
+
+/// Evaluates claims: `Ok` when every one held.
+///
+/// # Errors
+///
+/// Names every broken claim with its measured values.
+pub fn evaluate(claims: &[Claim]) -> Result<(), String> {
+    let broken: Vec<String> = claims
+        .iter()
+        .filter(|c| !c.held)
+        .map(|c| format!("{} ({})", c.name, c.measured))
+        .collect();
+    if broken.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} of {} claims broken: {}",
+        broken.len(),
+        claims.len(),
+        broken.join("; ")
+    ))
+}
+
 /// An experiment: a stable name (the `results/<name>.txt` key) and the
-/// function regenerating its report.
-pub type Experiment = (&'static str, fn() -> String);
+/// function regenerating its report and claims.
+pub type Experiment = (&'static str, fn() -> Figure);
 
 /// Every experiment of the reproduction, in the paper's presentation order.
 ///
@@ -113,6 +173,27 @@ pub(crate) fn fair(store: Arc<ProfileStore>, q: SimDuration) -> OlympianSchedule
     OlympianScheduler::new(store, Box::new(RoundRobin::new()), q)
 }
 
+/// p99 of completed-run latency, in microseconds. Cancelled runs never
+/// complete, so they are absent by construction — the histogram is the
+/// experience of the requests that were actually served.
+pub(crate) fn p99_latency_us(report: &RunReport) -> f64 {
+    report
+        .telemetry
+        .hist("run_latency_us")
+        .expect("telemetered run")
+        .p99
+}
+
+/// A run's telemetry counter, zero when absent.
+pub(crate) fn counter(report: &RunReport, name: &str) -> u64 {
+    report.telemetry.counter(name).unwrap_or(0)
+}
+
+/// Completed runs a telemetered run served.
+pub(crate) fn completed_runs(report: &RunReport) -> u64 {
+    report.telemetry.hist("run_latency_us").map_or(0, |h| h.count)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +212,26 @@ mod tests {
     fn selection_follows_registry_order() {
         let picked = select(&["fleet", "table2", "fig08", "table2"]).unwrap();
         assert_eq!(names(&picked), ["table2", "fig08", "fleet"]);
+    }
+
+    #[test]
+    fn evaluate_names_exactly_the_broken_claim_with_its_values() {
+        let held = Claim::new("fig17.weighted_ratio_k2", true, "ratio 0.7481 vs 0.7500");
+        let broken = Claim::new("fleet.zipf.p99_beats_static", false, "fleet 9000us vs 7000us");
+        assert_eq!(evaluate(&[held.clone(), held.clone()]), Ok(()));
+        assert_eq!(evaluate(&[]), Ok(()));
+
+        let err = evaluate(&[held.clone(), broken.clone(), held.clone()]).unwrap_err();
+        assert_eq!(
+            err,
+            "1 of 3 claims broken: fleet.zipf.p99_beats_static (fleet 9000us vs 7000us)"
+        );
+        assert!(!err.contains(&held.name), "{err}");
+        assert_eq!(
+            broken.to_string(),
+            "claim fleet.zipf.p99_beats_static BROKEN: fleet 9000us vs 7000us"
+        );
+        assert_eq!(held.to_string(), "claim fig17.weighted_ratio_k2 held: ratio 0.7481 vs 0.7500");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! clients on stock TF-Serving.
 
 use crate::{banner, default_config, homogeneous_clients, DEFAULT_BATCH};
+use crate::figs::{Claim, Figure};
 use metrics::table::render_table;
 use models::ModelKind;
 use serving::{run_experiment, FifoScheduler};
@@ -24,16 +25,29 @@ pub fn utilization_with(n: usize, think_ms: u64) -> f64 {
     report.utilization
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Motivation (§1)",
         "Bursty clients: dedicated GPU vs multiplexed serving (stock TF-Serving)",
     );
     let mut rows = Vec::new();
+    let mut claims = Vec::new();
     for think_ms in [0u64, 200, 500, 1_000] {
         let dedicated = utilization_with(1, think_ms);
         let multiplexed = utilization_with(10, think_ms);
+        if think_ms == 500 {
+            claims.push(Claim::new(
+                "motivation.multiplexing_recovers_bursty_utilization",
+                dedicated < 0.60 && multiplexed > dedicated * 1.5,
+                format!(
+                    "at 500 ms think time: dedicated {:.1}% (bound < 60%), multiplexed {:.1}% \
+                     (bound > 1.5 x dedicated)",
+                    dedicated * 100.0,
+                    multiplexed * 100.0
+                ),
+            ));
+        }
         rows.push(vec![
             format!("{think_ms} ms"),
             format!("{:.1}%", dedicated * 100.0),
@@ -49,17 +63,5 @@ pub fn run() -> String {
          while the multiplexed serving system keeps it high — the reason serving \
          systems share GPUs, and hence why GPU scheduling (Olympian) matters.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn multiplexing_recovers_utilization_for_bursty_clients() {
-        let dedicated = super::utilization_with(1, 500);
-        let multiplexed = super::utilization_with(10, 500);
-        assert!(dedicated < 0.60, "dedicated {dedicated}");
-        assert!(multiplexed > dedicated * 1.5, "multiplexed {multiplexed}");
-    }
+    Figure { text: out, claims }
 }

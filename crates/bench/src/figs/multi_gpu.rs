@@ -9,6 +9,7 @@
 
 use crate::{banner, build_store_for, default_config, format_finish_times,
     homogeneous_clients, DEFAULT_BATCH};
+use crate::figs::{Claim, Figure};
 use metrics::table::render_table;
 use models::ModelKind;
 use olympian::{MultiGpuScheduler, RoundRobin};
@@ -45,16 +46,18 @@ pub fn capacity_with(gpus: usize, max: usize) -> usize {
     last_ok
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "Extension: multi-GPU",
         "Client capacity and per-device fairness with 1-3 GPUs",
     );
     let mut rows = Vec::new();
+    let mut caps = Vec::new();
     for gpus in 1..=3usize {
         let cap = capacity_with(gpus, 160);
         rows.push(vec![format!("{gpus}"), format!("{cap}")]);
+        caps.push(cap);
     }
     out.push_str(&render_table(&["GPUs", "max ResNet-152 clients"], &rows));
     out.push_str("(memory is per-device, so capacity scales with GPU count)\n");
@@ -74,23 +77,29 @@ pub fn run() -> String {
         "\nExpected: clients split 6/6 across devices; each device's cohort finishes \
          together at about half the single-GPU makespan.\n",
     );
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn two_gpus_double_capacity_and_halve_makespan() {
-        let one = super::capacity_with(1, 120);
-        let two = super::capacity_with(2, 120);
-        assert!(two >= one * 2 - 5, "capacity {one} -> {two}");
-
-        let r1 = super::fair_on(1);
-        let r2 = super::fair_on(2);
-        assert!(r1.all_finished() && r2.all_finished());
-        let speedup = r1.makespan.as_secs_f64() / r2.makespan.as_secs_f64();
-        assert!(speedup > 1.7 && speedup < 2.3, "speedup {speedup}");
-        assert_eq!(r2.device_utilizations.len(), 2);
-    }
+    let (one, two) = (caps[0], caps[1]);
+    let capacity = Claim::new(
+        "multi_gpu.two_gpus_double_capacity",
+        two + 5 >= one * 2,
+        format!("{one} -> {two} clients on 1 -> 2 GPUs, bound at least 2 x {one} - 5"),
+    );
+    let single = fair_on(1);
+    let speedup = single.makespan.as_secs_f64() / report.makespan.as_secs_f64();
+    let makespan = Claim::new(
+        "multi_gpu.two_gpus_halve_makespan",
+        single.all_finished()
+            && report.all_finished()
+            && report.device_utilizations.len() == 2
+            && speedup > 1.7
+            && speedup < 2.3,
+        format!(
+            "makespan {:.3} s on 1 GPU vs {:.3} s on {} GPUs, speedup {speedup:.3}, bound \
+             all finish and 1.7-2.3",
+            single.makespan.as_secs_f64(),
+            report.makespan.as_secs_f64(),
+            report.device_utilizations.len()
+        ),
+    );
+    Figure { text: out, claims: vec![capacity, makespan] }
 }

@@ -17,7 +17,7 @@
 //! holder mask part of them — the very mechanism the paper credits for the
 //! low overhead.
 
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use crate::{
     banner, build_store_for, choose_q, default_config, homogeneous_clients, DEFAULT_BATCH,
     DEFAULT_NUM_BATCHES,
@@ -74,13 +74,11 @@ pub fn stats() -> OverheadStats {
     OverheadStats { baseline, olympian, q_us: q.as_micros_f64() }
 }
 
-/// Runs the experiment and returns the report text.
-///
-/// # Panics
-///
-/// Panics if the realized scheduling overhead is not below the paper's 2%
-/// bound — this report *is* the reproduction of that claim.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims: the realized
+/// overhead stays below the paper's 2% bound, fair sharing actually
+/// switches, and the trace-attributed hand-off idle stays within the
+/// windows the hand-offs opened.
+pub fn run() -> Figure {
     let mut out = banner(
         "Overhead",
         "Scheduler overhead for the Figure 11 workload at the paper's 2% tolerance",
@@ -118,30 +116,37 @@ pub fn run() -> String {
         frac * 100.0,
         OVERHEAD_BOUND * 100.0
     ));
-    assert!(
-        frac < OVERHEAD_BOUND,
-        "scheduling overhead {:.3}% exceeds the paper's {:.0}% bound",
-        frac * 100.0,
-        OVERHEAD_BOUND * 100.0
-    );
+    let below = frac < OVERHEAD_BOUND;
     out.push_str(&format!(
-        "\nCHECK PASSED: realized overhead {:.3}% < {:.0}% bound\n",
+        "\nCHECK {}: realized overhead {:.3}% {} {:.0}% bound\n",
+        if below { "PASSED" } else { "FAILED" },
         frac * 100.0,
+        if below { "<" } else { ">=" },
         OVERHEAD_BOUND * 100.0
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn overhead_is_under_the_paper_bound() {
-        let s = super::stats();
-        assert!(s.realized_overhead() < super::OVERHEAD_BOUND);
-        assert!(s.olympian.token_switches > 100, "fair sharing must actually switch");
-        // The trace-attributed hand-off idle stays within its own bound.
-        let attributed = s.olympian.scheduler_overhead_us.unwrap();
-        assert!(attributed <= s.olympian.handoff_bound_us);
-    }
+    let claims = vec![
+        Claim::new(
+            "overhead.below_the_paper_bound",
+            below,
+            format!(
+                "realized overhead {:.3}%, bound < {:.0}%",
+                frac * 100.0,
+                OVERHEAD_BOUND * 100.0
+            ),
+        ),
+        Claim::new(
+            "overhead.fair_sharing_switches",
+            o.token_switches > 100,
+            format!("{} token switches, bound > 100", o.token_switches),
+        ),
+        Claim::new(
+            "overhead.attributed_idle_within_handoff_windows",
+            attributed <= o.handoff_bound_us,
+            format!(
+                "{attributed:.0} us left idle of {:.0} us opened, bound at most opened",
+                o.handoff_bound_us
+            ),
+        ),
+    ];
+    Figure { text: out, claims }
 }

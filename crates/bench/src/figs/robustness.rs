@@ -6,7 +6,7 @@
 //! and mean quantum accuracy.
 
 use crate::{banner, build_store_for, default_config, homogeneous_clients, DEFAULT_BATCH};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::table::render_table;
 use metrics::{max_min_ratio, Summary};
 use models::ModelKind;
@@ -51,8 +51,8 @@ pub fn outcome_for(seed: u64) -> SeedOutcome {
     }
 }
 
-/// Runs the study and returns the report text.
-pub fn run() -> String {
+/// Runs the study and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "Robustness",
         "Headline metrics across 8 seeds (10 Inception clients, Q = 1.2 ms)",
@@ -88,24 +88,28 @@ pub fn run() -> String {
         q.mean(),
         q.std_dev()
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn every_seed_reproduces_the_headline() {
-        for &seed in &super::SEEDS[..4] {
-            let o = super::outcome_for(seed);
-            assert!(o.baseline_spread > 1.08, "seed {seed}: baseline {:.3}", o.baseline_spread);
-            assert!(o.olympian_spread < 1.01, "seed {seed}: olympian {:.4}", o.olympian_spread);
-            assert!(o.overhead < 0.08, "seed {seed}: overhead {:.3}", o.overhead);
-            assert!(
-                (o.mean_quantum_us - 1200.0).abs() / 1200.0 < 0.06,
-                "seed {seed}: quantum {:.0}",
-                o.mean_quantum_us
-            );
-        }
-    }
+    let held = outcomes.iter().all(|(_, o)| {
+        o.baseline_spread > 1.08
+            && o.olympian_spread < 1.01
+            && o.overhead < 0.08
+            && (o.mean_quantum_us - 1200.0).abs() / 1200.0 < 0.06
+    });
+    let overhead = Summary::of(outcomes.iter().map(|(_, o)| o.overhead));
+    let claim = Claim::new(
+        "robustness.every_seed_reproduces_the_headline",
+        held,
+        format!(
+            "over {} seeds: baseline max/min {:.3}-{:.3} (bound > 1.08), olympian max/min \
+             <= {:.4} (bound < 1.01), overhead <= {:.2}% (bound < 8%), mean quantum \
+             {:.0}-{:.0} us (bound within 6% of 1200 us)",
+            outcomes.len(),
+            base.min(),
+            base.max(),
+            oly.max(),
+            overhead.max() * 100.0,
+            q.min(),
+            q.max()
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

@@ -9,7 +9,7 @@
 //!   TF-Serving does (paper: 40–60 Inception clients vs ~100).
 
 use crate::{banner, build_store_for, default_config};
-use crate::figs::fair;
+use crate::figs::{fair, Claim, Figure};
 use metrics::table::render_table;
 use models::ModelKind;
 use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler, RunReport};
@@ -74,19 +74,35 @@ pub fn capacity(kind: ModelKind, olympian: bool, max: usize) -> (usize, Probe) {
     (last_ok, failure)
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claims.
+pub fn run() -> Figure {
     let mut out = banner(
         "§4.3 scalability",
         "Maximum concurrent clients (batch 100, 1 batch each, step 5)",
     );
     let mut rows = Vec::new();
+    let mut claims = Vec::new();
     for (kind, max, paper_tf, paper_oly) in [
         (ModelKind::ResNet152, 70, "~45 (memory)", "~45 (memory)"),
         (ModelKind::InceptionV4, 130, "~100 (memory)", "40-60 (threads)"),
     ] {
         let (tf_cap, tf_fail) = capacity(kind, false, max);
         let (oly_cap, oly_fail) = capacity(kind, true, max);
+        claims.push(match kind {
+            ModelKind::ResNet152 => Claim::new(
+                "scalability.memory_caps_resnet",
+                tf_fail == Probe::Oom && (40..=55).contains(&tf_cap),
+                format!("tf-serving {tf_cap} clients ({tf_fail:?} beyond), bound Oom at 40-55"),
+            ),
+            _ => Claim::new(
+                "scalability.olympian_thread_bound_below_tf_for_inception",
+                oly_cap < tf_cap && oly_fail == Probe::Stalled && (40..=60).contains(&oly_cap),
+                format!(
+                    "olympian {oly_cap} ({oly_fail:?} beyond) vs tf-serving {tf_cap}, bound \
+                     Stalled at 40-60 and below tf-serving"
+                ),
+            ),
+        });
         rows.push(vec![
             kind.name().to_string(),
             format!("{tf_cap} ({tf_fail:?} beyond)"),
@@ -104,28 +120,5 @@ pub fn run() -> String {
          models; for Inception, Olympian saturates the worker-thread pool (suspended \
          gangs hold threads) at roughly half of TF-Serving's client count.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn olympian_thread_bound_below_tf_for_inception() {
-        let (tf_cap, _) = capacity(ModelKind::InceptionV4, false, 130);
-        let (oly_cap, oly_fail) = capacity(ModelKind::InceptionV4, true, 130);
-        assert!(oly_cap < tf_cap, "olympian {oly_cap} vs tf {tf_cap}");
-        assert_eq!(oly_fail, Probe::Stalled);
-        assert!((40..=60).contains(&oly_cap), "olympian cap {oly_cap}");
-    }
-
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn memory_caps_resnet() {
-        let (tf_cap, tf_fail) = capacity(ModelKind::ResNet152, false, 70);
-        assert_eq!(tf_fail, Probe::Oom);
-        assert!((40..=55).contains(&tf_cap), "tf cap {tf_cap}");
-    }
+    Figure { text: out, claims }
 }

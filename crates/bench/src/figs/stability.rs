@@ -5,6 +5,7 @@
 //! σ/µ ≈ 2.5% and GPU duration σ/µ ≈ 1.7%. We repeat the measurement with
 //! 100 differently seeded profiling runs.
 
+use crate::figs::{Claim, Figure};
 use crate::{banner, default_config};
 use metrics::Summary;
 use models::ModelKind;
@@ -29,8 +30,8 @@ pub fn samples() -> (Vec<f64>, Vec<f64>) {
     pairs.into_iter().unzip()
 }
 
-/// Runs the experiment and returns the report text.
-pub fn run() -> String {
+/// Runs the experiment and returns the report and its claim.
+pub fn run() -> Figure {
     let mut out = banner(
         "§4.4 stability",
         "Cost and GPU-duration stability over 100 profiling runs (Inception, batch 100)",
@@ -54,18 +55,14 @@ pub fn run() -> String {
         "\nPaper shape: both quantities are stable to a few percent across runs, \
          validating one-shot offline profiling.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[ignore = "full-scale experiment; run with `cargo test --release -- --ignored`"]
-    fn stability_within_paper_band() {
-        let (costs, durations) = super::samples();
-        let c = metrics::Summary::of(costs.iter().copied());
-        let d = metrics::Summary::of(durations.iter().copied());
-        assert!(c.cv() > 0.005 && c.cv() < 0.05, "cost cv {}", c.cv());
-        assert!(d.cv() > 0.005 && d.cv() < 0.04, "duration cv {}", d.cv());
-    }
+    let claim = Claim::new(
+        "stability.cost_and_duration_stable",
+        c.cv() > 0.005 && c.cv() < 0.05 && d.cv() > 0.005 && d.cv() < 0.04,
+        format!(
+            "cost std/mean {:.2}% (bound 0.5-5%), GPU duration std/mean {:.2}% (bound 0.5-4%)",
+            c.cv() * 100.0,
+            d.cv() * 100.0
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }

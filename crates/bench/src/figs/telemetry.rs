@@ -7,6 +7,7 @@
 //! monitors (streaming drift detection and SLO burn rate) fire mid-run.
 
 use crate::banner;
+use crate::figs::Figure;
 use crate::telemetered::telemetered_experiment;
 use metrics::table::{render_sparkline, render_table};
 use simtime::SimDuration;
@@ -59,7 +60,7 @@ fn counter_deltas(t: &serving::TelemetryReport, name: &str) -> Vec<f64> {
 }
 
 /// Runs the experiment and returns the report text.
-pub fn run() -> String {
+pub fn run() -> Figure {
     let mut out = banner(
         "telemetry",
         "Live telemetry during a profile-drift incident (regressed device, fresh profiles)",
@@ -153,7 +154,7 @@ pub fn run() -> String {
          latency objective calibrated on the fresh device burns its error budget \
          immediately.\n",
     );
-    out
+    Figure { text: out, claims: Vec::new() }
 }
 
 #[cfg(test)]
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn report_carries_sparklines_and_alerts() {
-        let out = run();
+        let out = run().text;
         assert!(out.contains("per-snapshot series"));
         assert!(out.contains("GPU-share fairness"));
         assert!(out.contains("drift"));

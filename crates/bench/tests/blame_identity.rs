@@ -12,9 +12,9 @@ use std::sync::Arc;
 #[test]
 fn blame_report_is_byte_identical_across_job_counts() {
     std::env::remove_var(simpar::JOBS_ENV);
-    let serial = bench::figs::blame::run();
+    let serial = bench::figs::blame::run().text;
     std::env::set_var(simpar::JOBS_ENV, "2");
-    let parallel = bench::figs::blame::run();
+    let parallel = bench::figs::blame::run().text;
     std::env::remove_var(simpar::JOBS_ENV);
     assert_eq!(serial, parallel, "blame.txt must not depend on the worker count");
     assert!(serial.contains("execute share"));

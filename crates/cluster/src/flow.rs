@@ -187,53 +187,52 @@ pub fn solve(p: &FlowProblem) -> FlowAssignment {
     FlowAssignment { flow, cost: total_cost as u64, shipped }
 }
 
-/// Greedy fallback used when a caller wants an O(M·D·log) plan without the
-/// augmenting-path machinery (and the property test cross-checking `solve`).
-///
-/// Bound: this instance is a *complete bipartite* transportation problem —
-/// every unit of demand may ship over any arc — so any maximal strategy,
-/// greedy included, ships exactly `F = min(Σ demands, Σ capacities)` units,
-/// the same volume as the optimum. With `c_min`/`c_max` the smallest and
-/// largest per-unit arc costs, `cost(greedy) <= c_max * F` while
-/// `cost(OPT) >= c_min * F`, hence `cost(greedy) <= (c_max / c_min) *
-/// cost(OPT)` (and greedy is exact when all arc costs are equal). The
-/// ratio is tight only when greedy is forced onto c_max arcs, i.e. when
-/// cheap devices are saturated — the common case lands far closer.
-pub fn solve_greedy(p: &FlowProblem) -> FlowAssignment {
-    p.validate();
-    let m = p.demands.len();
-    let d = p.capacities.len();
-    let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(m * d);
-    for (i, row) in p.costs.iter().enumerate() {
-        for (j, &c) in row.iter().enumerate() {
-            order.push((c, i, j));
-        }
-    }
-    // Total order (cost, model, device): no equal elements, so the sort is
-    // deterministic regardless of algorithm stability.
-    order.sort_unstable();
-    let mut demand = p.demands.clone();
-    let mut cap = p.capacities.clone();
-    let mut flow = vec![vec![0u64; d]; m];
-    let mut cost = 0u64;
-    let mut shipped = 0u64;
-    for (c, i, j) in order {
-        let x = demand[i].min(cap[j]);
-        if x == 0 {
-            continue;
-        }
-        demand[i] -= x;
-        cap[j] -= x;
-        flow[i][j] += x;
-        cost += c * x;
-        shipped += x;
-    }
-    FlowAssignment { flow, cost, shipped }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Greedy reference plan the exact solver is cross-checked against.
+    ///
+    /// Bound: this instance is a *complete bipartite* transportation problem —
+    /// every unit of demand may ship over any arc — so any maximal strategy,
+    /// greedy included, ships exactly `F = min(Σ demands, Σ capacities)` units,
+    /// the same volume as the optimum. With `c_min`/`c_max` the smallest and
+    /// largest per-unit arc costs, `cost(greedy) <= c_max * F` while
+    /// `cost(OPT) >= c_min * F`, hence `cost(greedy) <= (c_max / c_min) *
+    /// cost(OPT)` (and greedy is exact when all arc costs are equal). The
+    /// ratio is tight only when greedy is forced onto c_max arcs, i.e. when
+    /// cheap devices are saturated — the common case lands far closer.
+    fn solve_greedy(p: &FlowProblem) -> FlowAssignment {
+        p.validate();
+        let m = p.demands.len();
+        let d = p.capacities.len();
+        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(m * d);
+        for (i, row) in p.costs.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                order.push((c, i, j));
+            }
+        }
+        // Total order (cost, model, device): no equal elements, so the sort is
+        // deterministic regardless of algorithm stability.
+        order.sort_unstable();
+        let mut demand = p.demands.clone();
+        let mut cap = p.capacities.clone();
+        let mut flow = vec![vec![0u64; d]; m];
+        let mut cost = 0u64;
+        let mut shipped = 0u64;
+        for (c, i, j) in order {
+            let x = demand[i].min(cap[j]);
+            if x == 0 {
+                continue;
+            }
+            demand[i] -= x;
+            cap[j] -= x;
+            flow[i][j] += x;
+            cost += c * x;
+            shipped += x;
+        }
+        FlowAssignment { flow, cost, shipped }
+    }
 
     fn problem(demands: &[u64], capacities: &[u64], costs: &[&[u64]]) -> FlowProblem {
         FlowProblem {

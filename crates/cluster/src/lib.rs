@@ -35,7 +35,7 @@ mod fleet;
 pub mod flow;
 
 pub use fleet::{Fleet, Routed, Step};
-pub use flow::{solve, solve_greedy, FlowAssignment, FlowProblem};
+pub use flow::{solve, FlowAssignment, FlowProblem};
 
 /// How the router picks a device for an arriving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -163,29 +163,6 @@ impl Scheduler for MultiGpuScheduler {
         self.sub_for(device).on_gpu_node_done(job, node, now)
     }
 
-    fn next_timer(&self, now: SimTime) -> Option<SimTime> {
-        self.per_device
-            .iter()
-            .flatten()
-            .filter_map(|s| s.next_timer(now))
-            .min()
-    }
-
-    fn on_timer(&mut self, now: SimTime) -> Verdict {
-        // Deliver to every sub-scheduler in device order; stale timers are
-        // no-ops. At most one can legitimately fire per instant under
-        // distinct quanta, and the engine treats multiple `Moved`s across
-        // calls correctly anyway.
-        let mut verdict = Verdict::Unchanged;
-        for s in self.per_device.iter_mut().flatten() {
-            let v = s.on_timer(now);
-            if v != Verdict::Unchanged {
-                verdict = v;
-            }
-        }
-        verdict
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
