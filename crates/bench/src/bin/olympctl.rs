@@ -10,68 +10,64 @@
 //!                  --policy fair|weighted|priority|drr|lottery|baseline
 //!                  [--quantum-us 1200] [--gpus 1] [--seed 1]
 //!                  [--deadline-ms 500] [--trace 40]
-//! olympctl trace   <experiment> [--out trace.json] [--mode sampled|full]
-//! olympctl metrics <experiment> [--interval-us N] [--out telemetry.jsonl]
+//! olympctl trace   <run> [--out trace.json] [--mode sampled|full]
+//! olympctl metrics <run> [--interval-us N] [--out telemetry.jsonl]
 //!                  [--prom metrics.prom] [--store <dir>]
-//! olympctl blame   <experiment> [--vs <experiment>] [--out blame.json]
-//!                  [--trace phases.json]
-//! olympctl chaos   <scenario>   [--scheduler olympian|fifo|both]
-//! olympctl control <scenario>   [--policy edf|laxity] [--out report.txt]
+//! olympctl blame   <run> [--vs <run>] [--out blame.json] [--trace phases.json]
+//! olympctl top     <run> [--interval-us N] [--fps N] [--rows N]
+//! olympctl chaos   <scenario>
 //! olympctl lifecycle <scenario>
-//! olympctl fleet   <scenario>   [--out report.txt]
-//! olympctl top     <experiment> [--interval-us N] [--fps N] [--rows N]
+//! olympctl control <scenario> [--policy edf|laxity] [--out report.txt]
+//! olympctl fleet   <scenario> [--out report.txt]
 //! olympctl query   <expr> [--dir runs] [--run A] [--vs B] [--dash out.html]
 //! olympctl import-bench <bench.json> [--dir runs] [--as seed]
 //! ```
 //!
-//! `trace` runs a named experiment (see `bench::traced::traced_registry`)
-//! with capture enabled and writes Chrome trace-event JSON loadable in
-//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! Every command also takes `--jobs N`, and rejects a flag it does not
+//! read, listing the ones it does.
 //!
-//! `metrics` runs a named experiment (see
-//! `bench::telemetered::telemetered_registry`) with live telemetry enabled
-//! at the given virtual-time snapshot cadence and writes the JSON-lines
-//! time series; `--prom` additionally writes the final registry state as
-//! Prometheus text exposition.
+//! `trace`, `metrics`, `blame` and `top` replay a named run of the catalog
+//! the figures share (`bench::runs::CATALOG`: `smoke`, `drifted`,
+//! `timeline`, `fig11`):
 //!
-//! `blame` runs a named telemetered experiment with tracing on and prints
-//! its latency attribution: the per-phase decomposition of every run (the
-//! phases tile each span exactly), the critical path of the makespan, and
-//! — with `--vs` — a p99 blame diff against a baseline experiment. `--out`
-//! writes the machine-readable `blame/v1` JSON document; `--trace` writes
-//! Chrome trace-event JSON with the phase slices and the highlighted
-//! critical path on their own process.
+//! * `trace` captures its trace (sampled by default) and writes Chrome
+//!   trace-event JSON loadable in Perfetto (<https://ui.perfetto.dev>) or
+//!   `chrome://tracing`.
+//! * `metrics` turns live telemetry on at the given virtual-time snapshot
+//!   cadence and writes the JSON-lines time series; `--prom` also writes
+//!   the final registry state as Prometheus text exposition, and
+//!   `--store` files the run in a `tsdb` catalog directory.
+//! * `blame` prints the run's latency attribution: the per-phase
+//!   decomposition of every request (the phases tile each span exactly),
+//!   the critical path of the makespan, and — with `--vs` — a p99 blame
+//!   diff against a baseline run. `--out` writes the machine-readable
+//!   `blame/v1` JSON document; `--trace` writes Chrome trace-event JSON
+//!   with the phase slices and the highlighted critical path on their own
+//!   process.
+//! * `top` replays the run as a live-refreshing ASCII dashboard: the run
+//!   executes once (virtual time), then its time-series store is played
+//!   back frame by frame — per-series sparklines growing toward each
+//!   snapshot boundary, with the alert feed underneath.
 //!
-//! `chaos` runs a named fault-injection scenario (see
-//! `bench::figs::chaos::scenarios`) with the full recovery stack on —
-//! retries with backoff, circuit breaking and the token-hold watchdog —
-//! against its fault-free twin, and prints the resilience comparison.
+//! `chaos`, `lifecycle`, `control` and `fleet` print one scenario of the
+//! `chaos`, `lifecycle`, `closedloop` and `fleet` reports, rendered by the
+//! code that renders `results/<report>.txt`, then write its claims to
+//! stderr, one `claim <name> held|BROKEN: …` line each, and exit 1 if one
+//! broke:
 //!
-//! `control` runs a closed-loop control-plane scenario (see
-//! `bench::figs::closedloop`): the `drifted` scenario replays the same
-//! regressed-device workload open-loop (telemetry only) and closed-loop
-//! (deadline-aware hand-off, laxity cancellation, in-run recalibration and
-//! the degradation ladder) and prints the SLO comparison, ending with the
-//! machine-readable `summary:` line; it exits 1 if a claim of the report
-//! broke.
-//!
-//! `fleet` runs a named fleet-orchestration scenario (see
-//! `bench::figs::fleet::scenarios`): the same Zipf-skewed arrival trace
-//! through static hash placement and through cost-aware routing plus the
-//! min-cost-flow reconfiguration loop, printing the tail-latency
-//! comparison and the machine-readable `summary:` line; it exits 1 if a
-//! claim of the report broke.
-//!
-//! `lifecycle` runs a named model-lifecycle scenario (see
-//! `bench::figs::lifecycle::scenarios`): `churn` exercises
-//! memory-budgeted eviction and reload of versioned models, `canary`
-//! rolls out a version 2 both healthy (promoted) and regressed (rolled
-//! back).
-//!
-//! `top` replays a telemetered experiment as a live-refreshing ASCII
-//! dashboard: the run executes once (virtual time), then its time-series
-//! store is played back frame by frame — per-series sparklines growing
-//! toward each snapshot boundary, with the alert feed underneath.
+//! * `chaos` replays a fault-injection scenario (see
+//!   `bench::figs::chaos::scenarios`) on both schedulers, with the full
+//!   recovery stack on, against the fault-free twins; `drift` also runs
+//!   the control plane's ladder axis.
+//! * `lifecycle` runs `churn` (memory-budgeted eviction and reload of
+//!   versioned models) or `canary` (a version 2 rolled out both healthy,
+//!   promoted, and regressed, rolled back).
+//! * `control` runs `drifted`: the regressed-device incident open-loop
+//!   (telemetry only) and closed-loop (deadline-aware hand-off, laxity
+//!   cancellation, in-run recalibration and the degradation ladder).
+//! * `fleet` runs `zipf` or `steady`: the same Zipf-skewed arrival trace
+//!   through static hash placement and through cost-aware routing plus
+//!   the min-cost-flow reconfiguration loop.
 //!
 //! `query` evaluates a `tsdb` expression against runs stored in the
 //! catalog directory (`metrics --store <dir>` or `import-bench` fill
@@ -87,15 +83,39 @@
 //! workload, so perf baselines are queryable: `olympctl query
 //! 'wall_s{workload=*}' --run seed --vs seed`.
 
+use bench::runs;
 use olympian::{
     DeadlineMode, DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy,
     Priority, Profiler, ProfileStore, RoundRobin, WeightedFair,
 };
-use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
+use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler, TraceConfig};
 use simtime::SimDuration;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// Every command, whether it takes a positional argument (a run,
+/// scenario, query expression or file) before its flags, and the flags it
+/// reads besides `--jobs`.
+const COMMANDS: &[(&str, bool, &[&str])] = &[
+    ("models", false, &[]),
+    ("export-model", false, &["model", "batch", "out"]),
+    ("inspect", false, &["model", "batch", "dot"]),
+    ("profile", false, &["model", "batch", "out"]),
+    ("curve", false, &["model", "batch", "tolerance"]),
+    ("run", false, &["model", "batch", "clients", "batches", "policy", "quantum-us", "gpus",
+        "seed", "deadline-ms", "trace"]),
+    ("trace", true, &["out", "mode"]),
+    ("metrics", true, &["interval-us", "out", "prom", "store"]),
+    ("blame", true, &["vs", "out", "trace"]),
+    ("top", true, &["interval-us", "fps", "rows"]),
+    ("chaos", true, &[]),
+    ("lifecycle", true, &[]),
+    ("control", true, &["policy", "out"]),
+    ("fleet", true, &["out"]),
+    ("query", true, &["dir", "run", "vs", "dash"]),
+    ("import-bench", true, &["dir", "as"]),
+];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -104,16 +124,15 @@ fn usage() -> ExitCode {
          olympctl run --model <name> --batch <n> --clients <n> [--batches <n>]\n               \
          --policy <fair|weighted|priority|drr|lottery|baseline>\n               \
          [--quantum-us <n>] [--gpus <n>] [--seed <n>]\n  \
-         olympctl trace <experiment> [--out <trace.json>] [--mode sampled|full]\n  \
-         olympctl metrics <experiment> [--interval-us <n>] [--out <telemetry.jsonl>]\n                   \
+         olympctl trace <run> [--out <trace.json>] [--mode sampled|full]\n  \
+         olympctl metrics <run> [--interval-us <n>] [--out <telemetry.jsonl>]\n                   \
          [--prom <metrics.prom>] [--store <dir>]\n  \
-         olympctl blame <experiment> [--vs <experiment>] [--out <blame.json>]\n                 \
-         [--trace <phases.json>]\n  \
-         olympctl chaos <scenario> [--scheduler <olympian|fifo|both>]\n  \
-         olympctl control <scenario> [--policy <edf|laxity>] [--out <report.txt>]\n  \
+         olympctl blame <run> [--vs <run>] [--out <blame.json>] [--trace <phases.json>]\n  \
+         olympctl top <run> [--interval-us <n>] [--fps <n>] [--rows <n>]\n  \
+         olympctl chaos <scenario>\n  \
          olympctl lifecycle <scenario>\n  \
+         olympctl control <scenario> [--policy <edf|laxity>] [--out <report.txt>]\n  \
          olympctl fleet <scenario> [--out <report.txt>]\n  \
-         olympctl top <experiment> [--interval-us <n>] [--fps <n>] [--rows <n>]\n  \
          olympctl query <expr> [--dir <runs>] [--run <a>] [--vs <b>] [--dash <out.html>]\n  \
          olympctl import-bench <bench.json> [--dir <runs>] [--as <seed>]\n  \
          any command also accepts --jobs <n> (worker threads for parallel\n  \
@@ -122,17 +141,33 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs, rejecting any key `cmd` does not read and
+/// any key given twice.
+fn parse_flags(
+    cmd: &str,
+    accepted: &[&str],
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got {:?}", args[i]))?;
+        if key != "jobs" && !accepted.contains(&key) {
+            let known: Vec<String> =
+                accepted.iter().chain(&["jobs"]).map(|f| format!("--{f}")).collect();
+            return Err(format!(
+                "{cmd} does not take --{key}; it accepts {}",
+                known.join(", ")
+            ));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key} given twice"));
+        }
         i += 2;
     }
     Ok(flags)
@@ -286,7 +321,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = models::load(kind, batch).map_err(|e| e.to_string())?;
     let mut cfg = EngineConfig::default().with_device_count(gpus).with_seed(seed);
     if trace_lines > 0 {
-        cfg.trace = serving::TraceConfig::sampled();
+        cfg.trace = TraceConfig::sampled();
     }
     let specs: Vec<ClientSpec> = (0..clients)
         .map(|i| {
@@ -340,22 +375,12 @@ fn print_trace(report: &serving::RunReport, lines: usize) {
 
 fn cmd_trace(experiment: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     let tc = match flags.get("mode").map(String::as_str).unwrap_or("sampled") {
-        "sampled" => serving::TraceConfig::sampled(),
-        "full" => serving::TraceConfig::full(),
+        "sampled" => TraceConfig::sampled(),
+        "full" => TraceConfig::full(),
         other => return Err(format!("--mode: expected sampled|full, got {other:?}")),
     };
     let out = flags.get("out").map(String::as_str).unwrap_or("trace.json");
-    let Some(f) = bench::traced::traced_experiment(experiment) else {
-        let names: Vec<&str> = bench::traced::traced_registry()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        return Err(format!(
-            "unknown traced experiment {experiment:?}; available: {}",
-            names.join(", ")
-        ));
-    };
-    let report = f(tc);
+    let report = runs::lookup(experiment)?(tc, None).report;
     std::fs::write(out, report.chrome_trace_json()).map_err(|e| e.to_string())?;
     let cfg = EngineConfig::default();
     let stats =
@@ -412,35 +437,16 @@ fn print_track_summary(trace: &serving::trace::Trace) {
 }
 
 fn cmd_blame(experiment: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    use bench::figs::blame::attribute;
     use serving::attrib;
-    let known = |name: &str| bench::telemetered::telemetered_experiment(name).is_some();
-    let names = || -> String {
-        bench::telemetered::telemetered_registry()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    if !known(experiment) {
-        return Err(format!(
-            "unknown telemetered experiment {experiment:?}; available: {}",
-            names()
-        ));
-    }
-    if let Some(base) = flags.get("vs") {
-        if !known(base) {
-            return Err(format!(
-                "unknown baseline experiment {base:?}; available: {}",
-                names()
-            ));
-        }
-    }
-    let (report, attr) = bench::figs::blame::attribute(experiment);
-    let cp = attrib::critical_path(&attr);
+    let target = runs::lookup(experiment)?;
     let base = flags
         .get("vs")
-        .map(|b| (b.as_str(), bench::figs::blame::attribute(b).1));
-    let diffed = base.as_ref().map(|(name, b)| (*name, attrib::diff(&attr, b)));
+        .map(|b| runs::lookup(b).map(|run| (b.as_str(), run)))
+        .transpose()?;
+    let (report, attr) = attribute(target);
+    let cp = attrib::critical_path(&attr);
+    let diffed = base.map(|(name, run)| (name, attrib::diff(&attr, &attribute(run).1)));
     let baseline = diffed.as_ref().map(|(n, d)| (*n, d));
     print!("{}", attrib::render_text(experiment, &attr, &cp, baseline));
     if let Some(out) = flags.get("out") {
@@ -467,17 +473,8 @@ fn cmd_metrics(experiment: &str, flags: &HashMap<String, String>) -> Result<(), 
         return Err("--interval-us: must be positive".into());
     }
     let out = flags.get("out").map(String::as_str).unwrap_or("telemetry.jsonl");
-    let Some(f) = bench::telemetered::telemetered_experiment(experiment) else {
-        let names: Vec<&str> = bench::telemetered::telemetered_registry()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        return Err(format!(
-            "unknown telemetered experiment {experiment:?}; available: {}",
-            names.join(", ")
-        ));
-    };
-    let report = f(SimDuration::from_micros(interval_us));
+    let interval = SimDuration::from_micros(interval_us);
+    let report = runs::lookup(experiment)?(TraceConfig::sampled(), Some(interval)).report;
     std::fs::write(out, report.telemetry_jsonl()).map_err(|e| e.to_string())?;
     if let Some(prom) = flags.get("prom") {
         std::fs::write(prom, report.prometheus_text()).map_err(|e| e.to_string())?;
@@ -654,17 +651,8 @@ fn cmd_top(experiment: &str, flags: &HashMap<String, String>) -> Result<(), Stri
     }
     let fps: u64 = get_num(flags, "fps", 12)?;
     let rows: usize = get_num(flags, "rows", 20)?;
-    let Some(f) = bench::telemetered::telemetered_experiment(experiment) else {
-        let names: Vec<&str> = bench::telemetered::telemetered_registry()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        return Err(format!(
-            "unknown telemetered experiment {experiment:?}; available: {}",
-            names.join(", ")
-        ));
-    };
-    let report = f(SimDuration::from_micros(interval_us));
+    let interval = SimDuration::from_micros(interval_us);
+    let report = runs::lookup(experiment)?(TraceConfig::sampled(), Some(interval)).report;
     let store = report.tsdb();
 
     // Pre-extract per-series points once; frames then just slice by time.
@@ -719,76 +707,23 @@ fn cmd_top(experiment: &str, flags: &HashMap<String, String>) -> Result<(), Stri
     Ok(())
 }
 
-fn cmd_chaos(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let Some(s) = bench::figs::chaos::scenario(name) else {
-        let names: Vec<&str> = bench::figs::chaos::scenarios()
-            .iter()
-            .map(|s| s.name)
-            .collect();
-        return Err(format!(
-            "unknown chaos scenario {name:?}; available: {}",
-            names.join(", ")
-        ));
-    };
-    let which = flags.get("scheduler").map(String::as_str).unwrap_or("olympian");
-    let schedulers: Vec<bool> = match which {
-        "olympian" => vec![true],
-        "fifo" => vec![false],
-        "both" => vec![false, true],
-        other => return Err(format!("--scheduler: expected olympian|fifo|both, got {other:?}")),
-    };
-    println!("scenario       : {name} — {}", s.caption);
-    for olympian in schedulers {
-        let base = bench::figs::chaos::chaos_report(None, olympian);
-        let faulted = bench::figs::chaos::chaos_report(Some(&s.plan), olympian);
-        let b = bench::figs::chaos::outcome(&base);
-        let f = bench::figs::chaos::outcome(&faulted);
-        println!("--- {} ---", faulted.scheduler_name);
-        println!(
-            "fault-free     : Jain {:.4}, p99 {:.0} us, makespan {:.3} s",
-            b.jain, b.p99_us, b.makespan_s
-        );
-        println!(
-            "faulted        : Jain {:.4} (ratio {:.3}), p99 {:.0} us (ratio {:.2}), makespan {:.3} s",
-            f.jain,
-            if b.jain > 0.0 { f.jain / b.jain } else { 0.0 },
-            f.p99_us,
-            if b.p99_us > 0.0 { f.p99_us / b.p99_us } else { 0.0 },
-            f.makespan_s
-        );
-        println!(
-            "recovery       : {} faults, {} retries, {} watchdog revocations, {} shed",
-            f.faults, f.retries, f.watchdog, f.shed
-        );
-        for c in &faulted.clients {
-            if !c.is_finished() {
-                println!("  client {:>3}: {}", c.client.0, c.outcome);
-            }
+/// Prints one scenario of a report (and writes it to `--out`), then its
+/// claims to stderr; any broken claim is the command's error.
+fn cmd_scenario(cmd: &str, name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    use bench::figs::{chaos, closedloop, fleet, lifecycle};
+    let fig = match cmd {
+        "chaos" => chaos::scenario_figure(name),
+        "lifecycle" => lifecycle::scenario_figure(name),
+        "fleet" => fleet::scenario_figure(name),
+        _ => {
+            let mode = match flags.get("policy").map(String::as_str).unwrap_or("edf") {
+                "edf" => DeadlineMode::Edf,
+                "laxity" => DeadlineMode::LeastLaxity,
+                other => return Err(format!("--policy: expected edf|laxity, got {other:?}")),
+            };
+            closedloop::scenario_figure(name, mode)
         }
-    }
-    Ok(())
-}
-
-fn cmd_control(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("edf") {
-        "edf" => DeadlineMode::Edf,
-        "laxity" => DeadlineMode::LeastLaxity,
-        other => return Err(format!("--policy: expected edf|laxity, got {other:?}")),
-    };
-    let report = match name {
-        "drifted" => bench::figs::closedloop::run_with_policy(policy),
-        other => {
-            return Err(format!(
-                "unknown control scenario {other:?}; available: drifted"
-            ))
-        }
-    };
-    print_figure(&report, flags)
-}
-
-/// Prints a scenario report (and writes it to `--out`), then its claims to
-/// stderr; any broken claim is the command's error.
-fn print_figure(fig: &bench::figs::Figure, flags: &HashMap<String, String>) -> Result<(), String> {
+    }?;
     print!("{}", fig.text);
     if let Some(path) = flags.get("out") {
         std::fs::write(path, &fig.text).map_err(|e| e.to_string())?;
@@ -798,41 +733,6 @@ fn print_figure(fig: &bench::figs::Figure, flags: &HashMap<String, String>) -> R
         eprintln!("{c}");
     }
     bench::figs::evaluate(&fig.claims)
-}
-
-fn cmd_lifecycle(name: &str) -> Result<(), String> {
-    match bench::figs::lifecycle::scenario_report(name) {
-        Some(report) => {
-            print!("{report}");
-            Ok(())
-        }
-        None => {
-            let names: Vec<&str> = bench::figs::lifecycle::scenarios()
-                .iter()
-                .map(|s| s.name)
-                .collect();
-            Err(format!(
-                "unknown lifecycle scenario {name:?}; available: {}",
-                names.join(", ")
-            ))
-        }
-    }
-}
-
-fn cmd_fleet(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    match bench::figs::fleet::scenario_report(name) {
-        Some(report) => print_figure(&report, flags),
-        None => {
-            let names: Vec<&str> = bench::figs::fleet::scenarios()
-                .iter()
-                .map(|s| s.name)
-                .collect();
-            Err(format!(
-                "unknown fleet scenario {name:?}; available: {}",
-                names.join(", ")
-            ))
-        }
-    }
 }
 
 fn print_run(report: &serving::RunReport, sched: &OlympianScheduler) {
@@ -861,31 +761,21 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    // `trace`, `metrics`, `chaos`, `lifecycle`, `top`, `query` and
-    // `import-bench` take one positional argument (the experiment,
-    // scenario, query expression or file) before flags.
-    let (positional, flag_args) = if cmd == "trace"
-        || cmd == "metrics"
-        || cmd == "blame"
-        || cmd == "chaos"
-        || cmd == "control"
-        || cmd == "lifecycle"
-        || cmd == "fleet"
-        || cmd == "top"
-        || cmd == "query"
-        || cmd == "import-bench"
-    {
+    let Some(&(_, takes_arg, accepted)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return usage();
+    };
+    let (arg, flag_args) = if takes_arg {
         match args.get(1) {
-            Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[2..]),
+            Some(a) if !a.starts_with("--") => (a.as_str(), &args[2..]),
             _ => {
                 eprintln!("error: {cmd} needs an argument");
                 return usage();
             }
         }
     } else {
-        (None, &args[1..])
+        ("", &args[1..])
     };
-    let flags = match parse_flags(flag_args) {
+    let flags = match parse_flags(cmd, accepted, flag_args) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -910,21 +800,13 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&flags),
         "curve" => cmd_curve(&flags),
         "run" => cmd_run(&flags),
-        "trace" => cmd_trace(positional.as_deref().expect("positional parsed"), &flags),
-        "metrics" => cmd_metrics(positional.as_deref().expect("positional parsed"), &flags),
-        "blame" => cmd_blame(positional.as_deref().expect("positional parsed"), &flags),
-        "chaos" => cmd_chaos(positional.as_deref().expect("positional parsed"), &flags),
-        "control" => cmd_control(positional.as_deref().expect("positional parsed"), &flags),
-        "lifecycle" => cmd_lifecycle(positional.as_deref().expect("positional parsed")),
-        "fleet" => cmd_fleet(positional.as_deref().expect("positional parsed"), &flags),
-        "top" => cmd_top(positional.as_deref().expect("positional parsed"), &flags),
-        "query" => cmd_query(positional.as_deref().expect("positional parsed"), &flags),
-        "import-bench" => {
-            cmd_import_bench(positional.as_deref().expect("positional parsed"), &flags)
-        }
-        _ => {
-            return usage();
-        }
+        "trace" => cmd_trace(arg, &flags),
+        "metrics" => cmd_metrics(arg, &flags),
+        "blame" => cmd_blame(arg, &flags),
+        "top" => cmd_top(arg, &flags),
+        "query" => cmd_query(arg, &flags),
+        "import-bench" => cmd_import_bench(arg, &flags),
+        _ => cmd_scenario(cmd, arg, &flags),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,43 +1,48 @@
 //! Latency blame report: the attribution layer pointed at the `drifted`
 //! incident run.
 //!
-//! The underlying runs are `bench::telemetered`'s `drifted` experiment (a
-//! deployment whose GPU regressed 40% after profiling) and its healthy
-//! `smoke` twin. Every traced run is decomposed into phases that tile its
-//! span exactly, the cross-request critical path of the makespan is walked,
-//! and the drifted run is diffed against the baseline — the report should
-//! pin nearly the whole p99 regression on the execute (compute) cause,
-//! which is what actually changed between the two runs.
+//! The underlying runs are the catalog's `drifted` incident (a deployment
+//! whose GPU regressed 40% after profiling) and its healthy `smoke` twin.
+//! Every traced run is decomposed into phases that tile its span exactly,
+//! the cross-request critical path of the makespan is walked, and the
+//! drifted run is diffed against the baseline — the report should pin
+//! nearly the whole p99 regression on the execute (compute) cause, which
+//! is what actually changed between the two runs.
 
-use crate::banner;
-use crate::default_config;
-use crate::figs::Figure;
-use crate::telemetered::telemetered_experiment;
-use serving::attrib;
+use crate::figs::{Claim, Figure};
+use crate::runs::{self, RunFn};
+use crate::{banner, default_config};
+use serving::{attrib, TraceConfig};
 use simtime::SimDuration;
 
 /// Snapshot cadence of the underlying telemetered runs.
 pub const INTERVAL: SimDuration = SimDuration::from_micros(100);
 
-/// Attributes a telemetered experiment's trace. The hand-off horizon is the
-/// engine default the experiments run with: token switch latency plus first
-/// launch overhead.
-pub fn attribute(experiment: &str) -> (serving::RunReport, attrib::Attribution) {
-    let f = telemetered_experiment(experiment).expect("known telemetered experiment");
-    let report = f(INTERVAL);
+/// Runs a catalog run with a sampled trace and telemetry every
+/// [`INTERVAL`], and attributes its trace. The hand-off horizon is the
+/// engine default the runs use: token switch latency plus first launch
+/// overhead.
+pub fn attribute(run: RunFn) -> (serving::RunReport, attrib::Attribution) {
+    let report = run(TraceConfig::sampled(), Some(INTERVAL)).report;
     let cfg = default_config();
     let attr = report.attribution(cfg.switch_latency + cfg.launch_overhead);
     (report, attr)
 }
 
-/// Renders the blame report (saved as `results/blame.txt`).
+/// The catalog's `drifted` entry.
+fn drifted() -> RunFn {
+    runs::lookup("drifted").expect("catalogued")
+}
+
+/// Renders the blame report (saved as `results/blame.txt`) and its claim:
+/// execute owns at least 90% of a positive p99 delta.
 pub fn run() -> Figure {
     let mut out = banner(
         "blame",
         "latency attribution of the drifted incident run vs the healthy baseline",
     );
-    let (_, target) = attribute("drifted");
-    let (_, base) = attribute("smoke");
+    let (_, target) = attribute(drifted());
+    let (_, base) = attribute(runs::smoke);
     let cp = attrib::critical_path(&target);
     let d = attrib::diff(&target, &base);
     out.push_str(&attrib::render_text("drifted", &target, &cp, Some(("smoke", &d))));
@@ -49,7 +54,16 @@ pub fn run() -> Figure {
          rolled into the execute cause — so a pure compute regression shows\n\
          up as (almost) pure execute blame.\n",
     );
-    Figure { text: out, claims: Vec::new() }
+    let claim = Claim::new(
+        "blame.execute_owns_the_p99_delta",
+        d.delta_total_ns > 0 && d.execute_share >= 0.9,
+        format!(
+            "execute share {:.3} (bound >= 0.9) of a {:+.1} us p99 delta (bound > 0)",
+            d.execute_share,
+            d.delta_total_ns as f64 / 1e3
+        ),
+    );
+    Figure { text: out, claims: vec![claim] }
 }
 
 #[cfg(test)]
@@ -58,28 +72,24 @@ mod tests {
     use serving::attrib::Phase;
 
     #[test]
-    fn drifted_blame_pins_the_regression_on_execute() {
-        let (_, target) = attribute("drifted");
-        let (_, base) = attribute("smoke");
+    fn report_holds_its_claim_and_causes_sum_to_each_delta() {
+        let fig = run();
+        assert!(fig.claims.iter().all(|c| c.held), "{:?}", fig.claims);
+        for line in ["execute share", "latency attribution: drifted", "blame vs baseline: smoke"] {
+            assert!(fig.text.contains(line), "{line}");
+        }
+        let (target, base) = (attribute(drifted()).1, attribute(runs::smoke).1);
         assert!(target.token_based && base.token_based);
         assert!(!target.runs.is_empty() && !base.runs.is_empty());
         let d = attrib::diff(&target, &base);
-        assert!(d.delta_total_ns > 0, "regressed device must be slower");
-        assert!(
-            d.execute_share >= 0.9,
-            "compute drift must own >=90% of the p99 delta, got {:.3}",
-            d.execute_share
-        );
-        // The cause vector still accounts for the whole delta.
         for cd in &d.per_client {
-            let sum: i64 = cd.cause_ns.iter().sum();
-            assert_eq!(sum, cd.delta_ns);
+            assert_eq!(cd.cause_ns.iter().sum::<i64>(), cd.delta_ns);
         }
     }
 
     #[test]
     fn critical_path_tiles_the_makespan() {
-        let (_, attr) = attribute("drifted");
+        let (_, attr) = attribute(drifted());
         let cp = attrib::critical_path(&attr);
         assert_eq!(cp.span_ns, attr.makespan_ns);
         let blamed: u64 = cp.blame_ns.iter().map(|&(_, v)| v).sum();
@@ -92,13 +102,5 @@ mod tests {
             .unwrap()
             .1;
         assert!(exec > 0);
-    }
-
-    #[test]
-    fn report_mentions_the_headline_number() {
-        let out = run().text;
-        assert!(out.contains("execute share"));
-        assert!(out.contains("latency attribution: drifted"));
-        assert!(out.contains("blame vs baseline: smoke"));
     }
 }

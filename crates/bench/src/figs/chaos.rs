@@ -11,15 +11,15 @@
 //! fault-free run and survivor p99 run latency within [`P99_BAND`]×, while
 //! the baseline's finish-time spread collapses under the same faults.
 
-use crate::figs::{fair, Claim, Figure};
-use crate::{banner, build_store, build_store_for, default_config};
+use crate::figs::{fair, unknown_scenario, Claim, Figure};
+use crate::{banner, build_store, build_store_for, default_config, runs};
 use controlplane::ControlConfig;
 use metrics::table::render_table;
 use metrics::{max_min_ratio, try_jain_fairness};
 use serving::faults::{FaultConfig, FaultPlan};
 use serving::{run_experiment, ClientOutcome, ClientSpec, FifoScheduler, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
-use telemetry::{BurnWindows, SloSpec, TelemetryConfig};
+use telemetry::{SloSpec, TelemetryConfig};
 
 /// Survivor Jain fairness under faults must stay within this fraction of
 /// the fault-free run's Jain index.
@@ -121,10 +121,10 @@ pub fn chaos_report(plan: Option<&FaultPlan>, olympian: bool) -> RunReport {
 }
 
 /// The control-plane axis of the `drift` scenario: the same sustained-
-/// slowdown workload twice, degradation ladder {off, on}, with a latency
-/// objective calibrated on the fault-free twin (p50 × 1.15). The off cell
-/// is PR 3 observability — burn alerts pile up, nothing acts. In the on
-/// cell the repeated burn episodes walk the ladder up to Shedding
+/// slowdown workload twice, degradation ladder {off, on}, with the latency
+/// objective the fault-free device promises ([`runs::fresh_objective`]).
+/// The off cell only observes — burn alerts pile up, nothing acts. In the
+/// on cell the repeated burn episodes walk the ladder up to Shedding
 /// (shrinking batch hints on the way), and the quiet tail after the
 /// slowdown window walks it back down. Every client is admitted at time
 /// zero — before the first burn — so the Shedding rung has no admissions
@@ -137,18 +137,8 @@ pub fn control_axis() -> (RunReport, RunReport) {
     let s = scenario("drift").expect("registered scenario");
     let clients = workload();
     let model_name = clients[0].model.name().to_string();
-
-    // Objective from the fault-free fair-shared twin.
-    let fresh = default_config().with_telemetry(TelemetryConfig::enabled(CADENCE));
-    let probe_store = build_store_for(&fresh, &clients);
-    let mut probe_sched = fair(probe_store, QUANTUM);
-    let probe = run_experiment(&fresh, clients.clone(), &mut probe_sched);
-    let p50 = probe
-        .telemetry
-        .hist("run_latency_us")
-        .expect("telemetered probe")
-        .p50;
-    let objective = SimDuration::from_micros((p50 * 1.15).ceil() as u64);
+    let objective =
+        runs::fresh_objective(&clients, &build_store_for(&default_config(), &clients));
 
     let cell = |control: bool| -> RunReport {
         let clients = workload();
@@ -166,7 +156,7 @@ pub fn control_axis() -> (RunReport, RunReport) {
             .with_telemetry(
                 TelemetryConfig::enabled(CADENCE)
                     .with_slo(SloSpec::new(&model_name, objective, 0.05))
-                    .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 }),
+                    .with_burn(runs::BURN),
             )
             .with_faults(FaultConfig::new(s.plan.clone()));
         if control {
@@ -183,8 +173,6 @@ pub fn control_axis() -> (RunReport, RunReport) {
 pub struct Outcome {
     /// Clients that finished every batch.
     pub finished: usize,
-    /// Clients shed by the recovery layer (retries exhausted or breaker).
-    pub shed: usize,
     /// Clients with no terminal outcome (must be zero: no run may wedge).
     pub wedged: usize,
     /// Jain fairness index over survivors' finish times.
@@ -193,8 +181,6 @@ pub struct Outcome {
     pub p99_us: f64,
     /// max/min survivor finish-time ratio.
     pub spread: f64,
-    /// Makespan in seconds.
-    pub makespan_s: f64,
     /// Injected kernel faults observed.
     pub faults: u64,
     /// Backoff retries scheduled.
@@ -208,16 +194,6 @@ pub fn outcome(r: &RunReport) -> Outcome {
     let finish = r.finish_times_secs();
     Outcome {
         finished: r.finished_count(),
-        shed: r
-            .clients
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c.outcome,
-                    ClientOutcome::RetriesExhausted { .. } | ClientOutcome::CircuitOpen { .. }
-                )
-            })
-            .count(),
         wedged: r
             .clients
             .iter()
@@ -226,7 +202,6 @@ pub fn outcome(r: &RunReport) -> Outcome {
         jain: try_jain_fairness(&finish).unwrap_or(0.0),
         p99_us: r.telemetry.hist("run_latency_us").map_or(0.0, |h| h.p99),
         spread: if finish.len() >= 2 { max_min_ratio(&finish) } else { 1.0 },
-        makespan_s: r.makespan.as_secs_f64(),
         faults: r.telemetry.counter("faults_kernel").unwrap_or(0),
         retries: r.telemetry.counter("kernel_retries").unwrap_or(0),
         watchdog: r.telemetry.counter("watchdog_revocations").unwrap_or(0),
@@ -252,6 +227,26 @@ fn row(scenario: &str, sched: &str, o: &Outcome, base: &Outcome) -> Vec<String> 
 /// Runs the whole suite and returns the report and its claims, one per
 /// scenario plus the control axis.
 pub fn run() -> Figure {
+    render(scenarios())
+}
+
+/// Renders one scenario's rows and claims as `results/chaos.txt` shows
+/// them; the `drift` scenario carries the control axis.
+///
+/// # Errors
+///
+/// An unknown name, listing the scenarios.
+pub fn scenario_figure(name: &str) -> Result<Figure, String> {
+    match scenario(name) {
+        Some(s) => Ok(render(vec![s])),
+        None => Err(unknown_scenario("chaos", name, scenarios().iter().map(|s| s.name))),
+    }
+}
+
+/// The report over `selected` scenarios, each replayed on both
+/// schedulers against the fault-free twins, plus the control axis when
+/// `drift` is among them.
+fn render(selected: Vec<Scenario>) -> Figure {
     let mut out = banner(
         "Chaos",
         "Resilience under deterministic fault injection (6 mini clients, Q = 200 us)",
@@ -265,7 +260,8 @@ pub fn run() -> Figure {
     let mut rows = Vec::new();
     let mut claims = Vec::new();
     let mut summaries = Vec::new();
-    for s in scenarios() {
+    let control = selected.iter().any(|s| s.name == "drift");
+    for s in selected {
         let fifo = outcome(&chaos_report(Some(&s.plan), false));
         let oly = outcome(&chaos_report(Some(&s.plan), true));
         rows.push(row(s.name, "fifo", &fifo, &base_fifo));
@@ -315,6 +311,9 @@ pub fn run() -> Figure {
          defend, so its finish-time spread widens instead.\n",
         if claims.iter().all(|c| c.held) { "PASS" } else { "FAIL" }
     ));
+    if !control {
+        return Figure { text: out, claims };
+    }
 
     // The control-plane axis: the drift scenario with the degradation
     // ladder off vs on.
@@ -372,6 +371,18 @@ mod tests {
             assert!(scenario(s.name).is_some());
         }
         assert!(scenario("no-such-chaos").is_none());
+        let err = scenario_figure("no-such-chaos").unwrap_err();
+        assert!(err.contains("kernel-faults, slowdown, stall, mixed, drift"), "{err}");
+    }
+
+    #[test]
+    fn each_scenario_figure_repeats_its_claims_from_the_report() {
+        let full: Vec<String> = run().claims.iter().map(ToString::to_string).collect();
+        for s in scenarios() {
+            for c in scenario_figure(s.name).unwrap().claims {
+                assert!(full.contains(&c.to_string()), "{c}");
+            }
+        }
     }
 
     #[test]

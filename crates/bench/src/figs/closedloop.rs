@@ -20,23 +20,18 @@
 //! pins the p99 gap on execute/token-wait — GPU time the open loop spent
 //! interleaving runs that were all going to miss.
 
-use crate::figs::{completed_runs, counter, fair, p99_latency_us, Claim, Figure};
+use crate::figs::{completed_runs, counter, p99_latency_us, unknown_scenario, Claim, Figure};
+use crate::runs::{self, QUANTUM};
 use crate::{banner, build_store, default_config, format_finish_times};
 use controlplane::ControlConfig;
 use olympian::{DeadlineMode, DeadlinePolicy, OlympianScheduler, Policy, StoreCostOracle};
-use serving::{attrib, run_experiment, ClientSpec, RunReport, TraceConfig};
+use serving::{attrib, run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
 use std::sync::Arc;
-use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
+use telemetry::{DriftConfig, SloSpec, TelemetryConfig};
 
 /// Snapshot cadence of both cells.
 pub const INTERVAL: SimDuration = SimDuration::from_micros(100);
-/// The open loop's scheduling quantum (and the objective probe's).
-const QUANTUM: SimDuration = SimDuration::from_micros(200);
-/// Clients in the workload.
-const CLIENTS: usize = 3;
-/// Sequential batches per client.
-const BATCHES: u32 = 10;
 /// How much the device slowed down after profiling. Deadline-ordered
 /// serialization absorbs a ~1.4x regression outright (it eliminates the
 /// fair loop's hand-off overhead); at 2.3x the last client in deadline
@@ -53,51 +48,25 @@ pub struct Cells {
     pub closed: RunReport,
 }
 
-/// The regressed-device variant of a config: same memory and SM count,
-/// every duration stretched [`REGRESSION`]x relative to what the profiles
-/// promise.
-fn regress(cfg: &serving::EngineConfig) -> gpusim::DeviceProfile {
-    gpusim::DeviceProfile::custom(
-        "regressed",
-        REGRESSION,
-        cfg.device.memory_bytes(),
-        cfg.device.sm_count(),
-        0.0,
-    )
-}
-
-/// Runs both cells under the given hand-off ordering.
+/// Runs both cells under the given hand-off ordering. The open cell is
+/// the catalog's `drifted` incident at a 2.3x regression.
 pub fn run_cells(mode: DeadlineMode) -> Cells {
-    let clients = vec![ClientSpec::new(models::mini::small(4), BATCHES); CLIENTS];
+    let open = runs::drifted(REGRESSION, TraceConfig::sampled(), Some(INTERVAL));
+    let objective = open.objective.expect("the drifted incident calibrates an objective");
+    let clients = runs::drifted_workload();
     let model_name = clients[0].model.name().to_string();
     let full_batch = clients[0].model.batch();
-    let fresh = default_config();
 
     // The store covers the full batch and the Degraded-rung shrunk batch
     // (batch / divisor), so a ladder escalation can re-register jobs at
-    // the smaller hint without a profile miss. Each cell gets its own
-    // store: the closed loop rebinds profiles in-run, and that override
-    // must not leak into the open cell's thresholds.
+    // the smaller hint without a profile miss. It is the closed cell's
+    // own: the closed loop rebinds profiles in-run.
     let divisor = ControlConfig::new().batch_divisor;
     let profiled = [
         models::mini::small(full_batch),
         models::mini::small((full_batch / divisor).max(1)),
     ];
-    let open_store = build_store(&fresh, &profiled);
-    let closed_store = build_store(&fresh, &profiled);
-
-    // Calibrate the objective on the fresh device: median run latency of a
-    // fair-shared probe, plus a 15% margin. The fresh device meets it; the
-    // regressed one cannot without intervention.
-    let probe_cfg = fresh.with_telemetry(TelemetryConfig::enabled(INTERVAL));
-    let mut probe_sched = fair(Arc::clone(&open_store), QUANTUM);
-    let probe = run_experiment(&probe_cfg, clients.clone(), &mut probe_sched);
-    let fresh_p50_us = probe
-        .telemetry
-        .hist("run_latency_us")
-        .expect("latency histogram")
-        .p50;
-    let objective = SimDuration::from_micros((fresh_p50_us * 1.15).ceil() as u64);
+    let store = build_store(&default_config(), &profiled);
 
     // The drift reference must match the shape of the quanta the detector
     // observes. EDF holds the token for whole runs, so its expected
@@ -107,50 +76,31 @@ pub fn run_cells(mode: DeadlineMode) -> Cells {
     // the floor instead of the honest regression factor.
     let drift_ref = match mode {
         DeadlineMode::Edf => {
-            open_store
-                .resolve(&model_name, full_batch)
-                .expect("profiled")
-                .gpu_duration
+            store.resolve(&model_name, full_batch).expect("profiled").gpu_duration
         }
         DeadlineMode::LeastLaxity => QUANTUM,
     };
 
-    let slo = SloSpec::new(&model_name, objective, 0.05);
-    let burn = BurnWindows { short: 1, long: 2, threshold: 2.0 };
-
-    let mut open_cfg = default_config();
-    open_cfg.device = regress(&open_cfg);
-    let open_cfg = open_cfg.with_trace(TraceConfig::sampled()).with_telemetry(
-        TelemetryConfig::enabled(INTERVAL)
-            .with_slo(slo.clone())
-            .with_burn(burn)
-            .with_drift(DriftConfig::new(QUANTUM, 0.25)),
-    );
-    let mut open_sched = fair(Arc::clone(&open_store), QUANTUM);
-    let open = run_experiment(&open_cfg, clients.clone(), &mut open_sched);
-
     let closed_clients: Vec<ClientSpec> = clients
-        .iter()
-        .map(|c| c.clone().with_run_deadline(objective))
+        .into_iter()
+        .map(|c| c.with_run_deadline(objective))
         .collect();
-    let mut closed_cfg = default_config();
-    closed_cfg.device = regress(&closed_cfg);
-    let closed_cfg = closed_cfg
-        .with_trace(TraceConfig::sampled())
-        .with_telemetry(
-            TelemetryConfig::enabled(INTERVAL)
-                .with_slo(slo)
-                .with_burn(burn)
-                .with_drift(DriftConfig::new(drift_ref, 0.25)),
-        )
-        .with_control(
-            ControlConfig::new().with_cost(StoreCostOracle::new(Arc::clone(&closed_store))),
-        );
-    let mut closed_sched =
-        OlympianScheduler::new(closed_store, Box::new(deadline_policy(mode)), QUANTUM);
+    let closed_cfg = EngineConfig {
+        device: runs::regressed_device(REGRESSION),
+        ..default_config()
+    }
+    .with_trace(TraceConfig::sampled())
+    .with_telemetry(
+        TelemetryConfig::enabled(INTERVAL)
+            .with_slo(SloSpec::new(&model_name, objective, 0.05))
+            .with_burn(runs::BURN)
+            .with_drift(DriftConfig::new(drift_ref, 0.25)),
+    )
+    .with_control(ControlConfig::new().with_cost(StoreCostOracle::new(Arc::clone(&store))));
+    let mut closed_sched = OlympianScheduler::new(store, Box::new(deadline_policy(mode)), QUANTUM);
     let closed = run_experiment(&closed_cfg, closed_clients, &mut closed_sched);
 
-    Cells { objective, open, closed }
+    Cells { objective, open: open.report, closed }
 }
 
 /// One cell section of the report.
@@ -206,11 +156,14 @@ pub fn run_with_policy(mode: DeadlineMode) -> Figure {
     let cells = run_cells(mode);
     let policy = deadline_policy(mode).name().to_string();
     let obj_us = cells.objective.as_nanos() as f64 / 1_000.0;
+    let workload = runs::drifted_workload();
     out.push_str(&format!(
-        "\nworkload: {CLIENTS} clients x mini-small(4) x {BATCHES} batches; device \
+        "\nworkload: {} clients x mini-small(4) x {} batches; device \
          regressed {REGRESSION}x after profiling\n\
          objective: fresh fair-shared p50 x 1.15 = {obj_us:.0}us\n\
          closed loop: policy={policy}, per-run deadline = objective, control plane on\n",
+        workload.len(),
+        workload[0].num_batches,
     ));
 
     out.push_str(&cell_section("open loop (fair, no control)", &cells.open, cells.objective));
@@ -294,6 +247,19 @@ pub fn run() -> Figure {
     run_with_policy(DeadlineMode::Edf)
 }
 
+/// Renders the named control scenario (`drifted`, the only one) under the
+/// given hand-off ordering.
+///
+/// # Errors
+///
+/// An unknown name, listing the scenario.
+pub fn scenario_figure(name: &str, mode: DeadlineMode) -> Result<Figure, String> {
+    match name {
+        "drifted" => Ok(run_with_policy(mode)),
+        other => Err(unknown_scenario("control", other, ["drifted"])),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +301,7 @@ mod tests {
             .filter(|c| matches!(c.outcome, ClientOutcome::DeadlineExceeded(_)))
             .count();
         assert_eq!(cancelled, 1, "exactly one session is infeasible");
-        assert_eq!(cells.closed.finished_count(), CLIENTS - 1);
+        assert_eq!(cells.closed.finished_count(), runs::drifted_workload().len() - 1);
 
         // The cancellation and rebind land on the trace as typed events.
         let json = cells.closed.chrome_trace_json();
@@ -371,7 +337,7 @@ mod tests {
             .iter()
             .filter(|c| matches!(c.outcome, ClientOutcome::DeadlineExceeded(_)))
             .count();
-        assert_eq!(cancelled, CLIENTS, "every session is infeasible under LLF");
+        assert_eq!(cancelled, cells.closed.clients.len(), "every session is infeasible under LLF");
         // The report stays honest about serving nothing.
         let out = run_with_policy(DeadlineMode::LeastLaxity).text;
         assert!(out.contains("NO RUNS SERVED"));

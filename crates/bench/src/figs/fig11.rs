@@ -4,27 +4,14 @@
 //! The headline result: Olympian's fair scheduler gives all ten identical
 //! clients nearly identical finish times, while TF-Serving spreads them.
 
+use crate::figs::{Claim, Figure};
 use crate::{
-    banner, choose_q, default_config, format_finish_times, homogeneous_clients,
-    build_store_for, DEFAULT_BATCH, DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE,
+    banner, default_config, format_finish_times, homogeneous_clients, runs, DEFAULT_BATCH,
+    DEFAULT_NUM_BATCHES, DEFAULT_TOLERANCE,
 };
-use crate::figs::{fair, Claim, Figure};
 use metrics::max_min_ratio;
 use models::ModelKind;
-use serving::{run_experiment, FifoScheduler, RunReport};
-
-/// Runs both systems and returns `(baseline, olympian, chosen Q in µs)`.
-pub fn reports() -> (RunReport, RunReport, f64) {
-    let cfg = default_config();
-    let clients =
-        homogeneous_clients(ModelKind::InceptionV4, DEFAULT_BATCH, 10, DEFAULT_NUM_BATCHES);
-    let base = run_experiment(&cfg, clients.clone(), &mut FifoScheduler::new());
-    let store = build_store_for(&cfg, &clients);
-    let q = choose_q(&cfg, &clients, DEFAULT_TOLERANCE);
-    let mut sched = fair(store, q);
-    let oly = run_experiment(&cfg, clients, &mut sched);
-    (base, oly, q.as_micros_f64())
-}
+use serving::{run_experiment, FifoScheduler, TraceConfig};
 
 /// Runs the experiment and returns the report and its claim.
 pub fn run() -> Figure {
@@ -32,7 +19,11 @@ pub fn run() -> Figure {
         "Figure 11",
         "Fair sharing, homogeneous workload: 10 Inception clients",
     );
-    let (base, oly, q_us) = reports();
+    let clients =
+        homogeneous_clients(ModelKind::InceptionV4, DEFAULT_BATCH, 10, DEFAULT_NUM_BATCHES);
+    let base = run_experiment(&default_config(), clients, &mut FifoScheduler::new());
+    let run = runs::fig11(TraceConfig::off(), None);
+    let (oly, q_us) = (run.report, run.quantum.as_micros_f64());
     out.push_str(&format!(
         "profiler-chosen Q for {:.1}% tolerance: {q_us:.0} us (paper: 1190 us)\n",
         DEFAULT_TOLERANCE * 100.0

@@ -5,8 +5,8 @@
 //! jobs do not accumulate cost evenly — but average out to the configured
 //! quantum plus switch costs.
 
-use crate::banner;
-use crate::figs::{fig11, Claim, Figure};
+use crate::figs::{Claim, Figure};
+use crate::{banner, runs};
 use metrics::table::render_series;
 use metrics::Summary;
 
@@ -16,7 +16,8 @@ pub fn run() -> Figure {
         "Figure 12",
         "Scheduling-interval durations under Olympian fair sharing",
     );
-    let (_, oly, q_us) = fig11::reports();
+    let run = runs::fig11(serving::TraceConfig::off(), None);
+    let (oly, q_us) = (run.report, run.quantum.as_micros_f64());
     let intervals_ms: Vec<f64> = oly
         .scheduling_intervals
         .iter()

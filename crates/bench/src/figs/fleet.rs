@@ -20,7 +20,7 @@
 //! figure re-proves it — the claim is decided on the values the report
 //! prints.
 
-use crate::figs::{completed_runs, counter, p99_latency_us, Claim, Figure};
+use crate::figs::{completed_runs, counter, p99_latency_us, unknown_scenario, Claim, Figure};
 use crate::{banner, default_config};
 use serving::{cluster, lifecycle, run_experiment, workload, ClientSpec, EngineConfig,
     FifoScheduler, RunReport, TelemetryConfig, TraceConfig};
@@ -183,9 +183,16 @@ pub fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// Renders the named scenario and its claims, or `None` if unknown.
-pub fn scenario_report(name: &str) -> Option<Figure> {
-    scenarios().into_iter().find(|s| s.name == name).map(render)
+/// Renders the named scenario and its claims.
+///
+/// # Errors
+///
+/// An unknown name, listing the scenarios.
+pub fn scenario_figure(name: &str) -> Result<Figure, String> {
+    match scenarios().into_iter().find(|s| s.name == name) {
+        Some(s) => Ok(render(s)),
+        None => Err(unknown_scenario("fleet", name, scenarios().iter().map(|s| s.name))),
+    }
 }
 
 /// Renders one scenario's comparison report and its claims: the fleet
@@ -263,7 +270,7 @@ fn render(s: Scenario) -> Figure {
 
 /// Renders the phase-shifting comparison, saved as `results/fleet.txt`.
 pub fn run() -> Figure {
-    scenario_report("zipf").expect("zipf scenario exists")
+    scenario_figure("zipf").expect("zipf scenario exists")
 }
 
 #[cfg(test)]
@@ -315,7 +322,8 @@ mod tests {
 
     #[test]
     fn scenarios_resolve_by_name() {
-        assert!(scenario_report("no-such").is_none());
+        let err = scenario_figure("no-such").unwrap_err();
+        assert_eq!(err, "unknown fleet scenario \"no-such\"; available: zipf, steady");
         let names: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
         assert_eq!(names, ["zipf", "steady"]);
     }

@@ -17,7 +17,7 @@
 //! `--jobs N`.
 
 use crate::banner;
-use crate::figs::{fair, Claim, Figure};
+use crate::figs::{fair, unknown_scenario, Claim, Figure};
 use metrics::table::render_table;
 use models::LoadedModel;
 use olympian::{ProfileStore, StoreBinder};
@@ -216,111 +216,41 @@ fn row(label: &str, clients: usize, o: &Outcome) -> Vec<String> {
     ]
 }
 
-/// Formats one scenario's section for `olympctl lifecycle <name>`.
-/// Returns `None` for unknown names.
-pub fn scenario_report(name: &str) -> Option<String> {
-    let s = scenario(name)?;
-    let mut out = format!("scenario       : {} — {}\n", s.name, s.caption);
-    match name {
-        "churn" => {
-            let o = outcome(&churn_report());
-            out.push_str(&format!(
-                "finished       : {}/{CHURN_SERVICES}\n\
-                 loads          : {} ({} reloads after eviction)\n\
-                 evictions      : {}\nwarm-up runs   : {}\n\
-                 peak memory    : {:.1} MB (budget {:.1} MB)\n\
-                 makespan       : {:.3} s\n",
-                o.finished,
-                o.loads,
-                o.loads.saturating_sub(CHURN_SERVICES as u64),
-                o.evictions,
-                o.warmups,
-                o.peak_bytes as f64 / (1 << 20) as f64,
-                churn_budget() as f64 / (1 << 20) as f64,
-                o.makespan_s,
-            ));
-        }
-        "canary" => {
-            for (label, regressed) in [("healthy", false), ("regressed", true)] {
-                let o = outcome(&canary_report(regressed));
-                out.push_str(&format!(
-                    "--- {label} candidate ---\n\
-                     finished       : {}/{CANARY_CLIENTS}\n\
-                     promotions     : {}\nrollbacks      : {}\n\
-                     drains         : {}\nmakespan       : {:.3} s\n",
-                    o.finished, o.promotions, o.rollbacks, o.drains, o.makespan_s,
-                ));
-            }
-        }
-        _ => unreachable!("scenario() vetted the name"),
-    }
-    Some(out)
+/// One run of a scenario: its table row, verdict line and claim.
+struct Cell {
+    row: Vec<String>,
+    verdict: String,
+    claim: Claim,
 }
 
-/// Runs the whole suite and returns the report and its claims, one per
-/// scenario.
-pub fn run() -> Figure {
-    let mut out = banner(
-        "Lifecycle",
-        "Versioned registry, memory-budgeted residency and canary rollouts",
-    );
-    let churn = outcome(&churn_report());
-    let healthy = outcome(&canary_report(false));
-    let regressed = outcome(&canary_report(true));
-    let rows = vec![
-        row("churn", CHURN_SERVICES, &churn),
-        row("canary-healthy", CANARY_CLIENTS, &healthy),
-        row("canary-regressed", CANARY_CLIENTS, &regressed),
-    ];
-    out.push_str(&render_table(
-        &[
-            "scenario", "finished", "loads", "warmups", "evict", "unload", "drain",
-            "promote", "rollback", "peak (MB)", "makespan (s)",
-        ],
-        &rows,
-    ));
-    out.push('\n');
+fn verdict(pass: bool) -> &'static str {
+    if pass { "PASS" } else { "FAIL" }
+}
 
-    let churn_pass = churn.finished == CHURN_SERVICES
+/// The churn run: every client finishes while eviction and reload keep
+/// residency under the budget.
+fn churn_cell() -> Cell {
+    let churn = outcome(&churn_report());
+    let pass = churn.finished == CHURN_SERVICES
         && churn.evictions >= 1
         && churn.loads > CHURN_SERVICES as u64
         && churn.peak_bytes <= churn_budget();
-    out.push_str(&format!(
-        "churn            {} — {} loads over {} services under a {}-set budget \
-         ({} evictions, peak {:.1} of {:.1} MB)\n",
-        if churn_pass { "PASS" } else { "FAIL" },
-        churn.loads,
-        CHURN_SERVICES,
-        CHURN_RESIDENT,
-        churn.evictions,
-        churn.peak_bytes as f64 / (1 << 20) as f64,
-        churn_budget() as f64 / (1 << 20) as f64,
-    ));
-    let healthy_pass =
-        healthy.finished == CANARY_CLIENTS && healthy.promotions == 1 && healthy.rollbacks == 0;
-    out.push_str(&format!(
-        "canary-healthy   {} — candidate within {:.0}% of the incumbent is promoted \
-         ({} promotion, {} rollbacks, {} drain)\n",
-        if healthy_pass { "PASS" } else { "FAIL" },
-        CANARY.tolerance * 100.0,
-        healthy.promotions,
-        healthy.rollbacks,
-        healthy.drains,
-    ));
-    let regressed_pass = regressed.finished == CANARY_CLIENTS
-        && regressed.rollbacks == 1
-        && regressed.promotions == 0;
-    out.push_str(&format!(
-        "canary-regressed {} — heavier candidate breaches the latency gate and is \
-         rolled back ({} rollback, {} promotions)\n",
-        if regressed_pass { "PASS" } else { "FAIL" },
-        regressed.rollbacks,
-        regressed.promotions,
-    ));
-    let claims = vec![
-        Claim::new(
+    Cell {
+        row: row("churn", CHURN_SERVICES, &churn),
+        verdict: format!(
+            "churn            {} — {} loads over {} services under a {}-set budget \
+             ({} evictions, peak {:.1} of {:.1} MB)\n",
+            verdict(pass),
+            churn.loads,
+            CHURN_SERVICES,
+            CHURN_RESIDENT,
+            churn.evictions,
+            churn.peak_bytes as f64 / (1 << 20) as f64,
+            churn_budget() as f64 / (1 << 20) as f64,
+        ),
+        claim: Claim::new(
             "lifecycle.churn_evicts_and_reloads_under_budget",
-            churn_pass,
+            pass,
             format!(
                 "{}/{CHURN_SERVICES} finished, {} evictions (bound >= 1), {} loads (bound > \
                  {CHURN_SERVICES}), peak {} of {} bytes",
@@ -331,28 +261,114 @@ pub fn run() -> Figure {
                 churn_budget()
             ),
         ),
-        Claim::new(
+    }
+}
+
+/// The healthy canary run: version 2 is promoted.
+fn healthy_cell() -> Cell {
+    let healthy = outcome(&canary_report(false));
+    let pass =
+        healthy.finished == CANARY_CLIENTS && healthy.promotions == 1 && healthy.rollbacks == 0;
+    Cell {
+        row: row("canary-healthy", CANARY_CLIENTS, &healthy),
+        verdict: format!(
+            "canary-healthy   {} — candidate within {:.0}% of the incumbent is promoted \
+             ({} promotion, {} rollbacks, {} drain)\n",
+            verdict(pass),
+            CANARY.tolerance * 100.0,
+            healthy.promotions,
+            healthy.rollbacks,
+            healthy.drains,
+        ),
+        claim: Claim::new(
             "lifecycle.canary_promotes_healthy",
-            healthy_pass,
+            pass,
             format!(
                 "{}/{CANARY_CLIENTS} finished, {} promotions (bound 1), {} rollbacks (bound 0)",
                 healthy.finished, healthy.promotions, healthy.rollbacks
             ),
         ),
-        Claim::new(
+    }
+}
+
+/// The regressed canary run: version 2 is rolled back.
+fn regressed_cell() -> Cell {
+    let regressed = outcome(&canary_report(true));
+    let pass = regressed.finished == CANARY_CLIENTS
+        && regressed.rollbacks == 1
+        && regressed.promotions == 0;
+    Cell {
+        row: row("canary-regressed", CANARY_CLIENTS, &regressed),
+        verdict: format!(
+            "canary-regressed {} — heavier candidate breaches the latency gate and is \
+             rolled back ({} rollback, {} promotions)\n",
+            verdict(pass),
+            regressed.rollbacks,
+            regressed.promotions,
+        ),
+        claim: Claim::new(
             "lifecycle.canary_rolls_back_regressed",
-            regressed_pass,
+            pass,
             format!(
                 "{}/{CANARY_CLIENTS} finished, {} rollbacks (bound 1), {} promotions (bound 0)",
                 regressed.finished, regressed.rollbacks, regressed.promotions
             ),
         ),
-    ];
+    }
+}
+
+/// Runs the whole suite and returns the report and its claims, one per
+/// run.
+pub fn run() -> Figure {
+    render(&scenarios())
+}
+
+/// Renders one scenario's rows and claims as `results/lifecycle.txt`
+/// shows them.
+///
+/// # Errors
+///
+/// An unknown name, listing the scenarios.
+pub fn scenario_figure(name: &str) -> Result<Figure, String> {
+    match scenario(name) {
+        Some(s) => Ok(render(&[s])),
+        None => Err(unknown_scenario("lifecycle", name, scenarios().iter().map(|s| s.name))),
+    }
+}
+
+/// The report over `selected` scenarios: one table row, verdict line and
+/// claim per run.
+fn render(selected: &[Scenario]) -> Figure {
+    let mut out = banner(
+        "Lifecycle",
+        "Versioned registry, memory-budgeted residency and canary rollouts",
+    );
+    let cells: Vec<Cell> = selected
+        .iter()
+        .flat_map(|s| match s.name {
+            "churn" => vec![churn_cell()],
+            "canary" => vec![healthy_cell(), regressed_cell()],
+            other => unreachable!("{other} is not a lifecycle scenario"),
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = cells.iter().map(|c| c.row.clone()).collect();
+    out.push_str(&render_table(
+        &[
+            "scenario", "finished", "loads", "warmups", "evict", "unload", "drain",
+            "promote", "rollback", "peak (MB)", "makespan (s)",
+        ],
+        &rows,
+    ));
+    out.push('\n');
+    for c in &cells {
+        out.push_str(&c.verdict);
+    }
+    let claims: Vec<Claim> = cells.into_iter().map(|c| c.claim).collect();
     out.push_str(&format!(
         "\nlifecycle band: {}. The manager never exceeds the device budget, keeps \
          every client servable through eviction churn, and gates version 2 on \
          observed run latency.\n",
-        if claims.iter().all(|c| c.held) { "PASS" } else { "FAIL" }
+        verdict(claims.iter().all(|c| c.held))
     ));
     Figure { text: out, claims }
 }
@@ -367,28 +383,19 @@ mod tests {
             assert!(scenario(s.name).is_some());
         }
         assert!(scenario("no-such-scenario").is_none());
-        assert!(scenario_report("no-such-scenario").is_none());
+        let err = scenario_figure("no-such-scenario").unwrap_err();
+        assert!(err.contains("available: churn, canary"), "{err}");
     }
 
     #[test]
-    fn churn_evicts_and_reloads_under_budget() {
-        let r = churn_report();
-        let o = outcome(&r);
-        assert!(r.all_finished(), "every churn client must finish");
-        assert!(o.evictions >= 1, "memory pressure must evict ({o:?})");
-        assert!(
-            o.loads > CHURN_SERVICES as u64,
-            "evicted services must reload on demand ({o:?})"
-        );
-        assert!(o.peak_bytes <= churn_budget(), "budget breached ({o:?})");
-    }
-
-    #[test]
-    fn canary_gate_promotes_healthy_and_rolls_back_regressed() {
-        let h = outcome(&canary_report(false));
-        assert_eq!((h.promotions, h.rollbacks), (1, 0), "healthy: {h:?}");
-        let r = outcome(&canary_report(true));
-        assert_eq!((r.promotions, r.rollbacks), (0, 1), "regressed: {r:?}");
-        assert_eq!(r.finished, CANARY_CLIENTS);
+    fn every_claim_holds_and_each_scenario_repeats_its_own() {
+        let full = run();
+        assert!(full.claims.iter().all(|c| c.held), "{:?}", full.claims);
+        let full: Vec<String> = full.claims.iter().map(ToString::to_string).collect();
+        for s in scenarios() {
+            for c in scenario_figure(s.name).unwrap().claims {
+                assert!(full.contains(&c.to_string()), "{c}");
+            }
+        }
     }
 }

@@ -168,6 +168,17 @@ pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<Experiment>, String> {
         .collect())
 }
 
+/// The error for a scenario name that `suite` (`chaos`, `lifecycle`,
+/// `control` or `fleet`) does not know, listing the ones it does.
+pub(crate) fn unknown_scenario<'a>(
+    suite: &str,
+    name: &str,
+    known: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let known: Vec<&str> = known.into_iter().collect();
+    format!("unknown {suite} scenario {name:?}; available: {}", known.join(", "))
+}
+
 /// A fair-sharing Olympian scheduler over the given profiles and quantum.
 pub(crate) fn fair(store: Arc<ProfileStore>, q: SimDuration) -> OlympianScheduler {
     OlympianScheduler::new(store, Box::new(RoundRobin::new()), q)

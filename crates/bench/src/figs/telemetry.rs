@@ -2,14 +2,14 @@
 //! `drifted` incident run — per-snapshot sparklines of the key series, the
 //! final counter totals and the alert log.
 //!
-//! The underlying run is `bench::telemetered`'s `drifted` experiment: a
-//! deployment whose GPU regressed 40% after profiling, so both online
-//! monitors (streaming drift detection and SLO burn rate) fire mid-run.
+//! The underlying run is the catalog's `drifted` incident: a deployment
+//! whose GPU regressed 40% after profiling, so both online monitors
+//! (streaming drift detection and SLO burn rate) fire mid-run.
 
-use crate::banner;
-use crate::figs::Figure;
-use crate::telemetered::telemetered_experiment;
+use crate::figs::{Claim, Figure};
+use crate::{banner, runs};
 use metrics::table::{render_sparkline, render_table};
+use serving::TraceConfig;
 use simtime::SimDuration;
 use telemetry::Alert;
 
@@ -59,13 +59,14 @@ fn counter_deltas(t: &serving::TelemetryReport, name: &str) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the experiment and returns the report text.
+/// Runs the experiment and returns the report and its claims: the drift
+/// detector and the SLO burn-rate monitor each raise at least one alert.
 pub fn run() -> Figure {
     let mut out = banner(
         "telemetry",
         "Live telemetry during a profile-drift incident (regressed device, fresh profiles)",
     );
-    let report = telemetered_experiment("drifted").expect("registered")(INTERVAL);
+    let report = runs::drifted(runs::DRIFT, TraceConfig::sampled(), Some(INTERVAL)).report;
     let t = &report.telemetry;
     out.push_str(&format!(
         "\nscheduler={} makespan={:.3}ms snapshots={} (every {})\n",
@@ -108,7 +109,7 @@ pub fn run() -> Figure {
             q.p99,
             q.max,
             q.count,
-            SimDuration::from_micros(200),
+            runs::QUANTUM,
         ));
     }
     if let Some(h) = t.hist("handoff_us") {
@@ -154,7 +155,21 @@ pub fn run() -> Figure {
          latency objective calibrated on the fresh device burns its error budget \
          immediately.\n",
     );
-    Figure { text: out, claims: Vec::new() }
+    let fired = |kind: &str| t.alerts.iter().filter(|a| a.kind() == kind).count();
+    let (drift, burn) = (fired("drift"), fired("slo-burn"));
+    let claims = vec![
+        Claim::new(
+            "telemetry.drift_detector_flags_the_regression",
+            drift >= 1,
+            format!("{drift} drift alerts, bound >= 1"),
+        ),
+        Claim::new(
+            "telemetry.slo_burn_monitor_fires",
+            burn >= 1,
+            format!("{burn} slo-burn alerts, bound >= 1"),
+        ),
+    ];
+    Figure { text: out, claims }
 }
 
 #[cfg(test)]
@@ -163,7 +178,9 @@ mod tests {
 
     #[test]
     fn report_carries_sparklines_and_alerts() {
-        let out = run().text;
+        let fig = run();
+        assert!(fig.claims.iter().all(|c| c.held), "{:?}", fig.claims);
+        let out = fig.text;
         assert!(out.contains("per-snapshot series"));
         assert!(out.contains("GPU-share fairness"));
         assert!(out.contains("drift"));

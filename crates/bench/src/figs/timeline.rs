@@ -7,13 +7,10 @@
 //! reports' private `quantum_marks` plumbing, so the gantt shows exactly
 //! what a Perfetto view of the same trace would.
 
-use crate::figs::{fair, Claim, Figure};
-use crate::{banner, build_store_for, default_config, homogeneous_clients, DEFAULT_BATCH,
-    DEFAULT_NUM_BATCHES};
+use crate::figs::{Claim, Figure};
+use crate::{banner, runs};
 use metrics::table::render_gantt;
-use models::ModelKind;
-use serving::{run_experiment, RunReport, TraceConfig};
-use simtime::SimDuration;
+use serving::{RunReport, TraceConfig};
 use trace::TraceKind;
 
 /// Window rendered, in seconds.
@@ -47,12 +44,7 @@ pub fn run() -> Figure {
         "Timeline",
         "Token ownership over the first 50 ms of fair sharing (5 Inception clients)",
     );
-    let cfg = default_config().with_trace(TraceConfig::sampled());
-    let clients = homogeneous_clients(ModelKind::InceptionV4, DEFAULT_BATCH, 5, DEFAULT_NUM_BATCHES);
-    let store = build_store_for(&cfg, &clients);
-    let mut sched = fair(store, SimDuration::from_micros(1200));
-    let report = run_experiment(&cfg, clients, &mut sched);
-
+    let report = runs::timeline(TraceConfig::sampled(), None).report;
     let rows = gantt_rows(&report, WINDOW_S);
     out.push_str(&format!("\n0 ms {:>74} ms\n", WINDOW_S * 1e3));
     out.push_str(&render_gantt(&rows, WINDOW_S, 72));
@@ -73,17 +65,12 @@ pub fn run() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serving::ClientSpec;
 
-    /// Scaled-down tier-1 cover for the trace-driven gantt path: mini
-    /// models, 3 clients, a couple of batches — runs in milliseconds.
+    /// Scaled-down tier-1 cover for the trace-driven gantt path: the
+    /// `smoke` run's mini models, 3 clients — runs in milliseconds.
     #[test]
     fn trace_driven_gantt_covers_every_client_scaled_down() {
-        let cfg = default_config().with_trace(TraceConfig::sampled());
-        let clients = vec![ClientSpec::new(models::mini::small(4), 2); 3];
-        let store = build_store_for(&cfg, &clients);
-        let mut sched = fair(store, SimDuration::from_micros(200));
-        let report = run_experiment(&cfg, clients, &mut sched);
+        let report = runs::smoke(TraceConfig::sampled(), None).report;
         assert!(report.all_finished());
 
         // A window past the makespan keeps every span unclipped, so the

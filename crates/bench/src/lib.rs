@@ -8,8 +8,7 @@
 //! construction and result printing.
 
 pub mod figs;
-pub mod telemetered;
-pub mod traced;
+pub mod runs;
 
 use metrics::table::{render_bars, render_table};
 use metrics::Summary;

@@ -1,13 +1,35 @@
-//! `olympctl`'s argument handling, driven through the binary: bad flag
-//! values are reported as errors, never as panics.
+//! `olympctl` driven through the binary: bad flags, flag values and names
+//! are reported as errors, never as panics or silently ignored, and the
+//! files the catalog runs write are pinned by digest.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn olympctl(args: &[&str]) -> Output {
+    olympctl_in(Path::new("."), args)
+}
+
+fn olympctl_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_olympctl"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("spawn olympctl")
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A fresh directory for one test's output files.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// Asserts a clean `error: …` exit: code 1, the message on stderr, and no
@@ -55,4 +77,68 @@ fn bench_is_not_a_command() {
     let out = olympctl(&["bench"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+}
+
+#[test]
+fn catalog_runs_write_the_pinned_files() {
+    let dir = scratch_dir("olympctl-catalog-digests");
+    for args in [
+        "trace smoke --mode full --out trace_smoke.json",
+        "metrics drifted --out drifted.jsonl --prom drifted.prom",
+        "blame drifted --vs smoke --out blame.json --trace phases.json",
+    ] {
+        let out = olympctl_in(&dir, &args.split(' ').collect::<Vec<_>>());
+        assert!(out.status.success(), "{args}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    for (file, digest) in [
+        ("trace_smoke.json", 0xfab1_34cc_c398_0b15_u64),
+        ("drifted.jsonl", 0x5837_b01d_2064_4096),
+        ("drifted.prom", 0x84b0_d195_c389_c7f0),
+        ("blame.json", 0x821f_86e0_6d12_eb57),
+        ("phases.json", 0x1260_a0f9_79f6_ca55),
+    ] {
+        let bytes = std::fs::read(dir.join(file)).expect("written");
+        assert_eq!(fnv1a(&bytes), digest, "{file} moved: {:016x}", fnv1a(&bytes));
+    }
+}
+
+#[test]
+fn unknown_runs_and_scenarios_list_the_known_names() {
+    let runs = "smoke, drifted, timeline, fig11";
+    for cmd in ["trace", "metrics", "blame", "top"] {
+        assert_rejected(&[cmd, "ghost"], &format!("unknown run \"ghost\"; available: {runs}"));
+    }
+    assert_rejected(
+        &["blame", "smoke", "--vs", "ghost"],
+        &format!("unknown run \"ghost\"; available: {runs}"),
+    );
+    assert_rejected(
+        &["chaos", "ghost"],
+        "unknown chaos scenario \"ghost\"; available: kernel-faults, slowdown, stall, mixed, drift",
+    );
+    assert_rejected(
+        &["lifecycle", "ghost"],
+        "unknown lifecycle scenario \"ghost\"; available: churn, canary",
+    );
+}
+
+#[test]
+fn unread_and_repeated_flags_are_rejected() {
+    assert_rejected(
+        &[
+            "run", "--model", "alexnet", "--batch", "10", "--clients", "2", "--batches", "1",
+            "--policy", "fair", "--quantum_us", "50",
+        ],
+        "run does not take --quantum_us; it accepts --model, --batch, --clients, --batches, \
+         --policy, --quantum-us, --gpus, --seed, --deadline-ms, --trace, --jobs",
+    );
+    assert_rejected(
+        &["chaos", "mixed", "--schedular", "fifo"],
+        "chaos does not take --schedular; it accepts --jobs",
+    );
+    assert_rejected(
+        &["trace", "smoke", "--interval-us", "100"],
+        "trace does not take --interval-us; it accepts --out, --mode, --jobs",
+    );
+    assert_rejected(&["trace", "smoke", "--out", "a.json", "--out", "b.json"], "--out given twice");
 }

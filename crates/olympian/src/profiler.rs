@@ -17,7 +17,9 @@ use crate::scheduler::OlympianScheduler;
 use dataflow::CostModel;
 use metrics::linear_fit;
 use models::LoadedModel;
-use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
+use serving::{
+    run_experiment, ClientSpec, EngineConfig, FifoScheduler, TelemetryConfig, TraceConfig,
+};
 use simtime::{DetRng, SimDuration};
 use std::fmt;
 use std::sync::Arc;
@@ -182,11 +184,17 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Creates a profiler that profiles under (a quiesced copy of) `cfg` —
-    /// the paper profiles "when the GPU is idle", so workload noise sources
-    /// are disabled.
+    /// Creates a profiler that profiles under a quiesced, uninstrumented
+    /// copy of `cfg` — the paper profiles "when the GPU is idle", so
+    /// workload noise sources are disabled, and nothing is traced or
+    /// metered.
     pub fn new(cfg: &EngineConfig) -> Self {
-        Profiler { cfg: cfg.quiescent() }
+        let cfg = EngineConfig {
+            trace: TraceConfig::off(),
+            telemetry: TelemetryConfig::off(),
+            ..cfg.quiescent()
+        };
+        Profiler { cfg }
     }
 
     /// Profiles one `(model, batch)`: an instrumented run for per-node costs

@@ -13,14 +13,14 @@
 //! single-threaded on a virtual clock, and nothing in here consults wall
 //! clocks, thread ids or iteration order of unordered containers.
 //!
-//! Two exporters turn a finished [`Trace`] into artifacts:
+//! A finished [`Trace`] is read two ways:
 //!
 //! * [`export::chrome_trace_json`] — Chrome trace-event JSON loadable in
 //!   Perfetto / `chrome://tracing`, one track per client plus one per GPU
 //!   device;
-//! * [`stats::TraceStats`] — a compact counters/histogram snapshot (token
-//!   switches, quantum-length distribution, per-client attributed GPU µs,
-//!   overflow µs, scheduler-overhead µs) behind the `overhead` report.
+//! * [`stats::TraceStats`] — the overhead attribution (token switches,
+//!   quantum-length distribution, overflow µs, scheduler-overhead µs)
+//!   behind the `overhead` report and `olympctl trace`.
 
 use simtime::{SimDuration, SimTime};
 use std::fmt;

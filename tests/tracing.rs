@@ -107,17 +107,8 @@ fn overhead_snapshot_is_consistent_on_a_full_trace() {
     assert!(stats.token_switches > 0);
     assert!(stats.quantum.count > 0);
     assert!(stats.kernel_count > 0);
-    assert!(stats.device_busy_us > 0.0);
-    assert!(stats.device_busy_us <= stats.makespan_us);
     let overhead = stats.scheduler_overhead_us.expect("kernel spans present");
     assert!(overhead >= 0.0 && overhead <= stats.handoff_bound_us);
     let frac = stats.overhead_fraction().expect("non-empty run");
     assert!((0.0..1.0).contains(&frac), "overhead fraction {frac}");
-    // The JSON snapshot round-trips through microjson.
-    let json = stats.to_json().to_string();
-    let doc = microjson::Value::parse(&json).expect("stats JSON parses");
-    assert_eq!(
-        doc.get("token_switches").unwrap().as_u64().unwrap(),
-        stats.token_switches
-    );
 }
