@@ -11,7 +11,7 @@ use crate::{
 };
 use metrics::max_min_ratio;
 use models::ModelKind;
-use serving::{run_experiment, FifoScheduler, TraceConfig};
+use serving::{run_experiment, FifoScheduler};
 
 /// Runs the experiment and returns the report and its claim.
 pub fn run() -> Figure {
@@ -22,14 +22,14 @@ pub fn run() -> Figure {
     let clients =
         homogeneous_clients(ModelKind::InceptionV4, DEFAULT_BATCH, 10, DEFAULT_NUM_BATCHES);
     let base = run_experiment(&default_config(), clients, &mut FifoScheduler::new());
-    let run = runs::fig11(TraceConfig::off(), None);
-    let (oly, q_us) = (run.report, run.quantum.as_micros_f64());
+    let run = runs::fig11_untraced();
+    let (oly, q_us) = (&run.report, run.quantum.as_micros_f64());
     out.push_str(&format!(
         "profiler-chosen Q for {:.1}% tolerance: {q_us:.0} us (paper: 1190 us)\n",
         DEFAULT_TOLERANCE * 100.0
     ));
     out.push_str(&format_finish_times("TF-Serving", &base));
-    out.push_str(&format_finish_times("Olympian fair", &oly));
+    out.push_str(&format_finish_times("Olympian fair", oly));
     let base_ratio = max_min_ratio(&base.finish_times_secs());
     let oly_ratio = max_min_ratio(&oly.finish_times_secs());
     out.push_str(&format!(

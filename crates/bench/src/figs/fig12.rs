@@ -16,8 +16,8 @@ pub fn run() -> Figure {
         "Figure 12",
         "Scheduling-interval durations under Olympian fair sharing",
     );
-    let run = runs::fig11(serving::TraceConfig::off(), None);
-    let (oly, q_us) = (run.report, run.quantum.as_micros_f64());
+    let run = runs::fig11_untraced();
+    let (oly, q_us) = (&run.report, run.quantum.as_micros_f64());
     let intervals_ms: Vec<f64> = oly
         .scheduling_intervals
         .iter()

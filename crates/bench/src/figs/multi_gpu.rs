@@ -7,7 +7,7 @@
 //! 2. is per-device fairness preserved when clients are spread across
 //!    devices?
 
-use crate::{banner, build_store_for, default_config, format_finish_times,
+use crate::{banner, bisect_capacity, build_store_for, default_config, format_finish_times,
     homogeneous_clients, DEFAULT_BATCH};
 use crate::figs::{Claim, Figure};
 use metrics::table::render_table;
@@ -27,23 +27,23 @@ pub fn fair_on(gpus: usize) -> RunReport {
     run_experiment(&cfg, clients, &mut sched)
 }
 
-/// Largest ResNet-152 client count (step 5) that finishes on `gpus` devices
-/// under the baseline scheduler.
+/// Largest ResNet-152 client count (on the step-5 grid up to `max`) that
+/// finishes on `gpus` devices under the baseline scheduler. The grid is
+/// bisected ([`bisect_capacity`]), which needs the outcome to be monotone:
+/// a count that runs a device out of memory does so at every larger count.
 pub fn capacity_with(gpus: usize, max: usize) -> usize {
     let cfg = default_config().with_device_count(gpus);
-    let mut last_ok = 0;
-    let mut n = 5;
-    while n <= max {
-        let model = models::load(ModelKind::ResNet152, DEFAULT_BATCH).expect("zoo model");
-        let clients = vec![serving::ClientSpec::new(model, 1); n];
+    let model = models::load(ModelKind::ResNet152, DEFAULT_BATCH).expect("zoo model");
+    let (cap, _) = bisect_capacity(5, max, |n| {
+        let clients = vec![serving::ClientSpec::new(model.clone(), 1); n];
         let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
-        if !report.all_finished() {
-            break;
+        if report.all_finished() {
+            Ok(())
+        } else {
+            Err(())
         }
-        last_ok = n;
-        n += 5;
-    }
-    last_ok
+    });
+    cap
 }
 
 /// Runs the experiment and returns the report and its claims.

@@ -8,12 +8,13 @@
 //!   threads, so for thread-hungry models it saturates the pool well before
 //!   TF-Serving does (paper: 40–60 Inception clients vs ~100).
 
-use crate::{banner, build_store_for, default_config};
+use crate::{banner, bisect_capacity, build_store, default_config};
 use crate::figs::{fair, Claim, Figure};
 use metrics::table::render_table;
 use models::ModelKind;
-use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler, RunReport};
+use serving::{run_experiment, ClientSpec, FifoScheduler, RunReport};
 use simtime::SimDuration;
+use std::sync::Arc;
 
 /// Outcome of one admission probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,37 +42,31 @@ fn classify(report: &RunReport) -> Probe {
     Probe::Oom
 }
 
-fn probe(cfg: &EngineConfig, kind: ModelKind, n: usize, olympian: bool) -> Probe {
-    let model = models::load(kind, 100).expect("zoo model");
-    let clients = vec![ClientSpec::new(model, 1); n];
-    let report = if olympian {
-        let store = build_store_for(cfg, &clients);
-        let mut sched = fair(store, SimDuration::from_micros(1200));
-        run_experiment(cfg, clients, &mut sched)
-    } else {
-        run_experiment(cfg, clients, &mut FifoScheduler::new())
-    };
-    classify(&report)
-}
-
-/// Largest client count (stepping by 5 up to `max`) at which all clients
-/// finish, plus the failure mode just beyond it.
+/// Largest client count (on the step-5 grid up to `max`) at which all
+/// clients finish, plus the failure mode of the smallest count that does
+/// not (`Ok` if every count finishes). The grid is bisected
+/// ([`bisect_capacity`]), which needs the outcome to be monotone: a count
+/// that runs out of GPU memory or worker threads does so at every larger
+/// count.
 pub fn capacity(kind: ModelKind, olympian: bool, max: usize) -> (usize, Probe) {
     let cfg = default_config();
-    let mut last_ok = 0;
-    let mut failure = Probe::Ok;
-    let mut n = 5;
-    while n <= max {
-        match probe(&cfg, kind, n, olympian) {
-            Probe::Ok => last_ok = n,
-            other => {
-                failure = other;
-                break;
+    let model = models::load(kind, 100).expect("zoo model");
+    let store = olympian.then(|| build_store(&cfg, std::slice::from_ref(&model)));
+    let (cap, failure) = bisect_capacity(5, max, |n| {
+        let clients = vec![ClientSpec::new(model.clone(), 1); n];
+        let report = match &store {
+            Some(store) => {
+                let mut sched = fair(Arc::clone(store), SimDuration::from_micros(1200));
+                run_experiment(&cfg, clients, &mut sched)
             }
+            None => run_experiment(&cfg, clients, &mut FifoScheduler::new()),
+        };
+        match classify(&report) {
+            Probe::Ok => Ok(()),
+            other => Err(other),
         }
-        n += 5;
-    }
-    (last_ok, failure)
+    });
+    (cap, failure.unwrap_or(Probe::Ok))
 }
 
 /// Runs the experiment and returns the report and its claims.

@@ -13,7 +13,7 @@ pub mod runs;
 use metrics::table::{render_bars, render_table};
 use metrics::Summary;
 use models::{LoadedModel, ModelKind};
-use olympian::{OverheadQCurve, Profiler, ProfileStore};
+use olympian::{Profiler, ProfileStore};
 use serving::{ClientSpec, EngineConfig, RunReport};
 use simtime::SimDuration;
 use std::sync::Arc;
@@ -92,8 +92,10 @@ pub fn build_store_for(cfg: &EngineConfig, clients: &[ClientSpec]) -> Arc<Profil
     build_store(cfg, &models)
 }
 
-/// Measures Overhead-Q curves for the distinct models in a client list and
-/// picks `Q` for the tolerance (paper §3.3). Falls back to the largest grid
+/// Picks `Q` for the tolerance from the Overhead-Q curves of the distinct
+/// models in a client list (paper §3.3): the largest of the per-model
+/// answers. Each model's race stops at its first grid point within the
+/// tolerance ([`Profiler::q_at_tolerance`]). Falls back to the largest grid
 /// point if no quantum meets the tolerance.
 pub fn choose_q(cfg: &EngineConfig, clients: &[ClientSpec], tolerance: f64) -> SimDuration {
     let profiler = Profiler::new(cfg);
@@ -107,12 +109,47 @@ pub fn choose_q(cfg: &EngineConfig, clients: &[ClientSpec], tolerance: f64) -> S
             distinct.push(c);
         }
     }
-    // One curve per distinct model, measured in parallel and collected in
-    // first-seen order (identical to the serial sweep).
-    let curves: Vec<OverheadQCurve> =
-        simpar::par_map(&distinct, |_, c| profiler.overhead_q_curve(&c.model, &grid));
-    Profiler::q_for_tolerance(&curves, tolerance)
+    // One race per distinct model, run in parallel.
+    let qs: Vec<Option<SimDuration>> =
+        simpar::par_map(&distinct, |_, c| profiler.q_at_tolerance(&c.model, &grid, tolerance));
+    qs.into_iter()
+        .collect::<Option<Vec<_>>>()
+        .and_then(|qs| qs.into_iter().max())
         .unwrap_or_else(|| *grid.last().expect("non-empty grid"))
+}
+
+/// The largest count on the grid `step, 2·step, …` up to `max` at which
+/// `probe` passes (0 if none does), and the outcome of the smallest count
+/// that fails (`None` if every count passes).
+///
+/// The grid is bisected, not scanned, so `probe` must be monotone in the
+/// count: once a count fails, every larger count fails. Under that
+/// precondition the answer is the one a scan upward from `step` that stops
+/// at the first failure would give, found in ⌈log₂(max/step + 1)⌉ probes
+/// at most.
+///
+/// # Panics
+///
+/// Panics if `step` is 0.
+pub fn bisect_capacity<E>(
+    step: usize,
+    max: usize,
+    mut probe: impl FnMut(usize) -> Result<(), E>,
+) -> (usize, Option<E>) {
+    assert!(step > 0, "capacity grid needs a positive step");
+    // Grid index `i` stands for `i * step`. Index `lo` passes (index 0 by
+    // definition) and index `hi` fails (one past the grid by definition);
+    // `failure` is the outcome at `hi` once it has been probed.
+    let (mut lo, mut hi) = (0, max / step + 1);
+    let mut failure = None;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        match probe(mid * step) {
+            Ok(()) => lo = mid,
+            Err(e) => (hi, failure) = (mid, Some(e)),
+        }
+    }
+    (lo * step, failure)
 }
 
 /// Formats a figure header.
@@ -225,6 +262,67 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             w.iter().map(|c| c.model.name()).collect();
         assert_eq!(names.len(), 7);
+    }
+
+    /// The scan [`bisect_capacity`] replaced: upward from `step`, stopping
+    /// at the first failure.
+    fn linear_capacity<E>(
+        step: usize,
+        max: usize,
+        mut probe: impl FnMut(usize) -> Result<(), E>,
+    ) -> (usize, Option<E>) {
+        let mut last_ok = 0;
+        for n in (step..=max).step_by(step) {
+            match probe(n) {
+                Ok(()) => last_ok = n,
+                Err(e) => return (last_ok, Some(e)),
+            }
+        }
+        (last_ok, None)
+    }
+
+    #[test]
+    fn bisection_matches_the_linear_scan_on_monotone_probes() {
+        for max in [0, 4, 5, 9, 70, 130, 160] {
+            let points = max / 5;
+            let bound = ((points + 1) as f64).log2().ceil() as usize;
+            // The first failure at each grid point in turn, then past the
+            // grid (every count passes); `first = 5` fails at once.
+            for first in (5..=5 * (points + 1)).step_by(5) {
+                let probe = |n: usize| if n < first { Ok(()) } else { Err(n) };
+                let mut probes = 0;
+                let got = bisect_capacity(5, max, |n| {
+                    probes += 1;
+                    probe(n)
+                });
+                assert_eq!(got, linear_capacity(5, max, probe), "max {max}, first failure {first}");
+                assert!(probes <= bound, "{probes} probes over {points} points");
+            }
+        }
+    }
+
+    #[test]
+    fn bisection_matches_the_linear_scan_on_a_real_fifo_probe() {
+        // Room for the shared weights and 22 clients' activations.
+        let model = models::mini::small(4);
+        let memory = model.weights_bytes() + 22 * model.activation_bytes();
+        let cfg = EngineConfig {
+            device: gpusim::DeviceProfile::custom("small", 1.0, memory, 8, 0.0),
+            ..default_config()
+        };
+        let probe = |n: usize| {
+            let clients = vec![ClientSpec::new(model.clone(), 1); n];
+            let report = serving::run_experiment(&cfg, clients, &mut serving::FifoScheduler::new());
+            let unfinished = report.clients.iter().filter(|c| !c.is_finished()).count();
+            if unfinished == 0 {
+                Ok(())
+            } else {
+                Err(unfinished)
+            }
+        };
+        let linear = linear_capacity(5, 40, probe);
+        assert_eq!(bisect_capacity(5, 40, probe), linear);
+        assert!(linear.0 > 0 && linear.1.is_some(), "capacity inside the grid: {linear:?}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use models::ModelKind;
 use olympian::ProfileStore;
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 
 /// The scheduling quantum of the mini-model runs (`smoke`, `drifted`).
@@ -165,6 +165,14 @@ pub fn fig11(trace: TraceConfig, cadence: Option<SimDuration>) -> Run {
     let mut sched = fair(store, quantum);
     let report = run_experiment(&cfg, clients, &mut sched);
     Run { report, quantum, objective: None }
+}
+
+/// [`fig11`] untraced and unmetered, simulated once per process: the
+/// Figure 11 and Figure 12 reports both read it. Catalog lookups still
+/// simulate [`fig11`] afresh in the trace mode they ask for.
+pub fn fig11_untraced() -> &'static Run {
+    static RUN: OnceLock<Run> = OnceLock::new();
+    RUN.get_or_init(|| fig11(TraceConfig::off(), None))
 }
 
 #[cfg(test)]

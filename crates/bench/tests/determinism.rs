@@ -8,7 +8,6 @@
 
 use olympian::Profiler;
 use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
-use simtime::SimDuration;
 
 /// Formats a run report to the digits the experiment reports print, so a
 /// byte comparison is as strict as the real output.
@@ -50,26 +49,50 @@ fn same_seed_twice_is_identical() {
 
 #[test]
 fn q_grid_sweep_serial_matches_parallel() {
-    // `overhead_q_curve` sweeps its grid with `simpar::par_map`, which reads
-    // OLYMPIAN_JOBS; drive it to both extremes via the env var. Runs in one
+    // `overhead_q_curve` sweeps its grid with `simpar::par_map`, and
+    // `Profiler::q_at_tolerance` races it in waves of `simpar::max_jobs()`;
+    // both read OLYMPIAN_JOBS, so drive it through the env var. Runs in one
     // process with no other test touching the variable concurrently
     // (integration tests in this file share a binary but env mutation is
     // confined to this test).
     let model = models::mini::small(4);
     let cfg = EngineConfig::default();
-    let grid: Vec<SimDuration> = [100u64, 400, 1_200, 4_000]
-        .into_iter()
-        .map(SimDuration::from_micros)
-        .collect();
+    let profiler = Profiler::new(&cfg);
+    let grid = bench::standard_q_grid();
     std::env::set_var(simpar::JOBS_ENV, "1");
-    let serial = Profiler::new(&cfg).overhead_q_curve(&model, &grid);
+    let serial = profiler.overhead_q_curve(&model, &grid);
     std::env::set_var(simpar::JOBS_ENV, "8");
-    let parallel = Profiler::new(&cfg).overhead_q_curve(&model, &grid);
-    std::env::remove_var(simpar::JOBS_ENV);
+    let parallel = profiler.overhead_q_curve(&model, &grid);
     assert_eq!(serial.model, parallel.model);
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.to_bits(), b.1.to_bits(), "overhead must be bit-equal");
     }
+
+    // The early-stopping race must give the full curve's answer at every
+    // wave width: for a tolerance the first point meets, one interpolated
+    // between the third and fourth points, and one no point meets.
+    let ov = |i: usize| serial.points[i].1;
+    let lowest = serial.points.iter().map(|&(_, o)| o).fold(f64::INFINITY, f64::min);
+    assert!(ov(2) > ov(3) && lowest > 0.0, "curve shape: {:?}", serial.points);
+    let (first, between, none) = (ov(0), (ov(2) + ov(3)) / 2.0, lowest / 2.0);
+    assert_eq!(serial.q_at_tolerance(first), Some(grid[0]));
+    let q = serial.q_at_tolerance(between).expect("interpolated");
+    assert!(grid[2] < q && q < grid[3], "{q} not between {} and {}", grid[2], grid[3]);
+    assert_eq!(serial.q_at_tolerance(none), None);
+    for jobs in ["1", "3", "8"] {
+        std::env::set_var(simpar::JOBS_ENV, jobs);
+        for tol in [first, between, none] {
+            assert_eq!(
+                profiler.q_at_tolerance(&model, &grid, tol),
+                serial.q_at_tolerance(tol),
+                "tolerance {tol} at {jobs} jobs"
+            );
+        }
+    }
+    // `choose_q` falls back to the largest grid point when no Q qualifies.
+    let clients = [ClientSpec::new(model, 1)];
+    assert_eq!(bench::choose_q(&cfg, &clients, none), *grid.last().unwrap());
+    std::env::remove_var(simpar::JOBS_ENV);
 }

@@ -269,6 +269,40 @@ impl Profiler {
     ///
     /// Panics if `qs` is empty or either racing run fails to finish.
     pub fn overhead_q_curve(&self, model: &LoadedModel, qs: &[SimDuration]) -> OverheadQCurve {
+        self.race_q(model, qs, None)
+    }
+
+    /// The smallest `Q` meeting `tolerance` for one model: exactly
+    /// `self.overhead_q_curve(model, qs).q_at_tolerance(tolerance)`, but the
+    /// candidates are raced in ascending waves of [`simpar::max_jobs`] and
+    /// the race stops after the first wave holding a point within
+    /// `tolerance`. [`OverheadQCurve::q_at_tolerance`] never reads past that
+    /// point, so the answer needs no monotone curve and does not depend on
+    /// the wave width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qs` is empty, `tolerance` is negative or a racing run
+    /// fails to finish.
+    pub fn q_at_tolerance(
+        &self,
+        model: &LoadedModel,
+        qs: &[SimDuration],
+        tolerance: f64,
+    ) -> Option<SimDuration> {
+        assert!(tolerance >= 0.0, "negative tolerance");
+        self.race_q(model, qs, Some(tolerance)).q_at_tolerance(tolerance)
+    }
+
+    /// Races the baseline pair once and the Olympian pair at each of `qs`
+    /// in ascending order, stopping after the first wave with a point at or
+    /// under `stop_at` when one is given.
+    fn race_q(
+        &self,
+        model: &LoadedModel,
+        qs: &[SimDuration],
+        stop_at: Option<f64>,
+    ) -> OverheadQCurve {
         assert!(!qs.is_empty(), "need at least one candidate quantum");
         let clients = || vec![ClientSpec::new(model.clone(), PAIR_BATCHES); 2];
         let base = run_experiment(&self.cfg, clients(), &mut FifoScheduler::new());
@@ -280,18 +314,26 @@ impl Profiler {
         store.insert(profile);
         let store = Arc::new(store);
 
+        let mut qs = qs.to_vec();
+        qs.sort();
         // Each candidate race is an independent deterministic simulation, so
-        // the grid is swept in parallel; `par_map` returns results in grid
+        // a wave is raced in parallel; `par_map` returns results in wave
         // order, keeping the curve byte-identical to a serial sweep.
-        let mut points: Vec<(SimDuration, f64)> = simpar::par_map(qs, |_, &q| {
-            let mut sched =
-                OlympianScheduler::new(Arc::clone(&store), Box::new(RoundRobin::new()), q);
-            let run = run_experiment(&self.cfg, clients(), &mut sched);
-            assert!(run.all_finished(), "olympian race must complete");
-            let overhead = (run.makespan.as_secs_f64() - base_finish) / base_finish;
-            (q, overhead)
-        });
-        points.sort_by_key(|&(q, _)| q);
+        let width = if stop_at.is_some() { simpar::max_jobs() } else { qs.len() };
+        let mut points: Vec<(SimDuration, f64)> = Vec::with_capacity(qs.len());
+        for wave in qs.chunks(width) {
+            points.extend(simpar::par_map(wave, |_, &q| {
+                let mut sched =
+                    OlympianScheduler::new(Arc::clone(&store), Box::new(RoundRobin::new()), q);
+                let run = run_experiment(&self.cfg, clients(), &mut sched);
+                assert!(run.all_finished(), "olympian race must complete");
+                let overhead = (run.makespan.as_secs_f64() - base_finish) / base_finish;
+                (q, overhead)
+            }));
+            if stop_at.is_some_and(|tol| points.iter().any(|&(_, ov)| ov <= tol)) {
+                break;
+            }
+        }
         OverheadQCurve {
             model: model.name().to_string(),
             batch: model.batch(),
