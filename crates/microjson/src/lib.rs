@@ -229,7 +229,9 @@ impl From<String> for Value {
     }
 }
 
-/// Writes `n` in decimal, allocating nothing beyond `out`'s growth.
+/// Writes `n` in decimal, allocating nothing beyond `out`'s growth. The
+/// digits are pushed as chars, which spares them the UTF-8 check a `&str`
+/// would take.
 pub fn write_u64(mut n: u64, out: &mut String) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
@@ -241,7 +243,7 @@ pub fn write_u64(mut n: u64, out: &mut String) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ascii"));
+    out.extend(buf[i..].iter().map(|&d| char::from(d)));
 }
 
 /// Writes `x` as Rust's `Display` prints it (the shortest form that
@@ -263,22 +265,29 @@ pub fn write_f64(x: f64, out: &mut String) {
 
 /// Writes `s` as a quoted JSON string: quotes, backslashes and control
 /// characters are escaped, everything else (multibyte text included) is
-/// copied raw. Allocates nothing beyond `out`'s growth.
+/// copied raw. A string that needs no escape, the common case, is copied
+/// with one `push_str`. Allocates nothing beyond `out`'s growth.
 pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+    // One pass with no early exit, which compiles without a branch per byte.
+    let clean = !s.bytes().fold(false, |dirty, b| dirty | (b < 0x20) | (b == b'"') | (b == b'\\'));
+    if clean {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -736,6 +745,33 @@ mod tests {
             write_f64(x, &mut out);
             assert_eq!(out[5..], want, "write_f64({x:?})");
             assert_eq!(Value::Float(x).to_string(), want, "Value::Float({x:?})");
+        }
+    }
+
+    #[test]
+    fn string_writer_output_is_pinned() {
+        let pins = [
+            ("", r#""""#),
+            ("critical path", r#""critical path""#),
+            ("\"", r#""\"""#),
+            ("\\", r#""\\""#),
+            ("\n", r#""\n""#),
+            ("\r", r#""\r""#),
+            ("\t", r#""\t""#),
+            ("\u{8}", r#""\b""#),
+            ("\u{c}", r#""\f""#),
+            ("\u{1f}", r#""\u001f""#),
+            ("\u{0}", r#""\u0000""#),
+            ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
+            ("héllo ✓ 😀 \u{7f}", "\"héllo ✓ 😀 \u{7f}\""),
+            ("ü\tü", "\"ü\\tü\""),
+            ("😀\"", "\"😀\\\"\""),
+        ];
+        for (raw, want) in pins {
+            // Written after text already in `out`, which must stay.
+            let mut out = String::from("[");
+            write_escaped(raw, &mut out);
+            assert_eq!(out[1..], *want, "write_escaped({raw:?})");
         }
     }
 

@@ -12,10 +12,19 @@
 //!
 //! Output is byte-deterministic: events are ordered by
 //! `(process, track, timestamp, sequence number)` and all numbers derive
-//! from integer nanoseconds. Rows carry static names and inline scalar
-//! arguments, and each one is written straight into the output string by
-//! an [`EventWriter`], which callers also use to append processes of their
-//! own; no document tree is built.
+//! from integer nanoseconds. No document tree is built:
+//!
+//! - each exported event is placed once, as a compact slot holding its
+//!   track, span and index in the trace. The slots, one exact allocation,
+//!   are sorted in place, and the row's name and arguments are read off
+//!   the event only as it is written;
+//! - an [`EventWriter`], which callers also use to append processes of
+//!   their own, writes each row straight into the output string. Every
+//!   fixed stretch of JSON is one push, and a name that needs no escape is
+//!   one copy;
+//! - times print in microseconds from integer arithmetic, byte for byte
+//!   as the `f64` quotient would print, up to 10^15 ns (about 11.6 simulated
+//!   days); larger counts fall back to the float writer.
 
 use crate::{Trace, TraceEvent, TraceKind};
 use microjson::{write_escaped, write_f64, write_u64};
@@ -48,8 +57,36 @@ pub enum EventArg {
     Str(&'static str),
 }
 
+/// The first nanosecond count [`write_us`] leaves to `write_f64`.
+const US_EXACT_BELOW: u64 = 1_000_000_000_000_000;
+
+/// Writes `ns` in microseconds, byte for byte as `write_f64(ns as f64 /
+/// 1000.0)` does, in integer arithmetic: the whole microseconds, a point,
+/// and the nanosecond remainder with trailing zeros trimmed (`.0` when
+/// there is none).
+///
+/// Below [`US_EXACT_BELOW`] the two agree: `ns` converts to `f64` exactly
+/// and the division rounds once, to the double nearest `ns / 1000`. That
+/// decimal has at most 15 significant digits, and no two such decimals
+/// round to the same double, so no shorter decimal names it: it is the
+/// shortest round-trip form `Display` prints. Larger counts take
+/// `write_f64` itself.
 fn write_us(ns: u64, out: &mut String) {
-    write_f64(ns as f64 / 1000.0, out);
+    if ns >= US_EXACT_BELOW {
+        return write_f64(ns as f64 / 1000.0, out);
+    }
+    write_u64(ns / 1000, out);
+    let frac = ns % 1000;
+    let digits = [frac / 100, frac / 10 % 10, frac % 10].map(|d| char::from(b'0' + d as u8));
+    let len = if frac.is_multiple_of(100) {
+        1
+    } else if frac.is_multiple_of(10) {
+        2
+    } else {
+        3
+    };
+    out.push('.');
+    out.extend(&digits[..len]);
 }
 
 /// Appends events to the `traceEvents` array of a Chrome trace being
@@ -60,18 +97,20 @@ pub struct EventWriter<'a> {
 }
 
 impl EventWriter<'_> {
-    fn separate(&mut self) {
+    /// Opens the next event with `open`, after a comma unless it is the
+    /// first, and returns the output.
+    fn open(&mut self, open: &str) -> &mut String {
         if !std::mem::take(&mut self.first) {
             self.out.push(',');
         }
+        self.out.push_str(open);
+        self.out
     }
 
     /// Writes a metadata event: `key` is `"process_name"` (with no `tid`)
     /// or `"thread_name"`, and `name` the label it gives.
     pub fn meta(&mut self, pid: u64, tid: Option<u64>, key: &str, name: &str) {
-        self.separate();
-        let out = &mut *self.out;
-        out.push_str("{\"ph\":\"M\",\"pid\":");
+        let out = self.open("{\"ph\":\"M\",\"pid\":");
         write_u64(pid, out);
         if let Some(tid) = tid {
             out.push_str(",\"tid\":");
@@ -95,26 +134,24 @@ impl EventWriter<'_> {
         dur_ns: Option<u64>,
         args: &[(&str, EventArg)],
     ) {
-        self.separate();
-        let out = &mut *self.out;
-        out.push_str("{\"name\":");
+        let out = self.open("{\"name\":");
         write_escaped(name, out);
         out.push_str(",\"cat\":");
         write_escaped(cat, out);
-        out.push_str(if dur_ns.is_some() {
-            ",\"ph\":\"X\",\"ts\":"
-        } else {
-            ",\"ph\":\"i\",\"ts\":"
-        });
-        write_us(ts_ns, out);
         match dur_ns {
             Some(d) => {
+                out.push_str(",\"ph\":\"X\",\"ts\":");
+                write_us(ts_ns, out);
                 out.push_str(",\"dur\":");
                 write_us(d, out);
+                out.push_str(",\"pid\":");
             }
-            None => out.push_str(",\"s\":\"t\""),
+            None => {
+                out.push_str(",\"ph\":\"i\",\"ts\":");
+                write_us(ts_ns, out);
+                out.push_str(",\"s\":\"t\",\"pid\":");
+            }
         }
-        out.push_str(",\"pid\":");
         write_u64(pid, out);
         out.push_str(",\"tid\":");
         write_u64(tid, out);
@@ -135,171 +172,118 @@ impl EventWriter<'_> {
     }
 }
 
-/// A row's name. Only the two kinds that name a state are formatted, and
-/// only when the row is written.
-#[derive(Clone, Copy)]
-enum Name {
-    Fixed(&'static str),
-    Breaker(&'static str),
-    Control(&'static str, &'static str),
-}
-
-struct Row {
+/// Where an exported event's row goes. Slots sort by track, then start,
+/// then trace order, which follows the sequence numbers, so every key is
+/// distinct. The row's name and arguments are read off the event only
+/// when it is written.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot {
     pid: u64,
     tid: u64,
     ts_ns: u64,
+    /// Index of the event in [`Trace::events`].
+    event: usize,
     /// `Some` for complete ("X") slices, `None` for instants.
     dur_ns: Option<u64>,
-    seq: u64,
-    name: Name,
-    cat: &'static str,
-    /// The first `nargs` are set; `seq` follows them when written.
-    args: [(&'static str, EventArg); MAX_ARGS],
-    nargs: usize,
 }
 
-impl Row {
-    /// An instant at the event's own time.
-    fn at(
-        e: &TraceEvent,
-        (pid, tid): (u64, u64),
-        name: Name,
-        cat: &'static str,
-        args: &[(&'static str, EventArg)],
-    ) -> Row {
-        let mut inline = [("", EventArg::UInt(0)); MAX_ARGS];
-        inline[..args.len()].copy_from_slice(args);
-        Row {
-            pid,
-            tid,
-            ts_ns: e.at.as_nanos(),
-            dur_ns: None,
-            seq: e.seq,
-            name,
-            cat,
-            args: inline,
-            nargs: args.len(),
+/// Whether an event has a row: every kind but the per-kernel enqueue and
+/// complete events.
+fn exported(kind: &TraceKind) -> bool {
+    !matches!(kind, TraceKind::KernelEnqueue { .. } | TraceKind::KernelComplete { .. })
+}
+
+/// The slot of an [`exported`] event: kernels and device stalls sit on
+/// their device's track, and everything else on its client's track or,
+/// when it has no client, on the scheduler track. Kernels and quanta are
+/// slices; quanta end at the event.
+fn slot_of(event: usize, e: &TraceEvent, scheduler_tid: u64) -> Slot {
+    let at = e.at.as_nanos();
+    let ((pid, tid), ts_ns, dur_ns) = match e.kind {
+        TraceKind::KernelLaunch { device, start, end, .. } => {
+            ((GPUS_PID, u64::from(device)), start.as_nanos(), Some(end.since(start).as_nanos()))
         }
-    }
-
-    /// The same row as a complete slice over `[ts_ns, ts_ns + dur_ns]`.
-    fn spanning(self, ts_ns: u64, dur_ns: u64) -> Row {
-        Row { ts_ns, dur_ns: Some(dur_ns), ..self }
-    }
-
-    fn write(&self, w: &mut EventWriter<'_>, scratch: &mut String) {
-        let name = match self.name {
-            Name::Fixed(name) => name,
-            Name::Breaker(state) => {
-                scratch.clear();
-                let _ = write!(scratch, "breaker-{state}");
-                scratch
-            }
-            Name::Control(from, to) => {
-                scratch.clear();
-                let _ = write!(scratch, "control-{from}-to-{to}");
-                scratch
-            }
-        };
-        let mut args = [("", EventArg::UInt(0)); MAX_ARGS + 1];
-        args[..self.nargs].copy_from_slice(&self.args[..self.nargs]);
-        args[self.nargs] = ("seq", EventArg::UInt(self.seq));
-        w.event(
-            name,
-            self.cat,
-            (self.pid, self.tid),
-            self.ts_ns,
-            self.dur_ns,
-            &args[..=self.nargs],
-        );
-    }
-}
-
-/// The exported row of one event, or `None` for the per-kernel enqueue
-/// and complete events.
-fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
-    use EventArg::{Str, UInt, Us};
-    let client = |c: u32| (CLIENTS_PID, u64::from(c));
-    let holder = |c: Option<u32>| (CLIENTS_PID, c.map_or(scheduler_tid, u64::from));
-    let sched = (CLIENTS_PID, scheduler_tid);
-    let gpu = |d: u32| (GPUS_PID, u64::from(d));
-    let u = |v: u32| UInt(u64::from(v));
-    let row = |track, name: &'static str, cat, args: &[(&'static str, EventArg)]| {
-        Row::at(e, track, Name::Fixed(name), cat, args)
+        TraceKind::DeviceStall { device, .. } => ((GPUS_PID, u64::from(device)), at, None),
+        TraceKind::QuantumEnd { client, gpu, .. } => {
+            let dur = gpu.as_nanos();
+            ((CLIENTS_PID, u64::from(client)), at.saturating_sub(dur), Some(dur))
+        }
+        _ => ((CLIENTS_PID, e.kind.client().map_or(scheduler_tid, u64::from)), at, None),
     };
-    Some(match e.kind {
-        TraceKind::QuantumEnd { job, client: c, gpu: d } => {
-            let dur = d.as_nanos();
-            row(client(c), "quantum", "quantum", &[("job", UInt(job))])
-                .spanning(e.at.as_nanos().saturating_sub(dur), dur)
-        }
-        TraceKind::KernelLaunch { job, client: c, device, node, start, end } => row(
-            gpu(device),
+    Slot { pid, tid, ts_ns, event, dur_ns }
+}
+
+/// Writes the row of an [`exported`] event on `track`, over `ts_ns` and
+/// `dur_ns` (its slot's span once clamped). Its arguments end with the
+/// event's sequence number.
+fn write_row(
+    e: &TraceEvent,
+    track: (u64, u64),
+    (ts_ns, dur_ns): (u64, Option<u64>),
+    w: &mut EventWriter<'_>,
+    scratch: &mut String,
+) {
+    use EventArg::{Str, UInt, Us};
+    let u = |v: u32| UInt(u64::from(v));
+    let mut row = |name: &str, cat: &str, args: &[(&'static str, EventArg)]| {
+        let mut all = [("", UInt(0)); MAX_ARGS + 1];
+        all[..args.len()].copy_from_slice(args);
+        all[args.len()] = ("seq", UInt(e.seq));
+        w.event(name, cat, track, ts_ns, dur_ns, &all[..=args.len()]);
+    };
+    match e.kind {
+        TraceKind::QuantumEnd { job, .. } => row("quantum", "quantum", &[("job", UInt(job))]),
+        TraceKind::KernelLaunch { job, client: c, node, .. } => row(
             "kernel",
             "kernel",
             &[("job", UInt(job)), ("client", u(c)), ("node", u(node))],
-        )
-        .spanning(start.as_nanos(), end.since(start).as_nanos()),
-        TraceKind::KernelEnqueue { .. } | TraceKind::KernelComplete { .. } => return None,
-        TraceKind::TokenGrant { job, client: c, reason } => row(
-            holder(c),
+        ),
+        TraceKind::KernelEnqueue { .. } | TraceKind::KernelComplete { .. } => {
+            unreachable!("per-kernel enqueue and complete events are not exported")
+        }
+        TraceKind::TokenGrant { job, reason, .. } => row(
             "token-grant",
             "token",
             &[("job", UInt(job)), ("reason", Str(reason.as_str()))],
         ),
-        TraceKind::TokenRevoke { job, client: c, reason } => row(
-            holder(c),
+        TraceKind::TokenRevoke { job, reason, .. } => row(
             "token-revoke",
             "token",
             &[("job", UInt(job)), ("reason", Str(reason.as_str()))],
         ),
-        TraceKind::CostThreshold { job, client: c, cumulated, threshold } => row(
-            client(c),
+        TraceKind::CostThreshold { job, cumulated, threshold, .. } => row(
             "cost-threshold",
             "quantum",
             &[("job", UInt(job)), ("cumulated", UInt(cumulated)), ("threshold", UInt(threshold))],
         ),
-        TraceKind::YieldBlock { job, client: c } => {
-            row(client(c), "yield-block", "yield", &[("job", UInt(job))])
-        }
-        TraceKind::YieldUnblock { job, client: c } => {
-            row(client(c), "yield-unblock", "yield", &[("job", UInt(job))])
-        }
-        TraceKind::OverflowCharge { job, client: c, device, gpu: d } => row(
-            client(c),
+        TraceKind::YieldBlock { job, .. } => row("yield-block", "yield", &[("job", UInt(job))]),
+        TraceKind::YieldUnblock { job, .. } => row("yield-unblock", "yield", &[("job", UInt(job))]),
+        TraceKind::OverflowCharge { job, device, gpu: d, .. } => row(
             "overflow-charge",
             "overflow",
             &[("job", UInt(job)), ("device", u(device)), ("gpu_us", Us(d.as_nanos()))],
         ),
-        TraceKind::ClientAdmitted { client: c, device } => {
-            row(client(c), "client-admitted", "lifecycle", &[("device", u(device))])
+        TraceKind::ClientAdmitted { device, .. } => {
+            row("client-admitted", "lifecycle", &[("device", u(device))])
         }
-        TraceKind::AdmissionQueued { client: c } => {
-            row(client(c), "admission-queued", "lifecycle", &[])
-        }
-        TraceKind::LifecycleWait { client: c } => {
-            row(client(c), "lifecycle-wait", "lifecycle", &[])
-        }
-        TraceKind::ClientRejectedOom { client: c, requested, available } => row(
-            client(c),
+        TraceKind::AdmissionQueued { .. } => row("admission-queued", "lifecycle", &[]),
+        TraceKind::LifecycleWait { .. } => row("lifecycle-wait", "lifecycle", &[]),
+        TraceKind::ClientRejectedOom { requested, available, .. } => row(
             "client-rejected-oom",
             "lifecycle",
             &[("requested", UInt(requested)), ("available", UInt(available))],
         ),
-        TraceKind::ClientFinished { client: c } => {
-            row(client(c), "client-finished", "lifecycle", &[])
+        TraceKind::ClientFinished { .. } => row("client-finished", "lifecycle", &[]),
+        TraceKind::RunRegistered { job, .. } => {
+            row("run-registered", "lifecycle", &[("job", UInt(job))])
         }
-        TraceKind::RunRegistered { job, client: c } => {
-            row(client(c), "run-registered", "lifecycle", &[("job", UInt(job))])
+        TraceKind::RunCompleted { job, .. } => {
+            row("run-completed", "lifecycle", &[("job", UInt(job))])
         }
-        TraceKind::RunCompleted { job, client: c, .. } => {
-            row(client(c), "run-completed", "lifecycle", &[("job", UInt(job))])
+        TraceKind::DeadlineCancelled { job, .. } => {
+            row("deadline-cancelled", "lifecycle", &[("job", UInt(job))])
         }
-        TraceKind::DeadlineCancelled { job, client: c } => {
-            row(client(c), "deadline-cancelled", "lifecycle", &[("job", UInt(job))])
-        }
-        TraceKind::DriftAlert { client: c, observed_us, expected_us, deviation_ppm } => row(
-            client(c),
+        TraceKind::DriftAlert { observed_us, expected_us, deviation_ppm, .. } => row(
             "drift-alert",
             "alert",
             &[
@@ -309,13 +293,11 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
             ],
         ),
         TraceKind::SloBurnAlert { slo, short_ppm, long_ppm } => row(
-            sched,
             "slo-burn-alert",
             "alert",
             &[("slo", u(slo)), ("short_ppm", UInt(short_ppm)), ("long_ppm", UInt(long_ppm))],
         ),
-        TraceKind::KernelFault { job, client: c, device, node, attempt } => row(
-            client(c),
+        TraceKind::KernelFault { job, device, node, attempt, .. } => row(
             "kernel-fault",
             "fault",
             &[
@@ -325,10 +307,10 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
                 ("attempt", u(attempt)),
             ],
         ),
-        TraceKind::AllocFault { client: c, attempt } => {
-            row(client(c), "alloc-fault", "fault", &[("attempt", u(attempt))])
+        TraceKind::AllocFault { attempt, .. } => {
+            row("alloc-fault", "fault", &[("attempt", u(attempt))])
         }
-        TraceKind::RetryScheduled { job, client: c, node, attempt, delay } => {
+        TraceKind::RetryScheduled { job, node, attempt, delay, .. } => {
             let all = [
                 ("job", UInt(job)),
                 ("node", u(node)),
@@ -337,28 +319,27 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
             ];
             // An admission retry has no job or node yet.
             let args = if job == u64::MAX { &all[2..] } else { &all[..] };
-            row(client(c), "retry-scheduled", "recovery", args)
+            row("retry-scheduled", "recovery", args)
         }
-        TraceKind::BreakerTransition { client: c, state, .. } => {
-            Row::at(e, client(c), Name::Breaker(state), "recovery", &[])
+        TraceKind::BreakerTransition { state, .. } => {
+            scratch.clear();
+            let _ = write!(scratch, "breaker-{state}");
+            row(scratch, "recovery", &[])
         }
-        TraceKind::WatchdogRevoke { job, client: c, stalled_us } => row(
-            client(c),
+        TraceKind::WatchdogRevoke { job, stalled_us, .. } => row(
             "watchdog-revoke",
             "recovery",
             &[("job", UInt(job)), ("stalled_us", UInt(stalled_us))],
         ),
-        TraceKind::DeviceStall { device, until_us } => {
-            row(gpu(device), "device-stall", "fault", &[("until_us", UInt(until_us))])
+        TraceKind::DeviceStall { until_us, .. } => {
+            row("device-stall", "fault", &[("until_us", UInt(until_us))])
         }
         TraceKind::VersionLoad { model, version, bytes } => row(
-            sched,
             "version-load",
             "residency",
             &[("model", u(model)), ("version", u(version)), ("bytes", UInt(bytes))],
         ),
         TraceKind::WarmupRun { model, version, run } => row(
-            sched,
             "warmup-run",
             "residency",
             &[("model", u(model)), ("version", u(version)), ("run", u(run))],
@@ -367,58 +348,52 @@ fn row_of(e: &TraceEvent, scheduler_tid: u64) -> Option<Row> {
         | TraceKind::Unload { model, version, bytes } => {
             let name = if matches!(e.kind, TraceKind::Evict { .. }) { "evict" } else { "unload" };
             let args = [("model", u(model)), ("version", u(version)), ("bytes", UInt(bytes))];
-            row(sched, name, "residency", &args)
+            row(name, "residency", &args)
         }
         TraceKind::CanaryPromote { model, version, .. } => {
-            row(sched, "canary-promote", "rollout", &[("model", u(model)), ("version", u(version))])
+            row("canary-promote", "rollout", &[("model", u(model)), ("version", u(version))])
         }
-        TraceKind::CanaryRollback { model, version, .. } => row(
-            sched,
-            "canary-rollback",
-            "rollout",
-            &[("model", u(model)), ("version", u(version))],
-        ),
+        TraceKind::CanaryRollback { model, version, .. } => {
+            row("canary-rollback", "rollout", &[("model", u(model)), ("version", u(version))])
+        }
         TraceKind::Drain { model, version, inflight } => row(
-            sched,
             "drain",
             "residency",
             &[("model", u(model)), ("version", u(version)), ("inflight", u(inflight))],
         ),
         TraceKind::ControlTransition { from, to } => {
-            Row::at(e, sched, Name::Control(from, to), "control", &[])
+            scratch.clear();
+            let _ = write!(scratch, "control-{from}-to-{to}");
+            row(scratch, "control", &[])
         }
-        TraceKind::AdmissionShed { client: c } => row(client(c), "admission-shed", "control", &[]),
-        TraceKind::BatchShrink { client: c, from, to } => {
-            row(client(c), "batch-shrink", "control", &[("from", UInt(from)), ("to", UInt(to))])
+        TraceKind::AdmissionShed { .. } => row("admission-shed", "control", &[]),
+        TraceKind::BatchShrink { from, to, .. } => {
+            row("batch-shrink", "control", &[("from", UInt(from)), ("to", UInt(to))])
         }
-        TraceKind::ProfileRebind { client: c, scale_ppm } => {
-            row(client(c), "profile-rebind", "control", &[("scale_ppm", UInt(scale_ppm))])
+        TraceKind::ProfileRebind { scale_ppm, .. } => {
+            row("profile-rebind", "control", &[("scale_ppm", UInt(scale_ppm))])
         }
-        TraceKind::LaxityCancel { job, client: c, deficit_us } => row(
-            client(c),
+        TraceKind::LaxityCancel { job, deficit_us, .. } => row(
             "laxity-cancel",
             "control",
             &[("job", UInt(job)), ("deficit_us", UInt(deficit_us))],
         ),
-        TraceKind::ClusterRoute { client: c, device, cost_us } => row(
-            client(c),
+        TraceKind::ClusterRoute { device, cost_us, .. } => row(
             "cluster-route",
             "cluster",
             &[("device", u(device)), ("cost_us", UInt(cost_us))],
         ),
         TraceKind::ClusterMigrate { model, from, to } => row(
-            sched,
             "cluster-migrate",
             "cluster",
             &[("model", u(model)), ("from", u(from)), ("to", u(to))],
         ),
         TraceKind::ClusterReconfig { loads, drains } => row(
-            sched,
             "cluster-reconfigure",
             "cluster",
             &[("loads", u(loads)), ("drains", u(drains))],
         ),
-    })
+    }
 }
 
 /// Serializes the trace as compact Chrome trace-event JSON (no trailing
@@ -430,28 +405,12 @@ pub fn chrome_trace_json(
     extra: impl FnOnce(&mut EventWriter<'_>),
 ) -> String {
     let scheduler_tid = meta.client_labels.len() as u64;
-    // Counted first so the rows take one exact allocation.
-    let rows_of = || trace.events.iter().filter_map(|e| row_of(e, scheduler_tid));
-    let mut rows: Vec<Row> = Vec::with_capacity(rows_of().count());
-    rows.extend(rows_of());
-    // One row per event, so the sequence number makes every key distinct.
-    rows.sort_unstable_by_key(|r| (r.pid, r.tid, r.ts_ns, r.seq));
-
-    // Clamp slice starts so each track's slices never overlap: an overflow
-    // charge can make a quantum's GPU duration exceed its wall interval,
-    // and Perfetto expects same-track slices to nest or abut.
-    let mut last: Option<(u64, u64, u64)> = None; // (pid, tid, end_ns)
-    for r in rows.iter_mut() {
-        let Some(dur) = r.dur_ns else { continue };
-        let end = r.ts_ns + dur;
-        if let Some((pid, tid, prev_end)) = last {
-            if pid == r.pid && tid == r.tid && r.ts_ns < prev_end {
-                r.ts_ns = prev_end.min(end);
-                r.dur_ns = Some(end - r.ts_ns);
-            }
-        }
-        last = Some((r.pid, r.tid, end.max(r.ts_ns)));
-    }
+    // One exact allocation of compact slots, each computed once and sorted
+    // in place.
+    let events = || trace.events.iter().enumerate().filter(|(_, e)| exported(&e.kind));
+    let mut slots: Vec<Slot> = Vec::with_capacity(events().count());
+    slots.extend(events().map(|(i, e)| slot_of(i, e, scheduler_tid)));
+    slots.sort_unstable();
 
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[");
@@ -468,11 +427,26 @@ pub fn chrome_trace_json(
         let _ = write!(scratch, "gpu {d}");
         w.meta(GPUS_PID, Some(u64::from(d)), "thread_name", &scratch);
     }
-    for r in &rows {
-        r.write(&mut w, &mut scratch);
+    // Clamp slice starts so each track's slices never overlap: an overflow
+    // charge can make a quantum's GPU duration exceed its wall interval,
+    // and Perfetto expects same-track slices to nest or abut.
+    let mut last: Option<(u64, u64, u64)> = None; // (pid, tid, end_ns)
+    for slot in &slots {
+        let (mut ts, mut dur) = (slot.ts_ns, slot.dur_ns);
+        if let Some(d) = dur {
+            let end = ts + d;
+            if let Some((pid, tid, prev_end)) = last {
+                if pid == slot.pid && tid == slot.tid && ts < prev_end {
+                    ts = prev_end.min(end);
+                    dur = Some(end - ts);
+                }
+            }
+            last = Some((slot.pid, slot.tid, end));
+        }
+        write_row(&trace.events[slot.event], (slot.pid, slot.tid), (ts, dur), &mut w, &mut scratch);
     }
     // Freed before the caller's events grow the output further.
-    drop(rows);
+    drop(slots);
     extra(&mut w);
 
     out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":");
@@ -647,6 +621,54 @@ mod tests {
         // A clean trace carries no warning key at all.
         let clean = export(&sample_trace(), &meta);
         assert!(clean.get("otherData").unwrap().get("warning").is_none());
+    }
+
+    #[test]
+    fn caller_strings_are_escaped() {
+        let meta = TraceMeta { client_labels: vec!["client \"0\"".into()], device_count: 0 };
+        let text = chrome_trace_json(&Trace::default(), &meta, |w| {
+            w.event("a\"b", "c\\d", (3, 0), 1500, None, &[("k\n", EventArg::Str("v\t"))]);
+        });
+        let doc = Value::parse(&text).expect("exported JSON parses");
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        // Two process names, then the client's thread name.
+        let label = events[2].get("args").unwrap().get("name").unwrap();
+        assert_eq!(label.as_str(), Some("client \"0\""));
+        let ev = events.last().unwrap();
+        assert_eq!(ev.get("name").unwrap().as_str(), Some("a\"b"));
+        assert_eq!(ev.get("cat").unwrap().as_str(), Some("c\\d"));
+        assert_eq!(ev.get("ts").unwrap().as_f64(), Some(1.5));
+        assert_eq!(ev.get("args").unwrap().get("k\n").unwrap().as_str(), Some("v\t"));
+    }
+
+    #[test]
+    fn integer_microseconds_match_the_float_writer() {
+        let (mut fast, mut slow) = (String::new(), String::new());
+        let mut check = |ns: u64| {
+            fast.clear();
+            slow.clear();
+            write_us(ns, &mut fast);
+            write_f64(ns as f64 / 1000.0, &mut slow);
+            assert_eq!(fast, slow, "write_us({ns})");
+        };
+        check(0);
+        for k in 0..=18 {
+            let p = 10u64.pow(k);
+            for delta in [-1001i64, -1000, -999, -1, 0, 1, 999, 1000, 1001] {
+                if let Some(ns) = p.checked_add_signed(delta) {
+                    check(ns);
+                }
+            }
+        }
+        check(US_EXACT_BELOW - 1);
+        check(US_EXACT_BELOW);
+        check(u64::MAX);
+        // A million draws, spread evenly over the magnitudes below 10^15.
+        let mut rng = simtime::DetRng::new(0x5EED);
+        for _ in 0..1_000_000 {
+            let digits = rng.range_u64(1, 16) as u32;
+            check(rng.range_u64(0, 10u64.pow(digits)));
+        }
     }
 
     #[test]

@@ -3,6 +3,16 @@
 use serving::RunReport;
 use trace::TraceKind;
 
+/// 64-bit FNV-1a of a rendering, as 16 hex digits: how the tests pin an
+/// export's bytes.
+#[allow(dead_code)] // Not every test binary pins an export.
+pub fn fnv1a(s: &str) -> String {
+    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
 /// Whether an event is one a counter counts.
 type Counts = fn(&TraceKind) -> bool;
 

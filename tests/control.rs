@@ -4,6 +4,7 @@
 
 mod common;
 
+use common::fnv1a;
 use models::LoadedModel;
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle};
 use serving::faults::{FaultConfig, FaultPlan};
@@ -38,14 +39,6 @@ fn fair(store: Arc<ProfileStore>) -> OlympianScheduler {
 
 fn counter(report: &RunReport, name: &str) -> u64 {
     report.telemetry.counter(name).unwrap_or(0)
-}
-
-/// 64-bit FNV-1a of a rendering, as 16 hex digits.
-fn fnv1a(s: &str) -> String {
-    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}")
 }
 
 /// The chaos `drift` incident at engine level: a sustained 1.4x slowdown

@@ -7,6 +7,7 @@
 mod common;
 mod replay;
 
+use common::fnv1a;
 use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
 use serving::{
@@ -113,10 +114,13 @@ fn lifecycle_exports_are_byte_identical_across_job_counts() {
     let parallel_canary = canary_run(true, TraceConfig::sampled());
     std::env::remove_var(simpar::JOBS_ENV);
 
-    for (label, a, b) in [
-        ("churn", &serial_churn, &parallel_churn),
-        ("canary", &serial_canary, &parallel_canary),
+    // The serial exports are pinned too: they hold the eviction, unload,
+    // canary-rollback and drain rows, which no other pinned export does.
+    for (label, a, b, trace_digest) in [
+        ("churn", &serial_churn, &parallel_churn, "487720be021aca74"),
+        ("canary", &serial_canary, &parallel_canary, "584a3ea3eed6a713"),
     ] {
+        assert_eq!(fnv1a(&a.chrome_trace_json()), trace_digest, "{label}: Perfetto export moved");
         assert_eq!(a.makespan, b.makespan, "{label} makespan");
         assert_eq!(
             a.telemetry_jsonl(),
@@ -161,6 +165,8 @@ fn canary_promotes_healthy_and_rolls_back_regressed() {
     common::assert_counters_match_trace(&healthy);
     assert_eq!(healthy.telemetry.counter("canary_promotions"), Some(1));
     assert_eq!(healthy.telemetry.counter("canary_rollbacks"), Some(0));
+    // Pinned: the only export holding a canary-promote row.
+    assert_eq!(fnv1a(&healthy.chrome_trace_json()), "254ef7d99bd2f81e");
 
     let regressed = canary_run(true, TraceConfig::sampled());
     assert!(regressed.all_finished(), "draining must finish in-flight runs");

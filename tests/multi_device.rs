@@ -12,6 +12,7 @@
 mod common;
 mod replay;
 
+use common::fnv1a;
 use faults::{FaultConfig, FaultPlan};
 use olympian::{MultiGpuScheduler, ProfileStore, Profiler, RoundRobin};
 use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler, RunReport, TraceConfig};
@@ -56,14 +57,6 @@ fn render(r: &RunReport) -> String {
         r.chrome_trace_json(),
         r.telemetry_jsonl()
     )
-}
-
-/// 64-bit FNV-1a of a rendering, as 16 hex digits.
-fn fnv1a(s: &str) -> String {
-    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}")
 }
 
 #[test]

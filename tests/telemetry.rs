@@ -8,6 +8,7 @@
 mod common;
 mod replay;
 
+use common::fnv1a;
 use faults::{FaultConfig, FaultPlan};
 use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
@@ -331,29 +332,30 @@ fn fleet_counters_match_the_trace() {
     }
 }
 
-/// 64-bit FNV-1a of a rendering, as 16 hex digits.
-fn fnv1a(s: &str) -> String {
-    let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}")
-}
-
-/// Digests of the JSON-lines, Prometheus and tsdb exports.
-fn export_digests(report: &RunReport) -> [String; 3] {
+/// Digests of the JSON-lines, Prometheus, tsdb and Chrome trace exports.
+fn export_digests(report: &RunReport) -> [String; 4] {
     let mut tsdb = String::new();
     report.tsdb().to_json("run").write(&mut tsdb);
-    [report.telemetry_jsonl(), report.prometheus_text(), tsdb].map(|text| fnv1a(&text))
+    [report.telemetry_jsonl(), report.prometheus_text(), tsdb, report.chrome_trace_json()]
+        .map(|text| fnv1a(&text))
 }
 
 /// The exports are pinned by digest on an open-loop fleet and on a
-/// drifting deployment, so a change to how telemetry stores its snapshots
-/// cannot move what it exports.
+/// drifting deployment, so a change to how telemetry stores its snapshots,
+/// or to how the trace is written, cannot move what they export. The
+/// fleet's trace is the only pinned one with cluster route, migrate and
+/// reconfigure rows.
 #[test]
 fn exports_are_pinned() {
     let pinned = [
-        (fleet_run(), ["4294ea9962fbf90f", "d5c5295c15788cba", "fe34c1282586ee25"]),
-        (drifted_run(), ["fd757aef81d17b06", "eecd342a0c37b360", "a3758cff051a60c3"]),
+        (
+            fleet_run(),
+            ["4294ea9962fbf90f", "d5c5295c15788cba", "fe34c1282586ee25", "ebc1f6183a5ad415"],
+        ),
+        (
+            drifted_run(),
+            ["fd757aef81d17b06", "eecd342a0c37b360", "a3758cff051a60c3", "697d9bccca0cfa78"],
+        ),
     ];
     for (i, (report, want)) in pinned.iter().enumerate() {
         assert_eq!(export_digests(report), want.map(String::from), "cell {i}");
