@@ -555,8 +555,7 @@ impl Attribution {
         }
         let mut by_latency: Vec<usize> = idxs.clone();
         by_latency.sort_by_key(|&i| (self.runs[i].span_ns(), self.runs[i].job));
-        let rank = ((by_latency.len() as f64) * 0.99).ceil() as usize;
-        Some(by_latency[rank.max(1) - 1])
+        Some(by_latency[metrics::nearest_rank(0.99, by_latency.len())])
     }
 }
 

@@ -7,7 +7,7 @@
 //! olympctl profile --model inception-v4 --batch 100 [--out profiles.json]
 //! olympctl curve   --model resnet-152 --batch 100 [--tolerance 0.025]
 //! olympctl run     --model inception-v4 --batch 100 --clients 10 --batches 10
-//!                  --policy fair|weighted|priority|drr|lottery|baseline
+//!                  --policy fair|weighted|priority|lottery|baseline
 //!                  [--quantum-us 1200] [--gpus 1] [--seed 1]
 //!                  [--deadline-ms 500] [--trace 40]
 //! olympctl trace   <run> [--out trace.json] [--mode sampled|full]
@@ -85,8 +85,8 @@
 
 use bench::runs;
 use olympian::{
-    DeadlineMode, DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy,
-    Priority, Profiler, ProfileStore, RoundRobin, WeightedFair,
+    DeadlineMode, Lottery, MultiGpuScheduler, OlympianScheduler, Policy, Priority, Profiler,
+    ProfileStore, RoundRobin, WeightedFair,
 };
 use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler, TraceConfig};
 use simtime::SimDuration;
@@ -122,7 +122,7 @@ fn usage() -> ExitCode {
         "usage:\n  olympctl models\n  olympctl profile --model <name> --batch <n> [--out <file>]\n  \
          olympctl curve --model <name> --batch <n> [--tolerance <frac>]\n  \
          olympctl run --model <name> --batch <n> --clients <n> [--batches <n>]\n               \
-         --policy <fair|weighted|priority|drr|lottery|baseline>\n               \
+         --policy <fair|weighted|priority|lottery|baseline>\n               \
          [--quantum-us <n>] [--gpus <n>] [--seed <n>]\n  \
          olympctl trace <run> [--out <trace.json>] [--mode sampled|full]\n  \
          olympctl metrics <run> [--interval-us <n>] [--out <telemetry.jsonl>]\n                   \
@@ -346,7 +346,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
             "fair" => Box::new(|| Box::new(RoundRobin::new())),
             "weighted" => Box::new(|| Box::new(WeightedFair::new())),
             "priority" => Box::new(|| Box::new(Priority::new())),
-            "drr" => Box::new(|| Box::new(DeficitRoundRobin::new())),
             "lottery" => Box::new(move || Box::new(Lottery::new(seed))),
             other => return Err(format!("unknown policy {other:?}")),
         };

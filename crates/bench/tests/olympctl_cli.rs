@@ -54,6 +54,35 @@ fn run_rejects_zero_valued_flags() {
     }
 }
 
+/// `run` finishes both clients under every policy, on one device (the
+/// Olympian path prints its token switches) and on two (one token
+/// scheduler per device), and names the policy it ran.
+#[test]
+fn run_finishes_under_every_policy_on_one_and_two_gpus() {
+    let run = "run --model alexnet --batch 10 --clients 2 --batches 1 --policy";
+    for (policy, name) in [
+        ("fair", "fair"),
+        ("weighted", "weighted-fair"),
+        ("priority", "priority"),
+        ("lottery", "lottery"),
+        ("baseline", "tf-serving"),
+    ] {
+        for gpus in ["1", "2"] {
+            let args: Vec<&str> = run.split(' ').chain([policy, "--gpus", gpus]).collect();
+            let out = olympctl(&args);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+            let scheduler = stdout.lines().next().unwrap_or_default();
+            assert!(scheduler.ends_with(name), "{args:?}: {stdout}");
+            let multi = gpus == "2" && policy != "baseline";
+            assert_eq!(scheduler.contains("-multi-"), multi, "{args:?}: {stdout}");
+            assert_eq!(stdout.matches(": finished").count(), 2, "{args:?}: {stdout}");
+        }
+    }
+    let args: Vec<&str> = run.split(' ').chain(["drr"]).collect();
+    assert_rejected(&args, "unknown policy \"drr\"");
+}
+
 #[test]
 fn curve_rejects_a_tolerance_that_is_not_non_negative() {
     for value in ["-1", "nan"] {

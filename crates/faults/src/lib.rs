@@ -38,7 +38,7 @@ use simtime::{DetRng, SimDuration, SimTime};
 
 mod recovery;
 
-pub use recovery::{Failure, Next, Recovery, Shed, Stall};
+pub use recovery::{Failure, Next, Recovery, Stall};
 
 /// Salt folded into the engine seed so the fault stream is decorrelated
 /// from every other consumer of the run seed.
@@ -209,17 +209,6 @@ pub enum BreakerState {
     Open,
     /// One probe is in flight; its outcome decides open vs closed.
     HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable kebab-case label for traces and reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 /// What a recorded failure did to the breaker.

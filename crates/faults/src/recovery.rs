@@ -7,21 +7,7 @@
 use crate::{next_retry_at, BreakerEvent, BreakerState, CircuitBreaker, FaultConfig, FaultInjector};
 use simtime::{DetRng, SimTime};
 use std::collections::HashMap;
-
-/// Why the recovery layer gave up on a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shed {
-    /// The retry budget is spent after this many failed attempts.
-    RetriesExhausted {
-        /// Failed attempts, the last one included.
-        attempts: u32,
-    },
-    /// The client's breaker spent its trip budget.
-    CircuitOpen {
-        /// Trips, the last one included.
-        trips: u32,
-    },
-}
+use trace::ShedCause;
 
 /// What follows a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +21,7 @@ pub enum Next {
         probe: bool,
     },
     /// Give up on the session.
-    Shed(Shed),
+    Shed(ShedCause),
 }
 
 /// One failed kernel launch or admission attempt.
@@ -94,7 +80,7 @@ impl Recovery {
 
     /// Draws the reservation verdict for `client`'s admission at `now`:
     /// `None` to go ahead (resetting the streak), else a backoff retry, or
-    /// [`Shed::RetriesExhausted`] once the retry budget is spent.
+    /// [`ShedCause::RetriesExhausted`] once the retry budget is spent.
     pub fn admit(&mut self, client: u32, now: SimTime) -> Option<Failure> {
         let streak = &mut self.admit_attempts[client as usize];
         if !self.injector.alloc_fails(now) {
@@ -105,7 +91,7 @@ impl Recovery {
         let attempt = *streak;
         let next = match next_retry_at(now, attempt - 1, None, &mut self.retry_rng) {
             Some(at) => Next::Retry { at, probe: false },
-            None => Next::Shed(Shed::RetriesExhausted { attempts: attempt }),
+            None => Next::Shed(ShedCause::RetriesExhausted { attempts: attempt }),
         };
         Some(Failure { attempt, opened: false, next })
     }
@@ -116,8 +102,8 @@ impl Recovery {
     /// counts the attempt and drives the breaker; its retry never lands at
     /// or past `deadline`, and an open breaker defers it to the cooldown
     /// edge as the half-open probe. A spent trip budget sheds with
-    /// [`Shed::CircuitOpen`], a spent retry budget with
-    /// [`Shed::RetriesExhausted`].
+    /// [`ShedCause::CircuitOpen`], a spent retry budget with
+    /// [`ShedCause::RetriesExhausted`].
     pub fn launch(
         &mut self,
         client: u32,
@@ -142,13 +128,13 @@ impl Recovery {
         };
         let event = breaker.record_failure(now);
         let next = match event {
-            BreakerEvent::Shed => Next::Shed(Shed::CircuitOpen { trips: breaker.trips() }),
+            BreakerEvent::Shed => Next::Shed(ShedCause::CircuitOpen { trips: breaker.trips() }),
             _ => match next_retry_at(now, attempt - 1, deadline, &mut self.retry_rng) {
                 Some(at) => {
                     let probe = breaker.state() == BreakerState::Open;
                     Next::Retry { at: at.max(breaker.earliest_attempt(now)), probe }
                 }
-                None => Next::Shed(Shed::RetriesExhausted { attempts: attempt }),
+                None => Next::Shed(ShedCause::RetriesExhausted { attempts: attempt }),
             },
         };
         let opened = matches!(event, BreakerEvent::Opened { .. });
@@ -244,20 +230,20 @@ mod tests {
             assert!(matches!(f.next, Next::Retry { probe: false, .. }), "attempt {attempt}");
         }
         let f = failure(rec.launch(1, 9, 3, t(10), None));
-        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 7 }));
+        assert_eq!(f.next, Next::Shed(ShedCause::RetriesExhausted { attempts: 7 }));
 
         // The probe at the cooldown edge failing is the 2nd trip.
         let mut rec = failing();
         trip(&mut rec, 0, t(0));
         let f = failure(rec.launch(0, 4, 0, t(2_000), None));
-        assert_eq!(f.next, Next::Shed(Shed::CircuitOpen { trips: 2 }));
+        assert_eq!(f.next, Next::Shed(ShedCause::CircuitOpen { trips: 2 }));
     }
 
     #[test]
     fn retries_never_land_past_the_deadline() {
         let mut rec = failing();
         let f = failure(rec.launch(0, 2, 0, t(0), Some(t(10))));
-        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 1 }));
+        assert_eq!(f.next, Next::Shed(ShedCause::RetriesExhausted { attempts: 1 }));
     }
 
     #[test]
@@ -269,7 +255,7 @@ mod tests {
             assert!(!f.opened);
         }
         let f = rec.admit(1, t(600)).expect("reservation fails");
-        assert_eq!(f.next, Next::Shed(Shed::RetriesExhausted { attempts: 7 }));
+        assert_eq!(f.next, Next::Shed(ShedCause::RetriesExhausted { attempts: 7 }));
         // Client 0's streak is its own.
         assert_eq!(rec.admit(0, t(600)).expect("fails").attempt, 1);
     }

@@ -28,9 +28,9 @@
 //! The serving engine calls [`LifecycleManager::route`] per new run,
 //! [`LifecycleManager::run_finished`] per completed run and
 //! [`LifecycleManager::tick`] at requested instants; every call fills an
-//! [`Effects`] record (typed events, clients to wake, ticks to schedule)
-//! that the engine translates into trace/telemetry and event-queue
-//! operations. Scheduler cost profiles are wired through the
+//! [`Effects`] record (trace events, clients to wake, ticks to schedule):
+//! the engine records the events as they are and turns the rest into
+//! event-queue operations. Scheduler cost profiles are wired through the
 //! [`ProfileBinder`] trait: each version's calibrated cost-accumulation
 //! profile is bound when the version starts serving and retired when it is
 //! unloaded.
@@ -39,7 +39,7 @@ mod config;
 mod manager;
 
 pub use config::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment, VersionSpec};
-pub use manager::{Effects, LifecycleEvent, LifecycleManager, Route, VersionKey, VersionState};
+pub use manager::{Effects, LifecycleManager, Route, VersionKey, VersionState};
 
 use std::fmt;
 

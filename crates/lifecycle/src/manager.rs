@@ -6,6 +6,7 @@ use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use trace::TraceKind;
 
 /// Warm-up runs a freshly loaded version executes (one graph pass each)
 /// before it starts serving — TF-Serving's loader warm-up.
@@ -47,76 +48,13 @@ pub enum Route {
     Wait,
 }
 
-/// A typed lifecycle event for the engine to translate into trace and
-/// telemetry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleEvent {
-    /// A version's weights started transferring to the device.
-    Load {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes allocated.
-        bytes: u64,
-        /// Simulated transfer latency.
-        latency: SimDuration,
-    },
-    /// One warm-up run of a freshly loaded version completed.
-    Warmup {
-        /// The version.
-        key: VersionKey,
-        /// Warm-up run ordinal (1-based).
-        run: u32,
-    },
-    /// An idle version was evicted to make room for a load.
-    Evicted {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes freed.
-        bytes: u64,
-    },
-    /// A draining version finished its last in-flight run and was
-    /// unloaded.
-    Unloaded {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes freed.
-        bytes: u64,
-    },
-    /// A version stopped accepting new runs and started draining.
-    Drain {
-        /// The version.
-        key: VersionKey,
-        /// Runs still in flight at drain start.
-        inflight: u32,
-    },
-    /// A canary candidate was promoted to the serving version.
-    Promote {
-        /// The candidate version.
-        key: VersionKey,
-        /// Candidate mean run latency, microseconds.
-        cand_us: u64,
-        /// Incumbent mean run latency, microseconds.
-        base_us: u64,
-    },
-    /// A canary candidate was rolled back (zero latencies mean it was
-    /// superseded by a newer publish before the canary completed).
-    Rollback {
-        /// The candidate version.
-        key: VersionKey,
-        /// Candidate mean run latency, microseconds.
-        cand_us: u64,
-        /// Incumbent mean run latency, microseconds.
-        base_us: u64,
-    },
-}
-
-/// Side effects of a manager call, for the engine to apply: typed events
-/// (→ trace/telemetry), parked clients to wake (→ retry their next run)
+/// Side effects of a manager call, for the engine to apply: trace events
+/// (recorded as they are), parked clients to wake (→ retry their next run)
 /// and future instants at which [`LifecycleManager::tick`] must run.
 #[derive(Debug, Clone, Default)]
 pub struct Effects {
-    /// Typed lifecycle events, in occurrence order.
-    pub events: Vec<LifecycleEvent>,
+    /// Lifecycle transitions as trace events, in occurrence order.
+    pub events: Vec<TraceKind>,
     /// Parked clients to wake, in park order.
     pub wake: Vec<u32>,
     /// Instants at which the engine must call `tick`.
@@ -571,11 +509,8 @@ impl LifecycleManager {
     ) {
         if let Some(old) = self.models[mi].candidate.take() {
             if old != vi {
-                fx.events.push(LifecycleEvent::Rollback {
-                    key: VersionKey { model: mi as u32, version: old as u32 + 1 },
-                    cand_us: 0,
-                    base_us: 0,
-                });
+                let (model, version) = (mi as u32, old as u32 + 1);
+                fx.events.push(TraceKind::CanaryRollback { model, version, cand_us: 0, base_us: 0 });
                 if self.models[mi].versions[old].state == VersionState::Serving {
                     self.begin_drain(mi, old, pool, fx);
                     self.pump_pending(now, pool, fx);
@@ -652,24 +587,17 @@ impl LifecycleManager {
         let base_ns = inc.stat_lat_ns / inc.stat_runs as u64;
         let cand_ns = cand.stat_lat_ns / cand.stat_runs as u64;
         let healthy = cand_ns as f64 <= base_ns as f64 * (1.0 + self.canary_tolerance);
-        let key = VersionKey { model: mi as u32, version: c as u32 + 1 };
+        let (model, version) = (mi as u32, c as u32 + 1);
+        let (cand_us, base_us) = (cand_ns / 1_000, base_ns / 1_000);
         self.models[mi].candidate = None;
         if healthy {
             self.models[mi].serving = Some(c);
             self.models[mi].aspired = c;
-            fx.events.push(LifecycleEvent::Promote {
-                key,
-                cand_us: cand_ns / 1_000,
-                base_us: base_ns / 1_000,
-            });
+            fx.events.push(TraceKind::CanaryPromote { model, version, cand_us, base_us });
             self.begin_drain(mi, s, pool, fx);
         } else {
             self.models[mi].aspired = s;
-            fx.events.push(LifecycleEvent::Rollback {
-                key,
-                cand_us: cand_ns / 1_000,
-                base_us: base_ns / 1_000,
-            });
+            fx.events.push(TraceKind::CanaryRollback { model, version, cand_us, base_us });
             self.begin_drain(mi, c, pool, fx);
         }
         self.pump_pending(now, pool, fx);
@@ -696,10 +624,8 @@ impl LifecycleManager {
             VersionState::Warming => {
                 v.warmups_done += 1;
                 let done = v.warmups_done;
-                fx.events.push(LifecycleEvent::Warmup {
-                    key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
-                    run: done,
-                });
+                let (model, version) = (mi as u32, vi as u32 + 1);
+                fx.events.push(TraceKind::WarmupRun { model, version, run: done });
                 if done >= WARMUP_RUNS {
                     v.due = None;
                     self.on_serving(mi, vi, now, pool, fx);
@@ -759,10 +685,7 @@ impl LifecycleManager {
         debug_assert_eq!(v.state, VersionState::Serving);
         v.state = VersionState::Draining;
         let inflight = v.inflight;
-        fx.events.push(LifecycleEvent::Drain {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
-            inflight,
-        });
+        fx.events.push(TraceKind::Drain { model: mi as u32, version: vi as u32 + 1, inflight });
         if inflight == 0 {
             self.unload(mi, vi, pool, fx);
         }
@@ -774,10 +697,7 @@ impl LifecycleManager {
         debug_assert_eq!(v.state, VersionState::Draining);
         debug_assert_eq!(v.inflight, 0);
         let bytes = self.release(mi, vi, pool);
-        fx.events.push(LifecycleEvent::Unloaded {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
-            bytes,
-        });
+        fx.events.push(TraceKind::Unload { model: mi as u32, version: vi as u32 + 1, bytes });
     }
 
     /// Returns `(mi, vi)` to `Unloaded`, freeing its allocation and
@@ -831,11 +751,8 @@ impl LifecycleManager {
                         self.resident,
                         self.budget
                     );
-                    fx.events.push(LifecycleEvent::Load {
-                        key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
-                        bytes,
-                        latency,
-                    });
+                    let (model, version) = (mi as u32, vi as u32 + 1);
+                    fx.events.push(TraceKind::VersionLoad { model, version, bytes });
                     fx.ticks.push(due);
                     return;
                 }
@@ -896,10 +813,7 @@ impl LifecycleManager {
     /// Evicts `(mi, vi)` and returns the freed byte count.
     fn evict(&mut self, mi: usize, vi: usize, pool: &mut MemoryPool, fx: &mut Effects) -> u64 {
         let bytes = self.release(mi, vi, pool);
-        fx.events.push(LifecycleEvent::Evicted {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
-            bytes,
-        });
+        fx.events.push(TraceKind::Evict { model: mi as u32, version: vi as u32 + 1, bytes });
         bytes
     }
 
@@ -945,7 +859,7 @@ mod tests {
         pool: MemoryPool,
         now: SimTime,
         ticks: BTreeSet<SimTime>,
-        events: Vec<LifecycleEvent>,
+        events: Vec<TraceKind>,
         woken: Vec<u32>,
     }
 
@@ -1035,7 +949,7 @@ mod tests {
         let warmups = sim
             .events
             .iter()
-            .filter(|e| matches!(e, LifecycleEvent::Warmup { .. }))
+            .filter(|e| matches!(e, TraceKind::WarmupRun { .. }))
             .count();
         assert_eq!(warmups, 2);
         // Woken client now gets a real issue.
@@ -1074,7 +988,7 @@ mod tests {
         assert_eq!(sim.route("c", 2), Route::Wait);
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Evicted { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Evict { model: 0, version: 1, .. }
         )));
         sim.drain_ticks();
         assert_eq!(
@@ -1131,7 +1045,7 @@ mod tests {
             .events
             .iter()
             .find_map(|e| match e {
-                LifecycleEvent::Evicted { key, .. } => Some(*key),
+                &TraceKind::Evict { model, version, .. } => Some(VersionKey { model, version }),
                 _ => None,
             })
             .expect("the third load must evict someone");
@@ -1249,14 +1163,14 @@ mod tests {
         sim.finish(ka, SimDuration::from_micros(50));
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Evicted { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Evict { model: 0, version: 1, .. }
         )));
         sim.drain_ticks();
         assert_eq!(sim.mgr.state(kb), VersionState::Serving);
         assert_eq!(sim.woken, vec![0, 1]);
     }
 
-    fn canary_run(regressed: bool) -> (Vec<LifecycleEvent>, LifecycleManager) {
+    fn canary_run(regressed: bool) -> (Vec<TraceKind>, LifecycleManager) {
         // v2 publishes at 10 ms; healthy v2 matches v1's latency, the
         // regressed one reports 10× the latency.
         let plan = DeploymentPlan::new().with_model(
@@ -1287,7 +1201,7 @@ mod tests {
             };
             sim.finish(key, lat);
             let decided = sim.events.iter().any(|e| {
-                matches!(e, LifecycleEvent::Promote { .. } | LifecycleEvent::Rollback { .. })
+                matches!(e, TraceKind::CanaryPromote { .. } | TraceKind::CanaryRollback { .. })
             });
             if decided {
                 break;
@@ -1302,12 +1216,12 @@ mod tests {
         let (events, mgr) = canary_run(false);
         assert!(events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Promote { key: VersionKey { model: 0, version: 2 }, .. }
+            TraceKind::CanaryPromote { model: 0, version: 2, .. }
         )));
         // The old incumbent drained and unloaded (nothing was in flight).
         assert!(events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Unloaded { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Unload { model: 0, version: 1, .. }
         )));
         assert_eq!(mgr.state(VersionKey { model: 0, version: 2 }), VersionState::Serving);
     }
@@ -1318,8 +1232,8 @@ mod tests {
         let rolled = events
             .iter()
             .find_map(|e| match e {
-                LifecycleEvent::Rollback { key, cand_us, base_us } => {
-                    Some((*key, *cand_us, *base_us))
+                &TraceKind::CanaryRollback { model, version, cand_us, base_us } => {
+                    Some((VersionKey { model, version }, cand_us, base_us))
                 }
                 _ => None,
             })
@@ -1382,7 +1296,7 @@ mod tests {
                 panic!("serving model must issue")
             };
             sim.finish(key, SimDuration::from_micros(200));
-            if sim.events.iter().any(|e| matches!(e, LifecycleEvent::Promote { .. })) {
+            if sim.events.iter().any(|e| matches!(e, TraceKind::CanaryPromote { .. })) {
                 break;
             }
         }
@@ -1390,13 +1304,13 @@ mod tests {
         assert!(!sim
             .events
             .iter()
-            .any(|e| matches!(e, LifecycleEvent::Unloaded { .. })));
+            .any(|e| matches!(e, TraceKind::Unload { .. })));
         // The straggler finishes: only now does v1 unload.
         sim.finish(v1, SimDuration::from_micros(400));
         assert_eq!(sim.mgr.state(v1), VersionState::Unloaded);
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Unloaded { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Unload { model: 0, version: 1, .. }
         )));
     }
 

@@ -1,5 +1,15 @@
 //! Empirical cumulative distribution functions.
 
+/// The 0-based index of the nearest-rank `q`-quantile among `n` ascending
+/// values: rank `ceil(q·n)`, clamped to `1..=n`.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
 /// An empirical CDF over `f64` samples.
 ///
 /// Used to regenerate Figure 4 of the paper (node-duration CDFs) and for
@@ -58,11 +68,7 @@ impl Cdf {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if q == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (q * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
+        self.sorted[nearest_rank(q, self.sorted.len())]
     }
 
     /// Evaluates the CDF at `n` evenly spaced x positions spanning the sample

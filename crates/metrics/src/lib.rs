@@ -11,7 +11,7 @@ mod cdf;
 mod stats;
 pub mod table;
 
-pub use cdf::Cdf;
+pub use cdf::{nearest_rank, Cdf};
 pub use stats::{
     jain_fairness, jain_from_sums, linear_fit, max_min_ratio, try_jain_fairness, try_max_min_ratio,
     Summary,

@@ -55,7 +55,7 @@ pub use deadline::{DeadlineMode, DeadlinePolicy};
 pub use lifecycle::StoreBinder;
 pub use multi::MultiGpuScheduler;
 pub use oracle::StoreCostOracle;
-pub use policy::{DeficitRoundRobin, Lottery, Policy, Priority, RoundRobin, WeightedFair};
+pub use policy::{Lottery, Policy, Priority, RoundRobin, WeightedFair};
 pub use profile::{ModelProfile, ProfileStore};
 pub use profiler::{LinearCostModel, OverheadQCurve, Profiler};
 pub use scheduler::{OlympianScheduler, QuantumMeter};

@@ -3,10 +3,8 @@
 //! The paper implements three (§3.5): fair sharing (round-robin), weighted
 //! fair sharing (a job receives `weight` consecutive quanta per turn) and
 //! priority scheduling (the highest-priority job always runs; equals share
-//! round-robin). [`DeficitRoundRobin`] is an extension beyond the paper
-//! (its "more policies" future work): it carries unused quantum *budget*
-//! across turns, smoothing the carry-over error that overflow kernels
-//! introduce.
+//! round-robin). [`Lottery`] is an extension beyond the paper (its "more
+//! policies" future work).
 
 use serving::JobId;
 use simtime::{SimDuration, SimTime};
@@ -244,77 +242,6 @@ impl Policy for Priority {
     }
 }
 
-/// Deficit round robin (extension beyond the paper): each turn a job's
-/// budget grows by `quantum_credit × weight`; it keeps the token until the
-/// budget is spent, and *unused or overdrawn* budget carries to its next
-/// turn. With the scheduler charging overflow kernels to their launching
-/// job, DRR absorbs that carry-over instead of shortening the next quantum.
-#[derive(Debug, Default)]
-pub struct DeficitRoundRobin {
-    ring: Vec<JobId>,
-    weights: BTreeMap<JobId, u32>,
-    deficit: BTreeMap<JobId, i64>,
-}
-
-impl DeficitRoundRobin {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Policy for DeficitRoundRobin {
-    fn admit(
-        &mut self,
-        job: JobId,
-        weight: u32,
-        _priority: u32,
-        current: Option<JobId>,
-    ) -> Option<JobId> {
-        let w = weight.max(1);
-        self.ring.push(job);
-        self.weights.insert(job, w);
-        // Budget is credited when a turn starts; the very first holder gets
-        // its credit here since no rotation will grant it one.
-        let grabs_token = current.is_none();
-        self.deficit.insert(job, if grabs_token { i64::from(w) } else { 0 });
-        current.or(Some(job))
-    }
-
-    fn remove(&mut self, job: JobId, current: Option<JobId>) -> Option<JobId> {
-        self.weights.remove(&job);
-        self.deficit.remove(&job);
-        if current == Some(job) {
-            let next = ring_next(&self.ring, job).filter(|&n| n != job);
-            self.ring.retain(|&j| j != job);
-            next
-        } else {
-            self.ring.retain(|&j| j != job);
-            current
-        }
-    }
-
-    fn quantum_expired(&mut self, holder: JobId) -> Option<JobId> {
-        let d = self.deficit.entry(holder).or_insert(0);
-        *d -= 1;
-        if *d > 0 {
-            Some(holder)
-        } else {
-            let next = ring_next(&self.ring, holder);
-            if let Some(n) = next {
-                let w = i64::from(self.weights.get(&n).copied().unwrap_or(1));
-                let dn = self.deficit.entry(n).or_insert(0);
-                *dn += w;
-            }
-            next
-        }
-    }
-
-    fn name(&self) -> &str {
-        "deficit-round-robin"
-    }
-}
-
 /// Lottery scheduling (extension beyond the paper): each quantum is a
 /// drawing; a job's chance of winning is proportional to its ticket count
 /// (its weight). Expected shares match weighted fair sharing, but turns are
@@ -477,17 +404,6 @@ mod tests {
         p.remove(j(1), Some(j(2)));
         p.remove(j(2), Some(j(2)));
         assert_eq!(p.pick(None), Some(j(3)));
-    }
-
-    #[test]
-    fn deficit_round_robin_carries_budget() {
-        let mut p = DeficitRoundRobin::new();
-        p.admit(j(1), 2, 0, None);
-        p.admit(j(2), 1, 0, Some(j(1)));
-        // j1 admitted with deficit 2: spends both, then j2 gets credit 1.
-        assert_eq!(p.quantum_expired(j(1)), Some(j(1)));
-        assert_eq!(p.quantum_expired(j(1)), Some(j(2)));
-        assert_eq!(p.quantum_expired(j(2)), Some(j(1)));
     }
 
     #[test]

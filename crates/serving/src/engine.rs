@@ -46,9 +46,9 @@ use crate::trace::{ShedCause, SwitchReason, TraceBuffer, TraceKind};
 use cluster::{Fleet, Routed, Step};
 use controlplane::{ControlLoop, Transition};
 use dataflow::{Graph, NodeId, Placement};
-use faults::{Failure, Next, Recovery, Shed, Stall};
+use faults::{Failure, Next, Recovery, Stall};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
-use lifecycle::{Effects as LcEffects, LifecycleEvent, Route};
+use lifecycle::{Effects as LcEffects, Route};
 use simtime::{DetRng, SimDuration, SimTime, TimingWheel};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -632,16 +632,13 @@ impl Engine<'_> {
                 });
                 self.queue.schedule(at, retry);
             }
-            Next::Shed(shed) => {
+            Next::Shed(cause) => {
                 let at = self.now;
-                let (outcome, cause) = match shed {
-                    Shed::RetriesExhausted { attempts } => {
-                        let outcome = ClientOutcome::RetriesExhausted { at, attempts };
-                        (outcome, ShedCause::RetriesExhausted { attempts })
+                let outcome = match cause {
+                    ShedCause::RetriesExhausted { attempts } => {
+                        ClientOutcome::RetriesExhausted { at, attempts }
                     }
-                    Shed::CircuitOpen { trips } => {
-                        (ClientOutcome::CircuitOpen { at, trips }, ShedCause::CircuitOpen { trips })
-                    }
+                    ShedCause::CircuitOpen { trips } => ClientOutcome::CircuitOpen { at, trips },
                 };
                 let (state, shed) = ("shed", Some(cause));
                 self.record(TraceKind::BreakerTransition { client, state, shed });
@@ -944,63 +941,18 @@ impl Engine<'_> {
         self.with_fleet(|f, pools, fx| f.settle(job.0, now, latency, pools, fx));
     }
 
-    /// Translates manager effects into engine actions: typed events onto
-    /// the event stream, future ticks onto the event queue, parked clients
-    /// back into `start_run`, and — after any unload or eviction — a
+    /// Applies manager effects: its events onto the event stream as they
+    /// are, future ticks onto the event queue, parked clients back into
+    /// `start_run`, and — after any unload or eviction — a
     /// queued-admission pump over the freed memory.
     fn apply_lifecycle_effects(&mut self, fx: LcEffects) {
         if fx.is_empty() {
             return;
         }
         let mut freed = false;
-        for ev in &fx.events {
-            match *ev {
-                LifecycleEvent::Load { key, bytes, latency: _ } => {
-                    self.record(TraceKind::VersionLoad {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                }
-                LifecycleEvent::Warmup { key, run } => {
-                    self.record(TraceKind::WarmupRun {
-                        model: key.model,
-                        version: key.version,
-                        run,
-                    });
-                }
-                LifecycleEvent::Evicted { key, bytes } => {
-                    self.record(TraceKind::Evict {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                    freed = true;
-                }
-                LifecycleEvent::Unloaded { key, bytes } => {
-                    self.record(TraceKind::Unload {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                    freed = true;
-                }
-                LifecycleEvent::Drain { key, inflight } => {
-                    self.record(TraceKind::Drain {
-                        model: key.model,
-                        version: key.version,
-                        inflight,
-                    });
-                }
-                LifecycleEvent::Promote { key, cand_us, base_us } => {
-                    let (model, version) = (key.model, key.version);
-                    self.record(TraceKind::CanaryPromote { model, version, cand_us, base_us });
-                }
-                LifecycleEvent::Rollback { key, cand_us, base_us } => {
-                    let (model, version) = (key.model, key.version);
-                    self.record(TraceKind::CanaryRollback { model, version, cand_us, base_us });
-                }
-            }
+        for kind in fx.events {
+            freed |= matches!(kind, TraceKind::Evict { .. } | TraceKind::Unload { .. });
+            self.record(kind);
         }
         for t in fx.ticks {
             self.queue.schedule(t.max(self.now), Event::LifecycleTick);

@@ -130,8 +130,8 @@ impl fmt::Display for SwitchReason {
     }
 }
 
-/// Why the recovery layer shed a client (carried on the shed
-/// [`TraceKind::BreakerTransition`]).
+/// Why the recovery layer shed a client: its `faults::Next::Shed` verdict,
+/// carried as is on the shed [`TraceKind::BreakerTransition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedCause {
     /// The retry budget ran out after this many failed attempts.

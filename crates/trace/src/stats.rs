@@ -35,7 +35,7 @@ impl QuantumDist {
             return QuantumDist::default();
         }
         us.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let rank = |q: f64| us[(((us.len() as f64) * q).ceil() as usize).clamp(1, us.len()) - 1];
+        let rank = |q: f64| us[metrics::nearest_rank(q, us.len())];
         QuantumDist {
             count: us.len() as u64,
             mean_us: us.iter().sum::<f64>() / us.len() as f64,

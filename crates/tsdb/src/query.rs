@@ -142,8 +142,8 @@ pub fn rate(series: &Series, lo_ns: u64, hi_ns: u64) -> Option<f64> {
 }
 
 /// Nearest-rank quantile (`0 < q <= 1`) over the raw points of a series
-/// inside `[lo_ns, hi_ns]`: values sorted ascending, rank `ceil(q · n)`.
-/// This is the same rank rule the attribution layer's `p99_run` uses, so
+/// inside `[lo_ns, hi_ns]`: values sorted ascending, ranked by
+/// [`metrics::nearest_rank`] as the attribution layer's `p99_run` is, so
 /// quantiles over the stored `run_latency_ns` stream reproduce blame
 /// numbers exactly.
 pub fn quantile_over_time(series: &Series, q: f64, lo_ns: u64, hi_ns: u64) -> Option<f64> {
@@ -153,8 +153,7 @@ pub fn quantile_over_time(series: &Series, q: f64, lo_ns: u64, hi_ns: u64) -> Op
         return None;
     }
     vals.sort_by(|a, b| a.partial_cmp(b).expect("tsdb values are finite"));
-    let rank = ((vals.len() as f64) * q).ceil() as usize;
-    Some(vals[rank.clamp(1, vals.len()) - 1])
+    Some(vals[metrics::nearest_rank(q, vals.len())])
 }
 
 /// One evaluated series.

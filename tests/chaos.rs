@@ -6,6 +6,7 @@ mod common;
 
 use faults::{FaultConfig, FaultPlan};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
+use serving::trace::{ShedCause, TraceKind};
 use serving::{
     run_experiment, ClientOutcome, ClientSpec, EngineConfig, FifoScheduler, RunReport,
     TraceConfig,
@@ -162,6 +163,33 @@ fn persistent_faults_shed_with_typed_outcomes() {
         faulted.telemetry.counter("clients_shed").unwrap_or(0),
         shed as u64
     );
+}
+
+/// Failing launches and reservations both shed: two clients spend their
+/// retry budget and two their breaker's trips, after open and half-open
+/// edges. The report's `Debug` text, shed causes included, is pinned.
+#[test]
+fn shed_stream_is_pinned() {
+    let plan = FaultPlan::new().with_kernel_failures(0.97).with_alloc_failures(0.9);
+    let report = chaotic_run(Some(plan));
+    let sheds: Vec<ShedCause> = (report.trace.events.iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::BreakerTransition { shed, .. } => shed,
+            _ => None,
+        })
+        .collect();
+    let exhausted = ShedCause::RetriesExhausted { attempts: 7 };
+    let open = ShedCause::CircuitOpen { trips: 2 };
+    assert_eq!(sheds.iter().filter(|&&s| s == exhausted).count(), 2, "{sheds:?}");
+    assert_eq!(sheds.iter().filter(|&&s| s == open).count(), 2, "{sheds:?}");
+    for state in ["open", "half-open"] {
+        let edges = report
+            .trace
+            .filter(|k| matches!(k, TraceKind::BreakerTransition { state: s, .. } if *s == state));
+        assert!(edges.count() > 0, "no {state} edge");
+    }
+    common::assert_counters_match_trace(&report);
+    assert_eq!(common::fnv1a(&format!("{report:?}")), "f1ba20e706acc9be");
 }
 
 /// A kernel in flight when its job is deadline-cancelled completes

@@ -1,8 +1,7 @@
-//! End-to-end policy behaviour on miniature workloads: weighted shares,
-//! priority ordering, and deficit round robin.
+//! End-to-end policy behaviour on miniature workloads: weighted shares and
+//! priority ordering.
 
-use olympian::{DeficitRoundRobin, OlympianScheduler, Priority, Profiler, ProfileStore,
-    WeightedFair};
+use olympian::{OlympianScheduler, Priority, Profiler, ProfileStore, WeightedFair};
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport};
 use simtime::SimDuration;
 use std::sync::Arc;
@@ -59,20 +58,6 @@ fn priority_same_level_fair_shares() {
     assert!(report.all_finished());
     let spread = metrics::max_min_ratio(&report.finish_times_secs());
     assert!(spread < 1.02, "same-priority spread {spread}");
-}
-
-#[test]
-fn deficit_round_robin_matches_weighted_shares() {
-    let model = models::mini::small(4);
-    let mut clients = vec![ClientSpec::new(model.clone(), 8).with_weight(3); 2];
-    clients.extend(vec![ClientSpec::new(model, 8).with_weight(1); 2]);
-    let report = run_with(Box::new(DeficitRoundRobin::new()), clients);
-    assert!(report.all_finished());
-    let f = report.finish_times_secs();
-    let heavy = (f[0] + f[1]) / 2.0;
-    let light = (f[2] + f[3]) / 2.0;
-    // (k+1)/2k for k=3 → 0.667
-    assert!((heavy / light - 2.0 / 3.0).abs() < 0.10, "drr ratio {}", heavy / light);
 }
 
 #[test]
