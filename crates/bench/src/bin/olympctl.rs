@@ -1,30 +1,13 @@
 //! `olympctl` — a small operator CLI over the Olympian stack.
 //!
-//! ```text
-//! olympctl models
-//! olympctl export-model --model inception-v4 --batch 100 --out model.json
-//! olympctl inspect --model vgg --batch 120 [--dot graph.dot]
-//! olympctl profile --model inception-v4 --batch 100 [--out profiles.json]
-//! olympctl curve   --model resnet-152 --batch 100 [--tolerance 0.025]
-//! olympctl run     --model inception-v4 --batch 100 --clients 10 --batches 10
-//!                  --policy fair|weighted|priority|lottery|baseline
-//!                  [--quantum-us 1200] [--gpus 1] [--seed 1]
-//!                  [--deadline-ms 500] [--trace 40]
-//! olympctl trace   <run> [--out trace.json] [--mode sampled|full]
-//! olympctl metrics <run> [--interval-us N] [--out telemetry.jsonl]
-//!                  [--prom metrics.prom] [--store <dir>]
-//! olympctl blame   <run> [--vs <run>] [--out blame.json] [--trace phases.json]
-//! olympctl top     <run> [--interval-us N] [--fps N] [--rows N]
-//! olympctl chaos   <scenario>
-//! olympctl lifecycle <scenario>
-//! olympctl control <scenario> [--policy edf|laxity] [--out report.txt]
-//! olympctl fleet   <scenario> [--out report.txt]
-//! olympctl query   <expr> [--dir runs] [--run A] [--vs B] [--dash out.html]
-//! olympctl import-bench <bench.json> [--dir runs] [--as seed]
-//! ```
+//! `USAGE` is the synopsis of every command and flag; `olympctl` prints it
+//! on any invocation it cannot parse. Every command also takes `--jobs N`,
+//! and rejects a flag it does not read, listing the ones it does.
 //!
-//! Every command also takes `--jobs N`, and rejects a flag it does not
-//! read, listing the ones it does.
+//! `models` lists the model zoo; `inspect`, `profile` and `curve` print one
+//! model's graph statistics (`--dot` also writes the graph), offline
+//! profile and Overhead-Q curve; `run` serves one model to a set of clients
+//! under a scheduling policy.
 //!
 //! `trace`, `metrics`, `blame` and `top` replay a named run of the catalog
 //! the figures share (`bench::runs::CATALOG`: `smoke`, `drifted`,
@@ -99,9 +82,8 @@ use std::sync::Arc;
 /// reads besides `--jobs`.
 const COMMANDS: &[(&str, bool, &[&str])] = &[
     ("models", false, &[]),
-    ("export-model", false, &["model", "batch", "out"]),
     ("inspect", false, &["model", "batch", "dot"]),
-    ("profile", false, &["model", "batch", "out"]),
+    ("profile", false, &["model", "batch"]),
     ("curve", false, &["model", "batch", "tolerance"]),
     ("run", false, &["model", "batch", "clients", "batches", "policy", "quantum-us", "gpus",
         "seed", "deadline-ms", "trace"]),
@@ -117,27 +99,34 @@ const COMMANDS: &[(&str, bool, &[&str])] = &[
     ("import-bench", true, &["dir", "as"]),
 ];
 
+/// One entry per command of `COMMANDS`, in its order, naming its
+/// positional argument and every flag it reads; continuation lines are
+/// indented deeper than the entry they continue.
+const USAGE: &str = "usage:
+  olympctl models
+  olympctl inspect --model <name> --batch <n> [--dot <graph.dot>]
+  olympctl profile --model <name> --batch <n>
+  olympctl curve --model <name> --batch <n> [--tolerance <frac>]
+  olympctl run --model <name> --batch <n> --clients <n> [--batches <n>]
+               --policy <fair|weighted|priority|lottery|baseline>
+               [--quantum-us <n>] [--gpus <n>] [--seed <n>]
+               [--deadline-ms <n>] [--trace <n>]
+  olympctl trace <run> [--out <trace.json>] [--mode sampled|full]
+  olympctl metrics <run> [--interval-us <n>] [--out <telemetry.jsonl>]
+                   [--prom <metrics.prom>] [--store <dir>]
+  olympctl blame <run> [--vs <run>] [--out <blame.json>] [--trace <phases.json>]
+  olympctl top <run> [--interval-us <n>] [--fps <n>] [--rows <n>]
+  olympctl chaos <scenario>
+  olympctl lifecycle <scenario>
+  olympctl control <scenario> [--policy <edf|laxity>] [--out <report.txt>]
+  olympctl fleet <scenario> [--out <report.txt>]
+  olympctl query <expr> [--dir <runs>] [--run <a>] [--vs <b>] [--dash <out.html>]
+  olympctl import-bench <bench.json> [--dir <runs>] [--as <seed>]
+  any command also accepts --jobs <n> (worker threads for parallel
+  sweeps; default: all cores, or OLYMPIAN_JOBS)";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  olympctl models\n  olympctl profile --model <name> --batch <n> [--out <file>]\n  \
-         olympctl curve --model <name> --batch <n> [--tolerance <frac>]\n  \
-         olympctl run --model <name> --batch <n> --clients <n> [--batches <n>]\n               \
-         --policy <fair|weighted|priority|lottery|baseline>\n               \
-         [--quantum-us <n>] [--gpus <n>] [--seed <n>]\n  \
-         olympctl trace <run> [--out <trace.json>] [--mode sampled|full]\n  \
-         olympctl metrics <run> [--interval-us <n>] [--out <telemetry.jsonl>]\n                   \
-         [--prom <metrics.prom>] [--store <dir>]\n  \
-         olympctl blame <run> [--vs <run>] [--out <blame.json>] [--trace <phases.json>]\n  \
-         olympctl top <run> [--interval-us <n>] [--fps <n>] [--rows <n>]\n  \
-         olympctl chaos <scenario>\n  \
-         olympctl lifecycle <scenario>\n  \
-         olympctl control <scenario> [--policy <edf|laxity>] [--out <report.txt>]\n  \
-         olympctl fleet <scenario> [--out <report.txt>]\n  \
-         olympctl query <expr> [--dir <runs>] [--run <a>] [--vs <b>] [--dash <out.html>]\n  \
-         olympctl import-bench <bench.json> [--dir <runs>] [--as <seed>]\n  \
-         any command also accepts --jobs <n> (worker threads for parallel\n  \
-         sweeps; default: all cores, or OLYMPIAN_JOBS)"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -192,6 +181,11 @@ fn get_num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, def
     }
 }
 
+/// Writes `contents` to `path`; the error names the path.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 fn cmd_models() -> Result<(), String> {
     println!("{:<14} {:>9} {:>7} {:>10} {:>12} {:>12}",
         "model", "ref batch", "nodes", "gpu nodes", "weights (MB)", "runtime (s)");
@@ -207,23 +201,6 @@ fn cmd_models() -> Result<(), String> {
             cal.runtime_s
         );
     }
-    Ok(())
-}
-
-fn cmd_export_model(flags: &HashMap<String, String>) -> Result<(), String> {
-    let name = get(flags, "model")?;
-    let kind = lookup_model(name).ok_or_else(|| format!("unknown model {name:?}"))?;
-    let batch: u64 = get(flags, "batch")?.parse().map_err(|_| "--batch: not a number")?;
-    let path = get(flags, "out")?;
-    let model = models::load(kind, batch).map_err(|e| e.to_string())?;
-    let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-    models::servable::save(&model, file).map_err(|e| e.to_string())?;
-    println!(
-        "exported {} @ batch {} ({} nodes) to {path}",
-        model.name(),
-        model.batch(),
-        model.graph().node_count()
-    );
     Ok(())
 }
 
@@ -245,7 +222,7 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("    {op:<15} x{count:<6} {total}");
     }
     if let Some(path) = flags.get("dot") {
-        std::fs::write(path, g.to_dot(model.name())).map_err(|e| e.to_string())?;
+        write_file(path, g.to_dot(model.name()))?;
         println!("wrote DOT graph to {path}");
     }
     Ok(())
@@ -264,13 +241,6 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     println!("GPU duration D: {}", profile.gpu_duration);
     println!("rate C/D      : {:.3} units/ns", profile.rate());
     println!("T at Q=1.2ms  : {} units", profile.threshold(SimDuration::from_micros(1200)));
-    if let Some(path) = flags.get("out") {
-        let mut store = ProfileStore::new();
-        store.insert(profile);
-        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        store.save(file).map_err(|e| e.to_string())?;
-        println!("saved profile store to {path}");
-    }
     Ok(())
 }
 
@@ -380,7 +350,7 @@ fn cmd_trace(experiment: &str, flags: &HashMap<String, String>) -> Result<(), St
     };
     let out = flags.get("out").map(String::as_str).unwrap_or("trace.json");
     let report = runs::lookup(experiment)?(tc, None).report;
-    std::fs::write(out, report.chrome_trace_json()).map_err(|e| e.to_string())?;
+    write_file(out, report.chrome_trace_json())?;
     let cfg = EngineConfig::default();
     let stats =
         trace::TraceStats::from_trace(&report.trace, cfg.switch_latency + cfg.launch_overhead);
@@ -452,12 +422,12 @@ fn cmd_blame(experiment: &str, flags: &HashMap<String, String>) -> Result<(), St
         let doc = attrib::to_json(experiment, &attr, &cp, baseline);
         let mut text = String::new();
         doc.write(&mut text);
-        std::fs::write(out, text).map_err(|e| e.to_string())?;
+        write_file(out, text)?;
         println!("wrote {out}");
     }
     if let Some(path) = flags.get("trace") {
         let json = report.chrome_trace_json_with_phases(&attr, &cp);
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        write_file(path, json)?;
         println!(
             "wrote {path} (phase slices + critical path on the \"phases\" \
              process) — open it at https://ui.perfetto.dev"
@@ -474,9 +444,9 @@ fn cmd_metrics(experiment: &str, flags: &HashMap<String, String>) -> Result<(), 
     let out = flags.get("out").map(String::as_str).unwrap_or("telemetry.jsonl");
     let interval = SimDuration::from_micros(interval_us);
     let report = runs::lookup(experiment)?(TraceConfig::sampled(), Some(interval)).report;
-    std::fs::write(out, report.telemetry_jsonl()).map_err(|e| e.to_string())?;
+    write_file(out, report.telemetry_jsonl())?;
     if let Some(prom) = flags.get("prom") {
-        std::fs::write(prom, report.prometheus_text()).map_err(|e| e.to_string())?;
+        write_file(prom, report.prometheus_text())?;
     }
     if let Some(dir) = flags.get("store") {
         let catalog = serving::tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
@@ -524,7 +494,7 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
     let expr = tsdb::Expr::parse(expr_text)?;
     let dir = flags.get("dir").map(String::as_str).unwrap_or("runs");
     let catalog = tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
-    let runs = catalog.runs();
+    let runs = catalog.runs().map_err(|e| e.to_string())?;
     if runs.is_empty() {
         return Err(format!(
             "no stored runs under {dir:?}; fill it with `olympctl metrics <experiment> \
@@ -536,6 +506,7 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
         Some(r) => r.clone(),
         None => catalog
             .latest(vs)
+            .map_err(|e| e.to_string())?
             .ok_or_else(|| format!("no stored run other than the baseline under {dir:?}"))?,
     };
     let store = catalog.load_run(&run)?;
@@ -613,7 +584,7 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
             &store,
             base.as_ref().map(|(n, s)| (*n, s)),
         );
-        std::fs::write(path, html).map_err(|e| e.to_string())?;
+        write_file(path, html)?;
         println!("wrote {path}");
     }
     Ok(())
@@ -725,7 +696,7 @@ fn cmd_scenario(cmd: &str, name: &str, flags: &HashMap<String, String>) -> Resul
     }?;
     print!("{}", fig.text);
     if let Some(path) = flags.get("out") {
-        std::fs::write(path, &fig.text).map_err(|e| e.to_string())?;
+        write_file(path, &fig.text)?;
         println!("wrote {path}");
     }
     for c in &fig.claims {
@@ -794,7 +765,6 @@ fn main() -> ExitCode {
     }
     let result = match cmd.as_str() {
         "models" => cmd_models(),
-        "export-model" => cmd_export_model(&flags),
         "inspect" => cmd_inspect(&flags),
         "profile" => cmd_profile(&flags),
         "curve" => cmd_curve(&flags),
@@ -812,6 +782,39 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{COMMANDS, USAGE};
+
+    /// Each command's usage entry names its positional argument and
+    /// exactly the flags `COMMANDS` lets it read, as whole words: `blame`
+    /// and `run` both take a `--trace`.
+    #[test]
+    fn usage_names_every_command_and_flag() {
+        // An entry is an `olympctl <cmd>` line plus the deeper indented
+        // lines that continue it.
+        let mut entries: Vec<String> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            match line.strip_prefix("  olympctl ") {
+                Some(entry) => entries.push(entry.to_string()),
+                None if line.starts_with("   ") => {
+                    entries.last_mut().expect("an entry").push_str(line)
+                }
+                None => {}
+            }
+        }
+        assert_eq!(entries.len(), COMMANDS.len(), "{entries:#?}");
+        for (entry, &(cmd, takes_arg, accepted)) in entries.iter().zip(COMMANDS) {
+            let mut words = entry.split([' ', '[', ']']).filter(|w| !w.is_empty());
+            assert_eq!(words.next(), Some(cmd), "{entry}");
+            let flags: Vec<&str> = words.clone().filter_map(|w| w.strip_prefix("--")).collect();
+            assert_eq!(flags, accepted, "{cmd}: {entry}");
+            let positional = words.next().is_some_and(|w| w.starts_with('<'));
+            assert_eq!(positional, takes_arg, "{cmd}: {entry}");
         }
     }
 }

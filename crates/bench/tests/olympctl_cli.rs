@@ -103,9 +103,23 @@ fn control_rejects_an_unknown_policy() {
 
 #[test]
 fn bench_is_not_a_command() {
-    let out = olympctl(&["bench"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+    for cmd in ["bench", "export-model"] {
+        let out = olympctl(&[cmd]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "{cmd}: {stderr}");
+    }
+}
+
+/// A file that cannot be written is an error that names it.
+#[test]
+fn write_errors_name_the_file() {
+    let dir = scratch_dir("olympctl-write-errors");
+    let path = dir.join("missing").join("g.dot");
+    let path = path.to_str().expect("UTF-8 path");
+    let inspect = "inspect --model alexnet --batch 10 --dot";
+    let args: Vec<&str> = inspect.split(' ').chain([path]).collect();
+    assert_rejected(&args, &format!("cannot write {path}: "));
 }
 
 #[test]
@@ -160,6 +174,12 @@ fn unread_and_repeated_flags_are_rejected() {
         ],
         "run does not take --quantum_us; it accepts --model, --batch, --clients, --batches, \
          --policy, --quantum-us, --gpus, --seed, --deadline-ms, --trace, --jobs",
+    );
+    assert_rejected(
+        &[
+            "profile", "--model", "alexnet", "--batch", "10", "--out", "p.json",
+        ],
+        "profile does not take --out; it accepts --model, --batch, --jobs",
     );
     assert_rejected(
         &["chaos", "mixed", "--schedular", "fifo"],

@@ -34,7 +34,6 @@
 mod builder;
 mod cost;
 mod graph;
-mod json;
 mod node;
 
 pub use builder::{GraphBuilder, NodeTemplate};

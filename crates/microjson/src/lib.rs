@@ -1,7 +1,8 @@
 #![deny(missing_docs)]
 
-//! A small, dependency-free JSON library for the repo's on-disk formats
-//! (servables, profile stores, benchmark results).
+//! A small, dependency-free JSON library for the repo's exports and
+//! stored documents (Chrome traces, telemetry streams, blame reports,
+//! `tsdb` runs and their catalog, benchmark results).
 //!
 //! The workspace builds in hermetic environments with no registry access, so
 //! serialization cannot rely on external crates. This module provides the
@@ -135,19 +136,6 @@ impl Value {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
-    }
-
-    /// Reads everything from `reader` and parses it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] on I/O failure, non-UTF-8 input or malformed JSON.
-    pub fn from_reader<R: std::io::Read>(mut reader: R) -> Result<Value, Error> {
-        let mut text = String::new();
-        reader
-            .read_to_string(&mut text)
-            .map_err(|e| Error::decode(format!("read failed: {e}")))?;
-        Value::parse(&text)
     }
 
     /// Serializes compactly (serde_json-style: no spaces) into `out`.
@@ -786,11 +774,5 @@ mod tests {
         ] {
             assert_eq!(v.to_string(), want);
         }
-    }
-
-    #[test]
-    fn from_reader_reads_bytes() {
-        let v = Value::from_reader(&br#"{"k":9}"#[..]).unwrap();
-        assert_eq!(v.get("k").unwrap().as_u64(), Some(9));
     }
 }

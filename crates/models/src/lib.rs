@@ -27,7 +27,6 @@
 mod calibration;
 mod gen;
 pub mod mini;
-pub mod servable;
 
 pub use calibration::{spec, Calibration};
 

@@ -1,11 +1,8 @@
-//! Offline profiles and their persistent store.
+//! Offline profiles and the store the scheduler resolves them from.
 
 use dataflow::{CostModel, NodeId};
-use microjson::Value;
 use simtime::SimDuration;
 use std::collections::HashMap;
-use std::fmt;
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// The offline profile of one `(model, batch)` configuration.
@@ -57,81 +54,14 @@ impl ModelProfile {
     pub fn node_cost(&self, node: NodeId) -> u64 {
         self.costs.cost(node)
     }
-
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::str(&self.model)),
-            ("batch".into(), Value::UInt(self.batch)),
-            ("costs".into(), self.costs.to_json()),
-            ("total_cost".into(), Value::UInt(self.total_cost)),
-            ("gpu_duration".into(), Value::UInt(self.gpu_duration.as_nanos())),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<ModelProfile, microjson::Error> {
-        let u64_field = |key: &str| -> Result<u64, microjson::Error> {
-            v.field(key)?.as_u64().ok_or_else(|| {
-                microjson::Error::decode(format!("field {key:?} is not a non-negative integer"))
-            })
-        };
-        Ok(ModelProfile {
-            model: v
-                .field("model")?
-                .as_str()
-                .ok_or_else(|| microjson::Error::decode("field \"model\" is not a string"))?
-                .to_string(),
-            batch: u64_field("batch")?,
-            costs: CostModel::from_json(v.field("costs")?)?,
-            total_cost: u64_field("total_cost")?,
-            gpu_duration: SimDuration::from_nanos(u64_field("gpu_duration")?),
-        })
-    }
-}
-
-/// Error from loading or saving a profile store.
-#[derive(Debug)]
-pub enum StoreError {
-    /// I/O failure.
-    Io(std::io::Error),
-    /// Malformed serialized store.
-    Format(microjson::Error),
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "profile store I/O error: {e}"),
-            StoreError::Format(e) => write!(f, "malformed profile store: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Io(e) => Some(e),
-            StoreError::Format(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-impl From<microjson::Error> for StoreError {
-    fn from(e: microjson::Error) -> Self {
-        StoreError::Format(e)
-    }
 }
 
 /// A collection of offline profiles keyed by `(model, batch)`.
 ///
-/// Profiles are computed once per model and persisted — the paper's
-/// profiler writes them alongside the servable. A batch size that was not
-/// measured resolves to nothing; to serve it, insert a prediction from a
+/// The paper profiles each model offline (§3.3); here the
+/// [`crate::Profiler`] measures them in-process before a run and the
+/// store holds them for its duration. A batch size that was not measured
+/// resolves to nothing; to serve it, insert a prediction from a
 /// [`crate::LinearCostModel`] fitted to measured batches (paper §4.4).
 ///
 /// ```
@@ -156,13 +86,13 @@ pub struct ProfileStore {
     /// Profiles registered at model-load time and retired at unload (the
     /// lifecycle manager's per-version cost rates). Interior mutability:
     /// the store is shared `Arc<ProfileStore>` by the time versions load,
-    /// so registration must work through `&self`. Never persisted.
+    /// so registration must work through `&self`.
     dynamic: std::sync::Mutex<ProfileTable>,
     /// Online recalibration layer: rescaled copies installed by
     /// [`override_scaled`](Self::override_scaled) when drift is detected.
     /// Checked *first* by [`resolve`](Self::resolve) — a rebind must win
     /// over the stale base measurement it corrects. Interior mutability
-    /// for the same reason as `dynamic`; never persisted.
+    /// for the same reason as `dynamic`.
     overrides: std::sync::Mutex<ProfileTable>,
 }
 
@@ -207,10 +137,6 @@ impl ProfileTable {
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    fn values(&self) -> impl Iterator<Item = &Arc<ModelProfile>> {
-        self.0.values().flat_map(HashMap::values)
-    }
 }
 
 impl ProfileStore {
@@ -231,8 +157,8 @@ impl ProfileStore {
 
     /// Registers a profile for a dynamically loaded model version. Unlike
     /// [`insert`](Self::insert), this works through `&self` (the store is
-    /// already shared when versions load) and the profile is dropped by
-    /// [`retire_dynamic`](Self::retire_dynamic), not persisted.
+    /// already shared when versions load), and
+    /// [`retire_dynamic`](Self::retire_dynamic) drops it again.
     ///
     /// # Panics
     ///
@@ -321,41 +247,6 @@ impl ProfileStore {
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
     }
-
-    /// Iterates over stored profiles in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<ModelProfile>> {
-        self.profiles.values()
-    }
-
-    /// Serializes the store as JSON to a writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on I/O or serialization failure.
-    pub fn save<W: Write>(&self, mut writer: W) -> Result<(), StoreError> {
-        let mut items: Vec<&ModelProfile> = self.profiles.values().map(|p| p.as_ref()).collect();
-        items.sort_by(|a, b| (&a.model, a.batch).cmp(&(&b.model, b.batch)));
-        let doc = Value::Array(items.iter().map(|p| p.to_json()).collect());
-        writer.write_all(doc.to_string().as_bytes())?;
-        Ok(())
-    }
-
-    /// Loads a store previously written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on I/O failure or malformed input.
-    pub fn load<R: Read>(reader: R) -> Result<ProfileStore, StoreError> {
-        let doc = Value::from_reader(reader)?;
-        let items = doc
-            .as_array()
-            .ok_or_else(|| microjson::Error::decode("profile store is not an array"))?;
-        let mut store = ProfileStore::new();
-        for item in items {
-            store.insert(ModelProfile::from_json(item)?);
-        }
-        Ok(store)
-    }
 }
 
 #[cfg(test)]
@@ -388,19 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn store_roundtrip_through_json() {
-        let mut store = ProfileStore::new();
-        store.insert(sample("a", 1));
-        store.insert(sample("b", 2));
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        let loaded = ProfileStore::load(buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get("a", 1).unwrap().total_cost, 15);
-        assert!(loaded.get("a", 2).is_none());
-    }
-
-    #[test]
     fn insert_replaces() {
         let mut store = ProfileStore::new();
         store.insert(sample("a", 1));
@@ -425,13 +303,6 @@ mod tests {
         assert!(store.resolve("svc@v2", 4).is_none());
         // Retiring an unknown key is a no-op.
         store.retire_dynamic("ghost", 1);
-        // Dynamic entries are not persisted.
-        let mut buf = Vec::new();
-        store.register_dynamic(sample("svc@v3", 4));
-        store.save(&mut buf).unwrap();
-        let loaded = ProfileStore::load(buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.resolve("svc@v3", 4).is_none());
     }
 
     #[test]
@@ -472,14 +343,6 @@ mod tests {
             s.resolve("m", 1).unwrap().gpu_duration,
             SimDuration::from_nanos(1)
         );
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        assert!(matches!(
-            ProfileStore::load(&b"not json"[..]),
-            Err(StoreError::Format(_))
-        ));
     }
 
     #[test]

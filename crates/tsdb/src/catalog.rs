@@ -14,7 +14,8 @@
 //! The index preserves *insertion order* — deliberately not timestamps,
 //! which would make the files differ run-to-run and break the
 //! byte-identity the determinism matrix enforces. "Latest" means "most
-//! recently stored", which is what `--vs baseline` workflows want.
+//! recently stored", which is what `--vs baseline` workflows want. An
+//! index that does not parse is an error, never an empty catalog.
 
 use crate::Store;
 use std::fs;
@@ -43,41 +44,68 @@ impl RunCatalog {
     }
 
     /// Stored run names, insertion order. Empty when no index exists yet.
-    pub fn runs(&self) -> Vec<String> {
-        let Ok(text) = fs::read_to_string(self.dir.join("catalog.json")) else {
-            return Vec::new();
+    ///
+    /// # Errors
+    ///
+    /// An index that cannot be read, or one that does not parse, has
+    /// another schema or lists a run that is not a string (`InvalidData`).
+    /// Either error names the index file. Reading such an index as empty
+    /// would let the next [`store_run`](Self::store_run) drop every run it
+    /// listed.
+    pub fn runs(&self) -> io::Result<Vec<String>> {
+        let path = self.dir.join("catalog.json");
+        let named = |kind, why: String| io::Error::new(kind, format!("{}: {why}", path.display()));
+        let text = match fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(named(e.kind(), e.to_string())),
         };
-        let Ok(doc) = microjson::Value::parse(&text) else { return Vec::new() };
+        let malformed = |why: String| named(io::ErrorKind::InvalidData, why);
+        let doc = microjson::Value::parse(&text).map_err(|e| malformed(e.to_string()))?;
         if doc.get("schema").and_then(|v| v.as_str()) != Some(CATALOG_SCHEMA) {
-            return Vec::new();
+            return Err(malformed(format!("not a {CATALOG_SCHEMA} index")));
         }
         doc.get("runs")
             .and_then(|v| v.as_array())
-            .unwrap_or(&[])
+            .ok_or_else(|| malformed("no \"runs\" array".into()))?
             .iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| malformed(format!("run entry {v} is not a string")))
+            })
             .collect()
     }
 
     /// The most recently stored run, skipping `except` (so "diff the
     /// latest run against this baseline" defaults sensibly).
-    pub fn latest(&self, except: Option<&str>) -> Option<String> {
-        self.runs().into_iter().rev().find(|r| Some(r.as_str()) != except)
+    ///
+    /// # Errors
+    ///
+    /// As [`runs`](Self::runs).
+    pub fn latest(&self, except: Option<&str>) -> io::Result<Option<String>> {
+        let runs = self.runs()?;
+        Ok(runs.into_iter().rev().find(|r| Some(r.as_str()) != except))
     }
 
     /// Persists a store under `name` (re-storing a name overwrites its
     /// file and keeps its original index position). Returns the file
     /// path. Names are restricted to `[A-Za-z0-9._-]` so they map to
     /// safe file names.
+    ///
+    /// # Errors
+    ///
+    /// An invalid name, an index [`runs`](Self::runs) rejects (checked
+    /// before anything is written) or a failed write.
     pub fn store_run(&self, name: &str, store: &Store) -> io::Result<PathBuf> {
         validate_name(name).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut runs = self.runs()?;
         let path = self.run_path(name);
         let mut text = String::new();
         store.to_json(name).write(&mut text);
         text.push('\n');
         fs::write(&path, text)?;
 
-        let mut runs = self.runs();
         if !runs.iter().any(|r| r == name) {
             runs.push(name.to_string());
         }
@@ -170,8 +198,8 @@ mod tests {
     fn store_load_roundtrip_and_index_order() {
         let dir = tmpdir("roundtrip");
         let cat = RunCatalog::open(&dir).unwrap();
-        assert!(cat.runs().is_empty());
-        assert_eq!(cat.latest(None), None);
+        assert!(cat.runs().unwrap().is_empty());
+        assert_eq!(cat.latest(None).unwrap(), None);
 
         let mut a = Store::new();
         a.push("m", &[("k", "v")], 5, 1.5);
@@ -182,9 +210,12 @@ mod tests {
         // Re-storing keeps the original index slot.
         cat.store_run("smoke", &a).unwrap();
 
-        assert_eq!(cat.runs(), vec!["smoke", "drifted"]);
-        assert_eq!(cat.latest(None).as_deref(), Some("drifted"));
-        assert_eq!(cat.latest(Some("drifted")).as_deref(), Some("smoke"));
+        assert_eq!(cat.runs().unwrap(), vec!["smoke", "drifted"]);
+        assert_eq!(cat.latest(None).unwrap().as_deref(), Some("drifted"));
+        assert_eq!(
+            cat.latest(Some("drifted")).unwrap().as_deref(),
+            Some("smoke")
+        );
 
         let back = cat.load_run("smoke").unwrap();
         assert_eq!(back.series_count(), 1);

@@ -90,27 +90,6 @@ fn olympian_overhead_is_bounded_on_pairs() {
 }
 
 #[test]
-fn profiles_roundtrip_through_disk() {
-    let cfg = EngineConfig::default();
-    let profiler = Profiler::new(&cfg);
-    let mut store = ProfileStore::new();
-    store.insert(profiler.profile(&models::mini::small(4)));
-    store.insert(profiler.profile(&models::mini::branchy(2)));
-
-    let dir = std::env::temp_dir().join("olympian-profile-roundtrip");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("profiles.json");
-    store
-        .save(std::fs::File::create(&path).expect("create"))
-        .expect("save");
-    let loaded = ProfileStore::load(std::fs::File::open(&path).expect("open")).expect("load");
-    assert_eq!(loaded.len(), 2);
-    let orig = store.get("mini-small", 4).expect("stored");
-    let back = loaded.get("mini-small", 4).expect("loaded");
-    assert_eq!(orig.as_ref(), back.as_ref());
-}
-
-#[test]
 fn baseline_two_seeds_give_different_orderings() {
     let clients = || vec![ClientSpec::new(models::mini::small(3), 6); 6];
     let a = run_experiment(

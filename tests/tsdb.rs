@@ -8,6 +8,7 @@ use olympian::{OlympianScheduler, ProfileStore, Profiler, RoundRobin};
 use serving::attrib;
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 use tsdb::{diff_rows, evaluate, Expr, RunCatalog};
@@ -122,9 +123,53 @@ fn catalog_roundtrip_is_byte_identical() {
     let second = std::fs::read_to_string(&path).expect("re-read run");
     assert_eq!(first, second, "save(load(x)) must equal save(x)");
 
-    assert_eq!(catalog.runs(), vec!["drifted".to_string()]);
-    assert_eq!(catalog.latest(None).as_deref(), Some("drifted"));
-    assert_eq!(catalog.latest(Some("drifted")), None);
+    assert_eq!(catalog.runs().expect("index"), vec!["drifted".to_string()]);
+    assert_eq!(
+        catalog.latest(None).expect("index").as_deref(),
+        Some("drifted")
+    );
+    assert_eq!(catalog.latest(Some("drifted")).expect("index"), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A catalog index that does not parse, has another schema or lists a run
+/// that is not a string is an error, not an empty catalog: storing another
+/// run fails before it writes anything, so the runs the index listed are
+/// not dropped from it.
+#[test]
+fn malformed_catalog_index_fails_the_next_store_and_is_left_alone() {
+    let dir = std::env::temp_dir().join(format!("olympian-tsdb-malformed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = RunCatalog::open(&dir).expect("open catalog");
+    let mut store = tsdb::Store::new();
+    store.push("m", &[], 1, 1.0);
+    catalog.store_run("smoke", &store).expect("store smoke");
+
+    let index = dir.join("catalog.json");
+    let text = std::fs::read(&index).expect("read index");
+    let listing = || -> BTreeSet<_> {
+        let entries = std::fs::read_dir(&dir).expect("list catalog");
+        entries.map(|e| e.expect("entry").file_name()).collect()
+    };
+    let files = listing();
+    let malformed: [&[u8]; 5] = [
+        &text[..text.len() / 2],
+        b"\xff",
+        br#"{"schema":"tsdb-catalog/v0","runs":["smoke"]}"#,
+        br#"{"schema":"tsdb-catalog/v1"}"#,
+        br#"{"schema":"tsdb-catalog/v1","runs":["smoke",7]}"#,
+    ];
+    for bad in malformed {
+        std::fs::write(&index, bad).expect("break index");
+        let err = catalog
+            .store_run("drifted", &store)
+            .expect_err("a malformed index must not read as an empty catalog");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("catalog.json"), "{err}");
+        assert_eq!(std::fs::read(&index).expect("read index"), bad);
+        assert_eq!(listing(), files);
+        assert!(catalog.latest(None).is_err(), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
