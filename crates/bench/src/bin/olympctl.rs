@@ -443,13 +443,23 @@ fn cmd_metrics(experiment: &str, flags: &HashMap<String, String>) -> Result<(), 
     }
     let out = flags.get("out").map(String::as_str).unwrap_or("telemetry.jsonl");
     let interval = SimDuration::from_micros(interval_us);
-    let report = runs::lookup(experiment)?(TraceConfig::sampled(), Some(interval)).report;
+    let run = runs::lookup(experiment)?;
+    // A catalog the run cannot be stored into fails before the run is
+    // simulated and any file is written.
+    let catalog = match flags.get("store") {
+        Some(dir) => {
+            let catalog = serving::tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
+            catalog.runs().map_err(|e| e.to_string())?;
+            Some(catalog)
+        }
+        None => None,
+    };
+    let report = run(TraceConfig::sampled(), Some(interval)).report;
     write_file(out, report.telemetry_jsonl())?;
     if let Some(prom) = flags.get("prom") {
         write_file(prom, report.prometheus_text())?;
     }
-    if let Some(dir) = flags.get("store") {
-        let catalog = serving::tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
+    if let Some(catalog) = catalog {
         let store = report.tsdb();
         let path = catalog.store_run(experiment, &store).map_err(|e| e.to_string())?;
         println!(

@@ -23,8 +23,10 @@
 use crate::figs::{completed_runs, counter, p99_latency_us, unknown_scenario, Claim, Figure};
 use crate::runs::{self, QUANTUM};
 use crate::{banner, build_store, default_config, format_finish_times};
-use controlplane::ControlConfig;
-use olympian::{DeadlineMode, DeadlinePolicy, OlympianScheduler, Policy, StoreCostOracle};
+use controlplane::{ControlConfig, CostOracle};
+use olympian::{
+    DeadlineMode, DeadlinePolicy, OlympianScheduler, Policy, ProfileStore, StoreCostOracle,
+};
 use serving::{attrib, run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
 use std::sync::Arc;
@@ -51,6 +53,15 @@ pub struct Cells {
 /// Runs both cells under the given hand-off ordering. The open cell is
 /// the catalog's `drifted` incident at a 2.3x regression.
 pub fn run_cells(mode: DeadlineMode) -> Cells {
+    run_cells_with(mode, |store| StoreCostOracle::new(store))
+}
+
+/// [`run_cells`] with the closed cell's cost oracle built by `oracle` over
+/// the cell's profile store, which the scheduler shares.
+pub fn run_cells_with(
+    mode: DeadlineMode,
+    oracle: impl FnOnce(Arc<ProfileStore>) -> Arc<dyn CostOracle>,
+) -> Cells {
     let open = runs::drifted(REGRESSION, TraceConfig::sampled(), Some(INTERVAL));
     let objective = open.objective.expect("the drifted incident calibrates an objective");
     let clients = runs::drifted_workload();
@@ -96,7 +107,7 @@ pub fn run_cells(mode: DeadlineMode) -> Cells {
             .with_burn(runs::BURN)
             .with_drift(DriftConfig::new(drift_ref, 0.25)),
     )
-    .with_control(ControlConfig::new().with_cost(StoreCostOracle::new(Arc::clone(&store))));
+    .with_control(ControlConfig::new().with_cost(oracle(Arc::clone(&store))));
     let mut closed_sched = OlympianScheduler::new(store, Box::new(deadline_policy(mode)), QUANTUM);
     let closed = run_experiment(&closed_cfg, closed_clients, &mut closed_sched);
 

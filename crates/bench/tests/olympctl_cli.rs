@@ -122,6 +122,23 @@ fn write_errors_name_the_file() {
     assert_rejected(&args, &format!("cannot write {path}: "));
 }
 
+/// `metrics --store` checks the catalog before it simulates: with a
+/// truncated index the command fails and writes neither output file.
+#[test]
+fn metrics_rejects_a_malformed_catalog_before_writing() {
+    let dir = scratch_dir("olympctl-metrics-bad-catalog");
+    std::fs::create_dir_all(dir.join("runs")).expect("create catalog dir");
+    std::fs::write(dir.join("runs/catalog.json"), "{\"schema\": \"tsdb-cat").expect("write index");
+    let args = "metrics drifted --store runs --out drifted.jsonl --prom drifted.prom";
+    let out = olympctl_in(&dir, &args.split(' ').collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: runs/catalog.json: "), "{stderr}");
+    for file in ["drifted.jsonl", "drifted.prom"] {
+        assert!(!dir.join(file).exists(), "{file} was written");
+    }
+}
+
 #[test]
 fn catalog_runs_write_the_pinned_files() {
     let dir = scratch_dir("olympctl-catalog-digests");

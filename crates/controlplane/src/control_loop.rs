@@ -2,7 +2,8 @@
 //! ladder, and the decisions the serving engine asks of them at its hooks.
 
 use crate::{
-    clamp_rebind_ppm, ControlConfig, DegradeState, Transition, COOL_WINDOW, ESCALATE_AFTER,
+    clamp_rebind_ppm, ControlConfig, CostOracle, DegradeState, Transition, COOL_WINDOW,
+    ESCALATE_AFTER,
 };
 use simtime::{SimDuration, SimTime};
 
@@ -19,17 +20,27 @@ pub struct ControlLoop {
     episodes: u32,
     /// The cool-down clock origin: the last burn episode or downward step.
     armed_at: Option<SimTime>,
+    /// Per client, the last whole-run GPU estimate the cost oracle gave and
+    /// the oracle epoch it was read at; `None` until one is read at a known
+    /// epoch. Sized once, to the client count.
+    expected: Vec<Option<(u64, Option<u64>)>>,
 }
 
 impl ControlLoop {
-    /// A loop over `cfg`, starting Healthy.
+    /// A loop over `cfg` for a run of `clients` sessions, starting Healthy.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid.
-    pub fn new(cfg: &ControlConfig) -> ControlLoop {
+    pub fn new(cfg: &ControlConfig, clients: usize) -> ControlLoop {
         cfg.validate();
-        ControlLoop { cfg: cfg.clone(), state: DegradeState::Healthy, episodes: 0, armed_at: None }
+        ControlLoop {
+            cfg: cfg.clone(),
+            state: DegradeState::Healthy,
+            episodes: 0,
+            armed_at: None,
+            expected: vec![None; clients],
+        }
     }
 
     /// The current rung.
@@ -89,27 +100,12 @@ impl ControlLoop {
         Some(Transition { from, to })
     }
 
-    /// Whether the tick scans for laxity-negative runs: a cost oracle
-    /// supplies the estimates.
-    pub fn cancels_laxity(&self) -> bool {
-        self.cfg.cost.is_some()
-    }
-
-    /// How far, in µs, a run of `(model, batch)` that received
-    /// `received_ns` of GPU time would overrun `deadline` if its remaining
-    /// work (the bound profile's whole-run GPU time minus what it received)
-    /// started at `now`; `None` when it fits or no profile resolves.
-    pub fn laxity_deficit_us(
-        &self,
-        model: &str,
-        batch: u64,
-        now: SimTime,
-        deadline: SimTime,
-        received_ns: u64,
-    ) -> Option<u64> {
-        let total = self.cfg.cost.as_ref()?.expected_gpu_ns(model, batch)?;
-        let eta = now + SimDuration::from_nanos(total.saturating_sub(received_ns));
-        (eta > deadline).then(|| (eta - deadline).as_nanos() / 1_000)
+    /// Starts the tick's scan for laxity-negative runs at `now`, reading
+    /// the cost oracle's epoch once; `None` when no oracle supplies the
+    /// estimates.
+    pub fn laxity_scan(&mut self, now: SimTime) -> Option<LaxityScan<'_>> {
+        let cost = self.cfg.cost.as_deref()?;
+        Some(LaxityScan { cost, epoch: cost.epoch(), now, expected: &mut self.expected })
     }
 
     /// Answers a drift alert on `(model, batch)`: rebinds its profile at
@@ -126,10 +122,53 @@ impl ControlLoop {
     }
 }
 
+/// One tick's laxity scan (see [`ControlLoop::laxity_scan`]).
+#[derive(Debug)]
+pub struct LaxityScan<'a> {
+    cost: &'a dyn CostOracle,
+    epoch: Option<u64>,
+    now: SimTime,
+    expected: &'a mut [Option<(u64, Option<u64>)>],
+}
+
+impl LaxityScan<'_> {
+    /// How far, in µs, `client`'s run of `(model, batch)` that received
+    /// `received_ns` of GPU time would overrun `deadline` if its remaining
+    /// work (the bound profile's whole-run GPU time minus what it received)
+    /// started now; `None` when it fits or no profile resolves.
+    ///
+    /// The oracle is asked only when the client has no estimate read at
+    /// this scan's epoch, so a client's `(model, batch)` must be the same
+    /// in every scan. The epoch moves whenever an answer may change (see
+    /// [`CostOracle::epoch`]), so a kept estimate is the one the oracle
+    /// would give now.
+    pub fn deficit_us(
+        &mut self,
+        client: usize,
+        model: &str,
+        batch: u64,
+        deadline: SimTime,
+        received_ns: u64,
+    ) -> Option<u64> {
+        let known = &mut self.expected[client];
+        let total = match (*known, self.epoch) {
+            (Some((at, total)), Some(epoch)) if at == epoch => total,
+            _ => {
+                let total = self.cost.expected_gpu_ns(model, batch);
+                *known = self.epoch.map(|epoch| (epoch, total));
+                total
+            }
+        }?;
+        let eta = self.now + SimDuration::from_nanos(total.saturating_sub(received_ns));
+        (eta > deadline).then(|| (eta - deadline).as_nanos() / 1_000)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostOracle, MAX_REBIND_PPM};
+    use crate::MAX_REBIND_PPM;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::{Arc, Mutex};
 
     /// A model "m" at batch 4 with a fixed 1 ms whole-run cost; logs
@@ -150,13 +189,37 @@ mod tests {
         }
     }
 
+    /// Model "m" costs `ns` at every batch; counts lookups and reports
+    /// `epoch`.
+    #[derive(Debug)]
+    struct Epoched {
+        ns: AtomicU64,
+        epoch: Mutex<Option<u64>>,
+        lookups: AtomicU64,
+    }
+
+    impl CostOracle for Epoched {
+        fn expected_gpu_ns(&self, model: &str, _batch: u64) -> Option<u64> {
+            self.lookups.fetch_add(1, Relaxed);
+            (model == "m").then(|| self.ns.load(Relaxed))
+        }
+
+        fn rebind_scaled(&self, _model: &str, _batch: u64, _scale_ppm: u64) -> bool {
+            false
+        }
+
+        fn epoch(&self) -> Option<u64> {
+            *self.epoch.lock().unwrap()
+        }
+    }
+
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
     #[test]
     fn degraded_divides_the_batch_hint_never_below_one() {
-        let mut ctl = ControlLoop::new(&ControlConfig::new());
+        let mut ctl = ControlLoop::new(&ControlConfig::new(), 0);
         assert_eq!(ctl.batch_hint(8), 8, "Healthy keeps the batch");
         assert!(!ctl.degraded());
         assert_eq!(ctl.on_burn(t(1)), None);
@@ -171,7 +234,7 @@ mod tests {
 
     #[test]
     fn shedding_refuses_admission_until_the_ladder_cools() {
-        let mut ctl = ControlLoop::new(&ControlConfig::new());
+        let mut ctl = ControlLoop::new(&ControlConfig::new(), 0);
         assert!(ctl.admits());
         for at in 1..=4 {
             ctl.on_burn(t(at));
@@ -186,26 +249,54 @@ mod tests {
 
     #[test]
     fn laxity_deficit_charges_the_remaining_profile_work() {
-        let plain = ControlLoop::new(&ControlConfig::new());
-        assert!(!plain.cancels_laxity(), "no oracle, no scan");
-        let ctl = ControlLoop::new(&ControlConfig::new().with_cost(Arc::new(Fixed::default())));
-        assert!(ctl.cancels_laxity());
+        let mut plain = ControlLoop::new(&ControlConfig::new(), 1);
+        assert!(plain.laxity_scan(t(0)).is_none(), "no oracle, no scan");
+        let cfg = ControlConfig::new().with_cost(Arc::new(Fixed::default()));
+        let mut ctl = ControlLoop::new(&cfg, 3);
+        let mut scan = ctl.laxity_scan(t(0)).expect("an oracle scans");
         // 1 ms of work, 400 µs received: the ETA is now + 600 µs.
-        assert_eq!(ctl.laxity_deficit_us("m", 4, t(0), t(600), 400_000), None, "exactly fits");
-        assert_eq!(ctl.laxity_deficit_us("m", 4, t(0), t(500), 400_000), Some(100));
-        assert_eq!(ctl.laxity_deficit_us("m", 2, t(0), t(1), 0), None, "no profile");
+        assert_eq!(scan.deficit_us(0, "m", 4, t(600), 400_000), None, "exactly fits");
+        assert_eq!(scan.deficit_us(1, "m", 4, t(500), 400_000), Some(100));
+        assert_eq!(scan.deficit_us(2, "m", 2, t(1), 0), None, "no profile");
+    }
+
+    #[test]
+    fn scans_reuse_each_clients_estimate_until_the_epoch_moves() {
+        let oracle = Arc::new(Epoched {
+            ns: AtomicU64::new(1_000_000),
+            epoch: Mutex::new(Some(0)),
+            lookups: AtomicU64::new(0),
+        });
+        let mut ctl = ControlLoop::new(&ControlConfig::new().with_cost(oracle.clone()), 2);
+        let mut scan = |at: u64| {
+            let mut scan = ctl.laxity_scan(t(at)).expect("an oracle scans");
+            [scan.deficit_us(0, "m", 4, t(500), 0), scan.deficit_us(1, "ghost", 4, t(500), 0)]
+        };
+        assert_eq!(scan(0), [Some(500), None]);
+        // A change the epoch does not report stays unseen, and so does a
+        // miss: both clients keep what they read at epoch 0.
+        oracle.ns.store(2_000_000, Relaxed);
+        assert_eq!(scan(100), [Some(600), None]);
+        assert_eq!(oracle.lookups.load(Relaxed), 2);
+        *oracle.epoch.lock().unwrap() = Some(1);
+        assert_eq!(scan(100), [Some(1_600), None], "the epoch moved: asked again");
+        assert_eq!(oracle.lookups.load(Relaxed), 4);
+        *oracle.epoch.lock().unwrap() = None;
+        scan(200);
+        scan(200);
+        assert_eq!(oracle.lookups.load(Relaxed), 8, "no epoch: asked on every scan");
     }
 
     #[test]
     fn rebind_clamps_the_drift_ratio() {
         let oracle = Arc::new(Fixed::default());
-        let ctl = ControlLoop::new(&ControlConfig::new().with_cost(oracle.clone()));
+        let ctl = ControlLoop::new(&ControlConfig::new().with_cost(oracle.clone()), 0);
         assert_eq!(ctl.rebind("m", 4, 140.0, 100.0), Some(1_400_000));
         assert_eq!(ctl.rebind("m", 4, 1e9, 1.0), Some(MAX_REBIND_PPM));
         assert_eq!(ctl.rebind("m", 4, 1.0, 0.0), None, "no expectation to scale against");
         assert_eq!(ctl.rebind("ghost", 4, 2.0, 1.0), None, "nothing to scale");
         assert_eq!(*oracle.rebinds.lock().unwrap(), vec![1_400_000, MAX_REBIND_PPM, 2_000_000]);
-        let plain = ControlLoop::new(&ControlConfig::new());
+        let plain = ControlLoop::new(&ControlConfig::new(), 0);
         assert_eq!(plain.rebind("m", 4, 2.0, 1.0), None, "no oracle, no rebind");
     }
 }

@@ -11,7 +11,8 @@
 //!   Shedding hysteresis ladder driven by repeated burn-rate episodes,
 //!   stepping back down one rung per quiet [`COOL_WINDOW`], plus the
 //!   admission gate, batch hint, laxity and rebind arithmetic the engine
-//!   asks of it;
+//!   asks of it. The laxity scan ([`LaxityScan`]) keeps each client's
+//!   last cost estimate until the oracle's epoch moves;
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
@@ -31,7 +32,7 @@ use std::sync::Arc;
 
 mod control_loop;
 
-pub use control_loop::ControlLoop;
+pub use control_loop::{ControlLoop, LaxityScan};
 
 /// The degradation ladder rung the control plane currently sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -105,6 +106,15 @@ pub trait CostOracle: fmt::Debug + Send + Sync {
     /// the effective rate `C/D` tracks the regressed device). Returns
     /// whether a profile existed to scale.
     fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool;
+
+    /// A counter that moves whenever an
+    /// [`expected_gpu_ns`](Self::expected_gpu_ns) answer may change, or
+    /// `None` when the oracle cannot tell. While it reads the same value,
+    /// the laxity scan reuses each client's last answer; an oracle without
+    /// an epoch, the default, is asked on every tick.
+    fn epoch(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Floor of one recalibration step, parts-per-million (0.25x).
@@ -182,7 +192,7 @@ mod tests {
     }
 
     fn ladder() -> ControlLoop {
-        ControlLoop::new(&ControlConfig::new())
+        ControlLoop::new(&ControlConfig::new(), 0)
     }
 
     #[test]
@@ -273,6 +283,6 @@ mod tests {
     fn default_config_validates() {
         let cfg = ControlConfig::new();
         cfg.validate();
-        assert_eq!(ControlLoop::new(&cfg).state(), DegradeState::Healthy);
+        assert_eq!(ControlLoop::new(&cfg, 0).state(), DegradeState::Healthy);
     }
 }

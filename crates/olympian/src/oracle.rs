@@ -7,7 +7,9 @@
 //! powers: read a model's expected whole-run GPU duration (the laxity
 //! estimate), and install a rescaled override when telemetry detects drift
 //! (the in-run recalibration path — the scheduler's next `resolve` sees
-//! the corrected `D_j` without any run stopping).
+//! the corrected `D_j` without any run stopping). It reports the store's
+//! [`epoch`](ProfileStore::epoch), so the control loop reuses an estimate
+//! until the store changes.
 
 use crate::ProfileStore;
 use controlplane::CostOracle;
@@ -37,6 +39,10 @@ impl CostOracle for StoreCostOracle {
     fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool {
         self.store.override_scaled(model, batch, scale_ppm)
     }
+
+    fn epoch(&self) -> Option<u64> {
+        Some(self.store.epoch())
+    }
 }
 
 #[cfg(test)]
@@ -60,7 +66,9 @@ mod tests {
         let oracle = StoreCostOracle::new(Arc::clone(&store));
         assert_eq!(oracle.expected_gpu_ns("m", 2), Some(50_000));
         assert_eq!(oracle.expected_gpu_ns("m", 4), None);
+        let epoch = oracle.epoch().expect("the store reports its epoch");
         assert!(oracle.rebind_scaled("m", 2, 1_400_000));
+        assert!(oracle.epoch() > Some(epoch), "a rebind moves the epoch");
         // The rebind is visible through both the oracle and the store the
         // scheduler resolves against.
         assert_eq!(oracle.expected_gpu_ns("m", 2), Some(70_000));

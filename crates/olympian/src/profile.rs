@@ -3,6 +3,7 @@
 use dataflow::{CostModel, NodeId};
 use simtime::SimDuration;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The offline profile of one `(model, batch)` configuration.
@@ -94,6 +95,9 @@ pub struct ProfileStore {
     /// over the stale base measurement it corrects. Interior mutability
     /// for the same reason as `dynamic`.
     overrides: std::sync::Mutex<ProfileTable>,
+    /// Moves on every change made through `&self`; see
+    /// [`epoch`](Self::epoch).
+    epoch: AtomicU64,
 }
 
 /// Profiles keyed by model name, then batch, so every lookup probes with a
@@ -150,6 +154,25 @@ impl ProfileStore {
         self.profiles.insert(Arc::new(profile))
     }
 
+    /// A counter that moves whenever what [`resolve`](Self::resolve)
+    /// returns may have changed while the store is shared: on every
+    /// [`register_dynamic`](Self::register_dynamic),
+    /// [`retire_dynamic`](Self::retire_dynamic) and successful
+    /// [`override_scaled`](Self::override_scaled), never on a lookup.
+    /// ([`insert`](Self::insert) takes `&mut self`, so no reader can hold
+    /// an answer across it.) An answer read while the epoch was `e` is
+    /// still current while it reads `e`, so a reader can keep it instead
+    /// of resolving again.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Moves the epoch after a change, so a reader that sees the new epoch
+    /// also sees the change.
+    fn bump(&self) {
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
     /// Looks up the profile for `(model, batch)`.
     pub fn get(&self, model: &str, batch: u64) -> Option<Arc<ModelProfile>> {
         self.profiles.get(model, batch).cloned()
@@ -168,6 +191,7 @@ impl ProfileStore {
             .lock()
             .expect("dynamic profile lock poisoned")
             .insert(Arc::new(profile));
+        self.bump();
     }
 
     /// Retires a dynamically registered profile (the version unloaded).
@@ -181,6 +205,7 @@ impl ProfileStore {
             .lock()
             .expect("dynamic profile lock poisoned")
             .remove(model, batch);
+        self.bump();
     }
 
     /// Installs a recalibrated copy of the `(model, batch)` profile whose
@@ -210,6 +235,7 @@ impl ProfileStore {
             .lock()
             .expect("override lock poisoned")
             .insert(Arc::new(rebound));
+        self.bump();
         true
     }
 
@@ -332,6 +358,41 @@ mod tests {
         );
         // No base profile: the rebind reports failure.
         assert!(!store.override_scaled("ghost", 1, 1_500_000));
+    }
+
+    /// Requires `change` to move the store's epoch, and lookups before and
+    /// after it not to.
+    fn moves_epoch(store: &ProfileStore, what: &str, change: impl FnOnce(&ProfileStore)) {
+        let lookups = |s: &ProfileStore| {
+            let at = s.epoch();
+            s.get("m", 4);
+            s.resolve("m", 4);
+            s.resolve_base("m", 4);
+            s.resolve("ghost", 1);
+            assert_eq!(s.epoch(), at, "a lookup moved the epoch");
+        };
+        lookups(store);
+        let before = store.epoch();
+        change(store);
+        assert!(store.epoch() > before, "{what} did not move the epoch");
+        lookups(store);
+    }
+
+    #[test]
+    fn changes_move_the_epoch_and_lookups_never_do() {
+        let mut store = ProfileStore::new();
+        store.insert(sample("m", 4));
+        moves_epoch(&store, "register_dynamic", |s| {
+            s.register_dynamic(sample("m@v2", 4))
+        });
+        moves_epoch(&store, "override_scaled", |s| {
+            assert!(s.override_scaled("m", 4, 1_500_000))
+        });
+        moves_epoch(&store, "retire_dynamic", |s| s.retire_dynamic("m@v2", 4));
+        // A rebind with no base profile to scale changes nothing.
+        let before = store.epoch();
+        assert!(!store.override_scaled("ghost", 1, 1_500_000));
+        assert_eq!(store.epoch(), before);
     }
 
     #[test]

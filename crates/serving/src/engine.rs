@@ -220,6 +220,16 @@ enum JobRef {
     Cancelled(u32),
 }
 
+impl JobRef {
+    /// The slot index of a live job.
+    fn live(&self) -> Option<usize> {
+        match *self {
+            JobRef::Live(s) => Some(s as usize),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ClientState {
     spec: ClientSpec,
@@ -360,7 +370,7 @@ fn build_engine<'a>(
         .faults
         .as_ref()
         .map(|f| Recovery::new(f, cfg.seed, client_states.len(), devices.len()));
-    let control = cfg.control.as_ref().map(ControlLoop::new);
+    let control = cfg.control.as_ref().map(|cc| ControlLoop::new(cc, client_states.len()));
     let fleet = cfg.cluster.as_ref().map(|cc| {
         Fleet::new(cc, &profiles).unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
     });
@@ -423,10 +433,7 @@ impl Engine<'_> {
     /// engine's other fields.
     #[inline]
     fn live_slot(&self, id: JobId) -> Option<usize> {
-        match self.job_refs.get(id.0 as usize) {
-            Some(&JobRef::Live(s)) => Some(s as usize),
-            _ => None,
-        }
+        self.job_refs.get(id.0 as usize)?.live()
     }
 
     fn run(&mut self) {
@@ -1073,15 +1080,16 @@ impl Engine<'_> {
     /// undecided session: a decided one has no live run.
     fn laxity_doomed(&mut self) -> Vec<(JobId, ClientId, u64)> {
         let first = self.first_undecided();
-        let Some(ctl) = self.control.as_ref().filter(|ctl| ctl.cancels_laxity()) else {
+        let scan = self.control.as_mut().and_then(|ctl| ctl.laxity_scan(self.now));
+        let Some(mut scan) = scan else {
             return Vec::new();
         };
         let doomed = self.clients.iter().enumerate().skip(first).filter_map(|(i, client)| {
             let (job, budget) = (client.current_job?, client.spec.run_deadline?);
-            let slot = self.live_slot(job)?;
+            let slot = self.job_refs.get(job.0 as usize)?.live()?;
             let (m, deadline) = (&client.spec.model, self.job_cold[slot].started_at + budget);
             let received = self.job_hot[slot].gpu_busy.as_nanos();
-            let deficit = ctl.laxity_deficit_us(m.name(), m.batch(), self.now, deadline, received)?;
+            let deficit = scan.deficit_us(i, m.name(), m.batch(), deadline, received)?;
             Some((job, ClientId(i as u32), deficit))
         });
         doomed.collect()

@@ -1,16 +1,23 @@
 //! Integration tests for the closed-loop control plane: degradation-ladder
-//! hysteresis at engine level, the Shedding admission gate, and
-//! byte-determinism of controlled runs across worker counts.
+//! hysteresis at engine level, the Shedding admission gate,
+//! byte-determinism of controlled runs across worker counts, and the laxity
+//! scan's kept estimates.
 
 mod common;
 
+use bench::figs::closedloop;
 use common::fnv1a;
+use controlplane::CostOracle;
 use models::LoadedModel;
-use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle};
+use olympian::{
+    DeadlineMode, OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle,
+};
 use serving::faults::{FaultConfig, FaultPlan};
-use serving::trace::TraceKind;
+use serving::trace::{Trace, TraceKind};
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 
@@ -268,4 +275,149 @@ fn closed_loop_reports_are_byte_identical_across_jobs() {
     assert_eq!(serial, parallel);
     // Same seed, fresh store and oracle: identical bytes.
     assert_eq!(replication(3), replication(3));
+}
+
+/// Forwards the two required `CostOracle` methods to the store's own
+/// oracle and counts the laxity lookups. It leaves `epoch` at its default,
+/// `None`, so the laxity scan asks it on every tick.
+#[derive(Debug)]
+struct Uncached {
+    store: Arc<StoreCostOracle>,
+    lookups: AtomicU64,
+}
+
+impl Uncached {
+    fn new(store: Arc<ProfileStore>) -> Uncached {
+        Uncached {
+            store: StoreCostOracle::new(store),
+            lookups: AtomicU64::new(0),
+        }
+    }
+}
+
+impl CostOracle for Uncached {
+    fn expected_gpu_ns(&self, model: &str, batch: u64) -> Option<u64> {
+        self.lookups.fetch_add(1, Relaxed);
+        self.store.expected_gpu_ns(model, batch)
+    }
+
+    fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool {
+        self.store.rebind_scaled(model, batch, scale_ppm)
+    }
+}
+
+/// [`Uncached`] that also reports the store's epoch, so the laxity scan
+/// keeps each client's estimate until the store changes.
+#[derive(Debug)]
+struct Cached(Uncached);
+
+impl CostOracle for Cached {
+    fn expected_gpu_ns(&self, model: &str, batch: u64) -> Option<u64> {
+        self.0.expected_gpu_ns(model, batch)
+    }
+
+    fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool {
+        self.0.rebind_scaled(model, batch, scale_ppm)
+    }
+
+    fn epoch(&self) -> Option<u64> {
+        self.0.store.epoch()
+    }
+}
+
+const MODES: [DeadlineMode; 2] = [DeadlineMode::Edf, DeadlineMode::LeastLaxity];
+
+/// Keeping each client's estimate until the store's epoch moves changes no
+/// decision: the closedloop figure's closed cell reports the same bytes
+/// under EDF and under least laxity whether its oracle is the store's own,
+/// which reports the epoch, or one asked on every tick. Each cell rebinds a
+/// profile mid-run, so kept estimates must be dropped at least once, and
+/// cancels a run on laxity, so the estimates decide something.
+#[test]
+fn kept_laxity_estimates_decide_exactly_like_fresh_ones() {
+    for mode in MODES {
+        let kept = closedloop::run_cells_with(mode, |s| StoreCostOracle::new(s)).closed;
+        let fresh = closedloop::run_cells_with(mode, |s| Arc::new(Uncached::new(s))).closed;
+        assert!(
+            counter(&kept, "control_profile_rebinds") >= 1,
+            "{mode:?}: no rebind"
+        );
+        assert!(
+            counter(&kept, "control_laxity_cancels") >= 1,
+            "{mode:?}: no laxity cancel"
+        );
+        assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "{mode:?}");
+    }
+}
+
+/// How many times the laxity scan meets a live run: once per control tick
+/// strictly inside the run's registration-to-end span, plus the tick that
+/// cancels a run on laxity. Every run of the trace must end, and none may
+/// start or end on a tick otherwise, where the order of the tick and the
+/// run's event at that instant would decide.
+fn live_run_ticks(trace: &Trace) -> u64 {
+    let tick = controlplane::TICK.as_nanos();
+    let on_tick = |at: u64| at > 0 && at.is_multiple_of(tick);
+    let mut registered = HashMap::new();
+    let mut meetings = 0;
+    for e in &trace.events {
+        let at = e.at.as_nanos();
+        let (job, cancelling_tick) = match e.kind {
+            TraceKind::RunRegistered { job, .. } => {
+                assert!(!on_tick(at), "run {job} registers on a tick");
+                registered.insert(job, at);
+                continue;
+            }
+            TraceKind::LaxityCancel { job, .. } => (job, 1),
+            TraceKind::RunCompleted { job, .. } | TraceKind::DeadlineCancelled { job, .. } => {
+                assert!(!on_tick(at), "run {job} ends on a tick");
+                (job, 0)
+            }
+            _ => continue,
+        };
+        let from = registered
+            .remove(&job)
+            .expect("a run ends after it registers");
+        meetings += (at - 1) / tick - from / tick + cancelling_tick;
+    }
+    assert!(registered.is_empty(), "runs {registered:?} never end");
+    meetings
+}
+
+/// Over the same cells, an oracle that reports the store's epoch is asked
+/// at most once per client for each value the epoch takes during the run,
+/// while one without an epoch is asked once per live run per tick.
+#[test]
+fn laxity_lookups_are_once_per_client_per_epoch() {
+    for mode in MODES {
+        let mut bound = None;
+        let kept = closedloop::run_cells_with(mode, |store| {
+            let oracle = Arc::new(Cached(Uncached::new(Arc::clone(&store))));
+            bound = Some((Arc::clone(&oracle), store.epoch(), store));
+            oracle
+        })
+        .closed;
+        let (oracle, start, store) = bound.expect("the closed cell binds an oracle");
+        let (moves, clients) = (store.epoch() - start, kept.clients.len() as u64);
+        let lookups = oracle.0.lookups.load(Relaxed);
+        assert!(moves >= 1, "{mode:?}: the store never changed");
+        assert!(lookups >= clients, "{mode:?}: {lookups} lookups");
+        assert!(
+            lookups <= clients * (moves + 1),
+            "{mode:?}: {lookups} lookups by {clients} clients over {moves} epoch moves"
+        );
+
+        let mut bound = None;
+        let fresh = closedloop::run_cells_with(mode, |store| {
+            let oracle = Arc::new(Uncached::new(store));
+            bound = Some(Arc::clone(&oracle));
+            oracle
+        })
+        .closed;
+        let lookups = bound
+            .expect("the closed cell binds an oracle")
+            .lookups
+            .load(Relaxed);
+        assert_eq!(lookups, live_run_ticks(&fresh.trace), "{mode:?}");
+    }
 }

@@ -1,10 +1,10 @@
 //! Profile lookups allocate nothing.
 //!
-//! The control plane's laxity scan asks the cost oracle for every queued
-//! run on every tick, and the scheduler resolves a profile per run, so a
-//! lookup that builds an owned key costs an allocation per call. This test
-//! counts the heap allocations its thread makes with a counting
-//! `#[global_allocator]`.
+//! The scheduler resolves a profile per run, and the control plane's
+//! laxity scan asks the cost oracle for a client's expected cost whenever
+//! the store's epoch has moved since it last asked, so a lookup that
+//! builds an owned key costs an allocation per call. This test counts the
+//! heap allocations its thread makes with a counting `#[global_allocator]`.
 
 mod counting_alloc;
 
