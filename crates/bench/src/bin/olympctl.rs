@@ -324,10 +324,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
             run_experiment(&cfg, specs, &mut sched)
         } else {
             let mut sched = OlympianScheduler::new(store, factory(), q);
-            let report = run_experiment(&cfg, specs, &mut sched);
-            print_run(&report, &sched);
-            print_trace(&report, trace_lines);
-            return Ok(());
+            run_experiment(&cfg, specs, &mut sched)
         }
     };
     print_report(&report);
@@ -715,11 +712,6 @@ fn cmd_scenario(cmd: &str, name: &str, flags: &HashMap<String, String>) -> Resul
     bench::figs::evaluate(&fig.claims)
 }
 
-fn print_run(report: &serving::RunReport, sched: &OlympianScheduler) {
-    print_report(report);
-    println!("token switches : {}", sched.switches());
-}
-
 fn print_report(report: &serving::RunReport) {
     println!("scheduler      : {}", report.scheduler_name);
     println!("makespan       : {:.3} s", report.makespan.as_secs_f64());
@@ -734,6 +726,7 @@ fn print_report(report: &serving::RunReport) {
             other => println!("  client {:>3}: {other}", c.client.0),
         }
     }
+    println!("token switches : {}", report.switch_count);
 }
 
 fn main() -> ExitCode {

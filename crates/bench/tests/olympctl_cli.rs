@@ -54,9 +54,10 @@ fn run_rejects_zero_valued_flags() {
     }
 }
 
-/// `run` finishes both clients under every policy, on one device (the
-/// Olympian path prints its token switches) and on two (one token
-/// scheduler per device), and names the policy it ran.
+/// `run` finishes both clients under every policy, on one device and on
+/// two (one token scheduler per device), names the policy it ran and prints
+/// its token switches. The fair single-device cell also prints its first
+/// five events, one `[time] track name key=value…` line each.
 #[test]
 fn run_finishes_under_every_policy_on_one_and_two_gpus() {
     let run = "run --model alexnet --batch 10 --clients 2 --batches 1 --policy";
@@ -68,7 +69,11 @@ fn run_finishes_under_every_policy_on_one_and_two_gpus() {
         ("baseline", "tf-serving"),
     ] {
         for gpus in ["1", "2"] {
-            let args: Vec<&str> = run.split(' ').chain([policy, "--gpus", gpus]).collect();
+            let traced = policy == "fair" && gpus == "1";
+            let mut args: Vec<&str> = run.split(' ').chain([policy, "--gpus", gpus]).collect();
+            if traced {
+                args.extend(["--trace", "5"]);
+            }
             let out = olympctl(&args);
             let stdout = String::from_utf8_lossy(&out.stdout);
             assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
@@ -77,6 +82,16 @@ fn run_finishes_under_every_policy_on_one_and_two_gpus() {
             let multi = gpus == "2" && policy != "baseline";
             assert_eq!(scheduler.contains("-multi-"), multi, "{args:?}: {stdout}");
             assert_eq!(stdout.matches(": finished").count(), 2, "{args:?}: {stdout}");
+            assert!(stdout.contains("\ntoken switches : "), "{args:?}: {stdout}");
+            let events: Vec<&str> = stdout.lines().filter(|l| l.starts_with('[')).collect();
+            assert_eq!(events.len(), if traced { 5 } else { 0 }, "{args:?}: {stdout}");
+            for line in events {
+                let words: Vec<&str> = line.split(' ').collect();
+                let track = words.get(1).copied().unwrap_or_default();
+                let tracks = ["client", "gpu", "scheduler"];
+                assert!(tracks.iter().any(|t| track.starts_with(t)), "{line}");
+                assert!(words.len() > 2 && words[3..].iter().all(|w| w.contains('=')), "{line}");
+            }
         }
     }
     let args: Vec<&str> = run.split(' ').chain(["drr"]).collect();
@@ -151,7 +166,7 @@ fn catalog_runs_write_the_pinned_files() {
         assert!(out.status.success(), "{args}: {}", String::from_utf8_lossy(&out.stderr));
     }
     for (file, digest) in [
-        ("trace_smoke.json", 0xfab1_34cc_c398_0b15_u64),
+        ("trace_smoke.json", 0x4321_2090_6f53_39ef_u64),
         ("drifted.jsonl", 0x5837_b01d_2064_4096),
         ("drifted.prom", 0x84b0_d195_c389_c7f0),
         ("blame.json", 0x821f_86e0_6d12_eb57),

@@ -58,4 +58,4 @@ pub use oracle::StoreCostOracle;
 pub use policy::{Lottery, Policy, Priority, RoundRobin, WeightedFair};
 pub use profile::{ModelProfile, ProfileStore};
 pub use profiler::{LinearCostModel, OverheadQCurve, Profiler};
-pub use scheduler::{OlympianScheduler, QuantumMeter};
+pub use scheduler::OlympianScheduler;

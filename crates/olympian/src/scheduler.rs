@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// How quantum expiry is detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantumMeter {
+enum QuantumMeter {
     /// The paper's mechanism: accumulate profiled node costs and expire at
     /// the threshold `T_j = Q · C_j / D_j`.
     CostAccumulation,
@@ -53,12 +53,10 @@ pub struct OlympianScheduler {
     /// dense entries beats a hash probe on the cost hot path.
     jobs: Vec<(JobId, JobAccount)>,
     name: String,
-    switches: u64,
     /// Token-hold watchdog patience (a multiple of `Q`); `None` disables.
     watchdog: Option<SimDuration>,
     /// Last time the holder made GPU progress (or was granted the token).
     last_progress: SimTime,
-    watchdog_revocations: u64,
 }
 
 impl OlympianScheduler {
@@ -83,10 +81,8 @@ impl OlympianScheduler {
             token_since: SimTime::ZERO,
             jobs: Vec::new(),
             name,
-            switches: 0,
             watchdog: None,
             last_progress: SimTime::ZERO,
-            watchdog_revocations: 0,
         }
     }
 
@@ -105,11 +101,6 @@ impl OlympianScheduler {
         self
     }
 
-    /// Times the watchdog has revoked a stalled holder.
-    pub fn watchdog_revocations(&self) -> u64 {
-        self.watchdog_revocations
-    }
-
     /// Switches to the wall-clock meter (the Figure 19 ablation). Profiles
     /// are still required at registration so the comparison isolates the
     /// metering mechanism, not admission behaviour.
@@ -117,26 +108,6 @@ impl OlympianScheduler {
         self.meter = QuantumMeter::WallClock;
         self.name = format!("{}-cpu-timer", self.name);
         self
-    }
-
-    /// The configured quantum `Q`.
-    pub fn quantum(&self) -> SimDuration {
-        self.quantum
-    }
-
-    /// The active meter.
-    pub fn meter(&self) -> QuantumMeter {
-        self.meter
-    }
-
-    /// Current token holder.
-    pub fn token_holder(&self) -> Option<JobId> {
-        self.token
-    }
-
-    /// Number of token movements so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
     }
 
     fn move_token(&mut self, to: Option<JobId>, now: SimTime, reason: SwitchReason) -> Verdict {
@@ -147,7 +118,6 @@ impl OlympianScheduler {
         self.token = to;
         self.token_since = now;
         self.last_progress = now;
-        self.switches += 1;
         Verdict::Moved { from, to, reason }
     }
 }
@@ -261,7 +231,6 @@ impl Scheduler for OlympianScheduler {
         // like an overflow kernel — and loses the token.
         if let Some(patience) = self.watchdog {
             if now >= self.last_progress + patience {
-                self.watchdog_revocations += 1;
                 let next = self.policy.quantum_expired(holder);
                 self.last_progress = now;
                 if next == self.token {
@@ -436,13 +405,11 @@ mod tests {
                 reason: SwitchReason::Deregister
             }
         );
-        assert_eq!(s.token_holder(), None);
     }
 
     #[test]
     fn wall_clock_meter_uses_timers_not_costs() {
         let mut s = sched(100).with_wall_clock_meter();
-        assert_eq!(s.meter(), QuantumMeter::WallClock);
         s.register(JobId(1), &ctx(0)).unwrap();
         s.register(JobId(2), &ctx(0)).unwrap();
         // Costs do not rotate:
@@ -515,7 +482,6 @@ mod tests {
                 reason: SwitchReason::WatchdogStall
             }
         );
-        assert_eq!(s.watchdog_revocations(), 1);
         assert!(s.may_run(JobId(2)));
     }
 
@@ -528,7 +494,6 @@ mod tests {
         s.on_gpu_node_done(JobId(1), NodeId::from_index(0), SimTime::from_nanos(150));
         assert_eq!(s.next_timer(SimTime::ZERO), Some(SimTime::from_nanos(350)));
         assert_eq!(s.on_timer(SimTime::from_nanos(200)), Verdict::Unchanged);
-        assert_eq!(s.watchdog_revocations(), 0);
         // A non-holder's overflow kernel does not feed the holder's watchdog.
         s.on_gpu_node_done(JobId(2), NodeId::from_index(0), SimTime::from_nanos(300));
         assert_eq!(s.next_timer(SimTime::ZERO), Some(SimTime::from_nanos(350)));
@@ -539,8 +504,8 @@ mod tests {
         let mut s = sched(100).with_watchdog(1.0);
         s.register(JobId(1), &ctx(0)).unwrap();
         assert_eq!(s.on_timer(SimTime::from_nanos(100)), Verdict::Unchanged);
-        assert_eq!(s.watchdog_revocations(), 1);
-        assert_eq!(s.token_holder(), Some(JobId(1)));
+        assert!(s.may_run(JobId(1)));
+        // The revocation re-armed the watchdog from the stall.
         assert_eq!(s.next_timer(SimTime::ZERO), Some(SimTime::from_nanos(200)));
     }
 

@@ -1482,16 +1482,6 @@ impl Engine<'_> {
             // Off-mode tracing costs one branch here; the threshold probes
             // and overflow check run only while capturing.
             let pre_cost = if self.trace.is_on() {
-                if self.trace.records_kernels() {
-                    let device = self.clients[client as usize].device;
-                    self.record(TraceKind::KernelComplete {
-                        job: job_id.0,
-                        client,
-                        device,
-                        node: node.index() as u32,
-                        gpu: d,
-                    });
-                }
                 if !self.scheduler.may_run(job_id) {
                     let device = self.clients[client as usize].device;
                     self.record(TraceKind::OverflowCharge {

@@ -1,14 +1,17 @@
 //! Chrome trace-event JSON export (the format Perfetto and
-//! `chrome://tracing` load).
+//! `chrome://tracing` load), and the text of [`render_trace`].
+//!
+//! Each event kind is described once, by `describe`: the name, category
+//! and arguments of its row. Both writers read that description.
 //!
 //! Layout: process 1 ("clients") holds one track per client plus a
-//! "scheduler" track for token events whose owner is no longer known;
-//! process 2 ("gpus") holds one track per device. Quantum spans render as
-//! complete (`"ph":"X"`) slices on client tracks, kernel executions as
-//! slices on device tracks, and everything else as instant events. The
-//! per-kernel enqueue/complete events are deliberately *not* exported —
-//! they exist for [`stats`](crate::stats) attribution and would triple the
-//! file size without adding a visual.
+//! "scheduler" track for events with no known client; process 2 ("gpus")
+//! holds one track per device. Quantum spans render as complete
+//! (`"ph":"X"`) slices on client tracks, kernel executions as slices on
+//! device tracks, and everything else as instant events. Kernel enqueues
+//! are the one kind not exported: attrib reads them for its transfer
+//! phase and telemetry for its hand-off latency, and a row per kernel would
+//! add no visual to the kernel slices.
 //!
 //! Output is byte-deterministic: events are ordered by
 //! `(process, track, timestamp, sequence number)` and all numbers derive
@@ -28,6 +31,7 @@
 
 use crate::{Trace, TraceEvent, TraceKind};
 use microjson::{write_escaped, write_f64, write_u64};
+use simtime::SimDuration;
 use std::fmt::Write as _;
 
 /// Track labelling for the exporter: everything the trace's raw ids cannot
@@ -187,59 +191,66 @@ struct Slot {
     dur_ns: Option<u64>,
 }
 
-/// Whether an event has a row: every kind but the per-kernel enqueue and
-/// complete events.
+/// Whether an event has a row: every kind but the per-kernel enqueue.
 fn exported(kind: &TraceKind) -> bool {
-    !matches!(kind, TraceKind::KernelEnqueue { .. } | TraceKind::KernelComplete { .. })
+    !matches!(kind, TraceKind::KernelEnqueue { .. })
 }
 
-/// The slot of an [`exported`] event: kernels and device stalls sit on
-/// their device's track, and everything else on its client's track or,
-/// when it has no client, on the scheduler track. Kernels and quanta are
-/// slices; quanta end at the event.
-fn slot_of(event: usize, e: &TraceEvent, scheduler_tid: u64) -> Slot {
+/// Where an event's row goes: its track, as `(pid, tid)` with no `tid` for
+/// the scheduler track, and its span's start and, for slices, duration.
+/// Kernel launches and device stalls sit on their device's track, and
+/// everything else on its client's track or, when it has no client, on the
+/// scheduler track. Kernels and quanta are slices; quanta end at the event.
+fn place(e: &TraceEvent) -> ((u64, Option<u32>), u64, Option<u64>) {
     let at = e.at.as_nanos();
-    let ((pid, tid), ts_ns, dur_ns) = match e.kind {
+    match e.kind {
         TraceKind::KernelLaunch { device, start, end, .. } => {
-            ((GPUS_PID, u64::from(device)), start.as_nanos(), Some(end.since(start).as_nanos()))
+            ((GPUS_PID, Some(device)), start.as_nanos(), Some(end.since(start).as_nanos()))
         }
-        TraceKind::DeviceStall { device, .. } => ((GPUS_PID, u64::from(device)), at, None),
+        TraceKind::DeviceStall { device, .. } => ((GPUS_PID, Some(device)), at, None),
         TraceKind::QuantumEnd { client, gpu, .. } => {
             let dur = gpu.as_nanos();
-            ((CLIENTS_PID, u64::from(client)), at.saturating_sub(dur), Some(dur))
+            ((CLIENTS_PID, Some(client)), at.saturating_sub(dur), Some(dur))
         }
-        _ => ((CLIENTS_PID, e.kind.client().map_or(scheduler_tid, u64::from)), at, None),
-    };
-    Slot { pid, tid, ts_ns, event, dur_ns }
+        _ => ((CLIENTS_PID, e.kind.client()), at, None),
+    }
 }
 
-/// Writes the row of an [`exported`] event on `track`, over `ts_ns` and
-/// `dur_ns` (its slot's span once clamped). Its arguments end with the
-/// event's sequence number.
-fn write_row(
-    e: &TraceEvent,
-    track: (u64, u64),
-    (ts_ns, dur_ns): (u64, Option<u64>),
-    w: &mut EventWriter<'_>,
+/// The slot of an [`exported`] event, whose scheduler track is
+/// `scheduler_tid`.
+fn slot_of(event: usize, e: &TraceEvent, scheduler_tid: u64) -> Slot {
+    let ((pid, tid), ts_ns, dur_ns) = place(e);
+    Slot { pid, tid: tid.map_or(scheduler_tid, u64::from), ts_ns, event, dur_ns }
+}
+
+/// The one description of each event kind: hands `row` the name, category
+/// and arguments (at most [`MAX_ARGS`]) of the event's row. A name built
+/// from the event's own strings is written into `scratch` first.
+fn describe(
+    kind: &TraceKind,
     scratch: &mut String,
+    row: impl FnOnce(&str, &'static str, &[(&'static str, EventArg)]),
 ) {
     use EventArg::{Str, UInt, Us};
     let u = |v: u32| UInt(u64::from(v));
-    let mut row = |name: &str, cat: &str, args: &[(&'static str, EventArg)]| {
-        let mut all = [("", UInt(0)); MAX_ARGS + 1];
-        all[..args.len()].copy_from_slice(args);
-        all[args.len()] = ("seq", UInt(e.seq));
-        w.event(name, cat, track, ts_ns, dur_ns, &all[..=args.len()]);
-    };
-    match e.kind {
+    match *kind {
         TraceKind::QuantumEnd { job, .. } => row("quantum", "quantum", &[("job", UInt(job))]),
         TraceKind::KernelLaunch { job, client: c, node, .. } => row(
             "kernel",
             "kernel",
             &[("job", UInt(job)), ("client", u(c)), ("node", u(node))],
         ),
-        TraceKind::KernelEnqueue { .. } | TraceKind::KernelComplete { .. } => {
-            unreachable!("per-kernel enqueue and complete events are not exported")
+        TraceKind::KernelEnqueue { job, device, node, handoff, .. } => {
+            let handoff_ns = handoff.map_or(0, SimDuration::as_nanos);
+            let all = [
+                ("job", UInt(job)),
+                ("device", u(device)),
+                ("node", u(node)),
+                ("handoff_us", Us(handoff_ns)),
+            ];
+            // Only the holder's first enqueue after a grant has a hand-off.
+            let args = if handoff.is_some() { &all[..] } else { &all[..3] };
+            row("kernel-enqueue", "kernel", args)
         }
         TraceKind::TokenGrant { job, reason, .. } => row(
             "token-grant",
@@ -346,7 +357,7 @@ fn write_row(
         ),
         TraceKind::Evict { model, version, bytes }
         | TraceKind::Unload { model, version, bytes } => {
-            let name = if matches!(e.kind, TraceKind::Evict { .. }) { "evict" } else { "unload" };
+            let name = if matches!(kind, TraceKind::Evict { .. }) { "evict" } else { "unload" };
             let args = [("model", u(model)), ("version", u(version)), ("bytes", UInt(bytes))];
             row(name, "residency", &args)
         }
@@ -443,7 +454,13 @@ pub fn chrome_trace_json(
             }
             last = Some((slot.pid, slot.tid, end));
         }
-        write_row(&trace.events[slot.event], (slot.pid, slot.tid), (ts, dur), &mut w, &mut scratch);
+        let e = &trace.events[slot.event];
+        describe(&e.kind, &mut scratch, |name, cat, args| {
+            let mut all = [("", EventArg::UInt(0)); MAX_ARGS + 1];
+            all[..args.len()].copy_from_slice(args);
+            all[args.len()] = ("seq", EventArg::UInt(e.seq));
+            w.event(name, cat, (slot.pid, slot.tid), ts, dur, &all[..=args.len()]);
+        });
     }
     // Freed before the caller's events grow the output further.
     drop(slots);
@@ -463,6 +480,47 @@ pub fn chrome_trace_json(
         );
     }
     out.push_str("}}");
+    out
+}
+
+/// Renders a trace as one line per event, in trace order: the event's
+/// time, its track (`client<N>`, `gpu<N>` or `scheduler`), its row's name,
+/// for slices the duration, and its arguments as `key=value`. Kernel
+/// enqueues, which the Chrome export skips, print too. `limit` caps the
+/// output (`usize::MAX` for everything).
+pub fn render_trace(trace: &Trace, limit: usize) -> String {
+    let mut out = String::new();
+    if trace.dropped > 0 {
+        let _ = writeln!(out, "... ({} events dropped by the ring)", trace.dropped);
+    }
+    let mut scratch = String::new();
+    for e in trace.events.iter().take(limit) {
+        let ((pid, tid), _, dur_ns) = place(e);
+        let _ = match tid {
+            Some(d) if pid == GPUS_PID => write!(out, "[{}] gpu{d} ", e.at),
+            Some(c) => write!(out, "[{}] client{c} ", e.at),
+            None => write!(out, "[{}] scheduler ", e.at),
+        };
+        describe(&e.kind, &mut scratch, |name, _, args| {
+            out.push_str(name);
+            if let Some(d) = dur_ns {
+                out.push_str(" dur_us=");
+                write_us(d, &mut out);
+            }
+            for &(key, arg) in args {
+                let _ = write!(out, " {key}=");
+                match arg {
+                    EventArg::UInt(n) => write_u64(n, &mut out),
+                    EventArg::Us(ns) => write_us(ns, &mut out),
+                    EventArg::Str(s) => out.push_str(s),
+                }
+            }
+        });
+        out.push('\n');
+    }
+    if trace.len() > limit {
+        let _ = writeln!(out, "... ({} more events)", trace.len() - limit);
+    }
     out
 }
 

@@ -4,7 +4,7 @@
 //!
 //! The serving engine records typed [`TraceEvent`]s — token movements with
 //! their reason, quantum boundaries, cost-threshold crossings, cooperative
-//! yields, kernel enqueue/launch/complete, overflow charges and client
+//! yields, kernel enqueue and launch, overflow charges and client
 //! lifecycle — into a [`TraceBuffer`]: a pre-allocated arena (optionally a
 //! bounded ring) that allocates nothing in steady state. Every event is
 //! stamped with its virtual [`SimTime`] and a monotonic sequence number, so
@@ -13,22 +13,22 @@
 //! single-threaded on a virtual clock, and nothing in here consults wall
 //! clocks, thread ids or iteration order of unordered containers.
 //!
-//! A finished [`Trace`] is read two ways:
+//! A finished [`Trace`] is read three ways:
 //!
 //! * [`export::chrome_trace_json`] — Chrome trace-event JSON loadable in
 //!   Perfetto / `chrome://tracing`, one track per client plus one per GPU
 //!   device;
+//! * [`export::render_trace`] — the same rows as text, one line per event;
 //! * [`stats::TraceStats`] — the overhead attribution (token switches,
 //!   quantum-length distribution, overflow µs, scheduler-overhead µs)
 //!   behind the `overhead` report and `olympctl trace`.
 
 use simtime::{SimDuration, SimTime};
-use std::fmt;
 
 pub mod export;
 pub mod stats;
 
-pub use export::{chrome_trace_json, EventArg, EventWriter, TraceMeta};
+pub use export::{chrome_trace_json, render_trace, EventArg, EventWriter, TraceMeta};
 pub use stats::TraceStats;
 
 /// How much the engine records.
@@ -44,8 +44,8 @@ pub enum TraceMode {
     /// trace of a full-scale experiment stays in the tens of thousands of
     /// events.
     Sampled,
-    /// Everything, including one enqueue/launch/complete triple per GPU
-    /// kernel. Needed for device-idle overhead attribution.
+    /// Everything, including one enqueue and one launch per GPU kernel.
+    /// Needed for device-idle overhead attribution.
     Full,
 }
 
@@ -121,12 +121,6 @@ impl SwitchReason {
             SwitchReason::WallClockTimer => "wall-clock-timer",
             SwitchReason::WatchdogStall => "watchdog-stall",
         }
-    }
-}
-
-impl fmt::Display for SwitchReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -323,19 +317,6 @@ pub enum TraceKind {
         start: SimTime,
         /// Execution end.
         end: SimTime,
-    },
-    /// A kernel's completion was observed by the engine (Full mode only).
-    KernelComplete {
-        /// The launching job.
-        job: u64,
-        /// Its owner.
-        client: u32,
-        /// Executing device.
-        device: u32,
-        /// Graph node of the kernel.
-        node: u32,
-        /// GPU duration of the kernel.
-        gpu: SimDuration,
     },
     /// The streaming drift detector flagged a client's offline profile as
     /// stale mid-run (telemetry layer). Values are integer-encoded so the
@@ -575,9 +556,7 @@ impl TraceKind {
     pub fn is_kernel(&self) -> bool {
         matches!(
             self,
-            TraceKind::KernelEnqueue { .. }
-                | TraceKind::KernelLaunch { .. }
-                | TraceKind::KernelComplete { .. }
+            TraceKind::KernelEnqueue { .. } | TraceKind::KernelLaunch { .. }
         )
     }
 
@@ -599,7 +578,6 @@ impl TraceKind {
             | TraceKind::OverflowCharge { client, .. }
             | TraceKind::KernelEnqueue { client, .. }
             | TraceKind::KernelLaunch { client, .. }
-            | TraceKind::KernelComplete { client, .. }
             | TraceKind::DriftAlert { client, .. }
             | TraceKind::KernelFault { client, .. }
             | TraceKind::AllocFault { client, .. }
@@ -638,155 +616,6 @@ pub struct TraceEvent {
     pub at: SimTime,
     /// What happened.
     pub kind: TraceKind,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] ", self.at)?;
-        let opt = |c: Option<u32>| c.map_or("-".to_string(), |c| format!("client{c}"));
-        match self.kind {
-            TraceKind::ClientAdmitted { client, device } => {
-                write!(f, "client{client} admitted (gpu{device})")
-            }
-            TraceKind::AdmissionQueued { client } => {
-                write!(f, "client{client} queued for admission")
-            }
-            TraceKind::LifecycleWait { client } => {
-                write!(f, "client{client} waiting on lifecycle load/warmup")
-            }
-            TraceKind::ClientRejectedOom { client, requested, available } => write!(
-                f,
-                "client{client} rejected (oom: {requested} B requested, {available} B free)"
-            ),
-            TraceKind::ClientFinished { client } => write!(f, "client{client} finished"),
-            TraceKind::RunRegistered { job, client } => {
-                write!(f, "job{job} registered (client{client})")
-            }
-            TraceKind::RunCompleted { job, client, .. } => {
-                write!(f, "job{job} completed (client{client})")
-            }
-            TraceKind::DeadlineCancelled { job, client } => {
-                write!(f, "job{job} cancelled by deadline (client{client})")
-            }
-            TraceKind::TokenRevoke { job, client, reason } => {
-                write!(f, "token revoked from job{job} ({}, {reason})", opt(client))
-            }
-            TraceKind::TokenGrant { job, client, reason } => {
-                write!(f, "token granted to job{job} ({}, {reason})", opt(client))
-            }
-            TraceKind::QuantumEnd { job, client, gpu } => {
-                write!(f, "quantum end job{job} (client{client}, gpu {gpu})")
-            }
-            TraceKind::CostThreshold { job, client, cumulated, threshold } => write!(
-                f,
-                "cost threshold job{job} (client{client}, {cumulated}/{threshold} units)"
-            ),
-            TraceKind::YieldBlock { job, client } => {
-                write!(f, "yield block job{job} (client{client})")
-            }
-            TraceKind::YieldUnblock { job, client } => {
-                write!(f, "yield unblock job{job} (client{client})")
-            }
-            TraceKind::OverflowCharge { job, client, device, gpu } => write!(
-                f,
-                "overflow charge job{job} (client{client}, gpu{device}, {gpu})"
-            ),
-            TraceKind::KernelEnqueue { job, client, device, node, .. } => write!(
-                f,
-                "kernel enqueue job{job} node{node} (client{client}, gpu{device})"
-            ),
-            TraceKind::KernelLaunch { job, client, device, node, start, end } => write!(
-                f,
-                "kernel launch job{job} node{node} (client{client}, gpu{device}, {start}..{end})"
-            ),
-            TraceKind::KernelComplete { job, client, device, node, gpu } => write!(
-                f,
-                "kernel complete job{job} node{node} (client{client}, gpu{device}, {gpu})"
-            ),
-            TraceKind::DriftAlert { client, observed_us, expected_us, deviation_ppm } => write!(
-                f,
-                "drift alert client{client} (observed {observed_us}us vs expected \
-                 {expected_us}us, deviation {deviation_ppm}ppm)"
-            ),
-            TraceKind::SloBurnAlert { slo, short_ppm, long_ppm } => write!(
-                f,
-                "slo burn alert objective{slo} (short {short_ppm}ppm, long {long_ppm}ppm)"
-            ),
-            TraceKind::KernelFault { job, client, device, node, attempt } => write!(
-                f,
-                "kernel fault job{job} node{node} (client{client}, gpu{device}, attempt {attempt})"
-            ),
-            TraceKind::AllocFault { client, attempt } => {
-                write!(f, "alloc fault client{client} (attempt {attempt})")
-            }
-            TraceKind::RetryScheduled { job, client, node, attempt, delay } => {
-                if job == u64::MAX {
-                    write!(f, "admission retry client{client} (attempt {attempt}, backoff {delay})")
-                } else {
-                    write!(
-                        f,
-                        "retry job{job} node{node} (client{client}, attempt {attempt}, \
-                         backoff {delay})"
-                    )
-                }
-            }
-            TraceKind::BreakerTransition { client, state, .. } => {
-                write!(f, "breaker {state} client{client}")
-            }
-            TraceKind::WatchdogRevoke { job, client, stalled_us } => write!(
-                f,
-                "watchdog revoke job{job} (client{client}, stalled {stalled_us}us)"
-            ),
-            TraceKind::DeviceStall { device, until_us } => {
-                write!(f, "device stall gpu{device} (until {until_us}us)")
-            }
-            TraceKind::VersionLoad { model, version, bytes } => {
-                write!(f, "version load m{model}@v{version} ({bytes} B)")
-            }
-            TraceKind::WarmupRun { model, version, run } => {
-                write!(f, "warmup run m{model}@v{version} (run {run})")
-            }
-            TraceKind::Evict { model, version, bytes } => {
-                write!(f, "evict m{model}@v{version} ({bytes} B)")
-            }
-            TraceKind::Unload { model, version, bytes } => {
-                write!(f, "unload m{model}@v{version} ({bytes} B)")
-            }
-            TraceKind::CanaryPromote { model, version, .. } => {
-                write!(f, "canary promote m{model}@v{version}")
-            }
-            TraceKind::CanaryRollback { model, version, .. } => {
-                write!(f, "canary rollback m{model}@v{version}")
-            }
-            TraceKind::Drain { model, version, inflight } => {
-                write!(f, "drain m{model}@v{version} ({inflight} in flight)")
-            }
-            TraceKind::ControlTransition { from, to } => {
-                write!(f, "control transition {from} -> {to}")
-            }
-            TraceKind::AdmissionShed { client } => {
-                write!(f, "admission shed client{client}")
-            }
-            TraceKind::BatchShrink { client, from, to } => {
-                write!(f, "batch shrink client{client} ({from} -> {to})")
-            }
-            TraceKind::ProfileRebind { client, scale_ppm } => {
-                write!(f, "profile rebind client{client} (scale {scale_ppm}ppm)")
-            }
-            TraceKind::LaxityCancel { job, client, deficit_us } => {
-                write!(f, "laxity cancel job{job} (client{client}, deficit {deficit_us}us)")
-            }
-            TraceKind::ClusterRoute { client, device, cost_us } => {
-                write!(f, "cluster route client{client} -> gpu{device} (cost {cost_us}us)")
-            }
-            TraceKind::ClusterMigrate { model, from, to } => {
-                write!(f, "cluster migrate m{model} gpu{from} -> gpu{to}")
-            }
-            TraceKind::ClusterReconfig { loads, drains } => {
-                write!(f, "cluster reconfigure ({loads} loads, {drains} drains)")
-            }
-        }
-    }
 }
 
 /// The engine-side recorder: a pre-allocated arena or bounded ring.
@@ -902,23 +731,6 @@ impl Trace {
     }
 }
 
-/// Renders a trace as one line per event; `limit` caps the output
-/// (`usize::MAX` for everything).
-pub fn render_trace(trace: &Trace, limit: usize) -> String {
-    let mut out = String::new();
-    if trace.dropped > 0 {
-        out.push_str(&format!("... ({} events dropped by the ring)\n", trace.dropped));
-    }
-    for event in trace.events.iter().take(limit) {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    if trace.len() > limit {
-        out.push_str(&format!("... ({} more events)\n", trace.len() - limit));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,15 +771,10 @@ mod tests {
     fn full_buffer_keeps_kernel_events() {
         let mut b = TraceBuffer::new(&TraceConfig::full());
         assert!(b.records_kernels());
+        let (start, end) = (SimTime::ZERO, SimTime::from_micros(7));
         b.record(
-            SimTime::ZERO,
-            TraceKind::KernelComplete {
-                job: 1,
-                client: 0,
-                device: 0,
-                node: 3,
-                gpu: SimDuration::from_micros(7),
-            },
+            start,
+            TraceKind::KernelLaunch { job: 1, client: 0, device: 0, node: 3, start, end },
         );
         assert_eq!(b.finish().len(), 1);
     }
@@ -1001,20 +808,49 @@ mod tests {
         let _ = TraceConfig::full().with_ring(0);
     }
 
+    /// The line `render_trace` prints for one event at `us` µs.
+    fn line(us: u64, kind: TraceKind) -> String {
+        let event = TraceEvent { seq: 0, at: SimTime::from_micros(us), kind };
+        let trace = Trace { events: vec![event], dropped: 0 };
+        render_trace(&trace, 1).trim_end().to_string()
+    }
+
     #[test]
     fn events_render_compactly() {
-        let e = TraceEvent {
-            seq: 3,
-            at: SimTime::from_micros(1500),
-            kind: TraceKind::TokenGrant {
-                job: 1,
-                client: Some(0),
-                reason: SwitchReason::QuantumExpired,
-            },
-        };
+        let reason = SwitchReason::QuantumExpired;
         assert_eq!(
-            e.to_string(),
-            "[0.001500s] token granted to job1 (client0, quantum-expired)"
+            line(1500, TraceKind::TokenGrant { job: 1, client: Some(0), reason }),
+            "[0.001500s] client0 token-grant job=1 reason=quantum-expired"
+        );
+        let reason = SwitchReason::Deregister;
+        assert_eq!(
+            line(1501, TraceKind::TokenRevoke { job: 1, client: None, reason }),
+            "[0.001501s] scheduler token-revoke job=1 reason=deregister"
+        );
+        // Slices print their duration: a quantum its GPU time, a kernel its run.
+        let gpu = SimDuration::from_nanos(15_250);
+        assert_eq!(
+            line(60, TraceKind::QuantumEnd { job: 1, client: 0, gpu }),
+            "[0.000060s] client0 quantum dur_us=15.25 job=1"
+        );
+        let (start, end) = (SimTime::from_micros(40), SimTime::from_micros(55));
+        assert_eq!(
+            line(40, TraceKind::KernelLaunch { job: 1, client: 0, device: 2, node: 3, start, end }),
+            "[0.000040s] gpu2 kernel dur_us=15.0 job=1 client=0 node=3"
+        );
+        let enqueue =
+            |handoff| TraceKind::KernelEnqueue { job: 1, client: 0, device: 2, node: 3, handoff };
+        assert_eq!(
+            line(30, enqueue(None)),
+            "[0.000030s] client0 kernel-enqueue job=1 device=2 node=3"
+        );
+        assert_eq!(
+            line(30, enqueue(Some(SimDuration::from_micros(4)))),
+            "[0.000030s] client0 kernel-enqueue job=1 device=2 node=3 handoff_us=4.0"
+        );
+        assert_eq!(
+            line(70, TraceKind::DeviceStall { device: 1, until_us: 90 }),
+            "[0.000070s] gpu1 device-stall until_us=90"
         );
     }
 
@@ -1081,70 +917,46 @@ mod tests {
 
     #[test]
     fn control_events_render() {
-        let e = TraceEvent {
-            seq: 0,
-            at: SimTime::from_micros(100),
-            kind: TraceKind::LaxityCancel { job: 4, client: 2, deficit_us: 750 },
-        };
         assert_eq!(
-            e.to_string(),
-            "[0.000100s] laxity cancel job4 (client2, deficit 750us)"
+            line(100, TraceKind::LaxityCancel { job: 4, client: 2, deficit_us: 750 }),
+            "[0.000100s] client2 laxity-cancel job=4 deficit_us=750"
         );
-        let t = TraceEvent {
-            seq: 1,
-            at: SimTime::from_micros(101),
-            kind: TraceKind::ControlTransition { from: "degraded", to: "shedding" },
-        };
-        assert_eq!(t.to_string(), "[0.000101s] control transition degraded -> shedding");
+        assert_eq!(
+            line(101, TraceKind::ControlTransition { from: "degraded", to: "shedding" }),
+            "[0.000101s] scheduler control-degraded-to-shedding"
+        );
     }
 
     #[test]
     fn cluster_events_render_and_attribute() {
-        let r = TraceEvent {
-            seq: 0,
-            at: SimTime::from_micros(10),
-            kind: TraceKind::ClusterRoute { client: 2, device: 1, cost_us: 640 },
-        };
-        assert_eq!(r.to_string(), "[0.000010s] cluster route client2 -> gpu1 (cost 640us)");
-        assert_eq!(r.kind.client(), Some(2));
-        let m = TraceEvent {
-            seq: 1,
-            at: SimTime::from_micros(11),
-            kind: TraceKind::ClusterMigrate { model: 3, from: 0, to: 2 },
-        };
-        assert_eq!(m.to_string(), "[0.000011s] cluster migrate m3 gpu0 -> gpu2");
-        assert_eq!(m.kind.client(), None);
-        let g = TraceEvent {
-            seq: 2,
-            at: SimTime::from_micros(12),
-            kind: TraceKind::ClusterReconfig { loads: 2, drains: 1 },
-        };
-        assert_eq!(g.to_string(), "[0.000012s] cluster reconfigure (2 loads, 1 drains)");
-        assert_eq!(g.kind.client(), None);
+        let route = TraceKind::ClusterRoute { client: 2, device: 1, cost_us: 640 };
+        assert_eq!(line(10, route), "[0.000010s] client2 cluster-route device=1 cost_us=640");
+        assert_eq!(route.client(), Some(2));
+        let migrate = TraceKind::ClusterMigrate { model: 3, from: 0, to: 2 };
+        assert_eq!(line(11, migrate), "[0.000011s] scheduler cluster-migrate model=3 from=0 to=2");
+        assert_eq!(migrate.client(), None);
+        let reconfig = TraceKind::ClusterReconfig { loads: 2, drains: 1 };
+        assert_eq!(
+            line(12, reconfig),
+            "[0.000012s] scheduler cluster-reconfigure loads=2 drains=1"
+        );
+        assert_eq!(reconfig.client(), None);
     }
 
     #[test]
     fn alert_events_render_compactly() {
-        let e = TraceEvent {
-            seq: 0,
-            at: SimTime::from_micros(900),
-            kind: TraceKind::DriftAlert {
-                client: 1,
-                observed_us: 280,
-                expected_us: 200,
-                deviation_ppm: 400_000,
-            },
-        };
+        let drift =
+            TraceKind::DriftAlert { client: 1, observed_us: 280, expected_us: 200, deviation_ppm: 400_000 };
         assert_eq!(
-            e.to_string(),
-            "[0.000900s] drift alert client1 (observed 280us vs expected 200us, \
-             deviation 400000ppm)"
+            line(900, drift),
+            "[0.000900s] client1 drift-alert observed_us=280 expected_us=200 deviation_ppm=400000"
         );
-        let s = TraceEvent {
-            seq: 1,
-            at: SimTime::from_micros(901),
-            kind: TraceKind::SloBurnAlert { slo: 3, short_ppm: 4_000_000, long_ppm: 2_100_000 },
-        };
-        assert!(s.to_string().contains("slo burn alert objective3"));
+        let burn = TraceKind::SloBurnAlert { slo: 3, short_ppm: 4_000_000, long_ppm: 2_100_000 };
+        assert_eq!(
+            line(901, burn),
+            "[0.000901s] scheduler slo-burn-alert slo=3 short_ppm=4000000 long_ppm=2100000"
+        );
+        let open = TraceKind::BreakerTransition { client: 0, state: "open", shed: None };
+        assert_eq!(line(902, open), "[0.000902s] client0 breaker-open");
     }
 }

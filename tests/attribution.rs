@@ -310,7 +310,7 @@ fn attribution_outputs_match_pinned_digests() {
             0xb29e_0fc9_c0c9_df9a,
             0xea1d_f625_b5f6_cb8c,
             0xe2ae_b670_701a_d449,
-            0x87de_6865_8e0c_24df
+            0x54d6_61f9_d80f_acc4
         ],
         "faulted olympian cell"
     );

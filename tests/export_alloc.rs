@@ -19,7 +19,7 @@ fn phased_export_allocates_less_than_once_per_hundred_events() {
     store.insert(Profiler::new(&cfg).profile(&model));
     let q = SimDuration::from_micros(200);
     let mut sched = OlympianScheduler::new(Arc::new(store), Box::new(RoundRobin::new()), q);
-    let report = run_experiment(&cfg, vec![ClientSpec::new(model, 8); 6], &mut sched);
+    let report = run_experiment(&cfg, vec![ClientSpec::new(model, 10); 6], &mut sched);
     let events = report.trace.len() as u64;
     assert!(events >= 10_000, "only {events} events traced");
     let attr = report.attribution(cfg.switch_latency + cfg.launch_overhead);

@@ -91,6 +91,6 @@ fn every_device_serves_and_telemetry_matches_the_trace() {
 
 #[test]
 fn renderings_are_pinned() {
-    assert_eq!(fnv1a(&render(&run_cell(false))), "139c3ca63481e46f", "fifo");
-    assert_eq!(fnv1a(&render(&run_cell(true))), "394355de1d4b89c4", "multi-gpu");
+    assert_eq!(fnv1a(&render(&run_cell(false))), "26826891963e43b0", "fifo");
+    assert_eq!(fnv1a(&render(&run_cell(true))), "85f9aa1286ad1d0b", "multi-gpu");
 }

@@ -1,10 +1,14 @@
 //! End-to-end checks of the trace layer: byte-determinism of the Chrome
-//! trace-event export across worker counts, track well-formedness, and the
-//! overhead-attribution snapshot.
+//! trace-event export across worker counts, track well-formedness, what a
+//! Full trace adds per kernel, the text rendering's agreement with the
+//! export, and the overhead-attribution snapshot.
 
+use microjson::Value;
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
+use serving::trace::{render_trace, TraceKind};
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::SimDuration;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A small mixed workload whose profile store is built through
@@ -96,6 +100,49 @@ fn chrome_trace_tracks_are_well_formed_and_monotonic() {
     // One slice track per client plus the scheduler and GPU tracks.
     assert!(last.keys().any(|&(pid, _)| pid == 1), "client process present");
     assert!(last.keys().any(|&(pid, _)| pid == 2), "gpu process present");
+}
+
+/// A Full trace records each kernel twice, as its enqueue and its launch,
+/// on top of everything a Sampled trace of the same run records.
+#[test]
+fn full_trace_records_two_events_per_kernel() {
+    let full = traced_run(TraceConfig::full());
+    let sampled = traced_run(TraceConfig::sampled());
+    assert!(full.all_finished() && full.kernel_count > 0);
+    let count = |kind: fn(&TraceKind) -> bool| full.trace.filter(kind).count() as u64;
+    let enqueues = count(|k| matches!(k, TraceKind::KernelEnqueue { .. }));
+    let launches = count(|k| matches!(k, TraceKind::KernelLaunch { .. }));
+    assert_eq!((enqueues, launches), (full.kernel_count, full.kernel_count));
+    assert_eq!(full.trace.len() as u64, sampled.trace.len() as u64 + 2 * full.kernel_count);
+}
+
+/// `render_trace` and the Chrome export read one description of each
+/// kind: every event's line names the row exported with the same `seq`.
+/// Kernel enqueues, which the export skips, are the only lines without one.
+#[test]
+fn rendered_lines_name_the_chrome_rows() {
+    let report = traced_run(TraceConfig::full());
+    let doc = Value::parse(&report.chrome_trace_json()).expect("well-formed JSON");
+    let mut rows = HashMap::new();
+    for e in doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents") {
+        if let Some(seq) = e.get("args").and_then(|a| a.get("seq")).and_then(Value::as_u64) {
+            rows.insert(seq, e.get("name").and_then(Value::as_str).expect("row name"));
+        }
+    }
+    let text = render_trace(&report.trace, usize::MAX);
+    assert_eq!(text.lines().count(), report.trace.len());
+    for (e, line) in report.trace.events.iter().zip(text.lines()) {
+        let name = line.split(' ').nth(2).expect("time, track, name");
+        match rows.remove(&e.seq) {
+            Some(row) => assert_eq!(name, row, "seq {}: {line}", e.seq),
+            None => assert!(
+                matches!(e.kind, TraceKind::KernelEnqueue { .. }),
+                "seq {} has no Chrome row: {line}",
+                e.seq
+            ),
+        }
+    }
+    assert!(rows.is_empty(), "rows without an event: {rows:?}");
 }
 
 #[test]
