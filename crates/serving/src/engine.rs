@@ -49,14 +49,11 @@ use dataflow::{Graph, NodeId, Placement};
 use faults::{Failure, Next, Recovery, Stall};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
 use lifecycle::{Effects as LcEffects, Route};
-use simtime::{DetRng, SimDuration, SimTime, TimingWheel};
+use simtime::{DetRng, EventQueue, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use telemetry::{Alert, EngineGauges, TelemetryHub};
 
-/// Initial event-queue capacity: covers the paper-scale experiments' peak
-/// pending-event count, so the hot loop never reallocates the heap.
-const EVENT_QUEUE_CAPACITY: usize = 4096;
 /// Initial capacity of the per-run quanta log.
 const QUANTA_CAPACITY: usize = 32;
 /// Relative jitter (σ) on every node's CPU work.
@@ -252,7 +249,7 @@ struct ClientState {
 
 struct Engine<'a> {
     cfg: EngineConfig,
-    queue: TimingWheel<Event>,
+    queue: EventQueue<Event>,
     now: SimTime,
     devices: Vec<GpuDevice>,
     memories: Vec<MemoryPool>,
@@ -296,7 +293,13 @@ struct Engine<'a> {
     telemetry: TelemetryHub,
     intervals: Vec<SimDuration>,
     switch_count: u64,
+    /// Generation of the live `SchedTimer`; older ones pop stale.
     timer_gen: u64,
+    /// When the live `SchedTimer` fires; `SimTime::MAX` when none is queued.
+    timer_at: SimTime,
+    /// The last due time `Scheduler::next_timer` returned, raised to the
+    /// instant it was asked at: where `on_timer` runs.
+    timer_due: SimTime,
     event_count: u64,
 }
 
@@ -381,7 +384,7 @@ fn build_engine<'a>(
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
         cfg: cfg.clone(),
-        queue: TimingWheel::with_capacity(EVENT_QUEUE_CAPACITY),
+        queue: EventQueue::new(),
         now: SimTime::ZERO,
         devices,
         memories,
@@ -409,6 +412,8 @@ fn build_engine<'a>(
         intervals: Vec::with_capacity(256),
         switch_count: 0,
         timer_gen: 0,
+        timer_at: SimTime::MAX,
+        timer_due: SimTime::ZERO,
         event_count: 0,
     };
     // Schedule a lifecycle tick at every publish instant before any client
@@ -477,12 +482,18 @@ impl Engine<'_> {
                     }
                     self.dispatch(job);
                 }
-                Event::SchedTimer(gen) => {
-                    if gen == self.timer_gen {
-                        let verdict = self.scheduler.on_timer(self.now);
-                        self.apply_verdict(verdict);
-                        self.schedule_timer();
-                    }
+                // Superseded by a timer queued for an earlier due time.
+                Event::SchedTimer(gen) if gen != self.timer_gen => {}
+                Event::SchedTimer(gen) if self.timer_due > self.now => {
+                    // The due time moved later while this timer was queued.
+                    self.timer_at = self.timer_due;
+                    self.queue.schedule(self.timer_due, Event::SchedTimer(gen));
+                }
+                Event::SchedTimer(_) => {
+                    self.timer_at = SimTime::MAX;
+                    let verdict = self.scheduler.on_timer(self.now);
+                    self.apply_verdict(verdict);
+                    self.schedule_timer();
                 }
                 Event::RetryKernel { job, node } => {
                     if self.live_slot(job).is_some() {
@@ -1045,7 +1056,7 @@ impl Engine<'_> {
             return;
         };
         if let Some(tr) = ctl.on_tick(now) {
-            self.note_transition(tr);
+            self.note_transition(now, tr);
         }
         // Early cancellation: a run whose expected remaining GPU work no
         // longer fits before its deadline is torn down now instead of at
@@ -1095,9 +1106,11 @@ impl Engine<'_> {
         doomed.collect()
     }
 
-    /// Lands a degradation-ladder transition on the event stream.
-    fn note_transition(&mut self, tr: Transition) {
-        self.record(TraceKind::ControlTransition { from: tr.from.as_str(), to: tr.to.as_str() });
+    /// Lands a degradation-ladder transition on the event stream at `at`,
+    /// the instant the ladder moved.
+    fn note_transition(&mut self, at: SimTime, tr: Transition) {
+        let kind = TraceKind::ControlTransition { from: tr.from.as_str(), to: tr.to.as_str() };
+        self.record_at(at, kind);
     }
 
     // ---- scheduling plumbing ---------------------------------------------
@@ -1148,7 +1161,9 @@ impl Engine<'_> {
     /// up on the Perfetto timeline next to the quanta and runs that caused
     /// it. An SLO burn escalates the ladder and resets the burn latch, so a
     /// *sustained* burn keeps escalating; a drift alert rebinds the
-    /// drifting model's profile in place, and no run stops.
+    /// drifting model's profile in place, and no run stops. Both reactions
+    /// are stamped at the alert's instant, like the alert itself: a burn
+    /// alert's is the snapshot boundary, which can precede `self.now`.
     fn record_alert(&mut self, alert: &Alert) {
         if let Some(ctl) = self.control.as_mut() {
             match *alert {
@@ -1156,14 +1171,14 @@ impl Engine<'_> {
                     let transition = ctl.on_burn(at);
                     self.telemetry.reset_burn_latch(slo);
                     if let Some(tr) = transition {
-                        self.note_transition(tr);
+                        self.note_transition(at, tr);
                     }
                 }
                 Alert::Drift { client, observed_us, expected_us, .. } => {
                     let m = &self.clients[client as usize].spec.model;
                     let rebound = ctl.rebind(m.name(), m.batch(), observed_us, expected_us);
                     if let Some(scale_ppm) = rebound {
-                        self.record(TraceKind::ProfileRebind { client, scale_ppm });
+                        self.record_at(alert.at(), TraceKind::ProfileRebind { client, scale_ppm });
                     }
                 }
                 _ => {}
@@ -1242,10 +1257,19 @@ impl Engine<'_> {
         }
     }
 
+    /// Keeps at most one `SchedTimer` queued: a new generation goes in only
+    /// when the scheduler's due time is earlier than the queued one's. A
+    /// later due time only moves `timer_due`, and the queued timer, when it
+    /// fires, re-queues itself there, so `on_timer` runs at the last due
+    /// time `next_timer` returned, even after it has turned `None`.
     fn schedule_timer(&mut self) {
         if let Some(t) = self.scheduler.next_timer(self.now) {
-            self.timer_gen += 1;
-            self.queue.schedule(t.max(self.now), Event::SchedTimer(self.timer_gen));
+            self.timer_due = t.max(self.now);
+            if self.timer_due < self.timer_at {
+                self.timer_gen += 1;
+                self.timer_at = self.timer_due;
+                self.queue.schedule(self.timer_due, Event::SchedTimer(self.timer_gen));
+            }
         }
     }
 

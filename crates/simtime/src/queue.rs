@@ -3,8 +3,8 @@
 //! [`BaselineEventQueue`] is the original binary-heap implementation of the
 //! ordering contract every event queue here keeps: events pop in
 //! non-decreasing time order, FIFO among same-instant ties. The engine runs
-//! on [`TimingWheel`](crate::TimingWheel); this queue is the oracle the
-//! property suite checks the wheel against.
+//! on [`EventQueue`](crate::EventQueue); this queue is the oracle the
+//! property suite checks it against.
 
 use crate::SimTime;
 use std::cmp::Ordering;
@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 /// The original binary-heap event queue, kept as the comparison oracle.
 ///
 /// The property suite checks it against a sorted-stable reference and the
-/// [`TimingWheel`](crate::TimingWheel) against it: non-decreasing time
+/// [`EventQueue`](crate::EventQueue) against it: non-decreasing time
 /// order, FIFO among same-instant ties.
 #[derive(Debug)]
 pub struct BaselineEventQueue<E> {

@@ -692,12 +692,15 @@ impl TraceBuffer {
         }
     }
 
-    /// Finishes recording, rotating ring contents into sequence order.
+    /// Finishes recording, rotating ring contents into sequence order and
+    /// freeing the arena's unused tail: a doubled arena can be up to half
+    /// empty, and the finished trace lives as long as its report.
     pub fn finish(mut self) -> Trace {
         if self.write > 0 {
             // The oldest retained event sits at the write cursor.
             self.events.rotate_left(self.write);
         }
+        self.events.shrink_to_fit();
         Trace { events: self.events, dropped: self.dropped }
     }
 }
@@ -800,6 +803,19 @@ mod tests {
         assert_eq!(t.dropped, 4);
         let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![4, 5, 6]);
+    }
+
+    /// One event past the initial arena doubles it to 2,048 slots; the
+    /// finished trace keeps only the slots it filled.
+    #[test]
+    fn finished_arena_frees_its_unused_tail() {
+        let mut b = TraceBuffer::new(&TraceConfig::sampled());
+        for i in 0..=ARENA_CAPACITY as u32 {
+            b.record(SimTime::from_nanos(u64::from(i)), ev(i));
+        }
+        let t = b.finish();
+        assert_eq!(t.len(), ARENA_CAPACITY + 1);
+        assert_eq!(t.events.capacity(), t.len());
     }
 
     #[test]

@@ -62,12 +62,17 @@ const UNPAIRED: [(&str, &str); 1] = [(
 /// the number of those events in `report.trace`, and every registered
 /// counter to be on one of the two lists above. The report needs telemetry
 /// on and a trace that dropped nothing; the counted kinds are all recorded
-/// in `Sampled` mode.
+/// in `Sampled` mode. Also requires the trace's instants never to decrease
+/// along `seq`: an alert's reactions are stamped at the alert's instant,
+/// not at the event that happened to follow its snapshot boundary.
 pub fn assert_counters_match_trace(report: &RunReport) {
     let t = &report.telemetry;
     assert!(t.enabled, "telemetry is off: nothing to compare");
     assert!(!report.trace.is_empty(), "tracing is off: nothing to count");
     assert_eq!(report.trace.dropped, 0, "a truncated trace cannot be recounted");
+    for w in report.trace.events.windows(2) {
+        assert!(w[0].at <= w[1].at, "trace runs backwards in time: {:?} then {:?}", w[0], w[1]);
+    }
     for name in &t.counter_names {
         assert!(
             PAIRED.iter().any(|(n, _)| n == name) || UNPAIRED.iter().any(|(n, _)| n == name),

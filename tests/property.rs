@@ -15,8 +15,8 @@ use simtime::{BaselineEventQueue, DetRng, SimDuration, SimTime};
 const CASES: u64 = 48;
 
 /// The reference event queue pops in non-decreasing time order with FIFO
-/// ties. It is the oracle the timing wheel is checked against below, so its
-/// own contract is checked here.
+/// ties. It is the oracle the engine's `EventQueue` is checked against
+/// below, so its own contract is checked here.
 #[test]
 fn event_queue_total_order() {
     for case in 0..CASES {
@@ -344,74 +344,65 @@ fn rng_range_respects_bounds() {
     }
 }
 
-/// The timing wheel pops byte-identically to `BaselineEventQueue` on
-/// randomized workloads mixing same-instant ties, short horizons,
-/// wheel-rollover boundaries and far-future outliers.
+/// The engine's `EventQueue` (named here for the timing wheel it replaced)
+/// pops byte-identically to `BaselineEventQueue` on randomized workloads
+/// mixing same-instant ties, short horizons, the near/far edge and
+/// far-future outliers.
 #[test]
 fn timing_wheel_matches_baseline_queue() {
-    use simtime::TimingWheel;
-    // Slot geometry of the wheel: 2.048 us ticks, 256-slot levels. The
-    // boundary offsets below straddle every level horizon and the overflow
-    // threshold.
-    const TICK: u64 = 1 << 11;
-    let boundaries = [
-        TICK - 1,
-        TICK,
-        255 * TICK,
-        256 * TICK,
-        65_535 * TICK,
-        65_536 * TICK,
-        (1 << 24) * TICK - 1,
-        (1 << 24) * TICK, // overflow threshold
-    ];
+    use simtime::{EventQueue, NEAR};
+    // Offsets from the last pop at the near/far edge: one nanosecond inside
+    // (near), exactly on it and one past it (far).
+    let edges = [NEAR - 1, NEAR, NEAR + 1];
     for case in 0..CASES {
         let mut rng = DetRng::new(0x77EE1 ^ case);
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut oracle: BaselineEventQueue<u64> = BaselineEventQueue::new();
         let mut now = 0u64;
         for step in 0..800u64 {
-            if rng.next_f64() < 0.6 || wheel.is_empty() {
+            if rng.next_f64() < 0.6 || queue.is_empty() {
                 let at = match rng.range_u64(0, 12) {
                     // Duplicate timestamps: reschedule exactly at `now`.
                     0..=2 => now,
                     // Dense near-term horizon.
                     3..=6 => now + rng.range_u64(0, 50_000),
-                    // Rollover boundaries of each wheel level.
-                    7..=9 => {
-                        now + boundaries[rng.range_u64(0, boundaries.len() as u64) as usize]
-                    }
-                    // Far future, including past the overflow horizon.
+                    // The near/far edge, relative to the last pop.
+                    7..=9 => now + edges[rng.range_u64(0, edges.len() as u64) as usize],
+                    // Far future.
                     _ => now + rng.range_u64(0, 1 << 46),
                 };
-                wheel.schedule(SimTime::from_nanos(at), step);
+                queue.schedule(SimTime::from_nanos(at), step);
                 oracle.schedule(SimTime::from_nanos(at), step);
             } else {
-                let got = wheel.pop();
+                let got = queue.pop();
                 assert_eq!(got, oracle.pop(), "case {case} step {step}");
                 now = got.expect("non-empty").0.as_nanos();
             }
-            assert_eq!(wheel.peek_time(), oracle.peek_time(), "case {case} step {step}");
-            assert_eq!(wheel.len(), oracle.len(), "case {case} step {step}");
+            assert_eq!(queue.peek_time(), oracle.peek_time(), "case {case} step {step}");
+            assert_eq!(queue.len(), oracle.len(), "case {case} step {step}");
         }
-        while !wheel.is_empty() {
-            assert_eq!(wheel.pop(), oracle.pop(), "case {case} drain");
+        while !queue.is_empty() {
+            assert_eq!(queue.pop(), oracle.pop(), "case {case} drain");
         }
         assert!(oracle.is_empty(), "case {case}: oracle has leftovers");
     }
 }
 
-/// Same-timestamp events pop in scheduling order from the wheel, including
-/// events scheduled *while* their instant is being drained — the FIFO
-/// tie-break the whole simulator's determinism rests on.
+/// Same-timestamp events pop in scheduling order from the `EventQueue`,
+/// including events scheduled *while* their instant is being drained, which
+/// land in the other heap: the FIFO tie-break the whole simulator's
+/// determinism rests on.
 #[test]
 fn timing_wheel_same_timestamp_fifo_regression() {
-    use simtime::TimingWheel;
-    let mut q = TimingWheel::new();
-    let t = SimTime::from_nanos(4_096); // exactly one tick boundary
+    use simtime::{EventQueue, NEAR};
+    let mut q = EventQueue::new();
+    // Exactly the near/far edge while nothing has popped: far.
+    let t = SimTime::from_nanos(NEAR);
     for i in 0..50u32 {
         q.schedule(t, i);
     }
-    // Interleave: pop half, then schedule more at the same instant.
+    // Interleave: pop half, then schedule more at the same instant, which
+    // the pops have made near.
     for i in 0..25u32 {
         assert_eq!(q.pop().unwrap(), (t, i));
     }
