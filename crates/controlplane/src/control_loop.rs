@@ -24,6 +24,13 @@ pub struct ControlLoop {
     /// the oracle epoch it was read at; `None` until one is read at a known
     /// epoch. Sized once, to the client count.
     expected: Vec<Option<(u64, Option<u64>)>>,
+    /// The oracle epoch and registration count of the last laxity walk;
+    /// `None` when the oracle reported no epoch, which opens no window.
+    walked: Option<(u64, u64)>,
+    /// The inclusive end of the last walk's quiet window: over the runs it
+    /// left live, the smallest last instant each is sure to fit (see
+    /// [`ControlLoop::laxity_due`]).
+    quiet_until: SimTime,
 }
 
 impl ControlLoop {
@@ -40,6 +47,8 @@ impl ControlLoop {
             episodes: 0,
             armed_at: None,
             expected: vec![None; clients],
+            walked: None,
+            quiet_until: SimTime::ZERO,
         }
     }
 
@@ -100,12 +109,45 @@ impl ControlLoop {
         Some(Transition { from, to })
     }
 
+    /// Whether the tick at `now`, with `registered` runs registered so far,
+    /// must walk the live runs with a [`laxity_scan`](Self::laxity_scan);
+    /// `false` when no oracle supplies the estimates.
+    ///
+    /// A walk at `w` leaves every live run fitting: `w + remaining ≤
+    /// deadline`, where `remaining` is its expected GPU time minus what it
+    /// received. A run's received time only grows, so it still fits on
+    /// every tick up to `deadline − remaining`, and a tick up to the
+    /// smallest such instant would cancel nothing, unless a run registered
+    /// or the oracle's epoch moved since the walk. Such a tick is quiet.
+    /// A due walk opens the next window, which its scan's
+    /// [`deficit_us`](LaxityScan::deficit_us) calls narrow. A run without
+    /// a profile does not bound it, and an oracle without an epoch never
+    /// opens one, so it is walked on every tick.
+    pub fn laxity_due(&mut self, now: SimTime, registered: u64) -> bool {
+        let Some(cost) = self.cfg.cost.as_deref() else {
+            return false;
+        };
+        let walked = cost.epoch().map(|epoch| (epoch, registered));
+        if walked.is_some() && walked == self.walked && now <= self.quiet_until {
+            return false;
+        }
+        self.walked = walked;
+        self.quiet_until = SimTime::MAX;
+        true
+    }
+
     /// Starts the tick's scan for laxity-negative runs at `now`, reading
     /// the cost oracle's epoch once; `None` when no oracle supplies the
     /// estimates.
     pub fn laxity_scan(&mut self, now: SimTime) -> Option<LaxityScan<'_>> {
         let cost = self.cfg.cost.as_deref()?;
-        Some(LaxityScan { cost, epoch: cost.epoch(), now, expected: &mut self.expected })
+        Some(LaxityScan {
+            cost,
+            epoch: cost.epoch(),
+            now,
+            expected: &mut self.expected,
+            quiet_until: &mut self.quiet_until,
+        })
     }
 
     /// Answers a drift alert on `(model, batch)`: rebinds its profile at
@@ -129,6 +171,7 @@ pub struct LaxityScan<'a> {
     epoch: Option<u64>,
     now: SimTime,
     expected: &'a mut [Option<(u64, Option<u64>)>],
+    quiet_until: &'a mut SimTime,
 }
 
 impl LaxityScan<'_> {
@@ -141,7 +184,8 @@ impl LaxityScan<'_> {
     /// this scan's epoch, so a client's `(model, batch)` must be the same
     /// in every scan. The epoch moves whenever an answer may change (see
     /// [`CostOracle::epoch`]), so a kept estimate is the one the oracle
-    /// would give now.
+    /// would give now. A run that fits narrows the quiet window to the
+    /// last instant it is sure to fit (see [`ControlLoop::laxity_due`]).
     pub fn deficit_us(
         &mut self,
         client: usize,
@@ -159,8 +203,13 @@ impl LaxityScan<'_> {
                 total
             }
         }?;
-        let eta = self.now + SimDuration::from_nanos(total.saturating_sub(received_ns));
-        (eta > deadline).then(|| (eta - deadline).as_nanos() / 1_000)
+        let remaining = SimDuration::from_nanos(total.saturating_sub(received_ns));
+        let eta = self.now + remaining;
+        if eta > deadline {
+            return Some((eta - deadline).as_nanos() / 1_000);
+        }
+        *self.quiet_until = (*self.quiet_until).min(deadline.saturating_sub(remaining));
+        None
     }
 }
 
@@ -285,6 +334,84 @@ mod tests {
         scan(200);
         scan(200);
         assert_eq!(oracle.lookups.load(Relaxed), 8, "no epoch: asked on every scan");
+    }
+
+    /// A loop over an [`Epoched`] oracle at epoch 0 whose model "m" costs
+    /// 1 ms, for `clients` sessions.
+    fn epoched(clients: usize) -> (Arc<Epoched>, ControlLoop) {
+        let oracle = Arc::new(Epoched {
+            ns: AtomicU64::new(1_000_000),
+            epoch: Mutex::new(Some(0)),
+            lookups: AtomicU64::new(0),
+        });
+        let ctl = ControlLoop::new(&ControlConfig::new().with_cost(oracle.clone()), clients);
+        (oracle, ctl)
+    }
+
+    #[test]
+    fn the_quiet_window_ends_at_the_smallest_slack_inclusive() {
+        let (_, mut ctl) = epoched(2);
+        assert!(ctl.laxity_due(t(100), 2), "the first tick walks");
+        let mut scan = ctl.laxity_scan(t(100)).expect("an oracle scans");
+        // Fits until 1,600 − 1,000 µs; and until 1,300 − 800 µs.
+        assert_eq!(scan.deficit_us(0, "m", 4, t(1_600), 0), None);
+        assert_eq!(scan.deficit_us(1, "m", 4, t(1_300), 200_000), None);
+        assert!(!ctl.laxity_due(t(300), 2));
+        assert!(!ctl.laxity_due(t(500), 2), "the end is inclusive");
+        assert!(ctl.laxity_due(t(500) + SimDuration::from_nanos(1), 2));
+
+        // A run due exactly at its deadline stays live and keeps only the
+        // instant of its walk quiet.
+        let (_, mut ctl) = epoched(1);
+        assert!(ctl.laxity_due(t(600), 1));
+        let mut scan = ctl.laxity_scan(t(600)).expect("an oracle scans");
+        assert_eq!(scan.deficit_us(0, "m", 4, t(1_600), 0), None, "eta == deadline");
+        assert!(!ctl.laxity_due(t(600), 1));
+        assert!(ctl.laxity_due(t(600) + SimDuration::from_nanos(1), 1));
+    }
+
+    #[test]
+    fn received_past_the_estimate_leaves_no_remaining_work() {
+        let (_, mut ctl) = epoched(1);
+        assert!(ctl.laxity_due(t(0), 1));
+        let mut scan = ctl.laxity_scan(t(0)).expect("an oracle scans");
+        assert_eq!(scan.deficit_us(0, "m", 4, t(700), 3_000_000), None);
+        assert!(!ctl.laxity_due(t(700), 1), "quiet through the deadline itself");
+        assert!(ctl.laxity_due(t(700) + SimDuration::from_nanos(1), 1));
+    }
+
+    #[test]
+    fn a_run_without_a_profile_does_not_bound_the_window() {
+        let (_, mut ctl) = epoched(2);
+        assert!(ctl.laxity_due(t(0), 2));
+        let mut scan = ctl.laxity_scan(t(0)).expect("an oracle scans");
+        assert_eq!(scan.deficit_us(0, "ghost", 4, t(1), 0), None, "no profile");
+        assert_eq!(scan.deficit_us(1, "m", 4, t(2_000), 0), None);
+        assert!(!ctl.laxity_due(t(1_000), 2), "bounded by \"m\" alone");
+        assert!(ctl.laxity_due(t(1_000) + SimDuration::from_nanos(1), 2));
+    }
+
+    #[test]
+    fn an_empty_walk_stays_quiet_until_a_registration_or_an_epoch_move() {
+        let (oracle, mut ctl) = epoched(1);
+        assert!(ctl.laxity_due(t(0), 3), "the first tick walks");
+        assert!(!ctl.laxity_due(t(1_000_000), 3), "no live run: quiet");
+        assert!(ctl.laxity_due(t(1_000_000), 4), "a run registered");
+        assert!(!ctl.laxity_due(t(2_000_000), 4));
+        *oracle.epoch.lock().unwrap() = Some(1);
+        assert!(ctl.laxity_due(t(2_000_000), 4), "the epoch moved");
+        assert!(!ctl.laxity_due(t(3_000_000), 4));
+    }
+
+    #[test]
+    fn an_oracle_without_an_epoch_walks_every_tick() {
+        let (oracle, mut ctl) = epoched(1);
+        *oracle.epoch.lock().unwrap() = None;
+        assert!(ctl.laxity_due(t(0), 1));
+        assert!(ctl.laxity_due(t(0), 1), "no window opened");
+        assert!(ctl.laxity_due(t(200), 1));
+        let mut plain = ControlLoop::new(&ControlConfig::new(), 1);
+        assert!(!plain.laxity_due(t(0), 1), "no oracle, nothing to walk");
     }
 
     #[test]

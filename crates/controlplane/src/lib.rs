@@ -12,7 +12,10 @@
 //!   stepping back down one rung per quiet [`COOL_WINDOW`], plus the
 //!   admission gate, batch hint, laxity and rebind arithmetic the engine
 //!   asks of it. The laxity scan ([`LaxityScan`]) keeps each client's
-//!   last cost estimate until the oracle's epoch moves;
+//!   last cost estimate until the oracle's epoch moves, and a tick skips
+//!   the scan while [`ControlLoop::laxity_due`] finds it inside the quiet
+//!   window of the last one: no run registered, the epoch held, and every
+//!   run the scan left live still fits;
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
@@ -110,8 +113,9 @@ pub trait CostOracle: fmt::Debug + Send + Sync {
     /// A counter that moves whenever an
     /// [`expected_gpu_ns`](Self::expected_gpu_ns) answer may change, or
     /// `None` when the oracle cannot tell. While it reads the same value,
-    /// the laxity scan reuses each client's last answer; an oracle without
-    /// an epoch, the default, is asked on every tick.
+    /// the laxity scan reuses each client's last answer and quiet ticks
+    /// skip the scan; an oracle without an epoch, the default, is asked
+    /// on every tick.
     fn epoch(&self) -> Option<u64> {
         None
     }
@@ -130,8 +134,8 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
     scale_ppm.clamp(MIN_REBIND_PPM, MAX_REBIND_PPM)
 }
 
-/// Control loop cadence: the laxity scan and the cool-down check run
-/// once per tick.
+/// Control loop cadence: the cool-down check runs once per tick, and so
+/// does the laxity scan unless the tick is quiet.
 pub const TICK: SimDuration = SimDuration::from_micros(200);
 /// Consecutive burn episodes before the ladder steps up one rung.
 pub const ESCALATE_AFTER: u32 = 2;

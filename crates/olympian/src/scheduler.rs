@@ -178,9 +178,16 @@ impl Scheduler for OlympianScheduler {
         let cost = account.profile.node_cost(node);
         account.cumulated += cost;
         account.spent += cost;
-        let ppm = ((account.spent as u128 * 1_000_000)
-            / account.profile.total_cost.max(1) as u128)
-            .min(1_000_000) as u64;
+        // Progress in ppm of the profiled total, in u128 only when the
+        // product overflows u64.
+        let total = account.profile.total_cost.max(1);
+        let ppm = match account.spent.checked_mul(1_000_000) {
+            Some(scaled) => (scaled / total).min(1_000_000),
+            None => {
+                let scaled = u128::from(account.spent) * 1_000_000;
+                (scaled / u128::from(total)).min(1_000_000) as u64
+            }
+        };
         self.policy.note_progress(job, ppm);
         if self.token == Some(job) {
             self.last_progress = now;

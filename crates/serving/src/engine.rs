@@ -1087,11 +1087,21 @@ impl Engine<'_> {
     }
 
     /// Runs that cannot meet their deadline any more, in client-index
-    /// order: `(job, client, deficit in µs)`. The walk starts at the first
-    /// undecided session: a decided one has no live run.
+    /// order: `(job, client, deficit in µs)`. No walk on a tick the control
+    /// loop finds quiet; every job id is one registration, so the id count
+    /// tells it whether a run registered since the last walk. The walk
+    /// starts at the first undecided session: a decided one has no live
+    /// run.
     fn laxity_doomed(&mut self) -> Vec<(JobId, ClientId, u64)> {
         let first = self.first_undecided();
-        let scan = self.control.as_mut().and_then(|ctl| ctl.laxity_scan(self.now));
+        let (now, registered) = (self.now, self.job_refs.len() as u64);
+        let scan = self.control.as_mut().and_then(|ctl| {
+            if ctl.laxity_due(now, registered) {
+                ctl.laxity_scan(now)
+            } else {
+                None
+            }
+        });
         let Some(mut scan) = scan else {
             return Vec::new();
         };

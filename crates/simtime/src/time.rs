@@ -110,13 +110,13 @@ impl SimDuration {
     /// Creates a span from a float number of seconds, rounding to nanoseconds
     /// and clamping negative values to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration(if secs <= 0.0 { 0 } else { (secs * 1e9).round() as u64 })
+        SimDuration(if secs <= 0.0 { 0 } else { round_u64(secs * 1e9) })
     }
 
     /// Creates a span from a float number of microseconds, rounding to
     /// nanoseconds and clamping negative values to zero.
     pub fn from_micros_f64(micros: f64) -> Self {
-        SimDuration(if micros <= 0.0 { 0 } else { (micros * 1e3).round() as u64 })
+        SimDuration(if micros <= 0.0 { 0 } else { round_u64(micros * 1e3) })
     }
 
     /// The span in nanoseconds.
@@ -146,13 +146,30 @@ impl SimDuration {
     /// Panics in debug builds if `factor` is negative or NaN.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "negative duration factor {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
+}
+
+/// 2^52: from here up every `f64` is an integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64`, without the software `round` call the baseline
+/// x86-64 target makes. From 2^52 up, `x` and ∞ convert as they are,
+/// saturating. Below, `x` truncates to `t: i64` and its fraction `x − t`
+/// is exact, so rounding half away from zero adds one when the fraction
+/// is at least 0.5; negatives clamp to 0, and NaN truncates to 0 with a
+/// NaN fraction.
+fn round_u64(x: f64) -> u64 {
+    if x >= TWO_52 {
+        return x as u64;
+    }
+    let t = x as i64;
+    (t + i64::from(x - t as f64 >= 0.5)).max(0) as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -267,6 +284,48 @@ mod tests {
         let d = SimDuration::from_nanos(10);
         assert_eq!(d.mul_f64(1.26).as_nanos(), 13);
         assert_eq!(d.mul_f64(0.0).as_nanos(), 0);
+    }
+
+    #[test]
+    fn round_u64_matches_round_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.5 - f64::EPSILON / 4.0, // 0.5 − 1 ulp
+            0.5 + f64::EPSILON / 2.0, // 0.5 + 1 ulp
+            1.5,
+            2.5,
+            TWO_52 - 0.5,
+            TWO_52 - 1.5,
+            TWO_52,
+            TWO_52 * 2.0 + 1.0, // 2^53 + 1 rounds to 2^53
+            TWO_52 * 2.0 + 2.0,
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_551_616.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -0.5,
+            -1.7,
+            -TWO_52,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e}");
+        }
+        let mut rng = crate::DetRng::new(0x5eed);
+        for _ in 0..100_000 {
+            let bits = rng.next_u64();
+            // Uniform fractions at every scale up to 2^60, and raw bit
+            // patterns (all signs, subnormals, ∞ and NaN).
+            let scaled = (bits >> 11) as f64 / (1u64 << 53) as f64 * (1u64 << (bits % 61)) as f64;
+            for x in [scaled, f64::from_bits(bits)] {
+                assert_eq!(round_u64(x), x.round() as u64, "{x:e}");
+            }
+        }
     }
 
     #[test]

@@ -185,14 +185,11 @@ fn shedding_rung_refuses_a_late_admission() {
     );
 }
 
-/// On a device that slowed down 2.3x after profiling, the drift detector
-/// fires and the control plane rebinds the drifting model's profile in-run
-/// through the cost oracle; the rebind reaches the trace and the counters
-/// alike.
-#[test]
-fn drift_alert_rebinds_the_profile_in_run() {
+/// The default config on a device 2.3x slower than the default one, with
+/// drift detection against the quantum and the control plane rebinding
+/// through `cost`.
+fn regressed(cost: Arc<dyn CostOracle>) -> EngineConfig {
     let mut cfg = EngineConfig::default();
-    let store = store_with_shrunk_batch(&cfg, models::mini::small, 4);
     cfg.device = gpusim::DeviceProfile::custom(
         "regressed",
         2.3,
@@ -200,15 +197,21 @@ fn drift_alert_rebinds_the_profile_in_run() {
         cfg.device.sm_count(),
         0.0,
     );
-    let cfg = cfg
-        .with_trace(TraceConfig::sampled())
+    cfg.with_trace(TraceConfig::sampled())
         .with_telemetry(
             TelemetryConfig::enabled(CADENCE).with_drift(DriftConfig::new(QUANTUM, 0.25)),
         )
-        .with_control(
-            controlplane::ControlConfig::new()
-                .with_cost(StoreCostOracle::new(Arc::clone(&store))),
-        );
+        .with_control(controlplane::ControlConfig::new().with_cost(cost))
+}
+
+/// On a device that slowed down 2.3x after profiling, the drift detector
+/// fires and the control plane rebinds the drifting model's profile in-run
+/// through the cost oracle; the rebind reaches the trace and the counters
+/// alike.
+#[test]
+fn drift_alert_rebinds_the_profile_in_run() {
+    let store = store_with_shrunk_batch(&EngineConfig::default(), models::mini::small, 4);
+    let cfg = regressed(StoreCostOracle::new(Arc::clone(&store)));
     let clients = vec![ClientSpec::new(models::mini::small(4), 6); 3];
     let report = run_experiment(&cfg, clients, &mut fair(store));
     common::assert_counters_match_trace(&report);
@@ -327,12 +330,38 @@ impl CostOracle for Cached {
 
 const MODES: [DeadlineMode; 2] = [DeadlineMode::Edf, DeadlineMode::LeastLaxity];
 
-/// Keeping each client's estimate until the store's epoch moves changes no
-/// decision: the closedloop figure's closed cell reports the same bytes
-/// under EDF and under least laxity whether its oracle is the store's own,
-/// which reports the epoch, or one asked on every tick. Each cell rebinds a
-/// profile mid-run, so kept estimates must be dropped at least once, and
-/// cancels a run on laxity, so the estimates decide something.
+/// A cell whose quiet laxity windows must close early, on the
+/// [`regressed`] device with its cost oracle built by `oracle` over the
+/// healthy device's profiles. Session 0's runs have 100 ms of slack, so they alone
+/// would keep every tick quiet. Session 1's only run fits its 4 ms
+/// deadline on the healthy profile (1.635 ms) but not on the 2.3x rebind
+/// that session 0's drift alert makes about 2.9 ms in, inside the window
+/// its own slack opened. Session 2 registers at 12.05 ms, between ticks
+/// and inside a window of session 0's, with an 800 µs deadline below its
+/// profiled GPU time. Both must be cancelled on laxity at the next tick.
+fn window_cell(oracle: impl FnOnce(Arc<ProfileStore>) -> Arc<dyn CostOracle>) -> RunReport {
+    let store = store_with_shrunk_batch(&EngineConfig::default(), models::mini::small, 4);
+    let cfg = regressed(oracle(Arc::clone(&store)));
+    let run = |batches, deadline_us| {
+        ClientSpec::new(models::mini::small(4), batches)
+            .with_run_deadline(SimDuration::from_micros(deadline_us))
+    };
+    let late = SimTime::from_micros(12_050);
+    let clients = vec![run(6, 100_000), run(1, 4_000), run(1, 800).with_start(late)];
+    run_experiment(&cfg, clients, &mut fair(store))
+}
+
+/// Keeping each client's estimate until the store's epoch moves, and
+/// skipping the laxity walk on quiet ticks, changes no decision. The
+/// closedloop figure's closed cell reports the same bytes under EDF and
+/// under least laxity whether its oracle is the store's own, which
+/// reports the epoch, or one asked on every tick; each rebinds a profile
+/// mid-run, so kept estimates must be dropped at least once, and cancels
+/// a run on laxity, so the estimates decide something. [`window_cell`]
+/// reports the same bytes with either oracle too; it cancels one run a
+/// rebind dooms and one that registers doomed, each inside a quiet window,
+/// so a window that outlived an epoch move or a registration would cancel
+/// later or not at all.
 #[test]
 fn kept_laxity_estimates_decide_exactly_like_fresh_ones() {
     for mode in MODES {
@@ -348,6 +377,25 @@ fn kept_laxity_estimates_decide_exactly_like_fresh_ones() {
         );
         assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "{mode:?}");
     }
+
+    let kept = window_cell(|s| StoreCostOracle::new(s));
+    let fresh = window_cell(|s| Arc::new(Uncached::new(s)));
+    let cancels: Vec<(u32, SimTime)> = fresh
+        .trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::LaxityCancel { client, .. } => Some((client, e.at)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        cancels,
+        [(1, SimTime::from_micros(3_000)), (2, SimTime::from_micros(12_200))],
+        "each doomed run is cancelled at the first tick after it is doomed"
+    );
+    assert!(counter(&fresh, "control_profile_rebinds") >= 1, "no rebind");
+    assert_eq!(format!("{kept:?}"), format!("{fresh:?}"));
 }
 
 /// How many times the laxity scan meets a live run: once per control tick
