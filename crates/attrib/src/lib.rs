@@ -32,7 +32,7 @@ pub use render::{render_text, to_json, write_phase_events};
 
 use std::collections::HashMap;
 use telemetry::{HistogramSnapshot, MetricsRegistry};
-use trace::{Trace, TraceKind};
+use trace::{BreakerEdge, Trace, TraceKind};
 
 /// One disjoint slice of a run's span, in claim-priority order.
 ///
@@ -380,12 +380,12 @@ impl Attribution {
                     grow(&mut device_stalls, device as usize, Vec::new());
                     device_stalls[device as usize].push((at, until_us * 1_000));
                 }
-                TraceKind::BreakerTransition { client, state, .. } => {
+                TraceKind::BreakerTransition { client, to } => {
                     seen_client(&mut client_device, client);
                     grow(&mut breaker_open, client as usize, None);
-                    match state {
-                        "open" => breaker_open[client as usize] = Some(at),
-                        "shed" => {
+                    match to {
+                        BreakerEdge::Open => breaker_open[client as usize] = Some(at),
+                        BreakerEdge::Shed(_) => {
                             grow(&mut active_run, client as usize, None);
                             if let Some(idx) = active_run[client as usize].take() {
                                 close_hold(&mut raws, &mut holders, idx, at);

@@ -12,7 +12,7 @@ use crate::diff::{self, DiffReport};
 use crate::{Attribution, Interval, Phase, RunPhases, Sweep, PHASE_COUNT};
 use simtime::{DetRng, SimDuration, SimTime};
 use std::collections::HashMap;
-use trace::{ShedCause, SwitchReason, Trace, TraceBuffer, TraceConfig, TraceKind};
+use trace::{BreakerEdge, ShedCause, SwitchReason, Trace, TraceBuffer, TraceConfig, TraceKind};
 
 impl Sweep {
     /// Claims `[a, b) ∩ gaps` for `phase` by rebuilding the whole gap list.
@@ -291,12 +291,10 @@ fn random_trace(rng: &mut DetRng) -> Trace {
                         session[c as usize] =
                             if left == 0 { Session::Over } else { Session::Idle(left) };
                     }
-                    12 => {
-                        rec(TraceKind::BreakerTransition { client: c, state: "open", shed: None })
-                    }
+                    12 => rec(TraceKind::BreakerTransition { client: c, to: BreakerEdge::Open }),
                     13 if rng.range_u64(0, 4) == 0 => {
-                        let shed = Some(ShedCause::RetriesExhausted { attempts: 3 });
-                        rec(TraceKind::BreakerTransition { client: c, state: "shed", shed });
+                        let to = BreakerEdge::Shed(ShedCause::RetriesExhausted { attempts: 3 });
+                        rec(TraceKind::BreakerTransition { client: c, to });
                         session[c as usize] = Session::Over;
                     }
                     _ => {}

@@ -11,11 +11,12 @@
 //!   Shedding hysteresis ladder driven by repeated burn-rate episodes,
 //!   stepping back down one rung per quiet [`COOL_WINDOW`], plus the
 //!   admission gate, batch hint, laxity and rebind arithmetic the engine
-//!   asks of it. The laxity scan ([`LaxityScan`]) keeps each client's
-//!   last cost estimate until the oracle's epoch moves, and a tick skips
-//!   the scan while [`ControlLoop::laxity_due`] finds it inside the quiet
-//!   window of the last one: no run registered, the epoch held, and every
-//!   run the scan left live still fits;
+//!   asks of it. A tick skips the laxity walk while
+//!   [`ControlLoop::laxity_due`] finds it inside the quiet window: the
+//!   oracle's epoch held since the last walk, every run that walk kept
+//!   still fits, and so does every run registered since, whose
+//!   [`ControlLoop::registered`] call narrowed the window to its own
+//!   bound;
 //! * [`CostOracle`] — the recalibration surface: expected GPU cost per
 //!   `(model, batch)` for laxity arithmetic, plus an in-run rebind of a
 //!   freshly scaled profile when the drift detector fires.
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 mod control_loop;
 
-pub use control_loop::{ControlLoop, LaxityScan};
+pub use control_loop::ControlLoop;
 
 /// The degradation ladder rung the control plane currently sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -113,9 +114,10 @@ pub trait CostOracle: fmt::Debug + Send + Sync {
     /// A counter that moves whenever an
     /// [`expected_gpu_ns`](Self::expected_gpu_ns) answer may change, or
     /// `None` when the oracle cannot tell. While it reads the same value,
-    /// the laxity scan reuses each client's last answer and quiet ticks
-    /// skip the scan; an oracle without an epoch, the default, is asked
-    /// on every tick.
+    /// the control loop keeps the quiet laxity window its walks and run
+    /// registrations bound, and ticks inside it ask nothing; an oracle
+    /// without an epoch, the default, is asked about every live run on
+    /// every tick and nothing at registration.
     fn epoch(&self) -> Option<u64> {
         None
     }
@@ -135,7 +137,7 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
 }
 
 /// Control loop cadence: the cool-down check runs once per tick, and so
-/// does the laxity scan unless the tick is quiet.
+/// does the laxity walk unless the tick is quiet.
 pub const TICK: SimDuration = SimDuration::from_micros(200);
 /// Consecutive burn episodes before the ladder steps up one rung.
 pub const ESCALATE_AFTER: u32 = 2;
@@ -196,7 +198,7 @@ mod tests {
     }
 
     fn ladder() -> ControlLoop {
-        ControlLoop::new(&ControlConfig::new(), 0)
+        ControlLoop::new(&ControlConfig::new())
     }
 
     #[test]
@@ -287,6 +289,6 @@ mod tests {
     fn default_config_validates() {
         let cfg = ControlConfig::new();
         cfg.validate();
-        assert_eq!(ControlLoop::new(&cfg, 0).state(), DegradeState::Healthy);
+        assert_eq!(ControlLoop::new(&cfg).state(), DegradeState::Healthy);
     }
 }

@@ -42,7 +42,7 @@ use crate::client::ClientSpec;
 use crate::config::EngineConfig;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
-use crate::trace::{ShedCause, SwitchReason, TraceBuffer, TraceKind};
+use crate::trace::{BreakerEdge, ShedCause, SwitchReason, TraceBuffer, TraceKind};
 use cluster::{Fleet, Routed, Step};
 use controlplane::{ControlLoop, Transition};
 use dataflow::{Graph, NodeId, Placement};
@@ -133,6 +133,8 @@ struct JobCold {
     quanta: Vec<(SimTime, SimDuration)>,
     /// Registration time — the run's latency baseline.
     started_at: SimTime,
+    /// The absolute deadline, `started_at` plus the client's run deadline.
+    deadline: Option<SimTime>,
 }
 
 impl JobHot {
@@ -186,19 +188,16 @@ impl JobHot {
 }
 
 impl JobCold {
-    fn new(graph: Arc<Graph>) -> Self {
-        JobCold {
-            graph,
-            quanta: Vec::with_capacity(QUANTA_CAPACITY),
-            started_at: SimTime::ZERO,
-        }
+    fn new(graph: Arc<Graph>, started_at: SimTime, deadline: Option<SimTime>) -> Self {
+        JobCold { graph, quanta: Vec::with_capacity(QUANTA_CAPACITY), started_at, deadline }
     }
 
     /// Counterpart of [`JobHot::reset`], reusing the `quanta` allocation.
-    fn reset(&mut self, graph: Arc<Graph>) {
+    fn reset(&mut self, graph: Arc<Graph>, started_at: SimTime, deadline: Option<SimTime>) {
         self.graph = graph;
         self.quanta.clear();
-        self.started_at = SimTime::ZERO;
+        self.started_at = started_at;
+        self.deadline = deadline;
     }
 }
 
@@ -373,7 +372,7 @@ fn build_engine<'a>(
         .faults
         .as_ref()
         .map(|f| Recovery::new(f, cfg.seed, client_states.len(), devices.len()));
-    let control = cfg.control.as_ref().map(|cc| ControlLoop::new(cc, client_states.len()));
+    let control = cfg.control.as_ref().map(ControlLoop::new);
     let fleet = cfg.cluster.as_ref().map(|cc| {
         Fleet::new(cc, &profiles).unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
     });
@@ -635,13 +634,12 @@ impl Engine<'_> {
             None => TraceKind::AllocFault { client, attempt },
         });
         if f.opened {
-            self.record(TraceKind::BreakerTransition { client, state: "open", shed: None });
+            self.record(TraceKind::BreakerTransition { client, to: BreakerEdge::Open });
         }
         match f.next {
             Next::Retry { at, probe } => {
                 if probe {
-                    let state = "half-open";
-                    self.record(TraceKind::BreakerTransition { client, state, shed: None });
+                    self.record(TraceKind::BreakerTransition { client, to: BreakerEdge::HalfOpen });
                 }
                 let delay = at - self.now;
                 self.record(TraceKind::RetryScheduled { job, client, node, attempt, delay });
@@ -658,8 +656,7 @@ impl Engine<'_> {
                     }
                     ShedCause::CircuitOpen { trips } => ClientOutcome::CircuitOpen { at, trips },
                 };
-                let (state, shed) = ("shed", Some(cause));
-                self.record(TraceKind::BreakerTransition { client, state, shed });
+                self.record(TraceKind::BreakerTransition { client, to: BreakerEdge::Shed(cause) });
                 match kernel {
                     Some((job, _)) => self.teardown_job(job, c, outcome),
                     None => self.clients[c.0 as usize].outcome = Some(outcome),
@@ -727,6 +724,7 @@ impl Engine<'_> {
         // thresholds while the graph itself is unchanged.
         let full_batch = client.spec.model.batch();
         let batch = self.control.as_ref().map_or(full_batch, |ctl| ctl.batch_hint(full_batch));
+        let deadline = client.spec.run_deadline.map(|d| self.now + d);
         let ctx = JobCtx {
             client: c,
             model_name: version.map_or(client.spec.model.name(), |(_, name)| name),
@@ -735,7 +733,7 @@ impl Engine<'_> {
             priority: client.spec.priority,
             device: client.device,
             now: self.now,
-            deadline: client.spec.run_deadline.map(|d| self.now + d),
+            deadline,
         };
         match self.scheduler.register(job_id, &ctx) {
             Ok(verdict) => {
@@ -750,24 +748,28 @@ impl Engine<'_> {
                 let slot = match self.free_slots.pop() {
                     Some(s) => {
                         self.job_hot[s as usize].reset(c, &graph);
-                        self.job_cold[s as usize].reset(graph);
+                        self.job_cold[s as usize].reset(graph, self.now, deadline);
                         s
                     }
                     None => {
                         self.job_hot.push(JobHot::new(c, &graph));
-                        self.job_cold.push(JobCold::new(graph));
+                        self.job_cold.push(JobCold::new(graph, self.now, deadline));
                         (self.job_hot.len() - 1) as u32
                     }
                 };
-                self.job_cold[slot as usize].started_at = self.now;
                 self.job_refs.push(JobRef::Live(slot));
                 if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
                     fleet.issued(job_id.0, self.clients[c.0 as usize].device, key, est);
                 }
-                self.clients[c.0 as usize].current_job = Some(job_id);
-                if let Some(deadline) = self.clients[c.0 as usize].spec.run_deadline {
-                    self.queue
-                        .schedule(self.now + deadline, Event::RunDeadline(job_id));
+                let client = &mut self.clients[c.0 as usize];
+                client.current_job = Some(job_id);
+                if let Some(deadline) = deadline {
+                    self.queue.schedule(deadline, Event::RunDeadline(job_id));
+                    // The laxity walk's key: the client's model at its full
+                    // batch, whatever version and hint the run registered.
+                    if let Some(ctl) = self.control.as_mut() {
+                        ctl.registered(client.spec.model.name(), full_batch, deadline);
+                    }
                 }
                 self.apply_verdict(verdict);
                 self.schedule_timer();
@@ -1088,29 +1090,22 @@ impl Engine<'_> {
 
     /// Runs that cannot meet their deadline any more, in client-index
     /// order: `(job, client, deficit in µs)`. No walk on a tick the control
-    /// loop finds quiet; every job id is one registration, so the id count
-    /// tells it whether a run registered since the last walk. The walk
-    /// starts at the first undecided session: a decided one has no live
-    /// run.
+    /// loop finds quiet. The walk starts at the first undecided session: a
+    /// decided one has no live run.
     fn laxity_doomed(&mut self) -> Vec<(JobId, ClientId, u64)> {
-        let first = self.first_undecided();
-        let (now, registered) = (self.now, self.job_refs.len() as u64);
-        let scan = self.control.as_mut().and_then(|ctl| {
-            if ctl.laxity_due(now, registered) {
-                ctl.laxity_scan(now)
-            } else {
-                None
-            }
-        });
-        let Some(mut scan) = scan else {
+        let (first, now) = (self.first_undecided(), self.now);
+        let Some(ctl) = self.control.as_mut() else {
             return Vec::new();
         };
+        if !ctl.laxity_due(now) {
+            return Vec::new();
+        }
         let doomed = self.clients.iter().enumerate().skip(first).filter_map(|(i, client)| {
-            let (job, budget) = (client.current_job?, client.spec.run_deadline?);
+            let job = client.current_job?;
             let slot = self.job_refs.get(job.0 as usize)?.live()?;
-            let (m, deadline) = (&client.spec.model, self.job_cold[slot].started_at + budget);
+            let (m, deadline) = (&client.spec.model, self.job_cold[slot].deadline?);
             let received = self.job_hot[slot].gpu_busy.as_nanos();
-            let deficit = scan.deficit_us(i, m.name(), m.batch(), deadline, received)?;
+            let deficit = ctl.deficit_us(now, m.name(), m.batch(), deadline, received)?;
             Some((job, ClientId(i as u32), deficit))
         });
         doomed.collect()
@@ -1390,15 +1385,13 @@ impl Engine<'_> {
             JobRef::Dead => unreachable!("submitting for a dead job"),
         };
         if let Some(rec) = self.recovery.as_mut() {
-            let c = self.job_hot[slot].client;
-            let started_at = self.job_cold[slot].started_at;
-            let deadline = self.clients[c.0 as usize].spec.run_deadline.map(|d| started_at + d);
+            let (c, deadline) = (self.job_hot[slot].client, self.job_cold[slot].deadline);
             match rec.launch(c.0, job_id.0, node.index() as u32, self.now, deadline) {
                 Ok(false) => {}
                 // The half-open probe succeeded.
                 Ok(true) => {
-                    let state = "closed";
-                    self.record(TraceKind::BreakerTransition { client: c.0, state, shed: None });
+                    let to = BreakerEdge::Closed;
+                    self.record(TraceKind::BreakerTransition { client: c.0, to });
                 }
                 Err(f) => {
                     // The gang thread stays blocked on the kernel until its

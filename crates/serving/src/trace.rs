@@ -11,6 +11,6 @@
 //! or aggregate into a [`TraceStats`] snapshot.
 
 pub use trace::{
-    chrome_trace_json, render_trace, ShedCause, SwitchReason, Trace, TraceBuffer, TraceConfig,
-    TraceEvent, TraceKind, TraceMeta, TraceMode, TraceStats,
+    chrome_trace_json, render_trace, BreakerEdge, ShedCause, SwitchReason, Trace, TraceBuffer,
+    TraceConfig, TraceEvent, TraceKind, TraceMeta, TraceMode, TraceStats,
 };

@@ -36,7 +36,7 @@
 //! against `SimTime::MAX`.
 
 use simtime::{SimDuration, SimTime};
-use trace::TraceKind;
+use trace::{BreakerEdge, TraceKind};
 
 pub mod drift;
 pub mod export;
@@ -774,12 +774,12 @@ impl TelemetryHub {
                 self.observe_run(at, client, latency);
                 return None;
             }
-            TraceKind::BreakerTransition { client, state: "open", .. } => {
+            TraceKind::BreakerTransition { client, to: BreakerEdge::Open } => {
                 self.registry.inc(ids.c_breaker_open, 1);
-                let action = "breaker-open";
+                let action = BreakerEdge::Open.as_str();
                 return self.raise(Alert::FaultRecovery { at, client, action, detail: 0 });
             }
-            TraceKind::BreakerTransition { client, shed: Some(cause), .. } => {
+            TraceKind::BreakerTransition { client, to: BreakerEdge::Shed(cause) } => {
                 self.registry.inc(ids.c_shed, 1);
                 let (action, detail) = (cause.as_str(), u64::from(cause.count()));
                 return self.raise(Alert::FaultRecovery { at, client, action, detail });
@@ -1064,7 +1064,7 @@ mod tests {
         assert_eq!(h.next_due(), SimTime::MAX);
         assert_eq!(h.observe(t(0), &admitted(0)), None);
         assert_eq!(h.observe(t(10), &quantum(0, 100)), None);
-        let open = TraceKind::BreakerTransition { client: 0, state: "open", shed: None };
+        let open = TraceKind::BreakerTransition { client: 0, to: BreakerEdge::Open };
         assert_eq!(h.observe(t(10), &open), None);
         let promote = TraceKind::CanaryPromote { model: 0, version: 2, cand_us: 1, base_us: 1 };
         assert_eq!(h.observe(t(20), &promote), None);
@@ -1165,8 +1165,8 @@ mod tests {
     #[test]
     fn shed_and_canary_events_raise_named_alerts() {
         let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), ["a"], ["a", "b"]);
-        let (state, shed) = ("shed", Some(ShedCause::CircuitOpen { trips: 3 }));
-        let fault = h.observe(t(5), &TraceKind::BreakerTransition { client: 0, state, shed });
+        let to = BreakerEdge::Shed(ShedCause::CircuitOpen { trips: 3 });
+        let fault = h.observe(t(5), &TraceKind::BreakerTransition { client: 0, to });
         let action = "circuit-open";
         assert_eq!(fault, Some(Alert::FaultRecovery { at: t(5), client: 0, action, detail: 3 }));
         let (version, cand_us, base_us) = (2, 90, 100);

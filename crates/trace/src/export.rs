@@ -332,11 +332,7 @@ fn describe(
             let args = if job == u64::MAX { &all[2..] } else { &all[..] };
             row("retry-scheduled", "recovery", args)
         }
-        TraceKind::BreakerTransition { state, .. } => {
-            scratch.clear();
-            let _ = write!(scratch, "breaker-{state}");
-            row(scratch, "recovery", &[])
-        }
+        TraceKind::BreakerTransition { to, .. } => row(to.as_str(), "recovery", &[]),
         TraceKind::WatchdogRevoke { job, stalled_us, .. } => row(
             "watchdog-revoke",
             "recovery",

@@ -125,7 +125,7 @@ impl SwitchReason {
 }
 
 /// Why the recovery layer shed a client: its `faults::Next::Shed` verdict,
-/// carried as is on the shed [`TraceKind::BreakerTransition`].
+/// carried as is on the [`BreakerEdge::Shed`] transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedCause {
     /// The retry budget ran out after this many failed attempts.
@@ -153,6 +153,33 @@ impl ShedCause {
     pub fn count(self) -> u32 {
         match self {
             ShedCause::RetriesExhausted { attempts: n } | ShedCause::CircuitOpen { trips: n } => n,
+        }
+    }
+}
+
+/// The edge a client's circuit breaker took, as a
+/// [`TraceKind::BreakerTransition`] records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerEdge {
+    /// A half-open probe succeeded.
+    Closed,
+    /// Failures tripped the breaker.
+    Open,
+    /// The cool-off elapsed: the next attempt probes.
+    HalfOpen,
+    /// The recovery layer gave up on the client, and why.
+    Shed(ShedCause),
+}
+
+impl BreakerEdge {
+    /// The exported row name: `breaker-closed`, `breaker-open`,
+    /// `breaker-half-open` or `breaker-shed`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BreakerEdge::Closed => "breaker-closed",
+            BreakerEdge::Open => "breaker-open",
+            BreakerEdge::HalfOpen => "breaker-half-open",
+            BreakerEdge::Shed(_) => "breaker-shed",
         }
     }
 }
@@ -382,11 +409,8 @@ pub enum TraceKind {
     BreakerTransition {
         /// The client the breaker guards.
         client: u32,
-        /// New breaker state, kebab-case ("closed"/"open"/"half-open"/
-        /// "shed").
-        state: &'static str,
-        /// Why the client was shed, on the "shed" transition.
-        shed: Option<ShedCause>,
+        /// The edge taken.
+        to: BreakerEdge,
     },
     /// The token-hold watchdog revoked the token from a stalled holder;
     /// the stall is charged to the holder like an overflow kernel.
@@ -972,7 +996,12 @@ mod tests {
             line(901, burn),
             "[0.000901s] scheduler slo-burn-alert slo=3 short_ppm=4000000 long_ppm=2100000"
         );
-        let open = TraceKind::BreakerTransition { client: 0, state: "open", shed: None };
+        let open = TraceKind::BreakerTransition { client: 0, to: BreakerEdge::Open };
         assert_eq!(line(902, open), "[0.000902s] client0 breaker-open");
+        let half = TraceKind::BreakerTransition { client: 0, to: BreakerEdge::HalfOpen };
+        assert_eq!(line(903, half), "[0.000903s] client0 breaker-half-open");
+        let shed = BreakerEdge::Shed(ShedCause::CircuitOpen { trips: 2 });
+        let shed = TraceKind::BreakerTransition { client: 1, to: shed };
+        assert_eq!(line(904, shed), "[0.000904s] client1 breaker-shed");
     }
 }

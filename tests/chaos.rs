@@ -6,7 +6,7 @@ mod common;
 
 use faults::{FaultConfig, FaultPlan};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
-use serving::trace::{ShedCause, TraceKind};
+use serving::trace::{BreakerEdge, ShedCause, TraceKind};
 use serving::{
     run_experiment, ClientOutcome, ClientSpec, EngineConfig, FifoScheduler, RunReport,
     TraceConfig,
@@ -174,7 +174,7 @@ fn shed_stream_is_pinned() {
     let report = chaotic_run(Some(plan));
     let sheds: Vec<ShedCause> = (report.trace.events.iter())
         .filter_map(|e| match e.kind {
-            TraceKind::BreakerTransition { shed, .. } => shed,
+            TraceKind::BreakerTransition { to: BreakerEdge::Shed(cause), .. } => Some(cause),
             _ => None,
         })
         .collect();
@@ -182,15 +182,15 @@ fn shed_stream_is_pinned() {
     let open = ShedCause::CircuitOpen { trips: 2 };
     assert_eq!(sheds.iter().filter(|&&s| s == exhausted).count(), 2, "{sheds:?}");
     assert_eq!(sheds.iter().filter(|&&s| s == open).count(), 2, "{sheds:?}");
-    for state in ["open", "half-open"] {
+    for edge in [BreakerEdge::Open, BreakerEdge::HalfOpen] {
         let edges = report
             .trace
-            .filter(|k| matches!(k, TraceKind::BreakerTransition { state: s, .. } if *s == state));
-        assert!(edges.count() > 0, "no {state} edge");
+            .filter(|k| matches!(k, TraceKind::BreakerTransition { to, .. } if *to == edge));
+        assert!(edges.count() > 0, "no {} edge", edge.as_str());
     }
     common::assert_counters_match_trace(&report);
     assert_eq!(report.event_count, 43);
-    assert_eq!(common::fnv1a(&format!("{report:?}")), "baac6925ba31b4ed");
+    assert_eq!(common::fnv1a(&format!("{report:?}")), "b334fa44dd16b679");
 }
 
 /// A kernel in flight when its job is deadline-cancelled completes

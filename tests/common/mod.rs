@@ -1,7 +1,11 @@
 //! Checks shared by the integration tests.
 
+use controlplane::CostOracle;
+use olympian::{ProfileStore, StoreCostOracle};
 use serving::RunReport;
-use trace::TraceKind;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use trace::{BreakerEdge, TraceKind};
 
 /// 64-bit FNV-1a of a rendering, as 16 hex digits: how the tests pin an
 /// export's bytes.
@@ -11,6 +15,35 @@ pub fn fnv1a(s: &str) -> String {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     format!("{hash:016x}")
+}
+
+/// Forwards the two required `CostOracle` methods to the store's own
+/// oracle and counts the laxity lookups. It leaves `epoch` at its default,
+/// `None`, so the control loop walks every live run on every tick and asks
+/// nothing when a run registers.
+#[allow(dead_code)] // Only the tests that bind a cost oracle build one.
+#[derive(Debug)]
+pub struct Uncached {
+    pub store: Arc<StoreCostOracle>,
+    pub lookups: AtomicU64,
+}
+
+#[allow(dead_code)]
+impl Uncached {
+    pub fn new(store: Arc<ProfileStore>) -> Uncached {
+        Uncached { store: StoreCostOracle::new(store), lookups: AtomicU64::new(0) }
+    }
+}
+
+impl CostOracle for Uncached {
+    fn expected_gpu_ns(&self, model: &str, batch: u64) -> Option<u64> {
+        self.lookups.fetch_add(1, Relaxed);
+        self.store.expected_gpu_ns(model, batch)
+    }
+
+    fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool {
+        self.store.rebind_scaled(model, batch, scale_ppm)
+    }
 }
 
 /// Whether an event is one a counter counts.
@@ -32,8 +65,12 @@ const PAIRED: [(&str, Counts); 29] = [
     ("faults_alloc", |k| matches!(k, TraceKind::AllocFault { .. })),
     // Kernel and admission retries alike.
     ("kernel_retries", |k| matches!(k, TraceKind::RetryScheduled { .. })),
-    ("breaker_open_events", |k| matches!(k, TraceKind::BreakerTransition { state: "open", .. })),
-    ("clients_shed", |k| matches!(k, TraceKind::BreakerTransition { state: "shed", .. })),
+    ("breaker_open_events", |k| {
+        matches!(k, TraceKind::BreakerTransition { to: BreakerEdge::Open, .. })
+    }),
+    ("clients_shed", |k| {
+        matches!(k, TraceKind::BreakerTransition { to: BreakerEdge::Shed(_), .. })
+    }),
     ("watchdog_revocations", |k| matches!(k, TraceKind::WatchdogRevoke { .. })),
     ("versions_loaded", |k| matches!(k, TraceKind::VersionLoad { .. })),
     ("versions_unloaded", |k| matches!(k, TraceKind::Unload { .. })),

@@ -1,12 +1,12 @@
 //! Integration tests for the closed-loop control plane: degradation-ladder
 //! hysteresis at engine level, the Shedding admission gate,
-//! byte-determinism of controlled runs across worker counts, and the laxity
-//! scan's kept estimates.
+//! byte-determinism of controlled runs across worker counts, and the quiet
+//! laxity windows.
 
 mod common;
 
 use bench::figs::closedloop;
-use common::fnv1a;
+use common::{fnv1a, Uncached};
 use controlplane::CostOracle;
 use models::LoadedModel;
 use olympian::{
@@ -17,7 +17,7 @@ use serving::trace::{Trace, TraceKind};
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
 
@@ -49,21 +49,14 @@ fn counter(report: &RunReport, name: &str) -> u64 {
 }
 
 /// The chaos `drift` incident at engine level: a sustained 1.4x slowdown
-/// during [1ms, 50ms), profiles and objective from the healthy device.
-/// Burn episodes during the window must walk the ladder up (shrinking
-/// batch hints on the way); the quiet tail after the window must walk it
-/// back down through the cool-window hysteresis — both edges visible as
-/// counted, traced transitions.
-#[test]
-fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
-    let clients = vec![ClientSpec::new(models::mini::small(4), 6); 6];
-    let model_name = clients[0].model.name().to_string();
+/// during [1ms, 50ms), and SLO burn alerts on `mini-small` against an
+/// objective 15% above the median run latency of `clients` on the healthy
+/// device. Traced, with no control plane yet.
+fn burning(clients: &[ClientSpec], store: &Arc<ProfileStore>) -> EngineConfig {
     let base = EngineConfig::default();
-    let store = store_with_shrunk_batch(&base, models::mini::small, 4);
-
     // Objective from the fault-free twin.
     let probe_cfg = base.with_telemetry(TelemetryConfig::enabled(CADENCE));
-    let probe = run_experiment(&probe_cfg, clients.clone(), &mut fair(Arc::clone(&store)));
+    let probe = run_experiment(&probe_cfg, clients.to_vec(), &mut fair(Arc::clone(store)));
     let p50 = probe.telemetry.hist("run_latency_us").expect("probe histogram").p50;
     let objective = SimDuration::from_micros((p50 * 1.15).ceil() as u64);
 
@@ -72,15 +65,25 @@ fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
         SimTime::from_millis(1),
         SimTime::from_millis(50),
     );
-    let cfg = base
-        .with_trace(TraceConfig::sampled())
+    base.with_trace(TraceConfig::sampled())
         .with_telemetry(
             TelemetryConfig::enabled(CADENCE)
-                .with_slo(SloSpec::new(&model_name, objective, 0.05))
+                .with_slo(SloSpec::new("mini-small", objective, 0.05))
                 .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 }),
         )
         .with_faults(FaultConfig::new(plan))
-        .with_control(controlplane::ControlConfig::new());
+}
+
+/// The [`burning`] incident, profiles from the healthy device. Burn
+/// episodes during the slowdown must walk the ladder up (shrinking batch
+/// hints on the way); the quiet tail after it must walk it back down
+/// through the cool-window hysteresis — both edges visible as counted,
+/// traced transitions.
+#[test]
+fn ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail() {
+    let clients = vec![ClientSpec::new(models::mini::small(4), 6); 6];
+    let store = store_with_shrunk_batch(&EngineConfig::default(), models::mini::small, 4);
+    let cfg = burning(&clients, &store).with_control(controlplane::ControlConfig::new());
     let report = run_experiment(&cfg, clients, &mut fair(store));
     common::assert_counters_match_trace(&report);
 
@@ -280,41 +283,12 @@ fn closed_loop_reports_are_byte_identical_across_jobs() {
     assert_eq!(replication(3), replication(3));
 }
 
-/// Forwards the two required `CostOracle` methods to the store's own
-/// oracle and counts the laxity lookups. It leaves `epoch` at its default,
-/// `None`, so the laxity scan asks it on every tick.
+/// [`Uncached`] that also reports the store's epoch, so the control loop
+/// opens quiet laxity windows.
 #[derive(Debug)]
-struct Uncached {
-    store: Arc<StoreCostOracle>,
-    lookups: AtomicU64,
-}
+struct WithEpoch(Uncached);
 
-impl Uncached {
-    fn new(store: Arc<ProfileStore>) -> Uncached {
-        Uncached {
-            store: StoreCostOracle::new(store),
-            lookups: AtomicU64::new(0),
-        }
-    }
-}
-
-impl CostOracle for Uncached {
-    fn expected_gpu_ns(&self, model: &str, batch: u64) -> Option<u64> {
-        self.lookups.fetch_add(1, Relaxed);
-        self.store.expected_gpu_ns(model, batch)
-    }
-
-    fn rebind_scaled(&self, model: &str, batch: u64, scale_ppm: u64) -> bool {
-        self.store.rebind_scaled(model, batch, scale_ppm)
-    }
-}
-
-/// [`Uncached`] that also reports the store's epoch, so the laxity scan
-/// keeps each client's estimate until the store changes.
-#[derive(Debug)]
-struct Cached(Uncached);
-
-impl CostOracle for Cached {
+impl CostOracle for WithEpoch {
     fn expected_gpu_ns(&self, model: &str, batch: u64) -> Option<u64> {
         self.0.expected_gpu_ns(model, batch)
     }
@@ -329,6 +303,15 @@ impl CostOracle for Cached {
 }
 
 const MODES: [DeadlineMode; 2] = [DeadlineMode::Edf, DeadlineMode::LeastLaxity];
+
+/// The laxity cancels of `report`, as `(client, instant)`.
+fn laxity_cancels(report: &RunReport) -> Vec<(u32, SimTime)> {
+    let cancels = report.trace.events.iter().filter_map(|e| match e.kind {
+        TraceKind::LaxityCancel { client, .. } => Some((client, e.at)),
+        _ => None,
+    });
+    cancels.collect()
+}
 
 /// A cell whose quiet laxity windows must close early, on the
 /// [`regressed`] device with its cost oracle built by `oracle` over the
@@ -351,54 +334,96 @@ fn window_cell(oracle: impl FnOnce(Arc<ProfileStore>) -> Arc<dyn CostOracle>) ->
     run_experiment(&cfg, clients, &mut fair(store))
 }
 
-/// Keeping each client's estimate until the store's epoch moves, and
-/// skipping the laxity walk on quiet ticks, changes no decision. The
+/// When the Degraded cell's late session starts: 550 µs into the ladder's
+/// first Degraded spell (23.5 to 25.6 ms), between two ticks.
+const DEGRADED_START: SimTime = SimTime::from_micros(24_050);
+
+/// A cell where a run registers while the ladder is Degraded, in the
+/// [`burning`] incident of
+/// [`ladder_walks_up_under_burn_and_back_down_in_the_quiet_tail`], with
+/// the cost oracle built by `oracle`. The store profiles `mini-small` at
+/// batch 4 and, at the Degraded rung's batch 2, with half that GPU time,
+/// as a model whose kernels scale with the batch would measure (the mini
+/// models' kernels do not). Session 6's twelve runs have 100 ms of slack
+/// and hold the windows open. Session 7 starts at [`DEGRADED_START`] and
+/// registers at batch 2, with a deadline halfway between the two
+/// profiles' GPU times: the profile it registers under meets it, but the
+/// laxity key, the client's model at its full batch, misses it, so the
+/// run must be cancelled at the next tick.
+fn degraded_cell(oracle: impl FnOnce(Arc<ProfileStore>) -> Arc<dyn CostOracle>) -> RunReport {
+    let profiler = Profiler::new(&EngineConfig::default());
+    let mut store = ProfileStore::new();
+    let full = profiler.profile(&models::mini::small(4));
+    let mut half = profiler.profile(&models::mini::small(2));
+    half.gpu_duration = SimDuration::from_nanos(full.gpu_duration.as_nanos() / 2);
+    let deadline = SimDuration::from_nanos((full.gpu_duration + half.gpu_duration).as_nanos() / 2);
+    store.insert(full);
+    store.insert(half);
+    let store = Arc::new(store);
+
+    let burners = vec![ClientSpec::new(models::mini::small(4), 6); 6];
+    let control = controlplane::ControlConfig::new().with_cost(oracle(Arc::clone(&store)));
+    let cfg = burning(&burners, &store).with_control(control);
+    let mut clients = burners;
+    let slack = SimDuration::from_millis(100);
+    clients.push(ClientSpec::new(models::mini::small(4), 12).with_run_deadline(slack));
+    clients.push(
+        ClientSpec::new(models::mini::small(4), 1)
+            .with_start(DEGRADED_START)
+            .with_run_deadline(deadline),
+    );
+    run_experiment(&cfg, clients, &mut fair(store))
+}
+
+/// Skipping the laxity walk on quiet ticks changes no decision. The
 /// closedloop figure's closed cell reports the same bytes under EDF and
 /// under least laxity whether its oracle is the store's own, which
-/// reports the epoch, or one asked on every tick; each rebinds a profile
-/// mid-run, so kept estimates must be dropped at least once, and cancels
-/// a run on laxity, so the estimates decide something. [`window_cell`]
-/// reports the same bytes with either oracle too; it cancels one run a
-/// rebind dooms and one that registers doomed, each inside a quiet window,
-/// so a window that outlived an epoch move or a registration would cancel
-/// later or not at all.
+/// reports the epoch, or one without an epoch, whose ticks all walk; each
+/// rebinds a profile mid-run, so a window must close on an epoch move at
+/// least once, and cancels a run on laxity, so the walks decide
+/// something. [`window_cell`] reports the same bytes with either oracle
+/// too; it cancels one run a rebind dooms and one that registers doomed,
+/// each inside a quiet window, so a window that outlived an epoch move or
+/// a doomed registration would cancel later or not at all. So does
+/// [`degraded_cell`], whose doomed run registers under a cheaper profile
+/// than the one the walk reads: a registration that bounded the window by
+/// the registered profile would leave the next tick quiet.
 #[test]
-fn kept_laxity_estimates_decide_exactly_like_fresh_ones() {
+fn quiet_laxity_windows_decide_exactly_like_walking_every_tick() {
     for mode in MODES {
-        let kept = closedloop::run_cells_with(mode, |s| StoreCostOracle::new(s)).closed;
-        let fresh = closedloop::run_cells_with(mode, |s| Arc::new(Uncached::new(s))).closed;
+        let quiet = closedloop::run_cells_with(mode, |s| StoreCostOracle::new(s)).closed;
+        let walking = closedloop::run_cells_with(mode, |s| Arc::new(Uncached::new(s))).closed;
         assert!(
-            counter(&kept, "control_profile_rebinds") >= 1,
+            counter(&quiet, "control_profile_rebinds") >= 1,
             "{mode:?}: no rebind"
         );
         assert!(
-            counter(&kept, "control_laxity_cancels") >= 1,
+            counter(&quiet, "control_laxity_cancels") >= 1,
             "{mode:?}: no laxity cancel"
         );
-        assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "{mode:?}");
+        assert_eq!(format!("{quiet:?}"), format!("{walking:?}"), "{mode:?}");
     }
 
-    let kept = window_cell(|s| StoreCostOracle::new(s));
-    let fresh = window_cell(|s| Arc::new(Uncached::new(s)));
-    let cancels: Vec<(u32, SimTime)> = fresh
-        .trace
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::LaxityCancel { client, .. } => Some((client, e.at)),
-            _ => None,
-        })
-        .collect();
+    let quiet = window_cell(|s| StoreCostOracle::new(s));
+    let walking = window_cell(|s| Arc::new(Uncached::new(s)));
     assert_eq!(
-        cancels,
+        laxity_cancels(&walking),
         [(1, SimTime::from_micros(3_000)), (2, SimTime::from_micros(12_200))],
         "each doomed run is cancelled at the first tick after it is doomed"
     );
-    assert!(counter(&fresh, "control_profile_rebinds") >= 1, "no rebind");
-    assert_eq!(format!("{kept:?}"), format!("{fresh:?}"));
+    assert!(counter(&walking, "control_profile_rebinds") >= 1, "no rebind");
+    assert_eq!(format!("{quiet:?}"), format!("{walking:?}"));
+
+    let quiet = degraded_cell(|s| StoreCostOracle::new(s));
+    let walking = degraded_cell(|s| Arc::new(Uncached::new(s)));
+    let shrunk = walking.trace.filter(|k| matches!(k, TraceKind::BatchShrink { client: 7, .. }));
+    assert_eq!(shrunk.count(), 1, "the late run registers while Degraded");
+    let next_tick = SimTime::from_micros(24_200);
+    assert_eq!(laxity_cancels(&walking), [(7, next_tick)]);
+    assert_eq!(format!("{quiet:?}"), format!("{walking:?}"));
 }
 
-/// How many times the laxity scan meets a live run: once per control tick
+/// How many times the laxity walk meets a live run: once per control tick
 /// strictly inside the run's registration-to-end span, plus the tick that
 /// cancels a run on laxity. Every run of the trace must end, and none may
 /// start or end on a tick otherwise, where the order of the tick and the
@@ -432,31 +457,28 @@ fn live_run_ticks(trace: &Trace) -> u64 {
     meetings
 }
 
-/// Over the same cells, an oracle that reports the store's epoch is asked
-/// at most once per client for each value the epoch takes during the run,
-/// while one without an epoch is asked once per live run per tick.
+/// An oracle that reports the store's epoch is asked once per run
+/// registration and once per live run on each walk. On a quiet cell, 3
+/// sessions of 6 runs whose 100 ms deadlines outlast the whole run, only
+/// the first tick walks: 18 registrations and the 3 runs live at 200 µs.
+/// A registration that ended the window would walk again after each
+/// one. Over the closedloop figure's closed cells, an oracle without an
+/// epoch is asked nothing at registration and once per live run per tick.
 #[test]
-fn laxity_lookups_are_once_per_client_per_epoch() {
+fn laxity_lookups_follow_registrations_with_an_epoch_and_ticks_without() {
+    let store = store_with_shrunk_batch(&EngineConfig::default(), models::mini::small, 4);
+    let oracle = Arc::new(WithEpoch(Uncached::new(Arc::clone(&store))));
+    let cfg = EngineConfig::default()
+        .with_control(controlplane::ControlConfig::new().with_cost(oracle.clone()));
+    let deadline = SimDuration::from_millis(100);
+    let clients = vec![ClientSpec::new(models::mini::small(4), 6).with_run_deadline(deadline); 3];
+    let report = run_experiment(&cfg, clients, &mut fair(store));
+    assert!(report.all_finished());
+    assert_eq!(oracle.0.lookups.load(Relaxed), 18 + 3);
+
     for mode in MODES {
         let mut bound = None;
-        let kept = closedloop::run_cells_with(mode, |store| {
-            let oracle = Arc::new(Cached(Uncached::new(Arc::clone(&store))));
-            bound = Some((Arc::clone(&oracle), store.epoch(), store));
-            oracle
-        })
-        .closed;
-        let (oracle, start, store) = bound.expect("the closed cell binds an oracle");
-        let (moves, clients) = (store.epoch() - start, kept.clients.len() as u64);
-        let lookups = oracle.0.lookups.load(Relaxed);
-        assert!(moves >= 1, "{mode:?}: the store never changed");
-        assert!(lookups >= clients, "{mode:?}: {lookups} lookups");
-        assert!(
-            lookups <= clients * (moves + 1),
-            "{mode:?}: {lookups} lookups by {clients} clients over {moves} epoch moves"
-        );
-
-        let mut bound = None;
-        let fresh = closedloop::run_cells_with(mode, |store| {
+        let walking = closedloop::run_cells_with(mode, |store| {
             let oracle = Arc::new(Uncached::new(store));
             bound = Some(Arc::clone(&oracle));
             oracle
@@ -466,6 +488,6 @@ fn laxity_lookups_are_once_per_client_per_epoch() {
             .expect("the closed cell binds an oracle")
             .lookups
             .load(Relaxed);
-        assert_eq!(lookups, live_run_ticks(&fresh.trace), "{mode:?}");
+        assert_eq!(lookups, live_run_ticks(&walking.trace), "{mode:?}");
     }
 }

@@ -1,16 +1,18 @@
 //! End-to-end checks of a two-device fleet under the Olympian scheduler:
 //! every session of a churning four-service zoo finishes on every seed
 //! (one device unloading a version must not retire the profile another
-//! device still serves), and the fleet survives faults and the control
-//! plane in every combination of router, fault plan and control loop.
+//! device still serves), the fleet survives faults and the control plane
+//! in every combination of router, fault plan and control loop, and quiet
+//! laxity windows decide like walking every tick in each of them.
 
 mod common;
 mod fleet_setup;
 
+use common::Uncached;
 use fleet_setup::{clients, fleet_cfg, multi, round_robin, service, BATCH, SERVICES};
 use olympian::{DeadlinePolicy, Policy, ProfileStore, Profiler, StoreCostOracle};
 use serving::cluster::RouterPolicy;
-use serving::control::ControlConfig;
+use serving::control::{ControlConfig, CostOracle};
 use serving::faults::{FaultConfig, FaultPlan};
 use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
@@ -82,7 +84,22 @@ fn seed_store(cfg: &EngineConfig) -> Arc<ProfileStore> {
     Arc::new(store)
 }
 
-fn matrix_cell(policy: RouterPolicy, faulted: bool, controlled: bool) -> RunReport {
+/// Builds a cell's cost oracle over its store.
+type Oracle = fn(Arc<ProfileStore>) -> Arc<dyn CostOracle>;
+
+/// The store's own oracle, which reports its epoch.
+fn store_oracle(store: Arc<ProfileStore>) -> Arc<dyn CostOracle> {
+    StoreCostOracle::new(store)
+}
+
+/// One cell of the matrix, every run due `deadline` after it registers,
+/// with the control loop bound to the oracle `control` builds, if any.
+fn matrix_cell(
+    policy: RouterPolicy,
+    faulted: bool,
+    control: Option<Oracle>,
+    deadline: SimDuration,
+) -> RunReport {
     let base = EngineConfig::default();
     let store = seed_store(&base);
     let mut cfg = fleet_cfg(1, policy, &store).with_trace(TraceConfig::sampled());
@@ -96,12 +113,11 @@ fn matrix_cell(policy: RouterPolicy, faulted: bool, controlled: bool) -> RunRepo
     if faulted {
         cfg = cfg.with_faults(faults());
     }
-    if controlled {
-        let oracle = StoreCostOracle::new(Arc::clone(&store));
-        cfg = cfg.with_control(ControlConfig::new().with_cost(oracle));
+    if let Some(oracle) = control {
+        cfg = cfg.with_control(ControlConfig::new().with_cost(oracle(Arc::clone(&store))));
     }
     let clients: Vec<ClientSpec> =
-        clients().into_iter().map(|c| c.with_run_deadline(SimDuration::from_millis(60))).collect();
+        clients().into_iter().map(|c| c.with_run_deadline(deadline)).collect();
     run_experiment(&cfg, clients, &mut multi(store, edf))
 }
 
@@ -111,16 +127,47 @@ fn fleet_survives_faults_and_control_in_every_combination() {
         for faulted in [false, true] {
             for controlled in [false, true] {
                 let cell = format!("{policy:?} faults={faulted} control={controlled}");
-                let report = matrix_cell(policy, faulted, controlled);
+                let control = controlled.then_some(store_oracle as Oracle);
+                let report = matrix_cell(policy, faulted, control, SimDuration::from_millis(60));
                 assert_eq!(lost(&report), vec![], "{cell}");
                 common::assert_counters_match_trace(&report);
                 let counter = |name| report.telemetry.counter(name).unwrap_or(0);
                 assert_eq!(counter("faults_kernel") > 0, faulted, "{cell}: fault plan");
                 assert_eq!(counter("control_transitions") > 0, controlled, "{cell}: ladder");
-                let again = matrix_cell(policy, faulted, controlled);
+                let again = matrix_cell(policy, faulted, control, SimDuration::from_millis(60));
                 let (first, second) = (format!("{report:?}"), format!("{again:?}"));
                 assert_eq!(first, second, "{cell} is not deterministic");
             }
+        }
+    }
+}
+
+/// Skipping the laxity walk on quiet ticks changes no decision where run
+/// registrations, Degraded re-registrations at shrunk batch hints and the
+/// store epoch's moves on version binds interleave: at a 10 ms run
+/// deadline, each controlled cell of the matrix reports the same bytes
+/// under the store's oracle as under one without an epoch, whose ticks
+/// all walk. Each cell cancels runs on laxity, shrinks batch hints, steps
+/// the ladder and loads versions.
+#[test]
+fn quiet_laxity_windows_decide_exactly_across_lifecycle_faults_and_routers() {
+    let deadline = SimDuration::from_millis(10);
+    let walking: Oracle = |store| Arc::new(Uncached::new(store));
+    for policy in [RouterPolicy::CostAware, RouterPolicy::Static] {
+        for faulted in [false, true] {
+            let cell = format!("{policy:?} faults={faulted}");
+            let quiet = matrix_cell(policy, faulted, Some(store_oracle), deadline);
+            let counter = |name| quiet.telemetry.counter(name).unwrap_or(0);
+            for name in [
+                "control_laxity_cancels",
+                "control_batch_shrinks",
+                "control_transitions",
+                "versions_loaded",
+            ] {
+                assert!(counter(name) > 0, "{cell}: no {name}");
+            }
+            let walked = matrix_cell(policy, faulted, Some(walking), deadline);
+            assert_eq!(format!("{quiet:?}"), format!("{walked:?}"), "{cell}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Profile lookups allocate nothing.
 //!
-//! The scheduler resolves a profile per run, and the control plane's
-//! laxity scan asks the cost oracle for a client's expected cost whenever
-//! the store's epoch has moved since it last asked, so a lookup that
-//! builds an owned key costs an allocation per call. This test counts the
+//! The scheduler resolves a profile per run, and the control plane asks
+//! the cost oracle for a run's expected cost when it registers and on
+//! every laxity walk, so a lookup that builds an owned key costs an
+//! allocation per call. This test counts the
 //! heap allocations its thread makes with a counting `#[global_allocator]`.
 
 mod counting_alloc;
