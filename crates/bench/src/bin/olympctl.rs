@@ -640,7 +640,7 @@ fn cmd_top(experiment: &str, flags: &HashMap<String, String>) -> Result<(), Stri
         .take(rows)
         .collect();
     let boundaries: Vec<u64> =
-        report.telemetry.snapshots.iter().map(|s| s.at.as_nanos()).collect();
+        report.telemetry.snapshots.at().iter().map(|at| at.as_nanos()).collect();
     if boundaries.is_empty() {
         return Err("the run produced no telemetry snapshots".into());
     }

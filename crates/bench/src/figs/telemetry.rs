@@ -11,7 +11,7 @@ use crate::{banner, runs};
 use metrics::table::{render_sparkline, render_table};
 use serving::TraceConfig;
 use simtime::SimDuration;
-use telemetry::Alert;
+use telemetry::{Alert, SnapshotView};
 
 /// Snapshot cadence of the report run.
 pub const INTERVAL: SimDuration = SimDuration::from_micros(100);
@@ -34,12 +34,25 @@ fn downsample(values: &[f64], width: usize) -> Vec<f64> {
         .collect()
 }
 
+/// One value per snapshot, read through the series' cursor.
+fn per_snapshot(
+    t: &serving::TelemetryReport,
+    mut value: impl FnMut(SnapshotView<'_>) -> f64,
+) -> Vec<f64> {
+    let mut rows = t.snapshots.cursor();
+    let mut out = Vec::with_capacity(t.snapshots.len());
+    while let Some((s, _)) = rows.advance() {
+        out.push(value(s));
+    }
+    out
+}
+
 /// Per-snapshot values of one named series, for sparkline rendering.
 fn gauge_series(t: &serving::TelemetryReport, name: &str) -> Vec<f64> {
     let Some(i) = t.gauge_names.iter().position(|n| *n == name) else {
         return Vec::new();
     };
-    t.snapshots.iter().map(|s| s.gauges[i]).collect()
+    per_snapshot(t, |s| s.gauges[i])
 }
 
 /// Per-snapshot deltas of a cumulative counter.
@@ -48,15 +61,12 @@ fn counter_deltas(t: &serving::TelemetryReport, name: &str) -> Vec<f64> {
         return Vec::new();
     };
     let mut prev = 0u64;
-    t.snapshots
-        .iter()
-        .map(|s| {
-            let v = s.counters[i];
-            let d = v - prev;
-            prev = v;
-            d as f64
-        })
-        .collect()
+    per_snapshot(t, |s| {
+        let v = s.counters[i];
+        let d = v - prev;
+        prev = v;
+        d as f64
+    })
 }
 
 /// Runs the experiment and returns the report and its claims: the drift

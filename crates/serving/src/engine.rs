@@ -1154,10 +1154,19 @@ impl Engine<'_> {
     /// any burn-rate alerts on the trace timeline.
     fn telemetry_tick(&mut self) {
         let gauges = self.engine_gauges();
-        let alerts = self.telemetry.tick(self.now, &gauges);
+        let fired = self.telemetry.tick(self.now, &gauges).len();
         self.telemetry_due = self.telemetry.next_due();
-        for a in &alerts {
-            self.record_alert(a);
+        self.record_fired(fired);
+    }
+
+    /// Records the `n` alerts the hub raised last, in order. Each is
+    /// cloned out of the hub's log, as recording one reaches back into the
+    /// hub; a burn alert's clone shares its model name, so none allocates.
+    fn record_fired(&mut self, n: usize) {
+        let end = self.telemetry.alerts().len();
+        for i in end - n..end {
+            let alert = self.telemetry.alerts()[i].clone();
+            self.record_alert(&alert);
         }
     }
 
@@ -1569,10 +1578,8 @@ impl Engine<'_> {
         // alerts fired at the end of the run still land on the timeline.
         if self.telemetry.is_on() {
             let gauges = self.engine_gauges();
-            let alerts = self.telemetry.finalize(makespan, &gauges);
-            for a in &alerts {
-                self.record_alert(a);
-            }
+            let fired = self.telemetry.finalize(makespan, &gauges).len();
+            self.record_fired(fired);
         }
         // The report needs nothing from the fleet: free its managers and
         // ledgers before the report's own allocations, so they do not stack

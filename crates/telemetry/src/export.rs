@@ -43,7 +43,7 @@ fn alert_value(a: &Alert) -> Value {
             ("kind".into(), Value::str("slo-burn")),
             ("t_ns".into(), Value::UInt(at.as_nanos())),
             ("slo".into(), Value::UInt(u64::from(*slo))),
-            ("model".into(), Value::Str(model.clone())),
+            ("model".into(), Value::str(&**model)),
             ("short_burn".into(), f(*short_burn)),
             ("long_burn".into(), f(*long_burn)),
         ]),

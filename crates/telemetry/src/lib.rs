@@ -36,6 +36,8 @@
 //! against `SimTime::MAX`.
 
 use simtime::{SimDuration, SimTime};
+use std::fmt;
+use std::sync::Arc;
 use trace::{BreakerEdge, TraceKind};
 
 pub mod drift;
@@ -173,8 +175,9 @@ pub enum Alert {
         at: SimTime,
         /// Index of the objective in [`TelemetryConfig::slos`].
         slo: u32,
-        /// Model the objective applies to.
-        model: String,
+        /// Model the objective applies to, shared by every alert on the
+        /// objective, so raising one allocates nothing.
+        model: Arc<str>,
         /// Burn rate over the short window.
         short_burn: f64,
         /// Burn rate over the long window.
@@ -260,44 +263,67 @@ impl Alert {
     }
 }
 
-/// The snapshot time series in struct-of-arrays layout: every boundary
-/// appends into shared vectors, so the steady-state snapshot path is a
-/// handful of `memcpy`s with only amortized growth — never fresh `Vec`
-/// allocations per boundary. At the benchmark cadences (one snapshot per
-/// 1 ms or 500 µs of virtual time) those allocations were the bulk of the
-/// telemetry on-cost.
+/// The snapshot time series, stored as changes: a snapshot keeps only the
+/// `(index, value)` entries that differ bitwise from the snapshot before,
+/// so the series grows with what moved, not with snapshots × metrics.
+/// Every column is one vector of entries, and one end-offsets record per
+/// snapshot closes its entries in all of them, so a boundary only
+/// appends: no per-boundary allocation, only amortized growth.
 ///
-/// GPU shares are stored sparsely: a snapshot keeps only the clients whose
-/// cumulative GPU time changed since the previous boundary, as ascending
-/// `(client, gpu_ns)` pairs, plus the client-table length. A dense row
-/// would copy every session ever seen into every snapshot, so an open-loop
-/// run would grow as arrivals × snapshots. Dense rows are expanded at read
-/// time by [`SnapshotCursor`]; the other columns are read in place through
-/// [`SnapshotView`].
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The registry columns (counters, gauges and histogram summaries,
+/// indexed by metric) keep the first snapshot's full row. The GPU-share
+/// column, indexed by client, starts from zeros: an entry for each client
+/// whose cumulative GPU time changed, in client order. A GPU row's width
+/// is the client table's length at its snapshot; the table grows during a
+/// run, and a new row starts at zero. Dense GPU rows would copy every
+/// session ever seen into every snapshot, so an open-loop run would grow
+/// as arrivals × snapshots.
+///
+/// [`SnapshotSeries::cursor`] replays the changes into dense rows, and
+/// [`SnapshotSeries::last`] lends the final registry row, which the
+/// writer keeps dense to diff each boundary against. `Debug` prints the
+/// decoded dense columns, so a report's `Debug` text does not depend on
+/// the storage.
+#[derive(Clone, PartialEq, Default)]
 pub struct SnapshotSeries {
     at: Vec<SimTime>,
+    ends: Vec<Ends>,
+    counters: Vec<(u32, u64)>,
+    gauges: Vec<(u32, f64)>,
+    hists: Vec<(u32, HistogramSnapshot)>,
+    gpu: Vec<(u32, u64)>,
+    /// The last snapshot's registry row.
+    last: Row,
+}
+
+/// One snapshot's exclusive end offsets into the change columns, and the
+/// width of its dense GPU row.
+#[derive(Clone, Copy, PartialEq, Default)]
+struct Ends {
+    counters: u32,
+    gauges: u32,
+    hists: u32,
+    gpu: u32,
+    gpu_len: u32,
+}
+
+/// A dense registry row: one value per counter, gauge and histogram.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Row {
     counters: Vec<u64>,
     gauges: Vec<f64>,
     hists: Vec<HistogramSnapshot>,
-    /// Clients whose GPU time changed at a boundary, ascending within each
-    /// snapshot, parallel to `gpu_ns`.
-    gpu_client: Vec<u32>,
-    /// The changed clients' new cumulative GPU nanoseconds.
-    gpu_ns: Vec<u64>,
-    /// Exclusive end offset into the change pairs per snapshot.
-    gpu_end: Vec<u32>,
-    /// Client-table length per snapshot: the width of its dense row. The
-    /// table grows during a run, and a new row starts at zero.
-    gpu_len: Vec<u32>,
-    n_counters: u32,
-    n_gauges: u32,
-    n_hists: u32,
 }
 
-/// One registry snapshot, viewed in place; value slices are parallel to
-/// the name lists in [`TelemetryReport`]. The snapshot's per-client GPU
-/// shares are read through [`SnapshotSeries::cursor`].
+impl Row {
+    fn view(&self, at: SimTime) -> SnapshotView<'_> {
+        SnapshotView { at, counters: &self.counters, gauges: &self.gauges, hists: &self.hists }
+    }
+}
+
+/// One snapshot's registry row, lent by [`SnapshotSeries::last`] or a
+/// [`SnapshotCursor`]; value slices are parallel to the name lists in
+/// [`TelemetryReport`].
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotView<'a> {
     /// Virtual time of the snapshot.
@@ -321,63 +347,169 @@ impl SnapshotSeries {
         self.at.is_empty()
     }
 
-    /// The `i`-th snapshot, if taken.
-    pub fn get(&self, i: usize) -> Option<SnapshotView<'_>> {
-        if i >= self.at.len() {
-            return None;
-        }
-        let (nc, ng, nh) =
-            (self.n_counters as usize, self.n_gauges as usize, self.n_hists as usize);
-        Some(SnapshotView {
-            at: self.at[i],
-            counters: &self.counters[i * nc..(i + 1) * nc],
-            gauges: &self.gauges[i * ng..(i + 1) * ng],
-            hists: &self.hists[i * nh..(i + 1) * nh],
-        })
+    /// Snapshot times, in order.
+    pub fn at(&self) -> &[SimTime] {
+        &self.at
     }
 
     /// The final snapshot (totals at end of run), if any was taken.
     pub fn last(&self) -> Option<SnapshotView<'_>> {
-        self.get(self.len().checked_sub(1)?)
-    }
-
-    /// Snapshots in time order.
-    pub fn iter(&self) -> impl Iterator<Item = SnapshotView<'_>> + '_ {
-        (0..self.len()).map(|i| self.get(i).expect("index in range"))
+        Some(self.last.view(*self.at.last()?))
     }
 
     /// A cursor over the snapshots in time order that also yields each
     /// one's dense per-client GPU row.
     pub fn cursor(&self) -> SnapshotCursor<'_> {
-        SnapshotCursor { series: self, next: 0, row: Vec::new() }
+        // Any row of the right width will do: the first snapshot stores
+        // every registry value.
+        let row = self.last.clone();
+        SnapshotCursor { series: self, next: 0, row, gpu: Vec::new() }
+    }
+
+    /// Appends the snapshot at `at`: the registry values that moved since
+    /// the last snapshot, after the GPU-share changes already pushed to
+    /// `gpu`, and `gpu_len`, the client table's length. A histogram's
+    /// summary is recomputed only when its count moved: it is a function of
+    /// the buckets, which only an observation changes.
+    fn push(&mut self, at: SimTime, registry: &MetricsRegistry, gpu_len: usize) {
+        self.at.push(at);
+        let last = &mut self.last;
+        push_changes(&mut last.counters, registry.counter_values(), &mut self.counters, |v| v);
+        push_changes(&mut last.gauges, registry.gauge_values(), &mut self.gauges, f64::to_bits);
+        for (i, h) in registry.histograms().iter().enumerate() {
+            if last.hists.get(i).is_some_and(|s| s.count == h.count()) {
+                continue;
+            }
+            let summary = h.snap();
+            match last.hists.get_mut(i) {
+                Some(s) => *s = summary,
+                None => last.hists.push(summary),
+            }
+            self.hists.push((i as u32, summary));
+        }
+        self.ends.push(Ends {
+            counters: self.counters.len() as u32,
+            gauges: self.gauges.len() as u32,
+            hists: self.hists.len() as u32,
+            gpu: self.gpu.len() as u32,
+            gpu_len: gpu_len as u32,
+        });
+    }
+}
+
+/// Appends an `(index, value)` entry to `out` for each value in `now`
+/// whose bits differ from `last`'s at its index, or that `last` is too
+/// short to hold (every value, before the first snapshot), and makes
+/// `last` equal to `now`.
+fn push_changes<T: Copy>(
+    last: &mut Vec<T>,
+    now: &[T],
+    out: &mut Vec<(u32, T)>,
+    bits: impl Fn(T) -> u64,
+) {
+    for (i, &v) in now.iter().enumerate() {
+        match last.get_mut(i) {
+            Some(l) if bits(*l) == bits(v) => continue,
+            Some(l) => *l = v,
+            None => last.push(v),
+        }
+        out.push((i as u32, v));
+    }
+}
+
+/// Writes each `(index, value)` change into `row`.
+fn apply<T: Copy>(row: &mut [T], changes: &[(u32, T)]) {
+    for &(i, v) in changes {
+        row[i as usize] = v;
+    }
+}
+
+impl fmt::Debug for SnapshotSeries {
+    /// The decoded dense columns, field for field: the `at` times; one
+    /// full counter, gauge and histogram row per snapshot, back to back;
+    /// the GPU changes as parallel `gpu_client` and `gpu_ns` lists with
+    /// per-snapshot `gpu_end` offsets and `gpu_len` widths; and the row
+    /// widths.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (ends, last) = (&self.ends, &self.last);
+        let width = |n: usize| n as u32;
+        f.debug_struct("SnapshotSeries")
+            .field("at", &self.at)
+            .field("counters", &Dense { ends, changes: &self.counters, end: |e| e.counters })
+            .field("gauges", &Dense { ends, changes: &self.gauges, end: |e| e.gauges })
+            .field("hists", &Dense { ends, changes: &self.hists, end: |e| e.hists })
+            .field("gpu_client", &List(|| self.gpu.iter().map(|e| e.0)))
+            .field("gpu_ns", &List(|| self.gpu.iter().map(|e| e.1)))
+            .field("gpu_end", &List(|| ends.iter().map(|e| e.gpu)))
+            .field("gpu_len", &List(|| ends.iter().map(|e| e.gpu_len)))
+            .field("n_counters", &width(last.counters.len()))
+            .field("n_gauges", &width(last.gauges.len()))
+            .field("n_hists", &width(last.hists.len()))
+            .finish()
+    }
+}
+
+/// A change column printed as its dense rows, back to back in one list.
+struct Dense<'a, T> {
+    ends: &'a [Ends],
+    changes: &'a [(u32, T)],
+    end: fn(&Ends) -> u32,
+}
+
+impl<T: Copy + Default + fmt::Debug> fmt::Debug for Dense<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The first snapshot stores its full row, so it sets the width.
+        let first = self.ends.first().map_or(0, |e| (self.end)(e) as usize);
+        let mut row = vec![T::default(); first];
+        let mut list = f.debug_list();
+        let mut from = 0;
+        for e in self.ends {
+            let to = (self.end)(e) as usize;
+            apply(&mut row, &self.changes[from..to]);
+            list.entries(&row);
+            from = to;
+        }
+        list.finish()
+    }
+}
+
+/// A list printed from an iterator it makes on demand.
+struct List<F>(F);
+
+impl<F: Fn() -> I, I: Iterator<Item: fmt::Debug>> fmt::Debug for List<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries((self.0)()).finish()
     }
 }
 
 /// A lending cursor over a [`SnapshotSeries`]: each step applies one
-/// snapshot's GPU-share changes to a single reused buffer and lends it as
-/// that snapshot's dense row, so reading every row costs the stored
-/// changes plus one buffer, not a fresh `Vec` per snapshot.
+/// snapshot's changes to a dense buffer per column and lends them as that
+/// snapshot's [`SnapshotView`] and dense GPU row, so reading every
+/// snapshot costs the stored changes plus four buffers, not a fresh row
+/// per snapshot. A view borrows the cursor, so it lives until the next
+/// step.
 #[derive(Debug)]
 pub struct SnapshotCursor<'a> {
     series: &'a SnapshotSeries,
     next: usize,
-    row: Vec<u64>,
+    row: Row,
+    gpu: Vec<u64>,
 }
 
-impl<'a> SnapshotCursor<'a> {
+impl SnapshotCursor<'_> {
     /// Moves to the next snapshot and returns it with its dense row:
     /// cumulative attributed GPU nanoseconds per client, indexed by client
     /// id. `None` past the last snapshot.
-    pub fn advance(&mut self) -> Option<(SnapshotView<'a>, &[u64])> {
-        let view = self.series.get(self.next)?;
+    pub fn advance(&mut self) -> Option<(SnapshotView<'_>, &[u64])> {
+        let at = *self.series.at.get(self.next)?;
         self.apply(self.next);
         self.next += 1;
-        Some((view, &self.row))
+        Some((self.row.view(at), &self.gpu))
     }
 
     /// Moves to the final snapshot and returns it with its dense row, or
     /// `None` if the cursor already passed it or the series is empty.
-    pub fn advance_to_last(&mut self) -> Option<(SnapshotView<'a>, &[u64])> {
+    pub fn advance_to_last(&mut self) -> Option<(SnapshotView<'_>, &[u64])> {
         while self.next + 1 < self.series.len() {
             self.apply(self.next);
             self.next += 1;
@@ -385,16 +517,17 @@ impl<'a> SnapshotCursor<'a> {
         self.advance()
     }
 
-    /// Applies snapshot `i`'s changes to the row, which holds snapshot
-    /// `i - 1`'s dense row.
+    /// Applies snapshot `i`'s changes to the buffers, which hold snapshot
+    /// `i - 1`'s rows.
     fn apply(&mut self, i: usize) {
         let s = self.series;
-        let start = if i == 0 { 0 } else { s.gpu_end[i - 1] as usize };
-        let end = s.gpu_end[i] as usize;
-        self.row.resize(s.gpu_len[i] as usize, 0);
-        for (&c, &ns) in s.gpu_client[start..end].iter().zip(&s.gpu_ns[start..end]) {
-            self.row[c as usize] = ns;
-        }
+        let (from, to) = (if i == 0 { Ends::default() } else { s.ends[i - 1] }, s.ends[i]);
+        let range = |a: u32, b: u32| a as usize..b as usize;
+        apply(&mut self.row.counters, &s.counters[range(from.counters, to.counters)]);
+        apply(&mut self.row.gauges, &s.gauges[range(from.gauges, to.gauges)]);
+        apply(&mut self.row.hists, &s.hists[range(from.hists, to.hists)]);
+        self.gpu.resize(to.gpu_len as usize, 0);
+        apply(&mut self.gpu, &s.gpu[range(from.gpu, to.gpu)]);
     }
 }
 
@@ -574,6 +707,8 @@ pub struct TelemetryHub {
     ids: Option<Ids>,
     drift_template: Option<DriftConfig>,
     slo_specs: Vec<SloSpec>,
+    /// Each objective's model name, shared by its burn alerts.
+    slo_models: Vec<Arc<str>>,
     monitors: Vec<SloMonitor>,
     /// Every model name the run can report, each once.
     names: Vec<String>,
@@ -620,6 +755,7 @@ impl TelemetryHub {
             ids: None,
             drift_template: None,
             slo_specs: Vec::new(),
+            slo_models: Vec::new(),
             monitors: Vec::new(),
             names: Vec::new(),
             client_names: Vec::new(),
@@ -694,6 +830,7 @@ impl TelemetryHub {
             ids: Some(ids),
             drift_template: cfg.drift.clone(),
             slo_specs: cfg.slos.clone(),
+            slo_models: cfg.slos.iter().map(|s| Arc::from(s.model.as_str())).collect(),
             monitors: cfg.slos.iter().map(|s| SloMonitor::new(cfg.burn, s.budget)).collect(),
             ..hub
         }
@@ -888,7 +1025,7 @@ impl TelemetryHub {
         }
     }
 
-    fn snapshot_at(&mut self, at: SimTime, gauges: &EngineGauges, fired: &mut Vec<Alert>) {
+    fn snapshot_at(&mut self, at: SimTime, gauges: &EngineGauges) {
         // Buffered histogram observations become visible at snapshot
         // boundaries — flush before anything below reads the registry.
         self.registry.flush();
@@ -912,36 +1049,24 @@ impl TelemetryHub {
         for (i, m) in self.monitors.iter_mut().enumerate() {
             if let Some(sig) = m.rotate() {
                 self.registry.inc(ids.c_alerts_slo, 1);
-                let alert = Alert::SloBurn {
+                self.alerts.push(Alert::SloBurn {
                     at,
                     slo: i as u32,
-                    model: self.slo_specs[i].model.clone(),
+                    model: Arc::clone(&self.slo_models[i]),
                     short_burn: sig.short_burn,
                     long_burn: sig.long_burn,
-                };
-                self.alerts.push(alert.clone());
-                fired.push(alert);
+                });
             }
         }
-
-        // Append the row into the struct-of-arrays series: plain extends,
-        // no per-snapshot allocation.
-        let s = &mut self.snapshots;
-        s.at.push(at);
-        s.counters.extend_from_slice(self.registry.counter_values());
-        s.gauges.extend_from_slice(self.registry.gauge_values());
-        self.registry.snap_hists_into(&mut s.hists);
-        s.n_counters = self.registry.counter_values().len() as u32;
-        s.n_gauges = self.registry.gauge_values().len() as u32;
-        s.n_hists = self.registry.hist_names().len() as u32;
+        self.snapshots.push(at, &self.registry, self.clients.len());
     }
 
     /// Appends this boundary's GPU shares to the series: a `(client,
-    /// gpu_ns)` pair for each dirty client whose share moved since the
-    /// last boundary, in client order, and the client-table length.
-    /// Returns the lowest row the fairness fold must redo: the lowest
-    /// changed client, or the first row added since the last boundary
-    /// (new rows start at zero, so they are not stored unless they moved).
+    /// gpu_ns)` entry for each dirty client whose share moved since the
+    /// last boundary, in client order. Returns the lowest row the fairness
+    /// fold must redo: the lowest changed client, or the first row added
+    /// since the last boundary (new rows start at zero, so they are not
+    /// stored unless they moved).
     fn snap_gpu_shares(&mut self) -> usize {
         let s = &mut self.snapshots;
         let mut refold = self.share_fold.len();
@@ -951,14 +1076,11 @@ impl TelemetryHub {
             state.dirty = false;
             if state.gpu_ns != state.snapped_ns {
                 state.snapped_ns = state.gpu_ns;
-                s.gpu_client.push(c);
-                s.gpu_ns.push(state.gpu_ns);
+                s.gpu.push((c, state.gpu_ns));
                 refold = refold.min(c as usize);
             }
         }
         self.dirty.clear();
-        s.gpu_end.push(s.gpu_client.len() as u32);
-        s.gpu_len.push(self.clients.len() as u32);
         refold
     }
 
@@ -980,34 +1102,38 @@ impl TelemetryHub {
     }
 
     /// Emits every snapshot boundary due at or before `now`. The engine
-    /// calls this from the event loop when `t >= next_due()`; any alerts
-    /// fired at the boundaries are returned for recording into the trace.
-    pub fn tick(&mut self, now: SimTime, gauges: &EngineGauges) -> Vec<Alert> {
-        let mut fired = Vec::new();
+    /// calls this from the event loop when `t >= next_due()`; the alerts
+    /// fired at the boundaries are returned, borrowed from the end of the
+    /// hub's alert log, for recording into the trace.
+    pub fn tick(&mut self, now: SimTime, gauges: &EngineGauges) -> &[Alert] {
+        let from = self.alerts.len();
         while self.next_due <= now {
             let at = self.next_due;
-            self.snapshot_at(at, gauges, &mut fired);
+            self.snapshot_at(at, gauges);
             self.next_due = at + self.interval;
         }
-        fired
+        &self.alerts[from..]
     }
 
     /// Flushes the tail at end of run: remaining full boundaries, then one
     /// final (possibly partial) snapshot at `makespan` so the last window
     /// is never lost. Total snapshots = `max(1, ceil(makespan/interval))`.
-    pub fn finalize(&mut self, makespan: SimTime, gauges: &EngineGauges) -> Vec<Alert> {
+    /// Returns the alerts fired, like [`tick`](TelemetryHub::tick).
+    pub fn finalize(&mut self, makespan: SimTime, gauges: &EngineGauges) -> &[Alert] {
         if !self.on {
-            return Vec::new();
+            return &[];
         }
-        let mut fired = self.tick(makespan, gauges);
-        let partial = match self.snapshots.last() {
-            Some(s) => s.at < makespan,
-            None => true,
-        };
-        if partial {
-            self.snapshot_at(makespan, gauges, &mut fired);
+        let from = self.alerts.len();
+        self.tick(makespan, gauges);
+        if self.snapshots.at.last().is_none_or(|&at| at < makespan) {
+            self.snapshot_at(makespan, gauges);
         }
-        fired
+        &self.alerts[from..]
+    }
+
+    /// The alerts raised so far, in time order.
+    pub fn alerts(&self) -> &[Alert] {
+        &self.alerts
     }
 
     /// Consumes the hub into its report.
@@ -1091,11 +1217,7 @@ mod tests {
         assert_eq!(r.expected_snapshots(), 6);
         assert_eq!(r.snapshots.last().unwrap().at, t(530));
         // Timestamps strictly increase.
-        assert!(r
-            .snapshots
-            .iter()
-            .zip(r.snapshots.iter().skip(1))
-            .all(|(a, b)| a.at < b.at));
+        assert!(r.snapshots.at().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -1211,5 +1333,109 @@ mod tests {
         assert!(r.alerts.iter().any(|a| a.kind() == "slo-burn"));
         // Alerts are stamped in non-decreasing time order.
         assert!(r.alerts.windows(2).all(|w| w[0].at() <= w[1].at()));
+    }
+
+    /// The dense layout snapshots were stored in before they were stored
+    /// as changes, field for field: its derived `Debug` is the text a
+    /// report's digest hashes.
+    #[derive(Debug, Default)]
+    struct SnapshotSeries {
+        at: Vec<SimTime>,
+        counters: Vec<u64>,
+        gauges: Vec<f64>,
+        hists: Vec<HistogramSnapshot>,
+        gpu_client: Vec<u32>,
+        gpu_ns: Vec<u64>,
+        gpu_end: Vec<u32>,
+        gpu_len: Vec<u32>,
+        n_counters: u32,
+        n_gauges: u32,
+        n_hists: u32,
+    }
+
+    /// Drives a hub through a busy stretch, with a re-admission, then an
+    /// idle one, and records, as its oracle, the registry's dense row after
+    /// every tick once per boundary the tick emitted (nothing is observed
+    /// between them). Every row the cursor lends, `last()` and the series'
+    /// `Debug` text must match it, and an idle boundary must store no
+    /// value.
+    #[test]
+    fn changes_decode_to_the_dense_rows() {
+        let cfg = TelemetryConfig::enabled(us(100))
+            .with_slo(SloSpec::new("m", us(150), 0.1))
+            .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 });
+        let mut h = TelemetryHub::new(&cfg, ["m", "m", "n"], []);
+        let mut dense = SnapshotSeries::default();
+        let record = |h: &TelemetryHub, before: usize, dense: &mut SnapshotSeries| {
+            let r = &h.registry;
+            for _ in before..h.snapshots.len() {
+                dense.counters.extend_from_slice(r.counter_values());
+                dense.gauges.extend_from_slice(r.gauge_values());
+                dense.hists.extend(r.histograms().iter().map(registry::Histogram::snap));
+            }
+        };
+        let stored = |h: &TelemetryHub| {
+            let s = &h.snapshots;
+            s.counters.len() + s.gauges.len() + s.hists.len() + s.gpu.len()
+        };
+        let mut idle_stored = 0;
+        for step in 0..60u64 {
+            let at = t(step * 70 + 5);
+            let busy = step < 45;
+            let queue_depth = if busy { step / 7 } else { 0 };
+            let (before, entries) = (h.snapshots.len(), stored(&h));
+            h.tick(at, &EngineGauges { queue_depth, ..EngineGauges::default() });
+            record(&h, before, &mut dense);
+            if step > 45 {
+                idle_stored += stored(&h) - entries;
+            }
+            if busy {
+                let client = (step % 3) as u32;
+                if step < 3 || step == 30 {
+                    h.observe(at, &admitted(client));
+                }
+                h.observe(at, &quantum(client, 10 + step));
+                if step % 4 == 0 {
+                    h.observe(at, &completed(client, 100 + 5 * step));
+                }
+            }
+        }
+        let before = h.snapshots.len();
+        h.finalize(t(60 * 70), &EngineGauges::default());
+        record(&h, before, &mut dense);
+        assert_eq!(idle_stored, 0, "idle boundaries stored values");
+
+        let r = h.into_report(t(60 * 70));
+        let s = &r.snapshots;
+        let (nc, ng, nh) = (r.counter_names.len(), r.gauge_names.len(), r.hist_names.len());
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rows = s.cursor();
+        let mut gpu: Vec<u64> = Vec::new();
+        let mut i = 0;
+        while let Some((view, row)) = rows.advance() {
+            assert_eq!(view.counters, &dense.counters[i * nc..(i + 1) * nc], "counters {i}");
+            assert_eq!(bits(view.gauges), bits(&dense.gauges[i * ng..(i + 1) * ng]), "gauges {i}");
+            assert_eq!(view.hists, &dense.hists[i * nh..(i + 1) * nh], "hists {i}");
+            // The GPU column keeps its change encoding in the dense layout.
+            for (c, &ns) in row.iter().enumerate() {
+                if gpu.get(c).copied().unwrap_or(0) != ns {
+                    dense.gpu_client.push(c as u32);
+                    dense.gpu_ns.push(ns);
+                }
+            }
+            gpu = row.to_vec();
+            dense.gpu_end.push(dense.gpu_client.len() as u32);
+            dense.gpu_len.push(row.len() as u32);
+            i += 1;
+        }
+        assert_eq!(i * nc, dense.counters.len(), "one oracle row per snapshot");
+        let last = s.last().expect("snapshots taken");
+        assert_eq!(last.counters, &dense.counters[(i - 1) * nc..]);
+        assert_eq!(bits(last.gauges), bits(&dense.gauges[(i - 1) * ng..]));
+        assert_eq!(last.hists, &dense.hists[(i - 1) * nh..]);
+        dense.at = s.at().to_vec();
+        (dense.n_counters, dense.n_gauges, dense.n_hists) = (nc as u32, ng as u32, nh as u32);
+        assert_eq!(format!("{s:?}"), format!("{dense:?}"));
+        assert_eq!(format!("{s:#?}"), format!("{dense:#?}"));
     }
 }

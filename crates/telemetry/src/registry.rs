@@ -67,13 +67,6 @@ pub struct Histogram {
     /// populated span instead of all [`BUCKETS`] cells. `lo > hi` ⇔ empty.
     lo: usize,
     hi: usize,
-    /// Snapshot as of the last [`snap`](Self::snap), valid while `!dirty`.
-    /// Histograms are cumulative, so a boundary with no new observations
-    /// reuses the cached row instead of re-running the quantile scans —
-    /// at snapshot cadences far above the observation rate that is almost
-    /// every boundary.
-    cache: HistogramSnapshot,
-    dirty: bool,
 }
 
 impl Histogram {
@@ -85,8 +78,6 @@ impl Histogram {
             max: 0,
             lo: BUCKETS,
             hi: 0,
-            cache: HistogramSnapshot::default(),
-            dirty: false,
         }
     }
 
@@ -99,7 +90,6 @@ impl Histogram {
         self.max = self.max.max(v);
         self.lo = self.lo.min(b);
         self.hi = self.hi.max(b);
-        self.dirty = true;
     }
 
     /// Number of observations.
@@ -135,26 +125,11 @@ impl Histogram {
         Some(bucket_mid(self.hi))
     }
 
-    /// Compact copy for a snapshot: the cached row when nothing changed
-    /// since the last `snap_mut`, else one fused scan.
+    /// Compact copy for a snapshot, with p50 and p99 resolved in a single
+    /// pass over the occupied bucket span. Produces exactly what
+    /// [`quantile`](Self::quantile)`(0.50)` / `(0.99)` produce. A function
+    /// of the buckets alone, so it changes only when the count does.
     pub fn snap(&self) -> HistogramSnapshot {
-        if self.dirty { self.compute_snap() } else { self.cache }
-    }
-
-    /// Like [`snap`](Self::snap), but refreshes the cache so later calls
-    /// on an unchanged histogram are a struct copy.
-    fn snap_mut(&mut self) -> HistogramSnapshot {
-        if self.dirty {
-            self.cache = self.compute_snap();
-            self.dirty = false;
-        }
-        self.cache
-    }
-
-    /// Builds the snapshot row with p50 and p99 resolved in a single pass
-    /// over the occupied bucket span. Produces exactly what
-    /// [`quantile`](Self::quantile)`(0.50)` / `(0.99)` produce.
-    fn compute_snap(&self) -> HistogramSnapshot {
         if self.count == 0 {
             return HistogramSnapshot::default();
         }
@@ -260,8 +235,8 @@ impl MetricsRegistry {
 
     /// Records one histogram observation. Buffered: the observation counts
     /// toward the histogram only after [`flush`](Self::flush), which every
-    /// snapshot path runs first — readers of [`hist`](Self::hist) and
-    /// [`snap_hists_into`](Self::snap_hists_into) must do the same.
+    /// snapshot path runs first — readers of [`hist`](Self::hist) must do
+    /// the same.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: u64) {
         self.pending.push((id.0, v));
@@ -312,12 +287,11 @@ impl MetricsRegistry {
         &self.gauges
     }
 
-    /// Appends a snapshot of every histogram to `out`, in registration
-    /// order, parallel to [`hist_names`](Self::hist_names), for callers
-    /// that batch rows into shared storage. Takes `&mut self` so unchanged
-    /// histograms serve their cached rows.
-    pub fn snap_hists_into(&mut self, out: &mut Vec<HistogramSnapshot>) {
-        out.extend(self.hists.iter_mut().map(Histogram::snap_mut));
+    /// All histograms, parallel to [`hist_names`](Self::hist_names). Call
+    /// [`flush`](Self::flush) first if observations were recorded since
+    /// the last snapshot.
+    pub(crate) fn histograms(&self) -> &[Histogram] {
+        &self.hists
     }
 }
 

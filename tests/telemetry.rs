@@ -1,17 +1,22 @@
 //! End-to-end checks of the telemetry layer: byte-determinism of the
 //! JSON-lines and Prometheus exports across worker counts, the full alert
 //! path of a drifting deployment — report, JSON-lines stream and Perfetto
-//! timeline — and telemetry as a fold over the engine's events: counters
+//! timeline — telemetry as a fold over the engine's events (counters
 //! equal their trace events' counts, whatever the trace mode, and a Full
-//! trace replays into the same telemetry.
+//! trace replays into the same telemetry), and export digests pinned on
+//! three cells.
 
 mod common;
 mod replay;
 
 use common::fnv1a;
+use controlplane::ControlConfig;
 use faults::{FaultConfig, FaultPlan};
 use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
-use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
+use olympian::{
+    DeadlinePolicy, OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreBinder,
+    StoreCostOracle,
+};
 use serving::{
     run_experiment, workload, ClientSpec, EngineConfig, FifoScheduler, RunReport, TraceConfig,
 };
@@ -332,6 +337,97 @@ fn fleet_counters_match_the_trace() {
     }
 }
 
+/// Services in the chaos cell.
+const SERVICES: usize = 4;
+/// Batch size of every chaos-cell service.
+const BATCH: u64 = 4;
+
+/// `svc-{i}`: the small mini graph at `batch` with 16 MiB of weights.
+fn service(i: usize, batch: u64) -> models::LoadedModel {
+    let m = models::mini::small(batch);
+    let (graph, activations) = (Arc::clone(m.graph()), m.activation_bytes());
+    models::LoadedModel::from_parts(format!("svc-{i}"), None, batch, graph, 16 << 20, activations)
+}
+
+/// Faults, lifecycle and the control plane at once, as in the benchmark's
+/// chaos-control run: twelve closed-loop clients of the four `svc-{i}`
+/// services share a device that holds two weight sets, so versions load
+/// and are evicted; the `mixed` chaos plan injects kernel faults, a
+/// slowdown and a stall under retries, breakers and the token watchdog;
+/// and each service's 8 ms objective burns, so the control plane's
+/// ladder steps up, shrinks batch hints and steps back down.
+fn chaos_cell() -> RunReport {
+    const CLIENTS: usize = 12;
+    let base = EngineConfig::default();
+    // Each service at the full batch under its own name (the laxity
+    // oracle's key), and at the Degraded rung's halved batch under its
+    // version-1 name.
+    let divisor = ControlConfig::new().batch_divisor;
+    let profiler = Profiler::new(&base);
+    let mut store = ProfileStore::new();
+    for i in 0..SERVICES {
+        store.insert(profiler.profile(&service(i, BATCH)));
+        let mut half = profiler.profile(&service(i, (BATCH / divisor).max(1)));
+        half.model = format!("svc-{i}@v1");
+        store.insert(half);
+    }
+    let store = Arc::new(store);
+    let mut plan = DeploymentPlan::new();
+    for i in 0..SERVICES {
+        plan = plan.with_model(ModelDeployment::new(format!("svc-{i}"), service(i, BATCH)));
+    }
+    let binder = StoreBinder::calibrate(&base, &plan, Arc::clone(&store));
+    let svc = service(0, BATCH);
+    let memory = 2 * svc.weights_bytes() + CLIENTS as u64 * svc.activation_bytes() + (64 << 10);
+    let mut telemetry = TelemetryConfig::enabled(SimDuration::from_micros(500))
+        .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 });
+    for i in 0..SERVICES {
+        let objective = SimDuration::from_millis(8);
+        telemetry = telemetry.with_slo(SloSpec::new(format!("svc-{i}"), objective, 0.05));
+    }
+    let mixed = bench::figs::chaos::scenario("mixed").expect("shipped chaos scenario").plan;
+    let oracle = StoreCostOracle::new(Arc::clone(&store));
+    let cfg = EngineConfig {
+        device: gpusim::DeviceProfile::custom("chaos-lab", 1.0, memory, 8, 0.0),
+        queue_admission: true,
+        ..base
+    }
+    .with_lifecycle(LifecycleConfig::new(plan).with_binder(binder))
+    .with_faults(FaultConfig::new(mixed))
+    .with_control(ControlConfig::new().with_cost(oracle))
+    .with_trace(TraceConfig::sampled())
+    .with_telemetry(telemetry);
+    let clients = (0..CLIENTS)
+        .map(|i| {
+            ClientSpec::new(service(i % SERVICES, BATCH), 10)
+                .with_start(SimTime::from_micros(10 * i as u64))
+                .with_think_time(SimDuration::from_micros(800))
+                .with_run_deadline(SimDuration::from_millis(500))
+        })
+        .collect();
+    let mut sched = OlympianScheduler::new(store, Box::new(DeadlinePolicy::edf()), QUANTUM)
+        .with_watchdog(3.0);
+    run_experiment(&cfg, clients, &mut sched)
+}
+
+/// The chaos cell exercises every column it is pinned for.
+#[test]
+fn chaos_cell_churns_faults_versions_and_the_ladder() {
+    let report = chaos_cell();
+    common::assert_counters_match_trace(&report);
+    for name in [
+        "faults_kernel",
+        "kernel_retries",
+        "versions_loaded",
+        "versions_evicted",
+        "alerts_slo_burn",
+        "control_transitions",
+        "control_batch_shrinks",
+    ] {
+        assert!(counter(&report, name) > 0, "{name} never fired");
+    }
+}
+
 /// Digests of the JSON-lines, Prometheus, tsdb and Chrome trace exports.
 fn export_digests(report: &RunReport) -> [String; 4] {
     let mut tsdb = String::new();
@@ -340,11 +436,12 @@ fn export_digests(report: &RunReport) -> [String; 4] {
         .map(|text| fnv1a(&text))
 }
 
-/// The exports are pinned by digest on an open-loop fleet and on a
-/// drifting deployment, so a change to how telemetry stores its snapshots,
-/// or to how the trace is written, cannot move what they export. The
-/// fleet's trace is the only pinned one with cluster route, migrate and
-/// reconfigure rows.
+/// The exports are pinned by digest on an open-loop fleet, on a drifting
+/// deployment and on the chaos cell, so a change to how telemetry stores
+/// its snapshots, or to how the trace is written, cannot move what they
+/// export. The fleet's trace is the only pinned one with cluster route,
+/// migrate and reconfigure rows; the chaos cell's exports alone carry
+/// fault, retry, version and control columns that move.
 #[test]
 fn exports_are_pinned() {
     let pinned = [
@@ -355,6 +452,10 @@ fn exports_are_pinned() {
         (
             drifted_run(),
             ["fd757aef81d17b06", "eecd342a0c37b360", "a3758cff051a60c3", "697d9bccca0cfa78"],
+        ),
+        (
+            chaos_cell(),
+            ["8561b2225f7e8cc6", "500afde663c6a011", "49db9a48a04931cc", "95c4b9bdee4abee7"],
         ),
     ];
     for (i, (report, want)) in pinned.iter().enumerate() {
