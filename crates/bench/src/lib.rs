@@ -206,7 +206,7 @@ pub fn format_quanta(label: &str, report: &RunReport) -> String {
         let s = Summary::of(q.iter().copied());
         rows.push(vec![
             format!("client {}", c.client.0),
-            c.model_name.clone(),
+            c.model_name.to_string(),
             format!("{}", c.batch),
             format!("{:.0}", s.mean()),
             format!("{:.1}%", s.cv() * 100.0),

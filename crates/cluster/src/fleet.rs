@@ -2,14 +2,17 @@
 //! both cadences read. It owns no clock, event queue or memory pool: each
 //! call that reaches a manager fills an [`Effects`] record, which the
 //! engine applies before its next call, because a client the effects wake
-//! re-enters [`Fleet::route`] at once.
+//! re-enters [`Fleet::route`] at once. Nor does it keep a record per run
+//! or per client: [`Fleet::issued`] hands the engine an [`Issued`] record
+//! that [`Fleet::settle`] takes back, and each client's [`ClientRoute`]
+//! lives with the engine's client. So no run or client is hashed, and no
+//! table grows with the jobs a run has seen.
 
-use crate::{flow, scaled_execute_ns, ClusterConfig, FlowProblem, RouterPolicy};
+use crate::{scaled_execute_ns, ClusterConfig, FlowProblem, FlowWorkspace, RouterPolicy};
 use gpusim::{DeviceProfile, MemoryPool};
 use lifecycle::{Effects, LifecycleError, LifecycleManager, Route, VersionKey};
 use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Where the router sent one arriving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +27,33 @@ pub struct Routed {
     pub cost_ns: u64,
     /// The device manager's answer.
     pub route: Route,
+}
+
+/// An issued run's route record: its device, the version it runs and the
+/// execute estimate charged to the device's queue. [`Fleet::settle`] takes
+/// it back when the run ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Issued {
+    device: u32,
+    key: VersionKey,
+    est_ns: u64,
+}
+
+/// A client's standing with the router: its id and, while it waits for a
+/// version after [`Fleet::park`], the device whose queue carries its
+/// execute estimate until it routes again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientRoute {
+    client: u32,
+    /// `(device, execute ns)` while parked.
+    parked: Option<(u32, u64)>,
+}
+
+impl ClientRoute {
+    /// A client that has not routed yet.
+    pub fn new(client: u32) -> Self {
+        ClientRoute { client, parked: None }
+    }
 }
 
 /// One command of a re-placement plan.
@@ -56,10 +86,6 @@ pub struct Fleet {
     policy: RouterPolicy,
     /// Reconfiguration cadence; `None` when the flow loop is off.
     every: Option<SimDuration>,
-    /// In-flight routed jobs: `job -> (device, version, execute ns)`.
-    job_routes: HashMap<u64, (u32, VersionKey, u64)>,
-    /// Parked clients: `client -> (device, execute ns)`.
-    parked: HashMap<u32, (u32, u64)>,
     /// Execute ns routed to each device and not yet finished: the router's
     /// queue-drain term.
     outstanding_ns: Vec<u64>,
@@ -69,6 +95,14 @@ pub struct Fleet {
     /// cost basis.
     exec_est: Vec<u64>,
     speed: Vec<f64>,
+    /// Each device's speed in parts per million, and their sum: the
+    /// shares the flow's capacities are split by.
+    speed_ppm: Vec<u64>,
+    sum_ppm: u64,
+    /// The last reconfiguration's instance and the solver's buffers, both
+    /// refilled in place by the next one.
+    problem: FlowProblem,
+    solver: FlowWorkspace,
 }
 
 impl Fleet {
@@ -85,13 +119,16 @@ impl Fleet {
             managers.push(LifecycleManager::new(&cfg.lifecycle, p.memory_bytes())?);
         }
         let n_models = managers[0].model_count();
+        let speed_ppm: Vec<u64> = devices.iter().map(|p| (p.speed_factor() * 1e6) as u64).collect();
         Ok(Fleet {
-            job_routes: HashMap::new(),
-            parked: HashMap::new(),
             outstanding_ns: vec![0; managers.len()],
             window_demand: vec![0; n_models],
             exec_est: vec![0; n_models],
             speed: devices.iter().map(DeviceProfile::speed_factor).collect(),
+            sum_ppm: speed_ppm.iter().sum(),
+            speed_ppm,
+            problem: FlowProblem::default(),
+            solver: FlowWorkspace::default(),
             policy: cfg.policy,
             every: cfg.reconfigure.then_some(cfg.tick),
             managers,
@@ -153,7 +190,7 @@ impl Fleet {
     pub fn route(
         &mut self,
         model: &LoadedModel,
-        client: u32,
+        client: &mut ClientRoute,
         now: SimTime,
         degraded: bool,
         pools: &mut [MemoryPool],
@@ -162,7 +199,7 @@ impl Fleet {
         let name = model.name();
         let mi = self.managers[0].model_index(name)?;
         let base_ns = model.graph().total_gpu_time().as_nanos();
-        let parked_dev = self.parked.remove(&client).map(|(pd, est)| {
+        let parked_dev = client.parked.take().map(|(pd, est)| {
             let q = &mut self.outstanding_ns[pd as usize];
             *q = q.saturating_sub(est);
             pd as usize
@@ -186,9 +223,9 @@ impl Fleet {
         }
         let (mgr, pool) = (&mut self.managers[dev], &mut pools[dev]);
         let route = if degraded {
-            mgr.route_cheapest(name, client, now, pool, fx)
+            mgr.route_cheapest(name, client.client, now, pool, fx)
         } else {
-            mgr.route(name, client, now, pool, fx)
+            mgr.route(name, client.client, now, pool, fx)
         };
         let est_ns = scaled_execute_ns(base_ns, self.speed[dev]);
         Some(Routed { device: dev as u32, est_ns, cost_ns, route })
@@ -196,64 +233,69 @@ impl Fleet {
 
     /// Parks `client` after a [`Route::Wait`], charging its execute
     /// estimate to the device's queue until it routes again.
-    pub fn park(&mut self, client: u32, routed: &Routed) {
-        self.parked.insert(client, (routed.device, routed.est_ns));
+    pub fn park(&mut self, client: &mut ClientRoute, routed: &Routed) {
+        client.parked = Some((routed.device, routed.est_ns));
         self.outstanding_ns[routed.device as usize] += routed.est_ns;
     }
 
-    /// Charges issued `job` to `device`'s queue until [`Fleet::settle`].
-    pub fn issued(&mut self, job: u64, device: u32, key: VersionKey, est_ns: u64) {
+    /// Charges a run issued on `device` to its queue until [`Fleet::settle`]
+    /// takes back the returned record.
+    pub fn issued(&mut self, device: u32, key: VersionKey, est_ns: u64) -> Issued {
         self.outstanding_ns[device as usize] += est_ns;
-        self.job_routes.insert(job, (device, key, est_ns));
+        Issued { device, key, est_ns }
     }
 
-    /// Settles a routed job: its queue charge comes back and its device's
+    /// Settles a routed run: its queue charge comes back and its device's
     /// manager sees the run end (`latency == None`: cancelled or never
-    /// started). A no-op for jobs the fleet did not route.
+    /// started).
     pub fn settle(
         &mut self,
-        job: u64,
+        run: Issued,
         now: SimTime,
         latency: Option<SimDuration>,
         pools: &mut [MemoryPool],
         fx: &mut Effects,
     ) {
-        let Some((dev, key, est)) = self.job_routes.remove(&job) else {
-            return;
-        };
-        let (d, q) = (dev as usize, &mut self.outstanding_ns[dev as usize]);
-        *q = q.saturating_sub(est);
-        self.managers[d].run_finished(key, now, latency, &mut pools[d], fx);
+        let (d, q) = (run.device as usize, &mut self.outstanding_ns[run.device as usize]);
+        *q = q.saturating_sub(run.est_ns);
+        self.managers[d].run_finished(run.key, now, latency, &mut pools[d], fx);
     }
 
-    /// Closes the demand window into its min-cost-flow instance (`None`:
-    /// no arrivals). Capacities are run units proportional to speed,
-    /// rounded up so they cover demand; arc costs are prices in µs.
-    fn flow_problem(&mut self) -> Option<FlowProblem> {
-        let demands = std::mem::replace(&mut self.window_demand, vec![0; self.exec_est.len()]);
-        let total: u64 = demands.iter().sum();
+    /// Closes the demand window into its min-cost-flow instance, refilled
+    /// in place (`None`: no arrivals). Capacities are run units
+    /// proportional to speed, rounded up so they cover demand; arc costs
+    /// are prices in µs.
+    fn flow_problem(&mut self) -> Option<&FlowProblem> {
+        let total: u64 = self.window_demand.iter().sum();
         if total == 0 {
             return None;
         }
-        let speed_ppm: Vec<u64> = self.speed.iter().map(|s| (s * 1e6) as u64).collect();
-        let sum_ppm: u64 = speed_ppm.iter().sum();
-        let capacities = speed_ppm.iter().map(|&p| (total * p).div_ceil(sum_ppm)).collect();
-        let devices = 0..self.managers.len();
-        let costs = (self.exec_est.iter().enumerate())
-            .map(|(mi, &est)| devices.clone().map(|d| self.price_ns(mi, d, est) / 1_000).collect())
-            .collect();
-        Some(FlowProblem { demands, capacities, costs })
+        let mut p = std::mem::take(&mut self.problem);
+        p.demands.clear();
+        p.demands.extend_from_slice(&self.window_demand);
+        self.window_demand.fill(0);
+        p.capacities.clear();
+        let sum_ppm = self.sum_ppm;
+        p.capacities.extend(self.speed_ppm.iter().map(|&s| (total * s).div_ceil(sum_ppm)));
+        p.costs.resize_with(self.exec_est.len(), Vec::new);
+        for ((mi, &est), row) in self.exec_est.iter().enumerate().zip(&mut p.costs) {
+            row.clear();
+            row.extend((0..self.managers.len()).map(|d| self.price_ns(mi, d, est) / 1_000));
+        }
+        self.problem = p;
+        Some(&self.problem)
     }
 
-    /// The demand window's re-placement plan: per model with flow, loads
-    /// where the flow placed it, then drains everywhere else. Steps are
-    /// checked against the fleet only when [`Fleet::execute`] runs them.
-    pub fn replan(&mut self) -> Vec<Step> {
-        let Some(problem) = self.flow_problem() else {
-            return Vec::new();
-        };
-        let flow = flow::solve(&problem).flow;
-        let mut steps = Vec::with_capacity(problem.demands.len() * problem.capacities.len());
+    /// Fills `steps` with the demand window's re-placement plan: per model
+    /// with flow, loads where the flow placed it, then drains everywhere
+    /// else. Steps are checked against the fleet only when
+    /// [`Fleet::execute`] runs them.
+    pub fn replan(&mut self, steps: &mut Vec<Step>) {
+        steps.clear();
+        if self.flow_problem().is_none() {
+            return;
+        }
+        let flow = &self.solver.solve(&self.problem).flow;
         for (model, row) in flow.iter().enumerate() {
             let Some(to) = row.iter().position(|&f| f > 0) else {
                 continue;
@@ -262,7 +304,6 @@ impl Fleet {
             steps.extend(placed(true).map(|device| Step::Load { model, device }));
             steps.extend(placed(false).map(|from| Step::Drain { model, from, to }));
         }
-        steps
     }
 
     /// Runs one plan step; returns whether its device's manager took it.
@@ -346,7 +387,7 @@ mod tests {
         fleet: &mut Fleet,
         pools: &mut [MemoryPool],
         m: &LoadedModel,
-        c: u32,
+        c: &mut ClientRoute,
         at: SimTime,
     ) -> (Routed, Effects) {
         let mut fx = Effects::default();
@@ -357,25 +398,25 @@ mod tests {
     #[test]
     fn router_price_equals_the_flow_arc_on_an_empty_queue() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let m = named("a");
-        let (first, fx) = route(&mut fleet, &mut pools, &m, 0, SimTime::ZERO);
+        let (m, mut c0) = (named("a"), ClientRoute::new(0));
+        let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
         assert_eq!(first.route, Route::Wait);
         assert_eq!(first.device, 0, "a tie keeps the lowest index");
-        fleet.park(0, &first);
+        fleet.park(&mut c0, &first);
         let (at, woken) = serve(&mut fleet, &mut pools, 0, fx.ticks);
         assert_eq!(woken, vec![0]);
         // The woken client gets its parked charge back, so device 0's
         // queue is empty again when it re-routes.
-        let (issued, _) = route(&mut fleet, &mut pools, &m, 0, at);
+        let (issued, _) = route(&mut fleet, &mut pools, &m, &mut c0, at);
         assert!(matches!(issued.route, Route::Issue(_)));
         assert_eq!(fleet.outstanding_ns, vec![0, 0]);
         let base = m.graph().total_gpu_time().as_nanos();
         assert_eq!(issued.cost_ns, fleet.price_ns(0, 0, base));
         assert_eq!(issued.est_ns, issued.cost_ns, "a resident model pays no transfer");
-        let problem = fleet.flow_problem().expect("one arrival in the window");
-        assert_eq!(problem.costs[0][0], issued.cost_ns / 1_000);
-        assert_eq!(problem.costs[0][1], fleet.price_ns(0, 1, base) / 1_000);
-        assert!(problem.costs[0][1] > problem.costs[0][0], "the cold device pays the transfer");
+        let cold = fleet.price_ns(0, 1, base) / 1_000;
+        let costs = &fleet.flow_problem().expect("one arrival in the window").costs;
+        assert_eq!(costs[0], vec![issued.cost_ns / 1_000, cold]);
+        assert!(costs[0][1] > costs[0][0], "the cold device pays the transfer");
     }
 
     #[test]
@@ -387,12 +428,13 @@ mod tests {
         let cold = fleet.price_ns(0, 0, base);
         assert!(cold > execute, "a cold device pays the transfer");
         assert_eq!(fleet.price_ns(0, 1, base), cold);
-        let (first, fx) = route(&mut fleet, &mut pools, &m, 0, SimTime::ZERO);
+        let (mut c0, mut c1) = (ClientRoute::new(0), ClientRoute::new(1));
+        let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
         assert_eq!((first.device, first.cost_ns), (0, cold));
         // A load in flight already paid the transfer, so a second arrival
         // prices device 0 at the execute time and stays there.
         assert_eq!(fleet.price_ns(0, 0, base), execute);
-        let (second, _) = route(&mut fleet, &mut pools, &m, 1, SimTime::ZERO);
+        let (second, _) = route(&mut fleet, &mut pools, &m, &mut c1, SimTime::ZERO);
         assert_eq!((second.device, second.cost_ns), (0, execute));
         let _ = serve(&mut fleet, &mut pools, 0, fx.ticks);
         assert_eq!(fleet.price_ns(0, 0, base), execute, "resident: no transfer");
@@ -403,14 +445,15 @@ mod tests {
     fn demand_counts_once_per_arrival_not_per_wake() {
         let (mut fleet, mut pools) = fleet(&["a", "b"]);
         let m = named("a");
-        let (first, fx) = route(&mut fleet, &mut pools, &m, 7, SimTime::ZERO);
-        fleet.park(7, &first);
+        let (mut c7, mut c8) = (ClientRoute::new(7), ClientRoute::new(8));
+        let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c7, SimTime::ZERO);
+        fleet.park(&mut c7, &first);
         assert_eq!(fleet.window_demand, vec![1, 0]);
         let (at, woken) = serve(&mut fleet, &mut pools, 0, fx.ticks);
         assert_eq!(woken, vec![7]);
-        let _ = route(&mut fleet, &mut pools, &m, 7, at);
+        let _ = route(&mut fleet, &mut pools, &m, &mut c7, at);
         assert_eq!(fleet.window_demand, vec![1, 0], "a wake-up is not a new arrival");
-        let _ = route(&mut fleet, &mut pools, &m, 8, at);
+        let _ = route(&mut fleet, &mut pools, &m, &mut c8, at);
         assert_eq!(fleet.window_demand, vec![2, 0]);
         assert_eq!(fleet.flow_problem().expect("demand").demands, vec![2, 0]);
         assert_eq!(fleet.window_demand, vec![0, 0], "the flow closes the window");
@@ -420,17 +463,17 @@ mod tests {
     #[test]
     fn rerouted_parked_client_returns_its_wake_credit_and_queue_charge() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let m = named("a");
-        let (first, fx) = route(&mut fleet, &mut pools, &m, 3, SimTime::ZERO);
+        let (m, mut c3) = (named("a"), ClientRoute::new(3));
+        let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c3, SimTime::ZERO);
         assert_eq!((first.device, first.route), (0, Route::Wait));
-        fleet.park(3, &first);
+        fleet.park(&mut c3, &first);
         assert_eq!(fleet.outstanding_ns[0], first.est_ns);
         let (at, woken) = serve(&mut fleet, &mut pools, 0, fx.ticks);
         assert_eq!(woken, vec![3]);
         // Work queued on device 0 meanwhile makes the cold device cheaper.
         let busy = 10 * fleet.price_ns(0, 1, m.graph().total_gpu_time().as_nanos());
         fleet.outstanding_ns[0] += busy;
-        let (second, _) = route(&mut fleet, &mut pools, &m, 3, at);
+        let (second, _) = route(&mut fleet, &mut pools, &m, &mut c3, at);
         assert_eq!((second.device, second.route), (1, Route::Wait));
         assert_eq!(fleet.outstanding_ns[0], busy, "the parked charge came back");
         // With the wake credit returned nothing pins device 0's replica, so
@@ -441,33 +484,31 @@ mod tests {
     }
 
     #[test]
-    fn settle_returns_the_charge_and_ignores_unrouted_jobs() {
+    fn settle_returns_the_charge_of_the_record_it_is_handed() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let m = named("a");
-        let (first, fx) = route(&mut fleet, &mut pools, &m, 0, SimTime::ZERO);
-        fleet.park(0, &first);
+        let (m, mut c0) = (named("a"), ClientRoute::new(0));
+        let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
+        fleet.park(&mut c0, &first);
         let (at, _) = serve(&mut fleet, &mut pools, 0, fx.ticks);
-        let (r, _) = route(&mut fleet, &mut pools, &m, 0, at);
+        let (r, _) = route(&mut fleet, &mut pools, &m, &mut c0, at);
         let Route::Issue(key) = r.route else { panic!("resident model issues") };
-        fleet.issued(11, r.device, key, r.est_ns);
-        assert_eq!(fleet.outstanding_ns[0], r.est_ns);
+        let run = fleet.issued(r.device, key, r.est_ns);
+        assert_eq!(fleet.outstanding_ns, vec![r.est_ns, 0]);
         let mut fx = Effects::default();
-        fleet.settle(99, at, None, &mut pools, &mut fx);
-        assert_eq!(fleet.outstanding_ns[0], r.est_ns, "job 99 was never routed");
-        fleet.settle(11, at, None, &mut pools, &mut fx);
-        assert_eq!(fleet.outstanding_ns[0], 0);
-        assert!(fleet.job_routes.is_empty());
+        fleet.settle(run, at, None, &mut pools, &mut fx);
+        assert_eq!(fleet.outstanding_ns, vec![0, 0]);
     }
 
     #[test]
     fn replan_loads_placements_then_drains_the_rest() {
         let (mut fleet, mut pools) = fleet(&["a", "b"]);
         let (a, b) = (named("a"), named("b"));
-        for c in 0..3 {
-            let _ = route(&mut fleet, &mut pools, &a, c, SimTime::ZERO);
+        for c in 0..4 {
+            let m = if c < 3 { &a } else { &b };
+            let _ = route(&mut fleet, &mut pools, m, &mut ClientRoute::new(c), SimTime::ZERO);
         }
-        let _ = route(&mut fleet, &mut pools, &b, 3, SimTime::ZERO);
-        let steps = fleet.replan();
+        let mut steps = Vec::new();
+        fleet.replan(&mut steps);
         assert!(!steps.is_empty());
         // Per model, loads come before drains, and a drain names a device
         // the model was loaded on.
@@ -487,6 +528,7 @@ mod tests {
                 assert!(mine[..i].iter().any(|s| loaded_to(&s)));
             }
         }
-        assert!(fleet.replan().is_empty(), "an empty window plans nothing");
+        fleet.replan(&mut steps);
+        assert!(steps.is_empty(), "an empty window plans nothing");
     }
 }

@@ -18,7 +18,7 @@
 /// One reconfiguration instance: `demands[m]` run units per model,
 /// `capacities[d]` run units per device, `costs[m][d]` per-unit cost in
 /// integer microseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowProblem {
     /// Demand per model, in run units.
     pub demands: Vec<u64>,
@@ -44,7 +44,7 @@ impl FlowProblem {
 
 /// A solved assignment: `flow[m][d]` run units of model `m` placed on
 /// device `d`, plus the plan's total cost and shipped volume.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowAssignment {
     /// Shipped units per (model, device) arc.
     pub flow: Vec<Vec<u64>>,
@@ -75,116 +75,145 @@ struct Edge {
     rev: usize,
 }
 
-/// Residual graph in adjacency-list form; `graph[v]` holds v's outgoing
-/// (forward and residual) edges in insertion order, which is fixed by the
-/// deterministic construction below.
-struct Residual {
+/// The solver's buffers: the residual graph, the Bellman-Ford vectors and
+/// the assignment. A reconfiguration loop that keeps one across ticks
+/// allocates nothing once the buffers fit its instance size, and every
+/// [`FlowWorkspace::solve`] returns exactly what [`solve`] returns.
+#[derive(Debug, Default)]
+pub struct FlowWorkspace {
+    /// Residual graph in adjacency-list form; `graph[v]` holds v's outgoing
+    /// (forward and residual) edges in insertion order, which is fixed by
+    /// the deterministic construction in [`FlowWorkspace::build`].
     graph: Vec<Vec<Edge>>,
+    dist: Vec<i64>,
+    prev: Vec<Option<(usize, usize)>>,
+    assignment: FlowAssignment,
 }
 
-impl Residual {
-    fn new(n: usize) -> Self {
-        Residual { graph: vec![Vec::new(); n] }
-    }
-
+impl FlowWorkspace {
     fn add(&mut self, from: usize, to: usize, cap: u64, cost: i64) {
         let rev_from = self.graph[to].len();
         let rev_to = self.graph[from].len();
         self.graph[from].push(Edge { to, cap, cost, rev: rev_from });
         self.graph[to].push(Edge { to: from, cap: 0, cost: -cost, rev: rev_to });
     }
-}
 
-/// Solves the instance exactly by successive shortest augmenting paths:
-/// repeatedly find the cheapest residual source→sink path (Bellman-Ford —
-/// residual arcs carry negative costs, so Dijkstra without potentials is
-/// wrong) and push the bottleneck flow along it. Each augmentation
-/// saturates at least one arc and path costs are non-decreasing, so the
-/// final flow is a minimum-cost maximum flow; with these integer
-/// capacities termination is immediate (at most `models + devices`
-/// augmentations since every path saturates a source or sink arc).
-pub fn solve(p: &FlowProblem) -> FlowAssignment {
-    p.validate();
-    let m = p.demands.len();
-    let d = p.capacities.len();
-    let n = m + d + 2;
-    let (source, sink) = (0, n - 1);
-    let mut res = Residual::new(n);
-    for (i, &dem) in p.demands.iter().enumerate() {
-        res.add(source, 1 + i, dem, 0);
-    }
-    for (i, row) in p.costs.iter().enumerate() {
-        for (j, &c) in row.iter().enumerate() {
-            res.add(1 + i, 1 + m + j, u64::MAX / 4, c as i64);
+    /// Rebuilds the residual graph of `p` in the kept adjacency lists:
+    /// source, one node per model, one per device, sink.
+    fn build(&mut self, p: &FlowProblem) {
+        let m = p.demands.len();
+        let n = m + p.capacities.len() + 2;
+        self.graph.resize_with(n, Vec::new);
+        self.graph.iter_mut().for_each(Vec::clear);
+        for (i, &dem) in p.demands.iter().enumerate() {
+            self.add(0, 1 + i, dem, 0);
+        }
+        for (i, row) in p.costs.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                self.add(1 + i, 1 + m + j, u64::MAX / 4, c as i64);
+            }
+        }
+        for (j, &cap) in p.capacities.iter().enumerate() {
+            self.add(1 + m + j, n - 1, cap, 0);
         }
     }
-    for (j, &cap) in p.capacities.iter().enumerate() {
-        res.add(1 + m + j, sink, cap, 0);
-    }
 
-    let mut total_cost: i64 = 0;
-    let mut shipped: u64 = 0;
-    loop {
-        // Bellman-Ford from the source over the residual graph. Nodes and
-        // edges are scanned in index order, so tie-costs resolve to the
-        // lexicographically first path — same plan on every run.
-        let mut dist = vec![i64::MAX; n];
-        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
-        dist[source] = 0;
-        for _ in 0..n {
-            let mut changed = false;
-            for v in 0..n {
-                if dist[v] == i64::MAX {
-                    continue;
-                }
-                for (ei, e) in res.graph[v].iter().enumerate() {
-                    if e.cap > 0 && dist[v] + e.cost < dist[e.to] {
-                        dist[e.to] = dist[v] + e.cost;
-                        prev[e.to] = Some((v, ei));
-                        changed = true;
+    /// Solves `p` exactly by successive shortest augmenting paths:
+    /// repeatedly find the cheapest residual source→sink path (Bellman-Ford
+    /// — residual arcs carry negative costs, so Dijkstra without potentials
+    /// is wrong) and push the bottleneck flow along it. Each augmentation
+    /// saturates at least one arc and path costs are non-decreasing, so the
+    /// final flow is a minimum-cost maximum flow; with these integer
+    /// capacities termination is immediate (at most `models + devices`
+    /// augmentations since every path saturates a source or sink arc).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cost matrix is not `demands.len() x capacities.len()`.
+    pub fn solve(&mut self, p: &FlowProblem) -> &FlowAssignment {
+        p.validate();
+        self.build(p);
+        let (m, d) = (p.demands.len(), p.capacities.len());
+        let n = self.graph.len();
+        let (source, sink) = (0, n - 1);
+        let FlowWorkspace { graph, dist, prev, assignment } = self;
+        let mut total_cost: i64 = 0;
+        let mut shipped: u64 = 0;
+        loop {
+            // Bellman-Ford from the source over the residual graph. Nodes and
+            // edges are scanned in index order, so tie-costs resolve to the
+            // lexicographically first path — same plan on every run.
+            dist.clear();
+            dist.resize(n, i64::MAX);
+            prev.clear();
+            prev.resize(n, None);
+            dist[source] = 0;
+            for _ in 0..n {
+                let mut changed = false;
+                for v in 0..n {
+                    if dist[v] == i64::MAX {
+                        continue;
+                    }
+                    for (ei, e) in graph[v].iter().enumerate() {
+                        if e.cap > 0 && dist[v] + e.cost < dist[e.to] {
+                            dist[e.to] = dist[v] + e.cost;
+                            prev[e.to] = Some((v, ei));
+                            changed = true;
+                        }
                     }
                 }
+                if !changed {
+                    break;
+                }
             }
-            if !changed {
+            if dist[sink] == i64::MAX {
                 break;
             }
+            // Bottleneck along the path, then push.
+            let mut bottleneck = u64::MAX;
+            let mut v = sink;
+            while let Some((u, ei)) = prev[v] {
+                bottleneck = bottleneck.min(graph[u][ei].cap);
+                v = u;
+            }
+            let mut v = sink;
+            while let Some((u, ei)) = prev[v] {
+                graph[u][ei].cap -= bottleneck;
+                let rev = graph[u][ei].rev;
+                graph[v][rev].cap += bottleneck;
+                v = u;
+            }
+            total_cost += dist[sink] * bottleneck as i64;
+            shipped += bottleneck;
         }
-        if dist[sink] == i64::MAX {
-            break;
-        }
-        // Bottleneck along the path, then push.
-        let mut bottleneck = u64::MAX;
-        let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            bottleneck = bottleneck.min(res.graph[u][ei].cap);
-            v = u;
-        }
-        let mut v = sink;
-        while let Some((u, ei)) = prev[v] {
-            res.graph[u][ei].cap -= bottleneck;
-            let rev = res.graph[u][ei].rev;
-            res.graph[v][rev].cap += bottleneck;
-            v = u;
-        }
-        total_cost += dist[sink] * bottleneck as i64;
-        shipped += bottleneck;
-    }
 
-    // Read the model→device flows back off the residual: the reverse arc's
-    // capacity is exactly the flow pushed forward.
-    let mut flow = vec![vec![0u64; d]; m];
-    for (i, row) in flow.iter_mut().enumerate() {
-        // Model node 1+i's arcs: [0] is the residual of source→model, then
-        // one forward arc per device in index order.
-        for (j, cell) in row.iter_mut().enumerate() {
-            let e = &res.graph[1 + i][1 + j];
-            debug_assert_eq!(e.to, 1 + m + j, "arc order is construction order");
-            // The reverse arc lives on the device node; its capacity is
-            // exactly the flow pushed forward on model→device.
-            *cell = res.graph[e.to][e.rev].cap;
+        // Read the model→device flows back off the residual: the reverse
+        // arc's capacity is exactly the flow pushed forward.
+        assignment.flow.resize_with(m, Vec::new);
+        for (i, row) in assignment.flow.iter_mut().enumerate() {
+            // Model node 1+i's arcs: [0] is the residual of source→model,
+            // then one forward arc per device in index order.
+            row.clear();
+            row.extend((0..d).map(|j| {
+                let e = &graph[1 + i][1 + j];
+                debug_assert_eq!(e.to, 1 + m + j, "arc order is construction order");
+                // The reverse arc lives on the device node.
+                graph[e.to][e.rev].cap
+            }));
         }
+        assignment.cost = total_cost as u64;
+        assignment.shipped = shipped;
+        assignment
     }
-    FlowAssignment { flow, cost: total_cost as u64, shipped }
+}
+
+/// Solves the instance exactly with a fresh [`FlowWorkspace`]; see
+/// [`FlowWorkspace::solve`]. A loop that solves every tick keeps one
+/// workspace instead.
+pub fn solve(p: &FlowProblem) -> FlowAssignment {
+    let mut ws = FlowWorkspace::default();
+    ws.solve(p);
+    ws.assignment
 }
 
 #[cfg(test)]
@@ -306,6 +335,65 @@ mod tests {
         let b = solve(&p);
         assert_eq!(a, b);
         assert_eq!(a.flow, vec![vec![2, 0], vec![0, 2]]);
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn fnv_feed(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// A random instance: 1–30 models, a quarter of them demanding
+    /// nothing, and 1–5 devices whose capacity ranges from below the total
+    /// demand to twice it. Half the instances draw every cost from 1–3, so
+    /// ties are the rule there.
+    fn random_problem(rng: &mut simtime::DetRng) -> FlowProblem {
+        let models = rng.range_u64(1, 31) as usize;
+        let devices = rng.range_u64(1, 6) as usize;
+        let demands: Vec<u64> = (0..models)
+            .map(|_| if rng.range_u64(0, 4) == 0 { 0 } else { rng.range_u64(1, 40) })
+            .collect();
+        let total: u64 = demands.iter().sum();
+        let per_device = total * rng.range_u64(1, 5) / 2 / devices as u64 + 1;
+        let capacities = (0..devices).map(|_| rng.range_u64(0, 2 * per_device)).collect();
+        let top = if rng.range_u64(0, 2) == 0 { 3 } else { 5_000 };
+        let costs = (0..models)
+            .map(|_| (0..devices).map(|_| rng.range_u64(1, top + 1)).collect())
+            .collect();
+        FlowProblem { demands, capacities, costs }
+    }
+
+    /// One workspace solves 256 random instances of every shape in turn,
+    /// as the reconfiguration tick does, and each answer equals a fresh
+    /// solve: nothing leaks from one instance into the next. The digest of
+    /// the fresh assignments was computed before the workspace existed, so
+    /// it also pins the tie-break.
+    #[test]
+    fn a_reused_workspace_solves_every_instance_like_a_fresh_one() {
+        let mut rng = simtime::DetRng::new(0xF10E_5EED);
+        let mut ws = FlowWorkspace::default();
+        let mut digest = FNV_OFFSET;
+        let (mut ties, mut short, mut ample) = (0, 0, 0);
+        for case in 0..256 {
+            let p = random_problem(&mut rng);
+            let fresh = solve(&p);
+            assert_eq!(ws.solve(&p), &fresh, "case {case}: {p:?}");
+            let (demand, capacity) = (p.demands.iter().sum(), p.capacities.iter().sum::<u64>());
+            short += usize::from(capacity < demand);
+            ample += usize::from(capacity > demand);
+            ties += usize::from(p.costs.iter().flatten().all(|&c| c <= 3));
+            for &f in fresh.flow.iter().flatten() {
+                fnv_feed(&mut digest, f);
+            }
+            fnv_feed(&mut digest, fresh.cost);
+            fnv_feed(&mut digest, fresh.shipped);
+        }
+        assert!(ties > 100 && short > 100 && ample > 100, "{ties} {short} {ample}");
+        assert_eq!(digest, 0x9377_ef2c_7909_4709, "the assignments moved");
     }
 
     #[test]

@@ -34,8 +34,8 @@ use simtime::SimDuration;
 mod fleet;
 pub mod flow;
 
-pub use fleet::{Fleet, Routed, Step};
-pub use flow::{solve, FlowAssignment, FlowProblem};
+pub use fleet::{ClientRoute, Fleet, Issued, Routed, Step};
+pub use flow::{solve, FlowAssignment, FlowProblem, FlowWorkspace};
 
 /// How the router picks a device for an arriving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

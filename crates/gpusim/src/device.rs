@@ -227,6 +227,11 @@ pub struct GpuDevice {
     /// Ascending `order` positions of the tags whose queue is non-empty:
     /// the candidates of the next pick, in `order`'s iteration order.
     busy: Vec<u32>,
+    /// Buffers of queues that emptied, lent to the next context that
+    /// enqueues into a queue without one. An open-loop run sees a context
+    /// per session but only a few with kernels queued at once, so the
+    /// buffers in use follow the busy contexts, not every context seen.
+    spares: Vec<VecDeque<Pending>>,
     busy_until: SimTime,
     started_any: bool,
     /// This instance's clock factor, drawn once from the profile's wobble.
@@ -253,6 +258,7 @@ impl GpuDevice {
             slow_index: HashMap::new(),
             order: Vec::new(),
             busy: Vec::new(),
+            spares: Vec::new(),
             busy_until: SimTime::ZERO,
             started_any: false,
             run_clock_factor,
@@ -331,6 +337,11 @@ impl GpuDevice {
             self.order.push(i as u32);
         }
         if t.queue.is_empty() {
+            if t.queue.capacity() == 0 {
+                if let Some(spare) = self.spares.pop() {
+                    t.queue = spare;
+                }
+            }
             // A first enqueue takes the largest position so far, so the
             // common case appends.
             let at = self.busy.partition_point(|&p| p < t.pos);
@@ -362,6 +373,7 @@ impl GpuDevice {
         if t.queue.is_empty() {
             let at = self.busy.binary_search(&t.pos).expect("busy tag is listed");
             self.busy.remove(at);
+            self.spares.push(std::mem::take(&mut t.queue));
         }
         let duration = pending
             .duration
@@ -430,6 +442,9 @@ impl GpuDevice {
             let before = t.queue.len();
             t.queue.retain(|k| !payloads.contains(&k.payload));
             removed += before - t.queue.len();
+            if t.queue.is_empty() {
+                self.spares.push(std::mem::take(&mut t.queue));
+            }
             !t.queue.is_empty()
         });
         removed
@@ -716,5 +731,24 @@ mod tests {
     #[should_panic(expected = "bias must be positive")]
     fn non_positive_bias_panics() {
         device().set_bias(JobTag(1), 0.0);
+    }
+
+    #[test]
+    fn contexts_that_take_turns_share_one_queue_buffer() {
+        // A thousand one-kernel sessions, one after another, as an
+        // open-loop fleet runs them: each new context takes the buffer the
+        // last one emptied, so one buffer serves them all.
+        let mut gpu = device();
+        let mut now = SimTime::ZERO;
+        for tag in 0..1_000 {
+            now = run_one(&mut gpu, JobTag(tag), now, 10).end;
+        }
+        let buffers = gpu.tags.iter().filter(|t| t.queue.capacity() > 0).count();
+        assert_eq!(buffers + gpu.spares.len(), 1);
+        // Cancelling a queue empty gives its buffer back too.
+        gpu.enqueue(JobTag(7), 3, SimDuration::from_micros(10), 1.0);
+        assert_eq!(gpu.cancel_payloads(&[3].into_iter().collect()), 1);
+        assert_eq!(gpu.queued(), 0);
+        assert_eq!(gpu.spares.len(), 1);
     }
 }

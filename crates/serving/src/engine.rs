@@ -40,19 +40,19 @@
 
 use crate::client::ClientSpec;
 use crate::config::EngineConfig;
-use crate::report::{ClientOutcome, ClientReport, RunReport};
+use crate::report::{ClientOutcome, ClientReport, RunLog, RunReport};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
 use crate::trace::{BreakerEdge, ShedCause, SwitchReason, TraceBuffer, TraceKind};
-use cluster::{Fleet, Routed, Step};
+use cluster::{ClientRoute, Fleet, Issued, Routed, Step};
 use controlplane::{ControlLoop, Transition};
 use dataflow::{Graph, NodeId, Placement};
 use faults::{Failure, Next, Recovery, Stall};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
 use lifecycle::{Effects as LcEffects, Route};
 use simtime::{DetRng, EventQueue, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use telemetry::{Alert, EngineGauges, TelemetryHub};
+use telemetry::{Alert, EngineGauges, ModelNames, TelemetryHub};
 
 /// Initial capacity of the per-run quanta log.
 const QUANTA_CAPACITY: usize = 32;
@@ -135,6 +135,9 @@ struct JobCold {
     started_at: SimTime,
     /// The absolute deadline, `started_at` plus the client's run deadline.
     deadline: Option<SimTime>,
+    /// The fleet's route record of a routed run, handed back to
+    /// [`Fleet::settle`] when the run ends.
+    issued: Option<Issued>,
 }
 
 impl JobHot {
@@ -189,7 +192,8 @@ impl JobHot {
 
 impl JobCold {
     fn new(graph: Arc<Graph>, started_at: SimTime, deadline: Option<SimTime>) -> Self {
-        JobCold { graph, quanta: Vec::with_capacity(QUANTA_CAPACITY), started_at, deadline }
+        let quanta = Vec::with_capacity(QUANTA_CAPACITY);
+        JobCold { graph, quanta, started_at, deadline, issued: None }
     }
 
     /// Counterpart of [`JobHot::reset`], reusing the `quanta` allocation.
@@ -198,6 +202,7 @@ impl JobCold {
         self.quanta.clear();
         self.started_at = started_at;
         self.deadline = deadline;
+        self.issued = None;
     }
 }
 
@@ -240,9 +245,8 @@ struct ClientState {
     /// admission; cluster routing moves runs, not activations).
     home: u32,
     activations: Option<Allocation>,
-    run_finish_times: Vec<SimTime>,
-    run_gpu_durations: Vec<SimDuration>,
-    quantum_marks: Vec<(SimTime, SimDuration)>,
+    /// The client's standing with the fleet's router.
+    route: ClientRoute,
     rng: DetRng,
 }
 
@@ -254,6 +258,12 @@ struct Engine<'a> {
     memories: Vec<MemoryPool>,
     scheduler: &'a mut dyn Scheduler,
     clients: Vec<ClientState>,
+    /// Every client's model name, each distinct name allocated once and
+    /// shared by the client reports and telemetry's labels.
+    names: ModelNames,
+    /// Every completed run, grouped by client into the report's shared
+    /// columns at `finalize`.
+    run_log: RunLog,
     /// Index of the first client without an outcome (`clients.len()` once
     /// every session is decided). Exact because an outcome, once set, is
     /// never cleared before `finalize`; advanced lazily by
@@ -272,8 +282,9 @@ struct Engine<'a> {
     starving: VecDeque<JobId>,
     /// Clients waiting for memory under queued admission, FIFO.
     admission_waiting: VecDeque<ClientId>,
-    /// Loaded weights, keyed by (model name, device index).
-    weights_loaded: HashMap<(String, u32), Allocation>,
+    /// Weights of unmanaged models loaded at admission, one slot per
+    /// (model name, device): `name index * devices + device`.
+    weights_loaded: Vec<Option<Allocation>>,
     /// In-flight kernel slab: the device payload is the slab index.
     kernels: Vec<Option<(JobId, NodeId)>>,
     kernel_free: Vec<u32>,
@@ -286,6 +297,12 @@ struct Engine<'a> {
     control: Option<ControlLoop>,
     /// Serves every managed model; `None` when nothing is managed.
     fleet: Option<Fleet>,
+    /// Drained lifecycle effect records, reused by the next fleet call. A
+    /// pool, not one buffer: applying a record's wake-ups re-enters the
+    /// fleet through `start_run` while the record is still being drained.
+    fx_pool: Vec<LcEffects>,
+    /// The reconfiguration tick's step list, refilled every tick.
+    plan: Vec<Step>,
     /// `1 + profiling_inflation`: every node's execution inflation.
     inflation: f64,
     trace: TraceBuffer,
@@ -350,9 +367,7 @@ fn build_engine<'a>(
             device: 0,
             home: 0,
             activations: None,
-            run_finish_times: Vec::new(),
-            run_gpu_durations: Vec::new(),
-            quantum_marks: Vec::new(),
+            route: ClientRoute::new(i as u32),
             rng: master_rng.fork(i as u64),
         })
         .collect();
@@ -378,8 +393,9 @@ fn build_engine<'a>(
     });
     let deployments =
         cfg.cluster.iter().flat_map(|cc| cc.lifecycle.plan.models.iter().map(|d| d.name.as_str()));
-    let models = client_states.iter().map(|c| c.spec.model.name());
-    let telemetry = TelemetryHub::new(&cfg.telemetry, models, deployments);
+    let names = ModelNames::new(client_states.iter().map(|c| c.spec.model.name()));
+    let telemetry = TelemetryHub::new(&cfg.telemetry, &names, deployments);
+    let weights_loaded = (0..names.distinct() * profiles.len()).map(|_| None).collect();
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
         cfg: cfg.clone(),
@@ -389,6 +405,8 @@ fn build_engine<'a>(
         memories,
         scheduler,
         clients: client_states,
+        names,
+        run_log: RunLog::default(),
         undecided: 0,
         job_refs: Vec::with_capacity(256),
         job_hot: Vec::new(),
@@ -397,7 +415,7 @@ fn build_engine<'a>(
         pool_idle: cfg.pool_size,
         starving: VecDeque::new(),
         admission_waiting: VecDeque::new(),
-        weights_loaded: HashMap::new(),
+        weights_loaded,
         kernels: Vec::with_capacity(64),
         kernel_free: Vec::with_capacity(64),
         last_switch: None,
@@ -405,6 +423,8 @@ fn build_engine<'a>(
         recovery,
         control,
         fleet,
+        fx_pool: Vec::new(),
+        plan: Vec::new(),
         inflation: 1.0 + cfg.profiling_inflation,
         trace: TraceBuffer::new(&cfg.trace),
         telemetry,
@@ -574,12 +594,10 @@ impl Engine<'_> {
         // client's activations.
         let managed = self.fleet.as_ref().is_some_and(|f| f.manages(model.name()));
         if !managed {
-            let key = (model.name().to_string(), dev as u32);
-            if !self.weights_loaded.contains_key(&key) {
+            let slot = self.names.of_client(c.0) as usize * self.memories.len() + dev;
+            if self.weights_loaded[slot].is_none() {
                 match self.memories[dev].alloc(model.weights_bytes()) {
-                    Ok(a) => {
-                        self.weights_loaded.insert(key, a);
-                    }
+                    Ok(a) => self.weights_loaded[slot] = Some(a),
                     Err(e) => {
                         self.admission_failure(c, e);
                         return false;
@@ -759,7 +777,8 @@ impl Engine<'_> {
                 };
                 self.job_refs.push(JobRef::Live(slot));
                 if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
-                    fleet.issued(job_id.0, self.clients[c.0 as usize].device, key, est);
+                    let device = self.clients[c.0 as usize].device;
+                    self.job_cold[slot as usize].issued = Some(fleet.issued(device, key, est));
                 }
                 let client = &mut self.clients[c.0 as usize];
                 client.current_job = Some(job_id);
@@ -789,8 +808,8 @@ impl Engine<'_> {
                 }
                 if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
                     // The issue never became a job: it ends unstarted.
-                    fleet.issued(job_id.0, dev, key, est);
-                    self.settle(job_id, None);
+                    let run = fleet.issued(dev, key, est);
+                    self.settle(Some(run), None);
                 }
             }
         }
@@ -799,7 +818,7 @@ impl Engine<'_> {
     fn complete_run(&mut self, job_id: JobId) {
         let slot = self.live_slot(job_id).expect("completing a live job");
         self.job_refs[job_id.0 as usize] = JobRef::Dead;
-        let (held, c, gpu_busy, final_quantum, started_at) = {
+        let (held, c, gpu_busy, final_quantum, started_at, issued) = {
             let job = &mut self.job_hot[slot];
             let cold = &mut self.job_cold[slot];
             debug_assert_eq!(job.busy, 0, "no in-flight work at completion");
@@ -815,6 +834,7 @@ impl Engine<'_> {
                 job.gpu_busy,
                 flushed,
                 cold.started_at,
+                cold.issued.take(),
             )
         };
         // Return the whole gang to the pool.
@@ -827,22 +847,17 @@ impl Engine<'_> {
         }
         let latency = self.now - started_at;
         self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0, latency });
-        {
-            let cold = &self.job_cold[slot];
-            let client = &mut self.clients[c.0 as usize];
-            client.run_finish_times.push(self.now);
-            client.run_gpu_durations.push(gpu_busy);
-            client.quantum_marks.extend(cold.quanta.iter().copied());
-            client.batches_done += 1;
-            client.current_job = None;
-        }
+        self.run_log.push(c, self.now, gpu_busy, &self.job_cold[slot].quanta);
+        let client = &mut self.clients[c.0 as usize];
+        client.batches_done += 1;
+        client.current_job = None;
         // Recycle the slot *before* any nested `start_run` below, so the
         // client's next batch reuses this run's buffers.
         self.free_slots.push(slot as u32);
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        self.settle(job_id, Some(latency));
+        self.settle(issued, Some(latency));
         let client = &mut self.clients[c.0 as usize];
         if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
@@ -884,6 +899,7 @@ impl Engine<'_> {
     fn teardown_job(&mut self, job_id: JobId, c: ClientId, outcome: ClientOutcome) {
         let slot = self.live_slot(job_id).expect("tearing down a live job");
         let held = self.job_hot[slot].held;
+        let issued = self.job_cold[slot].issued.take();
         let dev = self.clients[c.0 as usize].device as usize;
         self.job_refs[job_id.0 as usize] = JobRef::Cancelled(dev as u32);
         self.free_slots.push(slot as u32);
@@ -916,7 +932,7 @@ impl Engine<'_> {
         self.schedule_timer();
         // Cancelled runs report no latency: they must not skew the canary
         // statistics.
-        self.settle(job_id, None);
+        self.settle(issued, None);
         // Abort the whole session and release its memory (activations live
         // on the home device, which may differ from the routed one).
         let client = &mut self.clients[c.0 as usize];
@@ -948,41 +964,45 @@ impl Engine<'_> {
         call: impl FnOnce(&mut Fleet, &mut [MemoryPool], &mut LcEffects) -> R,
     ) -> Option<R> {
         let fleet = self.fleet.as_mut()?;
-        let mut fx = LcEffects::default();
+        let mut fx = self.fx_pool.pop().unwrap_or_default();
         let out = call(fleet, &mut self.memories, &mut fx);
         self.apply_lifecycle_effects(fx);
         Some(out)
     }
 
-    /// Settles a routed job with the fleet: its queue charge comes back and
-    /// its device's manager sees the completion (`None`: cancelled).
-    fn settle(&mut self, job: JobId, latency: Option<SimDuration>) {
+    /// Settles a routed run with the fleet: its queue charge comes back and
+    /// its device's manager sees the completion (`None`: cancelled). A
+    /// run the fleet did not route has no record, and nothing to settle.
+    fn settle(&mut self, run: Option<Issued>, latency: Option<SimDuration>) {
         let now = self.now;
-        self.with_fleet(|f, pools, fx| f.settle(job.0, now, latency, pools, fx));
+        if let Some(run) = run {
+            self.with_fleet(|f, pools, fx| f.settle(run, now, latency, pools, fx));
+        }
     }
 
     /// Applies manager effects: its events onto the event stream as they
     /// are, future ticks onto the event queue, parked clients back into
     /// `start_run`, and — after any unload or eviction — a
-    /// queued-admission pump over the freed memory.
-    fn apply_lifecycle_effects(&mut self, fx: LcEffects) {
-        if fx.is_empty() {
-            return;
+    /// queued-admission pump over the freed memory. The drained record
+    /// goes back to the pool.
+    fn apply_lifecycle_effects(&mut self, mut fx: LcEffects) {
+        if !fx.is_empty() {
+            let mut freed = false;
+            for kind in fx.events.drain(..) {
+                freed |= matches!(kind, TraceKind::Evict { .. } | TraceKind::Unload { .. });
+                self.record(kind);
+            }
+            for t in fx.ticks.drain(..) {
+                self.queue.schedule(t.max(self.now), Event::LifecycleTick);
+            }
+            for c in fx.wake.drain(..) {
+                self.start_run(ClientId(c));
+            }
+            if freed {
+                self.pump_admission();
+            }
         }
-        let mut freed = false;
-        for kind in fx.events {
-            freed |= matches!(kind, TraceKind::Evict { .. } | TraceKind::Unload { .. });
-            self.record(kind);
-        }
-        for t in fx.ticks {
-            self.queue.schedule(t.max(self.now), Event::LifecycleTick);
-        }
-        for c in fx.wake {
-            self.start_run(ClientId(c));
-        }
-        if freed {
-            self.pump_admission();
-        }
+        self.fx_pool.push(fx);
     }
 
     // ---- fleet orchestration ----------------------------------------------
@@ -995,9 +1015,14 @@ impl Engine<'_> {
     fn route(&mut self, c: ClientId) -> Option<Routed> {
         let degraded = self.control.as_ref().is_some_and(ControlLoop::degraded);
         let fleet = self.fleet.as_mut()?;
-        let model = &self.clients[c.0 as usize].spec.model;
-        let mut fx = LcEffects::default();
-        let r = fleet.route(model, c.0, self.now, degraded, &mut self.memories, &mut fx)?;
+        let client = &mut self.clients[c.0 as usize];
+        let (model, route) = (&client.spec.model, &mut client.route);
+        let mut fx = self.fx_pool.pop().unwrap_or_default();
+        let (now, pools) = (self.now, &mut self.memories);
+        let Some(r) = fleet.route(model, route, now, degraded, pools, &mut fx) else {
+            self.fx_pool.push(fx);
+            return None;
+        };
         // A one-device fleet has nothing to choose: no route is recorded.
         if fleet.devices() > 1 {
             let (device, cost_us) = (r.device, r.cost_ns / 1_000);
@@ -1008,7 +1033,7 @@ impl Engine<'_> {
             Route::Issue(_) => self.clients[c.0 as usize].device = r.device,
             Route::Wait => {
                 if let Some(fleet) = self.fleet.as_mut() {
-                    fleet.park(c.0, &r);
+                    fleet.park(&mut self.clients[c.0 as usize].route, &r);
                 }
                 self.record(TraceKind::LifecycleWait { client: c.0 });
             }
@@ -1025,8 +1050,10 @@ impl Engine<'_> {
             return;
         };
         let every = fleet.reconfigure_every();
+        let mut plan = std::mem::take(&mut self.plan);
+        fleet.replan(&mut plan);
         let (mut loads, mut drains) = (0u32, 0u32);
-        for step in fleet.replan() {
+        for &step in &plan {
             if self.with_fleet(|f, pools, fx| f.execute(step, now, pools, fx)) != Some(true) {
                 continue;
             }
@@ -1039,6 +1066,7 @@ impl Engine<'_> {
                 }
             }
         }
+        self.plan = plan;
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
         }
@@ -1585,17 +1613,19 @@ impl Engine<'_> {
         // ledgers before the report's own allocations, so they do not stack
         // on the run's peak heap.
         self.fleet = None;
+        let columns = std::mem::take(&mut self.run_log).into_columns(self.clients.len());
         let mut reports = Vec::with_capacity(self.clients.len());
         for (i, client) in self.clients.iter_mut().enumerate() {
             let outcome = client.outcome.take().unwrap_or(ClientOutcome::Stalled);
+            let (run_finish_times, run_gpu_durations, quantum_marks) = columns.client(i);
             reports.push(ClientReport {
                 client: ClientId(i as u32),
-                model_name: client.spec.model.name().to_string(),
+                model_name: self.names.name(self.names.of_client(i as u32)).clone(),
                 batch: client.spec.model.batch(),
                 outcome,
-                run_finish_times: std::mem::take(&mut client.run_finish_times),
-                run_gpu_durations: std::mem::take(&mut client.run_gpu_durations),
-                quantum_marks: std::mem::take(&mut client.quantum_marks),
+                run_finish_times,
+                run_gpu_durations,
+                quantum_marks,
                 // Summed across devices: cluster routing may move a
                 // client's runs between GPUs (other devices report zero).
                 total_gpu: self

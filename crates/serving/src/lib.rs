@@ -101,9 +101,9 @@ pub mod workload;
 pub use client::ClientSpec;
 pub use config::EngineConfig;
 pub use engine::run_experiment;
-pub use report::{ClientOutcome, ClientReport, RunReport};
+pub use report::{ClientOutcome, ClientReport, ColumnView, RunReport};
 pub use scheduler::{
     ClientId, FifoScheduler, JobCtx, JobId, RegisterError, Scheduler, SchedulerProbe, Verdict,
 };
-pub use telemetry::{TelemetryConfig, TelemetryReport};
+pub use telemetry::{ModelName, TelemetryConfig, TelemetryReport};
 pub use trace::{SwitchReason, TraceConfig, TraceMode};

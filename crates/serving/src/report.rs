@@ -1,7 +1,11 @@
 //! Experiment output: everything the figure harness needs.
 
 use crate::scheduler::ClientId;
+use crate::telemetry::ModelName;
 use simtime::{SimDuration, SimTime};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// How a client's session ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,24 +78,213 @@ impl std::fmt::Display for ClientOutcome {
     }
 }
 
+/// One client's entries of a run-wide report column. The engine logs
+/// every completed run in buffers shared by the whole run and groups them
+/// by client in place at the end, so all clients' views share one column.
+/// A view derefs to the client's slice, and compares and prints `Debug`
+/// exactly as a `Vec` of the same entries.
+#[derive(Clone)]
+pub struct ColumnView<T> {
+    column: Arc<Vec<T>>,
+    start: u32,
+    end: u32,
+}
+
+impl<T> ColumnView<T> {
+    /// Entries `start..end` of a shared column.
+    fn new(column: &Arc<Vec<T>>, start: u32, end: u32) -> Self {
+        debug_assert!(start <= end && end as usize <= column.len(), "view out of its column");
+        ColumnView { column: Arc::clone(column), start, end }
+    }
+}
+
+impl<T> Deref for ColumnView<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.column[self.start as usize..self.end as usize]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a ColumnView<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// A view of its own column, holding exactly `entries`.
+impl<T> From<Vec<T>> for ColumnView<T> {
+    fn from(entries: Vec<T>) -> Self {
+        let end = u32::try_from(entries.len()).expect("a column fits u32 indices");
+        ColumnView { column: Arc::new(entries), start: 0, end }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for ColumnView<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for ColumnView<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for ColumnView<T> {}
+
+/// Every completed run of an engine, in completion order: its client,
+/// where its quanta end in `quanta`, its finish time, its GPU time and its
+/// quanta. The buffers serve the whole run, so a run costs their amortized
+/// growth and no buffer of its own; [`RunLog::into_columns`] turns them
+/// into the report's shared columns.
+#[derive(Default)]
+pub(crate) struct RunLog {
+    runs: Vec<(ClientId, u32)>,
+    finish: Vec<SimTime>,
+    gpu: Vec<SimDuration>,
+    quanta: Vec<(SimTime, SimDuration)>,
+}
+
+impl RunLog {
+    /// Logs a completed run of `client` and the quanta it received.
+    pub(crate) fn push(
+        &mut self,
+        client: ClientId,
+        finish: SimTime,
+        gpu: SimDuration,
+        quanta: &[(SimTime, SimDuration)],
+    ) {
+        self.quanta.extend_from_slice(quanta);
+        self.runs.push((client, self.quanta.len() as u32));
+        self.finish.push(finish);
+        self.gpu.push(gpu);
+    }
+
+    /// Groups the log by client for `n` clients, in place, keeping each
+    /// client's runs and quanta in completion order. A stable counting
+    /// sort gives each run and quantum its place; the columns move there
+    /// and give back their growth slack, as they are final.
+    pub(crate) fn into_columns(mut self, n: usize) -> RunColumns {
+        let (mut run_at, mut quanta_at) = (vec![0u32; n + 1], vec![0u32; n + 1]);
+        let mut begin = 0;
+        for &(c, end) in &self.runs {
+            run_at[c.0 as usize + 1] += 1;
+            quanta_at[c.0 as usize + 1] += end - begin;
+            begin = end;
+        }
+        for c in 0..n {
+            run_at[c + 1] += run_at[c];
+            quanta_at[c + 1] += quanta_at[c];
+        }
+        // Each run's place in client order, and its first quantum's.
+        let (mut next_run, mut next_quantum) = (run_at[..n].to_vec(), quanta_at[..n].to_vec());
+        let mut begin = 0;
+        let to: Vec<(u32, u32)> = (self.runs.iter())
+            .map(|&(c, end)| {
+                let c = c.0 as usize;
+                let to = (next_run[c], next_quantum[c]);
+                next_run[c] += 1;
+                next_quantum[c] += end - begin;
+                begin = end;
+                to
+            })
+            .collect();
+        permute(&mut self.finish, |r| to[r].0 as usize);
+        permute(&mut self.gpu, |r| to[r].0 as usize);
+        let runs = &self.runs;
+        permute(&mut self.quanta, |q| {
+            let r = runs.partition_point(|&(_, end)| end as usize <= q);
+            let first = r.checked_sub(1).map_or(0, |p| runs[p].1 as usize);
+            to[r].1 as usize + (q - first)
+        });
+        fn column<T>(mut v: Vec<T>) -> Arc<Vec<T>> {
+            v.shrink_to_fit();
+            Arc::new(v)
+        }
+        RunColumns {
+            finish: column(self.finish),
+            gpu: column(self.gpu),
+            quanta: column(self.quanta),
+            run_at,
+            quanta_at,
+        }
+    }
+}
+
+/// Moves each `v[i]` to `v[to(i)]` in place; `to` must permute `v`'s
+/// indices. Each cycle of the permutation is rotated through `v[start]`.
+fn permute<T>(v: &mut [T], to: impl Fn(usize) -> usize) {
+    let mut placed = vec![false; v.len()];
+    for start in 0..v.len() {
+        if placed[start] {
+            continue;
+        }
+        // `v[start]` holds the entry that was at `from`; swap it home.
+        let mut from = start;
+        while to(from) != start {
+            let home = to(from);
+            v.swap(start, home);
+            placed[home] = true;
+            from = home;
+        }
+        placed[start] = true;
+    }
+}
+
+/// A run log grouped by client: one shared column per report field, and
+/// where each client's entries start in them (client `c`'s runs are
+/// `run_at[c]..run_at[c + 1]`).
+pub(crate) struct RunColumns {
+    finish: Arc<Vec<SimTime>>,
+    gpu: Arc<Vec<SimDuration>>,
+    quanta: Arc<Vec<(SimTime, SimDuration)>>,
+    run_at: Vec<u32>,
+    quanta_at: Vec<u32>,
+}
+
+/// One client's views: its runs' finish times and GPU times, and its
+/// quanta.
+type ClientColumns =
+    (ColumnView<SimTime>, ColumnView<SimDuration>, ColumnView<(SimTime, SimDuration)>);
+
+impl RunColumns {
+    /// Client `c`'s views.
+    pub(crate) fn client(&self, c: usize) -> ClientColumns {
+        let (first_run, end_run) = (self.run_at[c], self.run_at[c + 1]);
+        let (first_quantum, end_quantum) = (self.quanta_at[c], self.quanta_at[c + 1]);
+        (
+            ColumnView::new(&self.finish, first_run, end_run),
+            ColumnView::new(&self.gpu, first_run, end_run),
+            ColumnView::new(&self.quanta, first_quantum, end_quantum),
+        )
+    }
+}
+
 /// Per-client results.
 #[derive(Debug, Clone)]
 pub struct ClientReport {
     /// The client.
     pub client: ClientId,
-    /// Model name it queried.
-    pub model_name: String,
+    /// Model name it queried, shared with every other label of the model.
+    pub model_name: ModelName,
     /// Batch size.
     pub batch: u64,
     /// How the session ended.
     pub outcome: ClientOutcome,
     /// Finish time of each completed `Session::Run`.
-    pub run_finish_times: Vec<SimTime>,
+    pub run_finish_times: ColumnView<SimTime>,
     /// GPU duration of each completed run (the paper's per-run `D_j`).
-    pub run_gpu_durations: Vec<SimDuration>,
+    pub run_gpu_durations: ColumnView<SimDuration>,
     /// Completed quanta as `(end time, GPU duration received)`, across the
-    /// whole session (Figures 14/16). Empty under the baseline scheduler.
-    pub quantum_marks: Vec<(SimTime, SimDuration)>,
+    /// whole session (Figures 14/16). One per run under the baseline
+    /// scheduler, whose runs are never switched out. A cancelled run's
+    /// quanta are not reported.
+    pub quantum_marks: ColumnView<(SimTime, SimDuration)>,
     /// Total GPU busy time attributed to the client.
     pub total_gpu: SimDuration,
 }
@@ -287,13 +480,14 @@ mod tests {
             model_name: "m".into(),
             batch: 1,
             outcome: ClientOutcome::Finished(SimTime::from_millis(1)),
-            run_finish_times: vec![],
-            run_gpu_durations: vec![],
+            run_finish_times: Vec::new().into(),
+            run_gpu_durations: Vec::new().into(),
             quantum_marks: q
                 .into_iter()
                 .enumerate()
                 .map(|(i, d)| (SimTime::from_micros(i as u64), SimDuration::from_micros(d)))
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
             total_gpu: SimDuration::ZERO,
         }
     }
@@ -309,6 +503,48 @@ mod tests {
     fn mean_quantum_needs_three() {
         assert_eq!(report_with_quanta(vec![5, 6]).mean_quantum_us(), None);
         assert!(report_with_quanta(vec![1, 2]).trimmed_quanta_us().is_empty());
+    }
+
+    #[test]
+    fn a_view_reads_compares_and_prints_like_the_vec_it_replaces() {
+        let column = Arc::new(vec![1u64, 2, 3, 4, 5]);
+        let view = ColumnView::new(&column, 1, 4);
+        let owned = vec![2u64, 3, 4];
+        assert_eq!(*view, owned[..]);
+        assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        assert_eq!(format!("{view:#?}"), format!("{owned:#?}"));
+        assert_eq!((&view).into_iter().copied().collect::<Vec<_>>(), owned);
+        assert_eq!(view, ColumnView::from(owned));
+        let empty = ColumnView::new(&column, 5, 5);
+        assert_eq!(format!("{empty:?}"), format!("{:?}", Vec::<u64>::new()));
+        assert_eq!(empty, ColumnView::from(Vec::new()));
+    }
+
+    #[test]
+    fn run_log_groups_each_client_in_completion_order() {
+        let mut rng = simtime::DetRng::new(0x106);
+        for case in 0..64 {
+            let n = rng.range_u64(1, 12) as usize;
+            type Runs = (Vec<SimTime>, Vec<SimDuration>, Vec<(SimTime, SimDuration)>);
+            let mut want: Vec<Runs> = vec![Default::default(); n];
+            let mut log = RunLog::default();
+            for run in 0..rng.range_u64(0, 80) {
+                let c = rng.range_u64(0, n as u64) as usize;
+                let (finish, gpu) = (SimTime::from_nanos(run), SimDuration::from_nanos(run * 3));
+                let quanta: Vec<(SimTime, SimDuration)> = (0..rng.range_u64(0, 5))
+                    .map(|k| (SimTime::from_nanos(run), SimDuration::from_nanos(k)))
+                    .collect();
+                log.push(ClientId(c as u32), finish, gpu, &quanta);
+                want[c].0.push(finish);
+                want[c].1.push(gpu);
+                want[c].2.extend(quanta);
+            }
+            let columns = log.into_columns(n);
+            for (c, (finish, gpu, marks)) in want.into_iter().enumerate() {
+                let want = (finish.into(), gpu.into(), marks.into());
+                assert_eq!(columns.client(c), want, "case {case}, client {c}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! {"type":"alert", ...}       // merged into the stream in time order
 //! ```
 
-use crate::{Alert, SnapshotView, TelemetryReport};
+use crate::{Alert, ModelName, SnapshotView, TelemetryReport};
 use microjson::Value;
 
 fn f(v: f64) -> Value {
@@ -142,7 +142,7 @@ pub fn json_lines(r: &TelemetryReport) -> String {
             ("histograms".into(), names(&r.hist_names)),
             (
                 "clients".into(),
-                Value::Array(r.client_models.iter().map(|m| Value::Str(m.clone())).collect()),
+                Value::Array(r.client_models.iter().map(|m| Value::Str(m.to_string())).collect()),
             ),
             ("slos".into(), Value::Array(slos)),
         ]),
@@ -245,7 +245,7 @@ pub fn prometheus_text(r: &TelemetryReport) -> String {
         let model = r
             .client_models
             .get(client)
-            .map(String::as_str)
+            .map(ModelName::as_str)
             .unwrap_or("unknown");
         out.push_str(&format!(
             "olympian_client_gpu_ns{{client=\"{client}\",model=\"{}\"}} {gpu}\n",
@@ -259,7 +259,8 @@ pub fn prometheus_text(r: &TelemetryReport) -> String {
 mod tests {
     use super::*;
     use crate::{
-        BurnWindows, DriftConfig, EngineGauges, SloSpec, TelemetryConfig, TelemetryHub,
+        BurnWindows, DriftConfig, EngineGauges, ModelNames, SloSpec, TelemetryConfig,
+        TelemetryHub,
     };
     use simtime::{SimDuration, SimTime};
     use trace::TraceKind;
@@ -277,7 +278,7 @@ mod tests {
             .with_slo(SloSpec::new("m", us(100), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
             .with_drift(DriftConfig::new(us(200), 0.1));
-        let mut h = TelemetryHub::new(&cfg, ["m"], []);
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::new(["m"]), []);
         h.observe(t(0), &TraceKind::ClientAdmitted { client: 0, device: 0 });
         let g = EngineGauges::default();
         for i in 0..6u64 {
@@ -368,7 +369,7 @@ mod tests {
     fn adversarial_label_values_roundtrip() {
         const EVIL: &str = "mo\\del \"v2\"\nwith newline";
         let cfg = TelemetryConfig::enabled(us(100));
-        let mut h = TelemetryHub::new(&cfg, [EVIL], []);
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::new([EVIL]), []);
         h.observe(t(0), &TraceKind::ClientAdmitted { client: 0, device: 0 });
         let quantum = TraceKind::QuantumEnd { job: 0, client: 0, gpu: us(50) };
         h.observe(SimTime::from_micros(10), &quantum);

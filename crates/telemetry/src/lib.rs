@@ -42,11 +42,13 @@ use trace::{BreakerEdge, TraceKind};
 
 pub mod drift;
 pub mod export;
+mod names;
 pub mod registry;
 pub mod slo;
 
 pub use drift::{DriftConfig, DriftDetector, DriftSignal};
 pub use export::{escape_help, escape_label, json_lines, prometheus_text};
+pub use names::{ModelName, ModelNames};
 pub use registry::{CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry};
 pub use slo::{BurnSignal, BurnWindows, SloMonitor, SloSpec};
 
@@ -578,8 +580,10 @@ pub struct TelemetryReport {
     pub gauge_names: Vec<&'static str>,
     /// Histogram names.
     pub hist_names: Vec<&'static str>,
-    /// Model name per client, indexed by client id.
-    pub client_models: Vec<String>,
+    /// Model name per client, indexed by client id, shared with every
+    /// other label of the same model; empty for a client never admitted
+    /// below the highest admitted one.
+    pub client_models: Vec<ModelName>,
     /// The configured latency objectives.
     pub slos: Vec<SloSpec>,
     /// Snapshots in time order; the last one holds the final totals.
@@ -666,7 +670,7 @@ struct Ids {
 /// client stays default (unnamed) until its own client is admitted.
 #[derive(Debug, Clone, Default)]
 struct ClientState {
-    /// The client's model, as an index into `TelemetryHub::names`.
+    /// The client's model, as an index into the hub's names.
     model: Option<u32>,
     slo: Option<u32>,
     drift: Option<DriftDetector>,
@@ -710,10 +714,8 @@ pub struct TelemetryHub {
     /// Each objective's model name, shared by its burn alerts.
     slo_models: Vec<Arc<str>>,
     monitors: Vec<SloMonitor>,
-    /// Every model name the run can report, each once.
-    names: Vec<String>,
-    /// Each client's model, as an index into `names`.
-    client_names: Vec<u32>,
+    /// Every model name the run can report, each once, and each client's.
+    names: ModelNames,
     /// Each deployment's served name, as an index into `names`.
     deployment_names: Vec<u32>,
     clients: Vec<ClientState>,
@@ -731,11 +733,11 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// Creates a hub for a run whose clients serve `client_models` (by
-    /// client id) and whose lifecycle plan declares `deployments` (by
-    /// deployment index). The names label GPU shares, bind SLO objectives
-    /// and name rollouts; they are read only when telemetry is on.
-    /// Allocates nothing when telemetry is off.
+    /// Creates a hub for a run whose clients serve `names` (by client id)
+    /// and whose lifecycle plan declares `deployments` (by deployment
+    /// index). The names label GPU shares, bind SLO objectives and name
+    /// rollouts; they are read only when telemetry is on, and the report's
+    /// labels share them. Allocates nothing when telemetry is off.
     ///
     /// # Panics
     ///
@@ -743,7 +745,7 @@ impl TelemetryHub {
     /// [`TelemetryConfig::validate`]).
     pub fn new<'a>(
         cfg: &TelemetryConfig,
-        client_models: impl IntoIterator<Item = &'a str>,
+        names: &ModelNames,
         deployments: impl IntoIterator<Item = &'a str>,
     ) -> TelemetryHub {
         cfg.validate();
@@ -757,8 +759,7 @@ impl TelemetryHub {
             slo_specs: Vec::new(),
             slo_models: Vec::new(),
             monitors: Vec::new(),
-            names: Vec::new(),
-            client_names: Vec::new(),
+            names: ModelNames::default(),
             deployment_names: Vec::new(),
             clients: Vec::new(),
             dirty: Vec::new(),
@@ -770,16 +771,8 @@ impl TelemetryHub {
         if !cfg.enabled {
             return hub;
         }
-        let names = &mut hub.names;
-        let mut intern = |name: &str| match names.iter().position(|n| n == name) {
-            Some(i) => i as u32,
-            None => {
-                names.push(name.to_string());
-                (names.len() - 1) as u32
-            }
-        };
-        hub.client_names = client_models.into_iter().map(&mut intern).collect();
-        hub.deployment_names = deployments.into_iter().map(&mut intern).collect();
+        hub.names = names.clone();
+        hub.deployment_names = deployments.into_iter().map(|n| hub.names.intern(n)).collect();
         let mut registry = MetricsRegistry::new();
         let ids = Ids {
             c_admitted: registry.counter("clients_admitted"),
@@ -934,7 +927,7 @@ impl TelemetryHub {
                 };
                 self.registry.inc(counter, 1);
                 let name = self.deployment_names[model as usize];
-                let model = self.names[name as usize].clone();
+                let model = self.names.name(name).to_string();
                 return self.raise(Alert::Rollout { at, model, version, action, cand_us, base_us });
             }
             TraceKind::TokenGrant { .. } => ids.c_switches,
@@ -993,14 +986,14 @@ impl TelemetryHub {
     /// per-client table — the only allocation after construction, and only
     /// at client-arrival granularity.
     fn bind(&mut self, client: u32) {
-        let (idx, name) = (client as usize, self.client_names[client as usize]);
+        let (idx, name) = (client as usize, self.names.of_client(client));
         if self.clients.len() <= idx {
             self.clients.resize(idx + 1, ClientState::default());
         }
-        let model = &self.names[name as usize];
+        let model = self.names.name(name);
         let state = &mut self.clients[idx];
         state.model = Some(name);
-        state.slo = self.slo_specs.iter().position(|s| s.model == *model).map(|i| i as u32);
+        state.slo = self.slo_specs.iter().position(|s| *model == s.model).map(|i| i as u32);
         state.drift = self.drift_template.clone().map(DriftDetector::new);
         // A re-admission restarts the client's GPU share.
         state.gpu_ns = 0;
@@ -1136,12 +1129,12 @@ impl TelemetryHub {
         &self.alerts
     }
 
-    /// Consumes the hub into its report.
+    /// Consumes the hub into its report. Its client labels share the
+    /// hub's names, so they allocate nothing per client.
     pub fn into_report(self, makespan: SimTime) -> TelemetryReport {
-        let name = |c: &ClientState| match c.model {
-            Some(m) => self.names[m as usize].clone(),
-            None => String::new(),
-        };
+        let name = |c: &ClientState| c.model.map_or_else(ModelName::default, |m| {
+            self.names.name(m).clone()
+        });
         TelemetryReport {
             enabled: self.on,
             interval: self.interval,
@@ -1185,7 +1178,8 @@ mod tests {
 
     #[test]
     fn off_hub_is_inert() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::off(), ["m"], ["m"]);
+        let names = ModelNames::new(["m"]);
+        let mut h = TelemetryHub::new(&TelemetryConfig::off(), &names, ["m"]);
         assert!(!h.is_on());
         assert_eq!(h.next_due(), SimTime::MAX);
         assert_eq!(h.observe(t(0), &admitted(0)), None);
@@ -1204,7 +1198,8 @@ mod tests {
 
     #[test]
     fn snapshot_count_matches_interval_arithmetic() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), ["m"], []);
+        let names = ModelNames::new(["m"]);
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), &names, []);
         h.observe(t(0), &admitted(0));
         let g = EngineGauges::default();
         // Events at 250µs: boundaries 100 and 200 fire.
@@ -1222,7 +1217,8 @@ mod tests {
 
     #[test]
     fn exact_multiple_makespan_has_no_partial_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), [], []);
+        let cfg = TelemetryConfig::enabled(us(100));
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::default(), []);
         let g = EngineGauges::default();
         h.tick(t(300), &g);
         h.finalize(t(300), &g);
@@ -1233,7 +1229,8 @@ mod tests {
 
     #[test]
     fn zero_makespan_still_emits_one_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), [], []);
+        let cfg = TelemetryConfig::enabled(us(100));
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::default(), []);
         h.finalize(SimTime::ZERO, &EngineGauges::default());
         let r = h.into_report(SimTime::ZERO);
         assert_eq!(r.snapshots.len(), 1);
@@ -1245,7 +1242,7 @@ mod tests {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_slo(SloSpec::new("m", us(500), 0.1));
         // Client 1 is never admitted, so its row stays unnamed.
-        let mut h = TelemetryHub::new(&cfg, ["m", "m", "other"], []);
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::new(["m", "m", "other"]), []);
         for client in [0, 2] {
             h.observe(t(0), &admitted(client));
         }
@@ -1286,7 +1283,8 @@ mod tests {
 
     #[test]
     fn shed_and_canary_events_raise_named_alerts() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), ["a"], ["a", "b"]);
+        let names = ModelNames::new(["a"]);
+        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)), &names, ["a", "b"]);
         let to = BreakerEdge::Shed(ShedCause::CircuitOpen { trips: 3 });
         let fault = h.observe(t(5), &TraceKind::BreakerTransition { client: 0, to });
         let action = "circuit-open";
@@ -1311,7 +1309,7 @@ mod tests {
             .with_slo(SloSpec::new("m", us(100), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
             .with_drift(DriftConfig::new(us(200), 0.1));
-        let mut h = TelemetryHub::new(&cfg, ["m"], []);
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::new(["m"]), []);
         h.observe(t(0), &admitted(0));
         let g = EngineGauges::default();
         let mut drift_alerts = 0;
@@ -1364,7 +1362,7 @@ mod tests {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_slo(SloSpec::new("m", us(150), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 });
-        let mut h = TelemetryHub::new(&cfg, ["m", "m", "n"], []);
+        let mut h = TelemetryHub::new(&cfg, &ModelNames::new(["m", "m", "n"]), []);
         let mut dense = SnapshotSeries::default();
         let record = |h: &TelemetryHub, before: usize, dense: &mut SnapshotSeries| {
             let r = &h.registry;

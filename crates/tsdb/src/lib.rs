@@ -32,7 +32,7 @@
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
-use telemetry::TelemetryReport;
+use telemetry::{ModelName, TelemetryReport};
 
 pub mod catalog;
 pub mod dashboard;
@@ -378,7 +378,7 @@ impl Store {
         let mut gpu_ids: Vec<u32> = Vec::new();
         let mut latency_ids: Vec<u32> = Vec::new();
         let client_model = |c: usize| -> &str {
-            report.client_models.get(c).map(String::as_str).unwrap_or("?")
+            report.client_models.get(c).map(ModelName::as_str).unwrap_or("?")
         };
 
         let mut rows = report.snapshots.cursor();

@@ -2,7 +2,7 @@
 //! run is a pure fold over the events its trace holds.
 
 use serving::RunReport;
-use telemetry::{EngineGauges, TelemetryConfig, TelemetryHub};
+use telemetry::{EngineGauges, ModelNames, TelemetryConfig, TelemetryHub};
 use trace::TraceKind;
 
 /// Folds `report.trace` through a fresh hub built from the run's telemetry
@@ -17,8 +17,8 @@ pub fn assert_telemetry_replays(report: &RunReport, cfg: &TelemetryConfig, deplo
     assert_eq!(report.trace.dropped, 0, "a truncated trace cannot be replayed");
     let full = report.trace.filter(TraceKind::is_kernel).next().is_some();
     assert!(full, "the trace is not Full: kernel events are missing");
-    let models = report.clients.iter().map(|c| c.model_name.as_str());
-    let mut hub = TelemetryHub::new(cfg, models, deployments.iter().copied());
+    let models = ModelNames::new(report.clients.iter().map(|c| c.model_name.as_str()));
+    let mut hub = TelemetryHub::new(cfg, &models, deployments.iter().copied());
     // The engine emits a boundary before the first event at or past it.
     let gauges = EngineGauges::default();
     for e in &report.trace.events {

@@ -8,16 +8,15 @@
 //! scale check runs a 48k-arrival fleet with telemetry on and off.
 
 mod counting_alloc;
+mod zipf_fleet;
 
 use controlplane::ControlConfig;
 use counting_alloc::{allocs_during, peak_live_bytes_during};
-use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
-use serving::cluster::{ClusterConfig, RouterPolicy};
-use serving::{run_experiment, workload, ClientSpec, EngineConfig, FifoScheduler, TraceConfig};
+use serving::{run_experiment, ClientSpec, EngineConfig, FifoScheduler};
 use simtime::{SimDuration, SimTime};
 use std::hint::black_box;
-use std::sync::Arc;
-use telemetry::{BurnWindows, EngineGauges, SloSpec, TelemetryConfig, TelemetryHub};
+use zipf_fleet::zipf_fleet;
+use telemetry::{BurnWindows, EngineGauges, ModelNames, SloSpec, TelemetryConfig, TelemetryHub};
 use trace::TraceKind;
 
 /// Folds `n` open-loop sessions through a hub with a 100 µs cadence:
@@ -25,8 +24,8 @@ use trace::TraceKind;
 /// the next three intervals, then idles for the rest of the run.
 fn fold_open_loop(n: u32) {
     let interval = SimDuration::from_micros(100);
-    let models = vec!["m"; n as usize];
-    let mut hub = TelemetryHub::new(&TelemetryConfig::enabled(interval), models, []);
+    let models = ModelNames::new(vec!["m"; n as usize]);
+    let mut hub = TelemetryHub::new(&TelemetryConfig::enabled(interval), &models, []);
     let gauges = EngineGauges::default();
     for step in 0..n + 3 {
         let at = SimTime::ZERO + interval * u64::from(step) + SimDuration::from_micros(10);
@@ -71,7 +70,7 @@ fn fold_then_idle(idle: u64) {
     let interval = SimDuration::from_micros(100);
     let cfg = TelemetryConfig::enabled(interval)
         .with_slo(SloSpec::new("m", SimDuration::from_micros(150), 0.05));
-    let mut hub = TelemetryHub::new(&cfg, ["m"; SESSIONS as usize], []);
+    let mut hub = TelemetryHub::new(&cfg, &ModelNames::new(["m"; SESSIONS as usize]), []);
     let gauges = EngineGauges { active_jobs: u64::from(SESSIONS), ..EngineGauges::default() };
     for client in 0..SESSIONS {
         hub.observe(SimTime::ZERO, &TraceKind::ClientAdmitted { client, device: 0 });
@@ -143,57 +142,10 @@ fn burn_alerts_allocate_nothing() {
     );
 }
 
-/// The benchmark's fleet-zipf fleet at `arrivals` arrivals: 24 rebadged
-/// mini-tiny models with 32 MiB of weights on 2× GTX 1080 Ti + Titan X,
-/// cost-aware routing, a 5 ms reconfiguration tick, FIFO scheduling, a
-/// sampled trace and, when `telemetry` is set, 1 ms telemetry. Arrivals
-/// are 100 µs apart and draw their model from a Zipf(1.2) law whose hot
-/// set rotates 7 positions at the midpoint.
+/// Builds and runs the fleet-zipf fleet at `arrivals` arrivals, with 1 ms
+/// telemetry when `telemetry` is set.
 fn run_zipf_fleet(arrivals: usize, telemetry: bool) {
-    const MODELS: usize = 24;
-    let tiny = models::mini::tiny(4);
-    let zoo: Vec<models::LoadedModel> = (0..MODELS)
-        .map(|i| {
-            models::LoadedModel::from_parts(
-                format!("zoo-{i:02}"),
-                None,
-                tiny.batch(),
-                Arc::clone(tiny.graph()),
-                32 << 20,
-                tiny.activation_bytes(),
-            )
-        })
-        .collect();
-    let mut plan = DeploymentPlan::new();
-    for m in &zoo {
-        plan = plan.with_model(ModelDeployment::new(m.name(), m.clone()));
-    }
-    let devices = vec![
-        gpusim::DeviceProfile::gtx_1080_ti(),
-        gpusim::DeviceProfile::gtx_1080_ti(),
-        gpusim::DeviceProfile::titan_x(),
-    ];
-    let cc = ClusterConfig::new(devices, LifecycleConfig::new(plan))
-        .with_tick(SimDuration::from_millis(5))
-        .with_policy(RouterPolicy::CostAware)
-        .with_reconfigure(true);
-    let tc = if telemetry {
-        TelemetryConfig::enabled(SimDuration::from_millis(1))
-    } else {
-        TelemetryConfig::off()
-    };
-    let cfg = EngineConfig::default()
-        .with_cluster(cc)
-        .with_trace(TraceConfig::sampled())
-        .with_telemetry(tc);
-    let picks = workload::zipf_models(arrivals, MODELS, 1.2, arrivals / 2, 7, 1);
-    let spacing = SimDuration::from_micros(100);
-    let times = workload::uniform_arrivals(arrivals, spacing, SimTime::ZERO);
-    let clients = picks
-        .into_iter()
-        .zip(times)
-        .map(|(m, at)| ClientSpec::new(zoo[m].clone(), 1).with_start(at))
-        .collect();
+    let (cfg, clients) = zipf_fleet(arrivals, telemetry);
     let report = run_experiment(&cfg, clients, &mut FifoScheduler::new());
     assert!(report.all_finished(), "a fleet session did not finish");
     black_box(report);
