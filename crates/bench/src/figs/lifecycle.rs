@@ -21,7 +21,9 @@ use crate::figs::{fair, unknown_scenario, Claim, Figure};
 use metrics::table::render_table;
 use models::LoadedModel;
 use olympian::{ProfileStore, StoreBinder};
-use serving::lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
+use serving::lifecycle::{
+    CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment, CANARY_TOLERANCE,
+};
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -50,8 +52,9 @@ const CANARY_BATCHES: u32 = 16;
 /// When version 2 of the canaried service is published.
 const CANARY_PUBLISH: SimTime = SimTime::from_micros(500);
 /// Canary split/gate parameters: every 3rd run to the candidate, decide
-/// after 4 completed runs per arm, promote within 25% of the incumbent.
-const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4, tolerance: 0.25 };
+/// after 4 completed runs per arm (the gate promotes within
+/// [`CANARY_TOLERANCE`], 25%, of the incumbent).
+const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4 };
 
 /// A named lifecycle scenario (`olympctl lifecycle <name>`).
 pub struct Scenario {
@@ -275,7 +278,7 @@ fn healthy_cell() -> Cell {
             "canary-healthy   {} — candidate within {:.0}% of the incumbent is promoted \
              ({} promotion, {} rollbacks, {} drain)\n",
             verdict(pass),
-            CANARY.tolerance * 100.0,
+            CANARY_TOLERANCE * 100.0,
             healthy.promotions,
             healthy.rollbacks,
             healthy.drains,

@@ -1,18 +1,20 @@
-//! The fleet runtime: one lifecycle manager per device plus the ledgers
-//! both cadences read. It owns no clock, event queue or memory pool: each
-//! call that reaches a manager fills an [`Effects`] record, which the
-//! engine applies before its next call, because a client the effects wake
-//! re-enters [`Fleet::route`] at once. Nor does it keep a record per run
-//! or per client: [`Fleet::issued`] hands the engine an [`Issued`] record
-//! that [`Fleet::settle`] takes back, and each client's [`ClientRoute`]
-//! lives with the engine's client. So no run or client is hashed, and no
-//! table grows with the jobs a run has seen.
+//! The fleet runtime: the run's deployment table, one lifecycle manager
+//! per device over it, and the ledgers both cadences read. It owns no
+//! clock, event queue or memory pool: each call that reaches a manager
+//! fills an [`Effects`] record, which the engine applies before its next
+//! call, because a client the effects wake re-enters [`Fleet::route`] at
+//! once. Nor does it keep a record per run or per client: [`Fleet::issued`]
+//! hands the engine an [`Issued`] record that [`Fleet::settle`] takes
+//! back, and each client's [`ClientRoute`] lives with the engine's client.
+//! So no run, client or model name is hashed, and no table grows with the
+//! jobs a run has seen.
 
 use crate::{scaled_execute_ns, ClusterConfig, FlowProblem, FlowWorkspace, RouterPolicy};
 use gpusim::{DeviceProfile, MemoryPool};
-use lifecycle::{Effects, LifecycleError, LifecycleManager, Route, VersionKey};
+use lifecycle::{DeploymentTable, Effects, LifecycleError, LifecycleManager, Route, VersionKey};
 use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Where the router sent one arriving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,20 +41,22 @@ pub struct Issued {
     est_ns: u64,
 }
 
-/// A client's standing with the router: its id and, while it waits for a
-/// version after [`Fleet::park`], the device whose queue carries its
-/// execute estimate until it routes again.
+/// A client's standing with the router: its id, the deployment it asks
+/// for and, while it waits for a version after [`Fleet::park`], the device
+/// whose queue carries its execute estimate until it routes again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientRoute {
     client: u32,
+    /// Deployment index, in plan order.
+    deployment: u32,
     /// `(device, execute ns)` while parked.
     parked: Option<(u32, u64)>,
 }
 
 impl ClientRoute {
-    /// A client that has not routed yet.
-    pub fn new(client: u32) -> Self {
-        ClientRoute { client, parked: None }
+    /// A client of deployment `deployment` that has not routed yet.
+    pub fn new(client: u32, deployment: u32) -> Self {
+        ClientRoute { client, deployment, parked: None }
     }
 }
 
@@ -80,8 +84,10 @@ pub enum Step {
 /// The live fleet of one run.
 #[derive(Debug)]
 pub struct Fleet {
-    /// One manager per device, all over the same plan, so version keys and
-    /// model indices agree across devices.
+    /// The plan, resolved once for every device.
+    table: Arc<DeploymentTable>,
+    /// One manager per device, each sharing `table`, so version keys and
+    /// deployment indices agree across devices.
     managers: Vec<LifecycleManager>,
     policy: RouterPolicy,
     /// Reconfiguration cadence; `None` when the flow loop is off.
@@ -114,11 +120,12 @@ impl Fleet {
     /// The first [`LifecycleError`]: an invalid plan, or a version too big
     /// for a device.
     pub fn new(cfg: &ClusterConfig, devices: &[DeviceProfile]) -> Result<Fleet, LifecycleError> {
+        let table = Arc::new(DeploymentTable::new(&cfg.lifecycle.plan)?);
         let mut managers = Vec::with_capacity(devices.len());
         for p in devices {
-            managers.push(LifecycleManager::new(&cfg.lifecycle, p.memory_bytes())?);
+            managers.push(LifecycleManager::new(Arc::clone(&table), &cfg.lifecycle, p.memory_bytes())?);
         }
-        let n_models = managers[0].model_count();
+        let n_models = table.deployments();
         let speed_ppm: Vec<u64> = devices.iter().map(|p| (p.speed_factor() * 1e6) as u64).collect();
         Ok(Fleet {
             outstanding_ns: vec![0; managers.len()],
@@ -132,6 +139,7 @@ impl Fleet {
             policy: cfg.policy,
             every: cfg.reconfigure.then_some(cfg.tick),
             managers,
+            table,
         })
     }
 
@@ -147,18 +155,12 @@ impl Fleet {
 
     /// Requests a tick at every publish instant (the same on every device).
     pub fn startup(&self, fx: &mut Effects) {
-        self.managers[0].startup(fx);
+        self.table.startup(fx);
     }
 
-    /// Whether `model` is in the deployment plan.
-    pub fn manages(&self, model: &str) -> bool {
-        self.managers[0].manages(model)
-    }
-
-    /// The servable behind `key` (named like its deployment) and its
-    /// versioned name, `"{name}@v{n}"`.
-    pub fn version(&self, key: VersionKey) -> (&LoadedModel, &str) {
-        (self.managers[0].version_model(key), self.managers[0].versioned_name(key))
+    /// The servable behind `key`, named `"{name}@v{n}"`.
+    pub fn version(&self, key: VersionKey) -> &LoadedModel {
+        self.table.version(key)
     }
 
     /// Resident weight bytes summed over the devices.
@@ -182,11 +184,12 @@ impl Fleet {
         scaled_execute_ns(base_ns, self.speed[d]) + if warm { 0 } else { transfer.as_nanos() }
     }
 
-    /// Routes one run of `model` for `client` (`None`: not in the plan) to
-    /// the device the policy picks (cost-aware: lowest queue plus price,
-    /// then lowest index) and resolves the version there, the cheapest
-    /// resident one when `degraded`. A parked client gets back its queue
-    /// charge, and its wake credit if it moves; demand counts arrivals.
+    /// Routes one run of `client`'s deployment, priced by `model`, the
+    /// client's own servable, to the device the policy picks (cost-aware:
+    /// lowest queue plus price, then lowest index) and resolves the version
+    /// there, the cheapest resident one when `degraded`. A parked client
+    /// gets back its queue charge, and its wake credit if it moves; demand
+    /// counts arrivals.
     pub fn route(
         &mut self,
         model: &LoadedModel,
@@ -195,9 +198,8 @@ impl Fleet {
         degraded: bool,
         pools: &mut [MemoryPool],
         fx: &mut Effects,
-    ) -> Option<Routed> {
-        let name = model.name();
-        let mi = self.managers[0].model_index(name)?;
+    ) -> Routed {
+        let mi = client.deployment as usize;
         let base_ns = model.graph().total_gpu_time().as_nanos();
         let parked_dev = client.parked.take().map(|(pd, est)| {
             let q = &mut self.outstanding_ns[pd as usize];
@@ -223,12 +225,12 @@ impl Fleet {
         }
         let (mgr, pool) = (&mut self.managers[dev], &mut pools[dev]);
         let route = if degraded {
-            mgr.route_cheapest(name, client.client, now, pool, fx)
+            mgr.route_cheapest(mi, client.client, now, pool, fx)
         } else {
-            mgr.route(name, client.client, now, pool, fx)
+            mgr.route(mi, client.client, now, pool, fx)
         };
         let est_ns = scaled_execute_ns(base_ns, self.speed[dev]);
-        Some(Routed { device: dev as u32, est_ns, cost_ns, route })
+        Routed { device: dev as u32, est_ns, cost_ns, route }
     }
 
     /// Parks `client` after a [`Route::Wait`], charging its execute
@@ -391,14 +393,14 @@ mod tests {
         at: SimTime,
     ) -> (Routed, Effects) {
         let mut fx = Effects::default();
-        let r = fleet.route(m, c, at, false, pools, &mut fx).expect("managed model");
+        let r = fleet.route(m, c, at, false, pools, &mut fx);
         (r, fx)
     }
 
     #[test]
     fn router_price_equals_the_flow_arc_on_an_empty_queue() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let (m, mut c0) = (named("a"), ClientRoute::new(0));
+        let (m, mut c0) = (named("a"), ClientRoute::new(0, 0));
         let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
         assert_eq!(first.route, Route::Wait);
         assert_eq!(first.device, 0, "a tie keeps the lowest index");
@@ -428,7 +430,7 @@ mod tests {
         let cold = fleet.price_ns(0, 0, base);
         assert!(cold > execute, "a cold device pays the transfer");
         assert_eq!(fleet.price_ns(0, 1, base), cold);
-        let (mut c0, mut c1) = (ClientRoute::new(0), ClientRoute::new(1));
+        let (mut c0, mut c1) = (ClientRoute::new(0, 0), ClientRoute::new(1, 0));
         let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
         assert_eq!((first.device, first.cost_ns), (0, cold));
         // A load in flight already paid the transfer, so a second arrival
@@ -445,7 +447,7 @@ mod tests {
     fn demand_counts_once_per_arrival_not_per_wake() {
         let (mut fleet, mut pools) = fleet(&["a", "b"]);
         let m = named("a");
-        let (mut c7, mut c8) = (ClientRoute::new(7), ClientRoute::new(8));
+        let (mut c7, mut c8) = (ClientRoute::new(7, 0), ClientRoute::new(8, 0));
         let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c7, SimTime::ZERO);
         fleet.park(&mut c7, &first);
         assert_eq!(fleet.window_demand, vec![1, 0]);
@@ -463,7 +465,7 @@ mod tests {
     #[test]
     fn rerouted_parked_client_returns_its_wake_credit_and_queue_charge() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let (m, mut c3) = (named("a"), ClientRoute::new(3));
+        let (m, mut c3) = (named("a"), ClientRoute::new(3, 0));
         let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c3, SimTime::ZERO);
         assert_eq!((first.device, first.route), (0, Route::Wait));
         fleet.park(&mut c3, &first);
@@ -486,7 +488,7 @@ mod tests {
     #[test]
     fn settle_returns_the_charge_of_the_record_it_is_handed() {
         let (mut fleet, mut pools) = fleet(&["a"]);
-        let (m, mut c0) = (named("a"), ClientRoute::new(0));
+        let (m, mut c0) = (named("a"), ClientRoute::new(0, 0));
         let (first, fx) = route(&mut fleet, &mut pools, &m, &mut c0, SimTime::ZERO);
         fleet.park(&mut c0, &first);
         let (at, _) = serve(&mut fleet, &mut pools, 0, fx.ticks);
@@ -504,8 +506,8 @@ mod tests {
         let (mut fleet, mut pools) = fleet(&["a", "b"]);
         let (a, b) = (named("a"), named("b"));
         for c in 0..4 {
-            let m = if c < 3 { &a } else { &b };
-            let _ = route(&mut fleet, &mut pools, m, &mut ClientRoute::new(c), SimTime::ZERO);
+            let (m, mi) = if c < 3 { (&a, 0) } else { (&b, 1) };
+            let _ = route(&mut fleet, &mut pools, m, &mut ClientRoute::new(c, mi), SimTime::ZERO);
         }
         let mut steps = Vec::new();
         fleet.replan(&mut steps);

@@ -3,7 +3,8 @@
 //!
 //! The single-pool engine becomes a fleet by instantiating N heterogeneous
 //! [`gpusim::DeviceProfile`]s, each paired with its own
-//! [`lifecycle`] manager and memory budget. Two control cadences operate on
+//! [`lifecycle`] manager and memory budget; the managers share the run's
+//! one [`lifecycle::DeploymentTable`]. Two control cadences operate on
 //! top, mirroring the MCFP mixture-of-agents split:
 //!
 //! * **per-arrival routing (δt1)** — every run is stamped on arrival and

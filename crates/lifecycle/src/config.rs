@@ -131,31 +131,13 @@ pub struct CanaryConfig {
     /// deterministic traffic split.
     pub stride: u64,
     /// Completed runs each arm must observe before the promote/rollback
-    /// decision.
+    /// decision, which [`CANARY_TOLERANCE`](crate::CANARY_TOLERANCE) gates.
     pub min_runs: u32,
-    /// The candidate is promoted iff its mean run latency stays within
-    /// `(1 + tolerance)` × the incumbent's mean; otherwise it is rolled
-    /// back.
-    pub tolerance: f64,
 }
 
 impl Default for CanaryConfig {
     fn default() -> Self {
-        CanaryConfig { stride: 4, min_runs: 6, tolerance: 0.25 }
-    }
-}
-
-impl CanaryConfig {
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` or `min_runs` is zero, or `tolerance` is
-    /// negative.
-    pub fn validate(&self) {
-        assert!(self.stride >= 1, "canary stride must be at least 1");
-        assert!(self.min_runs >= 1, "canary needs at least one run per arm");
-        assert!(self.tolerance >= 0.0, "negative canary tolerance");
+        CanaryConfig { stride: 4, min_runs: 6 }
     }
 }
 
@@ -203,14 +185,15 @@ impl LifecycleConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the plan or canary parameters are invalid, or the load
-    /// bandwidth is not positive.
+    /// Panics if the plan is invalid, the load bandwidth is not positive,
+    /// or the canary's `stride` or `min_runs` is zero.
     pub fn validate(&self) {
         if let Err(e) = self.plan.validate() {
             panic!("invalid deployment plan: {e}");
         }
         assert!(self.load_gbps > 0.0, "load bandwidth must be positive");
-        self.canary.validate();
+        assert!(self.canary.stride >= 1, "canary stride must be at least 1");
+        assert!(self.canary.min_runs >= 1, "canary needs at least one run per arm");
     }
 }
 

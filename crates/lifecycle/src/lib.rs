@@ -20,12 +20,17 @@
 //! * a **rollout controller**: per-model aspired-versions state machine
 //!   (`Loading → Warming → Serving → Draining → Unloaded`) with canary
 //!   splits that route a deterministic fraction of new `Session::Run`s to
-//!   the candidate version and promote or roll back on observed run
-//!   latency versus the incumbent. Draining versions complete every
-//!   in-flight run before their weights are unloaded.
+//!   the candidate version and promote it when its mean run latency stays
+//!   within [`CANARY_TOLERANCE`] of the incumbent's, or roll it back.
+//!   Draining versions complete every in-flight run before their weights
+//!   are unloaded.
+//!
+//! A run resolves its plan once, into a [`DeploymentTable`] that every
+//! device's manager shares; a manager keeps only its device's state.
 //!
 //! The manager is engine-agnostic: it owns no clock and no event queue.
-//! The serving engine calls [`LifecycleManager::route`] per new run,
+//! The serving engine calls [`LifecycleManager::route`] per new run, by
+//! the deployment index it resolved once per client,
 //! [`LifecycleManager::run_finished`] per completed run and
 //! [`LifecycleManager::tick`] at requested instants; every call fills an
 //! [`Effects`] record (trace events, clients to wake, ticks to schedule):
@@ -39,7 +44,9 @@ mod config;
 mod manager;
 
 pub use config::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment, VersionSpec};
-pub use manager::{Effects, LifecycleManager, Route, VersionKey, VersionState};
+pub use manager::{
+    DeploymentTable, Effects, LifecycleManager, Route, VersionKey, VersionState, CANARY_TOLERANCE,
+};
 
 use std::fmt;
 

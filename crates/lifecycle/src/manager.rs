@@ -1,10 +1,10 @@
 //! The lifecycle manager: residency, state machine and canary control.
 
-use crate::{LifecycleConfig, LifecycleError, ProfileBinder};
+use crate::{DeploymentPlan, LifecycleConfig, LifecycleError, ProfileBinder, VersionSpec};
 use gpusim::{Allocation, MemoryPool};
 use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use trace::TraceKind;
 
@@ -12,8 +12,14 @@ use trace::TraceKind;
 /// before it starts serving — TF-Serving's loader warm-up.
 const WARMUP_RUNS: u32 = 2;
 
-/// Identifies one version of one managed model: indexes into the manager's
-/// registry. `version` is 1-based, matching TF-Serving conventions.
+/// A canary candidate is promoted iff its mean run latency stays within
+/// `(1 + CANARY_TOLERANCE)` × the incumbent's mean; otherwise it is rolled
+/// back.
+pub const CANARY_TOLERANCE: f64 = 0.25;
+
+/// Identifies one version of one managed model: indexes into the
+/// [`DeploymentTable`]. `version` is 1-based, matching TF-Serving
+/// conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VersionKey {
     /// Deployment index in plan declaration order.
@@ -22,11 +28,65 @@ pub struct VersionKey {
     pub version: u32,
 }
 
+/// A deployment plan resolved once per run and shared by every device's
+/// manager: each deployment's versions, in plan order, with their
+/// servables and publish instants. A version's servable is named
+/// `"{name}@v{n}"`, the name its runs register and its profile binds under.
+#[derive(Debug)]
+pub struct DeploymentTable {
+    /// `versions[mi][k]` is version `k + 1` of deployment `mi`, its
+    /// servable renamed `"{name}@v{k + 1}"`.
+    versions: Vec<Vec<VersionSpec>>,
+}
+
+impl DeploymentTable {
+    /// Resolves `plan`.
+    ///
+    /// # Errors
+    ///
+    /// The first [`LifecycleError`] of [`DeploymentPlan::validate`].
+    pub fn new(plan: &DeploymentPlan) -> Result<DeploymentTable, LifecycleError> {
+        plan.validate()?;
+        let versions = plan.models.iter().map(|dep| {
+            let versioned = dep.versions.iter().enumerate().map(|(k, v)| {
+                let m = &v.model;
+                let name = format!("{}@v{}", dep.name, k + 1);
+                let graph = Arc::clone(m.graph());
+                let servable = LoadedModel::from_parts(
+                    name, m.kind(), m.batch(), graph, m.weights_bytes(), m.activation_bytes(),
+                );
+                VersionSpec::new(servable).published_at(v.publish_at)
+            });
+            versioned.collect()
+        });
+        Ok(DeploymentTable { versions: versions.collect() })
+    }
+
+    /// Number of deployments (dense indices `0..deployments()`).
+    pub fn deployments(&self) -> usize {
+        self.versions.len()
+    }
+
+    /// The servable behind `key`, named `"{name}@v{n}"`.
+    pub fn version(&self, key: VersionKey) -> &LoadedModel {
+        &self.versions[key.model as usize][key.version as usize - 1].model
+    }
+
+    /// Requests a tick at every version's publish instant. Call once
+    /// before the simulation starts.
+    pub fn startup(&self, fx: &mut Effects) {
+        for v in self.versions.iter().flatten() {
+            fx.ticks.push(v.publish_at);
+        }
+    }
+}
+
 /// The aspired-versions state machine. Evicted and drained versions return
 /// to `Unloaded` and may be reloaded later on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VersionState {
     /// Not resident on the device.
+    #[default]
     Unloaded,
     /// Weights are transferring to the device.
     Loading,
@@ -68,11 +128,9 @@ impl Effects {
     }
 }
 
-/// Per-version runtime record.
-#[derive(Debug)]
+/// One version's state on one device.
+#[derive(Debug, Default)]
 struct VersionRt {
-    model: LoadedModel,
-    publish_at: SimTime,
     state: VersionState,
     weights: Option<Allocation>,
     /// Next state-machine transition instant (load or warm-up completion).
@@ -94,10 +152,9 @@ struct VersionRt {
     stat_lat_ns: u64,
 }
 
-/// Per-deployment runtime record.
-#[derive(Debug)]
+/// One deployment's state on one device.
+#[derive(Debug, Default)]
 struct ModelRt {
-    name: String,
     versions: Vec<VersionRt>,
     /// Index of the version currently serving, if any.
     serving: Option<usize>,
@@ -113,44 +170,42 @@ struct ModelRt {
     waiters: VecDeque<u32>,
 }
 
-/// The deterministic model-lifecycle manager. See the crate docs for the
-/// overall design; all iteration is over dense vectors in declaration
-/// order, so identical call sequences produce identical effects.
+/// The deterministic model-lifecycle manager of one device. See the crate
+/// docs for the overall design; all iteration is over dense vectors in
+/// declaration order, so identical call sequences produce identical
+/// effects.
 #[derive(Debug)]
 pub struct LifecycleManager {
+    /// The plan, shared with every other device's manager.
+    table: Arc<DeploymentTable>,
     load_gbps: f64,
     canary_stride: u64,
     canary_min_runs: u32,
-    canary_tolerance: f64,
     binder: Option<Arc<dyn ProfileBinder>>,
     /// The device memory budget (bytes); resident weights never exceed it.
     budget: u64,
     /// Currently resident weight bytes across all versions.
     resident: u64,
+    /// This device's state of each deployment, in table order.
     models: Vec<ModelRt>,
-    by_name: HashMap<String, usize>,
-    /// Versioned display/profile names, `"{name}@v{version}"`.
-    vnames: Vec<Vec<String>>,
     /// Loads that did not fit even after eviction, retried on every free.
     pending_loads: Vec<VersionKey>,
 }
 
 impl LifecycleManager {
-    /// Builds a manager over `cfg` for a device with `budget` bytes of
-    /// memory.
+    /// Builds a manager over `table`, the plan of `cfg` resolved, for a
+    /// device with `budget` bytes of memory.
     ///
     /// # Errors
     ///
-    /// Returns a [`LifecycleError`] when the plan is invalid or any
-    /// version's weights exceed the whole budget (it could never serve).
-    pub fn new(cfg: &LifecycleConfig, budget: u64) -> Result<Self, LifecycleError> {
-        cfg.plan.validate()?;
-        let mut models = Vec::with_capacity(cfg.plan.models.len());
-        let mut by_name = HashMap::new();
-        let mut vnames = Vec::with_capacity(cfg.plan.models.len());
-        for (mi, dep) in cfg.plan.models.iter().enumerate() {
-            let mut versions = Vec::with_capacity(dep.versions.len());
-            let mut names = Vec::with_capacity(dep.versions.len());
+    /// Returns [`LifecycleError::OversizedVersion`] when a version's
+    /// weights exceed the whole budget (it could never serve).
+    pub fn new(
+        table: Arc<DeploymentTable>,
+        cfg: &LifecycleConfig,
+        budget: u64,
+    ) -> Result<Self, LifecycleError> {
+        for dep in &cfg.plan.models {
             for (k, spec) in dep.versions.iter().enumerate() {
                 if spec.model.weights_bytes() > budget {
                     return Err(LifecycleError::OversizedVersion {
@@ -160,77 +215,28 @@ impl LifecycleManager {
                         budget,
                     });
                 }
-                versions.push(VersionRt {
-                    model: spec.model.clone(),
-                    publish_at: spec.publish_at,
-                    state: VersionState::Unloaded,
-                    weights: None,
-                    due: None,
-                    warmups_done: 0,
-                    inflight: 0,
-                    wake_pending: 0,
-                    last_used: SimTime::ZERO,
-                    stat_runs: 0,
-                    stat_lat_ns: 0,
-                });
-                names.push(format!("{}@v{}", dep.name, k + 1));
             }
-            by_name.insert(dep.name.clone(), mi);
-            vnames.push(names);
-            models.push(ModelRt {
-                name: dep.name.clone(),
-                versions,
-                serving: None,
-                candidate: None,
-                aspired: 0,
-                published: 0,
-                issued: 0,
-                waiters: VecDeque::new(),
-            });
         }
+        let models = table.versions.iter().map(|versions| ModelRt {
+            versions: versions.iter().map(|_| VersionRt::default()).collect(),
+            ..ModelRt::default()
+        });
         Ok(LifecycleManager {
+            models: models.collect(),
+            table,
             load_gbps: cfg.load_gbps,
             canary_stride: cfg.canary.stride,
             canary_min_runs: cfg.canary.min_runs,
-            canary_tolerance: cfg.canary.tolerance,
             binder: cfg.binder.clone(),
             budget,
             resident: 0,
-            models,
-            by_name,
-            vnames,
             pending_loads: Vec::new(),
         })
     }
 
-    /// Requests a tick at every version's publish instant. Call once
-    /// before the simulation starts.
-    pub fn startup(&self, fx: &mut Effects) {
-        for m in &self.models {
-            for v in &m.versions {
-                fx.ticks.push(v.publish_at);
-            }
-        }
-    }
-
-    /// True when `model` is one of the deployments this manager owns.
-    pub fn manages(&self, model: &str) -> bool {
-        self.by_name.contains_key(model)
-    }
-
-    /// The versioned profile/trace name, `"{name}@v{version}"`.
-    pub fn versioned_name(&self, key: VersionKey) -> &str {
-        &self.vnames[key.model as usize][key.version as usize - 1]
-    }
-
-    /// The servable backing this version.
-    pub fn version_model(&self, key: VersionKey) -> &LoadedModel {
-        &self.models[key.model as usize].versions[key.version as usize - 1].model
-    }
-
-    /// The served (deployment) name of this version's model.
-    pub fn model_name(&self, key: VersionKey) -> &str {
-        &self.models[key.model as usize].name
+    /// The servable of version `vi` (0-based) of deployment `mi`.
+    fn servable(&self, mi: usize, vi: usize) -> &LoadedModel {
+        &self.table.versions[mi][vi].model
     }
 
     /// Currently resident weight bytes across all managed versions.
@@ -241,18 +247,6 @@ impl LifecycleManager {
     /// Current state of a version.
     pub fn state(&self, key: VersionKey) -> VersionState {
         self.models[key.model as usize].versions[key.version as usize - 1].state
-    }
-
-    /// Number of managed deployments (dense indices `0..model_count()`).
-    pub fn model_count(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Deployment index of `model`, if managed. Indices are declaration
-    /// order, so they agree across every manager built from the same plan
-    /// (the fleet invariant the cluster router relies on).
-    pub fn model_index(&self, model: &str) -> Option<usize> {
-        self.by_name.get(model).copied()
     }
 
     /// The serving version of deployment `mi`, if any.
@@ -276,8 +270,7 @@ impl LifecycleManager {
     /// Weight bytes of the aspired version of deployment `mi` — what a
     /// fresh load here would transfer.
     pub fn aspired_weights_bytes(&self, mi: usize) -> u64 {
-        let m = &self.models[mi];
-        m.versions[m.aspired].model.weights_bytes()
+        self.servable(mi, self.models[mi].aspired).weights_bytes()
     }
 
     /// The effective load bandwidth (GB/s), for router transfer estimates.
@@ -342,19 +335,19 @@ impl LifecycleManager {
         }
     }
 
-    /// Routes one new run of `model` for `client`. Either issues a version
-    /// (serving version, or the canary candidate for every `stride`-th run
-    /// while a canary is active) or parks the client until a version
-    /// starts serving, kicking off the aspired version's load if needed.
+    /// Routes one new run of deployment `mi` for `client`. Either issues a
+    /// version (serving version, or the canary candidate for every
+    /// `stride`-th run while a canary is active) or parks the client until
+    /// a version starts serving, kicking off the aspired version's load if
+    /// needed.
     pub fn route(
         &mut self,
-        model: &str,
+        mi: usize,
         client: u32,
         now: SimTime,
         pool: &mut MemoryPool,
         fx: &mut Effects,
     ) -> Route {
-        let mi = *self.by_name.get(model).expect("route for unmanaged model");
         if let Some(s) = self.models[mi].serving {
             // Demand can return while the replica drains: the weights are
             // still resident (they free only at unload), so serving this
@@ -393,29 +386,24 @@ impl LifecycleManager {
     /// degradation ladder routes through this while elevated, trading
     /// answer fidelity for GPU time. Falls back to [`route`](Self::route)
     /// when no version is serving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` is not managed by this deployment plan.
     pub fn route_cheapest(
         &mut self,
-        model: &str,
+        mi: usize,
         client: u32,
         now: SimTime,
         pool: &mut MemoryPool,
         fx: &mut Effects,
     ) -> Route {
-        let mi = *self.by_name.get(model).expect("route for unmanaged model");
         let pick = self.models[mi]
             .versions
             .iter()
             .enumerate()
             .filter(|(_, v)| v.state == VersionState::Serving)
-            .min_by_key(|(i, v)| (v.model.graph().total_gpu_time(), *i))
+            .min_by_key(|&(i, _)| (self.servable(mi, i).graph().total_gpu_time(), i))
             .map(|(i, _)| i);
         match pick {
             Some(vi) => self.issue(mi, vi, now),
-            None => self.route(model, client, now, pool, fx),
+            None => self.route(mi, client, now, pool, fx),
         }
     }
 
@@ -478,8 +466,9 @@ impl LifecycleManager {
     /// load completions, warm-up runs and retried loads.
     pub fn tick(&mut self, now: SimTime, pool: &mut MemoryPool, fx: &mut Effects) {
         for mi in 0..self.models.len() {
-            while self.models[mi].published < self.models[mi].versions.len()
-                && self.models[mi].versions[self.models[mi].published].publish_at <= now
+            while self.table.versions[mi]
+                .get(self.models[mi].published)
+                .is_some_and(|v| v.publish_at <= now)
             {
                 let v = self.models[mi].published;
                 self.models[mi].published += 1;
@@ -586,7 +575,7 @@ impl LifecycleManager {
         }
         let base_ns = inc.stat_lat_ns / inc.stat_runs as u64;
         let cand_ns = cand.stat_lat_ns / cand.stat_runs as u64;
-        let healthy = cand_ns as f64 <= base_ns as f64 * (1.0 + self.canary_tolerance);
+        let healthy = cand_ns as f64 <= base_ns as f64 * (1.0 + CANARY_TOLERANCE);
         let (model, version) = (mi as u32, c as u32 + 1);
         let (cand_us, base_us) = (cand_ns / 1_000, base_ns / 1_000);
         self.models[mi].candidate = None;
@@ -612,12 +601,13 @@ impl LifecycleManager {
         pool: &mut MemoryPool,
         fx: &mut Effects,
     ) {
+        let graph = self.table.versions[mi][vi].model.graph();
         let v = &mut self.models[mi].versions[vi];
         match v.state {
             VersionState::Loading => {
                 v.state = VersionState::Warming;
                 v.warmups_done = 0;
-                let due = now + v.model.graph().total_gpu_time();
+                let due = now + graph.total_gpu_time();
                 v.due = Some(due);
                 fx.ticks.push(due);
             }
@@ -630,8 +620,7 @@ impl LifecycleManager {
                     v.due = None;
                     self.on_serving(mi, vi, now, pool, fx);
                 } else {
-                    let dur = v.model.graph().total_gpu_time();
-                    let due = now + dur;
+                    let due = now + graph.total_gpu_time();
                     v.due = Some(due);
                     fx.ticks.push(due);
                 }
@@ -659,8 +648,8 @@ impl LifecycleManager {
             v.last_used = now;
         }
         if let Some(b) = &self.binder {
-            let batch = self.models[mi].versions[vi].model.batch();
-            b.bind(&self.vnames[mi][vi], batch);
+            let m = self.servable(mi, vi);
+            b.bind(m.name(), m.batch());
         }
         if self.models[mi].candidate == Some(vi) {
             self.arm_canary(mi);
@@ -716,8 +705,8 @@ impl LifecycleManager {
             self.models[mi].serving = None;
         }
         if let Some(b) = &self.binder {
-            let batch = self.models[mi].versions[vi].model.batch();
-            b.unbind(&self.vnames[mi][vi], batch);
+            let m = self.servable(mi, vi);
+            b.unbind(m.name(), m.batch());
         }
         bytes
     }
@@ -734,7 +723,7 @@ impl LifecycleManager {
         fx: &mut Effects,
     ) {
         debug_assert_eq!(self.models[mi].versions[vi].state, VersionState::Unloaded);
-        let bytes = self.models[mi].versions[vi].model.weights_bytes();
+        let bytes = self.servable(mi, vi).weights_bytes();
         loop {
             match pool.alloc(bytes) {
                 Ok(alloc) => {
@@ -789,7 +778,8 @@ impl LifecycleManager {
         let mut best: Option<(usize, usize, u128, u128)> = None;
         for (mi, vi, v) in now_candidates {
             let staleness = v.last_used.as_nanos() as u128; // older ⇒ smaller
-            let cost = MemoryPool::transfer_time(v.model.weights_bytes(), self.load_gbps)
+            let bytes = self.servable(mi, vi).weights_bytes();
+            let cost = MemoryPool::transfer_time(bytes, self.load_gbps)
                 .as_nanos()
                 .max(1) as u128;
             // Lower last-used-per-cost wins: evict the stalest version
@@ -855,6 +845,7 @@ mod tests {
     /// A tiny deterministic harness driving the manager directly: keeps
     /// the pending tick set and advances virtual time tick by tick.
     struct Sim {
+        table: Arc<DeploymentTable>,
         mgr: LifecycleManager,
         pool: MemoryPool,
         now: SimTime,
@@ -865,10 +856,12 @@ mod tests {
 
     impl Sim {
         fn new(cfg: LifecycleConfig, budget: u64) -> Sim {
-            let mgr = LifecycleManager::new(&cfg, budget).expect("valid config");
+            let table = Arc::new(DeploymentTable::new(&cfg.plan).expect("valid plan"));
+            let mgr = LifecycleManager::new(Arc::clone(&table), &cfg, budget).expect("fits");
             let mut fx = Effects::default();
-            mgr.startup(&mut fx);
+            table.startup(&mut fx);
             let mut sim = Sim {
+                table,
                 mgr,
                 pool: MemoryPool::new(budget),
                 now: SimTime::ZERO,
@@ -909,9 +902,10 @@ mod tests {
             }
         }
 
-        fn route(&mut self, model: &str, client: u32) -> Route {
+        /// Routes a run of the `mi`-th deployment in plan order.
+        fn route(&mut self, mi: usize, client: u32) -> Route {
             let mut fx = Effects::default();
-            let r = self.mgr.route(model, client, self.now, &mut self.pool, &mut fx);
+            let r = self.mgr.route(mi, client, self.now, &mut self.pool, &mut fx);
             self.absorb(fx);
             r
         }
@@ -940,7 +934,7 @@ mod tests {
         sim.run_until(SimTime::ZERO);
         // First route finds nothing resident: the client parks and the
         // load begins.
-        assert_eq!(sim.route("svc", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         let key = VersionKey { model: 0, version: 1 };
         assert_eq!(sim.mgr.state(key), VersionState::Loading);
         sim.drain_ticks();
@@ -953,8 +947,8 @@ mod tests {
             .count();
         assert_eq!(warmups, 2);
         // Woken client now gets a real issue.
-        assert_eq!(sim.route("svc", 0), Route::Issue(key));
-        assert_eq!(sim.mgr.versioned_name(key), "svc@v1");
+        assert_eq!(sim.route(0, 0), Route::Issue(key));
+        assert_eq!(sim.table.version(key).name(), "svc@v1");
     }
 
     #[test]
@@ -974,18 +968,18 @@ mod tests {
             VersionKey { model: 0, version: 1 },
             VersionKey { model: 1, version: 1 },
         );
-        assert_eq!(sim.route("a", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.drain_ticks();
-        assert_eq!(sim.route("a", 0), Route::Issue(ka));
+        assert_eq!(sim.route(0, 0), Route::Issue(ka));
         sim.finish(ka, SimDuration::from_micros(50));
         sim.now += SimDuration::from_millis(1);
-        assert_eq!(sim.route("b", 1), Route::Wait);
+        assert_eq!(sim.route(1, 1), Route::Wait);
         sim.drain_ticks();
-        assert_eq!(sim.route("b", 1), Route::Issue(kb));
+        assert_eq!(sim.route(1, 1), Route::Issue(kb));
         sim.finish(kb, SimDuration::from_micros(50));
         // Loading the third evicts the stalest idle version ("a").
         sim.now += SimDuration::from_millis(1);
-        assert_eq!(sim.route("c", 2), Route::Wait);
+        assert_eq!(sim.route(2, 2), Route::Wait);
         assert!(sim.events.iter().any(|e| matches!(
             e,
             TraceKind::Evict { model: 0, version: 1, .. }
@@ -1001,7 +995,7 @@ mod tests {
         );
         // "a" reloads on demand afterwards, evicting someone else.
         sim.now += SimDuration::from_millis(1);
-        assert_eq!(sim.route("a", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.drain_ticks();
         assert_eq!(
             sim.mgr.state(VersionKey { model: 0, version: 1 }),
@@ -1027,20 +1021,20 @@ mod tests {
             VersionKey { model: 0, version: 1 },
             VersionKey { model: 1, version: 1 },
         );
-        assert_eq!(sim.route("a", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.drain_ticks();
-        assert_eq!(sim.route("a", 0), Route::Issue(ka));
+        assert_eq!(sim.route(0, 0), Route::Issue(ka));
         sim.now += SimDuration::from_millis(1);
-        assert_eq!(sim.route("b", 1), Route::Wait);
+        assert_eq!(sim.route(1, 1), Route::Wait);
         sim.drain_ticks();
-        assert_eq!(sim.route("b", 1), Route::Issue(kb));
+        assert_eq!(sim.route(1, 1), Route::Issue(kb));
         // Finish both at the same instant: equal last_used, equal weights
         // (equal transfer cost) — a perfect tie.
         sim.now += SimDuration::from_millis(1);
         sim.finish(ka, SimDuration::from_micros(50));
         sim.finish(kb, SimDuration::from_micros(50));
         sim.now += SimDuration::from_millis(1);
-        assert_eq!(sim.route("c", 2), Route::Wait);
+        assert_eq!(sim.route(2, 2), Route::Wait);
         let victim = sim
             .events
             .iter()
@@ -1060,8 +1054,8 @@ mod tests {
             .with_model(ModelDeployment::new("b", renamed("b", models::mini::tiny(4))));
         let mut sim = Sim::new(LifecycleConfig::new(plan), 64 << 20);
         sim.run_until(SimTime::ZERO);
-        let mi = sim.mgr.model_index("a").expect("managed");
-        assert_eq!(sim.mgr.model_count(), 2);
+        let mi = 0;
+        assert_eq!(sim.table.deployments(), 2);
         assert!(sim.mgr.serving_version(mi).is_none());
         // request_load starts the transfer; a second request is a no-op.
         let mut fx = Effects::default();
@@ -1074,7 +1068,7 @@ mod tests {
         assert_eq!(sim.mgr.serving_version(mi), Some(ka));
         // In-flight runs do not refuse a drain, they only delay the
         // unload: issue one, drain, and the weights free at completion.
-        assert_eq!(sim.route("a", 0), Route::Issue(ka));
+        assert_eq!(sim.route(0, 0), Route::Issue(ka));
         let mut fx = Effects::default();
         assert!(sim.mgr.request_drain(mi, sim.now, &mut sim.pool, &mut fx));
         assert!(!sim.mgr.request_drain(mi, sim.now, &mut sim.pool, &mut fx), "already draining");
@@ -1091,21 +1085,21 @@ mod tests {
             .with_model(ModelDeployment::new("a", renamed("a", models::mini::tiny(4))));
         let mut sim = Sim::new(LifecycleConfig::new(plan), 64 << 20);
         sim.run_until(SimTime::ZERO);
-        let mi = sim.mgr.model_index("a").expect("managed");
+        let mi = 0;
         let mut fx = Effects::default();
         assert!(sim.mgr.request_load(mi, sim.now, &mut sim.pool, &mut fx));
         sim.absorb(fx);
         sim.drain_ticks();
         let ka = VersionKey { model: 0, version: 1 };
         // One run in flight keeps the drain pending rather than unloading.
-        assert_eq!(sim.route("a", 0), Route::Issue(ka));
+        assert_eq!(sim.route(0, 0), Route::Issue(ka));
         let mut fx = Effects::default();
         assert!(sim.mgr.request_drain(mi, sim.now, &mut sim.pool, &mut fx));
         sim.absorb(fx);
         assert_eq!(sim.mgr.state(ka), VersionState::Draining);
         // New demand arrives before the last run finishes: the route
         // issues against the still-resident weights and cancels the drain.
-        assert_eq!(sim.route("a", 1), Route::Issue(ka));
+        assert_eq!(sim.route(0, 1), Route::Issue(ka));
         assert_eq!(sim.mgr.state(ka), VersionState::Serving);
         sim.finish(ka, SimDuration::from_micros(50));
         sim.finish(ka, SimDuration::from_micros(50));
@@ -1117,7 +1111,7 @@ mod tests {
     fn drain_refused_while_wake_credit_outstanding() {
         let mut sim = Sim::new(LifecycleConfig::new(one_model_plan()), 64 << 20);
         sim.run_until(SimTime::ZERO);
-        assert_eq!(sim.route("svc", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.drain_ticks();
         // Client 0 was woken but has not re-issued: its credit pins the
         // version, so a reconfiguration drain must be refused.
@@ -1148,16 +1142,16 @@ mod tests {
             VersionKey { model: 0, version: 1 },
             VersionKey { model: 1, version: 1 },
         );
-        assert_eq!(sim.route("a", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         // "b" queues behind the full pool ("a" is Loading, not evictable).
-        assert_eq!(sim.route("b", 1), Route::Wait);
+        assert_eq!(sim.route(1, 1), Route::Wait);
         sim.drain_ticks();
         // "a" finished warming in the same ticks that retry "b"'s pending
         // load; the un-answered wake of client 0 keeps "a" resident, or
         // the pair would evict each other forever without serving a run.
         assert_eq!(sim.mgr.state(ka), VersionState::Serving);
         assert_eq!(sim.woken, vec![0]);
-        assert_eq!(sim.route("a", 0), Route::Issue(ka));
+        assert_eq!(sim.route(0, 0), Route::Issue(ka));
         // The wake credit is consumed; once the run finishes and "a" goes
         // idle, the queued "b" load may reclaim the slot.
         sim.finish(ka, SimDuration::from_micros(50));
@@ -1180,7 +1174,7 @@ mod tests {
         let cfg = LifecycleConfig::new(plan);
         let mut sim = Sim::new(cfg, 64 << 20);
         sim.run_until(SimTime::ZERO);
-        assert_eq!(sim.route("svc", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.run_until(SimTime::from_millis(9));
         let v1 = VersionKey { model: 0, version: 1 };
         let v2 = VersionKey { model: 0, version: 2 };
@@ -1191,7 +1185,7 @@ mod tests {
         // Issue runs until the canary decides; finish each immediately.
         for i in 0..200u32 {
             sim.now += SimDuration::from_micros(50);
-            let Route::Issue(key) = sim.route("svc", i % 4) else {
+            let Route::Issue(key) = sim.route(0, i % 4) else {
                 panic!("serving model must issue")
             };
             let lat = if key == v2 && regressed {
@@ -1256,18 +1250,18 @@ mod tests {
                     .with_version(renamed("svc", v2), SimTime::from_millis(10)),
             );
             // The canary never decides, so both versions stay Serving.
-            let canary = CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 };
+            let canary = CanaryConfig { stride: 2, min_runs: u32::MAX };
             let cfg = LifecycleConfig::new(plan).with_canary(canary);
             let mut sim = Sim::new(cfg, 64 << 20);
             sim.run_until(SimTime::ZERO);
-            assert_eq!(sim.route("svc", 0), Route::Wait);
+            assert_eq!(sim.route(0, 0), Route::Wait);
             sim.run_until(SimTime::from_millis(20));
             let keys = [1, 2].map(|version| VersionKey { model: 0, version });
             assert!(keys.iter().all(|&k| sim.mgr.state(k) == VersionState::Serving));
             let cheaper = keys[usize::from(!light_first)];
             for client in 0..4 {
                 let mut fx = Effects::default();
-                let r = sim.mgr.route_cheapest("svc", client, sim.now, &mut sim.pool, &mut fx);
+                let r = sim.mgr.route_cheapest(0, client, sim.now, &mut sim.pool, &mut fx);
                 sim.absorb(fx);
                 assert_eq!(r, Route::Issue(cheaper));
             }
@@ -1283,16 +1277,16 @@ mod tests {
         let cfg = LifecycleConfig::new(plan);
         let mut sim = Sim::new(cfg, 64 << 20);
         sim.run_until(SimTime::ZERO);
-        assert_eq!(sim.route("svc", 0), Route::Wait);
+        assert_eq!(sim.route(0, 0), Route::Wait);
         sim.run_until(SimTime::from_millis(5));
         let v1 = VersionKey { model: 0, version: 1 };
         // Keep one run of v1 in flight across the canary decision.
-        assert_eq!(sim.route("svc", 9), Route::Issue(v1));
+        assert_eq!(sim.route(0, 9), Route::Issue(v1));
         sim.run_until(SimTime::from_millis(20));
         // Decide the canary with one v1 run still open.
         for i in 0..200u32 {
             sim.now += SimDuration::from_micros(50);
-            let Route::Issue(key) = sim.route("svc", i % 4) else {
+            let Route::Issue(key) = sim.route(0, i % 4) else {
                 panic!("serving model must issue")
             };
             sim.finish(key, SimDuration::from_micros(200));
@@ -1317,7 +1311,8 @@ mod tests {
     #[test]
     fn oversized_version_rejected_up_front() {
         let cfg = LifecycleConfig::new(one_model_plan());
-        let err = LifecycleManager::new(&cfg, 1024).unwrap_err();
+        let table = Arc::new(DeploymentTable::new(&cfg.plan).expect("valid plan"));
+        let err = LifecycleManager::new(table, &cfg, 1024).unwrap_err();
         assert!(matches!(err, LifecycleError::OversizedVersion { budget: 1024, .. }));
     }
 }

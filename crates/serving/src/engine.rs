@@ -245,13 +245,14 @@ struct ClientState {
     /// admission; cluster routing moves runs, not activations).
     home: u32,
     activations: Option<Allocation>,
-    /// The client's standing with the fleet's router.
-    route: ClientRoute,
+    /// The client's standing with the fleet's router; `None` when no
+    /// deployment serves its model.
+    route: Option<ClientRoute>,
     rng: DetRng,
 }
 
 struct Engine<'a> {
-    cfg: EngineConfig,
+    cfg: &'a EngineConfig,
     queue: EventQueue<Event>,
     now: SimTime,
     devices: Vec<GpuDevice>,
@@ -346,7 +347,7 @@ pub fn run_experiment(
 ///
 /// Panics if the configuration or a client spec is invalid.
 fn build_engine<'a>(
-    cfg: &EngineConfig,
+    cfg: &'a EngineConfig,
     clients: Vec<ClientSpec>,
     scheduler: &'a mut dyn Scheduler,
 ) -> Engine<'a> {
@@ -354,6 +355,18 @@ fn build_engine<'a>(
     for spec in &clients {
         spec.validate();
     }
+    let names = ModelNames::new(clients.iter().map(|c| c.model.name()));
+    // Each distinct model name's deployment index, resolved once per run:
+    // admission and routing read the client's index, never its name.
+    let plan = cfg.cluster.as_ref().map(|cc| &cc.lifecycle.plan.models);
+    let deployment_of: Vec<Option<u32>> = plan.map_or(Vec::new(), |plan| {
+        let index = |n| plan.iter().position(|d| d.name == names.name(n).as_str());
+        (0..names.distinct() as u32).map(|n| index(n).map(|mi| mi as u32)).collect()
+    });
+    let route = |i: u32| {
+        let mi = (*deployment_of.get(names.of_client(i) as usize)?)?;
+        Some(ClientRoute::new(i, mi))
+    };
     let mut master_rng = DetRng::new(cfg.seed);
     let client_states: Vec<ClientState> = clients
         .into_iter()
@@ -367,7 +380,7 @@ fn build_engine<'a>(
             device: 0,
             home: 0,
             activations: None,
-            route: ClientRoute::new(i as u32),
+            route: route(i as u32),
             rng: master_rng.fork(i as u64),
         })
         .collect();
@@ -391,14 +404,12 @@ fn build_engine<'a>(
     let fleet = cfg.cluster.as_ref().map(|cc| {
         Fleet::new(cc, &profiles).unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
     });
-    let deployments =
-        cfg.cluster.iter().flat_map(|cc| cc.lifecycle.plan.models.iter().map(|d| d.name.as_str()));
-    let names = ModelNames::new(client_states.iter().map(|c| c.spec.model.name()));
+    let deployments = plan.into_iter().flatten().map(|d| d.name.as_str());
     let telemetry = TelemetryHub::new(&cfg.telemetry, &names, deployments);
     let weights_loaded = (0..names.distinct() * profiles.len()).map(|_| None).collect();
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
-        cfg: cfg.clone(),
+        cfg,
         queue: EventQueue::new(),
         now: SimTime::ZERO,
         devices,
@@ -592,8 +603,7 @@ impl Engine<'_> {
         // fleet-managed model's weights are owned by its device's manager
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
-        let managed = self.fleet.as_ref().is_some_and(|f| f.manages(model.name()));
-        if !managed {
+        if client.route.is_none() {
             let slot = self.names.of_client(c.0) as usize * self.memories.len() + dev;
             if self.weights_loaded[slot].is_none() {
                 match self.memories[dev].alloc(model.weights_bytes()) {
@@ -736,7 +746,8 @@ impl Engine<'_> {
         // its versioned name, so per-version profiles drive scheduling.
         let version = routed.zip(self.fleet.as_ref()).map(|((key, _), f)| f.version(key));
         let client = &self.clients[c.0 as usize];
-        let graph = Arc::clone(version.map_or(client.spec.model.graph(), |(m, _)| m.graph()));
+        let model = version.unwrap_or(&client.spec.model);
+        let graph = Arc::clone(model.graph());
         // Past Healthy the ladder meters runs at a shrunk batch hint: the
         // resolved profile's smaller costs buy shorter quanta and earlier
         // thresholds while the graph itself is unchanged.
@@ -745,7 +756,7 @@ impl Engine<'_> {
         let deadline = client.spec.run_deadline.map(|d| self.now + d);
         let ctx = JobCtx {
             client: c,
-            model_name: version.map_or(client.spec.model.name(), |(_, name)| name),
+            model_name: model.name(),
             batch,
             weight: client.spec.weight,
             priority: client.spec.priority,
@@ -1007,7 +1018,7 @@ impl Engine<'_> {
 
     // ---- fleet orchestration ----------------------------------------------
 
-    /// Routes a managed model's run through the fleet (`None`: unmanaged)
+    /// Routes a managed client's run through the fleet (`None`: unmanaged)
     /// and applies the routed manager's effects. Past Healthy the manager
     /// resolves the model's cheapest resident version, trading answer
     /// fidelity for GPU time. A run told to wait is parked only after the
@@ -1016,13 +1027,10 @@ impl Engine<'_> {
         let degraded = self.control.as_ref().is_some_and(ControlLoop::degraded);
         let fleet = self.fleet.as_mut()?;
         let client = &mut self.clients[c.0 as usize];
-        let (model, route) = (&client.spec.model, &mut client.route);
+        let (model, route) = (&client.spec.model, client.route.as_mut()?);
         let mut fx = self.fx_pool.pop().unwrap_or_default();
         let (now, pools) = (self.now, &mut self.memories);
-        let Some(r) = fleet.route(model, route, now, degraded, pools, &mut fx) else {
-            self.fx_pool.push(fx);
-            return None;
-        };
+        let r = fleet.route(model, route, now, degraded, pools, &mut fx);
         // A one-device fleet has nothing to choose: no route is recorded.
         if fleet.devices() > 1 {
             let (device, cost_us) = (r.device, r.cost_ns / 1_000);
@@ -1032,8 +1040,9 @@ impl Engine<'_> {
         match r.route {
             Route::Issue(_) => self.clients[c.0 as usize].device = r.device,
             Route::Wait => {
-                if let Some(fleet) = self.fleet.as_mut() {
-                    fleet.park(&mut self.clients[c.0 as usize].route, &r);
+                let route = self.clients[c.0 as usize].route.as_mut();
+                if let Some((fleet, route)) = self.fleet.as_mut().zip(route) {
+                    fleet.park(route, &r);
                 }
                 self.record(TraceKind::LifecycleWait { client: c.0 });
             }
@@ -2154,7 +2163,7 @@ mod tests {
             lifecycle::ModelDeployment::new("svc", managed("svc"))
                 .with_version(managed("svc"), SimTime::from_micros(500)),
         );
-        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: 2, tolerance: 0.25 };
+        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: 2 };
         let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
         let cfg = fleet(
             two_devices(lc)
@@ -2224,7 +2233,7 @@ mod tests {
             lifecycle::ModelDeployment::new("svc", heavy)
                 .with_version(managed("svc"), SimTime::from_millis(10)),
         );
-        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 };
+        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: u32::MAX };
         let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
         let cc = two_devices(lc)
             .with_policy(cluster::RouterPolicy::Static)

@@ -4,12 +4,14 @@
 //! reconfiguration tick refills one flow instance and solver. So an
 //! open-loop fleet's allocations grow only with those buffers' doubling,
 //! logarithmically in its arrivals. The ignored check runs the 48k-arrival
-//! fleet once and bounds its allocations.
+//! fleet once and bounds its allocations. Nor does a fleet copy its plan
+//! per device: its managers share one deployment table.
 
 mod counting_alloc;
 mod zipf_fleet;
 
 use counting_alloc::allocs_during;
+use serving::cluster::Fleet;
 use serving::{run_experiment, FifoScheduler, RunReport};
 use zipf_fleet::zipf_fleet;
 
@@ -27,8 +29,8 @@ fn run_allocs(arrivals: usize) -> u64 {
     allocs
 }
 
-/// Quadrupling the arrivals adds only buffer growth. Measured: 1,315
-/// allocations at 500 arrivals and 1,424 at 2,000, 109 more. They are the
+/// Quadrupling the arrivals adds only buffer growth. Measured: 863
+/// allocations at 500 arrivals and 972 at 2,000, 109 more. They are the
 /// doublings of about 50 run-wide buffers (the run log, telemetry's
 /// series, the devices' context tables), twice each, and a few new
 /// high-water marks: more runs in flight at once, more clients waiting on
@@ -47,7 +49,7 @@ fn fleet_sessions_add_only_buffer_growth() {
 }
 
 /// The 48k-arrival fleet makes as many allocations as a few thousand
-/// arrivals do: measured, 1,572, against 426,640 with a buffer per
+/// arrivals do: measured, 1,120, against 426,640 with a buffer per
 /// session.
 #[test]
 #[ignore = "scale check: a 48k-arrival fleet; run with `cargo test --release -- --ignored`"]
@@ -55,4 +57,30 @@ fn fleet_of_48k_arrivals_allocates_like_a_few_thousand() {
     const ARRIVALS: usize = 48_000;
     let allocs = run_allocs(ARRIVALS);
     assert!(allocs <= 2_500, "{allocs} allocations for {ARRIVALS} arrivals");
+}
+
+/// The fleet builds one copy of its plan, whatever its device count: each
+/// version's servable and versioned name live in one deployment table
+/// that every device's manager shares, and a manager adds only its
+/// device's residency, rollout and canary state. Measured over the zipf
+/// fleet's 24-deployment plan: `Fleet::new` makes 105 allocations on 1
+/// device and 155 on its 3, so 25 more per added device: each
+/// deployment's version states and the list of them. The bound leaves
+/// room for 14 more; a per-device copy of the versioned names alone would
+/// add 48. With a copy of the plan per manager it made 180 and 528, 174
+/// per added device.
+#[test]
+fn fleet_devices_share_one_copy_of_the_plan() {
+    let (cfg, _) = zipf_fleet(1, false);
+    let cc = cfg.cluster.expect("the zipf fleet is a cluster");
+    assert_eq!(cc.devices.len(), 3);
+    let allocs = |devices: usize| {
+        allocs_during(|| {
+            let fleet = Fleet::new(&cc, &cc.devices[..devices]).expect("a valid plan");
+            assert_eq!(fleet.devices(), devices);
+        })
+    };
+    let (one, three) = (allocs(1), allocs(3));
+    let added = three.saturating_sub(one);
+    assert!(added <= 64, "2 more devices took {added} more allocations ({one}, then {three})");
 }

@@ -1,17 +1,20 @@
 //! End-to-end checks of the model-lifecycle manager: byte-determinism of
 //! every export across worker counts, memory-budgeted eviction churn that
-//! never exceeds the device, and canary rollouts that promote a healthy
+//! never exceeds the device, canary rollouts that promote a healthy
 //! version 2 and roll back a regressed one, whose telemetry replays from
-//! their Full traces.
+//! their Full traces, and managed and unmanaged clients mixed in one run.
 
 mod common;
 mod replay;
 
 use common::fnv1a;
+use dataflow::NodeId;
 use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
+use serving::cluster::ClusterConfig;
 use serving::{
-    run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig,
+    run_experiment, ClientOutcome, ClientSpec, EngineConfig, FifoScheduler, JobCtx, JobId,
+    RegisterError, RunReport, Scheduler, TraceConfig, Verdict,
 };
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -20,7 +23,7 @@ use trace::TraceKind;
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 const CADENCE: SimDuration = SimDuration::from_micros(500);
-const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4, tolerance: 0.25 };
+const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4 };
 
 /// Rebadges a mini zoo model as the named service; `regressed` picks a
 /// much heavier graph (the unhealthy canary candidate).
@@ -190,5 +193,83 @@ fn canary_telemetry_replays_from_the_full_trace() {
         let unloaded = report.trace.filter(|k| matches!(k, TraceKind::Unload { .. }));
         assert!(unloaded.count() > 0, "regressed={regressed}: nothing unloaded");
         replay::assert_telemetry_replays(&report, &TelemetryConfig::enabled(CADENCE), &["svc"]);
+    }
+}
+
+/// Logs each run's client and the model name it registers under, around
+/// the FIFO baseline.
+#[derive(Debug, Default)]
+struct NameLog {
+    inner: FifoScheduler,
+    names: Vec<(u32, String)>,
+}
+
+impl Scheduler for NameLog {
+    fn register(&mut self, job: JobId, ctx: &JobCtx<'_>) -> Result<Verdict, RegisterError> {
+        self.names.push((ctx.client.0, ctx.model_name.to_string()));
+        self.inner.register(job, ctx)
+    }
+
+    fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
+        self.inner.deregister(job, now)
+    }
+
+    fn may_run(&self, job: JobId) -> bool {
+        self.inner.may_run(job)
+    }
+
+    fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
+        self.inner.on_gpu_node_done(job, node, now)
+    }
+
+    fn name(&self) -> &str {
+        "name-log"
+    }
+}
+
+/// The plan declares `a` then `b`; the clients ask for `b`, for a model no
+/// deployment serves, then for `a`, so their names intern in another order
+/// than the plan's. On one device and on a two-device fleet, every session
+/// finishes, each managed run registers under its own deployment's
+/// versioned name after waiting for its first load, and the unmanaged
+/// client registers under its own name and never waits.
+#[test]
+fn managed_and_unmanaged_clients_each_run_their_own_model() {
+    const BATCHES: usize = 3;
+    let plan = DeploymentPlan::new()
+        .with_model(ModelDeployment::new("a", service("a", false)))
+        .with_model(ModelDeployment::new("b", service("b", true)));
+    let lc = LifecycleConfig::new(plan);
+    let devices = vec![gpusim::DeviceProfile::gtx_1080_ti(), gpusim::DeviceProfile::titan_x()];
+    let base = EngineConfig::default().with_trace(TraceConfig::full());
+    let cells = [
+        ("one device", base.with_lifecycle(lc.clone())),
+        ("two devices", base.with_cluster(ClusterConfig::new(devices, lc))),
+    ];
+    let unmanaged = models::mini::tiny(4);
+    let expected = ["b@v1", unmanaged.name(), "a@v1"];
+    for (cell, cfg) in cells {
+        let clients = vec![
+            ClientSpec::new(service("b", true), BATCHES as u32),
+            ClientSpec::new(unmanaged.clone(), BATCHES as u32),
+            ClientSpec::new(service("a", false), BATCHES as u32),
+        ];
+        let mut sched = NameLog::default();
+        let report = run_experiment(&cfg, clients, &mut sched);
+        assert!(report.all_finished(), "{cell}: {:?}", report.clients);
+        for (c, want) in expected.iter().enumerate() {
+            let names: Vec<&str> = sched
+                .names
+                .iter()
+                .filter(|(client, _)| *client == c as u32)
+                .map(|(_, name)| name.as_str())
+                .collect();
+            assert_eq!(names, [*want; BATCHES], "{cell}: client {c}");
+            let waits = report
+                .trace
+                .filter(move |k| matches!(k, TraceKind::LifecycleWait { client } if *client == c as u32))
+                .count();
+            assert_eq!(waits > 0, c != 1, "{cell}: client {c} waited {waits} times");
+        }
     }
 }
