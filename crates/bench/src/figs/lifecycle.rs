@@ -21,9 +21,7 @@ use crate::figs::{fair, unknown_scenario, Claim, Figure};
 use metrics::table::render_table;
 use models::LoadedModel;
 use olympian::{ProfileStore, StoreBinder};
-use serving::lifecycle::{
-    CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment, CANARY_TOLERANCE,
-};
+use serving::lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment, CANARY_TOLERANCE};
 use serving::{run_experiment, ClientSpec, EngineConfig, RunReport, TraceConfig};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -49,12 +47,12 @@ const CHURN_STAGGER: SimDuration = SimDuration::from_micros(150);
 const CANARY_CLIENTS: usize = 3;
 /// Batches per canary client.
 const CANARY_BATCHES: u32 = 16;
-/// When version 2 of the canaried service is published.
+/// When version 2 of the canaried service is published. Once it serves,
+/// the manager's canary sends every 3rd run to the candidate and decides
+/// after 4 completed runs per arm (`lifecycle::{CANARY_STRIDE,
+/// CANARY_MIN_RUNS}`), promoting within [`CANARY_TOLERANCE`], 25%, of the
+/// incumbent.
 const CANARY_PUBLISH: SimTime = SimTime::from_micros(500);
-/// Canary split/gate parameters: every 3rd run to the candidate, decide
-/// after 4 completed runs per arm (the gate promotes within
-/// [`CANARY_TOLERANCE`], 25%, of the incumbent).
-const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4 };
 
 /// A named lifecycle scenario (`olympctl lifecycle <name>`).
 pub struct Scenario {
@@ -120,7 +118,7 @@ fn lifecycle_cfg(mut cfg: EngineConfig, plan: DeploymentPlan) -> (EngineConfig, 
         .with_telemetry(TelemetryConfig::enabled(CADENCE));
     let store = Arc::new(ProfileStore::new());
     let binder = StoreBinder::calibrate(&cfg, &plan, Arc::clone(&store));
-    let lc = LifecycleConfig::new(plan).with_canary(CANARY).with_binder(binder);
+    let lc = LifecycleConfig::new(plan).with_binder(binder);
     (cfg.with_lifecycle(lc), store)
 }
 

@@ -431,22 +431,23 @@ impl GpuDevice {
         Some(last)
     }
 
-    /// Cancels queued (not yet started) kernels whose payloads appear in
-    /// `payloads`, returning how many were removed. Already-started kernels
-    /// are unaffected — a real GPU cannot preempt them either (the paper's
+    /// Cancels every queued (not yet started) kernel of one context,
+    /// returning how many were removed; the emptied queue's buffer is lent
+    /// to the next context that enqueues. An already-started kernel is
+    /// unaffected — a real GPU cannot preempt it either (the paper's
     /// overflow argument).
-    pub fn cancel_payloads(&mut self, payloads: &std::collections::HashSet<u64>) -> usize {
-        let mut removed = 0;
-        self.busy.retain(|&p| {
-            let t = &mut self.tags[self.order[p as usize] as usize];
-            let before = t.queue.len();
-            t.queue.retain(|k| !payloads.contains(&k.payload));
-            removed += before - t.queue.len();
-            if t.queue.is_empty() {
-                self.spares.push(std::mem::take(&mut t.queue));
-            }
-            !t.queue.is_empty()
-        });
+    pub fn cancel_queued(&mut self, tag: JobTag) -> usize {
+        let Some(i) = self.tag_slot(tag) else {
+            return 0;
+        };
+        let t = &mut self.tags[i as usize];
+        let removed = t.queue.len();
+        if removed > 0 {
+            let at = self.busy.binary_search(&t.pos).expect("busy tag is listed");
+            self.busy.remove(at);
+            t.queue.clear();
+            self.spares.push(std::mem::take(&mut t.queue));
+        }
         removed
     }
 
@@ -747,8 +748,51 @@ mod tests {
         assert_eq!(buffers + gpu.spares.len(), 1);
         // Cancelling a queue empty gives its buffer back too.
         gpu.enqueue(JobTag(7), 3, SimDuration::from_micros(10), 1.0);
-        assert_eq!(gpu.cancel_payloads(&[3].into_iter().collect()), 1);
+        assert_eq!(gpu.cancel_queued(JobTag(7)), 1);
         assert_eq!(gpu.queued(), 0);
         assert_eq!(gpu.spares.len(), 1);
+    }
+
+    #[test]
+    fn cancel_queued_drops_only_the_named_contexts_queue() {
+        let mut gpu = device();
+        let us = SimDuration::from_micros;
+        // Context 1 starts a kernel, then queues two more; contexts 2 and 3
+        // queue theirs behind it.
+        let running = run_one(&mut gpu, JobTag(1), SimTime::ZERO, 10);
+        for (tag, payload) in [(1, 11), (2, 20), (1, 12), (3, 30), (2, 21)] {
+            gpu.enqueue(JobTag(tag), payload, us(5), 1.0);
+        }
+        assert_eq!((gpu.queued(), gpu.queued_for(JobTag(1))), (5, 2));
+        assert_eq!(gpu.cancel_queued(JobTag(1)), 2);
+        // The counts agree, and the emptied queue's buffer is spare.
+        assert_eq!(gpu.queued_for(JobTag(1)), 0);
+        assert_eq!(gpu.queued(), gpu.queued_for(JobTag(2)) + gpu.queued_for(JobTag(3)));
+        assert_eq!(gpu.queued(), 3);
+        assert_eq!(gpu.spares.len(), 1);
+        // An idle context, an unseen one and a second cancel remove nothing.
+        gpu.set_bias(JobTag(4), 2.0);
+        for tag in [4, 99, 1] {
+            assert_eq!(gpu.cancel_queued(JobTag(tag)), 0, "context {tag}");
+        }
+        // The started kernel still completes: the device stays busy until
+        // its end and starts nothing before.
+        assert_eq!(gpu.busy_until(), running.end);
+        assert!(gpu.try_start(SimTime::from_micros(5)).is_none());
+        // The next context to queue from empty takes the freed buffer.
+        gpu.enqueue(JobTag(5), 50, us(5), 1.0);
+        assert!(gpu.spares.is_empty());
+        // The others keep their kernels, each context in FIFO order.
+        let mut now = running.end;
+        let mut by_tag: HashMap<u64, Vec<u64>> = HashMap::new();
+        while let Some(k) = gpu.try_start(now) {
+            by_tag.entry(k.tag.0).or_default().push(k.payload);
+            now = k.end;
+        }
+        assert_eq!(by_tag.len(), 3);
+        assert_eq!(by_tag[&2], [20, 21]);
+        assert_eq!(by_tag[&3], [30]);
+        assert_eq!(by_tag[&5], [50]);
+        assert_eq!(gpu.kernel_count(), 5);
     }
 }

@@ -123,24 +123,6 @@ impl DeploymentPlan {
     }
 }
 
-/// Canary rollout parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CanaryConfig {
-    /// Every `stride`-th new run of a model under canary goes to the
-    /// candidate version (the rest stay on the incumbent) — a
-    /// deterministic traffic split.
-    pub stride: u64,
-    /// Completed runs each arm must observe before the promote/rollback
-    /// decision, which [`CANARY_TOLERANCE`](crate::CANARY_TOLERANCE) gates.
-    pub min_runs: u32,
-}
-
-impl Default for CanaryConfig {
-    fn default() -> Self {
-        CanaryConfig { stride: 4, min_runs: 6 }
-    }
-}
-
 /// Configuration of the lifecycle manager.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
@@ -150,29 +132,15 @@ pub struct LifecycleConfig {
     /// the source of the simulated load latency
     /// ([`gpusim::MemoryPool::transfer_time`]).
     pub load_gbps: f64,
-    /// Canary rollout parameters.
-    pub canary: CanaryConfig,
     /// Profile wiring into the scheduling layer; `None` runs without
     /// per-version cost profiles (baseline schedulers).
     pub binder: Option<Arc<dyn ProfileBinder>>,
 }
 
 impl LifecycleConfig {
-    /// A manager over `plan` with default load bandwidth (12 GB/s) and
-    /// default canary parameters.
+    /// A manager over `plan` with default load bandwidth (12 GB/s).
     pub fn new(plan: DeploymentPlan) -> Self {
-        LifecycleConfig {
-            plan,
-            load_gbps: 12.0,
-            canary: CanaryConfig::default(),
-            binder: None,
-        }
-    }
-
-    /// Sets the canary parameters.
-    pub fn with_canary(mut self, canary: CanaryConfig) -> Self {
-        self.canary = canary;
-        self
+        LifecycleConfig { plan, load_gbps: 12.0, binder: None }
     }
 
     /// Wires the scheduler profile binder.
@@ -185,15 +153,13 @@ impl LifecycleConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the plan is invalid, the load bandwidth is not positive,
-    /// or the canary's `stride` or `min_runs` is zero.
+    /// Panics if the plan is invalid or the load bandwidth is not
+    /// positive.
     pub fn validate(&self) {
         if let Err(e) = self.plan.validate() {
             panic!("invalid deployment plan: {e}");
         }
         assert!(self.load_gbps > 0.0, "load bandwidth must be positive");
-        assert!(self.canary.stride >= 1, "canary stride must be at least 1");
-        assert!(self.canary.min_runs >= 1, "canary needs at least one run per arm");
     }
 }
 

@@ -19,8 +19,9 @@
 //!   in-sim assertion that resident bytes never exceed the budget;
 //! * a **rollout controller**: per-model aspired-versions state machine
 //!   (`Loading → Warming → Serving → Draining → Unloaded`) with canary
-//!   splits that route a deterministic fraction of new `Session::Run`s to
-//!   the candidate version and promote it when its mean run latency stays
+//!   splits that route every [`CANARY_STRIDE`]-th new `Session::Run` to
+//!   the candidate version and, once each arm has completed
+//!   [`CANARY_MIN_RUNS`] runs, promote it when its mean run latency stays
 //!   within [`CANARY_TOLERANCE`] of the incumbent's, or roll it back.
 //!   Draining versions complete every in-flight run before their weights
 //!   are unloaded.
@@ -43,9 +44,10 @@
 mod config;
 mod manager;
 
-pub use config::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment, VersionSpec};
+pub use config::{DeploymentPlan, LifecycleConfig, ModelDeployment, VersionSpec};
 pub use manager::{
-    DeploymentTable, Effects, LifecycleManager, Route, VersionKey, VersionState, CANARY_TOLERANCE,
+    versioned_name, DeploymentTable, Effects, LifecycleManager, Route, VersionKey, VersionState,
+    CANARY_MIN_RUNS, CANARY_STRIDE, CANARY_TOLERANCE,
 };
 
 use std::fmt;

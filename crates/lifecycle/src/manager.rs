@@ -5,6 +5,7 @@ use gpusim::{Allocation, MemoryPool};
 use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use trace::TraceKind;
 
@@ -16,6 +17,26 @@ const WARMUP_RUNS: u32 = 2;
 /// `(1 + CANARY_TOLERANCE)` × the incumbent's mean; otherwise it is rolled
 /// back.
 pub const CANARY_TOLERANCE: f64 = 0.25;
+
+/// Every `CANARY_STRIDE`-th new run of a model under canary goes to the
+/// candidate version, the rest to the incumbent: a deterministic traffic
+/// split.
+pub const CANARY_STRIDE: u64 = 3;
+
+/// Completed runs each arm of a canary must observe before the
+/// promote-or-rollback decision that [`CANARY_TOLERANCE`] gates.
+pub const CANARY_MIN_RUNS: u32 = 4;
+
+/// `"{name}@v{version}"`: the name a version's runs register and its
+/// profile binds under, built in one allocation sized up front.
+pub fn versioned_name(name: &str, version: u32) -> String {
+    let digits = version.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut s = String::with_capacity(name.len() + "@v".len() + digits);
+    s.push_str(name);
+    s.push_str("@v");
+    write!(s, "{version}").expect("writing to a String cannot fail");
+    s
+}
 
 /// Identifies one version of one managed model: indexes into the
 /// [`DeploymentTable`]. `version` is 1-based, matching TF-Serving
@@ -50,7 +71,7 @@ impl DeploymentTable {
         let versions = plan.models.iter().map(|dep| {
             let versioned = dep.versions.iter().enumerate().map(|(k, v)| {
                 let m = &v.model;
-                let name = format!("{}@v{}", dep.name, k + 1);
+                let name = versioned_name(&dep.name, k as u32 + 1);
                 let graph = Arc::clone(m.graph());
                 let servable = LoadedModel::from_parts(
                     name, m.kind(), m.batch(), graph, m.weights_bytes(), m.activation_bytes(),
@@ -179,8 +200,6 @@ pub struct LifecycleManager {
     /// The plan, shared with every other device's manager.
     table: Arc<DeploymentTable>,
     load_gbps: f64,
-    canary_stride: u64,
-    canary_min_runs: u32,
     binder: Option<Arc<dyn ProfileBinder>>,
     /// The device memory budget (bytes); resident weights never exceed it.
     budget: u64,
@@ -225,8 +244,6 @@ impl LifecycleManager {
             models: models.collect(),
             table,
             load_gbps: cfg.load_gbps,
-            canary_stride: cfg.canary.stride,
-            canary_min_runs: cfg.canary.min_runs,
             binder: cfg.binder.clone(),
             budget,
             resident: 0,
@@ -362,7 +379,7 @@ impl LifecycleManager {
                 Some(c) if m.versions[c].state == VersionState::Serving => {
                     let m = &mut self.models[mi];
                     m.issued += 1;
-                    if m.issued.is_multiple_of(self.canary_stride) {
+                    if m.issued.is_multiple_of(CANARY_STRIDE) {
                         c
                     } else {
                         s
@@ -570,7 +587,7 @@ impl LifecycleManager {
         let m = &self.models[mi];
         let (Some(s), Some(c)) = (m.serving, m.candidate) else { return };
         let (inc, cand) = (&m.versions[s], &m.versions[c]);
-        if inc.stat_runs < self.canary_min_runs || cand.stat_runs < self.canary_min_runs {
+        if inc.stat_runs < CANARY_MIN_RUNS || cand.stat_runs < CANARY_MIN_RUNS {
             return;
         }
         let base_ns = inc.stat_lat_ns / inc.stat_runs as u64;
@@ -828,7 +845,7 @@ impl LifecycleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CanaryConfig, DeploymentPlan, ModelDeployment};
+    use crate::{DeploymentPlan, ModelDeployment};
     use std::collections::BTreeSet;
 
     fn renamed(name: &str, m: LoadedModel) -> LoadedModel {
@@ -1249,9 +1266,9 @@ mod tests {
                 ModelDeployment::new("svc", renamed("svc", v1))
                     .with_version(renamed("svc", v2), SimTime::from_millis(10)),
             );
-            // The canary never decides, so both versions stay Serving.
-            let canary = CanaryConfig { stride: 2, min_runs: u32::MAX };
-            let cfg = LifecycleConfig::new(plan).with_canary(canary);
+            // No run finishes, so the canary never decides and both
+            // versions stay Serving.
+            let cfg = LifecycleConfig::new(plan);
             let mut sim = Sim::new(cfg, 64 << 20);
             sim.run_until(SimTime::ZERO);
             assert_eq!(sim.route(0, 0), Route::Wait);
@@ -1306,6 +1323,15 @@ mod tests {
             e,
             TraceKind::Unload { model: 0, version: 1, .. }
         )));
+    }
+
+    #[test]
+    fn a_versioned_name_is_built_in_one_allocation_of_its_length() {
+        for (version, want) in [(1, "svc@v1"), (10, "svc@v10"), (u32::MAX, "svc@v4294967295")] {
+            let name = versioned_name("svc", version);
+            assert_eq!(name, want);
+            assert_eq!(name.capacity(), want.len(), "{want}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! binds: the profile stays registered while any device holds the version.
 
 use crate::{ModelProfile, ProfileStore, Profiler};
-use serving::lifecycle::{DeploymentPlan, ProfileBinder};
+use serving::lifecycle::{versioned_name, DeploymentPlan, ProfileBinder};
 use serving::EngineConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
@@ -49,7 +49,7 @@ impl StoreBinder {
         for dep in &plan.models {
             for (k, spec) in dep.versions.iter().enumerate() {
                 let mut p = profiler.profile(&spec.model);
-                p.model = format!("{}@v{}", dep.name, k + 1);
+                p.model = versioned_name(&dep.name, k as u32 + 1);
                 catalog.insert(p.model.clone(), (p, AtomicU32::new(0)));
             }
         }

@@ -216,8 +216,8 @@ enum JobRef {
     Dead,
     /// Live, holding this job's slot index in the hot/cold job tables.
     Live(u32),
-    /// Cancelled by a deadline; remembers the device index so stale kernel
-    /// completions still pump the device.
+    /// Torn down (a deadline, a laxity cancel or a shed); remembers the
+    /// device index so stale kernel completions still pump the device.
     Cancelled(u32),
 }
 
@@ -286,9 +286,6 @@ struct Engine<'a> {
     /// Weights of unmanaged models loaded at admission, one slot per
     /// (model name, device): `name index * devices + device`.
     weights_loaded: Vec<Option<Allocation>>,
-    /// In-flight kernel slab: the device payload is the slab index.
-    kernels: Vec<Option<(JobId, NodeId)>>,
-    kernel_free: Vec<u32>,
     last_switch: Option<SimTime>,
     /// Cached `telemetry.next_due()` — refreshed after every telemetry tick
     /// so the per-event boundary check reads a local field instead of
@@ -427,8 +424,6 @@ fn build_engine<'a>(
         starving: VecDeque::new(),
         admission_waiting: VecDeque::new(),
         weights_loaded,
-        kernels: Vec::with_capacity(64),
-        kernel_free: Vec::with_capacity(64),
         last_switch: None,
         telemetry_due,
         recovery,
@@ -502,8 +497,10 @@ impl Engine<'_> {
                 Event::SubmitKernel { job, node } => self.submit_kernel(job, node),
                 Event::NodeDone { job, node, gpu } => self.node_done(job, node, gpu),
                 Event::RunDeadline(job) => {
-                    if self.live_slot(job).is_some() {
-                        self.cancel_job(job);
+                    if let Some(slot) = self.live_slot(job) {
+                        let client = self.job_hot[slot].client.0;
+                        self.record(TraceKind::DeadlineCancelled { job: job.0, client });
+                        self.end_run(job, Some(ClientOutcome::DeadlineExceeded(self.now)));
                     }
                 }
                 Event::ResumeJob(job) => {
@@ -523,7 +520,6 @@ impl Engine<'_> {
                     self.timer_at = SimTime::MAX;
                     let verdict = self.scheduler.on_timer(self.now);
                     self.apply_verdict(verdict);
-                    self.schedule_timer();
                 }
                 Event::RetryKernel { job, node } => {
                     if self.live_slot(job).is_some() {
@@ -556,8 +552,7 @@ impl Engine<'_> {
         // admitted.
         if self.control.as_ref().is_some_and(|ctl| !ctl.admits()) {
             self.record(TraceKind::AdmissionShed { client: c.0 });
-            self.clients[c.0 as usize].outcome =
-                Some(ClientOutcome::AdmissionShed { at: self.now });
+            self.end_session(c, ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
         let client = &mut self.clients[c.0 as usize];
@@ -634,15 +629,9 @@ impl Engine<'_> {
                 self.admission_waiting.push_back(c);
             }
         } else {
-            self.clients[c.0 as usize].outcome = Some(ClientOutcome::RejectedOom {
-                requested: e.requested,
-                available: e.available,
-            });
-            self.record(TraceKind::ClientRejectedOom {
-                client: c.0,
-                requested: e.requested,
-                available: e.available,
-            });
+            let (requested, available) = (e.requested, e.available);
+            self.end_session(c, ClientOutcome::RejectedOom { requested, available });
+            self.record(TraceKind::ClientRejectedOom { client: c.0, requested, available });
         }
     }
 
@@ -686,8 +675,8 @@ impl Engine<'_> {
                 };
                 self.record(TraceKind::BreakerTransition { client, to: BreakerEdge::Shed(cause) });
                 match kernel {
-                    Some((job, _)) => self.teardown_job(job, c, outcome),
-                    None => self.clients[c.0 as usize].outcome = Some(outcome),
+                    Some((job, _)) => self.end_run(job, Some(outcome)),
+                    None => self.end_session(c, outcome),
                 }
             }
         }
@@ -802,21 +791,14 @@ impl Engine<'_> {
                     }
                 }
                 self.apply_verdict(verdict);
-                self.schedule_timer();
                 self.dispatch(job_id);
             }
             Err(e) => {
                 // The id was consumed by the `register` call; keep the
                 // table dense.
                 self.job_refs.push(JobRef::Dead);
-                let client = &mut self.clients[c.0 as usize];
-                client.outcome = Some(ClientOutcome::RejectedByScheduler(e.to_string()));
-                let home = client.home as usize;
-                let dev = client.device;
-                if let Some(a) = client.activations.take() {
-                    self.memories[home].free(a);
-                    self.pump_admission();
-                }
+                self.end_session(c, ClientOutcome::RejectedByScheduler(e.to_string()));
+                let dev = self.clients[c.0 as usize].device;
                 if let Some(((key, est), fleet)) = routed.zip(self.fleet.as_mut()) {
                     // The issue never became a job: it ends unstarted.
                     let run = fleet.issued(dev, key, est);
@@ -826,132 +808,75 @@ impl Engine<'_> {
         }
     }
 
-    fn complete_run(&mut self, job_id: JobId) {
-        let slot = self.live_slot(job_id).expect("completing a live job");
-        self.job_refs[job_id.0 as usize] = JobRef::Dead;
-        let (held, c, gpu_busy, final_quantum, started_at, issued) = {
-            let job = &mut self.job_hot[slot];
-            let cold = &mut self.job_cold[slot];
-            debug_assert_eq!(job.busy, 0, "no in-flight work at completion");
-            let mut flushed = None;
-            if job.quantum_acc > SimDuration::ZERO {
-                let acc = std::mem::take(&mut job.quantum_acc);
-                cold.quanta.push((self.now, acc));
-                flushed = Some(acc);
-            }
-            (
-                std::mem::take(&mut job.held),
-                job.client,
-                job.gpu_busy,
-                flushed,
-                cold.started_at,
-                cold.issued.take(),
-            )
+    /// Ends a live run, completed (`torn == None`) or torn down with its
+    /// session's outcome. A torn-down run's queued kernels leave its
+    /// client's device queue; one already executing finishes there
+    /// (non-preemptive, as on real hardware) and its completion is
+    /// swallowed. A completed run has no work in flight.
+    fn end_run(&mut self, job_id: JobId, torn: Option<ClientOutcome>) {
+        let slot = self.live_slot(job_id).expect("ending a live run");
+        let c = self.job_hot[slot].client;
+        let client = &mut self.clients[c.0 as usize];
+        client.current_job = None;
+        let dev = client.device;
+        self.job_refs[job_id.0 as usize] = if torn.is_some() {
+            self.devices[dev as usize].cancel_queued(JobTag(c.0 as u64));
+            JobRef::Cancelled(dev)
+        } else {
+            debug_assert_eq!(self.job_hot[slot].busy, 0, "no in-flight work at completion");
+            JobRef::Dead
         };
-        // Return the whole gang to the pool.
+        // The gang's threads return to the pool.
+        let held = std::mem::take(&mut self.job_hot[slot].held);
         if held > 0 {
             self.pool_idle += held;
             self.wake_starving();
         }
-        if let Some(acc) = final_quantum {
-            self.record(TraceKind::QuantumEnd { job: job_id.0, client: c.0, gpu: acc });
-        }
-        let latency = self.now - started_at;
-        self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0, latency });
-        self.run_log.push(c, self.now, gpu_busy, &self.job_cold[slot].quanta);
-        let client = &mut self.clients[c.0 as usize];
-        client.batches_done += 1;
-        client.current_job = None;
+        // A torn-down run reports no latency: it must not skew the canary
+        // statistics.
+        let latency = torn.is_none().then(|| {
+            self.flush_quantum(job_id, slot);
+            let latency = self.now - self.job_cold[slot].started_at;
+            self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0, latency });
+            let gpu_busy = self.job_hot[slot].gpu_busy;
+            self.run_log.push(c, self.now, gpu_busy, &self.job_cold[slot].quanta);
+            self.clients[c.0 as usize].batches_done += 1;
+            latency
+        });
         // Recycle the slot *before* any nested `start_run` below, so the
         // client's next batch reuses this run's buffers.
         self.free_slots.push(slot as u32);
+        let issued = self.job_cold[slot].issued.take();
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
-        self.schedule_timer();
-        self.settle(issued, Some(latency));
-        let client = &mut self.clients[c.0 as usize];
-        if client.batches_done < client.spec.num_batches {
+        self.settle(issued, latency);
+        let client = &self.clients[c.0 as usize];
+        if let Some(outcome) = torn {
+            self.end_session(c, outcome);
+        } else if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
                 // Bursty client: idle between batches (paper §1).
-                self.queue.schedule(
-                    self.now + client.spec.think_time,
-                    Event::NextBatch(c),
-                );
+                let at = self.now + client.spec.think_time;
+                self.queue.schedule(at, Event::NextBatch(c));
             } else {
                 self.start_run(c);
             }
         } else {
-            client.outcome = Some(ClientOutcome::Finished(self.now));
-            // The session is over: release its activation memory so queued
-            // clients (and the peak-memory metric) see the truth.
-            let dev = client.home as usize;
-            let freed = client.activations.take();
             self.record(TraceKind::ClientFinished { client: c.0 });
-            if let Some(a) = freed {
-                self.memories[dev].free(a);
-                self.pump_admission();
-            }
+            self.end_session(c, ClientOutcome::Finished(self.now));
         }
     }
 
-    /// Cancels a live job whose deadline elapsed.
-    fn cancel_job(&mut self, job_id: JobId) {
-        let slot = self.live_slot(job_id).expect("cancelling a live job");
-        let c = self.job_hot[slot].client;
-        self.record(TraceKind::DeadlineCancelled { job: job_id.0, client: c.0 });
-        self.teardown_job(job_id, c, ClientOutcome::DeadlineExceeded(self.now));
-    }
-
-    /// Shared teardown for deadline cancellations and fault-recovery sheds:
-    /// drops the job's queued kernels, returns its gang to the pool,
-    /// deregisters it and aborts the session with `outcome`. Kernels
-    /// already *executing* finish on the device (non-preemptive, as on real
-    /// hardware) but their completions are swallowed.
-    fn teardown_job(&mut self, job_id: JobId, c: ClientId, outcome: ClientOutcome) {
-        let slot = self.live_slot(job_id).expect("tearing down a live job");
-        let held = self.job_hot[slot].held;
-        let issued = self.job_cold[slot].issued.take();
-        let dev = self.clients[c.0 as usize].device as usize;
-        self.job_refs[job_id.0 as usize] = JobRef::Cancelled(dev as u32);
-        self.free_slots.push(slot as u32);
-        // Drop this job's not-yet-started kernels from the device queue.
-        // Cancellation is rare, so the scratch collections are built only
-        // here, and `doomed` is in ascending slab order so the free list
-        // stays deterministic.
-        let doomed: Vec<u64> = self
-            .kernels
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, Some((j, _)) if *j == job_id))
-            .map(|(k, _)| k as u64)
-            .collect();
-        if !doomed.is_empty() {
-            let doomed_set: std::collections::HashSet<u64> = doomed.iter().copied().collect();
-            self.devices[dev].cancel_payloads(&doomed_set);
-            for &k in &doomed {
-                self.kernels[k as usize] = None;
-                self.kernel_free.push(k as u32);
-            }
-        }
-        // The gang's threads observe the cancellation and return.
-        if held > 0 {
-            self.pool_idle += held;
-            self.wake_starving();
-        }
-        let verdict = self.scheduler.deregister(job_id, self.now);
-        self.apply_verdict(verdict);
-        self.schedule_timer();
-        // Cancelled runs report no latency: they must not skew the canary
-        // statistics.
-        self.settle(issued, None);
-        // Abort the whole session and release its memory (activations live
-        // on the home device, which may differ from the routed one).
+    /// Ends client `c`'s session with `outcome`, the one place an outcome
+    /// is set. Its activations go back to its home device (which may
+    /// differ from the device its last run was routed to), and queued
+    /// admissions retry over the freed memory.
+    fn end_session(&mut self, c: ClientId, outcome: ClientOutcome) {
         let client = &mut self.clients[c.0 as usize];
-        client.current_job = None;
+        debug_assert!(client.outcome.is_none(), "client {} ended twice", c.0);
         client.outcome = Some(outcome);
-        let home = client.home as usize;
         if let Some(a) = client.activations.take() {
-            self.memories[home].free(a);
+            self.memories[client.home as usize].free(a);
             self.pump_admission();
         }
     }
@@ -1102,7 +1027,7 @@ impl Engine<'_> {
         // the deadline, freeing its quanta for runs that can still make it.
         for (job, c, deficit_us) in self.laxity_doomed() {
             self.record(TraceKind::LaxityCancel { job: job.0, client: c.0, deficit_us });
-            self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
+            self.end_run(job, Some(ClientOutcome::DeadlineExceeded(now)));
         }
         if self.first_undecided() < self.clients.len() {
             self.queue.schedule(now + controlplane::TICK, Event::ControlTick);
@@ -1240,71 +1165,73 @@ impl Engine<'_> {
         }
     }
 
+    /// Lands a scheduler verdict (a token move's trace events, switch
+    /// accounting and the new holder's wake-up), then re-arms the
+    /// scheduler's timer.
     fn apply_verdict(&mut self, verdict: Verdict) {
-        let Verdict::Moved { from, to, reason } = verdict else {
-            return;
-        };
-        if matches!(reason, SwitchReason::WatchdogStall) {
-            // The token-hold watchdog revoked a stalled holder: surface it
-            // before `last_switch` advances, so the stall length is the
-            // time since the holder was granted the token.
-            if let Some(old) = from {
-                let stalled_us = self
-                    .last_switch
-                    .map_or(0, |t| (self.now - t).as_nanos() / 1_000);
-                if let Some(s) = self.live_slot(old) {
-                    let client = self.job_hot[s].client.0;
-                    self.record(TraceKind::WatchdogRevoke { job: old.0, client, stalled_us });
-                }
-            }
-        }
-        self.switch_count += 1;
-        if let Some(last) = self.last_switch {
-            self.intervals.push(self.now - last);
-        }
-        self.last_switch = Some(self.now);
-        if let Some(old) = from {
-            if let Some(slot) = self.live_slot(old) {
-                let (flushed, client) = {
-                    let j = &mut self.job_hot[slot];
-                    if j.quantum_acc > SimDuration::ZERO {
-                        let acc = std::mem::take(&mut j.quantum_acc);
-                        self.job_cold[slot].quanta.push((self.now, acc));
-                        (Some(acc), j.client.0)
-                    } else {
-                        (None, j.client.0)
+        if let Verdict::Moved { from, to, reason } = verdict {
+            if matches!(reason, SwitchReason::WatchdogStall) {
+                // The token-hold watchdog revoked a stalled holder: surface it
+                // before `last_switch` advances, so the stall length is the
+                // time since the holder was granted the token.
+                if let Some(old) = from {
+                    let stalled_us = self
+                        .last_switch
+                        .map_or(0, |t| (self.now - t).as_nanos() / 1_000);
+                    if let Some(s) = self.live_slot(old) {
+                        let client = self.job_hot[s].client.0;
+                        self.record(TraceKind::WatchdogRevoke { job: old.0, client, stalled_us });
                     }
-                };
-                if let Some(acc) = flushed {
-                    self.record(TraceKind::QuantumEnd { job: old.0, client, gpu: acc });
+                }
+            }
+            self.switch_count += 1;
+            if let Some(last) = self.last_switch {
+                self.intervals.push(self.now - last);
+            }
+            self.last_switch = Some(self.now);
+            // A revoked/granted job may already be deregistered (its slot is
+            // freed before the verdict reaches us), hence the Option client.
+            if let Some(old) = from {
+                let slot = self.live_slot(old);
+                if let Some(slot) = slot {
+                    self.flush_quantum(old, slot);
+                }
+                let client = slot.map(|s| self.job_hot[s].client.0);
+                self.record(TraceKind::TokenRevoke { job: old.0, client, reason });
+            }
+            if let Some(new) = to {
+                let slot = self.live_slot(new);
+                let client = slot.map(|s| self.job_hot[s].client.0);
+                self.record(TraceKind::TokenGrant { job: new.0, client, reason });
+                if let Some(slot) = slot {
+                    let j = &mut self.job_hot[slot];
+                    j.resume_at = self.now + self.cfg.switch_latency;
+                    // Hand-off latency runs from here to the holder's next
+                    // kernel reaching the device queue.
+                    j.granted_at = self.now;
+                    if !j.resume_scheduled {
+                        j.resume_scheduled = true;
+                        self.queue.schedule(j.resume_at, Event::ResumeJob(new));
+                    }
+                    if std::mem::take(&mut j.yield_blocked) {
+                        let client = j.client.0;
+                        self.record(TraceKind::YieldUnblock { job: new.0, client });
+                    }
                 }
             }
         }
-        // A revoked/granted job may already be deregistered (its slot is
-        // freed before the verdict reaches us), hence the Option client.
-        if let Some(old) = from {
-            let client = self.live_slot(old).map(|s| self.job_hot[s].client.0);
-            self.record(TraceKind::TokenRevoke { job: old.0, client, reason });
-        }
-        if let Some(new) = to {
-            let slot = self.live_slot(new);
-            let client = slot.map(|s| self.job_hot[s].client.0);
-            self.record(TraceKind::TokenGrant { job: new.0, client, reason });
-            if let Some(slot) = slot {
-                let j = &mut self.job_hot[slot];
-                j.resume_at = self.now + self.cfg.switch_latency;
-                // Hand-off latency runs from here to the holder's next
-                // kernel reaching the device queue.
-                j.granted_at = self.now;
-                if !j.resume_scheduled {
-                    j.resume_scheduled = true;
-                    self.queue.schedule(j.resume_at, Event::ResumeJob(new));
-                }
-                if std::mem::take(&mut j.yield_blocked) {
-                    let client = j.client.0;
-                    self.record(TraceKind::YieldUnblock { job: new.0, client });
-                }
-            }
+        self.schedule_timer();
+    }
+
+    /// Closes the run's open quantum, if it received GPU time: the
+    /// report's quantum log gets it and the trace its end. Both a token
+    /// move and a completion close one.
+    fn flush_quantum(&mut self, job: JobId, slot: usize) {
+        let j = &mut self.job_hot[slot];
+        if j.quantum_acc > SimDuration::ZERO {
+            let (gpu, client) = (std::mem::take(&mut j.quantum_acc), j.client.0);
+            self.job_cold[slot].quanta.push((self.now, gpu));
+            self.record(TraceKind::QuantumEnd { job: job.0, client, gpu });
         }
     }
 
@@ -1450,16 +1377,6 @@ impl Engine<'_> {
         let duration = self.job_cold[slot].graph.node(node).duration();
         let tag = JobTag(self.job_hot[slot].client.0 as u64);
         let dev = self.clients[tag.0 as usize].device as usize;
-        let kernel_id = match self.kernel_free.pop() {
-            Some(k) => {
-                self.kernels[k as usize] = Some((job_id, node));
-                u64::from(k)
-            }
-            None => {
-                self.kernels.push(Some((job_id, node)));
-                (self.kernels.len() - 1) as u64
-            }
-        };
         // The holder's first enqueue after a grant closes its hand-off;
         // that one enqueue is recorded whatever the trace mode, so
         // telemetry sees it (the trace keeps kernel events in Full mode).
@@ -1474,7 +1391,10 @@ impl Engine<'_> {
         // A kernel enqueued inside a slowdown window runs `factor`× slower
         // (the window is sampled at submission).
         let slowdown = self.recovery.as_ref().map_or(1.0, |rec| rec.slowdown(self.now));
-        self.devices[dev].enqueue(tag, kernel_id, duration, self.inflation * slowdown);
+        // The context is the client and the payload the node: the device
+        // names a kernel by both, and the run is the client's current one.
+        let payload = node.index() as u64;
+        self.devices[dev].enqueue(tag, payload, duration, self.inflation * slowdown);
         self.pump_device(dev);
     }
 
@@ -1495,26 +1415,18 @@ impl Engine<'_> {
             }
         }
         if let Some(k) = self.devices[dev].try_start(self.now) {
-            let idx = k.payload as usize;
-            let (job, node) = self.kernels[idx]
-                .take()
-                .expect("started kernel was enqueued");
-            self.kernel_free.push(idx as u32);
+            // A started kernel's run is its client's current one: a
+            // torn-down run's queued kernels have left the device, and a run
+            // with work in flight cannot complete.
+            let client = k.tag.0 as u32;
+            let job = self.clients[client as usize]
+                .current_job
+                .expect("a started kernel's run is live");
+            let node = NodeId::from_index(k.payload as usize);
             if self.trace.records_kernels() {
-                // A started kernel's job is still live: queued kernels of
-                // cancelled jobs are dropped, and a job with in-flight work
-                // cannot complete.
-                if let Some(s) = self.live_slot(job) {
-                    let client = self.job_hot[s].client.0;
-                    self.record(TraceKind::KernelLaunch {
-                        job: job.0,
-                        client,
-                        device: dev as u32,
-                        node: node.index() as u32,
-                        start: k.start,
-                        end: k.end,
-                    });
-                }
+                let (job, device, node) = (job.0, dev as u32, node.index() as u32);
+                let (start, end) = (k.start, k.end);
+                self.record(TraceKind::KernelLaunch { job, client, device, node, start, end });
             }
             self.queue.schedule(
                 k.end,
@@ -1585,7 +1497,6 @@ impl Engine<'_> {
                 }
             }
             self.apply_verdict(verdict);
-            self.schedule_timer();
         }
         // Split borrow across the SoA halves: children come from the cold
         // graph while readiness mutates the hot row — no `Arc` clone.
@@ -1600,7 +1511,7 @@ impl Engine<'_> {
             }
         }
         if job.done_nodes == job.total_nodes {
-            self.complete_run(job_id);
+            self.end_run(job_id, None);
         } else {
             self.dispatch(job_id);
         }
@@ -2163,10 +2074,8 @@ mod tests {
             lifecycle::ModelDeployment::new("svc", managed("svc"))
                 .with_version(managed("svc"), SimTime::from_micros(500)),
         );
-        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: 2 };
-        let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
         let cfg = fleet(
-            two_devices(lc)
+            two_devices(lifecycle::LifecycleConfig::new(plan))
                 .with_policy(cluster::RouterPolicy::Static)
                 .with_reconfigure(false),
         );
@@ -2217,9 +2126,9 @@ mod tests {
     #[test]
     fn degraded_fleet_routes_to_the_cheapest_version() {
         // v1 is the heavy graph, v2 (published at 10 ms, once v1 serves)
-        // the light one. The canary never decides, so both stay Serving; an
-        // objective no run meets walks the ladder out of Healthy whenever
-        // runs complete.
+        // the light one. Both serve until the canary decides; an objective
+        // no run meets walks the ladder out of Healthy whenever runs
+        // complete.
         let heavy = models::mini::small(4);
         let heavy = models::LoadedModel::from_parts(
             "svc",
@@ -2233,9 +2142,7 @@ mod tests {
             lifecycle::ModelDeployment::new("svc", heavy)
                 .with_version(managed("svc"), SimTime::from_millis(10)),
         );
-        let canary = lifecycle::CanaryConfig { stride: 2, min_runs: u32::MAX };
-        let lc = lifecycle::LifecycleConfig::new(plan).with_canary(canary);
-        let cc = two_devices(lc)
+        let cc = two_devices(lifecycle::LifecycleConfig::new(plan))
             .with_policy(cluster::RouterPolicy::Static)
             .with_reconfigure(false);
         let cfg = fleet(cc)
@@ -2258,17 +2165,21 @@ mod tests {
             .0;
         assert!(sched.names.iter().any(|(t, n)| *t < light_at && n == "svc@v1"));
         // Walk the Full trace in order, pairing each registration with the
-        // name the scheduler saw: once v2 serves, every run registered
-        // while the ladder is past Healthy takes it.
+        // name the scheduler saw: once v2 serves, and until the canary
+        // decides, every run registered while the ladder is past Healthy
+        // takes it.
         let mut names = sched.names.iter().map(|(_, n)| n.as_str());
-        let (mut degraded, mut light_serves, mut checked) = (false, false, 0);
+        let (mut degraded, mut light_serves, mut decided, mut checked) = (false, false, false, 0);
         for e in &report.trace.events {
             match e.kind {
                 TraceKind::ControlTransition { to, .. } => degraded = to != "healthy",
+                TraceKind::CanaryPromote { .. } | TraceKind::CanaryRollback { .. } => {
+                    decided = true;
+                }
                 TraceKind::RunRegistered { .. } => {
                     let name = names.next().expect("one name per registration");
                     light_serves |= name == "svc@v2";
-                    if degraded && light_serves {
+                    if degraded && light_serves && !decided {
                         assert_eq!(name, "svc@v2", "a degraded run at {:?}", e.at);
                         checked += 1;
                     }
@@ -2277,7 +2188,7 @@ mod tests {
             }
         }
         assert!(names.next().is_none(), "a registration missing from the trace");
-        assert!(checked > 0, "no registrations after the ladder left Healthy");
+        assert!(checked > 0, "no degraded registration while both versions served");
     }
 
     #[test]

@@ -9,7 +9,7 @@ mod replay;
 
 use common::fnv1a;
 use dataflow::NodeId;
-use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
+use lifecycle::{DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
 use serving::cluster::ClusterConfig;
 use serving::{
@@ -23,7 +23,6 @@ use trace::TraceKind;
 
 const QUANTUM: SimDuration = SimDuration::from_micros(200);
 const CADENCE: SimDuration = SimDuration::from_micros(500);
-const CANARY: CanaryConfig = CanaryConfig { stride: 3, min_runs: 4 };
 
 /// Rebadges a mini zoo model as the named service; `regressed` picks a
 /// much heavier graph (the unhealthy canary candidate).
@@ -48,7 +47,7 @@ fn lifecycle_cfg(mut cfg: EngineConfig, plan: DeploymentPlan) -> (EngineConfig, 
         .with_telemetry(TelemetryConfig::enabled(CADENCE));
     let store = Arc::new(ProfileStore::new());
     let binder = StoreBinder::calibrate(&cfg, &plan, Arc::clone(&store));
-    let lc = LifecycleConfig::new(plan).with_canary(CANARY).with_binder(binder);
+    let lc = LifecycleConfig::new(plan).with_binder(binder);
     (cfg.with_lifecycle(lc), store)
 }
 
