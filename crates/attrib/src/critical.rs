@@ -98,6 +98,9 @@ pub(crate) fn walk(attr: &Attribution, blame: Blame) -> CriticalPath {
     }
 
     segments.sort_by_key(|s| (s.start_ns, s.end_ns));
+    // The path outlives the walk (through a phased export, where a fully
+    // traced run's heap peaks), so drop the slack that doubling left.
+    segments.shrink_to_fit();
     let span_ns = segments.iter().map(|s| s.end_ns - s.start_ns).sum();
     let mut by_phase: Vec<(&'static str, u64)> = Phase::ALL
         .iter()

@@ -46,25 +46,38 @@ struct Entry {
     completed_ppm: u64,
 }
 
-/// The EDF / least-laxity policy. Registered jobs live in a small
-/// registration-ordered vector (job counts per device are tens, not
-/// thousands); every decision is a linear min-scan with the registration
-/// index as the tie-break.
+/// The EDF / least-laxity policy. Registered jobs live in a
+/// registration-ordered vector; the most urgent one is the min-scan over
+/// it with the registration index as the tie-break, kept until a key can
+/// have moved: an entry is added, bound or removed, or, under least laxity
+/// only, a job's progress moves. Between those, every quantum expiry
+/// answers from the kept argmin, and the per-kernel progress feed finds
+/// its entry through a lookup hint.
 #[derive(Debug)]
 pub struct DeadlinePolicy {
     mode: DeadlineMode,
     entries: Vec<Entry>,
+    /// The index of the last entry a lookup found; used only when the job
+    /// stored there matches, since `remove` shifts the entries after it.
+    hint: usize,
+    /// The argmin [`Self::best`] last computed (`Some(None)` with no
+    /// entries); `None` once a key may have moved.
+    argmin: Option<Option<JobId>>,
 }
 
 impl DeadlinePolicy {
+    fn with_mode(mode: DeadlineMode) -> DeadlinePolicy {
+        DeadlinePolicy { mode, entries: Vec::new(), hint: 0, argmin: None }
+    }
+
     /// Earliest-deadline-first ordering.
     pub fn edf() -> DeadlinePolicy {
-        DeadlinePolicy { mode: DeadlineMode::Edf, entries: Vec::new() }
+        DeadlinePolicy::with_mode(DeadlineMode::Edf)
     }
 
     /// Least-laxity-first ordering.
     pub fn laxity() -> DeadlinePolicy {
-        DeadlinePolicy { mode: DeadlineMode::LeastLaxity, entries: Vec::new() }
+        DeadlinePolicy::with_mode(DeadlineMode::LeastLaxity)
     }
 
     /// The configured ordering.
@@ -91,26 +104,41 @@ impl DeadlinePolicy {
     }
 
     /// The most urgent registered job (min key, registration order on
-    /// ties).
-    fn best(&self) -> Option<JobId> {
-        self.entries
+    /// ties), from the kept argmin while no key has moved.
+    fn best(&mut self) -> Option<JobId> {
+        if let Some(best) = self.argmin {
+            return best;
+        }
+        let best = self
+            .entries
             .iter()
             .enumerate()
             .min_by_key(|(i, e)| (self.key(e), *i))
-            .map(|(_, e)| e.job)
+            .map(|(_, e)| e.job);
+        self.argmin = Some(best);
+        best
     }
 
-    fn upsert(&mut self, job: JobId) -> &mut Entry {
-        if let Some(i) = self.entries.iter().position(|e| e.job == job) {
-            return &mut self.entries[i];
-        }
+    /// The index of `job`'s entry, trying the hint first; remembers it.
+    fn find(&mut self, job: JobId) -> Option<usize> {
+        let i = match self.entries.get(self.hint) {
+            Some(e) if e.job == job => self.hint,
+            _ => self.entries.iter().position(|e| e.job == job)?,
+        };
+        self.hint = i;
+        Some(i)
+    }
+
+    /// Appends a deadline-less entry for `job`; returns its index.
+    fn push(&mut self, job: JobId) -> usize {
         self.entries.push(Entry {
             job,
             deadline_ns: u64::MAX,
             expected_ns: 0,
             completed_ppm: 0,
         });
-        self.entries.last_mut().expect("just pushed")
+        self.hint = self.entries.len() - 1;
+        self.hint
     }
 }
 
@@ -122,7 +150,10 @@ impl Policy for DeadlinePolicy {
         _priority: u32,
         current: Option<JobId>,
     ) -> Option<JobId> {
-        self.upsert(job);
+        if self.find(job).is_none() {
+            self.push(job);
+            self.argmin = None;
+        }
         // No mid-quantum preemption: a more urgent arrival waits for the
         // holder's next expiry, like every other policy here.
         current.or_else(|| self.best())
@@ -130,6 +161,7 @@ impl Policy for DeadlinePolicy {
 
     fn remove(&mut self, job: JobId, current: Option<JobId>) -> Option<JobId> {
         self.entries.retain(|e| e.job != job);
+        self.argmin = None;
         if current == Some(job) {
             self.best()
         } else {
@@ -156,14 +188,24 @@ impl Policy for DeadlinePolicy {
         deadline: Option<SimTime>,
         expected_gpu: SimDuration,
     ) {
-        let e = self.upsert(job);
+        let i = match self.find(job) {
+            Some(i) => i,
+            None => self.push(job),
+        };
+        let e = &mut self.entries[i];
         e.deadline_ns = deadline.map_or(u64::MAX, |d| d.as_nanos());
         e.expected_ns = expected_gpu.as_nanos();
+        self.argmin = None;
     }
 
     fn note_progress(&mut self, job: JobId, completed_ppm: u64) {
-        if let Some(i) = self.entries.iter().position(|e| e.job == job) {
-            self.entries[i].completed_ppm = completed_ppm;
+        if let Some(i) = self.find(job) {
+            let e = &mut self.entries[i];
+            // Progress is no part of an EDF key.
+            if e.completed_ppm != completed_ppm && self.mode == DeadlineMode::LeastLaxity {
+                self.argmin = None;
+            }
+            e.completed_ppm = completed_ppm;
         }
     }
 }

@@ -48,10 +48,15 @@ pub struct OlympianScheduler {
     meter: QuantumMeter,
     token: Option<JobId>,
     token_since: SimTime,
-    /// Active-job cost accounts, keyed by job id. Linear scan: the set holds
-    /// at most one entry per live client, and a per-kernel scan over a few
-    /// dense entries beats a hash probe on the cost hot path.
+    /// Active-job cost accounts, keyed by job id, at most one per live
+    /// client. Looked up through [`Self::find`], which tries `hint` first.
     jobs: Vec<(JobId, JobAccount)>,
+    /// The index in `jobs` of the job `on_gpu_node_done` last charged. A
+    /// kernel's completion is mostly the holder's, so the next lookup is
+    /// mostly for the same job; the hint is used only when the job id
+    /// stored at it matches, so a stale one (after `swap_remove`) costs one
+    /// compare.
+    hint: usize,
     name: String,
     /// Token-hold watchdog patience (a multiple of `Q`); `None` disables.
     watchdog: Option<SimDuration>,
@@ -80,6 +85,7 @@ impl OlympianScheduler {
             token: None,
             token_since: SimTime::ZERO,
             jobs: Vec::new(),
+            hint: 0,
             name,
             watchdog: None,
             last_progress: SimTime::ZERO,
@@ -108,6 +114,15 @@ impl OlympianScheduler {
         self.meter = QuantumMeter::WallClock;
         self.name = format!("{}-cpu-timer", self.name);
         self
+    }
+
+    /// The index of `job`'s account: the hint when it still holds `job`,
+    /// otherwise a scan.
+    fn find(&self, job: JobId) -> Option<usize> {
+        match self.jobs.get(self.hint) {
+            Some((j, _)) if *j == job => Some(self.hint),
+            _ => self.jobs.iter().position(|(j, _)| *j == job),
+        }
     }
 
     fn move_token(&mut self, to: Option<JobId>, now: SimTime, reason: SwitchReason) -> Verdict {
@@ -152,7 +167,7 @@ impl Scheduler for OlympianScheduler {
     }
 
     fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
-        if let Some(i) = self.jobs.iter().position(|(j, _)| *j == job) {
+        if let Some(i) = self.find(job) {
             self.jobs.swap_remove(i);
         }
         let next = self.policy.remove(job, self.token);
@@ -164,15 +179,13 @@ impl Scheduler for OlympianScheduler {
     }
 
     fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
-        let Some(account) = self
-            .jobs
-            .iter_mut()
-            .find_map(|(j, a)| (*j == job).then_some(a))
-        else {
+        let Some(i) = self.find(job) else {
             // A kernel can complete after its job deregistered only through
             // an engine bug; be strict.
             panic!("cost event for unregistered {job}");
         };
+        self.hint = i;
+        let account = &mut self.jobs[i].1;
         // Overflow rule (Figures 10/15): the cost is charged to the job
         // that launched the kernel even if it no longer holds the token.
         let cost = account.profile.node_cost(node);
@@ -269,9 +282,10 @@ impl Scheduler for OlympianScheduler {
     }
 
     fn cost_state(&self, job: JobId) -> Option<(u64, u64)> {
-        self.jobs
-            .iter()
-            .find_map(|(j, a)| (*j == job).then_some((a.cumulated, a.threshold)))
+        self.find(job).map(|i| {
+            let a = &self.jobs[i].1;
+            (a.cumulated, a.threshold)
+        })
     }
 
     fn telemetry_probe(&self) -> SchedulerProbe {

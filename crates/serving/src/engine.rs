@@ -737,9 +737,9 @@ impl Engine<'_> {
         let client = &self.clients[c.0 as usize];
         let model = version.unwrap_or(&client.spec.model);
         let graph = Arc::clone(model.graph());
-        // Past Healthy the ladder meters runs at a shrunk batch hint: the
-        // resolved profile's smaller costs buy shorter quanta and earlier
-        // thresholds while the graph itself is unchanged.
+        // Past Healthy the ladder shrinks the batch hint: the run registers,
+        // and is metered, under the profile at the hinted batch, while its
+        // graph runs at full batch.
         let full_batch = client.spec.model.batch();
         let batch = self.control.as_ref().map_or(full_batch, |ctl| ctl.batch_hint(full_batch));
         let deadline = client.spec.run_deadline.map(|d| self.now + d);

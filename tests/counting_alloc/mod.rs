@@ -61,7 +61,7 @@ static GLOBAL: Counting = Counting;
 
 /// Heap allocations (reallocations included) the calling thread makes
 /// while `f` runs.
-#[allow(dead_code)] // each test binary reads one of the two measurements
+#[allow(dead_code)] // each test binary reads the measurements it needs
 pub fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
@@ -70,10 +70,20 @@ pub fn allocs_during(f: impl FnOnce()) -> u64 {
 
 /// The most heap bytes the calling thread held while `f` ran, above what
 /// it held when `f` started.
-#[allow(dead_code)] // each test binary reads one of the two measurements
+#[allow(dead_code)] // each test binary reads the measurements it needs
 pub fn peak_live_bytes_during(f: impl FnOnce()) -> u64 {
     let start = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(start));
     f();
     (PEAK.with(Cell::get) - start).max(0) as u64
+}
+
+/// What `f` returns, and the heap bytes the calling thread still holds
+/// once it has returned, above what it held when `f` started: the bytes
+/// the returned value keeps alive, when `f` leaves nothing else behind.
+#[allow(dead_code)] // each test binary reads the measurements it needs
+pub fn retained_bytes_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let start = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - start)
 }
